@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,8 +44,17 @@ def _require_keys(section: dict, allowed: dict[str, object], path: str) -> dict:
 _REQUIRED = object()
 
 
+def _field(path: str, build, *args, **kwargs):
+    """Call a converter or domain constructor, reporting its ValueError or
+    TypeError as a ConfigError that names the field."""
+    try:
+        return build(*args, **kwargs)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _positive(value, path: str) -> float:
-    value = float(value)
+    value = _field(path, float, value)
     if not value > 0:
         raise ConfigError(f"{path}: must be positive")
     return value
@@ -61,12 +70,13 @@ class ExperimentConfig:
     sequence_spec: dict
     anneal_spec: dict | None
     region_spec: dict
-    objective_spec: dict
     reference_spec: dict
     sweep_spec: dict
     crlb_spec: dict
     effective_threshold_db: float
     output_dir: str | None
+    objective: ObjectiveConfig
+    anneal: AnnealConfig | None
 
     # ---- constructors -------------------------------------------------
 
@@ -99,7 +109,7 @@ class ExperimentConfig:
         }, "config")
         if top["version"] != CONFIG_VERSION:
             raise ConfigError(f"config.version: expected {CONFIG_VERSION}")
-        if not isinstance(top["seed"], int):
+        if isinstance(top["seed"], bool) or not isinstance(top["seed"], int):
             raise ConfigError("config.seed: must be an integer (no wall-clock default)")
 
         array_spec = cls._validate_array(top["array"])
@@ -131,9 +141,12 @@ class ExperimentConfig:
                     "config.anneal.scheme: hybrid requires a partitioned "
                     "(octagonal) array"
                 )
-            if int(anneal_spec["k_max"]) < 1:
-                raise ConfigError("config.anneal.k_max: must be >= 1")
-            anneal_spec["k_max"] = int(anneal_spec["k_max"])
+            anneal_spec["k_max"] = _field("config.anneal.k_max", int,
+                                          anneal_spec["k_max"])
+            for key in ("t0", "alpha"):
+                if anneal_spec[key] is not None:
+                    anneal_spec[key] = _field(f"config.anneal.{key}", float,
+                                              anneal_spec[key])
 
         region_spec = _require_keys(top["region"], {
             "doppler_fraction": 0.25,
@@ -144,6 +157,24 @@ class ExperimentConfig:
             "samples": 4096,
             "sin_elevation": False,
         }, "config.objective")
+        objective = _field(
+            "config.objective", ObjectiveConfig,
+            power=_field("config.objective.power", int, objective_spec["power"]),
+            samples=_field("config.objective.samples", int, objective_spec["samples"]),
+            seed=top["seed"],
+            sin_elevation=bool(objective_spec["sin_elevation"]),
+        )
+        anneal = None
+        if anneal_spec is not None:
+            anneal = _field(
+                "config.anneal", AnnealConfig,
+                objective=objective,
+                update=anneal_spec["scheme"],
+                k_max=anneal_spec["k_max"],
+                t0=anneal_spec["t0"],
+                alpha=anneal_spec["alpha"],
+                seed=top["seed"],
+            )
         reference_spec = _require_keys(top["reference"], {
             "azimuth_deg": 45.0,
             "elevation_deg": 90.0,
@@ -158,6 +189,8 @@ class ExperimentConfig:
         }, "config.sweep")
         if sweep_spec["angle_axis"] not in ("eoa", "aoa"):
             raise ConfigError("config.sweep.angle_axis: must be eoa|aoa")
+        for key in ("doppler_step_hz", "angle_step_deg"):
+            _positive(sweep_spec[key], f"config.sweep.{key}")
         crlb_spec = _require_keys(top["crlb"], {
             "azimuth_deg": 90.0,
             "elevation_deg": 90.0,
@@ -178,12 +211,13 @@ class ExperimentConfig:
             sequence_spec=sequence_spec,
             anneal_spec=anneal_spec,
             region_spec=region_spec,
-            objective_spec=objective_spec,
             reference_spec=reference_spec,
             sweep_spec=sweep_spec,
             crlb_spec=crlb_spec,
             effective_threshold_db=threshold,
             output_dir=top["output_dir"],
+            objective=objective,
+            anneal=anneal,
         )
 
     @staticmethod
@@ -262,25 +296,12 @@ class ExperimentConfig:
                                   float(self.region_spec["doppler_fraction"]))
 
     def build_objective(self, workers: int = 1) -> ObjectiveConfig:
-        return ObjectiveConfig(
-            power=int(self.objective_spec["power"]),
-            samples=int(self.objective_spec["samples"]),
-            seed=self.seed,
-            sin_elevation=bool(self.objective_spec["sin_elevation"]),
-            workers=workers,
-        )
+        return replace(self.objective, workers=workers)
 
     def build_anneal(self, workers: int = 1) -> AnnealConfig:
-        if self.anneal_spec is None:
+        if self.anneal is None:
             raise ConfigError("config.anneal: section required for this command")
-        return AnnealConfig(
-            objective=self.build_objective(workers),
-            update=self.anneal_spec["scheme"],
-            k_max=self.anneal_spec["k_max"],
-            t0=self.anneal_spec["t0"],
-            alpha=self.anneal_spec["alpha"],
-            seed=self.seed,
-        )
+        return replace(self.anneal, objective=self.build_objective(workers))
 
     def reference_params(self):
         from .signal import StructuralParams

@@ -11,6 +11,8 @@ from switchseq import (AnnealConfig, ArrayModel, DegenerateDirectionError,
                        ambiguity_value, anneal, basis_from_eta, make_octagonal,
                        make_ula, objective, random_init, sequential)
 from switchseq.ambiguity import normalized_correlation, save_surface_csv
+from switchseq.arrays import steering_matrix
+from switchseq.switching import hybrid_init, swap_hybrid, swap_random
 
 BROADSIDE = StructuralParams.simo(math.pi / 2, math.pi / 2, 0.0)
 
@@ -135,6 +137,72 @@ def test_objective_parallel_matches_serial():
     threaded = objective(arr, seq, region,
                          ObjectiveConfig(samples=2048, seed=5, workers=4))
     assert serial == threaded
+
+
+def reference_objective(ev, seq):
+    """f_P rebuilt from the evaluator's sample points, with the Doppler
+    phases taken by a complex exponential per call instead of the table."""
+    g = steering_matrix(ev.array, ev.azimuth, ev.elevation)
+    g_p = steering_matrix(ev.array, ev.azimuth_prime, ev.elevation_prime)
+    norm = np.sqrt(ev.snapshots * np.sum(np.abs(g) ** 2, axis=1))
+    norm_p = np.sqrt(ev.snapshots * np.sum(np.abs(g_p) ** 2, axis=1))
+    ok = (norm > 0.0) & (norm_p > 0.0)
+    denom = np.where(ok, norm * norm_p, 1.0)
+    cross = np.where(ok[:, None], np.conj(g) * g_p / denom[:, None], 0.0)
+    eta = seq.slot_of() * seq.delta_t
+    phases = np.exp(2j * math.pi * np.outer(ev.delta_doppler, eta))
+    mags = np.abs((cross * phases).sum(axis=1))
+    if seq.snapshots > 1:
+        offsets = np.arange(seq.snapshots) * seq.num_elements * seq.delta_t
+        mags *= np.abs(np.exp(2j * math.pi * np.outer(ev.delta_doppler, offsets)).sum(axis=1))
+    return ev.volume * np.sum(mags ** ev.config.power) / ev.config.samples
+
+
+def swap_chain(arr, snapshots, length, rng):
+    """Initial sequence plus length-1 successive swaps (hybrid when the
+    array is partitioned)."""
+    if arr.partition is None:
+        seqs = [random_init(arr.num_elements, 1e-4, snapshots, rng)]
+        while len(seqs) < length:
+            seqs.append(swap_random(seqs[-1], rng))
+    else:
+        seqs = [hybrid_init(arr.num_elements, 1e-4, snapshots, arr.partition, rng)]
+        while len(seqs) < length:
+            seqs.append(swap_hybrid(seqs[-1], len(seqs), rng))
+    return seqs
+
+
+DIFFERENTIAL_ARRAYS = {
+    "ula": lambda: make_ula(16, 0.5, 1.0),
+    "octagon": lambda: make_octagonal(8, 2, 2, patch_exponent=2.0),
+    "single_panel": single_panel_array,  # about half the samples degenerate
+}
+
+
+@pytest.mark.parametrize("sin_elevation", [False, True])
+@pytest.mark.parametrize("snapshots", [1, 3])
+@pytest.mark.parametrize("array_name", sorted(DIFFERENTIAL_ARRAYS))
+def test_evaluate_matches_per_call_exp_reference(array_name, snapshots, sin_elevation):
+    arr = DIFFERENTIAL_ARRAYS[array_name]()
+    cfg = ObjectiveConfig(power=6, samples=256, seed=11, sin_elevation=sin_elevation)
+    ev = ObjectiveEvaluator(arr, Region.default_for(1e-4), cfg, 1e-4, snapshots)
+    if array_name == "single_panel":
+        assert ev.degenerate_count > 0
+    for seq in swap_chain(arr, snapshots, 21, np.random.default_rng(snapshots)):
+        ref = reference_objective(ev, seq)
+        assert abs(ev.evaluate(seq) - ref) <= 1e-12 * abs(ref)
+
+
+def test_objective_parallel_matches_serial_on_octagon():
+    arr = make_octagonal(8, 2, 2, patch_exponent=2.0)
+    region = Region.default_for(1e-4)
+    serial = ObjectiveEvaluator(arr, region, ObjectiveConfig(samples=4096, seed=5),
+                                1e-4, 1)
+    threaded = ObjectiveEvaluator(arr, region,
+                                  ObjectiveConfig(samples=4096, seed=5, workers=4),
+                                  1e-4, 1)
+    for seq in swap_chain(arr, 1, 5, np.random.default_rng(5)):
+        assert serial.evaluate(seq) == threaded.evaluate(seq)
 
 
 def test_objective_power_monotonicity():

@@ -111,6 +111,29 @@ def test_cli_exit_code_for_config_error(tmp_path, capsys):
     assert err["error"]["type"] == "config"
 
 
+@pytest.mark.parametrize("command, section, key, value", [
+    ("optimize", None, "seed", True),
+    ("ambiguity", "sweep", "doppler_step_hz", 0),
+    ("ambiguity", "sweep", "angle_step_deg", 0),
+    ("optimize", "anneal", "k_max", "abc"),
+    ("optimize", "objective", "samples", 0),
+    ("optimize", "objective", "power", 3),
+])
+def test_cli_bad_field_exits_2_with_one_json_line(tmp_path, capsys, command,
+                                                  section, key, value):
+    cfg = octagon_config()
+    (cfg if section is None else cfg[section])[key] = value
+    rc = main([command, "--config", write_config(tmp_path, cfg),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "config"
+    assert key in error["message"]
+
+
 # ---- optimize ----------------------------------------------------------
 
 
