@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -61,15 +60,12 @@ class ObjectiveConfig:
     samples: int = 4096
     seed: int = 0
     sin_elevation: bool = False
-    workers: int = 1
 
     def __post_init__(self):
         if self.power < 2 or self.power % 2 != 0:
             raise ValueError("power must be an even integer >= 2")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 def normalized_correlation(b1: np.ndarray, b2: np.ndarray) -> complex:
@@ -154,41 +150,21 @@ class ObjectiveEvaluator:
         else:
             self._snapshot_factor = None
 
-    def _magnitudes(self, slots: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        phases = np.take(self._phase_table[lo:hi], slots, axis=1)
-        # cross-products stay the left operand: numpy's vectorised complex
-        # multiply is not commutative bit for bit on every CPU
-        np.multiply(self._cross[lo:hi], phases, out=phases)
-        mags = np.abs(phases.sum(axis=1))
-        if self._snapshot_factor is not None:
-            mags = mags * self._snapshot_factor[lo:hi]
-        return mags
-
     def evaluate(self, seq: SwitchingSequence) -> float:
         """QMC estimate of f_P for one sequence."""
         if seq.num_elements != self.array.num_elements:
             raise ValueError("sequence does not match the evaluator's array")
         if seq.delta_t != self.delta_t or seq.snapshots != self.snapshots:
             raise ValueError("sequence timing does not match the evaluator")
-        n = self.config.samples
-        slots = seq.slot_of()
-        if self.config.workers == 1:
-            mags = self._magnitudes(slots, 0, n)
-        else:
-            # fixed chunk grid so the per-sample values (and hence the ordered
-            # reduction below) are identical for any worker count
-            chunk = 1024
-            bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-            mags = np.empty(n)
-            with ThreadPoolExecutor(max_workers=self.config.workers) as pool:
-                futures = {
-                    pool.submit(self._magnitudes, slots, lo, hi): (lo, hi)
-                    for lo, hi in bounds
-                }
-                for fut, (lo, hi) in futures.items():
-                    mags[lo:hi] = fut.result()
+        phases = np.take(self._phase_table, seq.slot_of(), axis=1)
+        # cross-products stay the left operand: numpy's vectorised complex
+        # multiply is not commutative bit for bit on every CPU
+        np.multiply(self._cross, phases, out=phases)
+        mags = np.abs(phases.sum(axis=1))
+        if self._snapshot_factor is not None:
+            mags = mags * self._snapshot_factor
         total = np.sum(mags ** self.config.power)
-        return float(self.volume * total / n)
+        return float(self.volume * total / self.config.samples)
 
     @classmethod
     def for_sequence(cls, array: ArrayModel, region: Region,
@@ -228,6 +204,21 @@ class AmbiguitySurface:
         return 20.0 * np.log10(np.maximum(self.magnitude, 10 ** (DB_FLOOR / 20.0)))
 
 
+def sweep_directions(mu: StructuralParams, angle_offset_deg,
+                     angle_axis: str = "eoa") -> tuple[np.ndarray, np.ndarray]:
+    """Azimuths and elevations of a sweep's angle offsets around mu."""
+    offsets = np.radians(np.asarray(angle_offset_deg, dtype=float))
+    if angle_axis == "eoa":
+        el = mu.rx_elevation + offsets
+        if np.any(el < 0) or np.any(el > math.pi):
+            raise ValueError("elevation sweep leaves [0, pi]; narrow the grid")
+        return np.full_like(el, mu.rx_azimuth), el
+    if angle_axis == "aoa":
+        az = np.mod(mu.rx_azimuth + offsets, 2 * math.pi)
+        return az, np.full_like(az, mu.rx_elevation)
+    raise ValueError("angle_axis must be 'eoa' or 'aoa'")
+
+
 def ambiguity_surface(array: ArrayModel, seq: SwitchingSequence,
                       mu: StructuralParams, doppler_hz, angle_offset_deg,
                       angle_axis: str = "eoa") -> AmbiguitySurface:
@@ -243,18 +234,7 @@ def ambiguity_surface(array: ArrayModel, seq: SwitchingSequence,
     if np.any(np.diff(doppler_hz) <= 0) or np.any(np.diff(angle_offset_deg) <= 0):
         raise ValueError("sweep grids must be strictly increasing")
 
-    offsets = np.radians(angle_offset_deg)
-    if angle_axis == "eoa":
-        el = mu.rx_elevation + offsets
-        if np.any(el < 0) or np.any(el > math.pi):
-            raise ValueError("elevation sweep leaves [0, pi]; narrow the grid")
-        az = np.full_like(el, mu.rx_azimuth)
-    elif angle_axis == "aoa":
-        az = np.mod(mu.rx_azimuth + offsets, 2 * math.pi)
-        el = np.full_like(az, mu.rx_elevation)
-    else:
-        raise ValueError("angle_axis must be 'eoa' or 'aoa'")
-
+    az, el = sweep_directions(mu, angle_offset_deg, angle_axis)
     b_ref = basis(array, seq, mu)
     norm_ref = np.linalg.norm(b_ref)
     if norm_ref == 0.0:

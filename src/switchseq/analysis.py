@@ -19,7 +19,7 @@ HALF_POWER_DB = -3.0
 
 
 class GridTooNarrowError(ValueError):
-    """The main lobe is clipped by the sweep grid edge."""
+    """The sweep grid misses the main-lobe peak or clips the main lobe."""
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ def _main_peak(surface: AmbiguitySurface) -> tuple[int, int]:
     peak_a = int(np.argmin(np.abs(surface.angle_offset_deg)))
     peak_d = int(np.argmin(np.abs(surface.doppler_hz)))
     if abs(surface.magnitude[peak_a, peak_d] - 1.0) > 1e-6:
-        raise ValueError("surface does not contain the 0 dB main-lobe peak")
+        raise GridTooNarrowError("surface does not contain the 0 dB main-lobe peak")
     return peak_a, peak_d
 
 

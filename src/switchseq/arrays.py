@@ -253,8 +253,8 @@ def make_octagonal(
     """
     if panels < 3:
         raise ValueError("need at least 3 panels")
-    if rows * cols < 1:
-        raise ValueError("each panel needs at least one element")
+    if rows < 1 or cols < 1:
+        raise ValueError("rows and cols must be >= 1")
     if element_spacing is None:
         element_spacing = wavelength / 2.0
     if element_spacing <= 0:

@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from .ambiguity import (DegenerateDirectionError, ObjectiveEvaluator,
 from .analysis import GridTooNarrowError, compare_schemes
 from .anneal import AnnealError, anneal, save_trace_csv
 from .arrays import effective_elements
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, check_seed, require_swaps
 from .crlb import (EndfireSingularityError, ParamVector, SingularFIMError,
                    UnobservableDopplerError, crlb_aoa, crlb_doppler, fim_numeric)
 from .switching import SwitchingSequence
@@ -40,7 +41,7 @@ NUMERIC_ERRORS = (DegenerateDirectionError, EndfireSingularityError,
 
 
 def _write_manifest(out_dir: Path, command: str, config: ExperimentConfig,
-                    seed: int, threads: int, wall_time_s: float,
+                    seed: int, wall_time_s: float,
                     outputs: list[str]) -> None:
     canonical = json.dumps(config.raw, sort_keys=True).encode()
     manifest = {
@@ -50,7 +51,6 @@ def _write_manifest(out_dir: Path, command: str, config: ExperimentConfig,
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
         "seed": seed,
-        "threads": threads,
         "config": config.raw,
         "config_sha256": hashlib.sha256(canonical).hexdigest(),
         "wall_time_s": wall_time_s,
@@ -63,27 +63,12 @@ def _sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def cmd_optimize(config: ExperimentConfig, out_dir: Path, seed: int,
-                 threads: int) -> int:
+def cmd_optimize(config: ExperimentConfig, out_dir: Path, seed: int) -> int:
     start = time.perf_counter()
-    array = config.build_array()
-    region = config.build_region()
-    anneal_cfg = config.build_anneal(threads)
+    anneal_cfg = config.build_anneal()
     rng = np.random.default_rng(seed)
-
-    spec = config.sequence_spec
-    if anneal_cfg.update == "hybrid":
-        if array.partition is None:
-            raise ConfigError("hybrid optimization requires a partitioned array")
-        from .switching import hybrid_init
-        init = hybrid_init(array.num_elements, spec["delta_t_s"],
-                           spec["snapshots"], array.partition, rng)
-    else:
-        from .switching import random_init
-        init = random_init(array.num_elements, spec["delta_t_s"],
-                           spec["snapshots"], rng)
-
-    final, trace = anneal(init, anneal_cfg, array, region, rng=rng)
+    init = config.build_sequence(anneal_cfg.update, rng)
+    final, trace = anneal(init, anneal_cfg, config.array, config.region, rng=rng)
 
     final.save(out_dir / "sequence.json")
     trace.best_sequence.save(out_dir / "best_sequence.json")
@@ -98,7 +83,7 @@ def cmd_optimize(config: ExperimentConfig, out_dir: Path, seed: int,
         "iterations": len(trace.records),
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    _write_manifest(out_dir, "optimize", config, seed, threads,
+    _write_manifest(out_dir, "optimize", config, seed,
                     time.perf_counter() - start,
                     ["sequence.json", "best_sequence.json", "trace.csv",
                      "summary.json"])
@@ -108,9 +93,9 @@ def cmd_optimize(config: ExperimentConfig, out_dir: Path, seed: int,
 
 
 def cmd_ambiguity(config: ExperimentConfig, out_dir: Path, seed: int,
-                  threads: int, sequence_file: str | None) -> int:
+                  sequence_file: str | None = None) -> int:
     start = time.perf_counter()
-    array = config.build_array()
+    array = config.array
     if sequence_file is not None:
         path = Path(sequence_file)
         if not path.exists():
@@ -123,15 +108,15 @@ def cmd_ambiguity(config: ExperimentConfig, out_dir: Path, seed: int,
                 f"{array.num_elements}"
             )
     else:
-        seq = config.build_sequence(array, np.random.default_rng(seed))
+        seq = config.build_sequence(config.sequence_spec["scheme"],
+                                    np.random.default_rng(seed))
         seq_hash = None
 
-    mu = config.reference_params()
-    doppler, angles, axis = config.sweep_grids()
-    surface = ambiguity_surface(array, seq, mu, doppler, angles, axis)
+    doppler, angles, axis = config.sweep
+    surface = ambiguity_surface(array, seq, config.reference, doppler, angles, axis)
     save_surface_csv(surface, out_dir / "surface.csv",
                      metadata={"seed": seed, "sequence_sha256": seq_hash})
-    _write_manifest(out_dir, "ambiguity", config, seed, threads,
+    _write_manifest(out_dir, "ambiguity", config, seed,
                     time.perf_counter() - start,
                     ["surface.csv", "surface.csv.meta.json"])
     print(f"surface {surface.magnitude.shape[0]}x{surface.magnitude.shape[1]} "
@@ -139,14 +124,14 @@ def cmd_ambiguity(config: ExperimentConfig, out_dir: Path, seed: int,
     return 0
 
 
-def cmd_crlb(config: ExperimentConfig, out_dir: Path, seed: int,
-             threads: int) -> int:
+def cmd_crlb(config: ExperimentConfig, out_dir: Path, seed: int) -> int:
     start = time.perf_counter()
     if config.array_spec["kind"] != "ula":
         raise ConfigError("crlb closed forms are derived for the omni ULA; "
                           "use an array of kind 'ula'")
-    array = config.build_array()
-    seq = config.build_sequence(array, np.random.default_rng(seed))
+    array = config.array
+    seq = config.build_sequence(config.sequence_spec["scheme"],
+                                np.random.default_rng(seed))
     spec = config.crlb_spec
     params = ParamVector(
         azimuth=math.radians(spec["azimuth_deg"]),
@@ -201,53 +186,33 @@ def cmd_crlb(config: ExperimentConfig, out_dir: Path, seed: int,
         },
     }
     (out_dir / "crlb_report.json").write_text(json.dumps(report, indent=2) + "\n")
-    _write_manifest(out_dir, "crlb", config, seed, threads,
+    _write_manifest(out_dir, "crlb", config, seed,
                     time.perf_counter() - start, ["crlb_report.json"])
     print(json.dumps(report["agreement"], indent=2))
     return 0
 
 
-def cmd_compare(config: ExperimentConfig, out_dir: Path, seed: int,
-                threads: int) -> int:
+def cmd_compare(config: ExperimentConfig, out_dir: Path, seed: int) -> int:
     start = time.perf_counter()
-    array = config.build_array()
-    if array.partition is None:
-        raise ConfigError("compare requires a partitioned (octagonal) array")
-    region = config.build_region()
+    array = config.array
+    for update in ("random", "hybrid"):
+        require_swaps(array, update, "compare")
     spec = config.sequence_spec
-    from .switching import hybrid_init, random_init, sequential
-
-    rng = np.random.default_rng(seed)
-    seq_sequential = sequential(array.num_elements, spec["delta_t_s"],
-                                spec["snapshots"], array.partition)
-
-    objective_cfg = config.build_objective(threads)
-    k_max = config.anneal_spec["k_max"] if config.anneal_spec else 200
-    evaluator = ObjectiveEvaluator(array, region, objective_cfg,
+    evaluator = ObjectiveEvaluator(array, config.region, config.objective,
                                    spec["delta_t_s"], spec["snapshots"])
+    # one RNG stream, drawn in order: random init and anneal, then hybrid
+    rng = np.random.default_rng(seed)
+    sequences = {"sequential": config.build_sequence("sequential", rng)}
+    traces = {}
+    for update in ("random", "hybrid"):
+        init = config.build_sequence(update, rng)
+        sequences[update], traces[update] = anneal(
+            init, replace(config.anneal, update=update), array, config.region,
+            rng=rng, evaluator=evaluator)
 
-    from .anneal import AnnealConfig
-
-    init_rand = random_init(array.num_elements, spec["delta_t_s"],
-                            spec["snapshots"], rng)
-    cfg_rand = AnnealConfig(objective=objective_cfg, update="random",
-                            k_max=k_max, seed=seed)
-    seq_random, trace_random = anneal(init_rand, cfg_rand, array, region,
-                                      rng=rng, evaluator=evaluator)
-
-    init_hyb = hybrid_init(array.num_elements, spec["delta_t_s"],
-                           spec["snapshots"], array.partition, rng)
-    cfg_hyb = AnnealConfig(objective=objective_cfg, update="hybrid",
-                           k_max=k_max, seed=seed)
-    seq_hybrid, trace_hybrid = anneal(init_hyb, cfg_hyb, array, region,
-                                      rng=rng, evaluator=evaluator)
-
-    mu = config.reference_params()
-    doppler, angles, axis = config.sweep_grids()
+    doppler, angles, axis = config.sweep
     report = compare_schemes(
-        array,
-        {"sequential": seq_sequential, "random": seq_random, "hybrid": seq_hybrid},
-        mu, doppler, angles, axis,
+        array, sequences, config.reference, doppler, angles, axis,
         threshold_db=config.effective_threshold_db,
         amplitude=config.crlb_spec["amplitude"],
         noise_sigma=config.crlb_spec["noise_sigma"],
@@ -258,38 +223,33 @@ def cmd_compare(config: ExperimentConfig, out_dir: Path, seed: int,
         fname = f"surface_{name}.csv"
         save_surface_csv(surface, out_dir / fname, metadata={"seed": seed})
         outputs.extend([fname, fname + ".meta.json"])
-    for name, seq in (("sequence_random.json", seq_random),
-                      ("sequence_hybrid.json", seq_hybrid)):
-        seq.save(out_dir / name)
-        outputs.append(name)
-    for name, trace in (("trace_random.csv", trace_random),
-                        ("trace_hybrid.csv", trace_hybrid)):
-        save_trace_csv(trace, out_dir / name)
-        outputs.append(name)
+    for update in ("random", "hybrid"):
+        sequences[update].save(out_dir / f"sequence_{update}.json")
+        outputs.append(f"sequence_{update}.json")
+    for update in ("random", "hybrid"):
+        save_trace_csv(traces[update], out_dir / f"trace_{update}.csv")
+        outputs.append(f"trace_{update}.csv")
 
     doc = report.to_dict()
     doc["anneal"] = {
-        "random": {"final_objective": trace_random.final_objective,
-                   "best_objective": trace_random.best_objective},
-        "hybrid": {"final_objective": trace_hybrid.final_objective,
-                   "best_objective": trace_hybrid.best_objective},
+        update: {"final_objective": trace.final_objective,
+                 "best_objective": trace.best_objective}
+        for update, trace in traces.items()
     }
     (out_dir / "comparison.json").write_text(json.dumps(doc, indent=2) + "\n")
     outputs.append("comparison.json")
-    _write_manifest(out_dir, "compare", config, seed, threads,
+    _write_manifest(out_dir, "compare", config, seed,
                     time.perf_counter() - start, outputs)
     print(f"broadening ratio {report.broadening_ratio:.3f} "
           f"(1/effective factor {report.inverse_effective_factor:.3f})")
     return 0
 
 
-def cmd_effective_factor(config: ExperimentConfig, out_dir: Path, seed: int,
-                         threads: int) -> int:
+def cmd_effective_factor(config: ExperimentConfig, out_dir: Path, seed: int) -> int:
     start = time.perf_counter()
-    array = config.build_array()
-    mu = config.reference_params()
-    direction = mu.rx_direction
-    idx = effective_elements(array, direction, config.effective_threshold_db)
+    array = config.array
+    idx = effective_elements(array, config.reference.rx_direction,
+                             config.effective_threshold_db)
     report = {
         "azimuth_deg": config.reference_spec["azimuth_deg"],
         "elevation_deg": config.reference_spec["elevation_deg"],
@@ -300,7 +260,7 @@ def cmd_effective_factor(config: ExperimentConfig, out_dir: Path, seed: int,
         "indices": idx.tolist(),
     }
     (out_dir / "effective_factor.json").write_text(json.dumps(report, indent=2) + "\n")
-    _write_manifest(out_dir, "effective-factor", config, seed, threads,
+    _write_manifest(out_dir, "effective-factor", config, seed,
                     time.perf_counter() - start, ["effective_factor.json"])
     print(f"effective factor {report['effective_factor']:.4f} "
           f"({idx.size}/{array.num_elements})")
@@ -325,8 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment JSON config")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for objective evaluation")
         p.add_argument("--out", default=None,
                        help="output directory (default: config output_dir or cwd)")
         if name == "ambiguity":
@@ -339,19 +297,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = ExperimentConfig.from_file(args.config)
-        seed = args.seed if args.seed is not None else config.seed
+        seed = config.seed if args.seed is None else check_seed(args.seed, "--seed")
         out_dir = Path(args.out or config.output_dir or ".")
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "optimize":
-            return cmd_optimize(config, out_dir, seed, args.threads)
         if args.command == "ambiguity":
-            return cmd_ambiguity(config, out_dir, seed, args.threads,
-                                 args.sequence)
-        if args.command == "crlb":
-            return cmd_crlb(config, out_dir, seed, args.threads)
-        if args.command == "compare":
-            return cmd_compare(config, out_dir, seed, args.threads)
-        return cmd_effective_factor(config, out_dir, seed, args.threads)
+            return cmd_ambiguity(config, out_dir, seed, args.sequence)
+        command = {"optimize": cmd_optimize, "crlb": cmd_crlb,
+                   "compare": cmd_compare,
+                   "effective-factor": cmd_effective_factor}[args.command]
+        return command(config, out_dir, seed)
     except ConfigError as exc:
         print(json.dumps({"error": {"type": "config", "message": str(exc)}}),
               file=sys.stderr)

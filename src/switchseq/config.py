@@ -1,20 +1,27 @@
 """Experiment configuration: a single versioned JSON document, validated
 fail-closed (unknown keys are rejected) so typos cannot silently change a
-scientific run."""
+scientific run.
+
+Loading builds every run object once (array, region, objective and anneal
+settings, reference parameters, sweep grids) through the domain
+constructors, so their checks are the config's checks: any error they
+raise becomes a ConfigError that names the field.
+"""
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .ambiguity import ObjectiveConfig, Region
+from .ambiguity import ObjectiveConfig, Region, sweep_directions
 from .anneal import AnnealConfig
 from .arrays import (ArrayModel, attach_patterns, load_pattern_file, make_octagonal,
                      make_ula, SPEED_OF_LIGHT)
+from .signal import StructuralParams
 from .switching import SwitchingSequence, hybrid_init, random_init, sequential
 
 CONFIG_VERSION = 1
@@ -24,24 +31,30 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; message names the offending field."""
 
 
-def _require_keys(section: dict, allowed: dict[str, object], path: str) -> dict:
-    """Check key set and fill defaults. allowed maps key -> default
-    (REQUIRED sentinel for mandatory keys)."""
-    unknown = set(section) - set(allowed)
+_REQUIRED = object()
+
+
+def _section(section, defaults: dict[str, object], path: str) -> dict:
+    """Check a section's key set and fill defaults (_REQUIRED marks a
+    mandatory key). A value whose default is a float or an int is converted
+    to that type; one whose default is a bool must be a JSON boolean."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path}: must be a JSON object")
+    unknown = set(section) - set(defaults)
     if unknown:
         raise ConfigError(f"{path}: unknown field(s) {sorted(unknown)}")
     out = {}
-    for key, default in allowed.items():
-        if key in section:
-            out[key] = section[key]
-        elif default is _REQUIRED:
+    for key, default in defaults.items():
+        value = section.get(key, default)
+        if value is _REQUIRED:
             raise ConfigError(f"{path}.{key}: required field missing")
-        else:
-            out[key] = default
+        if isinstance(default, bool):
+            if not isinstance(value, bool):
+                raise ConfigError(f"{path}.{key}: must be true or false")
+        elif isinstance(default, (int, float)):
+            value = _field(f"{path}.{key}", type(default), value)
+        out[key] = value
     return out
-
-
-_REQUIRED = object()
 
 
 def _field(path: str, build, *args, **kwargs):
@@ -53,30 +66,62 @@ def _field(path: str, build, *args, **kwargs):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _positive(value, path: str) -> float:
-    value = _field(path, float, value)
+def _positive(value: float, path: str) -> float:
     if not value > 0:
         raise ConfigError(f"{path}: must be positive")
     return value
 
 
+def _grid(spec: dict, span: str, step: str) -> np.ndarray:
+    """Sweep axis from -span to +span in increments of step."""
+    if not spec[span] >= 0:
+        raise ConfigError(f"config.sweep.{span}: must be >= 0")
+    width = _positive(spec[step], f"config.sweep.{step}")
+    return np.arange(-spec[span], spec[span] + width / 2, width)
+
+
+def check_seed(value, path: str) -> int:
+    """A seed is a non-negative integer; there is no wall-clock default."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ConfigError(f"{path}: must be a non-negative integer "
+                          "(no wall-clock default)")
+    return value
+
+
+def require_swaps(array: ArrayModel, update: str, path: str) -> None:
+    """Reject an array on which the update's swap move has no two elements
+    to exchange (hybrid swaps stay inside one partition subset)."""
+    if update == "hybrid" and array.partition is None:
+        raise ConfigError(f"{path}: hybrid requires a partitioned (octagonal) array")
+    swap_sets = array.partition if update == "hybrid" else [range(array.num_elements)]
+    if min(len(s) for s in swap_sets) < 2:
+        raise ConfigError(f"{path}: {update} swaps need at least 2 elements "
+                          "in every swap set")
+
+
 @dataclass
 class ExperimentConfig:
-    """Fully resolved experiment settings."""
+    """Fully resolved experiment settings and the run objects built from them.
+
+    anneal holds the anneal section's settings, or the AnnealConfig defaults
+    (k_max 200, automatic t0/alpha) when the section is absent.
+    """
 
     raw: dict
     seed: int
     array_spec: dict
     sequence_spec: dict
     anneal_spec: dict | None
-    region_spec: dict
     reference_spec: dict
-    sweep_spec: dict
     crlb_spec: dict
     effective_threshold_db: float
     output_dir: str | None
+    array: ArrayModel
+    region: Region
     objective: ObjectiveConfig
-    anneal: AnnealConfig | None
+    anneal: AnnealConfig
+    reference: StructuralParams
+    sweep: tuple[np.ndarray, np.ndarray, str]
 
     # ---- constructors -------------------------------------------------
 
@@ -93,7 +138,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        top = _require_keys(doc, {
+        top = _section(doc, {
             "version": _REQUIRED,
             "seed": _REQUIRED,
             "array": _REQUIRED,
@@ -109,89 +154,92 @@ class ExperimentConfig:
         }, "config")
         if top["version"] != CONFIG_VERSION:
             raise ConfigError(f"config.version: expected {CONFIG_VERSION}")
-        if isinstance(top["seed"], bool) or not isinstance(top["seed"], int):
-            raise ConfigError("config.seed: must be an integer (no wall-clock default)")
+        seed = check_seed(top["seed"], "config.seed")
+        if top["output_dir"] is not None and not isinstance(top["output_dir"], str):
+            raise ConfigError("config.output_dir: must be a string")
 
-        array_spec = cls._validate_array(top["array"])
-        sequence_spec = _require_keys(top["sequence"], {
+        array_spec, array = cls._build_array(top["array"])
+        sequence_spec = _section(top["sequence"], {
             "scheme": "sequential",
             "delta_t_s": 1e-4,
             "snapshots": 1,
         }, "config.sequence")
         if sequence_spec["scheme"] not in ("sequential", "random", "hybrid"):
             raise ConfigError("config.sequence.scheme: must be sequential|random|hybrid")
-        sequence_spec["delta_t_s"] = _positive(sequence_spec["delta_t_s"],
-                                               "config.sequence.delta_t_s")
-        if int(sequence_spec["snapshots"]) < 1:
+        if sequence_spec["scheme"] == "hybrid" and array.partition is None:
+            raise ConfigError("config.sequence.scheme: hybrid requires a "
+                              "partitioned (octagonal) array")
+        delta_t = _positive(sequence_spec["delta_t_s"], "config.sequence.delta_t_s")
+        if sequence_spec["snapshots"] < 1:
             raise ConfigError("config.sequence.snapshots: must be >= 1")
-        sequence_spec["snapshots"] = int(sequence_spec["snapshots"])
+
+        region_spec = _section(top["region"], {
+            "doppler_fraction": 0.25,
+            "doppler_bound_hz": None,
+        }, "config.region")
+        bound = region_spec["doppler_bound_hz"]
+        if bound is None:
+            region = _field("config.region.doppler_fraction", Region.default_for,
+                            delta_t, region_spec["doppler_fraction"])
+        else:
+            region = _field("config.region.doppler_bound_hz",
+                            lambda: Region(doppler_bound=float(bound)))
+
+        objective_spec = _section(top["objective"], {
+            "power": 6,
+            "samples": 4096,
+            "sin_elevation": False,
+        }, "config.objective")
+        objective = _field("config.objective", ObjectiveConfig, seed=seed,
+                           **objective_spec)
 
         anneal_spec = None
+        anneal = AnnealConfig(objective=objective, seed=seed)
         if top["anneal"] is not None:
-            anneal_spec = _require_keys(top["anneal"], {
+            anneal_spec = _section(top["anneal"], {
                 "scheme": _REQUIRED,
                 "k_max": 200,
                 "t0": None,
                 "alpha": None,
             }, "config.anneal")
-            if anneal_spec["scheme"] not in ("random", "hybrid"):
-                raise ConfigError("config.anneal.scheme: must be random|hybrid")
-            if anneal_spec["scheme"] == "hybrid" and array_spec["kind"] != "octagonal":
-                raise ConfigError(
-                    "config.anneal.scheme: hybrid requires a partitioned "
-                    "(octagonal) array"
-                )
-            anneal_spec["k_max"] = _field("config.anneal.k_max", int,
-                                          anneal_spec["k_max"])
             for key in ("t0", "alpha"):
                 if anneal_spec[key] is not None:
                     anneal_spec[key] = _field(f"config.anneal.{key}", float,
                                               anneal_spec[key])
+            anneal = _field("config.anneal", AnnealConfig, objective=objective,
+                            update=anneal_spec["scheme"], k_max=anneal_spec["k_max"],
+                            t0=anneal_spec["t0"], alpha=anneal_spec["alpha"],
+                            seed=seed)
+            require_swaps(array, anneal.update, "config.anneal.scheme")
 
-        region_spec = _require_keys(top["region"], {
-            "doppler_fraction": 0.25,
-            "doppler_bound_hz": None,
-        }, "config.region")
-        objective_spec = _require_keys(top["objective"], {
-            "power": 6,
-            "samples": 4096,
-            "sin_elevation": False,
-        }, "config.objective")
-        objective = _field(
-            "config.objective", ObjectiveConfig,
-            power=_field("config.objective.power", int, objective_spec["power"]),
-            samples=_field("config.objective.samples", int, objective_spec["samples"]),
-            seed=top["seed"],
-            sin_elevation=bool(objective_spec["sin_elevation"]),
-        )
-        anneal = None
-        if anneal_spec is not None:
-            anneal = _field(
-                "config.anneal", AnnealConfig,
-                objective=objective,
-                update=anneal_spec["scheme"],
-                k_max=anneal_spec["k_max"],
-                t0=anneal_spec["t0"],
-                alpha=anneal_spec["alpha"],
-                seed=top["seed"],
-            )
-        reference_spec = _require_keys(top["reference"], {
+        reference_spec = _section(top["reference"], {
             "azimuth_deg": 45.0,
             "elevation_deg": 90.0,
             "doppler_hz": 0.0,
         }, "config.reference")
-        sweep_spec = _require_keys(top["sweep"], {
+        reference = _field(
+            "config.reference", StructuralParams.simo,
+            math.radians(reference_spec["azimuth_deg"]) % (2 * math.pi),
+            math.radians(reference_spec["elevation_deg"]),
+            reference_spec["doppler_hz"],
+        )
+        sweep_spec = _section(top["sweep"], {
             "doppler_span_hz": 400.0,
             "doppler_step_hz": 1.0,
             "angle_span_deg": 30.0,
             "angle_step_deg": 0.5,
             "angle_axis": "eoa",
         }, "config.sweep")
-        if sweep_spec["angle_axis"] not in ("eoa", "aoa"):
+        axis = sweep_spec["angle_axis"]
+        if axis not in ("eoa", "aoa"):
             raise ConfigError("config.sweep.angle_axis: must be eoa|aoa")
-        for key in ("doppler_step_hz", "angle_step_deg"):
-            _positive(sweep_spec[key], f"config.sweep.{key}")
-        crlb_spec = _require_keys(top["crlb"], {
+        angles = _grid(sweep_spec, "angle_span_deg", "angle_step_deg")
+        _field("config.sweep.angle_span_deg", sweep_directions, reference,
+               angles, axis)
+        sweep = (_grid(sweep_spec, "doppler_span_hz", "doppler_step_hz"),
+                 angles, axis)
+
+        crlb_spec = _section(top["crlb"], {
             "azimuth_deg": 90.0,
             "elevation_deg": 90.0,
             "doppler_hz": 0.0,
@@ -199,44 +247,40 @@ class ExperimentConfig:
             "phase": 0.0,
             "noise_sigma": 0.1,
         }, "config.crlb")
-
-        threshold = float(top["effective_threshold_db"])
-        if threshold > 0:
+        if top["effective_threshold_db"] > 0:
             raise ConfigError("config.effective_threshold_db: must be <= 0")
 
         return cls(
             raw=doc,
-            seed=top["seed"],
+            seed=seed,
             array_spec=array_spec,
             sequence_spec=sequence_spec,
             anneal_spec=anneal_spec,
-            region_spec=region_spec,
             reference_spec=reference_spec,
-            sweep_spec=sweep_spec,
             crlb_spec=crlb_spec,
-            effective_threshold_db=threshold,
+            effective_threshold_db=top["effective_threshold_db"],
             output_dir=top["output_dir"],
+            array=array,
+            region=region,
             objective=objective,
             anneal=anneal,
+            reference=reference,
+            sweep=sweep,
         )
 
     @staticmethod
-    def _validate_array(section: dict) -> dict:
+    def _build_array(section) -> tuple[dict, ArrayModel]:
         if not isinstance(section, dict) or "kind" not in section:
             raise ConfigError("config.array.kind: required field missing")
-        kind = section["kind"]
-        if kind == "ula":
-            spec = _require_keys(section, {
+        if section["kind"] == "ula":
+            spec = _section(section, {
                 "kind": _REQUIRED,
                 "elements": _REQUIRED,
                 "spacing_wavelengths": 0.5,
                 "carrier_hz": 28e9,
             }, "config.array")
-            if int(spec["elements"]) < 1:
-                raise ConfigError("config.array.elements: must be >= 1")
-            spec["elements"] = int(spec["elements"])
-        elif kind == "octagonal":
-            spec = _require_keys(section, {
+        elif section["kind"] == "octagonal":
+            spec = _section(section, {
                 "kind": _REQUIRED,
                 "panels": 8,
                 "rows": 4,
@@ -247,75 +291,63 @@ class ExperimentConfig:
                 "patch_exponent": 2.0,
                 "pattern_file": None,
             }, "config.array")
-            if spec["pattern_file"] is not None and not Path(spec["pattern_file"]).exists():
-                raise ConfigError(
-                    f"config.array.pattern_file: file not found: {spec['pattern_file']}"
-                )
         else:
             raise ConfigError("config.array.kind: must be 'ula' or 'octagonal'")
-        _positive(spec["spacing_wavelengths"], "config.array.spacing_wavelengths")
-        _positive(spec["carrier_hz"], "config.array.carrier_hz")
-        return spec
-
-    # ---- builders ------------------------------------------------------
-
-    def build_array(self) -> ArrayModel:
-        spec = self.array_spec
-        wavelength = SPEED_OF_LIGHT / spec["carrier_hz"]
+        wavelength = SPEED_OF_LIGHT / _positive(spec["carrier_hz"],
+                                                "config.array.carrier_hz")
+        spacing = spec["spacing_wavelengths"] * wavelength
         if spec["kind"] == "ula":
-            return make_ula(spec["elements"],
-                            spec["spacing_wavelengths"] * wavelength, wavelength)
-        array = make_octagonal(
+            elements = _field("config.array.elements", int, spec["elements"])
+            return spec, _field("config.array", make_ula, elements, spacing, wavelength)
+        array = _field(
+            "config.array", make_octagonal,
             panels=spec["panels"], rows=spec["rows"], cols=spec["cols"],
-            element_spacing=spec["spacing_wavelengths"] * wavelength,
-            radius=spec["radius_m"], wavelength=wavelength,
-            patch_exponent=spec["patch_exponent"],
+            element_spacing=spacing, radius=spec["radius_m"],
+            wavelength=wavelength, patch_exponent=spec["patch_exponent"],
         )
         if spec["pattern_file"] is not None:
-            array = attach_patterns(array, load_pattern_file(spec["pattern_file"]))
-        return array
+            path = _field("config.array.pattern_file", Path, spec["pattern_file"])
+            if not path.exists():
+                raise ConfigError(f"config.array.pattern_file: file not found: {path}")
+            array = _field("config.array.pattern_file",
+                           lambda: attach_patterns(array, load_pattern_file(path)))
+        return spec, array
 
-    def build_sequence(self, array: ArrayModel,
+    # ---- run objects ---------------------------------------------------
+
+    def build_sequence(self, scheme: str,
                        rng: np.random.Generator) -> SwitchingSequence:
+        """Starting sequence of a scheme. Sequential and hybrid sequences
+        carry the array's partition; a random one has none."""
         spec = self.sequence_spec
-        m = array.num_elements
-        if spec["scheme"] == "sequential":
-            return sequential(m, spec["delta_t_s"], spec["snapshots"], array.partition)
-        if spec["scheme"] == "random":
+        m = self.array.num_elements
+        if scheme == "sequential":
+            return sequential(m, spec["delta_t_s"], spec["snapshots"],
+                              self.array.partition)
+        if scheme == "random":
             return random_init(m, spec["delta_t_s"], spec["snapshots"], rng)
-        if array.partition is None:
-            raise ConfigError("config.sequence.scheme: hybrid requires a "
-                              "partitioned (octagonal) array")
         return hybrid_init(m, spec["delta_t_s"], spec["snapshots"],
-                           array.partition, rng)
+                           self.array.partition, rng)
+
+    def build_anneal(self) -> AnnealConfig:
+        if self.anneal_spec is None:
+            raise ConfigError("config.anneal: section required for this command")
+        return self.anneal
+
+    # The accessors below return objects built once by from_dict; the
+    # benchmark scripts under perfbench/ call them by these names.
+
+    def build_array(self) -> ArrayModel:
+        return self.array
 
     def build_region(self) -> Region:
-        if self.region_spec["doppler_bound_hz"] is not None:
-            return Region(doppler_bound=float(self.region_spec["doppler_bound_hz"]))
-        return Region.default_for(self.sequence_spec["delta_t_s"],
-                                  float(self.region_spec["doppler_fraction"]))
+        return self.region
 
-    def build_objective(self, workers: int = 1) -> ObjectiveConfig:
-        return replace(self.objective, workers=workers)
+    def build_objective(self) -> ObjectiveConfig:
+        return self.objective
 
-    def build_anneal(self, workers: int = 1) -> AnnealConfig:
-        if self.anneal is None:
-            raise ConfigError("config.anneal: section required for this command")
-        return replace(self.anneal, objective=self.build_objective(workers))
-
-    def reference_params(self):
-        from .signal import StructuralParams
-
-        return StructuralParams.simo(
-            math.radians(self.reference_spec["azimuth_deg"]) % (2 * math.pi),
-            math.radians(self.reference_spec["elevation_deg"]),
-            float(self.reference_spec["doppler_hz"]),
-        )
+    def reference_params(self) -> StructuralParams:
+        return self.reference
 
     def sweep_grids(self) -> tuple[np.ndarray, np.ndarray, str]:
-        s = self.sweep_spec
-        dop = np.arange(-s["doppler_span_hz"], s["doppler_span_hz"] + s["doppler_step_hz"] / 2,
-                        s["doppler_step_hz"])
-        ang = np.arange(-s["angle_span_deg"], s["angle_span_deg"] + s["angle_step_deg"] / 2,
-                        s["angle_step_deg"])
-        return dop, ang, s["angle_axis"]
+        return self.sweep

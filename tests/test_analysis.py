@@ -88,7 +88,7 @@ def test_half_power_requires_main_peak():
         magnitude=np.full((3, 3), 0.5),
         reference=BROADSIDE,
     )
-    with pytest.raises(ValueError, match="main-lobe"):
+    with pytest.raises(GridTooNarrowError, match="main-lobe"):
         half_power_width(surf, "doppler")
 
 

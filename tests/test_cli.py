@@ -1,7 +1,11 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from switchseq.cli import main
 from switchseq.config import ConfigError, ExperimentConfig
@@ -89,6 +93,21 @@ def test_config_rejects_hybrid_anneal_on_ula():
         ExperimentConfig.from_dict(cfg)
 
 
+def test_anneal_needs_two_elements_in_every_swap_set(tmp_path, capsys):
+    cfg = ula_config(anneal={"scheme": "random"})
+    cfg["array"]["elements"] = 1
+    with pytest.raises(ConfigError, match="swap"):
+        ExperimentConfig.from_dict(cfg)
+    cfg = octagon_config()
+    cfg["array"].update(rows=1, cols=1)
+    with pytest.raises(ConfigError, match="swap"):
+        ExperimentConfig.from_dict(cfg)
+    del cfg["anneal"]  # compare anneals both schemes without the section
+    assert main(["compare", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "swap" in json.loads(capsys.readouterr().err)["error"]["message"]
+
+
 def test_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         ExperimentConfig.from_file(tmp_path / "nope.json")
@@ -118,13 +137,29 @@ def test_cli_exit_code_for_config_error(tmp_path, capsys):
     ("optimize", "anneal", "k_max", "abc"),
     ("optimize", "objective", "samples", 0),
     ("optimize", "objective", "power", 3),
+    ("optimize", None, "seed", -1),
+    ("optimize", "--", "seed", -2),  # the command-line flag --seed
+    ("optimize", "objective", "sin_elevation", "no"),
+    ("ambiguity", "array", "panels", 2),
+    ("ambiguity", "array", "rows", 0),
+    ("ambiguity", "sequence", "snapshots", "abc"),
+    ("optimize", "region", "doppler_fraction", -1),
+    ("optimize", "region", "doppler_bound_hz", 0),
+    ("ambiguity", "sweep", "angle_span_deg", 120),
+    ("ambiguity", "sweep", "doppler_span_hz", -5),
+    ("ambiguity", "reference", "azimuth_deg", "x"),
+    ("effective-factor", None, "effective_threshold_db", "x"),
 ])
 def test_cli_bad_field_exits_2_with_one_json_line(tmp_path, capsys, command,
                                                   section, key, value):
     cfg = octagon_config()
-    (cfg if section is None else cfg[section])[key] = value
+    flags = []
+    if section == "--":
+        flags = [f"--{key}", str(value)]
+    else:
+        (cfg if section is None else cfg.setdefault(section, {}))[key] = value
     rc = main([command, "--config", write_config(tmp_path, cfg),
-               "--out", str(tmp_path / "out")])
+               "--out", str(tmp_path / "out"), *flags])
     assert rc == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -132,6 +167,57 @@ def test_cli_bad_field_exits_2_with_one_json_line(tmp_path, capsys, command,
     error = json.loads(line)["error"]
     assert error["type"] == "config"
     assert key in error["message"]
+
+
+def small_sweep_config(base):
+    doc = base()
+    doc["sweep"].update(doppler_span_hz=50.0, doppler_step_hz=5.0,
+                        angle_span_deg=10.0, angle_step_deg=2.0)
+    doc["anneal"] = {"scheme": "random" if base is ula_config else "hybrid",
+                     "k_max": 3}
+    return doc
+
+
+# every field the configs set or default, plus whole sections; a value from
+# the pool stays small, so no mutation can ask for a huge allocation
+MUTABLE_FIELDS = [(None, key) for key in (
+    "version", "seed", "array", "sequence", "anneal", "region", "objective",
+    "reference", "sweep", "effective_threshold_db", "output_dir")] + [
+    (section, key) for section, keys in {
+        "array": ("kind", "elements", "panels", "rows", "cols",
+                  "spacing_wavelengths", "radius_m", "carrier_hz",
+                  "patch_exponent", "pattern_file"),
+        "sequence": ("scheme", "delta_t_s", "snapshots"),
+        "anneal": ("scheme", "k_max", "t0", "alpha"),
+        "objective": ("power", "samples", "sin_elevation"),
+        "region": ("doppler_fraction", "doppler_bound_hz"),
+        "reference": ("azimuth_deg", "elevation_deg", "doppler_hz"),
+        "sweep": ("doppler_span_hz", "doppler_step_hz", "angle_span_deg",
+                  "angle_step_deg", "angle_axis"),
+    }.items() for key in keys]
+MUTATION_VALUES = [-1, 0, 0.5, 1, 2, 3, "abc", True, None, [], {}]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(base=st.sampled_from([ula_config, octagon_config]),
+       field=st.sampled_from(MUTABLE_FIELDS),
+       value=st.sampled_from(MUTATION_VALUES),
+       command=st.sampled_from(["optimize", "ambiguity", "effective-factor"]))
+def test_cli_mutated_config_never_raises(base, field, value, command):
+    doc = small_sweep_config(base)
+    section, key = field
+    (doc if section is None else doc.setdefault(section, {}))[key] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/config.json"
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main([command, "--config", path, "--out", f"{tmp}/out"])
+    assert rc in (0, 2, 3)
+    if rc:
+        (line,) = err.getvalue().splitlines()
+        assert json.loads(line)["error"]["message"]
 
 
 # ---- optimize ----------------------------------------------------------
@@ -279,6 +365,18 @@ def test_compare_pipeline(tmp_path):
                  "sequence_hybrid.json", "trace_random.csv",
                  "trace_hybrid.csv", "manifest.json"):
         assert (out / name).exists()
+
+
+def test_compare_traces_follow_the_anneal_schedule(tmp_path):
+    cfg = octagon_config()
+    cfg["anneal"].update(t0=5.0, alpha=0.9)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    for name in ("trace_random.csv", "trace_hybrid.csv"):
+        with open(out / name) as fh:
+            temperatures = [float(row["temperature"]) for row in csv.DictReader(fh)]
+        assert temperatures == [5.0 * 0.9 ** k for k in range(3)]
 
 
 def test_compare_requires_partitioned_array(tmp_path):
