@@ -10,18 +10,21 @@ sample depends only on the slot an element occupies, so the evaluator also
 tabulates it for every (sample, slot) pair: a sequence evaluation gathers
 the table columns in slot order, multiplies by the steering products and
 sums, with no complex exponential per call.
+
+scipy.stats (the Sobol generator) is imported inside ObjectiveEvaluator, the
+only code that draws points: it is slow to import, and commands that build
+no evaluator (ambiguity, crlb, effective-factor) never pay for it.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import qmc
 
 from .arrays import ArrayModel, steering_matrix
 from .signal import StructuralParams, basis
@@ -54,7 +57,12 @@ class Region:
 
 @dataclass(frozen=True)
 class ObjectiveConfig:
-    """Settings for the integral objective f_P."""
+    """Settings for the integral objective f_P.
+
+    samples is the Sobol point count; a count that is not a power of two
+    loses the balance properties of the Sobol sequence, so its estimate is
+    noisier than the count suggests.
+    """
 
     power: int = 6
     samples: int = 4096
@@ -99,10 +107,15 @@ class ObjectiveEvaluator:
         self.delta_t = float(delta_t)
         self.snapshots = int(snapshots)
 
+        from scipy.stats import qmc  # slow to import; only evaluators need it
+
         m = array.num_elements
         n = config.samples
-        sobol = qmc.Sobol(d=5, scramble=True, seed=config.seed)
-        u = sobol.random(n)
+        with warnings.catch_warnings():
+            # ObjectiveConfig documents the balance loss; a CLI run must
+            # print nothing on stderr besides its one JSON error line
+            warnings.filterwarnings("ignore", message="The balance properties of Sobol")
+            u = qmc.Sobol(d=5, scramble=True, seed=config.seed).random(n)
 
         az0, az1 = region.azimuth
         el0, el1 = region.elevation
@@ -258,13 +271,15 @@ def save_surface_csv(surface: AmbiguitySurface, path: str | Path,
                      metadata: dict | None = None) -> None:
     """Write the surface in dB as long-format CSV plus a JSON sidecar."""
     path = Path(path)
-    db = surface.magnitude_db
+    # the bytes csv.writer gives for repr'd floats (never quoted), written
+    # one angle row per call so the file is never held in memory whole
+    dopplers = [repr(d) for d in surface.doppler_hz.tolist()]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["delta_doppler_hz", "angle_deg", "magnitude_db"])
-        for a, angle in enumerate(surface.angle_offset_deg):
-            for d, dop in enumerate(surface.doppler_hz):
-                writer.writerow([repr(float(dop)), repr(float(angle)), repr(float(db[a, d]))])
+        fh.write("delta_doppler_hz,angle_deg,magnitude_db\r\n")
+        for angle, row in zip(surface.angle_offset_deg.tolist(), surface.magnitude_db):
+            mid = f",{angle!r},"
+            fh.write("".join(f"{d}{mid}{v!r}\r\n"
+                             for d, v in zip(dopplers, row.tolist())))
     sidecar = {
         "angle_axis": surface.angle_axis,
         "angle_offset_deg": [float(x) for x in surface.angle_offset_deg],

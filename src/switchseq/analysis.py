@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .ambiguity import AmbiguitySurface, ambiguity_surface
 from .arrays import ArrayModel, Direction, effective_elements
@@ -114,6 +113,14 @@ def _first_null(values: np.ndarray, start: int, step: int) -> int:
     return i
 
 
+def _max3x3(a: np.ndarray) -> np.ndarray:
+    """Maximum over each 3x3 neighbourhood, with the edges replicated (the
+    "nearest" boundary mode of a size-3 maximum filter)."""
+    p = np.pad(a, 1, mode="edge")
+    rows = np.maximum(np.maximum(p[:-2], p[1:-1]), p[2:])
+    return np.maximum(np.maximum(rows[:, :-2], rows[:, 1:-1]), rows[:, 2:])
+
+
 def alias_scan(surface: AmbiguitySurface) -> list[AliasPeak]:
     """Local maxima outside the main lobe, strongest first.
 
@@ -134,7 +141,7 @@ def alias_scan(surface: AmbiguitySurface) -> list[AliasPeak]:
     main_lobe = np.zeros(mag.shape, dtype=bool)
     main_lobe[a_lo:a_hi + 1, d_lo:d_hi + 1] = True
 
-    local_max = (mag == ndimage.maximum_filter(mag, size=3, mode="nearest"))
+    local_max = (mag == _max3x3(mag))
     candidates = np.argwhere(local_max & ~main_lobe)
     peaks = [
         AliasPeak(

@@ -37,7 +37,8 @@ _REQUIRED = object()
 def _section(section, defaults: dict[str, object], path: str) -> dict:
     """Check a section's key set and fill defaults (_REQUIRED marks a
     mandatory key). A value whose default is a float or an int is converted
-    to that type; one whose default is a bool must be a JSON boolean."""
+    to that type by _number; one whose default is a bool must be a JSON
+    boolean."""
     if not isinstance(section, dict):
         raise ConfigError(f"{path}: must be a JSON object")
     unknown = set(section) - set(defaults)
@@ -52,7 +53,7 @@ def _section(section, defaults: dict[str, object], path: str) -> dict:
             if not isinstance(value, bool):
                 raise ConfigError(f"{path}.{key}: must be true or false")
         elif isinstance(default, (int, float)):
-            value = _field(f"{path}.{key}", type(default), value)
+            value = _number(f"{path}.{key}", type(default), value)
         out[key] = value
     return out
 
@@ -64,6 +65,17 @@ def _field(path: str, build, *args, **kwargs):
         return build(*args, **kwargs)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _number(path: str, kind: type, value):
+    """Convert a number field with kind (int or float). A JSON boolean is
+    refused, and so is a fraction for an integer field; an integral float
+    such as 200.0 reads as an integer."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{path}: must be a number, not true/false")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{path}: must be an integer")
+    return _field(path, kind, value)
 
 
 def _positive(value: float, path: str) -> float:
@@ -182,8 +194,9 @@ class ExperimentConfig:
             region = _field("config.region.doppler_fraction", Region.default_for,
                             delta_t, region_spec["doppler_fraction"])
         else:
-            region = _field("config.region.doppler_bound_hz",
-                            lambda: Region(doppler_bound=float(bound)))
+            bound = _number("config.region.doppler_bound_hz", float, bound)
+            region = _field("config.region.doppler_bound_hz", Region,
+                            doppler_bound=bound)
 
         objective_spec = _section(top["objective"], {
             "power": 6,
@@ -204,8 +217,8 @@ class ExperimentConfig:
             }, "config.anneal")
             for key in ("t0", "alpha"):
                 if anneal_spec[key] is not None:
-                    anneal_spec[key] = _field(f"config.anneal.{key}", float,
-                                              anneal_spec[key])
+                    anneal_spec[key] = _number(f"config.anneal.{key}", float,
+                                               anneal_spec[key])
             anneal = _field("config.anneal", AnnealConfig, objective=objective,
                             update=anneal_spec["scheme"], k_max=anneal_spec["k_max"],
                             t0=anneal_spec["t0"], alpha=anneal_spec["alpha"],
@@ -297,12 +310,15 @@ class ExperimentConfig:
                                                 "config.array.carrier_hz")
         spacing = spec["spacing_wavelengths"] * wavelength
         if spec["kind"] == "ula":
-            elements = _field("config.array.elements", int, spec["elements"])
+            elements = _number("config.array.elements", int, spec["elements"])
             return spec, _field("config.array", make_ula, elements, spacing, wavelength)
+        radius = spec["radius_m"]
+        if radius is not None:
+            radius = _number("config.array.radius_m", float, radius)
         array = _field(
             "config.array", make_octagonal,
             panels=spec["panels"], rows=spec["rows"], cols=spec["cols"],
-            element_spacing=spacing, radius=spec["radius_m"],
+            element_spacing=spacing, radius=radius,
             wavelength=wavelength, patch_exponent=spec["patch_exponent"],
         )
         if spec["pattern_file"] is not None:

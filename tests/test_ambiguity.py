@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from switchseq import (AnnealConfig, ArrayModel, DegenerateDirectionError,
+from switchseq import (AmbiguitySurface, AnnealConfig, ArrayModel,
+                       DegenerateDirectionError,
                        ObjectiveConfig, ObjectiveEvaluator, PatchPattern,
                        Region, StructuralParams, ambiguity_surface,
                        ambiguity_value, anneal, basis_from_eta, make_octagonal,
@@ -306,3 +307,37 @@ def test_surface_csv_export(tmp_path):
     assert meta["note"] == "test"
     assert meta["angle_axis"] == "aoa"
     assert len(meta["delta_doppler_hz"]) == dop.size
+
+
+def _reference_surface_csv(surface, path):
+    """The original writer: one csv.writer row of repr'd floats per cell."""
+    db = surface.magnitude_db
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["delta_doppler_hz", "angle_deg", "magnitude_db"])
+        for a, angle in enumerate(surface.angle_offset_deg):
+            for d, dop in enumerate(surface.doppler_hz):
+                writer.writerow([repr(float(dop)), repr(float(angle)),
+                                 repr(float(db[a, d]))])
+
+
+@pytest.mark.parametrize("case", ["sweep", "extremes"])
+def test_surface_csv_bytes_match_csv_writer(tmp_path, rng, case):
+    if case == "sweep":
+        arr = make_ula(8, 0.5, 1.0)
+        seq = random_init(8, 1e-3, 1, rng)
+        surf = ambiguity_surface(arr, seq, BROADSIDE, np.arange(-200.0, 201.0, 2.5),
+                                 np.arange(-20.0, 20.25, 0.25), "aoa")
+    else:
+        # -0.0 offsets, magnitudes at and below the -100 dB floor, and
+        # magnitudes whose dB values span many orders
+        dop = np.array([-1e300, -0.0, 1e-300, 0.1, 7.0e12])
+        ang = np.array([-1e-12, -0.0, 1.0 / 3.0])
+        mag = np.array([[0.0, 1e-5, 1e-300, 5e-324, 1.0],
+                        [1e308, 1e-5 * (1 + 1e-15), 0.1, 2.0 / 3.0, 1e-4],
+                        [np.pi, 1e-5 * (1 - 1e-15), 123456789.0, 1e-10, 0.5]])
+        surf = AmbiguitySurface(dop, ang, "eoa", mag, BROADSIDE)
+    save_surface_csv(surf, tmp_path / "fast.csv")
+    _reference_surface_csv(surf, tmp_path / "reference.csv")
+    assert ((tmp_path / "fast.csv").read_bytes()
+            == (tmp_path / "reference.csv").read_bytes())

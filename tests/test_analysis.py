@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 from scipy.optimize import brentq
 
 from switchseq import (AmbiguitySurface, Direction, GridTooNarrowError,
@@ -9,6 +10,7 @@ from switchseq import (AmbiguitySurface, Direction, GridTooNarrowError,
                        compare_schemes, effective_factor, half_power_width,
                        make_octagonal, make_ula, peak_sidelobe, random_init,
                        sequential)
+from switchseq.analysis import _max3x3
 
 BROADSIDE = StructuralParams.simo(math.pi / 2, math.pi / 2, 0.0)
 
@@ -114,6 +116,26 @@ def test_effective_factor_non_increasing_in_threshold():
     d = Direction(0.1, math.pi / 2)
     factors = [effective_factor(arr, d, t) for t in (-3.0, -6.0, -10.0, -20.0)]
     assert all(a <= b for a, b in zip(factors, factors[1:]))
+
+
+def _reference_max3x3(a):
+    return ndimage.maximum_filter(a, size=3, mode="nearest")
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 2), (9, 13),
+                                   (121, 81)])
+def test_max3x3_matches_maximum_filter_on_random_arrays(rng, shape):
+    a = rng.standard_normal(shape)
+    assert np.array_equal(_max3x3(a), _reference_max3x3(a))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (8, 11)])
+def test_max3x3_matches_maximum_filter_on_plateaus(rng, shape):
+    # few distinct values, so most neighbourhoods hold ties
+    a = rng.integers(0, 3, size=shape).astype(float)
+    assert np.array_equal(_max3x3(a), _reference_max3x3(a))
+    flat = np.full(shape, 0.5)
+    assert np.array_equal(_max3x3(flat), _reference_max3x3(flat))
 
 
 def test_alias_scan_finds_sequential_ridge():

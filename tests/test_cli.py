@@ -2,11 +2,16 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import switchseq
 from switchseq.cli import main
 from switchseq.config import ConfigError, ExperimentConfig
 
@@ -149,6 +154,15 @@ def test_cli_exit_code_for_config_error(tmp_path, capsys):
     ("ambiguity", "sweep", "doppler_span_hz", -5),
     ("ambiguity", "reference", "azimuth_deg", "x"),
     ("effective-factor", None, "effective_threshold_db", "x"),
+    ("optimize", "anneal", "k_max", 2.7),
+    ("optimize", "anneal", "t0", True),
+    ("optimize", "objective", "samples", True),
+    ("optimize", "objective", "power", 6.5),
+    ("ambiguity", "sequence", "delta_t_s", True),
+    ("ambiguity", "sequence", "snapshots", 1.5),
+    ("ambiguity", "array", "radius_m", True),
+    ("optimize", "region", "doppler_bound_hz", True),
+    ("effective-factor", None, "effective_threshold_db", False),
 ])
 def test_cli_bad_field_exits_2_with_one_json_line(tmp_path, capsys, command,
                                                   section, key, value):
@@ -167,6 +181,67 @@ def test_cli_bad_field_exits_2_with_one_json_line(tmp_path, capsys, command,
     error = json.loads(line)["error"]
     assert error["type"] == "config"
     assert key in error["message"]
+
+
+def test_config_integer_fields_accept_integral_floats():
+    cfg = octagon_config(anneal={"scheme": "hybrid", "k_max": 200.0})
+    cfg["objective"]["samples"] = 256.0
+    config = ExperimentConfig.from_dict(cfg)
+    assert config.anneal.k_max == 200 and type(config.anneal.k_max) is int
+    assert config.objective.samples == 256 and type(config.objective.samples) is int
+    cfg = ula_config()
+    cfg["array"]["elements"] = 16.0
+    assert ExperimentConfig.from_dict(cfg).array.num_elements == 16
+    for bad in (16.5, True):
+        cfg["array"]["elements"] = bad
+        with pytest.raises(ConfigError, match="elements"):
+            ExperimentConfig.from_dict(cfg)
+
+
+def run_python(code, *args):
+    """Run python code in a fresh interpreter that imports this checkout's
+    switchseq; return the completed process."""
+    src = str(Path(switchseq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_failing_run_prints_one_json_line_despite_sobol_warning(tmp_path):
+    # 3 samples break Sobol balance and scipy warns; the run then fails
+    # numerically, and stderr must still be the JSON error line alone
+    # (a subprocess, because pytest captures warnings in-process)
+    cfg = octagon_config(objective={"samples": 3})
+    cfg["array"].update(panels=8, rows=1, cols=2)
+    cfg["sweep"] = {"angle_span_deg": 0.5}
+    proc = run_python("import sys; from switchseq.cli import main; "
+                      "sys.exit(main(sys.argv[1:]))",
+                      "compare", "--config", write_config(tmp_path, cfg),
+                      "--out", str(tmp_path / "out"))
+    assert proc.returncode == 3
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line)["error"]["type"] == "GridTooNarrowError"
+
+
+def test_ambiguity_imports_neither_scipy_stats_nor_ndimage(tmp_path):
+    code = """
+import json, sys
+from switchseq.cli import main
+assert main(["ambiguity", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+after_ambiguity = sorted(m for m in ("scipy.stats", "scipy.ndimage") if m in sys.modules)
+from switchseq.config import ExperimentConfig
+from switchseq.ambiguity import ObjectiveEvaluator
+config = ExperimentConfig.from_file(sys.argv[1])
+evaluator = ObjectiveEvaluator(config.array, config.region, config.objective, 1e-3)
+print(json.dumps({"after_ambiguity": after_ambiguity,
+                  "samples": evaluator.azimuth.size,
+                  "stats_loaded": "scipy.stats" in sys.modules}))
+"""
+    proc = run_python(code, write_config(tmp_path, ula_config()),
+                      str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report == {"after_ambiguity": [], "samples": 256, "stats_loaded": True}
 
 
 def small_sweep_config(base):
@@ -202,7 +277,8 @@ MUTATION_VALUES = [-1, 0, 0.5, 1, 2, 3, "abc", True, None, [], {}]
 @given(base=st.sampled_from([ula_config, octagon_config]),
        field=st.sampled_from(MUTABLE_FIELDS),
        value=st.sampled_from(MUTATION_VALUES),
-       command=st.sampled_from(["optimize", "ambiguity", "effective-factor"]))
+       command=st.sampled_from(["optimize", "ambiguity", "effective-factor",
+                                "compare", "crlb"]))
 def test_cli_mutated_config_never_raises(base, field, value, command):
     doc = small_sweep_config(base)
     section, key = field
