@@ -11,16 +11,16 @@ tabulates it for every (sample, slot) pair: a sequence evaluation gathers
 the table columns in slot order, multiplies by the steering products and
 sums, with no complex exponential per call.
 
-scipy.stats (the Sobol generator) is imported inside ObjectiveEvaluator, the
-only code that draws points: it is slow to import, and commands that build
-no evaluator (ambiguity, crlb, effective-factor) never pay for it.
+The points come from sobol_points, a numpy scrambled Sobol generator whose
+output is byte-identical to scipy.stats.qmc.Sobol(d=5, scramble=True,
+seed=seed).random(n); scipy serves only as the tests' reference, so no
+command imports it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -74,6 +74,8 @@ class ObjectiveConfig:
             raise ValueError("power must be an even integer >= 2")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.samples > 2 ** SOBOL_BITS:
+            raise ValueError(f"samples must be <= 2**{SOBOL_BITS}, the Sobol period")
 
 
 def normalized_correlation(b1: np.ndarray, b2: np.ndarray) -> complex:
@@ -89,6 +91,51 @@ def ambiguity_value(array: ArrayModel, seq: SwitchingSequence,
                     mu: StructuralParams, mu_prime: StructuralParams) -> complex:
     """Normalized inner product of the two basis vectors; |result| <= 1."""
     return normalized_correlation(basis(array, seq, mu), basis(array, seq, mu_prime))
+
+
+SOBOL_BITS = 30
+# Joe & Kuo (2008) primitive polynomials and initial direction numbers of
+# Sobol dimensions 2-5; dimension 1 is van der Corput (all ones)
+_SOBOL_POLY = (3, 7, 11, 13)
+_SOBOL_VINIT = ((1,), (1, 3), (1, 3, 1), (1, 1, 1))
+
+
+def sobol_points(n: int, seed: int) -> np.ndarray:
+    """First n points of a 5-D Sobol sequence with Matousek's linear matrix
+    scramble and a digital shift, as an (n, 5) array in [0, 1).
+
+    The scramble is drawn from np.random.default_rng(seed) in scipy's order
+    and dtype, so the points are byte-identical to
+    scipy.stats.qmc.Sobol(d=5, scramble=True, seed=seed).random(n).
+    """
+    bits = SOBOL_BITS
+    v = np.ones((5, bits), dtype=np.uint32)
+    for d, (poly, vinit) in enumerate(zip(_SOBOL_POLY, _SOBOL_VINIT), start=1):
+        s = len(vinit)
+        v[d, :s] = vinit
+        for j in range(s, bits):  # Bratley-Fox recurrence
+            new = int(v[d, j - s])
+            for k in range(s):
+                if (poly >> (s - 1 - k)) & 1:
+                    new ^= int(v[d, j - k - 1]) << (k + 1)
+            v[d, j] = new
+    position = np.arange(bits - 1, -1, -1, dtype=np.uint32)  # of digit j
+    msb_first = np.uint32(1) << position
+    v *= msb_first  # direction j as a bits-wide binary fraction
+
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(0, 2, size=(5, bits), dtype=np.uint32) @ msb_first[::-1]
+    ltm = np.tril(rng.integers(0, 2, size=(5, bits, bits), dtype=np.uint32))
+    ltm[:, np.arange(bits), np.arange(bits)] = 1
+    # scrambled direction bits, most significant first: L @ bits mod 2
+    v_bits = (v[:, :, None] >> position) & 1
+    sv = ((v_bits @ ltm.transpose(0, 2, 1)) & 1) @ msb_first
+
+    # Gray-code order: point i flips direction ctz(i) of point i - 1
+    i = np.arange(1, n)
+    ctz = np.frexp(i & -i)[1] - 1
+    points = np.bitwise_xor.accumulate(np.vstack([shift, sv[:, ctz].T]), axis=0)
+    return points * 2.0 ** -bits
 
 
 class ObjectiveEvaluator:
@@ -107,15 +154,9 @@ class ObjectiveEvaluator:
         self.delta_t = float(delta_t)
         self.snapshots = int(snapshots)
 
-        from scipy.stats import qmc  # slow to import; only evaluators need it
-
         m = array.num_elements
         n = config.samples
-        with warnings.catch_warnings():
-            # ObjectiveConfig documents the balance loss; a CLI run must
-            # print nothing on stderr besides its one JSON error line
-            warnings.filterwarnings("ignore", message="The balance properties of Sobol")
-            u = qmc.Sobol(d=5, scramble=True, seed=config.seed).random(n)
+        u = sobol_points(n, config.seed)
 
         az0, az1 = region.azimuth
         el0, el1 = region.elevation

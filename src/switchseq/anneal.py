@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import math
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -79,7 +78,6 @@ class AnnealTrace:
     best_objective: float = math.inf
     best_k: int = -1
     best_sequence: SwitchingSequence | None = None
-    wall_time_s: float = 0.0
 
     @property
     def final_objective(self) -> float:
@@ -103,7 +101,6 @@ def anneal(init: SwitchingSequence, config: AnnealConfig, array: ArrayModel,
         evaluator = ObjectiveEvaluator.for_sequence(array, region,
                                                     config.objective, init)
 
-    start = time.perf_counter()
     current = init
     f_current = evaluator.evaluate(current)
     t0 = config.t0 if config.t0 is not None else DEFAULT_T0_FRACTION * abs(f_current)
@@ -138,7 +135,6 @@ def anneal(init: SwitchingSequence, config: AnnealConfig, array: ArrayModel,
             trace.best_sequence = current
         trace.records.append(AnnealRecord(k, f_current, f_proposal,
                                           temperature, accepted))
-    trace.wall_time_s = time.perf_counter() - start
     return current, trace
 
 

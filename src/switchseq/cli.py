@@ -19,7 +19,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .ambiguity import (DegenerateDirectionError, ObjectiveEvaluator,
@@ -49,7 +48,6 @@ def _write_manifest(out_dir: Path, command: str, config: ExperimentConfig,
         "package_version": __version__,
         "python_version": sys.version.split()[0],
         "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
         "seed": seed,
         "config": config.raw,
         "config_sha256": hashlib.sha256(canonical).hexdigest(),

@@ -68,14 +68,17 @@ def _field(path: str, build, *args, **kwargs):
 
 
 def _number(path: str, kind: type, value):
-    """Convert a number field with kind (int or float). A JSON boolean is
-    refused, and so is a fraction for an integer field; an integral float
-    such as 200.0 reads as an integer."""
+    """Convert a number field with kind (int or float). A JSON boolean,
+    NaN and +-Infinity are refused, and so is a fraction for an integer
+    field; an integral float such as 200.0 reads as an integer."""
     if isinstance(value, bool):
         raise ConfigError(f"{path}: must be a number, not true/false")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{path}: must be an integer")
-    return _field(path, kind, value)
+    number = _field(path, kind, value)
+    if kind is float and not math.isfinite(number):
+        raise ConfigError(f"{path}: must be finite")
+    return number
 
 
 def _positive(value: float, path: str) -> float:
@@ -89,7 +92,8 @@ def _grid(spec: dict, span: str, step: str) -> np.ndarray:
     if not spec[span] >= 0:
         raise ConfigError(f"config.sweep.{span}: must be >= 0")
     width = _positive(spec[step], f"config.sweep.{step}")
-    return np.arange(-spec[span], spec[span] + width / 2, width)
+    return _field(f"config.sweep.{span}", np.arange,
+                  -spec[span], spec[span] + width / 2, width)
 
 
 def check_seed(value, path: str) -> int:

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from switchseq import (AmbiguitySurface, AnnealConfig, ArrayModel,
                        Region, StructuralParams, ambiguity_surface,
                        ambiguity_value, anneal, basis_from_eta, make_octagonal,
                        make_ula, objective, random_init, sequential)
-from switchseq.ambiguity import normalized_correlation, save_surface_csv
+from switchseq.ambiguity import normalized_correlation, save_surface_csv, sobol_points
 from switchseq.arrays import steering_matrix
 from switchseq.switching import hybrid_init, swap_hybrid, swap_random
 
@@ -128,6 +129,20 @@ def test_objective_bit_stable_across_runs():
     region = Region(doppler_bound=200.0)
     cfg = ObjectiveConfig(power=6, samples=512, seed=3)
     assert objective(arr, seq, region, cfg) == objective(arr, seq, region, cfg)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 999, 1234])
+def test_sobol_points_match_scipy_bytes(seed):
+    # scipy's scrambled Sobol generator is the slow reference; its balance
+    # warning for counts that are not powers of two is irrelevant here
+    from scipy.stats import qmc
+    for n in (1, 2, 3, 5, 100, 4096, 16384):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            ref = qmc.Sobol(d=5, scramble=True, seed=seed).random(n)
+        points = sobol_points(n, seed)
+        assert points.shape == ref.shape and points.dtype == ref.dtype
+        assert points.tobytes() == ref.tobytes(), (seed, n)
 
 
 def reference_objective(ev, seq):
@@ -256,6 +271,9 @@ def test_config_validation():
         ObjectiveConfig(power=0)
     with pytest.raises(ValueError):
         ObjectiveConfig(samples=0)
+    with pytest.raises(ValueError, match="Sobol period"):
+        ObjectiveConfig(samples=2 ** 30 + 1)
+    assert ObjectiveConfig(samples=2 ** 30).samples == 2 ** 30
     with pytest.raises(ValueError):
         Region(doppler_bound=0.0)
 

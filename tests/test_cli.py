@@ -163,10 +163,16 @@ def test_cli_exit_code_for_config_error(tmp_path, capsys):
     ("ambiguity", "array", "radius_m", True),
     ("optimize", "region", "doppler_bound_hz", True),
     ("effective-factor", None, "effective_threshold_db", False),
+    ("ambiguity", "sweep", "doppler_span_hz", float("inf")),
+    ("ambiguity", "sweep", "doppler_step_hz", float("inf")),
+    ("ambiguity", "sweep", "angle_span_deg", float("inf")),
+    ("ambiguity", "sweep", "angle_step_deg", float("inf")),
+    ("crlb", "array", "spacing_wavelengths", float("nan")),
+    ("crlb", "sequence", "delta_t_s", float("inf")),
 ])
 def test_cli_bad_field_exits_2_with_one_json_line(tmp_path, capsys, command,
                                                   section, key, value):
-    cfg = octagon_config()
+    cfg = ula_config() if command == "crlb" else octagon_config()  # crlb needs a ULA
     flags = []
     if section == "--":
         flags = [f"--{key}", str(value)]
@@ -208,8 +214,9 @@ def run_python(code, *args):
 
 
 def test_failing_run_prints_one_json_line_despite_sobol_warning(tmp_path):
-    # 3 samples break Sobol balance and scipy warns; the run then fails
-    # numerically, and stderr must still be the JSON error line alone
+    # 3 samples break Sobol balance, which must not print a warning; the
+    # run then fails numerically, and stderr must still be the JSON error
+    # line alone
     # (a subprocess, because pytest captures warnings in-process)
     cfg = octagon_config(objective={"samples": 3})
     cfg["array"].update(panels=8, rows=1, cols=2)
@@ -224,24 +231,33 @@ def test_failing_run_prints_one_json_line_despite_sobol_warning(tmp_path):
 
 
 def test_ambiguity_imports_neither_scipy_stats_nor_ndimage(tmp_path):
+    # no command loads scipy at all: ambiguity, a bare evaluator build,
+    # optimize and compare on the small test configs
     code = """
 import json, sys
 from switchseq.cli import main
-assert main(["ambiguity", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
-after_ambiguity = sorted(m for m in ("scipy.stats", "scipy.ndimage") if m in sys.modules)
+loaded = {}
+assert main(["ambiguity", "--config", sys.argv[1], "--out", sys.argv[3]]) == 0
+loaded["ambiguity"] = "scipy" in sys.modules
 from switchseq.config import ExperimentConfig
 from switchseq.ambiguity import ObjectiveEvaluator
 config = ExperimentConfig.from_file(sys.argv[1])
 evaluator = ObjectiveEvaluator(config.array, config.region, config.objective, 1e-3)
-print(json.dumps({"after_ambiguity": after_ambiguity,
-                  "samples": evaluator.azimuth.size,
-                  "stats_loaded": "scipy.stats" in sys.modules}))
+assert evaluator.azimuth.size == 256
+loaded["evaluator"] = "scipy" in sys.modules
+assert main(["optimize", "--config", sys.argv[1], "--out", sys.argv[3]]) == 0
+loaded["optimize"] = "scipy" in sys.modules
+assert main(["compare", "--config", sys.argv[2], "--out", sys.argv[3]]) == 0
+loaded["compare"] = "scipy" in sys.modules
+print(json.dumps(loaded))
 """
-    proc = run_python(code, write_config(tmp_path, ula_config()),
-                      str(tmp_path / "out"))
+    ula = write_config(tmp_path, small_sweep_config(ula_config), "ula.json")
+    octagon = write_config(tmp_path, octagon_config(), "octagon.json")
+    proc = run_python(code, ula, octagon, str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report == {"after_ambiguity": [], "samples": 256, "stats_loaded": True}
+    assert report == {"ambiguity": False, "evaluator": False, "optimize": False,
+                      "compare": False}
 
 
 def small_sweep_config(base):
@@ -270,7 +286,8 @@ MUTABLE_FIELDS = [(None, key) for key in (
         "sweep": ("doppler_span_hz", "doppler_step_hz", "angle_span_deg",
                   "angle_step_deg", "angle_axis"),
     }.items() for key in keys]
-MUTATION_VALUES = [-1, 0, 0.5, 1, 2, 3, "abc", True, None, [], {}]
+MUTATION_VALUES = [-1, 0, 0.5, 1, 2, 3, "abc", True, None, [], {},
+                   float("nan"), float("inf"), -float("inf")]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
