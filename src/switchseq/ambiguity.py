@@ -220,16 +220,12 @@ class ObjectiveEvaluator:
         total = np.sum(mags ** self.config.power)
         return float(self.volume * total / self.config.samples)
 
-    @classmethod
-    def for_sequence(cls, array: ArrayModel, region: Region,
-                     config: ObjectiveConfig, seq: SwitchingSequence) -> "ObjectiveEvaluator":
-        return cls(array, region, config, seq.delta_t, seq.snapshots)
-
 
 def objective(array: ArrayModel, seq: SwitchingSequence, region: Region,
               config: ObjectiveConfig) -> float:
     """One-shot f_P evaluation (builds a single-use evaluator)."""
-    return ObjectiveEvaluator.for_sequence(array, region, config, seq).evaluate(seq)
+    return ObjectiveEvaluator(array, region, config, seq.delta_t,
+                              seq.snapshots).evaluate(seq)
 
 
 DB_FLOOR = -100.0

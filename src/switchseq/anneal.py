@@ -16,8 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ambiguity import ObjectiveConfig, ObjectiveEvaluator, Region
-from .arrays import ArrayModel
+from .ambiguity import ObjectiveEvaluator
 from .switching import SwitchingSequence, swap_hybrid, swap_random
 
 DEFAULT_T0_FRACTION = 0.1
@@ -34,15 +33,14 @@ class AnnealError(RuntimeError):
 
 @dataclass(frozen=True)
 class AnnealConfig:
-    """Annealing settings. t0/alpha of None are resolved at run start:
-    t0 = 0.1*|f(init)| and alpha such that the final temperature is 1e-4*t0."""
+    """Annealing move and schedule; anneal takes the evaluator and RNG its
+    caller built. t0/alpha of None are resolved at run start: t0 =
+    0.1*|f(init)| and alpha such that the final temperature is 1e-4*t0."""
 
-    objective: ObjectiveConfig = field(default_factory=ObjectiveConfig)
     update: str = "random"
     k_max: int = 200
     t0: float | None = None
     alpha: float | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.update not in ("random", "hybrid"):
@@ -84,9 +82,8 @@ class AnnealTrace:
         return self.records[-1].objective if self.records else self.initial_objective
 
 
-def anneal(init: SwitchingSequence, config: AnnealConfig, array: ArrayModel,
-           region: Region, rng: np.random.Generator | None = None,
-           evaluator: ObjectiveEvaluator | None = None
+def anneal(init: SwitchingSequence, config: AnnealConfig,
+           evaluator: ObjectiveEvaluator, rng: np.random.Generator
            ) -> tuple[SwitchingSequence, AnnealTrace]:
     """Run the annealing loop and return (final sequence, trace).
 
@@ -95,22 +92,18 @@ def anneal(init: SwitchingSequence, config: AnnealConfig, array: ArrayModel,
     """
     if config.update == "hybrid" and init.partition is None:
         raise ValueError("hybrid update requires a partitioned initial sequence")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    if evaluator is None:
-        evaluator = ObjectiveEvaluator.for_sequence(array, region,
-                                                    config.objective, init)
 
     current = init
     f_current = evaluator.evaluate(current)
     t0 = config.t0 if config.t0 is not None else DEFAULT_T0_FRACTION * abs(f_current)
-    if not t0 > 0:
-        raise ValueError("auto t0 failed: initial objective is zero; set t0 explicitly")
     alpha = (config.alpha if config.alpha is not None
              else DEFAULT_FINAL_TEMPERATURE_RATIO ** (1.0 / config.k_max))
 
     trace = AnnealTrace(t0=t0, alpha=alpha, initial_objective=f_current,
                         best_objective=f_current, best_k=-1, best_sequence=current)
+    if not t0 > 0:
+        raise AnnealError(f"auto t0 failed: initial objective is {f_current!r}; "
+                          "set t0 explicitly", trace)
     for k in range(config.k_max):
         if config.update == "hybrid":
             proposal = swap_hybrid(current, k, rng)

@@ -1,8 +1,9 @@
 """Command-line experiment runner.
 
-Subcommands: optimize, ambiguity, crlb, compare, effective-factor. Every run
-writes a manifest with the resolved config, its hash, library versions, and
-wall time, so an output directory is sufficient to reproduce itself.
+Subcommands: optimize, ambiguity, crlb, compare, effective-factor. Each
+cmd_* returns the files it wrote; main times it and writes a manifest with
+the resolved config, its hash, library versions, wall time and those files,
+so an output directory is sufficient to reproduce itself.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 """
@@ -57,16 +58,18 @@ def _write_manifest(out_dir: Path, command: str, config: ExperimentConfig,
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _evaluator(config: ExperimentConfig) -> ObjectiveEvaluator:
+    """The objective evaluator for the config's sequences."""
+    spec = config.sequence_spec
+    return ObjectiveEvaluator(config.array, config.region, config.objective,
+                              spec["delta_t_s"], spec["snapshots"])
 
 
-def cmd_optimize(config: ExperimentConfig, out_dir: Path, seed: int) -> int:
-    start = time.perf_counter()
+def cmd_optimize(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str]:
     anneal_cfg = config.build_anneal()
     rng = np.random.default_rng(seed)
     init = config.build_sequence(anneal_cfg.update, rng)
-    final, trace = anneal(init, anneal_cfg, config.array, config.region, rng=rng)
+    final, trace = anneal(init, anneal_cfg, _evaluator(config), rng)
 
     final.save(out_dir / "sequence.json")
     trace.best_sequence.save(out_dir / "best_sequence.json")
@@ -81,25 +84,23 @@ def cmd_optimize(config: ExperimentConfig, out_dir: Path, seed: int) -> int:
         "iterations": len(trace.records),
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    _write_manifest(out_dir, "optimize", config, seed,
-                    time.perf_counter() - start,
-                    ["sequence.json", "best_sequence.json", "trace.csv",
-                     "summary.json"])
     print(f"final objective {trace.final_objective:.6g} "
           f"(best {trace.best_objective:.6g} at k={trace.best_k})")
-    return 0
+    return ["sequence.json", "best_sequence.json", "trace.csv", "summary.json"]
 
 
 def cmd_ambiguity(config: ExperimentConfig, out_dir: Path, seed: int,
-                  sequence_file: str | None = None) -> int:
-    start = time.perf_counter()
+                  sequence_file: str | None = None) -> list[str]:
     array = config.array
     if sequence_file is not None:
         path = Path(sequence_file)
-        if not path.exists():
-            raise ConfigError(f"sequence file not found: {path}")
-        seq = SwitchingSequence.load(path)
-        seq_hash = _sha256_file(path)
+        try:  # the hash is of the bytes parsed
+            data = path.read_bytes()
+            seq = SwitchingSequence.from_dict(json.loads(data))
+        except (OSError, LookupError, TypeError, ValueError, OverflowError,
+                RecursionError) as exc:
+            raise ConfigError(f"--sequence: {path}: {exc!r}") from exc
+        seq_hash = hashlib.sha256(data).hexdigest()
         if seq.num_elements != array.num_elements:
             raise ConfigError(
                 f"sequence has {seq.num_elements} elements, array has "
@@ -114,16 +115,12 @@ def cmd_ambiguity(config: ExperimentConfig, out_dir: Path, seed: int,
     surface = ambiguity_surface(array, seq, config.reference, doppler, angles, axis)
     save_surface_csv(surface, out_dir / "surface.csv",
                      metadata={"seed": seed, "sequence_sha256": seq_hash})
-    _write_manifest(out_dir, "ambiguity", config, seed,
-                    time.perf_counter() - start,
-                    ["surface.csv", "surface.csv.meta.json"])
     print(f"surface {surface.magnitude.shape[0]}x{surface.magnitude.shape[1]} "
           f"written to {out_dir / 'surface.csv'}")
-    return 0
+    return ["surface.csv", "surface.csv.meta.json"]
 
 
-def cmd_crlb(config: ExperimentConfig, out_dir: Path, seed: int) -> int:
-    start = time.perf_counter()
+def cmd_crlb(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str]:
     if config.array_spec["kind"] != "ula":
         raise ConfigError("crlb closed forms are derived for the omni ULA; "
                           "use an array of kind 'ula'")
@@ -184,20 +181,15 @@ def cmd_crlb(config: ExperimentConfig, out_dir: Path, seed: int) -> int:
         },
     }
     (out_dir / "crlb_report.json").write_text(json.dumps(report, indent=2) + "\n")
-    _write_manifest(out_dir, "crlb", config, seed,
-                    time.perf_counter() - start, ["crlb_report.json"])
     print(json.dumps(report["agreement"], indent=2))
-    return 0
+    return ["crlb_report.json"]
 
 
-def cmd_compare(config: ExperimentConfig, out_dir: Path, seed: int) -> int:
-    start = time.perf_counter()
+def cmd_compare(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str]:
     array = config.array
     for update in ("random", "hybrid"):
         require_swaps(array, update, "compare")
-    spec = config.sequence_spec
-    evaluator = ObjectiveEvaluator(array, config.region, config.objective,
-                                   spec["delta_t_s"], spec["snapshots"])
+    evaluator = _evaluator(config)
     # one RNG stream, drawn in order: random init and anneal, then hybrid
     rng = np.random.default_rng(seed)
     sequences = {"sequential": config.build_sequence("sequential", rng)}
@@ -205,8 +197,7 @@ def cmd_compare(config: ExperimentConfig, out_dir: Path, seed: int) -> int:
     for update in ("random", "hybrid"):
         init = config.build_sequence(update, rng)
         sequences[update], traces[update] = anneal(
-            init, replace(config.anneal, update=update), array, config.region,
-            rng=rng, evaluator=evaluator)
+            init, replace(config.anneal, update=update), evaluator, rng)
 
     doppler, angles, axis = config.sweep
     report = compare_schemes(
@@ -236,15 +227,13 @@ def cmd_compare(config: ExperimentConfig, out_dir: Path, seed: int) -> int:
     }
     (out_dir / "comparison.json").write_text(json.dumps(doc, indent=2) + "\n")
     outputs.append("comparison.json")
-    _write_manifest(out_dir, "compare", config, seed,
-                    time.perf_counter() - start, outputs)
     print(f"broadening ratio {report.broadening_ratio:.3f} "
           f"(1/effective factor {report.inverse_effective_factor:.3f})")
-    return 0
+    return outputs
 
 
-def cmd_effective_factor(config: ExperimentConfig, out_dir: Path, seed: int) -> int:
-    start = time.perf_counter()
+def cmd_effective_factor(config: ExperimentConfig, out_dir: Path,
+                         seed: int) -> list[str]:
     array = config.array
     idx = effective_elements(array, config.reference.rx_direction,
                              config.effective_threshold_db)
@@ -258,11 +247,9 @@ def cmd_effective_factor(config: ExperimentConfig, out_dir: Path, seed: int) -> 
         "indices": idx.tolist(),
     }
     (out_dir / "effective_factor.json").write_text(json.dumps(report, indent=2) + "\n")
-    _write_manifest(out_dir, "effective-factor", config, seed,
-                    time.perf_counter() - start, ["effective_factor.json"])
     print(f"effective factor {report['effective_factor']:.4f} "
           f"({idx.size}/{array.num_elements})")
-    return 0
+    return ["effective_factor.json"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -298,12 +285,15 @@ def main(argv=None) -> int:
         seed = config.seed if args.seed is None else check_seed(args.seed, "--seed")
         out_dir = Path(args.out or config.output_dir or ".")
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "ambiguity":
-            return cmd_ambiguity(config, out_dir, seed, args.sequence)
-        command = {"optimize": cmd_optimize, "crlb": cmd_crlb,
-                   "compare": cmd_compare,
+        command = {"optimize": cmd_optimize, "ambiguity": cmd_ambiguity,
+                   "crlb": cmd_crlb, "compare": cmd_compare,
                    "effective-factor": cmd_effective_factor}[args.command]
-        return command(config, out_dir, seed)
+        extra = [args.sequence] if args.command == "ambiguity" else []
+        start = time.perf_counter()
+        outputs = command(config, out_dir, seed, *extra)
+        _write_manifest(out_dir, args.command, config, seed,
+                        time.perf_counter() - start, outputs)
+        return 0
     except ConfigError as exc:
         print(json.dumps({"error": {"type": "config", "message": str(exc)}}),
               file=sys.stderr)

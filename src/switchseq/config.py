@@ -25,6 +25,7 @@ from .signal import StructuralParams
 from .switching import SwitchingSequence, hybrid_init, random_init, sequential
 
 CONFIG_VERSION = 1
+MEMORY_BUDGET_BYTES = 2 * 2 ** 30  # what a config may ask a run's largest arrays for
 
 
 class ConfigError(ValueError):
@@ -87,11 +88,23 @@ def _positive(value: float, path: str) -> float:
     return value
 
 
-def _grid(spec: dict, span: str, step: str) -> np.ndarray:
-    """Sweep axis from -span to +span in increments of step."""
+def _check_budget(fields: str, rows: float, row_items: int) -> None:
+    """Refuse, before anything is allocated, a run that would hold complex
+    arrays of rows x row_items over the memory budget (compared by division,
+    so a huge integer field cannot overflow a float)."""
+    if rows > MEMORY_BUDGET_BYTES / (16 * row_items):
+        raise ConfigError(f"{fields}: needs arrays over the "
+                          f"{MEMORY_BUDGET_BYTES >> 30} GiB memory budget")
+
+
+def _grid(spec: dict, span: str, step: str, row_items: int) -> np.ndarray:
+    """Sweep axis from -span to +span in increments of step, whose surface
+    arrays hold row_items complex numbers per point."""
     if not spec[span] >= 0:
         raise ConfigError(f"config.sweep.{span}: must be >= 0")
     width = _positive(spec[step], f"config.sweep.{step}")
+    _check_budget(f"config.sweep.{span}/{step}", 2 * spec[span] / width + 1,
+                  row_items)
     return _field(f"config.sweep.{span}", np.arange,
                   -spec[span], spec[span] + width / 2, width)
 
@@ -147,8 +160,8 @@ class ExperimentConfig:
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+            doc = json.loads(path.read_bytes())
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         return cls.from_dict(doc)
 
@@ -209,9 +222,13 @@ class ExperimentConfig:
         }, "config.objective")
         objective = _field("config.objective", ObjectiveConfig, seed=seed,
                            **objective_spec)
+        # evaluator tables: steering products and slot phases, M columns
+        # each, and the snapshot factors
+        _check_budget("config.objective.samples", objective.samples,
+                      2 * array.num_elements + sequence_spec["snapshots"])
 
         anneal_spec = None
-        anneal = AnnealConfig(objective=objective, seed=seed)
+        anneal = AnnealConfig()
         if top["anneal"] is not None:
             anneal_spec = _section(top["anneal"], {
                 "scheme": _REQUIRED,
@@ -223,10 +240,9 @@ class ExperimentConfig:
                 if anneal_spec[key] is not None:
                     anneal_spec[key] = _number(f"config.anneal.{key}", float,
                                                anneal_spec[key])
-            anneal = _field("config.anneal", AnnealConfig, objective=objective,
+            anneal = _field("config.anneal", AnnealConfig,
                             update=anneal_spec["scheme"], k_max=anneal_spec["k_max"],
-                            t0=anneal_spec["t0"], alpha=anneal_spec["alpha"],
-                            seed=seed)
+                            t0=anneal_spec["t0"], alpha=anneal_spec["alpha"])
             require_swaps(array, anneal.update, "config.anneal.scheme")
 
         reference_spec = _section(top["reference"], {
@@ -250,11 +266,14 @@ class ExperimentConfig:
         axis = sweep_spec["angle_axis"]
         if axis not in ("eoa", "aoa"):
             raise ConfigError("config.sweep.angle_axis: must be eoa|aoa")
-        angles = _grid(sweep_spec, "angle_span_deg", "angle_step_deg")
+        # surface arrays: (angles, rows), (rows, Dopplers) and (angles,
+        # Dopplers), with a row per element and snapshot
+        rows = array.num_elements * sequence_spec["snapshots"]
+        angles = _grid(sweep_spec, "angle_span_deg", "angle_step_deg", rows)
         _field("config.sweep.angle_span_deg", sweep_directions, reference,
                angles, axis)
-        sweep = (_grid(sweep_spec, "doppler_span_hz", "doppler_step_hz"),
-                 angles, axis)
+        sweep = (_grid(sweep_spec, "doppler_span_hz", "doppler_step_hz",
+                       max(rows, angles.size)), angles, axis)
 
         crlb_spec = _section(top["crlb"], {
             "azimuth_deg": 90.0,

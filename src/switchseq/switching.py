@@ -7,6 +7,7 @@ appear when a sequence is evaluated with its slot duration.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,8 +33,8 @@ class SwitchingSequence:
         order = tuple(int(x) for x in self.order)
         if sorted(order) != list(range(len(order))):
             raise ValueError("order must be a permutation of 0..M-1")
-        if not self.delta_t > 0:
-            raise ValueError("delta_t must be positive")
+        if not 0 < self.delta_t < math.inf:
+            raise ValueError("delta_t must be positive and finite")
         if self.snapshots < 1:
             raise ValueError("snapshots must be >= 1")
         object.__setattr__(self, "order", order)

@@ -1,9 +1,19 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from switchseq import SwitchingSequence
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_block(section: str, language: str) -> str:
+    """First fenced code block of the language under a README heading."""
+    text = README.read_text().split(f"\n## {section}\n", 1)[1]
+    return text.split(f"```{language}\n", 1)[1].split("```", 1)[0]
 
 
 def balance_score(order: tuple[int, ...]) -> float:

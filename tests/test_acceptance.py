@@ -47,15 +47,11 @@ def octagon_runs():
         evaluator = ObjectiveEvaluator(array, region, obj_cfg, DT, 1)
         rng = np.random.default_rng(SEED)
         init_rand = random_init(128, DT, 1, rng)
-        cfg_rand = AnnealConfig(objective=obj_cfg, update="random",
-                                k_max=K_MAX, seed=SEED)
-        seq_rand, trace_rand = anneal(init_rand, cfg_rand, array, region,
-                                      rng=rng, evaluator=evaluator)
+        cfg_rand = AnnealConfig(update="random", k_max=K_MAX)
+        seq_rand, trace_rand = anneal(init_rand, cfg_rand, evaluator, rng)
         init_hyb = hybrid_init(128, DT, 1, array.partition, rng)
-        cfg_hyb = AnnealConfig(objective=obj_cfg, update="hybrid",
-                               k_max=K_MAX, seed=SEED)
-        seq_hyb, trace_hyb = anneal(init_hyb, cfg_hyb, array, region,
-                                    rng=rng, evaluator=evaluator)
+        cfg_hyb = AnnealConfig(update="hybrid", k_max=K_MAX)
+        seq_hyb, trace_hyb = anneal(init_hyb, cfg_hyb, evaluator, rng)
         return seq_rand, trace_rand, seq_hyb, trace_hyb
 
     seq_rand, trace_rand, seq_hyb, trace_hyb = run_both()
@@ -196,10 +192,10 @@ def test_criterion_5_aliasing_reproduction():
 
     region = Region(doppler_bound=300.0)
     rng = np.random.default_rng(seed)
-    cfg = AnnealConfig(objective=ObjectiveConfig(power=6, samples=SAMPLES,
-                                                 seed=seed),
-                       update="random", k_max=K_MAX, seed=seed)
-    opt, _ = anneal(random_init(m, dt, 1, rng), cfg, array, region, rng=rng)
+    evaluator = ObjectiveEvaluator(
+        array, region, ObjectiveConfig(power=6, samples=SAMPLES, seed=seed), dt, 1)
+    cfg = AnnealConfig(update="random", k_max=K_MAX)
+    opt, _ = anneal(random_init(m, dt, 1, rng), cfg, evaluator, rng)
     psl_rand = peak_sidelobe(ambiguity_surface(array, opt, mu, doppler,
                                                angles, "aoa"))
     reduction_db = 20.0 * math.log10(psl_seq / psl_rand)

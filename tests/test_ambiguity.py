@@ -95,7 +95,7 @@ def test_objective_matches_bruteforce_per_sample_values():
     seq = random_init(arr.num_elements, 1e-4, 1, np.random.default_rng(4))
     region = Region.default_for(1e-4)
     cfg = ObjectiveConfig(power=6, samples=64, seed=9)
-    ev = ObjectiveEvaluator.for_sequence(arr, region, cfg, seq)
+    ev = ObjectiveEvaluator(arr, region, cfg, seq.delta_t, seq.snapshots)
     assert ev.degenerate_count == 0
     total = 0.0
     for i in range(cfg.samples):
@@ -112,7 +112,7 @@ def test_objective_matches_bruteforce_with_snapshots():
     seq = random_init(arr.num_elements, 1e-4, 2, np.random.default_rng(12))
     region = Region.default_for(1e-4)
     cfg = ObjectiveConfig(power=6, samples=32, seed=2)
-    ev = ObjectiveEvaluator.for_sequence(arr, region, cfg, seq)
+    ev = ObjectiveEvaluator(arr, region, cfg, seq.delta_t, seq.snapshots)
     total = 0.0
     for i in range(cfg.samples):
         mu = StructuralParams.simo(ev.azimuth[i], ev.elevation[i], 0.0)
@@ -216,8 +216,8 @@ def test_optimized_random_beats_sequential():
     f_seq = objective(arr, sequential(m, dt), region, cfg)
     rng = np.random.default_rng(2)
     opt, _ = anneal(random_init(m, dt, 1, rng),
-                    AnnealConfig(objective=cfg, update="random", k_max=80, seed=2),
-                    arr, region, rng=rng)
+                    AnnealConfig(update="random", k_max=80),
+                    ObjectiveEvaluator(arr, region, cfg, dt, 1), rng)
     assert objective(arr, opt, region, cfg) < f_seq
 
 

@@ -7,6 +7,8 @@ from switchseq import (AnnealConfig, AnnealError, ObjectiveConfig,
                        temperature_schedule)
 from switchseq.anneal import save_trace_csv
 
+from conftest import readme_block
+
 DT = 1e-3
 
 
@@ -30,9 +32,8 @@ def test_fixed_seed_bit_reproducible():
     def run():
         rng = np.random.default_rng(13)
         init = random_init(8, DT, 1, rng)
-        return anneal(init, AnnealConfig(objective=cfg, update="random",
-                                         k_max=25, seed=13),
-                      arr, region, rng=rng)
+        return anneal(init, AnnealConfig(update="random", k_max=25),
+                      ObjectiveEvaluator(arr, region, cfg, DT, 1), rng)
 
     (final_a, trace_a), (final_b, trace_b) = run(), run()
     assert final_a.order == final_b.order
@@ -45,9 +46,8 @@ def test_temperature_trace_is_exact_schedule():
     arr, region, cfg = small_setup()
     rng = np.random.default_rng(3)
     init = random_init(8, DT, 1, rng)
-    _, trace = anneal(init, AnnealConfig(objective=cfg, update="random",
-                                         k_max=30, seed=3),
-                      arr, region, rng=rng)
+    _, trace = anneal(init, AnnealConfig(update="random", k_max=30),
+                      ObjectiveEvaluator(arr, region, cfg, DT, 1), rng)
     for rec in trace.records:
         assert rec.temperature == temperature_schedule(trace.t0, trace.alpha, rec.k)
 
@@ -56,9 +56,8 @@ def test_default_schedule_resolution():
     arr, region, cfg = small_setup()
     rng = np.random.default_rng(3)
     init = random_init(8, DT, 1, rng)
-    _, trace = anneal(init, AnnealConfig(objective=cfg, update="random",
-                                         k_max=40, seed=3),
-                      arr, region, rng=rng)
+    _, trace = anneal(init, AnnealConfig(update="random", k_max=40),
+                      ObjectiveEvaluator(arr, region, cfg, DT, 1), rng)
     assert trace.t0 == pytest.approx(0.1 * trace.initial_objective)
     assert trace.alpha == pytest.approx(1e-4 ** (1.0 / 40))
 
@@ -67,9 +66,8 @@ def test_improving_proposals_always_accepted():
     arr, region, cfg = small_setup()
     rng = np.random.default_rng(5)
     init = random_init(8, DT, 1, rng)
-    _, trace = anneal(init, AnnealConfig(objective=cfg, update="random",
-                                         k_max=60, seed=5),
-                      arr, region, rng=rng)
+    _, trace = anneal(init, AnnealConfig(update="random", k_max=60),
+                      ObjectiveEvaluator(arr, region, cfg, DT, 1), rng)
     current = trace.initial_objective
     for rec in trace.records:
         if rec.proposal_objective < current:
@@ -81,11 +79,11 @@ def test_huge_temperature_accepts_worse_moves():
     arr, region, cfg = small_setup()
     rng = np.random.default_rng(1)
     init = sequential(8, DT)
+    ev = ObjectiveEvaluator(arr, region, cfg, DT, 1)
     accepted = []
     for _ in range(10):
-        _, trace = anneal(init, AnnealConfig(objective=cfg, update="random",
-                                             k_max=1, t0=1e18, alpha=0.5, seed=1),
-                          arr, region, rng=rng)
+        _, trace = anneal(init, AnnealConfig(update="random", k_max=1,
+                                             t0=1e18, alpha=0.5), ev, rng)
         accepted.append(trace.records[0].accepted)
     assert all(accepted)
 
@@ -99,10 +97,8 @@ def test_tiny_temperature_rejects_worse_moves():
     f0 = ev.evaluate(init)
     for seed in range(40):
         rng = np.random.default_rng(seed)
-        _, trace = anneal(init, AnnealConfig(objective=cfg, update="random",
-                                             k_max=1, t0=1e-300, alpha=0.5,
-                                             seed=seed),
-                          arr, region, rng=rng, evaluator=ev)
+        _, trace = anneal(init, AnnealConfig(update="random", k_max=1,
+                                             t0=1e-300, alpha=0.5), ev, rng)
         rec = trace.records[0]
         if rec.proposal_objective > f0:
             assert not rec.accepted
@@ -115,10 +111,9 @@ def test_final_objective_matches_reevaluation():
     arr, region, cfg = small_setup()
     rng = np.random.default_rng(21)
     init = random_init(8, DT, 1, rng)
-    final, trace = anneal(init, AnnealConfig(objective=cfg, update="random",
-                                             k_max=20, seed=21),
-                          arr, region, rng=rng)
-    ev = ObjectiveEvaluator.for_sequence(arr, region, cfg, final)
+    final, trace = anneal(init, AnnealConfig(update="random", k_max=20),
+                          ObjectiveEvaluator(arr, region, cfg, DT, 1), rng)
+    ev = ObjectiveEvaluator(arr, region, cfg, final.delta_t, final.snapshots)
     assert trace.records[-1].objective == ev.evaluate(final)
 
 
@@ -126,12 +121,11 @@ def test_best_so_far_tracked():
     arr, region, cfg = small_setup()
     rng = np.random.default_rng(2)
     init = random_init(8, DT, 1, rng)
-    final, trace = anneal(init, AnnealConfig(objective=cfg, update="random",
-                                             k_max=50, seed=2),
-                          arr, region, rng=rng)
+    final, trace = anneal(init, AnnealConfig(update="random", k_max=50),
+                          ObjectiveEvaluator(arr, region, cfg, DT, 1), rng)
     objectives = [trace.initial_objective] + [r.objective for r in trace.records]
     assert trace.best_objective == min(objectives)
-    ev = ObjectiveEvaluator.for_sequence(arr, region, cfg, final)
+    ev = ObjectiveEvaluator(arr, region, cfg, final.delta_t, final.snapshots)
     assert ev.evaluate(trace.best_sequence) == trace.best_objective
 
 
@@ -141,9 +135,8 @@ def test_hybrid_runs_preserve_subset_ranges():
     cfg = ObjectiveConfig(power=6, samples=256, seed=6)
     rng = np.random.default_rng(6)
     init = hybrid_init(16, DT, 1, arr.partition, rng)
-    final, trace = anneal(init, AnnealConfig(objective=cfg, update="hybrid",
-                                             k_max=30, seed=6),
-                          arr, region, rng=rng)
+    final, trace = anneal(init, AnnealConfig(update="hybrid", k_max=30),
+                          ObjectiveEvaluator(arr, region, cfg, DT, 1), rng)
     assert len(trace.records) == 30
     for subset, slots in zip(final.partition, final.subset_slot_ranges()):
         assert set(final.order[slots.start:slots.stop]) == set(subset)
@@ -152,9 +145,9 @@ def test_hybrid_runs_preserve_subset_ranges():
 def test_hybrid_update_requires_partition():
     arr, region, cfg = small_setup()
     with pytest.raises(ValueError):
-        anneal(sequential(8, DT),
-               AnnealConfig(objective=cfg, update="hybrid", k_max=5, seed=0),
-               arr, region)
+        anneal(sequential(8, DT), AnnealConfig(update="hybrid", k_max=5),
+               ObjectiveEvaluator(arr, region, cfg, DT, 1),
+               np.random.default_rng(0))
 
 
 def test_objective_failure_carries_partial_trace():
@@ -176,10 +169,21 @@ def test_objective_failure_carries_partial_trace():
     rng = np.random.default_rng(9)
     init = random_init(8, DT, 1, rng)
     with pytest.raises(AnnealError) as err:
-        anneal(init, AnnealConfig(objective=cfg, update="random",
-                                  k_max=50, seed=9),
-               arr, region, rng=rng, evaluator=ev)
+        anneal(init, AnnealConfig(update="random", k_max=50), ev, rng)
     assert len(err.value.trace.records) == 4  # init eval + 4 full iterations
+
+
+def test_zero_initial_objective_is_an_anneal_error():
+    # a zero objective leaves no automatic t0: a numeric failure (CLI exit
+    # 3), not a bad argument
+    class Zero:
+        def evaluate(self, seq):
+            return 0.0
+
+    with pytest.raises(AnnealError, match="t0") as err:
+        anneal(sequential(8, DT), AnnealConfig(k_max=5), Zero(),
+               np.random.default_rng(0))
+    assert err.value.trace.records == []
 
 
 def test_config_validation():
@@ -197,9 +201,8 @@ def test_trace_csv_format(tmp_path):
     arr, region, cfg = small_setup()
     rng = np.random.default_rng(4)
     init = random_init(8, DT, 1, rng)
-    _, trace = anneal(init, AnnealConfig(objective=cfg, update="random",
-                                         k_max=12, seed=4),
-                      arr, region, rng=rng)
+    _, trace = anneal(init, AnnealConfig(update="random", k_max=12),
+                      ObjectiveEvaluator(arr, region, cfg, DT, 1), rng)
     path = tmp_path / "trace.csv"
     save_trace_csv(trace, path)
     lines = path.read_text().strip().splitlines()
@@ -208,3 +211,9 @@ def test_trace_csv_format(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "0"
     assert first[4] in ("0", "1")
+
+
+def test_readme_library_block_runs(capsys):
+    # the documented API is run as written, so it cannot drift from anneal's
+    exec(compile(readme_block("Library use", "python"), "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("WidthReport(axis='doppler'")

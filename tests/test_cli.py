@@ -15,6 +15,8 @@ import switchseq
 from switchseq.cli import main
 from switchseq.config import ConfigError, ExperimentConfig
 
+from conftest import readme_block
+
 
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
@@ -120,9 +122,13 @@ def test_config_missing_file(tmp_path):
 
 def test_config_invalid_json(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
+    for content in (b"{not json", b'{"version": "\xff"}',
+                     b"[" * 100000 + b"]" * 100000):  # recursion limit
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match="JSON"):
+            ExperimentConfig.from_file(path)
     with pytest.raises(ConfigError, match="JSON"):
-        ExperimentConfig.from_file(path)
+        ExperimentConfig.from_file(tmp_path)  # a directory
 
 
 def test_cli_exit_code_for_config_error(tmp_path, capsys):
@@ -228,6 +234,28 @@ def test_failing_run_prints_one_json_line_despite_sobol_warning(tmp_path):
     assert proc.returncode == 3
     (line,) = proc.stderr.splitlines()
     assert json.loads(line)["error"]["type"] == "GridTooNarrowError"
+
+
+def test_over_budget_samples_exit_2_without_allocating(tmp_path):
+    # the README octagon (128 elements) at 2**28 samples: the evaluator
+    # tables alone would need 1 TiB; under a 1.5 GB address-space limit a
+    # run that tried to allocate them would end in a MemoryError traceback
+    cfg = json.loads(readme_block("CLI quick start", "json"))
+    cfg["objective"]["samples"] = 2 ** 28
+    proc = run_python(
+        "import resource, sys\n"
+        "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, hard))\n"
+        "from switchseq.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))",
+        "optimize", "--config", write_config(tmp_path, cfg),
+        "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "config"
+    assert "config.objective.samples" in error["message"]
 
 
 def test_ambiguity_imports_neither_scipy_stats_nor_ndimage(tmp_path):
@@ -398,6 +426,37 @@ def test_ambiguity_missing_sequence_file(tmp_path, capsys):
     assert "missing.json" in err["error"]["message"]
 
 
+SEQUENCE_8 = {"M": 8, "delta_t_s": 1e-3, "snapshots": 1, "order": list(range(8))}
+
+
+@pytest.mark.parametrize("content", [
+    "{not json",
+    json.dumps({k: v for k, v in SEQUENCE_8.items() if k != "order"}),
+    json.dumps([SEQUENCE_8]),
+    json.dumps(dict(SEQUENCE_8, order=[0, 0, 1, 2, 3, 4, 5, 6])),
+    json.dumps(dict(SEQUENCE_8, delta_t_s="x")),
+    json.dumps(dict(SEQUENCE_8, partition=[[0, 2], [1, 3, 4, 5, 6, 7]])),
+    json.dumps(dict(SEQUENCE_8, delta_t_s=float("inf"))),
+    "[" * 100000 + "]" * 100000,
+], ids=["not-json", "no-order", "top-level-list", "not-permutation",
+        "delta-t-string", "partition-not-contiguous", "delta-t-infinity",
+        "nested-past-recursion-limit"])
+def test_ambiguity_bad_sequence_file_exits_2(tmp_path, capsys, content):
+    cfg = ula_config()
+    cfg["array"]["elements"] = 8  # matches the file, so only its content is bad
+    seq_path = tmp_path / "seq.json"
+    seq_path.write_text(content)
+    rc = main(["ambiguity", "--config", write_config(tmp_path, cfg),
+               "--out", str(tmp_path / "out"), "--sequence", str(seq_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "config"
+    assert "--sequence" in error["message"]
+
+
 def test_ambiguity_sequence_array_mismatch(tmp_path):
     from switchseq import sequential
 
@@ -493,3 +552,23 @@ def test_effective_factor_cmd(tmp_path):
     report = json.loads((out / "effective_factor.json").read_text())
     assert report["effective_elements"] == 48
     assert report["effective_factor"] == pytest.approx(0.375)
+
+
+# ---- manifest ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("optimize", small_sweep_config(ula_config)),
+    ("ambiguity", ula_config()),
+    ("crlb", ula_config(sequence={"scheme": "random", "delta_t_s": 1e-3})),
+    ("compare", octagon_config()),
+    ("effective-factor", octagon_config()),
+])
+def test_manifest_lists_every_file_the_command_wrote(tmp_path, command, doc):
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, doc),
+                 "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command
+    written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    assert sorted(manifest["outputs"]) == written
