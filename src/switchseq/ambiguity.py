@@ -11,6 +11,13 @@ tabulates it for every (sample, slot) pair: a sequence evaluation gathers
 the table columns in slot order, multiplies by the steering products and
 sums, with no complex exponential per call.
 
+A swap of two slots changes the per-sample sums by one term per sample,
+which swap_sums computes from two table columns; score turns sums into f_P.
+The annealer scores its proposals that way and re-scores each accepted
+state with the full evaluate, which stays the reference path: the trace
+records the reference value, so its objectives equal a fresh evaluate()
+bit for bit, as the tests assert with ==.
+
 The points come from sobol_points, a numpy scrambled Sobol generator whose
 output is byte-identical to scipy.stats.qmc.Sobol(d=5, scramble=True,
 seed=seed).random(n); scipy serves only as the tests' reference, so no
@@ -206,6 +213,10 @@ class ObjectiveEvaluator:
 
     def evaluate(self, seq: SwitchingSequence) -> float:
         """QMC estimate of f_P for one sequence."""
+        return self.score(self.sample_sums(seq))
+
+    def sample_sums(self, seq: SwitchingSequence) -> np.ndarray:
+        """Per-sample correlation sums S_n = sum_m cross[n, m] * P[n, slot_m]."""
         if seq.num_elements != self.array.num_elements:
             raise ValueError("sequence does not match the evaluator's array")
         if seq.delta_t != self.delta_t or seq.snapshots != self.snapshots:
@@ -214,7 +225,19 @@ class ObjectiveEvaluator:
         # cross-products stay the left operand: numpy's vectorised complex
         # multiply is not commutative bit for bit on every CPU
         np.multiply(self._cross, phases, out=phases)
-        mags = np.abs(phases.sum(axis=1))
+        return phases.sum(axis=1)
+
+    def swap_sums(self, sums: np.ndarray, seq: SwitchingSequence,
+                  a: int, b: int) -> np.ndarray:
+        """Sample sums after exchanging the antennas of slots a and b of seq,
+        given seq's sums: two columns change, so this costs O(samples)."""
+        ea, eb = seq.order[a], seq.order[b]
+        return sums + ((self._cross[:, ea] - self._cross[:, eb])
+                       * (self._phase_table[:, b] - self._phase_table[:, a]))
+
+    def score(self, sums: np.ndarray) -> float:
+        """f_P from the per-sample sums."""
+        mags = np.abs(sums)
         if self._snapshot_factor is not None:
             mags = mags * self._snapshot_factor
         total = np.sum(mags ** self.config.power)

@@ -5,6 +5,15 @@ comparison (improvements therefore always pass), with one proposal draw and
 one acceptance draw per iteration from a single caller-visible RNG stream.
 Together with the objective's fixed QMC point set this makes whole runs
 bit-reproducible from the seed.
+
+Both moves swap two slots, so a proposal is scored from the current
+per-sample sums plus the swap's delta (ObjectiveEvaluator.swap_sums), which
+costs O(samples) instead of O(samples * elements). Only an accepted proposal
+is re-scored with the full evaluate(): the trace records that reference
+value, so its objectives and the best objective equal a fresh evaluate() of
+their sequences bit for bit (the tests assert it with ==). The sums carry
+forward by the delta; the trace counts the full evaluations and the largest
+relative gap between a delta score and its re-score.
 """
 
 from __future__ import annotations
@@ -62,7 +71,7 @@ def temperature_schedule(t0: float, alpha: float, k: int) -> float:
 class AnnealRecord:
     k: int                    # 0-based iteration index
     objective: float          # objective of the current sequence after accept/reject
-    proposal_objective: float
+    proposal_objective: float  # delta score; the full re-score when accepted
     temperature: float        # temperature used for this iteration's test
     accepted: bool
 
@@ -76,6 +85,8 @@ class AnnealTrace:
     best_objective: float = math.inf
     best_k: int = -1
     best_sequence: SwitchingSequence | None = None
+    full_evaluations: int = 0     # the initial evaluate plus one per accept
+    max_resync_drift: float = 0.0  # max |delta score - evaluate| / evaluate
 
     @property
     def final_objective(self) -> float:
@@ -100,18 +111,24 @@ def anneal(init: SwitchingSequence, config: AnnealConfig,
              else DEFAULT_FINAL_TEMPERATURE_RATIO ** (1.0 / config.k_max))
 
     trace = AnnealTrace(t0=t0, alpha=alpha, initial_objective=f_current,
-                        best_objective=f_current, best_k=-1, best_sequence=current)
+                        best_objective=f_current, best_k=-1, best_sequence=current,
+                        full_evaluations=1)
     if not t0 > 0:
         raise AnnealError(f"auto t0 failed: initial objective is {f_current!r}; "
                           "set t0 explicitly", trace)
+    sums = evaluator.sample_sums(current)
     for k in range(config.k_max):
         if config.update == "hybrid":
             proposal = swap_hybrid(current, k, rng)
         else:
             proposal = swap_random(current, rng)
         u = rng.random()
+        # the two slots the move swapped
+        a, b = (i for i, (x, y) in enumerate(zip(current.order, proposal.order))
+                if x != y)
         try:
-            f_proposal = evaluator.evaluate(proposal)
+            proposal_sums = evaluator.swap_sums(sums, current, a, b)
+            f_proposal = evaluator.score(proposal_sums)
         except Exception as exc:
             raise AnnealError(f"objective evaluation failed at iteration {k}",
                               trace) from exc
@@ -120,8 +137,17 @@ def anneal(init: SwitchingSequence, config: AnnealConfig,
         # literal rule exp(delta/T) > u, written to avoid overflow for delta >= 0
         accepted = delta >= 0.0 or math.exp(delta / temperature) > u
         if accepted:
-            current = proposal
-            f_current = f_proposal
+            try:
+                f_full = evaluator.evaluate(proposal)
+            except Exception as exc:
+                raise AnnealError(f"objective re-score failed at iteration {k}",
+                                  trace) from exc
+            trace.full_evaluations += 1
+            gap = abs(f_proposal - f_full)
+            trace.max_resync_drift = max(trace.max_resync_drift,
+                                         gap / f_full if f_full else gap)
+            current, sums = proposal, proposal_sums
+            f_current = f_proposal = f_full
         if f_current < trace.best_objective:
             trace.best_objective = f_current
             trace.best_k = k

@@ -37,7 +37,7 @@ EXIT_NUMERIC = 3
 
 NUMERIC_ERRORS = (DegenerateDirectionError, EndfireSingularityError,
                   UnobservableDopplerError, SingularFIMError,
-                  GridTooNarrowError, AnnealError)
+                  GridTooNarrowError, AnnealError, np.linalg.LinAlgError)
 
 
 def _write_manifest(out_dir: Path, command: str, config: ExperimentConfig,
@@ -82,6 +82,8 @@ def cmd_optimize(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str
         "t0": trace.t0,
         "alpha": trace.alpha,
         "iterations": len(trace.records),
+        "full_evaluations": trace.full_evaluations,
+        "max_resync_drift": trace.max_resync_drift,
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(f"final objective {trace.final_objective:.6g} "
@@ -222,7 +224,9 @@ def cmd_compare(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str]
     doc = report.to_dict()
     doc["anneal"] = {
         update: {"final_objective": trace.final_objective,
-                 "best_objective": trace.best_objective}
+                 "best_objective": trace.best_objective,
+                 "full_evaluations": trace.full_evaluations,
+                 "max_resync_drift": trace.max_resync_drift}
         for update, trace in traces.items()
     }
     (out_dir / "comparison.json").write_text(json.dumps(doc, indent=2) + "\n")

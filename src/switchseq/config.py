@@ -187,7 +187,6 @@ class ExperimentConfig:
         if top["output_dir"] is not None and not isinstance(top["output_dir"], str):
             raise ConfigError("config.output_dir: must be a string")
 
-        array_spec, array = cls._build_array(top["array"])
         sequence_spec = _section(top["sequence"], {
             "scheme": "sequential",
             "delta_t_s": 1e-4,
@@ -195,9 +194,6 @@ class ExperimentConfig:
         }, "config.sequence")
         if sequence_spec["scheme"] not in ("sequential", "random", "hybrid"):
             raise ConfigError("config.sequence.scheme: must be sequential|random|hybrid")
-        if sequence_spec["scheme"] == "hybrid" and array.partition is None:
-            raise ConfigError("config.sequence.scheme: hybrid requires a "
-                              "partitioned (octagonal) array")
         delta_t = _positive(sequence_spec["delta_t_s"], "config.sequence.delta_t_s")
         if sequence_spec["snapshots"] < 1:
             raise ConfigError("config.sequence.snapshots: must be >= 1")
@@ -222,10 +218,11 @@ class ExperimentConfig:
         }, "config.objective")
         objective = _field("config.objective", ObjectiveConfig, seed=seed,
                            **objective_spec)
-        # evaluator tables: steering products and slot phases, M columns
-        # each, and the snapshot factors
-        _check_budget("config.objective.samples", objective.samples,
-                      2 * array.num_elements + sequence_spec["snapshots"])
+        array_spec, array = cls._build_array(top["array"], objective.samples,
+                                             sequence_spec["snapshots"])
+        if sequence_spec["scheme"] == "hybrid" and array.partition is None:
+            raise ConfigError("config.sequence.scheme: hybrid requires a "
+                              "partitioned (octagonal) array")
 
         anneal_spec = None
         anneal = AnnealConfig()
@@ -283,6 +280,15 @@ class ExperimentConfig:
             "phase": 0.0,
             "noise_sigma": 0.1,
         }, "config.crlb")
+        # every instant a run forms, up to M * snapshots slots, and every
+        # Doppler phase 2*pi*nu*t, with nu up to the region bound, the swept
+        # Doppler or the crlb Doppler, must be a finite float
+        instants = array.num_elements * sequence_spec["snapshots"] * delta_t
+        nu = max(region.doppler_bound, abs(crlb_spec["doppler_hz"]),
+                 abs(reference.doppler_hz) + sweep_spec["doppler_span_hz"])
+        if not (math.isfinite(instants) and math.isfinite(2 * math.pi * nu * instants)):
+            raise ConfigError("config.sequence.delta_t_s: the run's Doppler "
+                              "phases overflow a float")
         if top["effective_threshold_db"] > 0:
             raise ConfigError("config.effective_threshold_db: must be <= 0")
 
@@ -305,7 +311,11 @@ class ExperimentConfig:
         )
 
     @staticmethod
-    def _build_array(section) -> tuple[dict, ArrayModel]:
+    def _build_array(section, samples: int,
+                     snapshots: int) -> tuple[dict, ArrayModel]:
+        """Array spec and model; the element count the spec asks for is
+        held to the memory budget of the evaluator tables before anything
+        is built."""
         if not isinstance(section, dict) or "kind" not in section:
             raise ConfigError("config.array.kind: required field missing")
         if section["kind"] == "ula":
@@ -315,6 +325,8 @@ class ExperimentConfig:
                 "spacing_wavelengths": 0.5,
                 "carrier_hz": 28e9,
             }, "config.array")
+            m = _number("config.array.elements", int, spec["elements"])
+            counts = "elements"
         elif section["kind"] == "octagonal":
             spec = _section(section, {
                 "kind": _REQUIRED,
@@ -327,14 +339,19 @@ class ExperimentConfig:
                 "patch_exponent": 2.0,
                 "pattern_file": None,
             }, "config.array")
+            m = spec["panels"] * spec["rows"] * spec["cols"]
+            counts = "panels/rows/cols"
         else:
             raise ConfigError("config.array.kind: must be 'ula' or 'octagonal'")
+        # evaluator tables: steering products and slot phases, M columns
+        # each, and the snapshot factors
+        _check_budget(f"config.objective.samples and config.array.{counts}",
+                      samples, 2 * max(m, 0) + snapshots)
         wavelength = SPEED_OF_LIGHT / _positive(spec["carrier_hz"],
                                                 "config.array.carrier_hz")
         spacing = spec["spacing_wavelengths"] * wavelength
         if spec["kind"] == "ula":
-            elements = _number("config.array.elements", int, spec["elements"])
-            return spec, _field("config.array", make_ula, elements, spacing, wavelength)
+            return spec, _field("config.array", make_ula, m, spacing, wavelength)
         radius = spec["radius_m"]
         if radius is not None:
             radius = _number("config.array.radius_m", float, radius)

@@ -199,6 +199,37 @@ def test_evaluate_matches_per_call_exp_reference(array_name, snapshots, sin_elev
         assert abs(ev.evaluate(seq) - ref) <= 1e-12 * abs(ref)
 
 
+def swapped_slots(before, after):
+    a, b = (i for i, (x, y) in enumerate(zip(before.order, after.order)) if x != y)
+    return a, b
+
+
+@pytest.mark.parametrize("sin_elevation", [False, True])
+@pytest.mark.parametrize("snapshots", [1, 3])
+@pytest.mark.parametrize("array_name, update", [
+    ("ula", "random"), ("octagon", "random"), ("octagon", "hybrid"),
+    ("single_panel", "random")])
+def test_swap_sums_carried_along_a_chain_match_evaluate(array_name, update,
+                                                         snapshots, sin_elevation):
+    # every step is taken, as if accepted, so the sums carry 200 deltas
+    arr = DIFFERENTIAL_ARRAYS[array_name]()
+    cfg = ObjectiveConfig(power=6, samples=256, seed=5, sin_elevation=sin_elevation)
+    ev = ObjectiveEvaluator(arr, Region.default_for(1e-4), cfg, 1e-4, snapshots)
+    rng = np.random.default_rng(snapshots)
+    if update == "hybrid":
+        seq = hybrid_init(arr.num_elements, 1e-4, snapshots, arr.partition, rng)
+    else:
+        seq = random_init(arr.num_elements, 1e-4, snapshots, rng)
+    sums = ev.sample_sums(seq)
+    assert ev.score(sums) == ev.evaluate(seq)
+    for k in range(200):
+        nxt = swap_hybrid(seq, k, rng) if update == "hybrid" else swap_random(seq, rng)
+        sums = ev.swap_sums(sums, seq, *swapped_slots(seq, nxt))
+        seq = nxt
+        full = ev.evaluate(seq)
+        assert abs(ev.score(sums) - full) <= 1e-12 * full, k
+
+
 def test_objective_power_monotonicity():
     arr = make_ula(16, 0.5, 1.0)
     seq = sequential(16, 1e-3)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from switchseq import (AnnealConfig, AnnealError, ObjectiveConfig,
                        make_octagonal, make_ula, random_init, sequential,
                        temperature_schedule)
 from switchseq.anneal import save_trace_csv
+from switchseq.switching import swap_hybrid, swap_random
 
 from conftest import readme_block
 
@@ -150,40 +153,146 @@ def test_hybrid_update_requires_partition():
                np.random.default_rng(0))
 
 
-def test_objective_failure_carries_partial_trace():
-    arr, region, cfg = small_setup()
+class Exploding:
+    """Evaluator double whose named method fails after fail_after calls."""
 
-    class Exploding:
-        def __init__(self, inner, fail_after):
-            self.inner = inner
-            self.calls = 0
-            self.fail_after = fail_after
+    def __init__(self, inner, method, fail_after):
+        self.inner = inner
+        self.method = method
+        self.fail_after = fail_after
+        self.calls = 0
 
-        def evaluate(self, seq):
+    def __getattr__(self, name):
+        attr = getattr(self.inner, name)
+        if name != self.method:
+            return attr
+
+        def counted(*args):
             self.calls += 1
             if self.calls > self.fail_after:
                 raise RuntimeError("boom")
-            return self.inner.evaluate(seq)
+            return attr(*args)
+        return counted
 
-    ev = Exploding(ObjectiveEvaluator(arr, region, cfg, DT, 1), fail_after=5)
+
+def test_objective_failure_carries_partial_trace():
+    arr, region, cfg = small_setup()
+    ev = Exploding(ObjectiveEvaluator(arr, region, cfg, DT, 1), "swap_sums",
+                   fail_after=4)
     rng = np.random.default_rng(9)
     init = random_init(8, DT, 1, rng)
     with pytest.raises(AnnealError) as err:
         anneal(init, AnnealConfig(update="random", k_max=50), ev, rng)
-    assert len(err.value.trace.records) == 4  # init eval + 4 full iterations
+    assert len(err.value.trace.records) == 4  # 4 proposals scored, the 5th fails
+
+
+def test_rescore_failure_carries_partial_trace():
+    arr, region, cfg = small_setup()
+    config = AnnealConfig(update="random", k_max=50)
+
+    def run(ev):
+        rng = np.random.default_rng(9)
+        return anneal(random_init(8, DT, 1, rng), config, ev, rng)
+
+    _, clean = run(ObjectiveEvaluator(arr, region, cfg, DT, 1))
+    third_accept = [r.k for r in clean.records if r.accepted][2]
+    # the initial evaluate and two accept-time re-scores pass, the third fails
+    ev = Exploding(ObjectiveEvaluator(arr, region, cfg, DT, 1), "evaluate",
+                   fail_after=3)
+    with pytest.raises(AnnealError, match="re-score") as err:
+        run(ev)
+    assert err.value.trace.records == clean.records[:third_accept]
 
 
 def test_zero_initial_objective_is_an_anneal_error():
     # a zero objective leaves no automatic t0: a numeric failure (CLI exit
     # 3), not a bad argument
-    class Zero:
-        def evaluate(self, seq):
+    class Zero(ObjectiveEvaluator):
+        def score(self, sums):
             return 0.0
 
+    arr, region, cfg = small_setup()
     with pytest.raises(AnnealError, match="t0") as err:
-        anneal(sequential(8, DT), AnnealConfig(k_max=5), Zero(),
-               np.random.default_rng(0))
+        anneal(sequential(8, DT), AnnealConfig(k_max=5),
+               Zero(arr, region, cfg, DT, 1), np.random.default_rng(0))
     assert err.value.trace.records == []
+
+
+def reference_anneal(init, config, evaluator, rng):
+    """The annealing loop that scores every proposal with the full
+    evaluate(); returns the final sequence, (objective, proposal objective,
+    accepted) per iteration and best_k."""
+    current = init
+    f_current = evaluator.evaluate(current)
+    t0 = config.t0 if config.t0 is not None else 0.1 * abs(f_current)
+    alpha = (config.alpha if config.alpha is not None
+             else 1e-4 ** (1.0 / config.k_max))
+    best, best_k, rows = f_current, -1, []
+    for k in range(config.k_max):
+        if config.update == "hybrid":
+            proposal = swap_hybrid(current, k, rng)
+        else:
+            proposal = swap_random(current, rng)
+        u = rng.random()
+        f_proposal = evaluator.evaluate(proposal)
+        delta = f_current - f_proposal
+        accepted = (delta >= 0.0
+                    or math.exp(delta / temperature_schedule(t0, alpha, k)) > u)
+        if accepted:
+            current, f_current = proposal, f_proposal
+        if f_current < best:
+            best, best_k = f_current, k
+        rows.append((f_current, f_proposal, accepted))
+    return current, rows, best_k
+
+
+REFERENCE_CASES = {
+    "ula8-random": (lambda: make_ula(8, 0.5, 1.0), "random", 1),
+    "octagon16-hybrid": (lambda: make_octagonal(4, 1, 4, patch_exponent=2.0),
+                         "hybrid", 1),
+    "octagon32-random": (lambda: make_octagonal(8, 2, 2, patch_exponent=2.0),
+                         "random", 1),
+    "octagon32-hybrid": (lambda: make_octagonal(8, 2, 2, patch_exponent=2.0),
+                         "hybrid", 1),
+    "octagon32-hybrid-snapshots": (
+        lambda: make_octagonal(8, 2, 2, patch_exponent=2.0), "hybrid", 3),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_delta_scored_anneal_matches_full_evaluate_loop(case, seed):
+    build, update, snapshots = REFERENCE_CASES[case]
+    arr = build()
+    ev = ObjectiveEvaluator(arr, Region.default_for(DT),
+                            ObjectiveConfig(power=6, samples=256, seed=seed),
+                            DT, snapshots)
+    config = AnnealConfig(update=update, k_max=120)
+
+    def init(rng):
+        if update == "hybrid":
+            return hybrid_init(arr.num_elements, DT, snapshots, arr.partition, rng)
+        return random_init(arr.num_elements, DT, snapshots, rng)
+
+    rng = np.random.default_rng(seed)
+    ref_final, ref_rows, ref_best_k = reference_anneal(init(rng), config, ev, rng)
+    rng = np.random.default_rng(seed)
+    final, trace = anneal(init(rng), config, ev, rng)
+    for rec, (objective, proposal_objective, accepted) in zip(trace.records,
+                                                               ref_rows):
+        assert (rec.objective, rec.accepted) == (objective, accepted)
+        # accepted rows carry the full re-score, rejected ones the delta score
+        if accepted:
+            assert rec.proposal_objective == proposal_objective
+        else:
+            assert (abs(rec.proposal_objective - proposal_objective)
+                    <= 1e-12 * proposal_objective)
+    assert len(trace.records) == len(ref_rows)
+    assert trace.best_k == ref_best_k
+    assert final.order == ref_final.order
+    accepts = sum(r.accepted for r in trace.records)
+    assert trace.full_evaluations == 1 + accepts
+    assert trace.max_resync_drift <= 1e-12
 
 
 def test_config_validation():

@@ -175,10 +175,14 @@ def test_cli_exit_code_for_config_error(tmp_path, capsys):
     ("ambiguity", "sweep", "angle_step_deg", float("inf")),
     ("crlb", "array", "spacing_wavelengths", float("nan")),
     ("crlb", "sequence", "delta_t_s", float("inf")),
+    ("crlb", "sequence", "delta_t_s", 1e308),
+    ("optimize", "sequence", "delta_t_s", 1e308),
 ])
 def test_cli_bad_field_exits_2_with_one_json_line(tmp_path, capsys, command,
                                                   section, key, value):
-    cfg = ula_config() if command == "crlb" else octagon_config()  # crlb needs a ULA
+    # crlb needs a ULA; the 1e308 delta_t_s cases need its 200 Hz Doppler
+    # bound (the octagon's default, 0.25/(2*delta_t), underflows to 0 first)
+    cfg = ula_config() if command == "crlb" or value == 1e308 else octagon_config()
     flags = []
     if section == "--":
         flags = [f"--{key}", str(value)]
@@ -210,13 +214,13 @@ def test_config_integer_fields_accept_integral_floats():
             ExperimentConfig.from_dict(cfg)
 
 
-def run_python(code, *args):
+def run_python(code, *args, timeout=120):
     """Run python code in a fresh interpreter that imports this checkout's
     switchseq; return the completed process."""
     src = str(Path(switchseq.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run([sys.executable, "-c", code, *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def test_failing_run_prints_one_json_line_despite_sobol_warning(tmp_path):
@@ -256,6 +260,22 @@ def test_over_budget_samples_exit_2_without_allocating(tmp_path):
     error = json.loads(line)["error"]
     assert error["type"] == "config"
     assert "config.objective.samples" in error["message"]
+
+
+def test_huge_panel_count_exits_2_before_building_the_array(tmp_path):
+    # 1e308 panels read as a huge integer; building them one by one would
+    # run until killed, so the element count is held to the budget first
+    cfg = octagon_config()
+    cfg["array"]["panels"] = 1e308
+    proc = run_python("import sys; from switchseq.cli import main; "
+                      "sys.exit(main(sys.argv[1:]))",
+                      "effective-factor", "--config", write_config(tmp_path, cfg),
+                      "--out", str(tmp_path / "out"), timeout=30)
+    assert proc.returncode == 2
+    (line,) = proc.stderr.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "config"
+    assert "panels" in error["message"]
 
 
 def test_ambiguity_imports_neither_scipy_stats_nor_ndimage(tmp_path):
@@ -368,7 +388,11 @@ def test_optimize_outputs_and_determinism(tmp_path):
     assert "config_sha256" in manifest
     summary = json.loads((out1 / "summary.json").read_text())
     assert {"initial_objective", "final_objective", "best_objective",
-            "best_k", "t0", "alpha", "iterations"} <= set(summary)
+            "best_k", "t0", "alpha", "iterations", "full_evaluations",
+            "max_resync_drift"} <= set(summary)
+    accepts = sum(row[4] == "1" for row in rows[1:])
+    assert summary["full_evaluations"] == 1 + accepts
+    assert 0.0 <= summary["max_resync_drift"] <= 1e-12
 
 
 def test_optimize_seed_override_changes_result(tmp_path):
@@ -512,6 +536,12 @@ def test_compare_pipeline(tmp_path):
     assert "broadening_ratio" in report
     assert report["broadening_ratio"] > 1.0
     assert set(report["schemes"]) == {"sequential", "random", "hybrid"}
+    for update in ("random", "hybrid"):
+        with open(out / f"trace_{update}.csv") as fh:
+            accepts = sum(row["accepted"] == "1" for row in csv.DictReader(fh))
+        block = report["anneal"][update]
+        assert block["full_evaluations"] == 1 + accepts
+        assert 0.0 <= block["max_resync_drift"] <= 1e-12
     for name in ("surface_sequential.csv", "surface_random.csv",
                  "surface_hybrid.csv", "sequence_random.json",
                  "sequence_hybrid.json", "trace_random.csv",
