@@ -13,10 +13,13 @@ sums, with no complex exponential per call.
 
 A swap of two slots changes the per-sample sums by one term per sample,
 which swap_sums computes from two table columns; score turns sums into f_P.
-The annealer scores its proposals that way and re-scores each accepted
-state with the full evaluate, which stays the reference path: the trace
-records the reference value, so its objectives equal a fresh evaluate()
-bit for bit, as the tests assert with ==.
+The annealer scores its proposals that way. It also carries the product
+matrix Q = cross * P[:, slot] whose row sums are the sample sums:
+swap_products rewrites the two columns a swap changes, so an accepted state
+is re-scored exactly from two columns plus a row sum (about 0.8 ms against
+3 ms for evaluate at 4096x128). Each column is the same multiply that
+products() does, so the re-score equals a fresh evaluate() bit for bit, as
+the tests assert with ==; evaluate stays the kept reference path.
 
 The points come from sobol_points, a numpy scrambled Sobol generator whose
 output is byte-identical to scipy.stats.qmc.Sobol(d=5, scramble=True,
@@ -217,6 +220,11 @@ class ObjectiveEvaluator:
 
     def sample_sums(self, seq: SwitchingSequence) -> np.ndarray:
         """Per-sample correlation sums S_n = sum_m cross[n, m] * P[n, slot_m]."""
+        return self.products(seq).sum(axis=1)
+
+    def products(self, seq: SwitchingSequence) -> np.ndarray:
+        """Samples x M product matrix Q[n, m] = cross[n, m] * P[n, slot_m],
+        whose row sums are the sample sums."""
         if seq.num_elements != self.array.num_elements:
             raise ValueError("sequence does not match the evaluator's array")
         if seq.delta_t != self.delta_t or seq.snapshots != self.snapshots:
@@ -225,7 +233,19 @@ class ObjectiveEvaluator:
         # cross-products stay the left operand: numpy's vectorised complex
         # multiply is not commutative bit for bit on every CPU
         np.multiply(self._cross, phases, out=phases)
-        return phases.sum(axis=1)
+        return phases
+
+    def swap_products(self, products: np.ndarray, seq: SwitchingSequence,
+                      a: int, b: int) -> None:
+        """Rewrite in place seq's product matrix into that of seq with the
+        antennas of slots a and b exchanged: only their two columns change,
+        and each is recomputed as products() would, so the result is
+        bit-identical to a fresh products() of the swapped sequence."""
+        ea, eb = seq.order[a], seq.order[b]
+        np.multiply(self._cross[:, ea], self._phase_table[:, b],
+                    out=products[:, ea])
+        np.multiply(self._cross[:, eb], self._phase_table[:, a],
+                    out=products[:, eb])
 
     def swap_sums(self, sums: np.ndarray, seq: SwitchingSequence,
                   a: int, b: int) -> np.ndarray:

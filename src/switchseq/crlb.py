@@ -31,9 +31,10 @@ class UnobservableDopplerError(ValueError):
 
 
 class SingularFIMError(ValueError):
-    """The Fisher information matrix is numerically singular."""
+    """The Fisher information matrix is numerically singular or not finite;
+    null_combination is None in the second case."""
 
-    def __init__(self, message: str, null_combination: np.ndarray):
+    def __init__(self, message: str, null_combination: np.ndarray | None):
         super().__init__(message)
         self.null_combination = null_combination
 
@@ -109,7 +110,9 @@ def crlb_aoa(num_elements: int, spacing: float, wavelength: float,
 def crlb_doppler(eta: np.ndarray, amplitude: float, noise_sigma: float) -> float:
     """Closed-form Doppler variance bound from a centered activation vector, Hz^2."""
     eta = np.asarray(eta, dtype=float)
-    norm = np.linalg.norm(eta)
+    # an overflowing norm gives the bound's limit, 0, without a warning
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(eta)
     if norm == 0.0:
         raise UnobservableDopplerError("centered activation vector has zero norm")
     return 0.125 * (noise_sigma / (amplitude * math.pi * norm)) ** 2
@@ -131,12 +134,16 @@ def gain_phase_jacobian(array: ArrayModel, seq: SwitchingSequence,
     return s / params.amplitude, 1j * s
 
 
+# activation instants so large that the eta norm, the Jacobian or the FIM
+# overflow give non-finite values, reported as one error instead of warnings
+@np.errstate(over="ignore", invalid="ignore")
 def fim_matrix(array: ArrayModel, seq: SwitchingSequence, params: ParamVector,
                noise_sigma: float, elevation: float = math.pi / 2) -> np.ndarray:
     """Fisher information matrix via central finite differences, symmetrized.
 
     The Doppler step is scaled by 1/||eta|| so the induced phase perturbation
-    stays O(1e-3) rad for any sequence length.
+    stays O(1e-3) rad for any sequence length. A FIM that is not finite
+    raises SingularFIMError.
     """
     if noise_sigma <= 0:
         raise ValueError("noise sigma must be positive")
@@ -165,6 +172,9 @@ def fim_matrix(array: ArrayModel, seq: SwitchingSequence, params: ParamVector,
         jac[:, i] = (mean_at(up) - mean_at(dn)) / (2.0 * steps[i])
 
     fim = (2.0 / noise_sigma ** 2) * np.real(jac.conj().T @ jac)
+    if not np.all(np.isfinite(fim)):
+        raise SingularFIMError("FIM not finite: the finite-difference Jacobian "
+                               "overflows at these activation instants", None)
     return 0.5 * (fim + fim.T)
 
 

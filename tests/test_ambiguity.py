@@ -230,6 +230,32 @@ def test_swap_sums_carried_along_a_chain_match_evaluate(array_name, update,
         assert abs(ev.score(sums) - full) <= 1e-12 * full, k
 
 
+@pytest.mark.parametrize("sin_elevation", [False, True])
+@pytest.mark.parametrize("snapshots", [1, 3])
+@pytest.mark.parametrize("array_name, update", [
+    ("ula", "random"), ("octagon", "random"), ("octagon", "hybrid"),
+    ("single_panel", "random")])
+def test_swap_products_carried_along_a_chain_match_products(array_name, update,
+                                                            snapshots, sin_elevation):
+    # the product matrix carried through 200 swaps stays bit-identical to a
+    # fresh products(), so its row sums score exactly as evaluate()
+    arr = DIFFERENTIAL_ARRAYS[array_name]()
+    cfg = ObjectiveConfig(power=6, samples=256, seed=5, sin_elevation=sin_elevation)
+    ev = ObjectiveEvaluator(arr, Region.default_for(1e-4), cfg, 1e-4, snapshots)
+    rng = np.random.default_rng(snapshots)
+    if update == "hybrid":
+        seq = hybrid_init(arr.num_elements, 1e-4, snapshots, arr.partition, rng)
+    else:
+        seq = random_init(arr.num_elements, 1e-4, snapshots, rng)
+    q = ev.products(seq)
+    for k in range(200):
+        nxt = swap_hybrid(seq, k, rng) if update == "hybrid" else swap_random(seq, rng)
+        ev.swap_products(q, seq, *swapped_slots(seq, nxt))
+        seq = nxt
+        assert q.tobytes() == ev.products(seq).tobytes(), k
+        assert ev.score(q.sum(axis=1)) == ev.evaluate(seq), k
+
+
 def test_objective_power_monotonicity():
     arr = make_ula(16, 0.5, 1.0)
     seq = sequential(16, 1e-3)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,12 +197,33 @@ def test_rescore_failure_carries_partial_trace():
 
     _, clean = run(ObjectiveEvaluator(arr, region, cfg, DT, 1))
     third_accept = [r.k for r in clean.records if r.accepted][2]
-    # the initial evaluate and two accept-time re-scores pass, the third fails
-    ev = Exploding(ObjectiveEvaluator(arr, region, cfg, DT, 1), "evaluate",
-                   fail_after=3)
+    # two accept-time column rewrites pass, the third accept's fails
+    ev = Exploding(ObjectiveEvaluator(arr, region, cfg, DT, 1), "swap_products",
+                   fail_after=2)
     with pytest.raises(AnnealError, match="re-score") as err:
         run(ev)
     assert err.value.trace.records == clean.records[:third_accept]
+
+
+def test_anneal_peak_memory_is_one_product_matrix():
+    # the chain holds one samples x M complex matrix; a second one, or a
+    # per-proposal table, would read >= 2.0 of it
+    arr = make_octagonal(8, 4, 4, patch_exponent=2.0)
+    samples = 1024
+    tracemalloc.start()
+    try:
+        ev = ObjectiveEvaluator(arr, Region.default_for(1e-4),
+                                ObjectiveConfig(samples=samples, seed=3), 1e-4, 1)
+        rng = np.random.default_rng(3)
+        init = hybrid_init(arr.num_elements, 1e-4, 1, arr.partition, rng)
+        baseline = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        anneal(init, AnnealConfig(update="hybrid", k_max=200), ev, rng)
+        peak = tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        tracemalloc.stop()
+    one_matrix = samples * arr.num_elements * np.dtype(complex).itemsize
+    assert peak <= 1.5 * one_matrix
 
 
 def test_zero_initial_objective_is_an_anneal_error():

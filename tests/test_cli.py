@@ -240,6 +240,22 @@ def test_failing_run_prints_one_json_line_despite_sobol_warning(tmp_path):
     assert json.loads(line)["error"]["type"] == "GridTooNarrowError"
 
 
+@pytest.mark.parametrize("delta_t", [1e300, 1e200])
+def test_crlb_overflowing_fim_prints_one_json_line(tmp_path, delta_t):
+    # the activation instants are finite, so the config loads, but the eta
+    # norm and the finite-difference Jacobian overflow: exit 3 with the
+    # JSON error line alone, no numpy warning ahead of it
+    # (a subprocess, because pytest captures warnings in-process)
+    cfg = ula_config(sequence={"scheme": "sequential", "delta_t_s": delta_t})
+    proc = run_python("import sys; from switchseq.cli import main; "
+                      "sys.exit(main(sys.argv[1:]))",
+                      "crlb", "--config", write_config(tmp_path, cfg),
+                      "--out", str(tmp_path / "out"))
+    assert proc.returncode == 3
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line)["error"]["type"] == "SingularFIMError"
+
+
 def test_over_budget_samples_exit_2_without_allocating(tmp_path):
     # the README octagon (128 elements) at 2**28 samples: the evaluator
     # tables alone would need 1 TiB; under a 1.5 GB address-space limit a
