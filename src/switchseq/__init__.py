@@ -9,12 +9,23 @@ optimizes sequences by simulated annealing.
 
 __version__ = "0.1.0"
 
+import os
+
+# Every matrix product here is small (at most 121x128 @ 128x801), yet
+# OpenBLAS hands each one to a second thread that then spin-waits: a third
+# of a run's CPU time, and a wait for a descheduled worker when the host
+# takes the other core. One thread gives the same bits. Set before any
+# submodule imports numpy; an explicit setting, or a numpy imported
+# earlier, keeps its own thread count.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .ambiguity import (AmbiguitySurface, DegenerateDirectionError,
                         ObjectiveConfig, ObjectiveEvaluator, Region,
                         ambiguity_surface, ambiguity_value, objective)
 from .analysis import (AliasPeak, ComparisonReport, GridTooNarrowError,
-                       WidthReport, alias_scan, compare_schemes,
-                       effective_factor, half_power_width, peak_sidelobe)
+                       WidthReport, alias_scan, block_aperture_ratio,
+                       compare_schemes, effective_factor, half_power_width,
+                       peak_sidelobe)
 from .anneal import (AnnealConfig, AnnealError, AnnealRecord, AnnealTrace,
                      anneal, temperature_schedule)
 from .arrays import (ArrayModel, Direction, OmniPattern, PatchPattern,

@@ -94,6 +94,42 @@ def effective_factor(array: ArrayModel, direction: Direction,
     return effective_elements(array, direction, threshold_db).size / array.num_elements
 
 
+def block_aperture_ratio(array: ArrayModel, direction: Direction) -> float | None:
+    """R* = sigma_rand / sigma_hyb, the predicted hybrid/random Doppler
+    broadening ratio.
+
+    sigma is the |g|^2-weighted RMS activation time at `direction`, in units
+    of one slot. Random switching spreads every element uniformly over all M
+    slots (sigma_rand^2 = M^2/12). Hybrid switching gives each partition
+    subset its own contiguous block of slots, in partition order; with the
+    weight constant within a subset the order inside a block cannot matter.
+    With equal power on the effective elements, R* = 1/xi. None when the
+    array has no partition, |g|^2 varies within a subset, or no element
+    receives power.
+    """
+    if array.partition is None:
+        return None
+    w = np.abs(array.gain_matrix(direction.azimuth, direction.elevation)) ** 2
+    mass, centre, spread = [], [], []
+    start = 0
+    for subset in array.partition:
+        w_sub = w[list(subset)]
+        if np.any(w_sub != w_sub[0]):
+            return None
+        n = len(subset)
+        mass.append(w_sub[0] * n)
+        centre.append(start + n / 2.0)
+        spread.append(n * n / 12.0)
+        start += n
+    if not sum(mass) > 0:
+        return None
+    centre = np.array(centre)
+    mean = np.average(centre, weights=mass)
+    var_hyb = np.average(np.array(spread) + (centre - mean) ** 2, weights=mass)
+    m = array.num_elements
+    return math.sqrt(m * m / 12.0 / var_hyb)
+
+
 @dataclass(frozen=True)
 class AliasPeak:
     doppler_hz: float
@@ -188,6 +224,7 @@ class ComparisonReport:
     broadening_ratio: float         # hybrid/random Doppler width
     angle_width_ratio: float        # hybrid/random angle width
     effective_factor: float
+    block_aperture_ratio: float | None  # R*, the predicted broadening ratio
     threshold_db: float
     angle_cell_deg: float
 
@@ -202,6 +239,7 @@ class ComparisonReport:
             "angle_width_ratio": self.angle_width_ratio,
             "effective_factor": self.effective_factor,
             "inverse_effective_factor": self.inverse_effective_factor,
+            "block_aperture_ratio": self.block_aperture_ratio,
             "broadening_vs_inverse_factor": self.broadening_ratio * self.effective_factor,
             "effective_threshold_db": self.threshold_db,
             "angle_cell_deg": self.angle_cell_deg,
@@ -219,7 +257,8 @@ def compare_schemes(array: ArrayModel, sequences: dict[str, SwitchingSequence],
     'sequential', are reported too). All sequences must share the element
     count and slot duration. The effective Doppler bound uses each scheme's
     activation instants restricted to the elements that pass threshold_db at
-    the reference direction, centered within that subset.
+    the reference direction, centered within that subset. R* is taken at
+    the reference direction too.
     """
     if "random" not in sequences or "hybrid" not in sequences:
         raise ValueError("need 'random' and 'hybrid' sequences to compare")
@@ -253,6 +292,7 @@ def compare_schemes(array: ArrayModel, sequences: dict[str, SwitchingSequence],
         angle_width_ratio=(reports["hybrid"].angle_width.width
                            / reports["random"].angle_width.width),
         effective_factor=idx.size / array.num_elements,
+        block_aperture_ratio=block_aperture_ratio(array, mu.rx_direction),
         threshold_db=threshold_db,
         angle_cell_deg=float(np.min(np.diff(angle_grid))),
     )

@@ -2,8 +2,9 @@
 
 Subcommands: optimize, ambiguity, crlb, compare, effective-factor. Each
 cmd_* returns the files it wrote; main times it and writes a manifest with
-the resolved config, its hash, library versions, wall time and those files,
-so an output directory is sufficient to reproduce itself.
+the resolved config, its hash, library versions, the OpenBLAS thread
+setting, wall time and those files, so an output directory is sufficient to
+reproduce itself.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 """
@@ -14,6 +15,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import replace
@@ -49,6 +51,7 @@ def _write_manifest(out_dir: Path, command: str, config: ExperimentConfig,
         "package_version": __version__,
         "python_version": sys.version.split()[0],
         "numpy_version": np.__version__,
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "seed": seed,
         "config": config.raw,
         "config_sha256": hashlib.sha256(canonical).hexdigest(),

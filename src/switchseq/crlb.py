@@ -183,10 +183,16 @@ def fim_numeric(array: ArrayModel, seq: SwitchingSequence, params: ParamVector,
     """Numeric bounds: FD Fisher information, variances from the full inverse."""
     fim = fim_matrix(array, seq, params, noise_sigma, elevation)
 
-    eigvals, eigvecs = np.linalg.eigh(fim)
+    # the parameters carry different units, so singularity is judged on the
+    # correlation matrix D^-1/2 F D^-1/2; a zero diagonal keeps scale 1 and
+    # stays a zero row
+    diag = np.diag(fim)
+    scale = 1.0 / np.sqrt(np.where(diag > 0, diag, 1.0))
+    eigvals, eigvecs = np.linalg.eigh(fim * np.outer(scale, scale))
     tol = 1e-12 * max(abs(eigvals[-1]), 1.0)
     if eigvals[0] <= tol:
-        combo = eigvecs[:, 0]
+        combo = eigvecs[:, 0] * scale
+        combo /= np.linalg.norm(combo)
         terms = " + ".join(
             f"{c:+.3f}*{name}" for c, name in zip(combo, PARAM_NAMES) if abs(c) > 1e-3
         )
@@ -195,7 +201,6 @@ def fim_numeric(array: ArrayModel, seq: SwitchingSequence, params: ParamVector,
         )
 
     cov = np.linalg.inv(fim)
-    diag = np.diag(fim)
     off = fim - np.diag(diag)
     ratio = float(np.max(np.abs(off) / np.sqrt(np.outer(diag, diag))))
     return CRLBResult(

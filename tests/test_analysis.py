@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ from scipy.optimize import brentq
 
 from switchseq import (AmbiguitySurface, Direction, GridTooNarrowError,
                        StructuralParams, alias_scan, ambiguity_surface,
-                       compare_schemes, effective_factor, half_power_width,
-                       make_octagonal, make_ula, peak_sidelobe, random_init,
-                       sequential)
+                       block_aperture_ratio, compare_schemes, effective_factor,
+                       half_power_width, make_octagonal, make_ula,
+                       peak_sidelobe, random_init, sequential)
 from switchseq.analysis import _max3x3
 
 BROADSIDE = StructuralParams.simo(math.pi / 2, math.pi / 2, 0.0)
@@ -118,6 +119,28 @@ def test_effective_factor_non_increasing_in_threshold():
     assert all(a <= b for a, b in zip(factors, factors[1:]))
 
 
+def test_block_aperture_ratio_sector_octagon_is_inverse_xi():
+    # equal power on the three facing panels: R* reduces to 1/xi = 8/3
+    d = Direction(math.pi / 4, math.pi / 2)
+    sector = make_octagonal(patch_exponent=0.0)
+    r_star = block_aperture_ratio(sector, d)
+    assert abs(r_star - 1.0 / effective_factor(sector, d, -10.0)) <= 1e-12
+    # q = 2 patches give the side panels a quarter of the power
+    patch = block_aperture_ratio(make_octagonal(patch_exponent=2.0), d)
+    assert patch == pytest.approx(8.0 / math.sqrt(5.0), rel=1e-12)
+
+
+def test_block_aperture_ratio_none_without_blocks():
+    d = Direction(math.pi / 2, math.pi / 2)
+    assert block_aperture_ratio(make_ula(8, 0.5, 1.0), d) is None
+    # a partition that cuts across panels mixes gains within a subset
+    arr = make_octagonal(4, 2, 2, patch_exponent=2.0)
+    mixed = replace(arr, partition=((2, 3, 4, 5), (0, 1), tuple(range(6, 16))))
+    assert block_aperture_ratio(mixed, d) is None
+    # at zenith no panel receives power
+    assert block_aperture_ratio(arr, Direction(0.0, 0.0)) is None
+
+
 def _reference_max3x3(a):
     return ndimage.maximum_filter(a, size=3, mode="nearest")
 
@@ -190,6 +213,8 @@ def test_compare_schemes_identical_sequences_ratio_one(rng):
     assert doc["broadening_vs_inverse_factor"] == pytest.approx(
         report.broadening_ratio * report.effective_factor)
     assert set(doc["schemes"]) == {"random", "hybrid"}
+    assert doc["block_aperture_ratio"] == block_aperture_ratio(
+        arr, mu.rx_direction)
 
 
 def test_compare_schemes_requires_consistent_sequences(rng):

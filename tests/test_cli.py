@@ -214,13 +214,70 @@ def test_config_integer_fields_accept_integral_floats():
             ExperimentConfig.from_dict(cfg)
 
 
-def run_python(code, *args, timeout=120):
+def run_python(code, *args, timeout=120, openblas_threads=None):
     """Run python code in a fresh interpreter that imports this checkout's
-    switchseq; return the completed process."""
+    switchseq; return the completed process. OPENBLAS_NUM_THREADS is set
+    to openblas_threads, or left unset when it is None."""
     src = str(Path(switchseq.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
     return subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.mark.parametrize("setting, expected", [(None, "1"), ("2", "2")])
+def test_import_defaults_openblas_to_one_thread(setting, expected):
+    # the default acts before numpy loads OpenBLAS, so no worker thread is
+    # started; an explicit setting wins
+    proc = run_python("import os, switchseq\n"
+                      "task = '/proc/self/task'\n"
+                      "threads = len(os.listdir(task)) if os.path.isdir(task) else 0\n"
+                      "print(os.environ['OPENBLAS_NUM_THREADS'], threads)",
+                      openblas_threads=setting)
+    assert proc.returncode == 0, proc.stderr
+    seen, threads = proc.stdout.split()
+    assert seen == expected
+    assert int(threads) in (0, int(expected))
+
+
+def artifacts(out_dir):
+    """Every file under out_dir by relative path, the manifest without the
+    keys that may differ between runs of one config and seed."""
+    files = {}
+    for path in sorted(out_dir.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name == "manifest.json":
+                doc = json.loads(data)
+                del doc["wall_time_s"], doc["openblas_num_threads"]
+                data = json.dumps(doc)
+            files[str(path.relative_to(out_dir))] = data
+    return files
+
+
+def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
+    # README quick-start octagon: its 121x128 @ 128x801 surface product and
+    # 4096x3 @ 3x128 steering product are big enough for OpenBLAS to thread
+    cfg = json.loads(readme_block("CLI quick start", "json"))
+    cfg["anneal"]["k_max"] = 20
+    config = write_config(tmp_path, cfg)
+    runs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        for command in ("optimize", "ambiguity"):
+            proc = run_python("import sys; from switchseq.cli import main; "
+                              "sys.exit(main(sys.argv[1:]))",
+                              command, "--config", config,
+                              "--out", str(out / command),
+                              openblas_threads=threads)
+            assert proc.returncode == 0, proc.stderr
+            manifest = json.loads((out / command / "manifest.json").read_text())
+            assert manifest["openblas_num_threads"] == threads
+        runs[threads] = artifacts(out)
+    assert len(runs["1"]) == 8
+    assert runs["1"] == runs["2"]
 
 
 def test_failing_run_prints_one_json_line_despite_sobol_warning(tmp_path):
@@ -254,6 +311,20 @@ def test_crlb_overflowing_fim_prints_one_json_line(tmp_path, delta_t):
     assert proc.returncode == 3
     (line,) = proc.stderr.splitlines()
     assert json.loads(line)["error"]["type"] == "SingularFIMError"
+
+
+def test_crlb_singularity_does_not_depend_on_units(tmp_path):
+    # at delta_t_s 1e6 the Doppler FIM entry is 1e18 times that at 1e-3;
+    # the amplitude stays as well identified, with the same bound
+    var_r = {}
+    for delta_t in (1e-3, 1e6):
+        cfg = ula_config(sequence={"scheme": "random", "delta_t_s": delta_t})
+        out = tmp_path / str(delta_t)
+        assert main(["crlb", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "crlb_report.json").read_text())
+        var_r[delta_t] = report["numeric"]["var_r"]
+    assert var_r[1e6] == pytest.approx(var_r[1e-3], rel=1e-9)
 
 
 def test_over_budget_samples_exit_2_without_allocating(tmp_path):
@@ -616,5 +687,6 @@ def test_manifest_lists_every_file_the_command_wrote(tmp_path, command, doc):
                  "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == command
+    assert manifest["openblas_num_threads"] == os.environ.get("OPENBLAS_NUM_THREADS")
     written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
     assert sorted(manifest["outputs"]) == written
