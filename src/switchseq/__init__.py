@@ -10,14 +10,37 @@ optimizes sequences by simulated annealing.
 __version__ = "0.1.0"
 
 import os
+import re
+import sys
 
-# Every matrix product here is small (at most 121x128 @ 128x801), yet
-# OpenBLAS hands each one to a second thread that then spin-waits: a third
-# of a run's CPU time, and a wait for a descheduled worker when the host
-# takes the other core. One thread gives the same bits. Set before any
-# submodule imports numpy; an explicit setting, or a numpy imported
-# earlier, keeps its own thread count.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+def _blas_threads_requested() -> int | None:
+    """The thread count the environment asks OpenBLAS for: the first
+    positive integer among the variables OpenBLAS reads, in its order."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        match = re.match(r"\s*(\d+)", os.environ.get(name, ""))
+        if match and int(match.group(1)) > 0:
+            return int(match.group(1))
+    return None
+
+
+# Measured on the README quick-start octagon (largest product the surface
+# sweep's 121x128 @ 128x801): OpenBLAS hands each product to a second
+# thread that then spin-waits, a third of a run's CPU time, and a wait for
+# a descheduled worker when the host takes the other core. One thread gives
+# the same bits. Of the larger sweeps measured, it cost wall time at 8192
+# rows per Doppler (M * snapshots), where a free second core halves the
+# product, and not at 1024; see README "Threads".
+# Set before any submodule imports numpy, and only when no variable asks
+# for a count; a numpy imported earlier already runs its pool, so then
+# nothing is set and the count is unknown (None).
+if "numpy" in sys.modules:
+    BLAS_THREADS = None
+else:
+    BLAS_THREADS = _blas_threads_requested()
+    if BLAS_THREADS is None:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        BLAS_THREADS = 1
 
 from .ambiguity import (AmbiguitySurface, DegenerateDirectionError,
                         ObjectiveConfig, ObjectiveEvaluator, Region,

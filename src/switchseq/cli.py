@@ -2,9 +2,9 @@
 
 Subcommands: optimize, ambiguity, crlb, compare, effective-factor. Each
 cmd_* returns the files it wrote; main times it and writes a manifest with
-the resolved config, its hash, library versions, the OpenBLAS thread
-setting, wall time and those files, so an output directory is sufficient to
-reproduce itself.
+the resolved config, its hash, library versions, the OpenBLAS thread count
+asked for, wall time and those files, so an output directory is sufficient
+to reproduce itself.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 """
@@ -15,7 +15,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import replace
@@ -23,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import BLAS_THREADS, __version__
 from .ambiguity import (DegenerateDirectionError, ObjectiveEvaluator,
                         ambiguity_surface, save_surface_csv)
 from .analysis import GridTooNarrowError, compare_schemes
@@ -51,7 +50,7 @@ def _write_manifest(out_dir: Path, command: str, config: ExperimentConfig,
         "package_version": __version__,
         "python_version": sys.version.split()[0],
         "numpy_version": np.__version__,
-        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "openblas_num_threads": BLAS_THREADS,
         "seed": seed,
         "config": config.raw,
         "config_sha256": hashlib.sha256(canonical).hexdigest(),

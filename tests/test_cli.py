@@ -214,32 +214,49 @@ def test_config_integer_fields_accept_integral_floats():
             ExperimentConfig.from_dict(cfg)
 
 
-def run_python(code, *args, timeout=120, openblas_threads=None):
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def run_python(code, *args, timeout=120, blas_env=None):
     """Run python code in a fresh interpreter that imports this checkout's
-    switchseq; return the completed process. OPENBLAS_NUM_THREADS is set
-    to openblas_threads, or left unset when it is None."""
+    switchseq; return the completed process. The variables OpenBLAS takes
+    its thread count from are cleared, then set from blas_env."""
     src = str(Path(switchseq.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    if openblas_threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(blas_env or {}, PYTHONPATH=src)
     return subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, timeout=timeout)
 
 
-@pytest.mark.parametrize("setting, expected", [(None, "1"), ("2", "2")])
-def test_import_defaults_openblas_to_one_thread(setting, expected):
+def usable_cpus():
+    """CPUs this process may run on; OpenBLAS starts no more threads."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+@pytest.mark.parametrize("blas_env, preload, seen, count", [
+    ({}, "", "1", 1),
+    ({"OPENBLAS_NUM_THREADS": "2"}, "", "2", 2),
+    ({"OMP_NUM_THREADS": "2"}, "", None, 2),
+    ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, "", None, 2),
+    ({}, "import numpy; ", None, None),
+], ids=["unset", "openblas", "omp", "goto-before-omp", "numpy-first"])
+def test_import_defaults_openblas_to_one_thread(blas_env, preload, seen, count):
     # the default acts before numpy loads OpenBLAS, so no worker thread is
-    # started; an explicit setting wins
-    proc = run_python("import os, switchseq\n"
+    # started; any variable OpenBLAS reads wins, and a numpy imported first
+    # keeps its pool, with the count then unknown
+    proc = run_python(preload + "import json, os, switchseq\n"
                       "task = '/proc/self/task'\n"
-                      "threads = len(os.listdir(task)) if os.path.isdir(task) else 0\n"
-                      "print(os.environ['OPENBLAS_NUM_THREADS'], threads)",
-                      openblas_threads=setting)
+                      "threads = len(os.listdir(task)) if os.path.isdir(task) else None\n"
+                      "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'),\n"
+                      "                  switchseq.BLAS_THREADS, threads]))",
+                      blas_env=blas_env)
     assert proc.returncode == 0, proc.stderr
-    seen, threads = proc.stdout.split()
-    assert seen == expected
-    assert int(threads) in (0, int(expected))
+    env_after, blas_threads, threads = json.loads(proc.stdout)
+    assert env_after == seen
+    assert blas_threads == count
+    if threads is not None:
+        # OpenBLAS caps its pool at the usable CPUs
+        assert threads == min(count or usable_cpus(), usable_cpus())
 
 
 def artifacts(out_dir):
@@ -257,6 +274,8 @@ def artifacts(out_dir):
     return files
 
 
+@pytest.mark.skipif(usable_cpus() < 2, reason="on one CPU OpenBLAS runs one "
+                    "thread either way, so the runs would match trivially")
 def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
     # README quick-start octagon: its 121x128 @ 128x801 surface product and
     # 4096x3 @ 3x128 steering product are big enough for OpenBLAS to thread
@@ -271,10 +290,10 @@ def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
                               "sys.exit(main(sys.argv[1:]))",
                               command, "--config", config,
                               "--out", str(out / command),
-                              openblas_threads=threads)
+                              blas_env={"OPENBLAS_NUM_THREADS": threads})
             assert proc.returncode == 0, proc.stderr
             manifest = json.loads((out / command / "manifest.json").read_text())
-            assert manifest["openblas_num_threads"] == threads
+            assert manifest["openblas_num_threads"] == int(threads)
         runs[threads] = artifacts(out)
     assert len(runs["1"]) == 8
     assert runs["1"] == runs["2"]
@@ -687,6 +706,8 @@ def test_manifest_lists_every_file_the_command_wrote(tmp_path, command, doc):
                  "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == command
-    assert manifest["openblas_num_threads"] == os.environ.get("OPENBLAS_NUM_THREADS")
+    # conftest imports numpy before switchseq, so the count is unknown here;
+    # known counts are checked in test_artifacts_do_not_depend_on_blas_threads
+    assert manifest["openblas_num_threads"] is None
     written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
     assert sorted(manifest["outputs"]) == written
