@@ -44,7 +44,7 @@ else:
 
 from .ambiguity import (AmbiguitySurface, DegenerateDirectionError,
                         ObjectiveConfig, ObjectiveEvaluator, Region,
-                        ambiguity_surface, ambiguity_value, objective)
+                        ambiguity_surface, ambiguity_value)
 from .analysis import (AliasPeak, ComparisonReport, GridTooNarrowError,
                        WidthReport, alias_scan, block_aperture_ratio,
                        compare_schemes, effective_factor, half_power_width,

@@ -3,23 +3,18 @@ angle-Doppler region, estimated with deterministic scrambled-Sobol sampling.
 
 The objective is evaluated with a fixed low-discrepancy point set per
 (seed, sample count), so comparing two sequences uses common random numbers
-and repeated runs are bit-stable. Because the steering part of every basis
-vector is independent of the switching sequence, an ObjectiveEvaluator
-precomputes all per-sample steering products once. The Doppler phase of a
-sample depends only on the slot an element occupies, so the evaluator also
-tabulates it for every (sample, slot) pair: a sequence evaluation gathers
-the table columns in slot order, multiplies by the steering products and
-sums, with no complex exponential per call.
+and repeated runs are bit-stable. An ObjectiveEvaluator precomputes, element
+by element, the per-sample steering cross-products (independent of the
+sequence) and the Doppler phase of every sample in every slot (a sequence
+only permutes the slots).
 
-A swap of two slots changes the per-sample sums by one term per sample,
-which swap_sums computes from two table columns; score turns sums into f_P.
-The annealer scores its proposals that way. It also carries the product
-matrix Q = cross * P[:, slot] whose row sums are the sample sums:
-swap_products rewrites the two columns a swap changes, so an accepted state
-is re-scored exactly from two columns plus a row sum (about 0.8 ms against
-3 ms for evaluate at 4096x128). Each column is the same multiply that
-products() does, so the re-score equals a fresh evaluate() bit for bit, as
-the tests assert with ==; evaluate stays the kept reference path.
+A sequence is scored from its per-sample sums S_n = sum_m cross[m, n] *
+P[slot_m, n], held as exact int64 fixed-point numbers: each term is rounded
+to a multiple of 2**-FIXED_BITS from real multiplies and adds only, which
+round the same whatever the array shape, and integer addition is exact. A
+swap of two slots moves two terms per sample, so swap_sums gives in
+O(samples) exactly the integers of a fresh sample_sums: every annealing
+proposal is scored equal to evaluate() bit for bit (the tests assert ==).
 
 The points come from sobol_points, a numpy scrambled Sobol generator whose
 output is byte-identical to scipy.stats.qmc.Sobol(d=5, scramble=True,
@@ -36,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrays import ArrayModel, steering_matrix
+from .arrays import ArrayModel, steering_matrix, unit_vectors
 from .signal import StructuralParams, basis
 from .switching import SwitchingSequence
 
@@ -148,6 +143,15 @@ def sobol_points(n: int, seed: int) -> np.ndarray:
     return points * 2.0 ** -bits
 
 
+# Sample sums are int64 multiples of 2**-FIXED_BITS. |term| <= |cross[m, n]|
+# as |P| = 1, and by Cauchy-Schwarz sum_m |cross[m, n]| = sum_m |g_m||g'_m| /
+# (S ||g|| ||g'||) <= 1/S <= 1 (up to rounding), so a sum stays within about
+# 2**61 + M and a partial sum of swap_sums (two terms in and two out) within
+# 3 * 2**61 < 2**63.
+FIXED_BITS = 61
+_BLOCK_ENTRIES = 2 ** 15  # samples x elements per block of build and sums
+
+
 class ObjectiveEvaluator:
     """Precomputed QMC machinery for evaluating f_P over many sequences.
 
@@ -190,20 +194,41 @@ class ObjectiveEvaluator:
         self.azimuth_prime = phi_p
         self.elevation_prime = theta_p
 
-        g = steering_matrix(array, phi, theta)          # (n, M)
-        g_p = steering_matrix(array, phi_p, theta_p)    # (n, M)
-        norm = np.sqrt(self.snapshots * np.sum(np.abs(g) ** 2, axis=1))
-        norm_p = np.sqrt(self.snapshots * np.sum(np.abs(g_p) ** 2, axis=1))
-        ok = (norm > 0.0) & (norm_p > 0.0)
+        # steering cross-products conj(g_m) g'_m / (||g|| ||g'||), a block of
+        # elements at a time, as conj(G) G' exp(i k (u' - u).p) with the
+        # exponential taken only where the gain product is nonzero
+        du = unit_vectors(phi_p, theta_p) - unit_vectors(phi, theta)
+        self._block = max(1, _BLOCK_ENTRIES // n)
+        self._cross = np.zeros((m, 2, n))  # real and imaginary rows
+        power = np.zeros((2, n))  # sum_m |G_m|^2 of both directions
+        for lo in range(0, m, self._block):
+            rows = slice(lo, lo + self._block)
+            gains = np.stack([array.gain_matrix(az, el, range(m)[rows]).T
+                              for az, el in ((phi, theta), (phi_p, theta_p))])
+            power += (gains.real ** 2 + gains.imag ** 2).sum(axis=1)
+            both = np.conj(gains[0]) * gains[1]
+            live = both != 0.0
+            arg = array.wavenumber * (array.positions[rows] @ du.T)
+            term = both[live] * np.exp(1j * arg[live])
+            cross = self._cross[rows]
+            cross[:, 0][live], cross[:, 1][live] = term.real, term.imag
+        ok = (power > 0.0).all(axis=0)
         self.degenerate_count = int(n - ok.sum())
-        denom = np.where(ok, norm * norm_p, 1.0)
-        # steering cross-products, zeroed where a direction is degenerate
-        self._cross = np.where(ok[:, None], np.conj(g) * g_p / denom[:, None], 0.0)
-        del g, g_p
-        # Doppler phase of every sample in every slot, exp(2*pi*i*dnu*s*dt);
-        # a sequence only permutes the slots, so evaluation is a gather
-        table = 2j * math.pi * np.outer(dnu, np.arange(m) * self.delta_t)
-        self._phase_table = np.exp(table, out=table)
+        # normalised and scaled to units of 2**-FIXED_BITS; zero where a
+        # direction is degenerate (its gains, and so its products, are zero)
+        self._cross *= np.where(ok, 2.0 ** FIXED_BITS, 0.0) / np.where(
+            ok, self.snapshots * np.sqrt(power[0] * power[1]), 1.0)
+
+        # Doppler phase of every sample in every slot, exp(2*pi*i*dnu*s*dt),
+        # as exp(2*pi*i*dnu*lo*dt) * exp(2*pi*i*dnu*r*dt) over s = lo + r,
+        # r < L = ceil(sqrt(M)): about 2*sqrt(M) exponentials per sample
+        step = math.isqrt(m - 1) + 1
+        fine = np.exp(2j * math.pi * np.outer(np.arange(step) * self.delta_t, dnu))
+        self._phase = np.empty((m, 2, n))
+        for lo in range(0, m, step):
+            table = np.exp(2j * math.pi * (lo * self.delta_t) * dnu) * fine[:m - lo]
+            rows = self._phase[lo:lo + step]
+            rows[:, 0], rows[:, 1] = table.real, table.imag
         # inter-snapshot Doppler factor: geometric sum over snapshot offsets
         # (the 1/snapshots normalization already sits in the basis norms)
         if self.snapshots > 1:
@@ -219,56 +244,54 @@ class ObjectiveEvaluator:
         return self.score(self.sample_sums(seq))
 
     def sample_sums(self, seq: SwitchingSequence) -> np.ndarray:
-        """Per-sample correlation sums S_n = sum_m cross[n, m] * P[n, slot_m]."""
-        return self.products(seq).sum(axis=1)
-
-    def products(self, seq: SwitchingSequence) -> np.ndarray:
-        """Samples x M product matrix Q[n, m] = cross[n, m] * P[n, slot_m],
-        whose row sums are the sample sums."""
+        """Per-sample sums S_n = sum_m cross[m, n] * P[slot_m, n] as exact
+        fixed-point integers, shape (2, samples): real and imaginary parts
+        in units of 2**-FIXED_BITS."""
         if seq.num_elements != self.array.num_elements:
             raise ValueError("sequence does not match the evaluator's array")
         if seq.delta_t != self.delta_t or seq.snapshots != self.snapshots:
             raise ValueError("sequence timing does not match the evaluator")
-        phases = np.take(self._phase_table, seq.slot_of(), axis=1)
-        # cross-products stay the left operand: numpy's vectorised complex
-        # multiply is not commutative bit for bit on every CPU
-        np.multiply(self._cross, phases, out=phases)
-        return phases
+        slots = seq.slot_of()
+        sums = np.zeros((2, self.config.samples), dtype=np.int64)
+        for lo in range(0, slots.size, self._block):
+            block = slice(lo, lo + self._block)
+            sums += self.terms(block, slots[block]).sum(axis=0)
+        return sums
 
-    def swap_products(self, products: np.ndarray, seq: SwitchingSequence,
-                      a: int, b: int) -> None:
-        """Rewrite in place seq's product matrix into that of seq with the
-        antennas of slots a and b exchanged: only their two columns change,
-        and each is recomputed as products() would, so the result is
-        bit-identical to a fresh products() of the swapped sequence."""
-        ea, eb = seq.order[a], seq.order[b]
-        np.multiply(self._cross[:, ea], self._phase_table[:, b],
-                    out=products[:, ea])
-        np.multiply(self._cross[:, eb], self._phase_table[:, a],
-                    out=products[:, eb])
+    def terms(self, elements, slots) -> np.ndarray:
+        """Fixed-point terms rint(2**FIXED_BITS * cross[e] * P[s]) of the
+        elements e in the slots s (indices, index arrays or a slice with an
+        array), shape (..., 2, samples) with the real part before the
+        imaginary. Only real multiplies and adds are used, which round the
+        same whatever the array shape, so a term's bits do not depend on how
+        it was batched."""
+        cross, phase = self._cross[elements], self._phase[slots]
+        c_re, c_im, p_re, p_im = (x[..., j, :] for x in (cross, phase) for j in (0, 1))
+        out = np.empty(cross.shape)
+        np.multiply(c_re, p_re, out=out[..., 0, :])
+        out[..., 0, :] -= c_im * p_im
+        np.multiply(c_re, p_im, out=out[..., 1, :])
+        out[..., 1, :] += c_im * p_re
+        return np.rint(out, out=out).astype(np.int64)
 
     def swap_sums(self, sums: np.ndarray, seq: SwitchingSequence,
                   a: int, b: int) -> np.ndarray:
         """Sample sums after exchanging the antennas of slots a and b of seq,
-        given seq's sums: two columns change, so this costs O(samples)."""
+        given seq's sums: the two elements' terms move to their new slots,
+        so this costs O(samples) and equals a fresh sample_sums exactly."""
         ea, eb = seq.order[a], seq.order[b]
-        return sums + ((self._cross[:, ea] - self._cross[:, eb])
-                       * (self._phase_table[:, b] - self._phase_table[:, a]))
+        t = self.terms([ea, eb, ea, eb], [b, a, a, b])
+        return sums + t[0] + t[1] - t[2] - t[3]
 
     def score(self, sums: np.ndarray) -> float:
-        """f_P from the per-sample sums."""
-        mags = np.abs(sums)
+        """f_P from the per-sample sums; the power is even, so |S|**power
+        is (re**2 + im**2)**(power/2)."""
+        re, im = sums * 2.0 ** -FIXED_BITS
+        mag2 = re * re + im * im
         if self._snapshot_factor is not None:
-            mags = mags * self._snapshot_factor
-        total = np.sum(mags ** self.config.power)
+            mag2 *= self._snapshot_factor ** 2
+        total = np.sum(mag2 ** (self.config.power // 2))
         return float(self.volume * total / self.config.samples)
-
-
-def objective(array: ArrayModel, seq: SwitchingSequence, region: Region,
-              config: ObjectiveConfig) -> float:
-    """One-shot f_P evaluation (builds a single-use evaluator)."""
-    return ObjectiveEvaluator(array, region, config, seq.delta_t,
-                              seq.snapshots).evaluate(seq)
 
 
 DB_FLOOR = -100.0

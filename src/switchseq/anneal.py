@@ -8,15 +8,10 @@ bit-reproducible from the seed.
 
 Both moves swap two slots, so a proposal is scored from the current
 per-sample sums plus the swap's delta (ObjectiveEvaluator.swap_sums), which
-costs O(samples) instead of O(samples * elements). Only an accepted proposal
-is re-scored exactly, from the chain's carried product matrix
-(ObjectiveEvaluator.products): swap_products rewrites its two changed
-columns and a row sum gives the exact sample sums, about 0.8 ms against
-3 ms for a full evaluate() at 4096x128. The trace records that exact value,
-so its objectives and the best objective equal a fresh evaluate() of their
-sequences bit for bit (the tests assert it with ==). The sums carry forward
-by the delta; the trace counts the exact scores and the largest relative
-gap between a delta score and its re-score.
+costs O(samples) instead of O(samples * elements). The sums are exact
+fixed-point integers, so that score equals a fresh evaluate() of the
+proposal bit for bit, and an accepted proposal's sums carry forward as they
+are: every objective in the trace is exact (the tests assert it with ==).
 """
 
 from __future__ import annotations
@@ -74,7 +69,7 @@ def temperature_schedule(t0: float, alpha: float, k: int) -> float:
 class AnnealRecord:
     k: int                    # 0-based iteration index
     objective: float          # objective of the current sequence after accept/reject
-    proposal_objective: float  # delta score; the full re-score when accepted
+    proposal_objective: float  # objective of the proposed sequence
     temperature: float        # temperature used for this iteration's test
     accepted: bool
 
@@ -88,10 +83,6 @@ class AnnealTrace:
     best_objective: float = math.inf
     best_k: int = -1
     best_sequence: SwitchingSequence | None = None
-    # exact scores, equal to evaluate() bit for bit: the initial one plus
-    # one per accept (each from the carried product matrix, not evaluate())
-    full_evaluations: int = 0
-    max_resync_drift: float = 0.0  # max |delta score - exact| / exact
 
     @property
     def final_objective(self) -> float:
@@ -110,17 +101,14 @@ def anneal(init: SwitchingSequence, config: AnnealConfig,
         raise ValueError("hybrid update requires a partitioned initial sequence")
 
     current = init
-    # the chain's product matrix, whose row sums are the exact sample sums
-    products = evaluator.products(current)
-    sums = products.sum(axis=1)
+    sums = evaluator.sample_sums(current)
     f_current = evaluator.score(sums)
     t0 = config.t0 if config.t0 is not None else DEFAULT_T0_FRACTION * abs(f_current)
     alpha = (config.alpha if config.alpha is not None
              else DEFAULT_FINAL_TEMPERATURE_RATIO ** (1.0 / config.k_max))
 
     trace = AnnealTrace(t0=t0, alpha=alpha, initial_objective=f_current,
-                        best_objective=f_current, best_k=-1, best_sequence=current,
-                        full_evaluations=1)
+                        best_objective=f_current, best_k=-1, best_sequence=current)
     if not t0 > 0:
         raise AnnealError(f"auto t0 failed: initial objective is {f_current!r}; "
                           "set t0 explicitly", trace)
@@ -144,18 +132,7 @@ def anneal(init: SwitchingSequence, config: AnnealConfig,
         # literal rule exp(delta/T) > u, written to avoid overflow for delta >= 0
         accepted = delta >= 0.0 or math.exp(delta / temperature) > u
         if accepted:
-            try:
-                evaluator.swap_products(products, current, a, b)
-                f_full = evaluator.score(products.sum(axis=1))
-            except Exception as exc:
-                raise AnnealError(f"objective re-score failed at iteration {k}",
-                                  trace) from exc
-            trace.full_evaluations += 1
-            gap = abs(f_proposal - f_full)
-            trace.max_resync_drift = max(trace.max_resync_drift,
-                                         gap / f_full if f_full else gap)
-            current, sums = proposal, proposal_sums
-            f_current = f_proposal = f_full
+            current, sums, f_current = proposal, proposal_sums, f_proposal
         if f_current < trace.best_objective:
             trace.best_objective = f_current
             trace.best_k = k

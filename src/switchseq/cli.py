@@ -84,8 +84,6 @@ def cmd_optimize(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str
         "t0": trace.t0,
         "alpha": trace.alpha,
         "iterations": len(trace.records),
-        "full_evaluations": trace.full_evaluations,
-        "max_resync_drift": trace.max_resync_drift,
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(f"final objective {trace.final_objective:.6g} "
@@ -226,9 +224,7 @@ def cmd_compare(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str]
     doc = report.to_dict()
     doc["anneal"] = {
         update: {"final_objective": trace.final_objective,
-                 "best_objective": trace.best_objective,
-                 "full_evaluations": trace.full_evaluations,
-                 "max_resync_drift": trace.max_resync_drift}
+                 "best_objective": trace.best_objective}
         for update, trace in traces.items()
     }
     (out_dir / "comparison.json").write_text(json.dumps(doc, indent=2) + "\n")

@@ -343,8 +343,8 @@ class ExperimentConfig:
             counts = "panels/rows/cols"
         else:
             raise ConfigError("config.array.kind: must be 'ula' or 'octagonal'")
-        # evaluator tables: steering products and slot phases, M columns
-        # each, and the snapshot factors
+        # evaluator tables: real and imaginary rows of the steering products
+        # and slot phases (M complex numbers per sample each), snapshot factors
         _check_budget(f"config.objective.samples and config.array.{counts}",
                       samples, 2 * max(m, 0) + snapshots)
         wavelength = SPEED_OF_LIGHT / _positive(spec["carrier_hz"],

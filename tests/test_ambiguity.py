@@ -11,7 +11,7 @@ from switchseq import (AmbiguitySurface, AnnealConfig, ArrayModel,
                        ObjectiveConfig, ObjectiveEvaluator, PatchPattern,
                        Region, StructuralParams, ambiguity_surface,
                        ambiguity_value, anneal, basis_from_eta, make_octagonal,
-                       make_ula, objective, random_init, sequential)
+                       make_ula, random_init, sequential)
 from switchseq.ambiguity import normalized_correlation, save_surface_csv, sobol_points
 from switchseq.arrays import steering_matrix
 from switchseq.switching import hybrid_init, swap_hybrid, swap_random
@@ -128,7 +128,10 @@ def test_objective_bit_stable_across_runs():
     seq = sequential(16, 1e-3)
     region = Region(doppler_bound=200.0)
     cfg = ObjectiveConfig(power=6, samples=512, seed=3)
-    assert objective(arr, seq, region, cfg) == objective(arr, seq, region, cfg)
+    # two independently built evaluators give the same bits
+    f1 = ObjectiveEvaluator(arr, region, cfg, seq.delta_t, 1).evaluate(seq)
+    f2 = ObjectiveEvaluator(arr, region, cfg, seq.delta_t, 1).evaluate(seq)
+    assert f1 == f2
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 999, 1234])
@@ -226,8 +229,7 @@ def test_swap_sums_carried_along_a_chain_match_evaluate(array_name, update,
         nxt = swap_hybrid(seq, k, rng) if update == "hybrid" else swap_random(seq, rng)
         sums = ev.swap_sums(sums, seq, *swapped_slots(seq, nxt))
         seq = nxt
-        full = ev.evaluate(seq)
-        assert abs(ev.score(sums) - full) <= 1e-12 * full, k
+        assert ev.score(sums) == ev.evaluate(seq), k
 
 
 @pytest.mark.parametrize("sin_elevation", [False, True])
@@ -237,8 +239,8 @@ def test_swap_sums_carried_along_a_chain_match_evaluate(array_name, update,
     ("single_panel", "random")])
 def test_swap_products_carried_along_a_chain_match_products(array_name, update,
                                                             snapshots, sin_elevation):
-    # the product matrix carried through 200 swaps stays bit-identical to a
-    # fresh products(), so its row sums score exactly as evaluate()
+    # the fixed-point sums of products carried through 200 swaps stay equal,
+    # integer for integer, to a fresh sample_sums of the current sequence
     arr = DIFFERENTIAL_ARRAYS[array_name]()
     cfg = ObjectiveConfig(power=6, samples=256, seed=5, sin_elevation=sin_elevation)
     ev = ObjectiveEvaluator(arr, Region.default_for(1e-4), cfg, 1e-4, snapshots)
@@ -247,21 +249,70 @@ def test_swap_products_carried_along_a_chain_match_products(array_name, update,
         seq = hybrid_init(arr.num_elements, 1e-4, snapshots, arr.partition, rng)
     else:
         seq = random_init(arr.num_elements, 1e-4, snapshots, rng)
-    q = ev.products(seq)
+    sums = ev.sample_sums(seq)
+    assert sums.dtype == np.int64 and sums.shape == (2, cfg.samples)
     for k in range(200):
         nxt = swap_hybrid(seq, k, rng) if update == "hybrid" else swap_random(seq, rng)
-        ev.swap_products(q, seq, *swapped_slots(seq, nxt))
+        sums = ev.swap_sums(sums, seq, *swapped_slots(seq, nxt))
         seq = nxt
-        assert q.tobytes() == ev.products(seq).tobytes(), k
-        assert ev.score(q.sum(axis=1)) == ev.evaluate(seq), k
+        assert np.array_equal(sums, ev.sample_sums(seq)), k
+
+
+@pytest.mark.parametrize("array_name", sorted(DIFFERENTIAL_ARRAYS))
+def test_block_terms_equal_per_row_terms(array_name):
+    # a term has the same bits whether it is computed alone, in a block of
+    # rows, or gathered by an index list as swap_sums does
+    arr = DIFFERENTIAL_ARRAYS[array_name]()
+    m = arr.num_elements
+    ev = ObjectiveEvaluator(arr, Region.default_for(1e-4),
+                            ObjectiveConfig(samples=256, seed=2), 1e-4, 1)
+    slots = np.random.default_rng(m).permutation(m)
+    rows = np.stack([ev.terms(e, slots[e]) for e in range(m)])
+    assert rows.dtype == np.int64 and rows.shape == (m, 2, 256)
+    assert np.array_equal(ev.terms(slice(0, m), slots), rows)
+    assert np.array_equal(ev.terms(slice(1, m - 1), slots[1:m - 1]), rows[1:m - 1])
+    picked = [m - 1, 0, m - 1, 1]
+    assert np.array_equal(ev.terms(picked, slots[picked]), rows[picked])
+
+
+# the two directions of every sample nearly coincide and the Doppler
+# difference nearly vanishes, so |S_n| reaches 1, the bound's worst case
+TIGHT_REGION = Region(azimuth=(0.3, 0.3 + 1e-9), elevation=(1.2, 1.2 + 1e-9),
+                      doppler_bound=1e-9)
+
+
+@pytest.mark.parametrize("snapshots", [1, 3])
+@pytest.mark.parametrize("region", [Region.default_for(1e-4), TIGHT_REGION],
+                         ids=["default", "tight"])
+@pytest.mark.parametrize("array_name", sorted(DIFFERENTIAL_ARRAYS))
+def test_fixed_point_sums_within_overflow_bound(array_name, region, snapshots):
+    # sum_m |term| bounds every partial sum of sample_sums and swap_sums; it
+    # is 2**61 sum_m |cross[m, n]| <= 2**61 by Cauchy-Schwarz, plus 1/2 per
+    # rounded term and a few ulps of 2**61 from the floating-point build
+    arr = DIFFERENTIAL_ARRAYS[array_name]()
+    m = arr.num_elements
+    ev = ObjectiveEvaluator(arr, region, ObjectiveConfig(samples=256, seed=4),
+                            1e-4, snapshots)
+    if array_name == "single_panel" and region is not TIGHT_REGION:
+        assert ev.degenerate_count > 0
+    bound = 2 ** 61 * (1 + 1e-12) + m
+    for seq in swap_chain(arr, snapshots, 5, np.random.default_rng(m)):
+        terms = ev.terms(slice(0, m), seq.slot_of())
+        assert np.abs(terms).sum(axis=0).max() <= bound
+        assert np.array_equal(terms.sum(axis=0), ev.sample_sums(seq))
+    if region is TIGHT_REGION and snapshots == 1:
+        # the bound is reached: sums of 2**61 in magnitude, not far below
+        assert np.abs(ev.sample_sums(seq)).max() > 2 ** 61 * (1 - 1e-6)
 
 
 def test_objective_power_monotonicity():
     arr = make_ula(16, 0.5, 1.0)
     seq = sequential(16, 1e-3)
     region = Region(doppler_bound=200.0)
-    f2 = objective(arr, seq, region, ObjectiveConfig(power=2, samples=512, seed=1))
-    f6 = objective(arr, seq, region, ObjectiveConfig(power=6, samples=512, seed=1))
+    f2 = ObjectiveEvaluator(arr, region, ObjectiveConfig(power=2, samples=512, seed=1),
+                            seq.delta_t).evaluate(seq)
+    f6 = ObjectiveEvaluator(arr, region, ObjectiveConfig(power=6, samples=512, seed=1),
+                            seq.delta_t).evaluate(seq)
     assert f6 <= f2
 
 
@@ -270,12 +321,12 @@ def test_optimized_random_beats_sequential():
     arr = make_ula(m, 0.5, 1.0)
     region = Region(doppler_bound=300.0)
     cfg = ObjectiveConfig(power=6, samples=1024, seed=2)
-    f_seq = objective(arr, sequential(m, dt), region, cfg)
+    ev = ObjectiveEvaluator(arr, region, cfg, dt, 1)
+    f_seq = ev.evaluate(sequential(m, dt))
     rng = np.random.default_rng(2)
     opt, _ = anneal(random_init(m, dt, 1, rng),
-                    AnnealConfig(update="random", k_max=80),
-                    ObjectiveEvaluator(arr, region, cfg, dt, 1), rng)
-    assert objective(arr, opt, region, cfg) < f_seq
+                    AnnealConfig(update="random", k_max=80), ev, rng)
+    assert ev.evaluate(opt) < f_seq
 
 
 def test_objective_invariant_to_permutation_relabel_volume():
@@ -285,7 +336,8 @@ def test_objective_invariant_to_permutation_relabel_volume():
     region = Region(doppler_bound=100.0)
     cfg = ObjectiveConfig(samples=256, seed=8)
     ev = ObjectiveEvaluator(arr, region, cfg, 1e-3, 1)
-    assert ev.evaluate(seq) == objective(arr, seq, region, cfg)
+    fresh = ObjectiveEvaluator(arr, region, cfg, seq.delta_t, seq.snapshots)
+    assert ev.evaluate(seq) == fresh.evaluate(seq)
 
 
 def test_evaluator_counts_degenerate_directions():
@@ -314,9 +366,11 @@ def test_sin_elevation_option_changes_measure():
     arr = make_ula(8, 0.5, 1.0)
     seq = sequential(8, 1e-3)
     region = Region(doppler_bound=100.0)
-    flat = objective(arr, seq, region, ObjectiveConfig(samples=512, seed=1))
-    weighted = objective(arr, seq, region,
-                         ObjectiveConfig(samples=512, seed=1, sin_elevation=True))
+    flat = ObjectiveEvaluator(arr, region, ObjectiveConfig(samples=512, seed=1),
+                              seq.delta_t).evaluate(seq)
+    weighted = ObjectiveEvaluator(
+        arr, region, ObjectiveConfig(samples=512, seed=1, sin_elevation=True),
+        seq.delta_t).evaluate(seq)
     assert flat != weighted
     assert np.isfinite(weighted)
 

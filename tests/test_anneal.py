@@ -187,27 +187,10 @@ def test_objective_failure_carries_partial_trace():
     assert len(err.value.trace.records) == 4  # 4 proposals scored, the 5th fails
 
 
-def test_rescore_failure_carries_partial_trace():
-    arr, region, cfg = small_setup()
-    config = AnnealConfig(update="random", k_max=50)
-
-    def run(ev):
-        rng = np.random.default_rng(9)
-        return anneal(random_init(8, DT, 1, rng), config, ev, rng)
-
-    _, clean = run(ObjectiveEvaluator(arr, region, cfg, DT, 1))
-    third_accept = [r.k for r in clean.records if r.accepted][2]
-    # two accept-time column rewrites pass, the third accept's fails
-    ev = Exploding(ObjectiveEvaluator(arr, region, cfg, DT, 1), "swap_products",
-                   fail_after=2)
-    with pytest.raises(AnnealError, match="re-score") as err:
-        run(ev)
-    assert err.value.trace.records == clean.records[:third_accept]
-
-
 def test_anneal_peak_memory_is_one_product_matrix():
-    # the chain holds one samples x M complex matrix; a second one, or a
-    # per-proposal table, would read >= 2.0 of it
+    # the chain holds its fixed-point sums and one block of terms at a time,
+    # about 0.8 of a samples x M complex matrix here; such a matrix held on
+    # top, or a per-proposal table, would read >= 1.75
     arr = make_octagonal(8, 4, 4, patch_exponent=2.0)
     samples = 1024
     tracemalloc.start()
@@ -300,21 +283,11 @@ def test_delta_scored_anneal_matches_full_evaluate_loop(case, seed):
     ref_final, ref_rows, ref_best_k = reference_anneal(init(rng), config, ev, rng)
     rng = np.random.default_rng(seed)
     final, trace = anneal(init(rng), config, ev, rng)
-    for rec, (objective, proposal_objective, accepted) in zip(trace.records,
-                                                               ref_rows):
-        assert (rec.objective, rec.accepted) == (objective, accepted)
-        # accepted rows carry the full re-score, rejected ones the delta score
-        if accepted:
-            assert rec.proposal_objective == proposal_objective
-        else:
-            assert (abs(rec.proposal_objective - proposal_objective)
-                    <= 1e-12 * proposal_objective)
-    assert len(trace.records) == len(ref_rows)
+    # every row, rejected ones included, equals the full evaluate() exactly
+    rows = [(r.objective, r.proposal_objective, r.accepted) for r in trace.records]
+    assert rows == ref_rows
     assert trace.best_k == ref_best_k
     assert final.order == ref_final.order
-    accepts = sum(r.accepted for r in trace.records)
-    assert trace.full_evaluations == 1 + accepts
-    assert trace.max_resync_drift <= 1e-12
 
 
 def test_config_validation():

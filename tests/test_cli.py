@@ -493,12 +493,9 @@ def test_optimize_outputs_and_determinism(tmp_path):
     assert manifest["seed"] == 42
     assert "config_sha256" in manifest
     summary = json.loads((out1 / "summary.json").read_text())
-    assert {"initial_objective", "final_objective", "best_objective",
-            "best_k", "t0", "alpha", "iterations", "full_evaluations",
-            "max_resync_drift"} <= set(summary)
-    accepts = sum(row[4] == "1" for row in rows[1:])
-    assert summary["full_evaluations"] == 1 + accepts
-    assert 0.0 <= summary["max_resync_drift"] <= 1e-12
+    assert set(summary) == {"initial_objective", "final_objective",
+                            "best_objective", "best_k", "t0", "alpha",
+                            "iterations"}
 
 
 def test_optimize_seed_override_changes_result(tmp_path):
@@ -644,10 +641,10 @@ def test_compare_pipeline(tmp_path):
     assert set(report["schemes"]) == {"sequential", "random", "hybrid"}
     for update in ("random", "hybrid"):
         with open(out / f"trace_{update}.csv") as fh:
-            accepts = sum(row["accepted"] == "1" for row in csv.DictReader(fh))
+            rows = list(csv.DictReader(fh))
         block = report["anneal"][update]
-        assert block["full_evaluations"] == 1 + accepts
-        assert 0.0 <= block["max_resync_drift"] <= 1e-12
+        assert set(block) == {"final_objective", "best_objective"}
+        assert block["final_objective"] == float(rows[-1]["objective"])
     for name in ("surface_sequential.csv", "surface_random.csv",
                  "surface_hybrid.csv", "sequence_random.json",
                  "sequence_hybrid.json", "trace_random.csv",
