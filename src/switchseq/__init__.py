@@ -61,5 +61,5 @@ from .crlb import (CRLBResult, EndfireSingularityError, ParamVector,
                    crlb_doppler, fim_matrix, fim_numeric)
 from .signal import (PathGain, StructuralParams, basis, basis_from_eta,
                      doppler_vector, synthesize)
-from .switching import (SwitchingSequence, eta_subset, hybrid_init,
-                        random_init, sequential, swap_hybrid, swap_random)
+from .switching import (SwitchingSequence, draw_swap, eta_subset, hybrid_init,
+                        random_init, sequential, swap_sets)

@@ -274,12 +274,12 @@ class ObjectiveEvaluator:
         out[..., 1, :] += c_im * p_re
         return np.rint(out, out=out).astype(np.int64)
 
-    def swap_sums(self, sums: np.ndarray, seq: SwitchingSequence,
-                  a: int, b: int) -> np.ndarray:
-        """Sample sums after exchanging the antennas of slots a and b of seq,
-        given seq's sums: the two elements' terms move to their new slots,
-        so this costs O(samples) and equals a fresh sample_sums exactly."""
-        ea, eb = seq.order[a], seq.order[b]
+    def swap_sums(self, sums: np.ndarray, order, a: int, b: int) -> np.ndarray:
+        """Sample sums after exchanging the antennas of slots a and b of an
+        activation order, given that order's sums: the two elements' terms
+        move to their new slots, so this costs O(samples) and equals a fresh
+        sample_sums exactly."""
+        ea, eb = order[a], order[b]
         t = self.terms([ea, eb, ea, eb], [b, a, a, b])
         return sums + t[0] + t[1] - t[2] - t[3]
 

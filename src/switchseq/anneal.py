@@ -6,10 +6,11 @@ one acceptance draw per iteration from a single caller-visible RNG stream.
 Together with the objective's fixed QMC point set this makes whole runs
 bit-reproducible from the seed.
 
-Both moves swap two slots, so a proposal is scored from the current
-per-sample sums plus the swap's delta (ObjectiveEvaluator.swap_sums), which
-costs O(samples) instead of O(samples * elements). The sums are exact
-fixed-point integers, so that score equals a fresh evaluate() of the
+A move is a slot pair that draw_swap takes from the update's swap_sets, so
+a proposal is scored from the chain's order and per-sample sums plus the
+swap's delta (ObjectiveEvaluator.swap_sums), which costs O(samples) instead
+of O(samples * elements); the order changes only on accept. The sums are
+exact fixed-point integers, so that score equals a fresh evaluate() of the
 proposal bit for bit, and an accepted proposal's sums carry forward as they
 are: every objective in the trace is exact (the tests assert it with ==).
 """
@@ -18,13 +19,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .ambiguity import ObjectiveEvaluator
-from .switching import SwitchingSequence, swap_hybrid, swap_random
+from .switching import SwitchingSequence, draw_swap, swap_sets
 
 DEFAULT_T0_FRACTION = 0.1
 DEFAULT_FINAL_TEMPERATURE_RATIO = 1e-4
@@ -97,32 +98,24 @@ def anneal(init: SwitchingSequence, config: AnnealConfig,
     The returned sequence is the one held after the last iteration; the
     lowest-objective sequence seen along the way is kept in the trace.
     """
-    if config.update == "hybrid" and init.partition is None:
-        raise ValueError("hybrid update requires a partitioned initial sequence")
-
-    current = init
-    sums = evaluator.sample_sums(current)
+    sets = swap_sets(config.update, init.num_elements, init.partition)
+    order = list(init.order)
+    sums = evaluator.sample_sums(init)
     f_current = evaluator.score(sums)
     t0 = config.t0 if config.t0 is not None else DEFAULT_T0_FRACTION * abs(f_current)
     alpha = (config.alpha if config.alpha is not None
              else DEFAULT_FINAL_TEMPERATURE_RATIO ** (1.0 / config.k_max))
 
     trace = AnnealTrace(t0=t0, alpha=alpha, initial_objective=f_current,
-                        best_objective=f_current, best_k=-1, best_sequence=current)
+                        best_objective=f_current, best_k=-1, best_sequence=init)
     if not t0 > 0:
         raise AnnealError(f"auto t0 failed: initial objective is {f_current!r}; "
                           "set t0 explicitly", trace)
     for k in range(config.k_max):
-        if config.update == "hybrid":
-            proposal = swap_hybrid(current, k, rng)
-        else:
-            proposal = swap_random(current, rng)
+        a, b = draw_swap(sets, k, rng)
         u = rng.random()
-        # the two slots the move swapped
-        a, b = (i for i, (x, y) in enumerate(zip(current.order, proposal.order))
-                if x != y)
         try:
-            proposal_sums = evaluator.swap_sums(sums, current, a, b)
+            proposal_sums = evaluator.swap_sums(sums, order, a, b)
             f_proposal = evaluator.score(proposal_sums)
         except Exception as exc:
             raise AnnealError(f"objective evaluation failed at iteration {k}",
@@ -132,14 +125,15 @@ def anneal(init: SwitchingSequence, config: AnnealConfig,
         # literal rule exp(delta/T) > u, written to avoid overflow for delta >= 0
         accepted = delta >= 0.0 or math.exp(delta / temperature) > u
         if accepted:
-            current, sums, f_current = proposal, proposal_sums, f_proposal
+            order[a], order[b] = order[b], order[a]
+            sums, f_current = proposal_sums, f_proposal
         if f_current < trace.best_objective:
             trace.best_objective = f_current
             trace.best_k = k
-            trace.best_sequence = current
+            trace.best_sequence = replace(init, order=tuple(order))
         trace.records.append(AnnealRecord(k, f_current, f_proposal,
                                           temperature, accepted))
-    return current, trace
+    return replace(init, order=tuple(order)), trace
 
 
 def save_trace_csv(trace: AnnealTrace, path: str | Path) -> None:

@@ -22,7 +22,8 @@ from .anneal import AnnealConfig
 from .arrays import (ArrayModel, attach_patterns, load_pattern_file, make_octagonal,
                      make_ula, SPEED_OF_LIGHT)
 from .signal import StructuralParams
-from .switching import SwitchingSequence, hybrid_init, random_init, sequential
+from .switching import (SwitchingSequence, hybrid_init, random_init, sequential,
+                        swap_sets)
 
 CONFIG_VERSION = 1
 MEMORY_BUDGET_BYTES = 2 * 2 ** 30  # what a config may ask a run's largest arrays for
@@ -118,14 +119,9 @@ def check_seed(value, path: str) -> int:
 
 
 def require_swaps(array: ArrayModel, update: str, path: str) -> None:
-    """Reject an array on which the update's swap move has no two elements
-    to exchange (hybrid swaps stay inside one partition subset)."""
-    if update == "hybrid" and array.partition is None:
-        raise ConfigError(f"{path}: hybrid requires a partitioned (octagonal) array")
-    swap_sets = array.partition if update == "hybrid" else [range(array.num_elements)]
-    if min(len(s) for s in swap_sets) < 2:
-        raise ConfigError(f"{path}: {update} swaps need at least 2 elements "
-                          "in every swap set")
+    """Reject an array on which the update's swap sets (swap_sets) hold no
+    two slots to exchange."""
+    _field(path, swap_sets, update, array.num_elements, array.partition)
 
 
 @dataclass

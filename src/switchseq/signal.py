@@ -3,8 +3,7 @@ vectors, and noisy snapshot synthesis for oracle tests.
 
 Only the vertical-polarization SIMO path is executable. The full
 dual-polarized MIMO basis (Tx/Rx responses per polarization, Kronecker
-structure, frequency basis) is out of scope here; StructuralParams keeps the
-Tx angles so the parameter layout survives a later MIMO extension.
+structure, frequency basis) is out of scope here.
 """
 
 from __future__ import annotations
@@ -20,17 +19,14 @@ from .switching import SwitchingSequence
 
 @dataclass(frozen=True)
 class StructuralParams:
-    """Structural parameters of one path: departure/arrival angles and Doppler."""
+    """Structural parameters of one path: arrival angles and Doppler."""
 
-    tx_azimuth: float
-    tx_elevation: float
     rx_azimuth: float
     rx_elevation: float
     doppler_hz: float
 
     def __post_init__(self):
-        # range checks via Direction
-        Direction(self.tx_azimuth % (2 * math.pi), self.tx_elevation)
+        # range check via Direction
         Direction(self.rx_azimuth % (2 * math.pi), self.rx_elevation)
         if not np.isfinite(self.doppler_hz):
             raise ValueError("doppler must be finite")
@@ -38,8 +34,8 @@ class StructuralParams:
     @classmethod
     def simo(cls, rx_azimuth: float, rx_elevation: float,
              doppler_hz: float = 0.0) -> "StructuralParams":
-        """Receive-side triple with an omni Tx at a fixed nominal direction."""
-        return cls(0.0, math.pi / 2, rx_azimuth, rx_elevation, doppler_hz)
+        """Receive-side triple of a single-input path."""
+        return cls(rx_azimuth, rx_elevation, doppler_hz)
 
     @property
     def rx_direction(self) -> Direction:

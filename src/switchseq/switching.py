@@ -1,4 +1,5 @@
-"""Switching sequences: per-antenna activation instants and their permutation moves.
+"""Switching sequences: per-antenna activation instants and the slot pairs
+an annealing move may swap.
 
 The canonical representation is the slot permutation; times in seconds only
 appear when a sequence is evaluated with its slot duration.
@@ -9,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -57,17 +59,6 @@ class SwitchingSequence:
         inv = np.empty(self.num_elements, dtype=int)
         inv[np.asarray(self.order)] = np.arange(self.num_elements)
         return inv
-
-    def subset_slot_ranges(self) -> list[range]:
-        """Slot range occupied by each partition subset, in partition order."""
-        if self.partition is None:
-            raise ValueError("sequence has no partition")
-        ranges = []
-        start = 0
-        for subset in self.partition:
-            ranges.append(range(start, start + len(subset)))
-            start += len(subset)
-        return ranges
 
     def eta(self, centered: bool = True) -> np.ndarray:
         """Activation instants, antenna-major per snapshot, length M*snapshots.
@@ -150,36 +141,29 @@ def hybrid_init(m: int, delta_t: float, snapshots: int,
     return SwitchingSequence(tuple(order), delta_t, snapshots, part)
 
 
-def swap_random(seq: SwitchingSequence, rng: np.random.Generator) -> SwitchingSequence:
-    """Exchange the antennas of two uniformly chosen distinct slots."""
-    m = seq.num_elements
-    if m < 2:
-        raise ValueError("need at least two antennas to swap")
-    i, j = rng.choice(m, size=2, replace=False)
-    order = list(seq.order)
-    order[i], order[j] = order[j], order[i]
-    return SwitchingSequence(tuple(order), seq.delta_t, seq.snapshots, seq.partition)
+def swap_sets(update: str, m: int, partition) -> list[range]:
+    """Slot ranges a swap move draws its two slots from: all m slots for a
+    random update; for a hybrid one, each partition subset's contiguous slot
+    block, in partition order, so the inter-subset order never changes."""
+    if update == "hybrid":
+        if partition is None:
+            raise ValueError("hybrid swaps require a partitioned (octagonal) array")
+        ends = list(accumulate(map(len, partition), initial=0))
+        sets = [range(a, b) for a, b in zip(ends, ends[1:])]
+    else:
+        sets = [range(m)]
+    if min(map(len, sets), default=0) < 2:
+        raise ValueError(f"{update} swaps need at least 2 elements in every swap set")
+    return sets
 
 
-def swap_hybrid(seq: SwitchingSequence, iteration: int,
-                rng: np.random.Generator) -> SwitchingSequence:
-    """Exchange two slots inside one subset; the subset cycles with iteration.
-
-    Subset (iteration mod n_subsets) is affected, so repeated calls sweep the
-    subsets cyclically and the inter-subset order never changes.
-    """
-    if seq.partition is None:
-        raise ValueError("hybrid swap requires a partitioned sequence")
-    ranges = seq.subset_slot_ranges()
-    for r in ranges:
-        if len(r) < 2:
-            raise ValueError("every subset must have at least 2 antennas to swap")
-    slots = ranges[iteration % len(ranges)]
+def draw_swap(sets: list[range], k: int,
+              rng: np.random.Generator) -> tuple[int, int]:
+    """Two distinct slots of set k mod len(sets), so successive moves sweep
+    the sets cyclically."""
+    slots = sets[k % len(sets)]
     i, j = rng.choice(len(slots), size=2, replace=False)
-    i, j = slots[int(i)], slots[int(j)]
-    order = list(seq.order)
-    order[i], order[j] = order[j], order[i]
-    return SwitchingSequence(tuple(order), seq.delta_t, seq.snapshots, seq.partition)
+    return slots[int(i)], slots[int(j)]
 
 
 def eta_subset(seq: SwitchingSequence, indices, centered: bool = True) -> np.ndarray:

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,13 @@ def balanced_order(m: int) -> tuple[int, ...]:
 
 def balanced_sequence(m: int, delta_t: float) -> SwitchingSequence:
     return SwitchingSequence(balanced_order(m), delta_t)
+
+
+def swapped(seq: SwitchingSequence, a: int, b: int) -> SwitchingSequence:
+    """seq with the antennas of slots a and b exchanged."""
+    order = list(seq.order)
+    order[a], order[b] = order[b], order[a]
+    return replace(seq, order=tuple(order))
 
 
 @pytest.fixture

@@ -14,7 +14,9 @@ from switchseq import (AmbiguitySurface, AnnealConfig, ArrayModel,
                        make_ula, random_init, sequential)
 from switchseq.ambiguity import normalized_correlation, save_surface_csv, sobol_points
 from switchseq.arrays import steering_matrix
-from switchseq.switching import hybrid_init, swap_hybrid, swap_random
+from switchseq.switching import draw_swap, hybrid_init, swap_sets
+
+from conftest import swapped
 
 BROADSIDE = StructuralParams.simo(math.pi / 2, math.pi / 2, 0.0)
 
@@ -167,17 +169,20 @@ def reference_objective(ev, seq):
     return ev.volume * np.sum(mags ** ev.config.power) / ev.config.samples
 
 
+def chain_init(arr, update, snapshots, rng):
+    if update == "hybrid":
+        return hybrid_init(arr.num_elements, 1e-4, snapshots, arr.partition, rng)
+    return random_init(arr.num_elements, 1e-4, snapshots, rng)
+
+
 def swap_chain(arr, snapshots, length, rng):
     """Initial sequence plus length-1 successive swaps (hybrid when the
     array is partitioned)."""
-    if arr.partition is None:
-        seqs = [random_init(arr.num_elements, 1e-4, snapshots, rng)]
-        while len(seqs) < length:
-            seqs.append(swap_random(seqs[-1], rng))
-    else:
-        seqs = [hybrid_init(arr.num_elements, 1e-4, snapshots, arr.partition, rng)]
-        while len(seqs) < length:
-            seqs.append(swap_hybrid(seqs[-1], len(seqs), rng))
+    update = "random" if arr.partition is None else "hybrid"
+    sets = swap_sets(update, arr.num_elements, arr.partition)
+    seqs = [chain_init(arr, update, snapshots, rng)]
+    while len(seqs) < length:
+        seqs.append(swapped(seqs[-1], *draw_swap(sets, len(seqs), rng)))
     return seqs
 
 
@@ -202,11 +207,6 @@ def test_evaluate_matches_per_call_exp_reference(array_name, snapshots, sin_elev
         assert abs(ev.evaluate(seq) - ref) <= 1e-12 * abs(ref)
 
 
-def swapped_slots(before, after):
-    a, b = (i for i, (x, y) in enumerate(zip(before.order, after.order)) if x != y)
-    return a, b
-
-
 @pytest.mark.parametrize("sin_elevation", [False, True])
 @pytest.mark.parametrize("snapshots", [1, 3])
 @pytest.mark.parametrize("array_name, update", [
@@ -214,48 +214,24 @@ def swapped_slots(before, after):
     ("single_panel", "random")])
 def test_swap_sums_carried_along_a_chain_match_evaluate(array_name, update,
                                                          snapshots, sin_elevation):
-    # every step is taken, as if accepted, so the sums carry 200 deltas
+    # every step is taken, as if accepted, so the sums carry 200 deltas; they
+    # stay equal, integer for integer, to a fresh sample_sums, and so score
+    # equal to evaluate
     arr = DIFFERENTIAL_ARRAYS[array_name]()
     cfg = ObjectiveConfig(power=6, samples=256, seed=5, sin_elevation=sin_elevation)
     ev = ObjectiveEvaluator(arr, Region.default_for(1e-4), cfg, 1e-4, snapshots)
     rng = np.random.default_rng(snapshots)
-    if update == "hybrid":
-        seq = hybrid_init(arr.num_elements, 1e-4, snapshots, arr.partition, rng)
-    else:
-        seq = random_init(arr.num_elements, 1e-4, snapshots, rng)
-    sums = ev.sample_sums(seq)
-    assert ev.score(sums) == ev.evaluate(seq)
-    for k in range(200):
-        nxt = swap_hybrid(seq, k, rng) if update == "hybrid" else swap_random(seq, rng)
-        sums = ev.swap_sums(sums, seq, *swapped_slots(seq, nxt))
-        seq = nxt
-        assert ev.score(sums) == ev.evaluate(seq), k
-
-
-@pytest.mark.parametrize("sin_elevation", [False, True])
-@pytest.mark.parametrize("snapshots", [1, 3])
-@pytest.mark.parametrize("array_name, update", [
-    ("ula", "random"), ("octagon", "random"), ("octagon", "hybrid"),
-    ("single_panel", "random")])
-def test_swap_products_carried_along_a_chain_match_products(array_name, update,
-                                                            snapshots, sin_elevation):
-    # the fixed-point sums of products carried through 200 swaps stay equal,
-    # integer for integer, to a fresh sample_sums of the current sequence
-    arr = DIFFERENTIAL_ARRAYS[array_name]()
-    cfg = ObjectiveConfig(power=6, samples=256, seed=5, sin_elevation=sin_elevation)
-    ev = ObjectiveEvaluator(arr, Region.default_for(1e-4), cfg, 1e-4, snapshots)
-    rng = np.random.default_rng(snapshots)
-    if update == "hybrid":
-        seq = hybrid_init(arr.num_elements, 1e-4, snapshots, arr.partition, rng)
-    else:
-        seq = random_init(arr.num_elements, 1e-4, snapshots, rng)
+    seq = chain_init(arr, update, snapshots, rng)
+    sets = swap_sets(update, arr.num_elements, arr.partition)
     sums = ev.sample_sums(seq)
     assert sums.dtype == np.int64 and sums.shape == (2, cfg.samples)
+    assert ev.score(sums) == ev.evaluate(seq)
     for k in range(200):
-        nxt = swap_hybrid(seq, k, rng) if update == "hybrid" else swap_random(seq, rng)
-        sums = ev.swap_sums(sums, seq, *swapped_slots(seq, nxt))
-        seq = nxt
+        a, b = draw_swap(sets, k, rng)
+        sums = ev.swap_sums(sums, seq.order, a, b)
+        seq = swapped(seq, a, b)
         assert np.array_equal(sums, ev.sample_sums(seq)), k
+        assert ev.score(sums) == ev.evaluate(seq), k
 
 
 @pytest.mark.parametrize("array_name", sorted(DIFFERENTIAL_ARRAYS))

@@ -130,4 +130,3 @@ def test_structural_params_validation():
         StructuralParams.simo(0.0, 1.0, math.nan)
     p = StructuralParams.simo(1.0, 2.0, 3.0)
     assert p.rx_direction.azimuth == pytest.approx(1.0)
-    assert p.tx_elevation == pytest.approx(math.pi / 2)

@@ -3,10 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from switchseq import (SwitchingSequence, eta_subset, hybrid_init, random_init,
-                       sequential, swap_hybrid, swap_random)
+from switchseq import (SwitchingSequence, draw_swap, eta_subset, hybrid_init,
+                       random_init, sequential, swap_sets)
+
+from conftest import swapped
 
 PARTITION_4x2 = ((0, 1), (2, 3))
+PARTITION_8x4 = tuple(tuple(range(4 * p, 4 * p + 4)) for p in range(8))
 PARTITION_8x16 = tuple(tuple(range(16 * p, 16 * p + 16)) for p in range(8))
 
 # frozen draw of numpy's PCG64 Generator, seed 0
@@ -76,7 +79,7 @@ def test_hybrid_init_subset_slot_ranges(rng):
 
 def test_hybrid_init_panel_slot_ranges(rng):
     seq = hybrid_init(128, 1e-3, 1, PARTITION_8x16, rng)
-    for p, slots in zip(seq.partition, seq.subset_slot_ranges()):
+    for p, slots in zip(seq.partition, swap_sets("hybrid", 128, seq.partition)):
         assert set(seq.order[slots.start:slots.stop]) == set(p)
 
 
@@ -93,73 +96,75 @@ def test_hybrid_init_rejects_bad_partition(rng):
         hybrid_init(4, 1e-3, 1, ((0, 1),), rng)
 
 
+def test_swap_sets_random_is_all_slots():
+    assert swap_sets("random", 7, None) == [range(7)]
+    # a random update ignores the partition
+    assert swap_sets("random", 4, PARTITION_4x2) == [range(4)]
+
+
+def test_swap_sets_hybrid_are_panel_slot_blocks():
+    assert swap_sets("hybrid", 4, PARTITION_4x2) == [range(0, 2), range(2, 4)]
+    assert swap_sets("hybrid", 128, PARTITION_8x16) == [
+        range(16 * p, 16 * p + 16) for p in range(8)]
+    # blocks follow the subset sizes in partition order
+    assert swap_sets("hybrid", 7, ((0, 1, 2), (3, 4), (5, 6))) == [
+        range(0, 3), range(3, 5), range(5, 7)]
+
+
 def test_swap_random_m2_is_transposition(rng):
-    seq = sequential(2, 1e-3)
-    swapped = swap_random(seq, rng)
-    assert swapped.order == (1, 0)
+    assert sorted(draw_swap(swap_sets("random", 2, None), 0, rng)) == [0, 1]
 
 
 def test_swap_random_preserves_bijection(rng):
+    sets = swap_sets("random", 31, None)
     seq = random_init(31, 1e-3, 1, rng)
-    for _ in range(50):
-        seq = swap_random(seq, rng)
+    for k in range(50):
+        seq = swapped(seq, *draw_swap(sets, k, rng))
         assert_valid_permutation(seq)
 
 
-def test_swap_random_rejects_single_antenna(rng):
-    with pytest.raises(ValueError):
-        swap_random(sequential(1, 1e-3), rng)
+def test_swap_random_rejects_single_antenna():
+    with pytest.raises(ValueError, match="swap"):
+        swap_sets("random", 1, None)
 
 
-def test_swap_twice_same_pair_is_identity():
-    seq = sequential(6, 1e-3)
-
-    class FixedPair:
-        def choice(self, n, size, replace):
-            return np.array([1, 4])
-
-    once = swap_random(seq, FixedPair())
-    twice = swap_random(once, FixedPair())
-    assert once.order != seq.order
-    assert twice.order == seq.order
-
-
-def test_swap_hybrid_cycles_subsets(rng):
-    seq = hybrid_init(128, 1e-3, 1, PARTITION_8x16, rng)
-    for k in (0, 8):
-        moved = swap_hybrid(seq, k, np.random.default_rng(1))
-        diff = [i for i, (a, b) in enumerate(zip(seq.order, moved.order)) if a != b]
-        # both swapped slots fall in subset 0's slot range
-        assert all(0 <= i < 16 for i in diff)
-        assert len(diff) in (0, 2)
+def test_swap_hybrid_cycles_subsets():
+    # k and k + len(sets) draw from the same set, with the same draws
+    sets = swap_sets("hybrid", 128, PARTITION_8x16)
+    for k in range(8):
+        pair = draw_swap(sets, k, np.random.default_rng(1))
+        assert draw_swap(sets, k + len(sets), np.random.default_rng(1)) == pair
+        assert all(s in sets[k] for s in pair)
 
 
 def test_swap_hybrid_keeps_subsets_in_their_ranges(rng):
-    seq = hybrid_init(32, 1e-3, 1, tuple(tuple(range(4 * p, 4 * p + 4)) for p in range(8)), rng)
+    seq = hybrid_init(32, 1e-3, 1, PARTITION_8x4, rng)
+    sets = swap_sets("hybrid", 32, seq.partition)
     for k in range(40):
-        seq = swap_hybrid(seq, k, rng)
-        assert_valid_permutation(seq)
-        for subset, slots in zip(seq.partition, seq.subset_slot_ranges()):
+        seq = swapped(seq, *draw_swap(sets, k, rng))
+        for subset, slots in zip(seq.partition, sets):
             assert set(seq.order[slots.start:slots.stop]) == set(subset)
 
 
 def test_swap_hybrid_changes_at_most_two_entries(rng):
-    seq = hybrid_init(128, 1e-3, 1, PARTITION_8x16, rng)
-    for k in range(16):
-        moved = swap_hybrid(seq, k, rng)
-        diff = sum(a != b for a, b in zip(seq.order, moved.order))
-        assert diff <= 2
+    # a move is two distinct slots of its set: a swap changes exactly two
+    # entries, never one
+    for update, partition in (("hybrid", PARTITION_8x16), ("random", None)):
+        sets = swap_sets(update, 128, partition)
+        for k in range(64):
+            a, b = draw_swap(sets, k, rng)
+            assert a != b
+            assert a in sets[k % len(sets)] and b in sets[k % len(sets)]
 
 
-def test_swap_hybrid_rejects_singleton_subsets(rng):
-    seq = SwitchingSequence((0, 1, 2), 1e-3, partition=((0,), (1, 2)))
-    with pytest.raises(ValueError):
-        swap_hybrid(seq, 0, rng)
+def test_swap_hybrid_rejects_singleton_subsets():
+    with pytest.raises(ValueError, match="swap"):
+        swap_sets("hybrid", 3, ((0,), (1, 2)))
 
 
-def test_swap_hybrid_requires_partition(rng):
-    with pytest.raises(ValueError):
-        swap_hybrid(sequential(4, 1e-3), 0, rng)
+def test_swap_hybrid_requires_partition():
+    with pytest.raises(ValueError, match="hybrid"):
+        swap_sets("hybrid", 4, None)
 
 
 def test_effective_subset_norm_inequality():
