@@ -52,14 +52,12 @@ from .analysis import (AliasPeak, ComparisonReport, GridTooNarrowError,
 from .anneal import (AnnealConfig, AnnealError, AnnealRecord, AnnealTrace,
                      anneal, temperature_schedule)
 from .arrays import (ArrayModel, Direction, OmniPattern, PatchPattern,
-                     Polarization, TabulatedPattern, effective_elements,
-                     make_octagonal, make_ula, steering_matrix,
-                     steering_vector)
+                     TabulatedPattern, effective_elements, make_octagonal,
+                     make_ula, steering_matrix)
 from .config import ConfigError, ExperimentConfig
 from .crlb import (CRLBResult, EndfireSingularityError, ParamVector,
                    SingularFIMError, UnobservableDopplerError, crlb_aoa,
                    crlb_doppler, fim_matrix, fim_numeric)
-from .signal import (PathGain, StructuralParams, basis, basis_from_eta,
-                     doppler_vector, synthesize)
+from .signal import StructuralParams, basis, basis_from_eta
 from .switching import (SwitchingSequence, draw_swap, eta_subset, hybrid_init,
                         random_init, sequential, swap_sets)

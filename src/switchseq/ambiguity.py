@@ -230,14 +230,12 @@ class ObjectiveEvaluator:
             rows = self._phase[lo:lo + step]
             rows[:, 0], rows[:, 1] = table.real, table.imag
         # inter-snapshot Doppler factor: geometric sum over snapshot offsets
-        # (the 1/snapshots normalization already sits in the basis norms)
-        if self.snapshots > 1:
-            offsets = np.arange(self.snapshots) * m * self.delta_t
-            self._snapshot_factor = np.abs(
-                np.exp(2j * math.pi * np.outer(dnu, offsets)).sum(axis=1)
-            )
-        else:
-            self._snapshot_factor = None
+        # (the 1/snapshots normalization already sits in the basis norms);
+        # exactly 1.0 at one snapshot
+        offsets = np.arange(self.snapshots) * m * self.delta_t
+        self._snapshot_factor = np.abs(
+            np.exp(2j * math.pi * np.outer(dnu, offsets)).sum(axis=1)
+        )
 
     def evaluate(self, seq: SwitchingSequence) -> float:
         """QMC estimate of f_P for one sequence."""
@@ -287,9 +285,7 @@ class ObjectiveEvaluator:
         """f_P from the per-sample sums; the power is even, so |S|**power
         is (re**2 + im**2)**(power/2)."""
         re, im = sums * 2.0 ** -FIXED_BITS
-        mag2 = re * re + im * im
-        if self._snapshot_factor is not None:
-            mag2 *= self._snapshot_factor ** 2
+        mag2 = (re * re + im * im) * self._snapshot_factor ** 2
         total = np.sum(mag2 ** (self.config.power // 2))
         return float(self.volume * total / self.config.samples)
 
@@ -362,7 +358,7 @@ def ambiguity_surface(array: ArrayModel, seq: SwitchingSequence,
     if np.any(norms == 0.0):
         raise DegenerateDirectionError("sweep contains a zero-response direction")
 
-    eta = seq.eta(centered=True)
+    eta = seq.eta()
     nu_prime = mu.doppler_hz + doppler_hz
     phases = np.exp(2j * math.pi * np.outer(eta, nu_prime))  # (M*S, Nd)
     numer = (np.conj(b_ref)[None, :] * g_tiled) @ phases     # (Na, Nd)

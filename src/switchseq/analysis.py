@@ -136,10 +136,6 @@ class AliasPeak:
     angle_offset_deg: float
     magnitude: float
 
-    @property
-    def magnitude_db(self) -> float:
-        return 20.0 * math.log10(max(self.magnitude, 1e-300))
-
 
 def _first_null(values: np.ndarray, start: int, step: int) -> int:
     """Index of the first local minimum walking from start in direction step."""
@@ -277,10 +273,9 @@ def compare_schemes(array: ArrayModel, sequences: dict[str, SwitchingSequence],
             doppler_width=half_power_width(surface, "doppler"),
             angle_width=half_power_width(surface, angle_axis),
             psl=peak_sidelobe(surface),
-            crlb_nu_full=crlb_doppler(seq.eta(centered=True), amplitude, noise_sigma),
-            crlb_nu_effective=crlb_doppler(
-                eta_subset(seq, idx, centered=True), amplitude, noise_sigma
-            ),
+            crlb_nu_full=crlb_doppler(seq.eta(), amplitude, noise_sigma),
+            crlb_nu_effective=crlb_doppler(eta_subset(seq, idx), amplitude,
+                                           noise_sigma),
         )
 
     angle_grid = np.asarray(angle_offset_deg, dtype=float)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -16,11 +15,6 @@ SPEED_OF_LIGHT = 299792458.0
 # patch elements, so that directions exactly perpendicular to a panel normal
 # get zero gain even when trig round-off leaves a ~1e-17 residual.
 _GRAZING_EPS = 1e-12
-
-
-class Polarization(str, Enum):
-    V = "V"
-    H = "H"
 
 
 @dataclass(frozen=True)
@@ -36,10 +30,6 @@ class Direction:
         if not (0.0 <= self.elevation <= math.pi + 1e-12):
             raise ValueError(f"elevation {self.elevation} outside [0, pi]")
 
-    def unit_vector(self) -> np.ndarray:
-        """Unit propagation vector (sin el cos az, sin el sin az, cos el)."""
-        return unit_vectors(self.azimuth, self.elevation)
-
 
 def unit_vectors(azimuth, elevation) -> np.ndarray:
     """Stack unit propagation vectors for (broadcastable) angle arrays, shape (..., 3)."""
@@ -54,8 +44,6 @@ def unit_vectors(azimuth, elevation) -> np.ndarray:
 @dataclass(frozen=True)
 class OmniPattern:
     """Isotropic element: unit gain in every direction."""
-
-    polarization: Polarization = Polarization.V
 
     def gain(self, azimuth, elevation) -> np.ndarray:
         az, el = np.broadcast_arrays(np.asarray(azimuth, float), np.asarray(elevation, float))
@@ -73,7 +61,6 @@ class PatchPattern:
 
     exponent: float
     boresight: tuple[float, float, float]
-    polarization: Polarization = Polarization.V
 
     def __post_init__(self):
         if self.exponent < 0:
@@ -106,7 +93,6 @@ class TabulatedPattern:
     azimuth_grid: np.ndarray
     elevation_grid: np.ndarray
     gains: np.ndarray  # complex, shape (n_az, n_el)
-    polarization: Polarization = Polarization.V
 
     def __post_init__(self):
         az = np.asarray(self.azimuth_grid, dtype=float)
@@ -290,13 +276,9 @@ def make_octagonal(
     )
 
 
-def steering_vector(array: ArrayModel, direction: Direction) -> np.ndarray:
-    """Complex array response: entry m = g_m(dir) * exp(j k <u, p_m>)."""
-    return steering_matrix(array, direction.azimuth, direction.elevation)
-
-
 def steering_matrix(array: ArrayModel, azimuth, elevation) -> np.ndarray:
-    """Steering vectors for (broadcastable) angle arrays, shape (..., M)."""
+    """Steering vectors for (broadcastable) angle arrays, shape (..., M):
+    entry m is g_m(dir) * exp(j k <u, p_m>)."""
     u = unit_vectors(azimuth, elevation)
     phase = array.wavenumber * (u @ array.positions.T)
     return array.gain_matrix(azimuth, elevation) * np.exp(1j * phase)
@@ -329,6 +311,8 @@ def load_pattern_file(path: str | Path) -> dict[tuple[int, str], TabulatedPatter
             raise ValueError(f"pattern file must have columns {sorted(required)}")
         for row in reader:
             key = (int(row["element"]), row["pol"].strip().upper())
+            if key[1] not in ("V", "H"):
+                raise ValueError(f"pattern pol {row['pol']!r} must be V or H")
             az = math.radians(float(row["azimuth_deg"]))
             el = math.radians(float(row["elevation_deg"]))
             cells.setdefault(key, {})[(az, el)] = complex(
@@ -352,22 +336,17 @@ def load_pattern_file(path: str | Path) -> dict[tuple[int, str], TabulatedPatter
                         f"is missing ({math.degrees(a)}, {math.degrees(e)}) deg"
                     )
                 table[i, j] = grid[(a, e)]
-        patterns[key] = TabulatedPattern(
-            az_vals, el_vals, table, Polarization(key[1])
-        )
+        patterns[key] = TabulatedPattern(az_vals, el_vals, table)
     return patterns
 
 
-def attach_patterns(
-    array: ArrayModel,
-    patterns: dict[tuple[int, str], TabulatedPattern],
-    polarization: Polarization = Polarization.V,
-) -> ArrayModel:
-    """Replace the array's element patterns with tabulated ones from a file."""
+def attach_patterns(array: ArrayModel,
+                    patterns: dict[tuple[int, str], TabulatedPattern]) -> ArrayModel:
+    """Replace the array's element patterns with the vertical-polarization
+    ("V") ones tabulated in a file."""
     new = []
     for m in range(array.num_elements):
-        key = (m, polarization.value)
-        if key not in patterns:
-            raise ValueError(f"no tabulated pattern for element {m} pol {polarization.value}")
-        new.append(patterns[key])
+        if (m, "V") not in patterns:
+            raise ValueError(f"no tabulated pattern for element {m} pol V")
+        new.append(patterns[(m, "V")])
     return ArrayModel(array.positions, tuple(new), array.wavelength, array.partition)

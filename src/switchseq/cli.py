@@ -28,7 +28,8 @@ from .ambiguity import (DegenerateDirectionError, ObjectiveEvaluator,
 from .analysis import GridTooNarrowError, compare_schemes
 from .anneal import AnnealError, anneal, save_trace_csv
 from .arrays import effective_elements
-from .config import ConfigError, ExperimentConfig, check_seed, require_swaps
+from .config import (ConfigError, ExperimentConfig, check_seed, check_timing,
+                     require_swaps)
 from .crlb import (EndfireSingularityError, ParamVector, SingularFIMError,
                    UnobservableDopplerError, crlb_aoa, crlb_doppler, fim_numeric)
 from .switching import SwitchingSequence
@@ -94,6 +95,7 @@ def cmd_optimize(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str
 def cmd_ambiguity(config: ExperimentConfig, out_dir: Path, seed: int,
                   sequence_file: str | None = None) -> list[str]:
     array = config.array
+    doppler, angles, axis = config.sweep
     if sequence_file is not None:
         path = Path(sequence_file)
         try:  # the hash is of the bytes parsed
@@ -108,12 +110,15 @@ def cmd_ambiguity(config: ExperimentConfig, out_dir: Path, seed: int,
                 f"sequence has {seq.num_elements} elements, array has "
                 f"{array.num_elements}"
             )
+        # the config's timing checks, on the file's timing
+        nu = abs(config.reference.doppler_hz) + float(np.abs(doppler).max())
+        check_timing("--sequence", seq.num_elements, seq.snapshots,
+                     seq.delta_t, angles.size, doppler.size, nu)
     else:
         seq = config.build_sequence(config.sequence_spec["scheme"],
                                     np.random.default_rng(seed))
         seq_hash = None
 
-    doppler, angles, axis = config.sweep
     surface = ambiguity_surface(array, seq, config.reference, doppler, angles, axis)
     save_surface_csv(surface, out_dir / "surface.csv",
                      metadata={"seed": seed, "sequence_sha256": seq_hash})
@@ -142,7 +147,7 @@ def cmd_crlb(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str]:
 
     closed_phi = crlb_aoa(array.num_elements, spacing, wavelength,
                           params.azimuth, params.amplitude, sigma)
-    closed_nu = crlb_doppler(seq.eta(centered=True), params.amplitude, sigma)
+    closed_nu = crlb_doppler(seq.eta(), params.amplitude, sigma)
     numeric = fim_numeric(array, seq, params, sigma,
                           elevation=math.radians(spec["elevation_deg"]))
 

@@ -98,16 +98,33 @@ def _check_budget(fields: str, rows: float, row_items: int) -> None:
                           f"{MEMORY_BUDGET_BYTES >> 30} GiB memory budget")
 
 
-def _grid(spec: dict, span: str, step: str, row_items: int) -> np.ndarray:
-    """Sweep axis from -span to +span in increments of step, whose surface
-    arrays hold row_items complex numbers per point."""
+def _axis(spec: dict, span: str, step: str) -> tuple[float, float]:
+    """Span and step of a sweep axis, which runs from -span to +span."""
     if not spec[span] >= 0:
         raise ConfigError(f"config.sweep.{span}: must be >= 0")
-    width = _positive(spec[step], f"config.sweep.{step}")
-    _check_budget(f"config.sweep.{span}/{step}", 2 * spec[span] / width + 1,
-                  row_items)
-    return _field(f"config.sweep.{span}", np.arange,
-                  -spec[span], spec[span] + width / 2, width)
+    return spec[span], _positive(spec[step], f"config.sweep.{step}")
+
+
+def _grid(path: str, span: float, step: float) -> np.ndarray:
+    return _field(path, np.arange, -span, span + step / 2, step)
+
+
+def check_timing(path: str, m: int, snapshots: int, delta_t: float,
+                 angles: float, dopplers: float, nu: float) -> None:
+    """Refuse, before anything is allocated, the timing of a run (snapshots
+    x m slots of delta_t) whose surface arrays over angles x dopplers sweep
+    points, (angles, rows), (rows, dopplers) and (angles, dopplers) with a
+    row per element and snapshot, exceed the memory budget, or whose
+    instants or Doppler phases 2*pi*nu*t overflow a float. path names the
+    source of snapshots and delta_t_s in the messages."""
+    rows = m * snapshots
+    fields = f"{path}.snapshots and config.sweep"
+    _check_budget(fields, angles, rows)
+    _check_budget(fields, dopplers, max(rows, angles))
+    instants = rows * delta_t
+    if not (math.isfinite(instants) and math.isfinite(2 * math.pi * nu * instants)):
+        raise ConfigError(f"{path}.delta_t_s: the run's Doppler phases "
+                          "overflow a float")
 
 
 def check_seed(value, path: str) -> int:
@@ -244,7 +261,7 @@ class ExperimentConfig:
             "doppler_hz": 0.0,
         }, "config.reference")
         reference = _field(
-            "config.reference", StructuralParams.simo,
+            "config.reference", StructuralParams,
             math.radians(reference_spec["azimuth_deg"]) % (2 * math.pi),
             math.radians(reference_spec["elevation_deg"]),
             reference_spec["doppler_hz"],
@@ -259,14 +276,8 @@ class ExperimentConfig:
         axis = sweep_spec["angle_axis"]
         if axis not in ("eoa", "aoa"):
             raise ConfigError("config.sweep.angle_axis: must be eoa|aoa")
-        # surface arrays: (angles, rows), (rows, Dopplers) and (angles,
-        # Dopplers), with a row per element and snapshot
-        rows = array.num_elements * sequence_spec["snapshots"]
-        angles = _grid(sweep_spec, "angle_span_deg", "angle_step_deg", rows)
-        _field("config.sweep.angle_span_deg", sweep_directions, reference,
-               angles, axis)
-        sweep = (_grid(sweep_spec, "doppler_span_hz", "doppler_step_hz",
-                       max(rows, angles.size)), angles, axis)
+        d_span, d_step = _axis(sweep_spec, "doppler_span_hz", "doppler_step_hz")
+        a_span, a_step = _axis(sweep_spec, "angle_span_deg", "angle_step_deg")
 
         crlb_spec = _section(top["crlb"], {
             "azimuth_deg": 90.0,
@@ -276,15 +287,18 @@ class ExperimentConfig:
             "phase": 0.0,
             "noise_sigma": 0.1,
         }, "config.crlb")
-        # every instant a run forms, up to M * snapshots slots, and every
-        # Doppler phase 2*pi*nu*t, with nu up to the region bound, the swept
-        # Doppler or the crlb Doppler, must be a finite float
-        instants = array.num_elements * sequence_spec["snapshots"] * delta_t
+        # a run's Doppler reaches the region bound, the swept Doppler or
+        # the crlb Doppler
         nu = max(region.doppler_bound, abs(crlb_spec["doppler_hz"]),
-                 abs(reference.doppler_hz) + sweep_spec["doppler_span_hz"])
-        if not (math.isfinite(instants) and math.isfinite(2 * math.pi * nu * instants)):
-            raise ConfigError("config.sequence.delta_t_s: the run's Doppler "
-                              "phases overflow a float")
+                 abs(reference.doppler_hz) + d_span)
+        check_timing("config.sequence", array.num_elements,
+                     sequence_spec["snapshots"], delta_t,
+                     2 * a_span / a_step + 1, 2 * d_span / d_step + 1, nu)
+        angles = _grid("config.sweep.angle_span_deg", a_span, a_step)
+        _field("config.sweep.angle_span_deg", sweep_directions, reference,
+               angles, axis)
+        sweep = (_grid("config.sweep.doppler_span_hz", d_span, d_step),
+                 angles, axis)
         if top["effective_threshold_db"] > 0:
             raise ConfigError("config.effective_threshold_db: must be <= 0")
 

@@ -74,16 +74,6 @@ class CRLBResult:
         """Shortcut bounds 1/F_ii (valid only when off-diagonals are negligible)."""
         return 1.0 / np.diag(self.fim)
 
-    def to_dict(self) -> dict:
-        return {
-            "var_phi": self.var_phi,
-            "var_nu": self.var_nu,
-            "var_r": self.var_r,
-            "var_psi": self.var_psi,
-            "off_diag_ratio": self.off_diag_ratio,
-            "fim": self.fim.tolist(),
-        }
-
 
 def crlb_aoa(num_elements: int, spacing: float, wavelength: float,
              azimuth: float, amplitude: float, noise_sigma: float) -> float:
@@ -121,8 +111,8 @@ def crlb_doppler(eta: np.ndarray, amplitude: float, noise_sigma: float) -> float
 def signal_mean(array: ArrayModel, seq: SwitchingSequence, params: ParamVector,
                 elevation: float = math.pi / 2) -> np.ndarray:
     """Noise-free received mean for the four-parameter single-path model."""
-    mu = StructuralParams.simo(params.azimuth % (2 * math.pi), elevation,
-                               params.doppler_hz)
+    mu = StructuralParams(params.azimuth % (2 * math.pi), elevation,
+                          params.doppler_hz)
     return params.amplitude * np.exp(1j * params.phase) * basis(array, seq, mu)
 
 
@@ -147,7 +137,7 @@ def fim_matrix(array: ArrayModel, seq: SwitchingSequence, params: ParamVector,
     """
     if noise_sigma <= 0:
         raise ValueError("noise sigma must be positive")
-    eta_norm = np.linalg.norm(seq.eta(centered=True))
+    eta_norm = np.linalg.norm(seq.eta())
     steps = np.array([
         1e-6,                                    # azimuth, rad
         1e-3 / eta_norm if eta_norm > 0 else 1.0,  # Doppler, Hz

@@ -60,21 +60,20 @@ class SwitchingSequence:
         inv[np.asarray(self.order)] = np.arange(self.num_elements)
         return inv
 
-    def eta(self, centered: bool = True) -> np.ndarray:
-        """Activation instants, antenna-major per snapshot, length M*snapshots.
+    def eta(self) -> np.ndarray:
+        """Centered activation instants, antenna-major per snapshot, length
+        M*snapshots.
 
-        Entry m + s*M is the absolute instant of antenna m in snapshot s,
-        i.e. slot_of(m)*delta_t plus s snapshot periods of M*delta_t.
-        centered subtracts the mean so the vector sums to zero.
+        Entry m + s*M is the instant of antenna m in snapshot s, i.e.
+        slot_of(m)*delta_t plus s snapshot periods of M*delta_t, less the
+        mean of all entries, so the vector sums to zero.
         """
         m = self.num_elements
         within = self.slot_of() * self.delta_t
         out = np.concatenate(
             [within + s * m * self.delta_t for s in range(self.snapshots)]
         )
-        if centered:
-            out = out - out.mean()
-        return out
+        return out - out.mean()
 
     def to_dict(self) -> dict:
         d = {
@@ -166,14 +165,11 @@ def draw_swap(sets: list[range], k: int,
     return slots[int(i)], slots[int(j)]
 
 
-def eta_subset(seq: SwitchingSequence, indices, centered: bool = True) -> np.ndarray:
-    """Activation instants of the given antennas only (single snapshot).
-
-    centered removes the mean over that subset, which is the convention for
-    the effective measurement-time norm of a hybrid sequence.
+def eta_subset(seq: SwitchingSequence, indices) -> np.ndarray:
+    """Activation instants of the given antennas only (single snapshot),
+    centered over that subset, which is the convention for the effective
+    measurement-time norm of a hybrid sequence.
     """
     idx = np.asarray(list(indices), dtype=int)
     eta = seq.slot_of()[idx] * seq.delta_t
-    if centered:
-        eta = eta - eta.mean()
-    return eta
+    return eta - eta.mean()

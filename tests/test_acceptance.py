@@ -57,7 +57,7 @@ def octagon_runs():
     seq_rand, trace_rand, seq_hyb, trace_hyb = run_both()
     seq_rand2, trace_rand2, seq_hyb2, trace_hyb2 = run_both()  # reproducibility
 
-    mu = StructuralParams.simo(math.pi / 4, math.pi / 2, 0.0)  # panel-1 boresight
+    mu = StructuralParams(math.pi / 4, math.pi / 2, 0.0)  # panel-1 boresight
     doppler = np.arange(-400.0, 400.0 + 0.5, 1.0)
     angles = np.arange(-30.0, 30.0 + 0.25, 0.5)
     report = compare_schemes(
@@ -107,7 +107,7 @@ def test_criterion_3_crlb_oracle_equivalence():
     for m in (4, 8, 16):
         array = make_ula(m, 0.5, 1.0)
         seq = balanced_sequence(m, DT)
-        eta = seq.eta(centered=True)
+        eta = seq.eta()
         for phi_deg in (45.0, 90.0, 135.0):
             params = ParamVector(math.radians(phi_deg), 0.0, amp, 0.2)
             res = fim_numeric(array, seq, params, sigma)
@@ -132,8 +132,8 @@ def test_criterion_4_crlb_ordering():
         rng = np.random.default_rng(seed)
         hyb = hybrid_init(128, DT, 1, array.partition, rng)
         rand = random_init(128, DT, 1, rng)
-        c_hyb = crlb_doppler(eta_subset(hyb, idx, centered=True), 1.0, 0.1)
-        c_rand = crlb_doppler(rand.eta(centered=True), 1.0, 0.1)
+        c_hyb = crlb_doppler(eta_subset(hyb, idx), 1.0, 0.1)
+        c_rand = crlb_doppler(rand.eta(), 1.0, 0.1)
         holds += c_hyb >= c_rand
     criterion("4 crlb-ordering", holds == 20,
               f"effective-hybrid bound >= full-random bound for {holds}/20 seeds")
@@ -143,13 +143,13 @@ def test_criterion_5_aliasing_reproduction():
     m, dt, seed = 32, 1e-3, 3
     array = make_ula(m, 0.5, 1.0)
     seq = sequential(m, dt)
-    mu = StructuralParams.simo(math.pi / 2, math.pi / 2, 0.0)
+    mu = StructuralParams(math.pi / 2, math.pi / 2, 0.0)
 
     # analytically predicted alias: Doppler cancels the azimuth phase ramp
     phi_alias = math.pi / 3
     dnu_alias = 0.5 * (math.cos(mu.rx_azimuth) - math.cos(phi_alias)) / dt
     x_alias = abs(ambiguity_value(
-        array, seq, mu, StructuralParams.simo(phi_alias, math.pi / 2, dnu_alias)))
+        array, seq, mu, StructuralParams(phi_alias, math.pi / 2, dnu_alias)))
 
     doppler = np.arange(-300.0, 300.0 + 1.0, 2.5)     # contains -250 Hz
     angles = np.arange(-40.0, 40.0 + 0.25, 0.5)       # contains -30 deg
@@ -189,12 +189,12 @@ def test_criterion_6_ambiguity_property_suite():
         seq = SwitchingSequence(tuple(rng.permutation(m)),
                                 float(rng.uniform(1e-5, 1e-3)),
                                 snapshots=int(rng.integers(1, 3)))
-        mus = [StructuralParams.simo(rng.uniform(0, 2 * math.pi),
-                                     rng.uniform(math.radians(5),
-                                                 math.radians(175)),
-                                     rng.uniform(-2e3, 2e3))
+        mus = [StructuralParams(rng.uniform(0, 2 * math.pi),
+                                rng.uniform(math.radians(5),
+                                            math.radians(175)),
+                                rng.uniform(-2e3, 2e3))
                for _ in range(2)]
-        eta = seq.eta(centered=False)
+        eta = seq.eta()
         b1 = basis_from_eta(array, eta, mus[0])
         b2 = basis_from_eta(array, eta, mus[1])
         x12 = normalized_correlation(b1, b2)
@@ -284,13 +284,13 @@ def test_criterion_9_dirichlet_oracle():
     m, dt = 16, 1e-3
     array = make_ula(m, 0.5, 1.0)
     seq = sequential(m, dt)
-    mu = StructuralParams.simo(math.pi / 2, math.pi / 2, 0.0)
+    mu = StructuralParams(math.pi / 2, math.pi / 2, 0.0)
     grid = np.linspace(-2.0 / (m * dt), 2.0 / (m * dt), 1001)
     worst = 0.0
     for dnu in grid:
         x = abs(ambiguity_value(array, seq, mu,
-                                StructuralParams.simo(math.pi / 2, math.pi / 2,
-                                                      dnu)))
+                                StructuralParams(math.pi / 2, math.pi / 2,
+                                                 dnu)))
         u = dnu * dt
         s = math.sin(math.pi * u)
         oracle = 1.0 if abs(s) < 1e-15 else abs(math.sin(m * math.pi * u) / (m * s))

@@ -18,7 +18,7 @@ from switchseq.switching import draw_swap, hybrid_init, swap_sets
 
 from conftest import swapped
 
-BROADSIDE = StructuralParams.simo(math.pi / 2, math.pi / 2, 0.0)
+BROADSIDE = StructuralParams(math.pi / 2, math.pi / 2, 0.0)
 
 
 def single_panel_array(m=4):
@@ -32,7 +32,7 @@ def single_panel_array(m=4):
 def test_self_ambiguity_is_one():
     arr = make_ula(8, 0.5, 1.0)
     seq = sequential(8, 1e-3)
-    mu = StructuralParams.simo(1.0, 1.2, 321.0)
+    mu = StructuralParams(1.0, 1.2, 321.0)
     assert abs(ambiguity_value(arr, seq, mu, mu) - 1.0) < 1e-12
 
 
@@ -40,7 +40,7 @@ def test_dirichlet_null():
     m, dt = 8, 1e-3
     arr = make_ula(m, 0.5, 1.0)
     seq = sequential(m, dt)
-    mu_p = StructuralParams.simo(math.pi / 2, math.pi / 2, 1.0 / (m * dt))
+    mu_p = StructuralParams(math.pi / 2, math.pi / 2, 1.0 / (m * dt))
     assert abs(ambiguity_value(arr, seq, BROADSIDE, mu_p)) < 1e-12
 
 
@@ -51,7 +51,7 @@ def test_sequential_alias_is_unity():
     seq = sequential(m, dt)
     phi_p = math.pi / 3
     dnu = 0.5 * (math.cos(BROADSIDE.rx_azimuth) - math.cos(phi_p)) / dt
-    mu_p = StructuralParams.simo(phi_p, math.pi / 2, dnu)
+    mu_p = StructuralParams(phi_p, math.pi / 2, dnu)
     assert abs(ambiguity_value(arr, seq, BROADSIDE, mu_p)) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -59,12 +59,12 @@ def test_magnitude_bounded_and_symmetric(rng):
     arr = make_octagonal(8, 2, 2, patch_exponent=2.0)
     seq = random_init(arr.num_elements, 1e-4, 1, rng)
     for _ in range(50):
-        mu = StructuralParams.simo(rng.uniform(0, 2 * math.pi),
-                                   rng.uniform(0.3, math.pi - 0.3),
-                                   rng.uniform(-2e3, 2e3))
-        mu_p = StructuralParams.simo(rng.uniform(0, 2 * math.pi),
-                                     rng.uniform(0.3, math.pi - 0.3),
-                                     rng.uniform(-2e3, 2e3))
+        mu = StructuralParams(rng.uniform(0, 2 * math.pi),
+                              rng.uniform(0.3, math.pi - 0.3),
+                              rng.uniform(-2e3, 2e3))
+        mu_p = StructuralParams(rng.uniform(0, 2 * math.pi),
+                                rng.uniform(0.3, math.pi - 0.3),
+                                rng.uniform(-2e3, 2e3))
         x = ambiguity_value(arr, seq, mu, mu_p)
         assert abs(x) <= 1.0 + 1e-12
         assert abs(abs(x) - abs(ambiguity_value(arr, seq, mu_p, mu))) < 1e-12
@@ -73,7 +73,7 @@ def test_magnitude_bounded_and_symmetric(rng):
 def test_degenerate_direction_raises():
     arr = single_panel_array()
     seq = sequential(4, 1e-3)
-    behind = StructuralParams.simo(math.pi, math.pi / 2, 0.0)
+    behind = StructuralParams(math.pi, math.pi / 2, 0.0)
     with pytest.raises(DegenerateDirectionError):
         ambiguity_value(arr, seq, BROADSIDE, behind)
 
@@ -81,9 +81,9 @@ def test_degenerate_direction_raises():
 def test_time_shift_invariance(rng):
     arr = make_ula(8, 0.5, 1.0)
     seq = sequential(8, 1e-3)
-    eta = seq.eta(centered=False)
-    mu = StructuralParams.simo(1.0, 1.3, 0.0)
-    mu_p = StructuralParams.simo(1.4, 1.1, 432.1)
+    eta = seq.eta()
+    mu = StructuralParams(1.0, 1.3, 0.0)
+    mu_p = StructuralParams(1.4, 1.1, 432.1)
     x0 = normalized_correlation(basis_from_eta(arr, eta, mu),
                                 basis_from_eta(arr, eta, mu_p))
     for shift in rng.uniform(-1.0, 1.0, 5):
@@ -101,9 +101,9 @@ def test_objective_matches_bruteforce_per_sample_values():
     assert ev.degenerate_count == 0
     total = 0.0
     for i in range(cfg.samples):
-        mu = StructuralParams.simo(ev.azimuth[i], ev.elevation[i], 0.0)
-        mu_p = StructuralParams.simo(ev.azimuth_prime[i], ev.elevation_prime[i],
-                                     ev.delta_doppler[i])
+        mu = StructuralParams(ev.azimuth[i], ev.elevation[i], 0.0)
+        mu_p = StructuralParams(ev.azimuth_prime[i], ev.elevation_prime[i],
+                                ev.delta_doppler[i])
         total += abs(ambiguity_value(arr, seq, mu, mu_p)) ** cfg.power
     brute = ev.volume * total / cfg.samples
     assert ev.evaluate(seq) == pytest.approx(brute, rel=1e-10)
@@ -117,9 +117,9 @@ def test_objective_matches_bruteforce_with_snapshots():
     ev = ObjectiveEvaluator(arr, region, cfg, seq.delta_t, seq.snapshots)
     total = 0.0
     for i in range(cfg.samples):
-        mu = StructuralParams.simo(ev.azimuth[i], ev.elevation[i], 0.0)
-        mu_p = StructuralParams.simo(ev.azimuth_prime[i], ev.elevation_prime[i],
-                                     ev.delta_doppler[i])
+        mu = StructuralParams(ev.azimuth[i], ev.elevation[i], 0.0)
+        mu_p = StructuralParams(ev.azimuth_prime[i], ev.elevation_prime[i],
+                                ev.delta_doppler[i])
         total += abs(ambiguity_value(arr, seq, mu, mu_p)) ** cfg.power
     brute = ev.volume * total / cfg.samples
     assert ev.evaluate(seq) == pytest.approx(brute, rel=1e-10)
@@ -377,6 +377,31 @@ def test_surface_peak_and_bounds():
     assert np.all(surf.magnitude <= 1.0 + 1e-12)
     assert np.all(surf.magnitude_db >= -100.0 - 1e-9)
     assert surf.magnitude_db[a0, d0] == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("snapshots", [1, 2, 3])
+@pytest.mark.parametrize("axis", ["eoa", "aoa"])
+@pytest.mark.parametrize("array_name", ["ula", "octagon"])
+def test_surface_matches_ambiguity_value_oracle(array_name, axis, snapshots):
+    # every cell against the two-basis inner product, at a reference with a
+    # non-zero Doppler and random sequences of several snapshots
+    arr = (make_ula(8, 0.5, 1.0) if array_name == "ula"
+           else make_octagonal(8, 2, 2, patch_exponent=2.0))
+    seq = random_init(arr.num_elements, 1e-4, snapshots,
+                      np.random.default_rng(snapshots))
+    mu = StructuralParams(0.3, 1.4, 37.0)
+    dop = np.linspace(-3000.0, 3000.0, 13)
+    ang = np.arange(-20.0, 20.5, 5.0)
+    surf = ambiguity_surface(arr, seq, mu, dop, ang, axis)
+    offsets = np.radians(ang)
+    directions = ([(mu.rx_azimuth, mu.rx_elevation + o) for o in offsets]
+                  if axis == "eoa" else
+                  [((mu.rx_azimuth + o) % (2 * math.pi), mu.rx_elevation)
+                   for o in offsets])
+    oracle = [[abs(ambiguity_value(arr, seq, mu,
+                                   StructuralParams(az, el, mu.doppler_hz + d)))
+               for d in dop] for az, el in directions]
+    np.testing.assert_allclose(surf.magnitude, oracle, rtol=0, atol=1e-12)
 
 
 def test_surface_rejects_bad_grids():

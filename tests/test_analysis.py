@@ -13,7 +13,7 @@ from switchseq import (AmbiguitySurface, Direction, GridTooNarrowError,
                        peak_sidelobe, random_init, sequential)
 from switchseq.analysis import _max3x3
 
-BROADSIDE = StructuralParams.simo(math.pi / 2, math.pi / 2, 0.0)
+BROADSIDE = StructuralParams(math.pi / 2, math.pi / 2, 0.0)
 
 
 def dirichlet_half_power_width_hz(m: int, dt: float) -> float:
@@ -202,7 +202,7 @@ def test_alias_scan_psl_shift_invariance(rng):
 def test_compare_schemes_identical_sequences_ratio_one(rng):
     arr = make_octagonal(4, 2, 2, patch_exponent=2.0)
     seq = sequential(16, 1e-4, partition=arr.partition)
-    mu = StructuralParams.simo(math.pi / 2, math.pi / 2, 0.0)
+    mu = StructuralParams(math.pi / 2, math.pi / 2, 0.0)
     dop = np.arange(-4000.0, 4000.0 + 10.0, 25.0)
     ang = np.arange(-80.0, 80.0 + 1.0, 2.0)
     report = compare_schemes(arr, {"random": seq, "hybrid": seq}, mu, dop, ang,
@@ -221,7 +221,7 @@ def test_compare_schemes_requires_consistent_sequences(rng):
     arr = make_octagonal(4, 2, 2, patch_exponent=2.0)
     a = sequential(16, 1e-4)
     b = sequential(16, 2e-4)
-    mu = StructuralParams.simo(math.pi / 4, math.pi / 2, 0.0)
+    mu = StructuralParams(math.pi / 4, math.pi / 2, 0.0)
     with pytest.raises(ValueError):
         compare_schemes(arr, {"random": a, "hybrid": b}, mu,
                         np.array([0.0, 1.0]), np.array([0.0, 1.0]))

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from switchseq import (ArrayModel, Direction, OmniPattern, PatchPattern,
-                       Polarization, TabulatedPattern, effective_elements,
-                       make_octagonal, make_ula, steering_matrix,
-                       steering_vector)
-from switchseq.arrays import attach_patterns, load_pattern_file
+                       TabulatedPattern, effective_elements, make_octagonal,
+                       make_ula, steering_matrix)
+from switchseq.arrays import attach_patterns, load_pattern_file, unit_vectors
 
 BROADSIDE = Direction(math.pi / 2, math.pi / 2)
 
@@ -35,14 +34,14 @@ def test_ula_rejects_bad_args():
 
 def test_steering_broadside_all_ones():
     arr = make_ula(8, 0.5, 1.0)
-    v = steering_vector(arr, BROADSIDE)
+    v = steering_matrix(arr, math.pi / 2, math.pi / 2)
     assert np.allclose(v, np.ones(8), atol=1e-12)
 
 
 def test_steering_two_element_endfire_phases():
     # mu_phi = pi at phi=0 for half-wavelength spacing; centered exponents
     arr = make_ula(2, 0.5, 1.0)
-    v = steering_vector(arr, Direction(0.0, math.pi / 2))
+    v = steering_matrix(arr, 0.0, math.pi / 2)
     assert np.allclose(v, [np.exp(-1j * math.pi / 2), np.exp(1j * math.pi / 2)],
                        atol=1e-12)
 
@@ -52,7 +51,7 @@ def test_steering_magnitude_equals_gain():
     rng = np.random.default_rng(3)
     for _ in range(20):
         d = Direction(rng.uniform(0, 2 * math.pi), rng.uniform(0.1, math.pi - 0.1))
-        v = steering_vector(arr, d)
+        v = steering_matrix(arr, d.azimuth, d.elevation)
         g = arr.gain_matrix(d.azimuth, d.elevation)
         assert np.allclose(np.abs(v), np.abs(g), atol=1e-12)
 
@@ -67,7 +66,7 @@ def test_steering_azimuth_periodicity():
 
 def test_centered_ula_conjugate_symmetry():
     arr = make_ula(6, 0.5, 1.0)
-    v = steering_vector(arr, Direction(0.7, math.pi / 2))
+    v = steering_matrix(arr, 0.7, math.pi / 2)
     assert np.allclose(v, np.conj(v[::-1]), atol=1e-12)
 
 
@@ -89,7 +88,7 @@ def test_octagonal_counts_generalize():
 
 def test_octagonal_back_panels_have_zero_gain():
     arr = make_octagonal(patch_exponent=2.0)
-    v = steering_vector(arr, Direction(0.0, math.pi / 2))
+    v = steering_matrix(arr, 0.0, math.pi / 2)
     # panel 4 faces away from azimuth 0
     back = arr.partition[4]
     assert np.allclose(np.abs(v[list(back)]), 0.0)
@@ -137,7 +136,7 @@ def test_direction_validation():
         Direction(-0.1, 1.0)
     with pytest.raises(ValueError):
         Direction(0.0, 3.5)
-    u = Direction(0.0, math.pi / 2).unit_vector()
+    u = unit_vectors(0.0, math.pi / 2)
     assert np.allclose(u, [1.0, 0.0, 0.0], atol=1e-12)
 
 
@@ -221,6 +220,21 @@ def test_pattern_file_rejects_incomplete_grid(tmp_path):
         load_pattern_file(f)
 
 
+def test_pattern_file_pol_must_be_v_or_h(tmp_path):
+    def pattern_file(pol):
+        lines = ["element,pol,azimuth_deg,elevation_deg,re,im"]
+        lines += [f"0,{p},{a},{e},1.0,0.0" for p in ("V", pol)
+                  for a in (0.0, 90.0) for e in (45.0, 90.0)]
+        f = tmp_path / f"pol_{pol}.csv"
+        f.write_text("\n".join(lines) + "\n")
+        return f
+
+    assert set(load_pattern_file(pattern_file(" h"))) == {(0, "V"), (0, "H")}
+    for pol in ("X", "", "VH"):
+        with pytest.raises(ValueError, match="V or H"):
+            load_pattern_file(pattern_file(pol))
+
+
 def test_array_model_validation():
     with pytest.raises(ValueError):
         ArrayModel(np.zeros((0, 3)), (), 1.0)
@@ -234,7 +248,3 @@ def test_array_positions_immutable():
     arr = make_ula(4, 0.5, 1.0)
     with pytest.raises(ValueError):
         arr.positions[0, 0] = 1.0
-
-
-def test_polarization_default_vertical():
-    assert OmniPattern().polarization is Polarization.V

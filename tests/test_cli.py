@@ -565,9 +565,14 @@ SEQUENCE_8 = {"M": 8, "delta_t_s": 1e-3, "snapshots": 1, "order": list(range(8))
     json.dumps(dict(SEQUENCE_8, partition=[[0, 2], [1, 3, 4, 5, 6, 7]])),
     json.dumps(dict(SEQUENCE_8, delta_t_s=float("inf"))),
     "[" * 100000 + "]" * 100000,
+    # parsed, but over the config's timing checks: the Doppler phases
+    # overflow a float, and the surface arrays exceed the memory budget
+    json.dumps(dict(SEQUENCE_8, delta_t_s=1e306)),
+    json.dumps(dict(SEQUENCE_8, snapshots=10 ** 9)),
 ], ids=["not-json", "no-order", "top-level-list", "not-permutation",
         "delta-t-string", "partition-not-contiguous", "delta-t-infinity",
-        "nested-past-recursion-limit"])
+        "nested-past-recursion-limit", "delta-t-overflow",
+        "snapshots-over-budget"])
 def test_ambiguity_bad_sequence_file_exits_2(tmp_path, capsys, content):
     cfg = ula_config()
     cfg["array"]["elements"] = 8  # matches the file, so only its content is bad
@@ -582,6 +587,7 @@ def test_ambiguity_bad_sequence_file_exits_2(tmp_path, capsys, content):
     error = json.loads(line)["error"]
     assert error["type"] == "config"
     assert "--sequence" in error["message"]
+    assert not (tmp_path / "out" / "surface.csv").exists()
 
 
 def test_ambiguity_sequence_array_mismatch(tmp_path):

@@ -38,7 +38,7 @@ def test_crlb_aoa_sequence_independent():
 
 
 def test_crlb_doppler_time_scaling():
-    eta = sequential(16, 1e-3).eta(centered=True)
+    eta = sequential(16, 1e-3).eta()
     base = crlb_doppler(eta, 1.0, SIGMA)
     assert crlb_doppler(3.0 * eta, 1.0, SIGMA) == pytest.approx(base / 9.0)
 
@@ -50,7 +50,7 @@ def test_crlb_doppler_zero_norm():
 
 def test_crlb_doppler_monotone_in_measurement_time():
     # more slots -> larger ||eta|| -> smaller bound
-    bounds = [crlb_doppler(sequential(m, 1e-3).eta(centered=True), 1.0, SIGMA)
+    bounds = [crlb_doppler(sequential(m, 1e-3).eta(), 1.0, SIGMA)
               for m in (16, 32, 64, 128)]
     assert all(a > b for a, b in zip(bounds, bounds[1:]))
 
@@ -63,7 +63,7 @@ def test_closed_forms_match_numeric_for_balanced_sequence():
     res = fim_numeric(arr, seq, PARAMS, SIGMA)
     assert res.off_diag_ratio < 1e-4
     cf_phi = crlb_aoa(8, 0.5, 1.0, PARAMS.azimuth, PARAMS.amplitude, SIGMA)
-    cf_nu = crlb_doppler(seq.eta(centered=True), PARAMS.amplitude, SIGMA)
+    cf_nu = crlb_doppler(seq.eta(), PARAMS.amplitude, SIGMA)
     assert res.var_phi == pytest.approx(cf_phi, rel=5e-3)
     assert res.var_nu == pytest.approx(cf_nu, rel=5e-3)
 
@@ -76,7 +76,7 @@ def test_sequential_fim_entries_match_closed_forms():
     arr = make_ula(m, 0.5, 1.0)
     fim = fim_matrix(arr, seq, PARAMS, SIGMA)
     cf_phi = crlb_aoa(m, 0.5, 1.0, PARAMS.azimuth, PARAMS.amplitude, SIGMA)
-    cf_nu = crlb_doppler(seq.eta(centered=True), PARAMS.amplitude, SIGMA)
+    cf_nu = crlb_doppler(seq.eta(), PARAMS.amplitude, SIGMA)
     assert 1.0 / fim[0, 0] == pytest.approx(cf_phi, rel=5e-3)
     assert 1.0 / fim[1, 1] == pytest.approx(cf_nu, rel=5e-3)
 
@@ -154,12 +154,3 @@ def test_balance_score_helper():
 def test_param_vector_validation():
     with pytest.raises(ValueError):
         ParamVector(0.0, 0.0, 0.0, 0.0)
-
-
-def test_crlb_result_to_dict():
-    arr = make_ula(8, 0.5, 1.0)
-    res = fim_numeric(arr, balanced_sequence(8, 1e-4), PARAMS, SIGMA)
-    d = res.to_dict()
-    assert set(d) == {"var_phi", "var_nu", "var_r", "var_psi",
-                      "off_diag_ratio", "fim"}
-    assert len(d["fim"]) == 4

@@ -26,12 +26,12 @@ def test_sequential_is_identity():
 
 
 def test_sequential_eta_centered_small():
-    eta = sequential(3, 1e-3).eta(centered=True)
+    eta = sequential(3, 1e-3).eta()
     assert np.allclose(eta, [-1e-3, 0.0, 1e-3])
 
 
 def test_sequential_eta_span_m128():
-    eta = sequential(128, 1e-3).eta(centered=True)
+    eta = sequential(128, 1e-3).eta()
     assert eta.min() == pytest.approx(-63.5e-3)
     assert eta.max() == pytest.approx(63.5e-3)
 
@@ -39,20 +39,22 @@ def test_sequential_eta_span_m128():
 def test_eta_centered_sums_to_zero(rng):
     for _ in range(10):
         seq = random_init(17, 2e-4, 1, rng)
-        assert abs(seq.eta(centered=True).sum()) < 1e-15
+        assert abs(seq.eta().sum()) < 1e-15
 
 
 def test_eta_uncentered_are_slot_times():
     seq = SwitchingSequence((2, 0, 1), 1e-3)
-    # antenna 2 fires in slot 0, antenna 0 in slot 1, antenna 1 in slot 2
-    assert np.allclose(seq.eta(centered=False), [1e-3, 2e-3, 0.0])
+    # antenna 2 fires in slot 0, antenna 0 in slot 1, antenna 1 in slot 2;
+    # shifted to start at 0 the instants are the slot times
+    eta = seq.eta()
+    assert np.allclose(eta - eta.min(), [1e-3, 2e-3, 0.0])
 
 
 def test_eta_snapshots_append_period_offsets():
     seq = SwitchingSequence((1, 0), 1e-3, snapshots=2)
-    eta = seq.eta(centered=False)
-    assert np.allclose(eta, [1e-3, 0.0, 3e-3, 2e-3])
-    assert abs(seq.eta(centered=True).sum()) < 1e-15
+    eta = seq.eta()
+    assert np.allclose(eta - eta.min(), [1e-3, 0.0, 3e-3, 2e-3])
+    assert abs(eta.sum()) < 1e-15
 
 
 def test_random_init_golden_value():
@@ -174,17 +176,16 @@ def test_effective_subset_norm_inequality():
         r = np.random.default_rng(seed)
         hyb = hybrid_init(128, 1e-4, 1, PARTITION_8x16, r)
         rand = random_init(128, 1e-4, 1, r)
-        sub = np.linalg.norm(eta_subset(hyb, PARTITION_8x16[0], centered=True))
-        full = np.linalg.norm(rand.eta(centered=True))
+        sub = np.linalg.norm(eta_subset(hyb, PARTITION_8x16[0]))
+        full = np.linalg.norm(rand.eta())
         assert sub <= full
 
 
 def test_eta_subset_centering():
     seq = sequential(8, 1e-3)
-    sub = eta_subset(seq, (2, 3, 4), centered=True)
+    sub = eta_subset(seq, (2, 3, 4))
     assert abs(sub.sum()) < 1e-15
-    raw = eta_subset(seq, (2, 3, 4), centered=False)
-    assert np.allclose(raw, [2e-3, 3e-3, 4e-3])
+    assert np.allclose(sub, [-1e-3, 0.0, 1e-3])
 
 
 def test_json_roundtrip_bit_exact(tmp_path, rng):
