@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
 from dataclasses import replace
@@ -28,9 +27,8 @@ from .ambiguity import (DegenerateDirectionError, ObjectiveEvaluator,
 from .analysis import GridTooNarrowError, compare_schemes
 from .anneal import AnnealError, anneal, save_trace_csv
 from .arrays import effective_elements
-from .config import (ConfigError, ExperimentConfig, check_seed, check_timing,
-                     require_swaps)
-from .crlb import (EndfireSingularityError, ParamVector, SingularFIMError,
+from .config import ConfigError, ExperimentConfig, check_seed, require_swaps
+from .crlb import (EndfireSingularityError, SingularFIMError,
                    UnobservableDopplerError, crlb_aoa, crlb_doppler, fim_numeric)
 from .switching import SwitchingSequence
 
@@ -105,15 +103,14 @@ def cmd_ambiguity(config: ExperimentConfig, out_dir: Path, seed: int,
                 RecursionError) as exc:
             raise ConfigError(f"--sequence: {path}: {exc!r}") from exc
         seq_hash = hashlib.sha256(data).hexdigest()
-        if seq.num_elements != array.num_elements:
+        # the file gives the order and partition; the config sets the timing
+        spec = config.sequence_spec
+        timing = (seq.num_elements, seq.delta_t, seq.snapshots)
+        expected = (array.num_elements, spec["delta_t_s"], spec["snapshots"])
+        if timing != expected:
             raise ConfigError(
-                f"sequence has {seq.num_elements} elements, array has "
-                f"{array.num_elements}"
-            )
-        # the config's timing checks, on the file's timing
-        nu = abs(config.reference.doppler_hz) + float(np.abs(doppler).max())
-        check_timing("--sequence", seq.num_elements, seq.snapshots,
-                     seq.delta_t, angles.size, doppler.size, nu)
+                f"--sequence: {path}: M, delta_t_s and snapshots {timing} "
+                f"differ from the config's {expected}")
     else:
         seq = config.build_sequence(config.sequence_spec["scheme"],
                                     np.random.default_rng(seed))
@@ -135,21 +132,14 @@ def cmd_crlb(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str]:
     seq = config.build_sequence(config.sequence_spec["scheme"],
                                 np.random.default_rng(seed))
     spec = config.crlb_spec
-    params = ParamVector(
-        azimuth=math.radians(spec["azimuth_deg"]),
-        doppler_hz=spec["doppler_hz"],
-        amplitude=spec["amplitude"],
-        phase=spec["phase"],
-    )
-    sigma = spec["noise_sigma"]
+    params, elevation, sigma = config.crlb
     wavelength = array.wavelength
     spacing = config.array_spec["spacing_wavelengths"] * wavelength
 
     closed_phi = crlb_aoa(array.num_elements, spacing, wavelength,
                           params.azimuth, params.amplitude, sigma)
     closed_nu = crlb_doppler(seq.eta(), params.amplitude, sigma)
-    numeric = fim_numeric(array, seq, params, sigma,
-                          elevation=math.radians(spec["elevation_deg"]))
+    numeric = fim_numeric(array, seq, params, sigma, elevation=elevation)
 
     # the closed forms are reciprocal-diagonal bounds, so the oracle check
     # compares against 1/F_ii; the full-inverse variances are reported too,
@@ -207,11 +197,11 @@ def cmd_compare(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str]
             init, replace(config.anneal, update=update), evaluator, rng)
 
     doppler, angles, axis = config.sweep
+    params, _, sigma = config.crlb
     report = compare_schemes(
         array, sequences, config.reference, doppler, angles, axis,
         threshold_db=config.effective_threshold_db,
-        amplitude=config.crlb_spec["amplitude"],
-        noise_sigma=config.crlb_spec["noise_sigma"],
+        amplitude=params.amplitude, noise_sigma=sigma,
     )
 
     outputs = []
@@ -291,7 +281,11 @@ def main(argv=None) -> int:
         config = ExperimentConfig.from_file(args.config)
         seed = config.seed if args.seed is None else check_seed(args.seed, "--seed")
         out_dir = Path(args.out or config.output_dir or ".")
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            source = "--out" if args.out else "config.output_dir"
+            raise ConfigError(f"{source}: {exc}") from exc
         command = {"optimize": cmd_optimize, "ambiguity": cmd_ambiguity,
                    "crlb": cmd_crlb, "compare": cmd_compare,
                    "effective-factor": cmd_effective_factor}[args.command]

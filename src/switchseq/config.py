@@ -3,9 +3,10 @@ fail-closed (unknown keys are rejected) so typos cannot silently change a
 scientific run.
 
 Loading builds every run object once (array, region, objective and anneal
-settings, reference parameters, sweep grids) through the domain
+settings, reference and crlb parameters, sweep grids) through the domain
 constructors, so their checks are the config's checks: any error they
-raise becomes a ConfigError that names the field.
+raise becomes a ConfigError that names the field. The config alone sets a
+run's timing (element count, slot duration, snapshots).
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ import numpy as np
 
 from .ambiguity import ObjectiveConfig, Region, sweep_directions
 from .anneal import AnnealConfig
-from .arrays import (ArrayModel, attach_patterns, load_pattern_file, make_octagonal,
-                     make_ula, SPEED_OF_LIGHT)
+from .arrays import (ArrayModel, Direction, attach_patterns, load_pattern_file,
+                     make_octagonal, make_ula, SPEED_OF_LIGHT)
+from .crlb import ParamVector
 from .signal import StructuralParams
 from .switching import (SwitchingSequence, hybrid_init, random_init, sequential,
                         swap_sets)
@@ -109,24 +111,6 @@ def _grid(path: str, span: float, step: float) -> np.ndarray:
     return _field(path, np.arange, -span, span + step / 2, step)
 
 
-def check_timing(path: str, m: int, snapshots: int, delta_t: float,
-                 angles: float, dopplers: float, nu: float) -> None:
-    """Refuse, before anything is allocated, the timing of a run (snapshots
-    x m slots of delta_t) whose surface arrays over angles x dopplers sweep
-    points, (angles, rows), (rows, dopplers) and (angles, dopplers) with a
-    row per element and snapshot, exceed the memory budget, or whose
-    instants or Doppler phases 2*pi*nu*t overflow a float. path names the
-    source of snapshots and delta_t_s in the messages."""
-    rows = m * snapshots
-    fields = f"{path}.snapshots and config.sweep"
-    _check_budget(fields, angles, rows)
-    _check_budget(fields, dopplers, max(rows, angles))
-    instants = rows * delta_t
-    if not (math.isfinite(instants) and math.isfinite(2 * math.pi * nu * instants)):
-        raise ConfigError(f"{path}.delta_t_s: the run's Doppler phases "
-                          "overflow a float")
-
-
 def check_seed(value, path: str) -> int:
     """A seed is a non-negative integer; there is no wall-clock default."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
@@ -146,7 +130,8 @@ class ExperimentConfig:
     """Fully resolved experiment settings and the run objects built from them.
 
     anneal holds the anneal section's settings, or the AnnealConfig defaults
-    (k_max 200, automatic t0/alpha) when the section is absent.
+    (k_max 200, automatic t0/alpha) when the section is absent. crlb holds
+    the crlb section's parameters, elevation in radians and noise sigma.
     """
 
     raw: dict
@@ -164,6 +149,7 @@ class ExperimentConfig:
     anneal: AnnealConfig
     reference: StructuralParams
     sweep: tuple[np.ndarray, np.ndarray, str]
+    crlb: tuple[ParamVector, float, float]
 
     # ---- constructors -------------------------------------------------
 
@@ -287,13 +273,30 @@ class ExperimentConfig:
             "phase": 0.0,
             "noise_sigma": 0.1,
         }, "config.crlb")
-        # a run's Doppler reaches the region bound, the swept Doppler or
-        # the crlb Doppler
-        nu = max(region.doppler_bound, abs(crlb_spec["doppler_hz"]),
+        params = _field("config.crlb", ParamVector,
+                        math.radians(crlb_spec["azimuth_deg"]), crlb_spec["doppler_hz"],
+                        crlb_spec["amplitude"], crlb_spec["phase"])
+        elevation = math.radians(crlb_spec["elevation_deg"])
+        _field("config.crlb.elevation_deg", Direction,
+               params.azimuth % (2 * math.pi), elevation)
+        crlb = (params, elevation,
+                _positive(crlb_spec["noise_sigma"], "config.crlb.noise_sigma"))
+
+        # the run's timing, snapshots x M slots of delta_t: its surface
+        # arrays, a row per element and snapshot, stay in the memory budget,
+        # and its Doppler phases 2*pi*nu*t, at the region bound, the swept
+        # or the crlb Doppler, must not overflow a float
+        rows = array.num_elements * sequence_spec["snapshots"]
+        angle_count = 2 * a_span / a_step + 1
+        fields = "config.sequence.snapshots and config.sweep"
+        _check_budget(fields, angle_count, rows)
+        _check_budget(fields, 2 * d_span / d_step + 1, max(rows, angle_count))
+        nu = max(region.doppler_bound, abs(params.doppler_hz),
                  abs(reference.doppler_hz) + d_span)
-        check_timing("config.sequence", array.num_elements,
-                     sequence_spec["snapshots"], delta_t,
-                     2 * a_span / a_step + 1, 2 * d_span / d_step + 1, nu)
+        instants = rows * delta_t
+        if not (math.isfinite(instants) and math.isfinite(2 * math.pi * nu * instants)):
+            raise ConfigError("config.sequence.delta_t_s: the run's Doppler "
+                              "phases overflow a float")
         angles = _grid("config.sweep.angle_span_deg", a_span, a_step)
         _field("config.sweep.angle_span_deg", sweep_directions, reference,
                angles, axis)
@@ -318,6 +321,7 @@ class ExperimentConfig:
             anneal=anneal,
             reference=reference,
             sweep=sweep,
+            crlb=crlb,
         )
 
     @staticmethod

@@ -9,11 +9,19 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
+
+
+def _index(value) -> int:
+    """An integer as such: a fraction or a boolean is refused, not truncated."""
+    if isinstance(value, bool):
+        raise TypeError("an index must be an integer, not true/false")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -32,16 +40,16 @@ class SwitchingSequence:
     partition: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
-        order = tuple(int(x) for x in self.order)
+        order = tuple(map(_index, self.order))
         if sorted(order) != list(range(len(order))):
             raise ValueError("order must be a permutation of 0..M-1")
-        if not 0 < self.delta_t < math.inf:
+        if isinstance(self.delta_t, bool) or not 0 < self.delta_t < math.inf:
             raise ValueError("delta_t must be positive and finite")
-        if self.snapshots < 1:
+        if _index(self.snapshots) < 1:
             raise ValueError("snapshots must be >= 1")
         object.__setattr__(self, "order", order)
         if self.partition is not None:
-            part = tuple(tuple(int(i) for i in s) for s in self.partition)
+            part = tuple(tuple(map(_index, s)) for s in self.partition)
             covered = [i for subset in part for i in subset]
             if sorted(covered) != list(range(len(order))):
                 raise ValueError("partition subsets must be disjoint and cover 0..M-1")
@@ -89,13 +97,13 @@ class SwitchingSequence:
     @classmethod
     def from_dict(cls, d: dict) -> "SwitchingSequence":
         order = d["order"]
-        if d.get("M") is not None and int(d["M"]) != len(order):
+        if d.get("M") is not None and d["M"] != len(order):
             raise ValueError("M field disagrees with order length")
         partition = d.get("partition")
         return cls(
             order=tuple(order),
-            delta_t=float(d["delta_t_s"]),
-            snapshots=int(d.get("snapshots", 1)),
+            delta_t=d["delta_t_s"],
+            snapshots=d.get("snapshots", 1),
             partition=tuple(tuple(s) for s in partition) if partition else None,
         )
 

@@ -11,10 +11,11 @@ from switchseq import SwitchingSequence
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def readme_block(section: str, language: str) -> str:
-    """First fenced code block of the language under a README heading."""
+def readme_block(section: str, language: str, index: int = 0) -> str:
+    """Fenced code block number index (from 0) of the language under a
+    README heading."""
     text = README.read_text().split(f"\n## {section}\n", 1)[1]
-    return text.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+    return text.split(f"```{language}\n")[index + 1].split("```", 1)[0]
 
 
 def balance_score(order: tuple[int, ...]) -> float:

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -177,6 +178,12 @@ def test_cli_exit_code_for_config_error(tmp_path, capsys):
     ("crlb", "sequence", "delta_t_s", float("inf")),
     ("crlb", "sequence", "delta_t_s", 1e308),
     ("optimize", "sequence", "delta_t_s", 1e308),
+    # the crlb section is built at load, so every command refuses it
+    ("crlb", "crlb", "amplitude", 0),
+    ("crlb", "crlb", "noise_sigma", 0),
+    ("crlb", "crlb", "elevation_deg", 500),
+    ("compare", "crlb", "noise_sigma", -1),
+    ("compare", "crlb", "amplitude", 0),
 ])
 def test_cli_bad_field_exits_2_with_one_json_line(tmp_path, capsys, command,
                                                   section, key, value):
@@ -427,7 +434,7 @@ def small_sweep_config(base):
 # the pool stays small, so no mutation can ask for a huge allocation
 MUTABLE_FIELDS = [(None, key) for key in (
     "version", "seed", "array", "sequence", "anneal", "region", "objective",
-    "reference", "sweep", "effective_threshold_db", "output_dir")] + [
+    "reference", "sweep", "crlb", "effective_threshold_db", "output_dir")] + [
     (section, key) for section, keys in {
         "array": ("kind", "elements", "panels", "rows", "cols",
                   "spacing_wavelengths", "radius_m", "carrier_hz",
@@ -439,6 +446,8 @@ MUTABLE_FIELDS = [(None, key) for key in (
         "reference": ("azimuth_deg", "elevation_deg", "doppler_hz"),
         "sweep": ("doppler_span_hz", "doppler_step_hz", "angle_span_deg",
                   "angle_step_deg", "angle_axis"),
+        "crlb": ("azimuth_deg", "elevation_deg", "doppler_hz", "amplitude",
+                 "phase", "noise_sigma"),
     }.items() for key in keys]
 MUTATION_VALUES = [-1, 0, 0.5, 1, 2, 3, "abc", True, None, [], {},
                    float("nan"), float("inf"), -float("inf")]
@@ -565,13 +574,20 @@ SEQUENCE_8 = {"M": 8, "delta_t_s": 1e-3, "snapshots": 1, "order": list(range(8))
     json.dumps(dict(SEQUENCE_8, partition=[[0, 2], [1, 3, 4, 5, 6, 7]])),
     json.dumps(dict(SEQUENCE_8, delta_t_s=float("inf"))),
     "[" * 100000 + "]" * 100000,
-    # parsed, but over the config's timing checks: the Doppler phases
-    # overflow a float, and the surface arrays exceed the memory budget
+    # a fraction or a boolean is refused, not truncated to an integer
+    json.dumps(dict(SEQUENCE_8, order=[0.9, *range(1, 8)])),
+    json.dumps(dict(SEQUENCE_8, snapshots=1.5)),
+    json.dumps(dict(SEQUENCE_8, snapshots=True)),
+    # parsed, but the config sets the timing: a file whose timing differs
+    # from it is refused, including timing whose Doppler phases would
+    # overflow a float or whose surface arrays would exceed the budget
+    json.dumps(dict(SEQUENCE_8, delta_t_s=5e-4, snapshots=3)),
     json.dumps(dict(SEQUENCE_8, delta_t_s=1e306)),
     json.dumps(dict(SEQUENCE_8, snapshots=10 ** 9)),
 ], ids=["not-json", "no-order", "top-level-list", "not-permutation",
         "delta-t-string", "partition-not-contiguous", "delta-t-infinity",
-        "nested-past-recursion-limit", "delta-t-overflow",
+        "nested-past-recursion-limit", "order-fraction", "snapshots-fraction",
+        "snapshots-true", "timing-differs-from-config", "delta-t-overflow",
         "snapshots-over-budget"])
 def test_ambiguity_bad_sequence_file_exits_2(tmp_path, capsys, content):
     cfg = ula_config()
@@ -598,6 +614,42 @@ def test_ambiguity_sequence_array_mismatch(tmp_path):
     rc = main(["ambiguity", "--config", write_config(tmp_path, ula_config()),
                "--out", str(tmp_path / "y"), "--sequence", str(seq_path)])
     assert rc == 2
+
+
+def test_unusable_output_directory_exits_2(tmp_path, capsys):
+    # --out names an existing file; config.output_dir lies under a file
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    config = write_config(tmp_path, ula_config())
+    nested = write_config(tmp_path, ula_config(output_dir=str(blocker / "out")),
+                          "nested.json")
+    for argv, source in (
+            (["--config", config, "--out", str(blocker)], "--out"),
+            (["--config", nested], "config.output_dir")):
+        assert main(["effective-factor", *argv]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        error = json.loads(line)["error"]
+        assert error["type"] == "config"
+        assert error["message"].startswith(source + ":")
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
+    # the README's two config blocks under the names its commands read, and
+    # every switchseq command of its two shell blocks run through main
+    monkeypatch.chdir(tmp_path)
+    for index, name in enumerate(("config.json", "config_ula.json")):
+        (tmp_path / name).write_text(readme_block("CLI quick start", "json", index))
+    commands = [shlex.split(line) for index in (0, 1) for line in
+                readme_block("CLI quick start", "sh", index)
+                .replace("\\\n", " ").splitlines()]
+    assert [argv[:2] for argv in commands] == [
+        ["switchseq", name] for name in ("optimize", "ambiguity", "compare",
+                                         "effective-factor", "crlb")]
+    assert "--sequence" in commands[1]
+    for argv in commands:
+        assert main(argv[1:]) == 0, capsys.readouterr().err
+    report = json.loads((tmp_path / "runs/crlb/crlb_report.json").read_text())
+    assert report["agreement"]["within_1pct"] is True
 
 
 # ---- crlb --------------------------------------------------------------

@@ -218,3 +218,18 @@ def test_from_dict_checks_m_field():
     with pytest.raises(ValueError):
         SwitchingSequence.from_dict({"M": 3, "delta_t_s": 1e-3,
                                      "snapshots": 1, "order": [0, 1]})
+
+
+def test_sequence_refuses_fractions_and_booleans():
+    # an index is taken as it is, never truncated; numpy integers pass
+    doc = {"M": 3, "delta_t_s": 1e-3, "snapshots": 2, "order": [2, 0, 1],
+           "partition": [[0, 1], [2]]}
+    seq = SwitchingSequence.from_dict(doc)
+    assert seq.order == (2, 0, 1) and seq.snapshots == 2
+    assert SwitchingSequence(tuple(np.arange(3)), 1e-3).order == (0, 1, 2)
+    for key, value in (("order", [0.9, 1, 2]), ("order", [True, 0, 2]),
+                       ("snapshots", 2.7), ("snapshots", True),
+                       ("partition", [[0, 1.0], [2]]), ("delta_t_s", True),
+                       ("M", 3.5)):
+        with pytest.raises((TypeError, ValueError)):
+            SwitchingSequence.from_dict(dict(doc, **{key: value}))
