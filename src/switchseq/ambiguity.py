@@ -5,7 +5,8 @@ The objective is evaluated with a fixed low-discrepancy point set per
 (seed, sample count), so comparing two sequences uses common random numbers
 and repeated runs are bit-stable. An ObjectiveEvaluator precomputes, element
 by element, the per-sample steering cross-products (independent of the
-sequence) and the Doppler phase of every sample in every slot (a sequence
+sequence) and two Doppler phase factor tables of about sqrt(M) rows each,
+from which it forms the phase of a sample in a slot on demand (a sequence
 only permutes the slots).
 
 A sequence is scored from its per-sample sums S_n = sum_m cross[m, n] *
@@ -196,15 +197,24 @@ class ObjectiveEvaluator:
 
         # steering cross-products conj(g_m) g'_m / (||g|| ||g'||), a block of
         # elements at a time, as conj(G) G' exp(i k (u' - u).p) with the
-        # exponential taken only where the gain product is nonzero
+        # exponential taken only where the gain product is nonzero; a pattern
+        # object is evaluated in both directions once for its run of elements
         du = unit_vectors(phi_p, theta_p) - unit_vectors(phi, theta)
         self._block = max(1, _BLOCK_ENTRIES // n)
         self._cross = np.zeros((m, 2, n))  # real and imaginary rows
         power = np.zeros((2, n))  # sum_m |G_m|^2 of both directions
+        pattern = pair = None  # the last pattern object and its gains
         for lo in range(0, m, self._block):
             rows = slice(lo, lo + self._block)
-            gains = np.stack([array.gain_matrix(az, el, range(m)[rows]).T
-                              for az, el in ((phi, theta), (phi_p, theta_p))])
+            block = array.patterns[rows]
+            # element axis innermost in memory, as in a gain matrix: it sets
+            # the order in which numpy adds the elements' |G|^2 into power
+            gains = np.empty((2, n, len(block)), dtype=complex).transpose(0, 2, 1)
+            for j, p in enumerate(block):
+                if p is not pattern:
+                    pattern, pair = p, np.array([p.gain(phi, theta),
+                                                 p.gain(phi_p, theta_p)])
+                gains[:, j] = pair
             power += (gains.real ** 2 + gains.imag ** 2).sum(axis=1)
             both = np.conj(gains[0]) * gains[1]
             live = both != 0.0
@@ -219,23 +229,24 @@ class ObjectiveEvaluator:
         self._cross *= np.where(ok, 2.0 ** FIXED_BITS, 0.0) / np.where(
             ok, self.snapshots * np.sqrt(power[0] * power[1]), 1.0)
 
-        # Doppler phase of every sample in every slot, exp(2*pi*i*dnu*s*dt),
-        # as exp(2*pi*i*dnu*lo*dt) * exp(2*pi*i*dnu*r*dt) over s = lo + r,
-        # r < L = ceil(sqrt(M)): about 2*sqrt(M) exponentials per sample
-        step = math.isqrt(m - 1) + 1
-        fine = np.exp(2j * math.pi * np.outer(np.arange(step) * self.delta_t, dnu))
-        self._phase = np.empty((m, 2, n))
-        for lo in range(0, m, step):
-            table = np.exp(2j * math.pi * (lo * self.delta_t) * dnu) * fine[:m - lo]
-            rows = self._phase[lo:lo + step]
-            rows[:, 0], rows[:, 1] = table.real, table.imag
-        # inter-snapshot Doppler factor: geometric sum over snapshot offsets
-        # (the 1/snapshots normalization already sits in the basis norms);
-        # exactly 1.0 at one snapshot
+        # Doppler phase of sample n in slot s, exp(2*pi*i*dnu*s*dt), is
+        # coarse[s // L] * fine[s % L] with coarse rows exp(2*pi*i*dnu*lo*dt)
+        # for lo = 0, L, 2L, ... and fine rows exp(2*pi*i*dnu*r*dt) for
+        # r < L = ceil(sqrt(M)): terms() forms the rows it needs from these
+        # two tables of about sqrt(M) rows each, one complex multiply per
+        # row, so a row has the same bits whichever rows it is formed with
+        self._step = math.isqrt(m - 1) + 1
+        self._fine = np.exp(2j * math.pi * np.outer(np.arange(self._step) * self.delta_t,
+                                                    dnu))
+        self._coarse = np.array([np.exp(2j * math.pi * (lo * self.delta_t) * dnu)
+                                 for lo in range(0, m, self._step)])
+        # squared inter-snapshot Doppler factor: geometric sum over snapshot
+        # offsets (the 1/snapshots normalization already sits in the basis
+        # norms); exactly 1.0 at one snapshot
         offsets = np.arange(self.snapshots) * m * self.delta_t
-        self._snapshot_factor = np.abs(
+        self._snapshot_power = np.abs(
             np.exp(2j * math.pi * np.outer(dnu, offsets)).sum(axis=1)
-        )
+        ) ** 2
 
     def evaluate(self, seq: SwitchingSequence) -> float:
         """QMC estimate of f_P for one sequence."""
@@ -258,34 +269,42 @@ class ObjectiveEvaluator:
 
     def terms(self, elements, slots) -> np.ndarray:
         """Fixed-point terms rint(2**FIXED_BITS * cross[e] * P[s]) of the
-        elements e in the slots s (indices, index arrays or a slice with an
-        array), shape (..., 2, samples) with the real part before the
-        imaginary. Only real multiplies and adds are used, which round the
-        same whatever the array shape, so a term's bits do not depend on how
-        it was batched."""
-        cross, phase = self._cross[elements], self._phase[slots]
-        c_re, c_im, p_re, p_im = (x[..., j, :] for x in (cross, phase) for j in (0, 1))
-        out = np.empty(cross.shape)
+        elements e (indices, index arrays or a slice) in the slots s
+        (indices or index arrays), broadcast against each other, shape
+        (..., 2, samples) with the real part before the imaginary. Only
+        real multiplies and adds are used, which round the same whatever the
+        array shape, so a term's bits do not depend on how it was batched."""
+        cross, phase = self._cross[elements], self.phase_rows(slots)
+        c_re, c_im = cross[..., 0, :], cross[..., 1, :]
+        p_re, p_im = phase.real, phase.imag
+        shape = np.broadcast_shapes(c_re.shape, p_re.shape)
+        out = np.empty(shape[:-1] + (2, shape[-1]))
         np.multiply(c_re, p_re, out=out[..., 0, :])
         out[..., 0, :] -= c_im * p_im
         np.multiply(c_re, p_im, out=out[..., 1, :])
         out[..., 1, :] += c_im * p_re
         return np.rint(out, out=out).astype(np.int64)
 
+    def phase_rows(self, slots) -> np.ndarray:
+        """Doppler phases exp(2*pi*i*dnu*s*dt) of the slots s (indices or
+        index arrays), shape (..., samples), formed from the factor tables
+        as coarse[s // L] * fine[s % L]."""
+        q, r = np.divmod(slots, self._step)
+        return self._coarse[q] * self._fine[r]
+
     def swap_sums(self, sums: np.ndarray, order, a: int, b: int) -> np.ndarray:
         """Sample sums after exchanging the antennas of slots a and b of an
         activation order, given that order's sums: the two elements' terms
         move to their new slots, so this costs O(samples) and equals a fresh
         sample_sums exactly."""
-        ea, eb = order[a], order[b]
-        t = self.terms([ea, eb, ea, eb], [b, a, a, b])
-        return sums + t[0] + t[1] - t[2] - t[3]
+        t = self.terms([[order[a]], [order[b]]], [a, b])  # [element, slot]
+        return sums + t[0, 1] + t[1, 0] - t[0, 0] - t[1, 1]
 
     def score(self, sums: np.ndarray) -> float:
         """f_P from the per-sample sums; the power is even, so |S|**power
         is (re**2 + im**2)**(power/2)."""
         re, im = sums * 2.0 ** -FIXED_BITS
-        mag2 = (re * re + im * im) * self._snapshot_factor ** 2
+        mag2 = (re * re + im * im) * self._snapshot_power
         total = np.sum(mag2 ** (self.config.power // 2))
         return float(self.volume * total / self.config.samples)
 

@@ -111,6 +111,7 @@ def anneal(init: SwitchingSequence, config: AnnealConfig,
     if not t0 > 0:
         raise AnnealError(f"auto t0 failed: initial objective is {f_current!r}; "
                           "set t0 explicitly", trace)
+    best_order = init.order  # the best sequence is built from it once, at the end
     for k in range(config.k_max):
         a, b = draw_swap(sets, k, rng)
         u = rng.random()
@@ -118,6 +119,7 @@ def anneal(init: SwitchingSequence, config: AnnealConfig,
             proposal_sums = evaluator.swap_sums(sums, order, a, b)
             f_proposal = evaluator.score(proposal_sums)
         except Exception as exc:
+            trace.best_sequence = replace(init, order=best_order)
             raise AnnealError(f"objective evaluation failed at iteration {k}",
                               trace) from exc
         temperature = temperature_schedule(t0, alpha, k)
@@ -130,9 +132,10 @@ def anneal(init: SwitchingSequence, config: AnnealConfig,
         if f_current < trace.best_objective:
             trace.best_objective = f_current
             trace.best_k = k
-            trace.best_sequence = replace(init, order=tuple(order))
+            best_order = tuple(order)
         trace.records.append(AnnealRecord(k, f_current, f_proposal,
                                           temperature, accepted))
+    trace.best_sequence = replace(init, order=best_order)
     return replace(init, order=tuple(order)), trace
 
 

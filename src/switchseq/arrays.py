@@ -181,21 +181,17 @@ class ArrayModel:
     def wavenumber(self) -> float:
         return 2.0 * math.pi / self.wavelength
 
-    def gain_matrix(self, azimuth, elevation,
-                    elements: range | None = None) -> np.ndarray:
-        """Per-element complex gains at (broadcastable) angles, shape (..., M),
-        or (..., len(elements)) for the given element indices.
+    def gain_matrix(self, azimuth, elevation) -> np.ndarray:
+        """Per-element complex gains at (broadcastable) angles, shape (..., M).
 
         Elements sharing a pattern object are evaluated once.
         """
         az = np.asarray(azimuth, dtype=float)
         el = np.asarray(elevation, dtype=float)
         az, el = np.broadcast_arrays(az, el)
-        patterns = (self.patterns if elements is None
-                    else [self.patterns[m] for m in elements])
-        out = np.empty(az.shape + (len(patterns),), dtype=complex)
+        out = np.empty(az.shape + (self.num_elements,), dtype=complex)
         cache: dict[int, np.ndarray] = {}
-        for m, pat in enumerate(patterns):
+        for m, pat in enumerate(self.patterns):
             key = id(pat)
             if key not in cache:
                 cache[key] = pat.gain(az, el)

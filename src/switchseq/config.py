@@ -357,10 +357,13 @@ class ExperimentConfig:
             counts = "panels/rows/cols"
         else:
             raise ConfigError("config.array.kind: must be 'ula' or 'octagonal'")
-        # evaluator tables: real and imaginary rows of the steering products
-        # and slot phases (M complex numbers per sample each), snapshot factors
+        # evaluator tables, complex numbers per sample: M steering products,
+        # the ceil(M/L) coarse and L = ceil(sqrt(M)) fine Doppler phase
+        # factors, and the snapshot factors
+        size = max(m, 1)
+        step = math.isqrt(size - 1) + 1
         _check_budget(f"config.objective.samples and config.array.{counts}",
-                      samples, 2 * max(m, 0) + snapshots)
+                      samples, size + -(-size // step) + step + snapshots)
         wavelength = SPEED_OF_LIGHT / _positive(spec["carrier_hz"],
                                                 "config.array.carrier_hz")
         spacing = spec["spacing_wavelengths"] * wavelength

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -249,6 +250,87 @@ def test_block_terms_equal_per_row_terms(array_name):
     assert np.array_equal(ev.terms(slice(1, m - 1), slots[1:m - 1]), rows[1:m - 1])
     picked = [m - 1, 0, m - 1, 1]
     assert np.array_equal(ev.terms(picked, slots[picked]), rows[picked])
+
+
+def reference_phase_table(ev):
+    """Doppler phase of every sample in every slot as the (M, 2, samples)
+    real and imaginary rows the evaluator once held whole: slots lo..lo+L-1,
+    L = ceil(sqrt(M)), as one coarse row exp(2 pi i dnu lo dt) times the
+    fine rows exp(2 pi i dnu r dt)."""
+    m, dt, dnu = ev.array.num_elements, ev.delta_t, ev.delta_doppler
+    step = math.isqrt(m - 1) + 1
+    fine = np.exp(2j * math.pi * np.outer(np.arange(step) * dt, dnu))
+    phase = np.empty((m, 2, dnu.size))
+    for lo in range(0, m, step):
+        table = np.exp(2j * math.pi * (lo * dt) * dnu) * fine[:m - lo]
+        rows = phase[lo:lo + step]
+        rows[:, 0], rows[:, 1] = table.real, table.imag
+    return phase
+
+
+def reference_terms(ev, phase, elements, slots):
+    """Fixed-point terms gathered from the full phase table, with the real
+    multiplies and adds of terms()."""
+    cross, p = np.broadcast_arrays(ev._cross[elements], phase[slots])
+    c_re, c_im, p_re, p_im = (x[..., j, :] for x in (cross, p) for j in (0, 1))
+    out = np.empty(cross.shape)
+    np.multiply(c_re, p_re, out=out[..., 0, :])
+    out[..., 0, :] -= c_im * p_im
+    np.multiply(c_re, p_im, out=out[..., 1, :])
+    out[..., 1, :] += c_im * p_re
+    return np.rint(out, out=out).astype(np.int64)
+
+
+def bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+@pytest.mark.parametrize("sin_elevation", [False, True])
+@pytest.mark.parametrize("snapshots", [1, 3])
+@pytest.mark.parametrize("m", [1, 2, 5, 16, 37, 128])
+def test_phase_rows_equal_the_full_slot_table(m, snapshots, sin_elevation):
+    # the evaluator keeps two phase factor tables and forms rows on demand;
+    # every row, and every term formed from the rows of a slice, a list or
+    # a 2 x 2 broadcast as swap_sums asks for, has the bits of the table
+    cfg = ObjectiveConfig(samples=256, seed=6, sin_elevation=sin_elevation)
+    ev = ObjectiveEvaluator(make_ula(m, 0.5, 1.0), Region.default_for(1e-4), cfg,
+                            1e-4, snapshots)
+    table = reference_phase_table(ev)
+    rows = ev.phase_rows(np.arange(m))
+    assert rows.shape == (m, 256)
+    assert np.array_equal(bits(rows.real), bits(table[:, 0]))
+    assert np.array_equal(bits(rows.imag), bits(table[:, 1]))
+    slots = np.random.default_rng(m).permutation(m)
+    for elements, picked in [(slice(0, m), slots),
+                             (list(range(m))[::-1], slots.tolist()),
+                             ([[m - 1], [0]], [int(slots[0]), int(slots[-1])])]:
+        terms = ev.terms(elements, picked)
+        assert np.array_equal(terms, reference_terms(ev, table, elements, picked))
+    assert terms.shape == (2, 2, 2, 256)
+
+
+def test_evaluator_retains_products_and_phase_factors_only():
+    # after the build the evaluator holds its steering products (one
+    # samples x M complex matrix) and two phase factor tables of 23 rows at
+    # M = 128, about 1.2 matrices; a full M-row slot phase table on top
+    # reads 2.0
+    arr = make_octagonal(8, 4, 4, patch_exponent=2.0)
+    samples = 1024
+
+    def build(n):
+        return ObjectiveEvaluator(arr, Region.default_for(1e-4),
+                                  ObjectiveConfig(samples=n, seed=3), 1e-4, 1)
+
+    build(1)  # modules numpy loads on first use are not the evaluator's
+    tracemalloc.start()
+    try:
+        ev = build(samples)  # held while the memory is read
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert ev.config.samples == samples
+    one_matrix = samples * arr.num_elements * np.dtype(complex).itemsize
+    assert retained <= 1.5 * one_matrix
 
 
 # the two directions of every sample nearly coincide and the Doppler

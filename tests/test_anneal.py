@@ -179,13 +179,32 @@ class Exploding:
 
 def test_objective_failure_carries_partial_trace():
     arr, region, cfg = small_setup()
-    ev = Exploding(ObjectiveEvaluator(arr, region, cfg, DT, 1), "swap_sums",
-                   fail_after=4)
-    rng = np.random.default_rng(9)
-    init = random_init(8, DT, 1, rng)
-    with pytest.raises(AnnealError) as err:
-        anneal(init, AnnealConfig(update="random", k_max=50), ev, rng)
-    assert len(err.value.trace.records) == 4  # 4 proposals scored, the 5th fails
+    for fail_after in (4, 12):
+        ev = Exploding(ObjectiveEvaluator(arr, region, cfg, DT, 1), "swap_sums",
+                       fail_after=fail_after)
+        rng = np.random.default_rng(9)
+        init = random_init(8, DT, 1, rng)
+        with pytest.raises(AnnealError) as err:
+            anneal(init, AnnealConfig(update="random", k_max=50), ev, rng)
+        trace = err.value.trace
+        # fail_after proposals scored, the next one fails
+        assert len(trace.records) == fail_after
+        # the trace's best sequence is the best order scored before the
+        # failure (the initial one within 4 proposals, a later one within
+        # 12): replay the recorded moves from the same draws
+        replay = np.random.default_rng(9)
+        best = current = random_init(8, DT, 1, replay)
+        sets = swap_sets("random", 8, None)
+        for rec in trace.records:
+            slots = draw_swap(sets, rec.k, replay)
+            replay.random()
+            if rec.accepted:
+                current = swapped(current, *slots)
+            if rec.k == trace.best_k:
+                best = current
+        assert (trace.best_k >= 0) == (fail_after == 12)
+        assert trace.best_sequence == best
+        assert ev.evaluate(best) == trace.best_objective
 
 
 def test_anneal_peak_memory_is_one_product_matrix():

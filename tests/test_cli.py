@@ -375,6 +375,27 @@ def test_over_budget_samples_exit_2_without_allocating(tmp_path):
     assert "config.objective.samples" in error["message"]
 
 
+def test_readme_config_at_2_pow_19_samples_loads():
+    # the evaluator holds M steering products and 23 phase factor rows per
+    # sample at M = 128, so 2**19 samples (1.2 GiB) fit the 2 GiB budget
+    cfg = json.loads(readme_block("CLI quick start", "json"))
+    cfg["objective"]["samples"] = 2 ** 19
+    assert ExperimentConfig.from_dict(cfg).objective.samples == 2 ** 19
+
+
+def test_samples_over_the_budget_exit_2_with_one_json_line(tmp_path, capsys):
+    # 2**20 samples on the README octagon need 2.4 GiB of evaluator tables
+    cfg = json.loads(readme_block("CLI quick start", "json"))
+    cfg["objective"]["samples"] = 2 ** 20
+    rc = main(["optimize", "--config", write_config(tmp_path, cfg),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "config"
+    assert "config.objective.samples" in error["message"]
+
+
 def test_huge_panel_count_exits_2_before_building_the_array(tmp_path):
     # 1e308 panels read as a huge integer; building them one by one would
     # run until killed, so the element count is held to the budget first
