@@ -3,17 +3,22 @@ angle-Doppler region, estimated with deterministic scrambled-Sobol sampling.
 
 The objective is evaluated with a fixed low-discrepancy point set per
 (seed, sample count), so comparing two sequences uses common random numbers
-and repeated runs are bit-stable. An ObjectiveEvaluator precomputes, element
-by element, the per-sample steering cross-products (independent of the
-sequence) and two Doppler phase factor tables of about sqrt(M) rows each,
-from which it forms the phase of a sample in a slot on demand (a sequence
-only permutes the slots).
+and repeated runs are bit-stable. An ObjectiveEvaluator precomputes the
+per-sample steering cross-products (independent of the sequence), keeping
+each element's only on its live samples, those where its gain product is
+nonzero in both directions: elements that share a pattern object share one
+sorted index of them, and a pattern live on every sample takes slice(None).
+On an octagon of patches each element sees a half-space, so a quarter of
+the products are kept. It also keeps two Doppler phase factor tables of
+about sqrt(M) rows each, from which it forms the phase of a slot on an
+element's live samples on demand (a sequence only permutes the slots).
 
 A sequence is scored from its per-sample sums S_n = sum_m cross[m, n] *
 P[slot_m, n], held as exact int64 fixed-point numbers: each term is rounded
 to a multiple of 2**-FIXED_BITS from real multiplies and adds only, which
-round the same whatever the array shape, and integer addition is exact. A
-swap of two slots moves two terms per sample, so swap_sums gives in
+round the same whatever the array shape, and integer addition is exact, so
+an element's terms add into the sums at its live samples in any order. A
+swap of two slots moves two elements' terms, so swap_sums gives in
 O(samples) exactly the integers of a fresh sample_sums: every annealing
 proposal is scored equal to evaluate() bit for bit (the tests assert ==).
 
@@ -150,7 +155,7 @@ def sobol_points(n: int, seed: int) -> np.ndarray:
 # 2**61 + M and a partial sum of swap_sums (two terms in and two out) within
 # 3 * 2**61 < 2**63.
 FIXED_BITS = 61
-_BLOCK_ENTRIES = 2 ** 15  # samples x elements per block of build and sums
+_BLOCK_ENTRIES = 2 ** 15  # samples x elements per block of the build
 
 
 class ObjectiveEvaluator:
@@ -195,46 +200,53 @@ class ObjectiveEvaluator:
         self.azimuth_prime = phi_p
         self.elevation_prime = theta_p
 
-        # steering cross-products conj(g_m) g'_m / (||g|| ||g'||), a block of
-        # elements at a time, as conj(G) G' exp(i k (u' - u).p) with the
-        # exponential taken only where the gain product is nonzero; a pattern
-        # object is evaluated in both directions once for its run of elements
+        # steering cross-products conj(g_m) g'_m / (||g|| ||g'||), taken as
+        # conj(G) G' exp(i k (u' - u).p) only on the samples where the gain
+        # product is nonzero: a pattern object is evaluated in both
+        # directions once, and its elements share the sorted index of its
+        # live samples (slice(None) when it is live on every sample)
         du = unit_vectors(phi_p, theta_p) - unit_vectors(phi, theta)
-        self._block = max(1, _BLOCK_ENTRIES // n)
-        self._cross = np.zeros((m, 2, n))  # real and imaginary rows
+        block = max(1, _BLOCK_ENTRIES // n)
+        self.live = []  # per element: the samples its products are kept on
+        self._cross = []  # per element: (2, live) real and imaginary rows
         power = np.zeros((2, n))  # sum_m |G_m|^2 of both directions
-        pattern = pair = None  # the last pattern object and its gains
-        for lo in range(0, m, self._block):
-            rows = slice(lo, lo + self._block)
-            block = array.patterns[rows]
+        pattern = None  # the last pattern object
+        for lo in range(0, m, block):
+            rows = slice(lo, lo + block)
+            patterns = array.patterns[rows]
             # element axis innermost in memory, as in a gain matrix: it sets
             # the order in which numpy adds the elements' |G|^2 into power
-            gains = np.empty((2, n, len(block)), dtype=complex).transpose(0, 2, 1)
-            for j, p in enumerate(block):
-                if p is not pattern:
-                    pattern, pair = p, np.array([p.gain(phi, theta),
-                                                 p.gain(phi_p, theta_p)])
-                gains[:, j] = pair
-            power += (gains.real ** 2 + gains.imag ** 2).sum(axis=1)
-            both = np.conj(gains[0]) * gains[1]
-            live = both != 0.0
+            mag2 = np.empty((2, n, len(patterns))).transpose(0, 2, 1)
             arg = array.wavenumber * (array.positions[rows] @ du.T)
-            term = both[live] * np.exp(1j * arg[live])
-            cross = self._cross[rows]
-            cross[:, 0][live], cross[:, 1][live] = term.real, term.imag
+            for j, p in enumerate(patterns):
+                if p is not pattern:
+                    pattern = p
+                    gains = np.array([p.gain(phi, theta), p.gain(phi_p, theta_p)])
+                    both = np.conj(gains[0]) * gains[1]
+                    live = np.flatnonzero(both != 0.0)
+                    live = slice(None) if live.size == n else live
+                    both = both[live]
+                    pattern_mag2 = gains.real ** 2 + gains.imag ** 2
+                mag2[:, j] = pattern_mag2
+                term = both * np.exp(1j * arg[j][live])
+                self.live.append(live)
+                self._cross.append(np.array([term.real, term.imag]))
+            power += mag2.sum(axis=1)
         ok = (power > 0.0).all(axis=0)
         self.degenerate_count = int(n - ok.sum())
         # normalised and scaled to units of 2**-FIXED_BITS; zero where a
         # direction is degenerate (its gains, and so its products, are zero)
-        self._cross *= np.where(ok, 2.0 ** FIXED_BITS, 0.0) / np.where(
+        scale = np.where(ok, 2.0 ** FIXED_BITS, 0.0) / np.where(
             ok, self.snapshots * np.sqrt(power[0] * power[1]), 1.0)
+        for live, cross in zip(self.live, self._cross):
+            cross *= scale[live]
 
         # Doppler phase of sample n in slot s, exp(2*pi*i*dnu*s*dt), is
         # coarse[s // L] * fine[s % L] with coarse rows exp(2*pi*i*dnu*lo*dt)
         # for lo = 0, L, 2L, ... and fine rows exp(2*pi*i*dnu*r*dt) for
-        # r < L = ceil(sqrt(M)): terms() forms the rows it needs from these
-        # two tables of about sqrt(M) rows each, one complex multiply per
-        # row, so a row has the same bits whichever rows it is formed with
+        # r < L = ceil(sqrt(M)): term() forms the row of a slot from these
+        # two tables of about sqrt(M) rows each, on an element's live
+        # samples, one complex multiply per sample
         self._step = math.isqrt(m - 1) + 1
         self._fine = np.exp(2j * math.pi * np.outer(np.arange(self._step) * self.delta_t,
                                                     dnu))
@@ -252,6 +264,14 @@ class ObjectiveEvaluator:
         """QMC estimate of f_P for one sequence."""
         return self.score(self.sample_sums(seq))
 
+    @property
+    def live_fraction(self) -> float:
+        """Share of the element x sample steering products kept: those
+        whose gain product is nonzero."""
+        n = self.config.samples
+        kept = sum(n if isinstance(live, slice) else live.size for live in self.live)
+        return kept / (len(self.live) * n)
+
     def sample_sums(self, seq: SwitchingSequence) -> np.ndarray:
         """Per-sample sums S_n = sum_m cross[m, n] * P[slot_m, n] as exact
         fixed-point integers, shape (2, samples): real and imaginary parts
@@ -260,45 +280,41 @@ class ObjectiveEvaluator:
             raise ValueError("sequence does not match the evaluator's array")
         if seq.delta_t != self.delta_t or seq.snapshots != self.snapshots:
             raise ValueError("sequence timing does not match the evaluator")
-        slots = seq.slot_of()
         sums = np.zeros((2, self.config.samples), dtype=np.int64)
-        for lo in range(0, slots.size, self._block):
-            block = slice(lo, lo + self._block)
-            sums += self.terms(block, slots[block]).sum(axis=0)
+        for element, slot in enumerate(seq.slot_of().tolist()):
+            sums[:, self.live[element]] += self.term(element, slot)
         return sums
 
-    def terms(self, elements, slots) -> np.ndarray:
-        """Fixed-point terms rint(2**FIXED_BITS * cross[e] * P[s]) of the
-        elements e (indices, index arrays or a slice) in the slots s
-        (indices or index arrays), broadcast against each other, shape
-        (..., 2, samples) with the real part before the imaginary. Only
-        real multiplies and adds are used, which round the same whatever the
-        array shape, so a term's bits do not depend on how it was batched."""
-        cross, phase = self._cross[elements], self.phase_rows(slots)
-        c_re, c_im = cross[..., 0, :], cross[..., 1, :]
-        p_re, p_im = phase.real, phase.imag
-        shape = np.broadcast_shapes(c_re.shape, p_re.shape)
-        out = np.empty(shape[:-1] + (2, shape[-1]))
-        np.multiply(c_re, p_re, out=out[..., 0, :])
-        out[..., 0, :] -= c_im * p_im
-        np.multiply(c_re, p_im, out=out[..., 1, :])
-        out[..., 1, :] += c_im * p_re
+    def term(self, element: int, slot: int) -> np.ndarray:
+        """Fixed-point term rint(2**FIXED_BITS * cross[e] * P[s]) of element
+        e in slot s on the element's live samples, shape (2, live) with the
+        real part before the imaginary. Only real multiplies and adds are
+        used, so a term's bits do not depend on the array shape."""
+        cross, phase = self._cross[element], self._phase(slot, self.live[element])
+        (c_re, c_im), p_re, p_im = cross, phase.real, phase.imag
+        out = np.empty(cross.shape)
+        np.multiply(c_re, p_re, out=out[0])
+        out[0] -= c_im * p_im
+        np.multiply(c_re, p_im, out=out[1])
+        out[1] += c_im * p_re
         return np.rint(out, out=out).astype(np.int64)
 
-    def phase_rows(self, slots) -> np.ndarray:
-        """Doppler phases exp(2*pi*i*dnu*s*dt) of the slots s (indices or
-        index arrays), shape (..., samples), formed from the factor tables
-        as coarse[s // L] * fine[s % L]."""
-        q, r = np.divmod(slots, self._step)
-        return self._coarse[q] * self._fine[r]
+    def _phase(self, slot: int, live) -> np.ndarray:
+        """Doppler phases exp(2*pi*i*dnu*s*dt) of slot s on the samples
+        live, coarse[s // L] * fine[s % L] gathered from the two rows."""
+        q, r = divmod(slot, self._step)
+        return self._coarse[q][live] * self._fine[r][live]
 
     def swap_sums(self, sums: np.ndarray, order, a: int, b: int) -> np.ndarray:
         """Sample sums after exchanging the antennas of slots a and b of an
-        activation order, given that order's sums: the two elements' terms
-        move to their new slots, so this costs O(samples) and equals a fresh
-        sample_sums exactly."""
-        t = self.terms([[order[a]], [order[b]]], [a, b])  # [element, slot]
-        return sums + t[0, 1] + t[1, 0] - t[0, 0] - t[1, 1]
+        activation order, given that order's sums: each of the two elements
+        moves its term to its new slot on its own live samples, so this
+        costs O(samples) and equals a fresh sample_sums exactly."""
+        out = sums.copy()
+        for element, old, new in ((order[a], a, b), (order[b], b, a)):
+            out[:, self.live[element]] += (self.term(element, new)
+                                           - self.term(element, old))
+        return out
 
     def score(self, sums: np.ndarray) -> float:
         """f_P from the per-sample sums; the power is even, so |S|**power

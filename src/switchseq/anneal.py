@@ -8,8 +8,9 @@ bit-reproducible from the seed.
 
 A move is a slot pair that draw_swap takes from the update's swap_sets, so
 a proposal is scored from the chain's order and per-sample sums plus the
-swap's delta (ObjectiveEvaluator.swap_sums), which costs O(samples) instead
-of O(samples * elements); the order changes only on accept. The sums are
+swap's delta (ObjectiveEvaluator.swap_sums): the two moved elements' terms,
+formed on their live samples only, so it costs O(samples) instead of
+O(samples * elements); the order changes only on accept. The sums are
 exact fixed-point integers, so that score equals a fresh evaluate() of the
 proposal bit for bit, and an accepted proposal's sums carry forward as they
 are: every objective in the trace is exact (the tests assert it with ==).

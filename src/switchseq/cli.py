@@ -66,11 +66,19 @@ def _evaluator(config: ExperimentConfig) -> ObjectiveEvaluator:
                               spec["delta_t_s"], spec["snapshots"])
 
 
+def _evaluator_counts(evaluator: ObjectiveEvaluator) -> dict:
+    """Samples with a direction no element sees, and the share of element x
+    sample steering products the evaluator keeps."""
+    return {"degenerate_samples": evaluator.degenerate_count,
+            "live_fraction": evaluator.live_fraction}
+
+
 def cmd_optimize(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str]:
     anneal_cfg = config.build_anneal()
     rng = np.random.default_rng(seed)
     init = config.build_sequence(anneal_cfg.update, rng)
-    final, trace = anneal(init, anneal_cfg, _evaluator(config), rng)
+    evaluator = _evaluator(config)
+    final, trace = anneal(init, anneal_cfg, evaluator, rng)
 
     final.save(out_dir / "sequence.json")
     trace.best_sequence.save(out_dir / "best_sequence.json")
@@ -83,6 +91,7 @@ def cmd_optimize(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str
         "t0": trace.t0,
         "alpha": trace.alpha,
         "iterations": len(trace.records),
+        **_evaluator_counts(evaluator),
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(f"final objective {trace.final_objective:.6g} "
@@ -219,7 +228,8 @@ def cmd_compare(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str]
     doc = report.to_dict()
     doc["anneal"] = {
         update: {"final_objective": trace.final_objective,
-                 "best_objective": trace.best_objective}
+                 "best_objective": trace.best_objective,
+                 **_evaluator_counts(evaluator)}
         for update, trace in traces.items()
     }
     (out_dir / "comparison.json").write_text(json.dumps(doc, indent=2) + "\n")

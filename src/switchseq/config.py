@@ -217,29 +217,8 @@ class ExperimentConfig:
         }, "config.objective")
         objective = _field("config.objective", ObjectiveConfig, seed=seed,
                            **objective_spec)
-        array_spec, array = cls._build_array(top["array"], objective.samples,
-                                             sequence_spec["snapshots"])
-        if sequence_spec["scheme"] == "hybrid" and array.partition is None:
-            raise ConfigError("config.sequence.scheme: hybrid requires a "
-                              "partitioned (octagonal) array")
-
-        anneal_spec = None
-        anneal = AnnealConfig()
-        if top["anneal"] is not None:
-            anneal_spec = _section(top["anneal"], {
-                "scheme": _REQUIRED,
-                "k_max": 200,
-                "t0": None,
-                "alpha": None,
-            }, "config.anneal")
-            for key in ("t0", "alpha"):
-                if anneal_spec[key] is not None:
-                    anneal_spec[key] = _number(f"config.anneal.{key}", float,
-                                               anneal_spec[key])
-            anneal = _field("config.anneal", AnnealConfig,
-                            update=anneal_spec["scheme"], k_max=anneal_spec["k_max"],
-                            t0=anneal_spec["t0"], alpha=anneal_spec["alpha"])
-            require_swaps(array, anneal.update, "config.anneal.scheme")
+        array_spec, m, counts = cls._array_spec(top["array"], objective.samples,
+                                                sequence_spec["snapshots"])
 
         reference_spec = _section(top["reference"], {
             "azimuth_deg": 45.0,
@@ -282,13 +261,15 @@ class ExperimentConfig:
         crlb = (params, elevation,
                 _positive(crlb_spec["noise_sigma"], "config.crlb.noise_sigma"))
 
-        # the run's timing, snapshots x M slots of delta_t: its surface
+        # the run's timing, snapshots x M slots of delta_t, from the element
+        # count the spec asks for, before the array is built: its surface
         # arrays, a row per element and snapshot, stay in the memory budget,
         # and its Doppler phases 2*pi*nu*t, at the region bound, the swept
         # or the crlb Doppler, must not overflow a float
-        rows = array.num_elements * sequence_spec["snapshots"]
+        rows = max(m, 1) * sequence_spec["snapshots"]  # building refuses m < 1
         angle_count = 2 * a_span / a_step + 1
-        fields = "config.sequence.snapshots and config.sweep"
+        fields = (f"config.array.{counts}, config.sequence.snapshots "
+                  "and config.sweep")
         _check_budget(fields, angle_count, rows)
         _check_budget(fields, 2 * d_span / d_step + 1, max(rows, angle_count))
         nu = max(region.doppler_bound, abs(params.doppler_hz),
@@ -297,6 +278,30 @@ class ExperimentConfig:
         if not (math.isfinite(instants) and math.isfinite(2 * math.pi * nu * instants)):
             raise ConfigError("config.sequence.delta_t_s: the run's Doppler "
                               "phases overflow a float")
+
+        array = cls._build_array(array_spec, m)
+        if sequence_spec["scheme"] == "hybrid" and array.partition is None:
+            raise ConfigError("config.sequence.scheme: hybrid requires a "
+                              "partitioned (octagonal) array")
+
+        anneal_spec = None
+        anneal = AnnealConfig()
+        if top["anneal"] is not None:
+            anneal_spec = _section(top["anneal"], {
+                "scheme": _REQUIRED,
+                "k_max": 200,
+                "t0": None,
+                "alpha": None,
+            }, "config.anneal")
+            for key in ("t0", "alpha"):
+                if anneal_spec[key] is not None:
+                    anneal_spec[key] = _number(f"config.anneal.{key}", float,
+                                               anneal_spec[key])
+            anneal = _field("config.anneal", AnnealConfig,
+                            update=anneal_spec["scheme"], k_max=anneal_spec["k_max"],
+                            t0=anneal_spec["t0"], alpha=anneal_spec["alpha"])
+            require_swaps(array, anneal.update, "config.anneal.scheme")
+
         angles = _grid("config.sweep.angle_span_deg", a_span, a_step)
         _field("config.sweep.angle_span_deg", sweep_directions, reference,
                angles, axis)
@@ -325,11 +330,11 @@ class ExperimentConfig:
         )
 
     @staticmethod
-    def _build_array(section, samples: int,
-                     snapshots: int) -> tuple[dict, ArrayModel]:
-        """Array spec and model; the element count the spec asks for is
-        held to the memory budget of the evaluator tables before anything
-        is built."""
+    def _array_spec(section, samples: int,
+                    snapshots: int) -> tuple[dict, int, str]:
+        """Array spec, the element count it asks for, and the fields that
+        set that count; the count is held to the memory budget of the
+        evaluator tables, so nothing is built for a spec over it."""
         if not isinstance(section, dict) or "kind" not in section:
             raise ConfigError("config.array.kind: required field missing")
         if section["kind"] == "ula":
@@ -357,18 +362,25 @@ class ExperimentConfig:
             counts = "panels/rows/cols"
         else:
             raise ConfigError("config.array.kind: must be 'ula' or 'octagonal'")
-        # evaluator tables, complex numbers per sample: M steering products,
-        # the ceil(M/L) coarse and L = ceil(sqrt(M)) fine Doppler phase
-        # factors, and the snapshot factors
+        # evaluator tables, complex numbers per sample: M steering products
+        # at worst (every element live on every sample; an element keeps
+        # only the samples where its gain product is nonzero), the ceil(M/L)
+        # coarse and L = ceil(sqrt(M)) fine Doppler phase factors, and the
+        # snapshot factors
         size = max(m, 1)
         step = math.isqrt(size - 1) + 1
         _check_budget(f"config.objective.samples and config.array.{counts}",
                       samples, size + -(-size // step) + step + snapshots)
+        return spec, m, counts
+
+    @staticmethod
+    def _build_array(spec: dict, m: int) -> ArrayModel:
+        """The array model of a spec _array_spec has checked."""
         wavelength = SPEED_OF_LIGHT / _positive(spec["carrier_hz"],
                                                 "config.array.carrier_hz")
         spacing = spec["spacing_wavelengths"] * wavelength
         if spec["kind"] == "ula":
-            return spec, _field("config.array", make_ula, m, spacing, wavelength)
+            return _field("config.array", make_ula, m, spacing, wavelength)
         radius = spec["radius_m"]
         if radius is not None:
             radius = _number("config.array.radius_m", float, radius)
@@ -384,7 +396,7 @@ class ExperimentConfig:
                 raise ConfigError(f"config.array.pattern_file: file not found: {path}")
             array = _field("config.array.pattern_file",
                            lambda: attach_patterns(array, load_pattern_file(path)))
-        return spec, array
+        return array
 
     # ---- run objects ---------------------------------------------------
 

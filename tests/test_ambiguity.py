@@ -10,11 +10,13 @@ import pytest
 from switchseq import (AmbiguitySurface, AnnealConfig, ArrayModel,
                        DegenerateDirectionError,
                        ObjectiveConfig, ObjectiveEvaluator, PatchPattern,
-                       Region, StructuralParams, ambiguity_surface,
-                       ambiguity_value, anneal, basis_from_eta, make_octagonal,
-                       make_ula, random_init, sequential)
-from switchseq.ambiguity import normalized_correlation, save_surface_csv, sobol_points
-from switchseq.arrays import steering_matrix
+                       Region, StructuralParams, TabulatedPattern,
+                       ambiguity_surface, ambiguity_value, anneal,
+                       basis_from_eta, make_octagonal, make_ula, random_init,
+                       sequential)
+from switchseq.ambiguity import (_BLOCK_ENTRIES, FIXED_BITS, normalized_correlation,
+                                 save_surface_csv, sobol_points)
+from switchseq.arrays import steering_matrix, unit_vectors
 from switchseq.switching import draw_swap, hybrid_init, swap_sets
 
 from conftest import swapped
@@ -187,10 +189,33 @@ def swap_chain(arr, snapshots, length, rng):
     return seqs
 
 
+def tabulated_array(m=8):
+    """Two panels of elements with a tabulated pattern each: random complex
+    gains, zero on a block of grid cells for every other element (live on
+    part of the samples) and nonzero everywhere for the rest (live on every
+    sample)."""
+    rng = np.random.default_rng(m)
+    az = np.linspace(0.0, 2 * math.pi, 12, endpoint=False)
+    el = np.linspace(0.0, math.pi, 7)
+    patterns = []
+    for e in range(m):
+        gains = rng.uniform(0.5, 1.5, (12, 7)) * np.exp(2j * math.pi * rng.random((12, 7)))
+        if e % 2:
+            gains[e:e + 4, 2:5] = 0.0  # 3 x 2 cells between zero grid points
+        patterns.append(TabulatedPattern(az, el, gains))
+    positions = np.zeros((m, 3))
+    positions[:, 1] = np.arange(m) * 0.5
+    positions[m // 2:, 0] = 0.5
+    half = tuple(range(m // 2))
+    return ArrayModel(positions, tuple(patterns), 1.0,
+                      (half, tuple(range(m // 2, m))))
+
+
 DIFFERENTIAL_ARRAYS = {
     "ula": lambda: make_ula(16, 0.5, 1.0),
     "octagon": lambda: make_octagonal(8, 2, 2, patch_exponent=2.0),
     "single_panel": single_panel_array,  # about half the samples degenerate
+    "tabulated": tabulated_array,  # one pattern per element, some live everywhere
 }
 
 
@@ -212,7 +237,7 @@ def test_evaluate_matches_per_call_exp_reference(array_name, snapshots, sin_elev
 @pytest.mark.parametrize("snapshots", [1, 3])
 @pytest.mark.parametrize("array_name, update", [
     ("ula", "random"), ("octagon", "random"), ("octagon", "hybrid"),
-    ("single_panel", "random")])
+    ("single_panel", "random"), ("tabulated", "hybrid")])
 def test_swap_sums_carried_along_a_chain_match_evaluate(array_name, update,
                                                          snapshots, sin_elevation):
     # every step is taken, as if accepted, so the sums carry 200 deltas; they
@@ -235,21 +260,40 @@ def test_swap_sums_carried_along_a_chain_match_evaluate(array_name, update,
         assert ev.score(sums) == ev.evaluate(seq), k
 
 
-@pytest.mark.parametrize("array_name", sorted(DIFFERENTIAL_ARRAYS))
-def test_block_terms_equal_per_row_terms(array_name):
-    # a term has the same bits whether it is computed alone, in a block of
-    # rows, or gathered by an index list as swap_sums does
-    arr = DIFFERENTIAL_ARRAYS[array_name]()
-    m = arr.num_elements
-    ev = ObjectiveEvaluator(arr, Region.default_for(1e-4),
-                            ObjectiveConfig(samples=256, seed=2), 1e-4, 1)
-    slots = np.random.default_rng(m).permutation(m)
-    rows = np.stack([ev.terms(e, slots[e]) for e in range(m)])
-    assert rows.dtype == np.int64 and rows.shape == (m, 2, 256)
-    assert np.array_equal(ev.terms(slice(0, m), slots), rows)
-    assert np.array_equal(ev.terms(slice(1, m - 1), slots[1:m - 1]), rows[1:m - 1])
-    picked = [m - 1, 0, m - 1, 1]
-    assert np.array_equal(ev.terms(picked, slots[picked]), rows[picked])
+def reference_cross(ev):
+    """The evaluator's steering products as the dense (M, 2, samples) table
+    it once held, built a block of elements at a time as it built them:
+    conj(G) G' exp(i k (u' - u).p) where the gain product is nonzero and
+    0.0 elsewhere, then scaled to units of 2**-FIXED_BITS."""
+    array, n = ev.array, ev.config.samples
+    m = array.num_elements
+    phi, theta = ev.azimuth, ev.elevation
+    phi_p, theta_p = ev.azimuth_prime, ev.elevation_prime
+    du = unit_vectors(phi_p, theta_p) - unit_vectors(phi, theta)
+    block = max(1, _BLOCK_ENTRIES // n)
+    dense = np.zeros((m, 2, n))
+    power = np.zeros((2, n))
+    pattern = pair = None
+    for lo in range(0, m, block):
+        rows = slice(lo, lo + block)
+        patterns = array.patterns[rows]
+        gains = np.empty((2, n, len(patterns)), dtype=complex).transpose(0, 2, 1)
+        for j, p in enumerate(patterns):
+            if p is not pattern:
+                pattern, pair = p, np.array([p.gain(phi, theta),
+                                             p.gain(phi_p, theta_p)])
+            gains[:, j] = pair
+        power += (gains.real ** 2 + gains.imag ** 2).sum(axis=1)
+        both = np.conj(gains[0]) * gains[1]
+        live = both != 0.0
+        arg = array.wavenumber * (array.positions[rows] @ du.T)
+        term = both[live] * np.exp(1j * arg[live])
+        cross = dense[rows]
+        cross[:, 0][live], cross[:, 1][live] = term.real, term.imag
+    ok = (power > 0.0).all(axis=0)
+    dense *= np.where(ok, 2.0 ** FIXED_BITS, 0.0) / np.where(
+        ok, ev.snapshots * np.sqrt(power[0] * power[1]), 1.0)
+    return dense
 
 
 def reference_phase_table(ev):
@@ -268,16 +312,17 @@ def reference_phase_table(ev):
     return phase
 
 
-def reference_terms(ev, phase, elements, slots):
-    """Fixed-point terms gathered from the full phase table, with the real
-    multiplies and adds of terms()."""
-    cross, p = np.broadcast_arrays(ev._cross[elements], phase[slots])
-    c_re, c_im, p_re, p_im = (x[..., j, :] for x in (cross, p) for j in (0, 1))
-    out = np.empty(cross.shape)
-    np.multiply(c_re, p_re, out=out[..., 0, :])
-    out[..., 0, :] -= c_im * p_im
-    np.multiply(c_re, p_im, out=out[..., 1, :])
-    out[..., 1, :] += c_im * p_re
+def reference_terms(cross, phase, elements, slots):
+    """Fixed-point terms of the dense products in the full phase table's
+    slots, with the real multiplies and adds of term(), shape
+    (elements, 2, samples)."""
+    c, p = cross[elements], phase[slots]
+    c_re, c_im, p_re, p_im = c[:, 0], c[:, 1], p[:, 0], p[:, 1]
+    out = np.empty(c.shape)
+    np.multiply(c_re, p_re, out=out[:, 0])
+    out[:, 0] -= c_im * p_im
+    np.multiply(c_re, p_im, out=out[:, 1])
+    out[:, 1] += c_im * p_re
     return np.rint(out, out=out).astype(np.int64)
 
 
@@ -285,38 +330,102 @@ def bits(x):
     return np.ascontiguousarray(x).view(np.int64)
 
 
+def dead_samples(ev, element):
+    """Mask of the samples on which an element keeps no product."""
+    dead = np.ones(ev.config.samples, dtype=bool)
+    dead[ev.live[element]] = False
+    return dead
+
+
+@pytest.mark.parametrize("samples, snapshots", [(256, 1), (256, 3), (4096, 1)])
+@pytest.mark.parametrize("array_name", sorted(DIFFERENTIAL_ARRAYS))
+def test_live_products_equal_the_dense_reference(array_name, samples, snapshots):
+    # every kept product has the bits of the dense table's entry, and the
+    # dense table is exactly 0.0 on the samples an element does not keep;
+    # at 4096 samples the build takes 8 elements a block, so several blocks
+    # add into the power sums
+    arr = DIFFERENTIAL_ARRAYS[array_name]()
+    ev = ObjectiveEvaluator(arr, Region.default_for(1e-4),
+                            ObjectiveConfig(samples=samples, seed=2), 1e-4, snapshots)
+    dense = reference_cross(ev)
+    patterns = {}
+    for e, (live, cross) in enumerate(zip(ev.live, ev._cross)):
+        if isinstance(live, slice):
+            assert live == slice(None)
+        else:
+            assert live.dtype == np.intp and np.all(np.diff(live) > 0)
+        assert patterns.setdefault(id(arr.patterns[e]), live) is live
+        assert np.array_equal(bits(cross), bits(dense[e][:, live]))
+        assert np.all(dense[e][:, dead_samples(ev, e)] == 0.0)
+    kept = sum(np.count_nonzero(~dead_samples(ev, e)) for e in range(arr.num_elements))
+    assert ev.live_fraction == kept / (arr.num_elements * samples)
+    if array_name == "tabulated":  # both kinds of index occur
+        assert {isinstance(live, slice) for live in ev.live} == {True, False}
+
+
+@pytest.mark.parametrize("array_name", sorted(DIFFERENTIAL_ARRAYS))
+def test_block_terms_equal_per_row_terms(array_name):
+    # an element's term on its live samples has the bits of the dense
+    # reference's term there, and the dense term is 0 elsewhere
+    arr = DIFFERENTIAL_ARRAYS[array_name]()
+    m = arr.num_elements
+    ev = ObjectiveEvaluator(arr, Region.default_for(1e-4),
+                            ObjectiveConfig(samples=256, seed=2), 1e-4, 1)
+    dense, table = reference_cross(ev), reference_phase_table(ev)
+    slots = np.random.default_rng(m).permutation(m)
+    rows = reference_terms(dense, table, np.arange(m), slots)
+    assert rows.dtype == np.int64 and rows.shape == (m, 2, 256)
+    for e in range(m):
+        t = ev.term(e, int(slots[e]))
+        assert t.dtype == np.int64
+        assert np.array_equal(t, rows[e][:, ev.live[e]])
+        assert not rows[e][:, dead_samples(ev, e)].any()
+
+
 @pytest.mark.parametrize("sin_elevation", [False, True])
 @pytest.mark.parametrize("snapshots", [1, 3])
 @pytest.mark.parametrize("m", [1, 2, 5, 16, 37, 128])
 def test_phase_rows_equal_the_full_slot_table(m, snapshots, sin_elevation):
-    # the evaluator keeps two phase factor tables and forms rows on demand;
-    # every row, and every term formed from the rows of a slice, a list or
-    # a 2 x 2 broadcast as swap_sums asks for, has the bits of the table
+    # the evaluator keeps two phase factor tables and forms the row of a
+    # slot on an element's live samples; every row, on every sample and on
+    # a subset, and every term formed from it, has the bits of the table
     cfg = ObjectiveConfig(samples=256, seed=6, sin_elevation=sin_elevation)
     ev = ObjectiveEvaluator(make_ula(m, 0.5, 1.0), Region.default_for(1e-4), cfg,
                             1e-4, snapshots)
     table = reference_phase_table(ev)
-    rows = ev.phase_rows(np.arange(m))
-    assert rows.shape == (m, 256)
-    assert np.array_equal(bits(rows.real), bits(table[:, 0]))
-    assert np.array_equal(bits(rows.imag), bits(table[:, 1]))
+    subset = np.flatnonzero(np.random.default_rng(m).random(256) < 0.3)
+    for s in range(m):
+        for live in (slice(None), subset):
+            row = ev._phase(s, live)
+            assert np.array_equal(bits(row.real), bits(table[s, 0][live]))
+            assert np.array_equal(bits(row.imag), bits(table[s, 1][live]))
+    assert all(live == slice(None) for live in ev.live)  # omni: live everywhere
+    dense = reference_cross(ev)
     slots = np.random.default_rng(m).permutation(m)
-    for elements, picked in [(slice(0, m), slots),
-                             (list(range(m))[::-1], slots.tolist()),
-                             ([[m - 1], [0]], [int(slots[0]), int(slots[-1])])]:
-        terms = ev.terms(elements, picked)
-        assert np.array_equal(terms, reference_terms(ev, table, elements, picked))
-    assert terms.shape == (2, 2, 2, 256)
+    terms = reference_terms(dense, table, np.arange(m), slots)
+    for e in range(m):
+        assert np.array_equal(ev.term(e, int(slots[e])), terms[e])
 
 
 def test_evaluator_retains_products_and_phase_factors_only():
-    # after the build the evaluator holds its steering products (one
-    # samples x M complex matrix) and two phase factor tables of 23 rows at
-    # M = 128, about 1.2 matrices; a full M-row slot phase table on top
-    # reads 2.0
+    # after the build the evaluator holds, on the octagon, the steering
+    # products of the quarter of samples each element sees power on, the
+    # sorted index of each panel's live samples and two phase factor tables
+    # of 23 rows at M = 128: about 0.47 of one samples x M complex matrix;
+    # the dense products alone read 1.0
     arr = make_octagonal(8, 4, 4, patch_exponent=2.0)
-    samples = 1024
+    assert retained_matrices(arr) <= 0.6
 
+
+def test_evaluator_on_an_omni_array_retains_dense_products():
+    # an omni ULA is live on every sample, so it keeps every product and no
+    # index: one matrix plus the phase factor tables, about 1.21
+    assert retained_matrices(make_ula(128, 0.5, 1.0)) <= 1.25
+
+
+def retained_matrices(arr, samples=1024):
+    """Memory an evaluator keeps after its build, in units of one samples x
+    M complex matrix (tracemalloc)."""
     def build(n):
         return ObjectiveEvaluator(arr, Region.default_for(1e-4),
                                   ObjectiveConfig(samples=n, seed=3), 1e-4, 1)
@@ -329,8 +438,7 @@ def test_evaluator_retains_products_and_phase_factors_only():
     finally:
         tracemalloc.stop()
     assert ev.config.samples == samples
-    one_matrix = samples * arr.num_elements * np.dtype(complex).itemsize
-    assert retained <= 1.5 * one_matrix
+    return retained / (samples * arr.num_elements * np.dtype(complex).itemsize)
 
 
 # the two directions of every sample nearly coincide and the Doppler
@@ -354,8 +462,12 @@ def test_fixed_point_sums_within_overflow_bound(array_name, region, snapshots):
     if array_name == "single_panel" and region is not TIGHT_REGION:
         assert ev.degenerate_count > 0
     bound = 2 ** 61 * (1 + 1e-12) + m
+    dense, table = reference_cross(ev), reference_phase_table(ev)
     for seq in swap_chain(arr, snapshots, 5, np.random.default_rng(m)):
-        terms = ev.terms(slice(0, m), seq.slot_of())
+        slots = seq.slot_of()
+        terms = reference_terms(dense, table, np.arange(m), slots)
+        for e in range(m):
+            assert np.array_equal(ev.term(e, int(slots[e])), terms[e][:, ev.live[e]])
         assert np.abs(terms).sum(axis=0).max() <= bound
         assert np.array_equal(terms.sum(axis=0), ev.sample_sums(seq))
     if region is TIGHT_REGION and snapshots == 1:

@@ -376,8 +376,9 @@ def test_over_budget_samples_exit_2_without_allocating(tmp_path):
 
 
 def test_readme_config_at_2_pow_19_samples_loads():
-    # the evaluator holds M steering products and 23 phase factor rows per
-    # sample at M = 128, so 2**19 samples (1.2 GiB) fit the 2 GiB budget
+    # the budget counts M steering products per sample, every element live
+    # on every sample, and 23 phase factor rows at M = 128, so 2**19 samples
+    # (1.2 GiB) fit the 2 GiB budget
     cfg = json.loads(readme_block("CLI quick start", "json"))
     cfg["objective"]["samples"] = 2 ** 19
     assert ExperimentConfig.from_dict(cfg).objective.samples == 2 ** 19
@@ -410,6 +411,25 @@ def test_huge_panel_count_exits_2_before_building_the_array(tmp_path):
     error = json.loads(line)["error"]
     assert error["type"] == "config"
     assert "panels" in error["message"]
+
+
+def test_huge_array_at_one_sample_exits_2_before_building_the_array(tmp_path):
+    # 4e6 panels of 2 x 2 elements fit the evaluator budget at one sample,
+    # but not their surface arrays (121 angles x 16e6 rows); that budget is
+    # checked on the spec's element count, so the panels are never built
+    cfg = octagon_config()
+    del cfg["sweep"]
+    cfg["array"]["panels"] = 4e6
+    cfg["objective"]["samples"] = 1
+    proc = run_python("import sys; from switchseq.cli import main; "
+                      "sys.exit(main(sys.argv[1:]))",
+                      "effective-factor", "--config", write_config(tmp_path, cfg),
+                      "--out", str(tmp_path / "out"), timeout=30)
+    assert proc.returncode == 2
+    (line,) = proc.stderr.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "config"
+    assert "panels" in error["message"] and "config.sweep" in error["message"]
 
 
 def test_ambiguity_imports_neither_scipy_stats_nor_ndimage(tmp_path):
@@ -525,7 +545,9 @@ def test_optimize_outputs_and_determinism(tmp_path):
     summary = json.loads((out1 / "summary.json").read_text())
     assert set(summary) == {"initial_objective", "final_objective",
                             "best_objective", "best_k", "t0", "alpha",
-                            "iterations"}
+                            "iterations", "degenerate_samples", "live_fraction"}
+    # an omni ULA sees power on every sample
+    assert summary["degenerate_samples"] == 0 and summary["live_fraction"] == 1.0
 
 
 def test_optimize_seed_override_changes_result(tmp_path):
@@ -722,7 +744,9 @@ def test_compare_pipeline(tmp_path):
         with open(out / f"trace_{update}.csv") as fh:
             rows = list(csv.DictReader(fh))
         block = report["anneal"][update]
-        assert set(block) == {"final_objective", "best_objective"}
+        assert set(block) == {"final_objective", "best_objective",
+                              "degenerate_samples", "live_fraction"}
+        assert block["live_fraction"] == 0.25  # each patch sees a half-space
         assert block["final_objective"] == float(rows[-1]["objective"])
     for name in ("surface_sequential.csv", "surface_random.csv",
                  "surface_hybrid.csv", "sequence_random.json",
