@@ -26,10 +26,18 @@ The points come from sobol_points, a numpy scrambled Sobol generator whose
 output is byte-identical to scipy.stats.qmc.Sobol(d=5, scramble=True,
 seed=seed).random(n); scipy serves only as the tests' reference, so no
 command imports it.
+
+save_surface_csv writes the bytes csv.writer gives for rows of repr'd
+floats, but formats the dB values a block of cells at a time with
+_repr_words, an exact array formatter: it gives repr's shortest digits by
+integer and floating-point arithmetic (Dekker's two-product, Clinger's fast
+path) and leaves to repr the few values it does not cover. The tests hold
+it to repr on millions of doubles.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -232,6 +240,10 @@ class ObjectiveEvaluator:
                 self.live.append(live)
                 self._cross.append(np.array([term.real, term.imag]))
             power += mag2.sum(axis=1)
+        # runs of consecutive elements that share a pattern's live index
+        starts = [e for e in range(m) if e == 0 or self.live[e] is not self.live[e - 1]]
+        self._runs = [(self.live[lo], range(lo, hi))
+                      for lo, hi in zip(starts, starts[1:] + [m])]
         ok = (power > 0.0).all(axis=0)
         self.degenerate_count = int(n - ok.sum())
         # normalised and scaled to units of 2**-FIXED_BITS; zero where a
@@ -280,9 +292,15 @@ class ObjectiveEvaluator:
             raise ValueError("sequence does not match the evaluator's array")
         if seq.delta_t != self.delta_t or seq.snapshots != self.snapshots:
             raise ValueError("sequence timing does not match the evaluator")
+        # the terms of a run of elements that share a live index add into
+        # one buffer, scattered into the sums once per run
         sums = np.zeros((2, self.config.samples), dtype=np.int64)
-        for element, slot in enumerate(seq.slot_of().tolist()):
-            sums[:, self.live[element]] += self.term(element, slot)
+        slots = seq.slot_of().tolist()
+        for live, elements in self._runs:
+            total = self.term(elements[0], slots[elements[0]])
+            for element in elements[1:]:
+                total += self.term(element, slots[element])
+            sums[:, live] += total
         return sums
 
     def term(self, element: int, slot: int) -> np.ndarray:
@@ -348,7 +366,14 @@ class AmbiguitySurface:
 
     @property
     def magnitude_db(self) -> np.ndarray:
-        return 20.0 * np.log10(np.maximum(self.magnitude, 10 ** (DB_FLOOR / 20.0)))
+        return to_db(self.magnitude)
+
+
+def to_db(magnitude: np.ndarray) -> np.ndarray:
+    """20 log10 of a linear magnitude, floored at DB_FLOOR. The CSV writer
+    converts a block of a surface at a time and half_power_width one row or
+    column; the tests check both against the whole surface, bit for bit."""
+    return 20.0 * np.log10(np.maximum(magnitude, 10 ** (DB_FLOOR / 20.0)))
 
 
 def sweep_directions(mu: StructuralParams, angle_offset_deg,
@@ -401,19 +426,153 @@ def ambiguity_surface(array: ArrayModel, seq: SwitchingSequence,
     return AmbiguitySurface(doppler_hz, angle_offset_deg, angle_axis, mag, mu)
 
 
+_POW10 = 10.0 ** np.arange(23)  # exact doubles
+
+
+@functools.cache
+def _repr_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The uint32 words '0000'..'9999'; the leading words, NUL NUL sign digit,
+    at 10 * negative + digit; the trailing zeros of 0..9999; and the (11,
+    340) keep masks of a value's words, column 17 * (k + 4) + digits - 1."""
+    n = np.arange(10000, dtype=np.uint16)
+    quads = np.stack([n // 10 ** j % 10 + 48 for j in (3, 2, 1, 0)], axis=1)
+    lead = np.zeros((20, 4), dtype=np.uint8)
+    lead[10:, 2] = ord("-")
+    lead[:, 3] = 48 + np.arange(20) % 10
+    zeros = sum(n % 10 ** j == 0 for j in range(1, 5)).astype(np.uint8)
+    k, sig = (x.reshape(-1, 1) for x in np.meshgrid(
+        np.arange(-4, 16), np.arange(1, 18), indexing="ij"))
+    i = np.arange(-3, 17)  # the digit in each byte of five words
+    whole = (i <= k) | (i == -1)  # the sign and the digits before the point
+    point = np.hstack([k < 0, k > -5, k < -4, k < -4])  # '0' for k < 0, '.'
+    frac = (i > k) & (i < np.maximum(sig, k + 2))  # pad zeros and digits after
+    masks = 255 * np.hstack([whole, point, frac]).astype(np.uint8)
+    tables = (quads.astype(np.uint8).view(np.uint32).ravel(),
+              lead.view(np.uint32).ravel(), zeros, masks.view(np.uint32).T.copy())
+    for table in tables:  # shared by every call
+        table.setflags(write=False)
+    return tables
+
+
+_POINT, _CRLF = np.frombuffer(b"0.\0\0\r\n\0\0", dtype=np.uint32)
+
+
+def _exact17(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D17 = rint(a * 10**(16 - k)) and the residual r of a * 10**(16 - k) =
+    D17 + r, both exact: Dekker's two-product of a and the exact 10**p."""
+    c = _POW10[16 - k]
+    p = a * c
+    t, u = a * 134217729.0, c * 134217729.0  # Veltkamp splits, 26 bits each
+    a1, c1 = t - (t - a), u - (u - c)
+    a2, c2 = a - a1, c - c1
+    lo = ((a1 * c1 - p) + a1 * c2 + a2 * c1) + a2 * c2
+    n = np.rint(lo)
+    return p.astype(np.int64) + n.astype(np.int64), lo - n
+
+
+def _rounded(d17: np.ndarray, r: np.ndarray, unit: int) -> np.ndarray:
+    """(d17 + r) / unit rounded half-even, r breaking the ties of d17."""
+    q = d17 // unit
+    m = d17 - q * unit
+    half = unit // 2
+    return q + ((m > half) | (m == half) & ((r > 0) | (r == 0) & (q & 1 == 1)))
+
+
+def _repr_words(v: np.ndarray, out: np.ndarray) -> int:
+    """Write repr(float(x)) of each x of the 1-D float array v, NUL-padded,
+    into column j < v.size of the (11, >= v.size) uint32 array out; return
+    how many values repr itself formatted.
+
+    For 1e-4 <= |x| < 1e16, repr's positional range, the shortest digits
+    that read back to x are the first of D15 and D16, |x| rounded to 15 and
+    16 digits, that does, else D17: reading back is one correctly rounded
+    multiply or divide of the exact double D by an exact 10**q (Clinger's
+    fast path), and a string shorter than 15 digits is D15 without its
+    trailing zeros. repr formats the rest, one value at a time: zero, a
+    non-finite value, a power of two (its rounding interval is asymmetric),
+    anything outside the range, and an odd D16 above 2**53 (not a double)
+    that has to be checked."""
+    a = np.abs(v)
+    # a power of two has no mantissa bits
+    direct = (a >= 1e-4) & (a < 1e16) & (v.view(np.int64) << 12 != 0)
+    a = np.where(direct, a, 1.0)
+    k = np.floor(np.log10(a)).astype(np.int64)
+    d17, r = _exact17(a, k)
+    off = np.flatnonzero((d17 >= 10 ** 17) | (d17 < 10 ** 16))
+    if off.size:  # log10 is one off next to a power of ten
+        k[off] += np.where(d17[off] < 10 ** 16, -1, 1)
+        d17[off], r[off] = _exact17(a[off], k[off])
+    d16, d15 = _rounded(d17, r, 10), _rounded(d17, r, 100)
+    ok15 = d15 * _POW10[np.maximum(k - 14, 0)] / _POW10[np.maximum(14 - k, 0)] == a
+    exact16 = (d16 <= 2 ** 53) | (d16 & 1 == 0)
+    ok16 = exact16 & (d16 / _POW10[15 - k] == a)
+    direct &= ok15 | exact16
+    d = np.where(ok15, d15 * 100, np.where(ok16, d16 * 10, d17))
+    carry = d == 10 ** 17
+    k += carry
+    d[carry] = 10 ** 16
+
+    # 11 words: the sign and first digit, the other 16 digits, '0.', three
+    # pad zeros and all 17 digits again; the masks keep what repr writes
+    quads, lead, zeros, masks = _repr_tables()
+    chunks = np.empty((5, v.size), dtype=np.int64)  # four digits each
+    for i in range(4, 0, -1):
+        q = d // 10000
+        chunks[i] = d - q * 10000
+        d = q
+    chunks[0] = d
+    zeros = zeros.take(chunks[1:])
+    z = zeros == 4
+    sig = 17 - (zeros[3] + z[3] * (zeros[2] + z[2] * (zeros[1] + z[1] * zeros[0])))
+    digits = quads.take(chunks)
+    out = out[:, :v.size]
+    out[0] = lead.take(chunks[0] + 10 * (v < 0))
+    out[1:5] = digits[1:]
+    out[5] = _POINT
+    out[6:] = digits
+    out &= masks.take((k + 4) * 17 + sig - 1, axis=1)
+    slow = np.flatnonzero(~direct)
+    if slow.size:
+        out[:, slow] = np.array([repr(x).encode() for x in v[slow].tolist()],
+                                dtype="S44").view(np.uint32).reshape(-1, 11).T
+    return slow.size
+
+
+_CSV_CELLS = 4096  # cells formatted per block of the writer
+
+
+def _csv_words(values: np.ndarray) -> np.ndarray:
+    """repr(x) + ',' of each value as a column of NUL-padded uint32 words."""
+    text = np.array([f"{x!r},".encode() for x in values.tolist()], dtype=bytes)
+    width = -(-text.itemsize // 4)
+    return text.astype(f"S{4 * width}").view(np.uint32).reshape(-1, width).T.copy()
+
+
 def save_surface_csv(surface: AmbiguitySurface, path: str | Path,
                      metadata: dict | None = None) -> None:
     """Write the surface in dB as long-format CSV plus a JSON sidecar."""
     path = Path(path)
-    # the bytes csv.writer gives for repr'd floats (never quoted), written
-    # one angle row per call so the file is never held in memory whole
-    dopplers = [repr(d) for d in surface.doppler_hz.tolist()]
-    with open(path, "w", newline="") as fh:
-        fh.write("delta_doppler_hz,angle_deg,magnitude_db\r\n")
-        for angle, row in zip(surface.angle_offset_deg.tolist(), surface.magnitude_db):
-            mid = f",{angle!r},"
-            fh.write("".join(f"{d}{mid}{v!r}\r\n"
-                             for d, v in zip(dopplers, row.tolist())))
+    # the bytes csv.writer gives for repr'd floats (never quoted), built a
+    # block of cells at a time as a NUL-padded word grid, one line a column:
+    # the Doppler, the angle, the value and CRLF; the NULs are then deleted
+    # by bytes.translate, which takes 2/3 of the time of a boolean mask
+    dopplers, angles = _csv_words(surface.doppler_hz), _csv_words(surface.angle_offset_deg)
+    n_angles, n_dopplers = surface.magnitude.shape
+    cols = max(1, min(n_dopplers, _CSV_CELLS))
+    rows = max(1, _CSV_CELLS // cols)
+    wd, wa = len(dopplers), len(angles)
+    grid = np.empty((wd + wa + 12, rows * cols), dtype=np.uint32)
+    grid[-1] = _CRLF
+    with open(path, "wb") as fh:
+        fh.write(b"delta_doppler_hz,angle_deg,magnitude_db\r\n")
+        for r in range(0, n_angles, rows):
+            for c in range(0, n_dopplers, cols):
+                mag = surface.magnitude[r:r + rows, c:c + cols]
+                block = grid[:, :mag.size]
+                block[:wd].reshape(wd, *mag.shape)[...] = dopplers[:, None, c:c + cols]
+                block[wd:wd + wa].reshape(wa, *mag.shape)[...] = angles[:, r:r + rows, None]
+                _repr_words(to_db(mag).ravel(), block[wd + wa:-1])
+                fh.write(block.T.tobytes().translate(None, b"\0"))
     sidecar = {
         "angle_axis": surface.angle_axis,
         "angle_offset_deg": [float(x) for x in surface.angle_offset_deg],

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import AmbiguitySurface, ambiguity_surface
+from .ambiguity import AmbiguitySurface, ambiguity_surface, to_db
 from .arrays import ArrayModel, Direction, effective_elements
 from .crlb import crlb_doppler
 from .signal import StructuralParams
@@ -57,16 +57,17 @@ def _main_peak(surface: AmbiguitySurface) -> tuple[int, int]:
 
 
 def half_power_width(surface: AmbiguitySurface, axis: str) -> WidthReport:
-    """Half-power interval of the main lobe along 'doppler' or the angle axis."""
+    """Half-power interval of the main lobe along 'doppler' or the angle axis,
+    from the dB values of the one row or column through the peak."""
     peak_a, peak_d = _main_peak(surface)
 
     if axis == "doppler":
         coords = surface.doppler_hz
-        db = surface.magnitude_db[peak_a, :]
+        db = to_db(surface.magnitude[peak_a, :])
         peak = peak_d
     elif axis == surface.angle_axis:
         coords = surface.angle_offset_deg
-        db = surface.magnitude_db[:, peak_d]
+        db = to_db(surface.magnitude[:, peak_d])
         peak = peak_a
     else:
         raise ValueError(

@@ -29,6 +29,10 @@ from .switching import (SwitchingSequence, hybrid_init, random_init, sequential,
 
 CONFIG_VERSION = 1
 MEMORY_BUDGET_BYTES = 2 * 2 ** 30  # what a config may ask a run's largest arrays for
+# annealing proposals x objective samples a config may ask for: a proposal
+# costs 60-150 ns a sample, so 2**33 (16384 proposals at 2**19 samples) is
+# at most about 20 minutes of annealing
+WORK_BUDGET_SAMPLES = 2 ** 33
 
 
 class ConfigError(ValueError):
@@ -301,6 +305,10 @@ class ExperimentConfig:
                             update=anneal_spec["scheme"], k_max=anneal_spec["k_max"],
                             t0=anneal_spec["t0"], alpha=anneal_spec["alpha"])
             require_swaps(array, anneal.update, "config.anneal.scheme")
+        if anneal.k_max > WORK_BUDGET_SAMPLES / objective.samples:
+            raise ConfigError(
+                "config.anneal.k_max and config.objective.samples: k_max x "
+                f"samples exceeds the work budget of {WORK_BUDGET_SAMPLES}")
 
         angles = _grid("config.sweep.angle_span_deg", a_span, a_step)
         _field("config.sweep.angle_span_deg", sweep_directions, reference,

@@ -14,7 +14,8 @@ from switchseq import (AmbiguitySurface, AnnealConfig, ArrayModel,
                        ambiguity_surface, ambiguity_value, anneal,
                        basis_from_eta, make_octagonal, make_ula, random_init,
                        sequential)
-from switchseq.ambiguity import (_BLOCK_ENTRIES, FIXED_BITS, normalized_correlation,
+from switchseq.ambiguity import (_BLOCK_ENTRIES, _CSV_CELLS, FIXED_BITS,
+                                 normalized_correlation,
                                  save_surface_csv, sobol_points)
 from switchseq.arrays import steering_matrix, unit_vectors
 from switchseq.switching import draw_swap, hybrid_init, swap_sets
@@ -665,3 +666,36 @@ def test_surface_csv_bytes_match_csv_writer(tmp_path, rng, case):
     _reference_surface_csv(surf, tmp_path / "reference.csv")
     assert ((tmp_path / "fast.csv").read_bytes()
             == (tmp_path / "reference.csv").read_bytes())
+
+
+@pytest.mark.parametrize("n_angles, n_dopplers", [
+    (0, 3), (3, 0), (1, 1), (7, _CSV_CELLS), (2, _CSV_CELLS + 1), (3, 2 * _CSV_CELLS + 5)])
+def test_surface_csv_bytes_match_csv_writer_across_block_shapes(tmp_path, rng,
+                                                                 n_angles, n_dopplers):
+    # empty axes, one cell, and rows that fill a block exactly or are split
+    # into column chunks; a Fortran-ordered magnitude array too
+    mag = np.asfortranarray(rng.uniform(0.0, 1.0, (n_angles, n_dopplers)))
+    surf = AmbiguitySurface(np.arange(n_dopplers) * 0.25 - 3.0,
+                            np.arange(n_angles) * 0.5, "aoa", mag, BROADSIDE)
+    save_surface_csv(surf, tmp_path / "fast.csv")
+    _reference_surface_csv(surf, tmp_path / "reference.csv")
+    assert ((tmp_path / "fast.csv").read_bytes()
+            == (tmp_path / "reference.csv").read_bytes())
+
+
+def test_surface_csv_writer_memory_is_bounded_by_its_block(tmp_path, rng):
+    # the writer formats one block of cells at a time, so what it allocates
+    # at its peak is the same for a README-sized and a 20x larger surface
+    peaks = []
+    for n_angles, n_dopplers in ((121, 801), (601, 3201)):
+        mag = 10.0 ** rng.uniform(-6.0, 0.0, (n_angles, n_dopplers))
+        surf = AmbiguitySurface(np.arange(n_dopplers) - n_dopplers // 2 * 0.5,
+                                np.linspace(-30.0, 30.0, n_angles), "eoa", mag,
+                                BROADSIDE)
+        tracemalloc.start()
+        save_surface_csv(surf, tmp_path / "surface.csv")
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    block_bytes = _CSV_CELLS * 64  # a grid line of 16 words per cell
+    assert abs(peaks[1] - peaks[0]) < block_bytes, peaks
+    assert peaks[1] < mag.nbytes / 10, peaks

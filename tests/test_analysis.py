@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -7,11 +8,16 @@ from scipy import ndimage
 from scipy.optimize import brentq
 
 from switchseq import (AmbiguitySurface, Direction, GridTooNarrowError,
-                       StructuralParams, alias_scan, ambiguity_surface,
-                       block_aperture_ratio, compare_schemes, effective_factor,
-                       half_power_width, make_octagonal, make_ula,
-                       peak_sidelobe, random_init, sequential)
-from switchseq.analysis import _max3x3
+                       ObjectiveEvaluator, StructuralParams, alias_scan,
+                       ambiguity_surface, anneal, block_aperture_ratio,
+                       compare_schemes, effective_factor, half_power_width,
+                       make_octagonal, make_ula, peak_sidelobe, random_init,
+                       sequential)
+from switchseq.ambiguity import to_db
+from switchseq.analysis import _crossing, _max3x3
+from switchseq.config import ExperimentConfig
+
+from conftest import readme_block
 
 BROADSIDE = StructuralParams(math.pi / 2, math.pi / 2, 0.0)
 
@@ -81,6 +87,59 @@ def test_half_power_width_grid_too_narrow():
     surf = ambiguity_surface(arr, seq, BROADSIDE, dop, ang, "aoa")
     with pytest.raises(GridTooNarrowError):
         half_power_width(surf, "doppler")
+
+
+@pytest.fixture(scope="module")
+def readme_compare_surfaces():
+    """The three surfaces README compare writes: its config and seed, one
+    evaluator and one RNG stream drawn in compare's order."""
+    config = ExperimentConfig.from_dict(json.loads(readme_block("CLI quick start", "json")))
+    spec = config.sequence_spec
+    evaluator = ObjectiveEvaluator(config.array, config.region, config.objective,
+                                   spec["delta_t_s"], spec["snapshots"])
+    rng = np.random.default_rng(config.seed)
+    sequences = {"sequential": config.build_sequence("sequential", rng)}
+    for update in ("random", "hybrid"):
+        sequences[update], _ = anneal(config.build_sequence(update, rng),
+                                      replace(config.anneal, update=update),
+                                      evaluator, rng)
+    doppler, angles, axis = config.sweep
+    return {name: ambiguity_surface(config.array, seq, config.reference, doppler,
+                                    angles, axis)
+            for name, seq in sequences.items()}
+
+
+def whole_surface_width(surface, axis):
+    """half_power_width's interval with the whole surface taken to dB."""
+    db = surface.magnitude_db
+    peak_a = int(np.argmin(np.abs(surface.angle_offset_deg)))
+    peak_d = int(np.argmin(np.abs(surface.doppler_hz)))
+    coords, db, peak = ((surface.doppler_hz, db[peak_a], peak_d) if axis == "doppler"
+                        else (surface.angle_offset_deg, db[:, peak_d], peak_a))
+    lo = peak
+    while db[lo - 1] >= -3.0:
+        lo -= 1
+    hi = peak
+    while db[hi + 1] >= -3.0:
+        hi += 1
+    return _crossing(coords, db, lo, lo - 1), _crossing(coords, db, hi, hi + 1)
+
+
+def test_half_power_width_converts_rows_and_columns_to_the_whole_surface_bits(
+        readme_compare_surfaces):
+    # half_power_width takes one row or column to dB, not the surface: on
+    # every row and column of the README surfaces that gives the bits of
+    # the whole conversion, so the widths stay the same to the last bit
+    for surface in readme_compare_surfaces.values():
+        whole = surface.magnitude_db
+        assert whole.shape == (121, 801)
+        for a in range(whole.shape[0]):
+            assert to_db(surface.magnitude[a]).tobytes() == whole[a].tobytes()
+        for d in range(whole.shape[1]):
+            assert to_db(surface.magnitude[:, d]).tobytes() == whole[:, d].tobytes()
+        for axis in ("doppler", surface.angle_axis):
+            width = half_power_width(surface, axis)
+            assert (width.lower, width.upper) == whole_surface_width(surface, axis)
 
 
 def test_half_power_requires_main_peak():

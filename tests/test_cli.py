@@ -413,6 +413,33 @@ def test_huge_panel_count_exits_2_before_building_the_array(tmp_path):
     assert "panels" in error["message"]
 
 
+@pytest.mark.parametrize("k_max", [1e12, 1e308])
+def test_huge_k_max_exits_2_before_annealing(tmp_path, k_max):
+    # an 8-element ULA annealed for 1e12 proposals would run for ever: the
+    # proposals x samples are held to the work budget at load
+    cfg = ula_config(array={"kind": "ula", "elements": 8},
+                     anneal={"scheme": "random", "k_max": k_max})
+    proc = run_python("import sys; from switchseq.cli import main; "
+                      "sys.exit(main(sys.argv[1:]))",
+                      "optimize", "--config", write_config(tmp_path, cfg),
+                      "--out", str(tmp_path / "out"), timeout=30)
+    assert proc.returncode == 2
+    (line,) = proc.stderr.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "config"
+    assert "config.anneal.k_max" in error["message"]
+
+
+def test_work_budget_admits_thousands_of_proposals_at_2_pow_19_samples():
+    cfg = json.loads(readme_block("CLI quick start", "json"))
+    cfg["objective"]["samples"] = 2 ** 19
+    cfg["anneal"]["k_max"] = 16384
+    assert ExperimentConfig.from_dict(cfg).anneal.k_max == 16384
+    cfg["anneal"]["k_max"] = 16385
+    with pytest.raises(ConfigError, match="config.anneal.k_max"):
+        ExperimentConfig.from_dict(cfg)
+
+
 def test_huge_array_at_one_sample_exits_2_before_building_the_array(tmp_path):
     # 4e6 panels of 2 x 2 elements fit the evaluator budget at one sample,
     # but not their surface arrays (121 angles x 16e6 rows); that budget is
