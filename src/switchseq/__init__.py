@@ -28,9 +28,10 @@ def _blas_threads_requested() -> int | None:
 # sweep's 121x128 @ 128x801): OpenBLAS hands each product to a second
 # thread that then spin-waits, a third of a run's CPU time, and a wait for
 # a descheduled worker when the host takes the other core. One thread gives
-# the same bits. Of the larger sweeps measured, it cost wall time at 8192
-# rows per Doppler (M * snapshots), where a free second core halves the
-# product, and not at 1024; see README "Threads".
+# the same bits. The sweep's product has M rows per Doppler at any snapshot
+# count; on the largest sweep measured (601 x 3201 cells) a free second
+# core saves about 25 ms of 90 ms, where writing that surface takes 0.4 s;
+# see README "Threads".
 # Set before any submodule imports numpy, and only when no variable asks
 # for a count; a numpy imported earlier already runs its pool, so then
 # nothing is set and the count is unknown (None).

@@ -22,6 +22,11 @@ swap of two slots moves two elements' terms, so swap_sums gives in
 O(samples) exactly the integers of a fresh sample_sums: every annealing
 proposal is scored equal to evaluate() bit for bit (the tests assert ==).
 
+ambiguity_surface sweeps the first snapshot only, one (angles x M) @
+(M x Dopplers) product, and scales each Doppler column by the snapshot
+gain, since every snapshot repeats the first M*delta_t later: its arrays
+and time do not grow with snapshots.
+
 The points come from sobol_points, a numpy scrambled Sobol generator whose
 output is byte-identical to scipy.stats.qmc.Sobol(d=5, scramble=True,
 seed=seed).random(n); scipy serves only as the tests' reference, so no
@@ -157,6 +162,15 @@ def sobol_points(n: int, seed: int) -> np.ndarray:
     return points * 2.0 ** -bits
 
 
+def snapshot_gain(dnu: np.ndarray, m: int, delta_t: float,
+                  snapshots: int) -> np.ndarray:
+    """|sum_s exp(2*pi*i*dnu*s*m*delta_t)| over snapshots s, each Doppler
+    difference dnu: the gain of repeating an M-slot switching cycle;
+    exactly 1.0 at one snapshot."""
+    offsets = np.arange(snapshots) * m * delta_t
+    return np.abs(np.exp(2j * math.pi * np.outer(dnu, offsets)).sum(axis=1))
+
+
 # Sample sums are int64 multiples of 2**-FIXED_BITS. |term| <= |cross[m, n]|
 # as |P| = 1, and by Cauchy-Schwarz sum_m |cross[m, n]| = sum_m |g_m||g'_m| /
 # (S ||g|| ||g'||) <= 1/S <= 1 (up to rounding), so a sum stays within about
@@ -264,13 +278,10 @@ class ObjectiveEvaluator:
                                                     dnu))
         self._coarse = np.array([np.exp(2j * math.pi * (lo * self.delta_t) * dnu)
                                  for lo in range(0, m, self._step)])
-        # squared inter-snapshot Doppler factor: geometric sum over snapshot
-        # offsets (the 1/snapshots normalization already sits in the basis
-        # norms); exactly 1.0 at one snapshot
-        offsets = np.arange(self.snapshots) * m * self.delta_t
-        self._snapshot_power = np.abs(
-            np.exp(2j * math.pi * np.outer(dnu, offsets)).sum(axis=1)
-        ) ** 2
+        # squared snapshot gain (the 1/snapshots normalization already sits
+        # in the basis norms)
+        self._snapshot_power = snapshot_gain(dnu, m, self.delta_t,
+                                             self.snapshots) ** 2
 
     def evaluate(self, seq: SwitchingSequence) -> float:
         """QMC estimate of f_P for one sequence."""
@@ -398,6 +409,12 @@ def ambiguity_surface(array: ArrayModel, seq: SwitchingSequence,
 
     The angle axis offsets either the elevation ("eoa") or the azimuth
     ("aoa") of arrival relative to the reference.
+
+    Snapshot s switches every element s*M*delta_t after snapshot 0, so a
+    cell is the first snapshot's normalized inner product, one
+    (Na x M) @ (M x Nd) product, times snapshot_gain / S at its Doppler
+    difference: the arrays do not grow with snapshots. At one snapshot the
+    factor is exactly 1.
     """
     doppler_hz = np.asarray(doppler_hz, dtype=float)
     angle_offset_deg = np.asarray(angle_offset_deg, dtype=float)
@@ -407,22 +424,28 @@ def ambiguity_surface(array: ArrayModel, seq: SwitchingSequence,
         raise ValueError("sweep grids must be strictly increasing")
 
     az, el = sweep_directions(mu, angle_offset_deg, angle_axis)
-    b_ref = basis(array, seq, mu)
+    m = array.num_elements
+    b_ref = basis(array, seq, mu)[:m]  # the first snapshot
     norm_ref = np.linalg.norm(b_ref)
     if norm_ref == 0.0:
         raise DegenerateDirectionError("reference direction has zero array response")
 
     g = steering_matrix(array, az, el)                      # (Na, M)
-    g_tiled = np.tile(g, (1, seq.snapshots))                # (Na, M*S)
-    norms = np.linalg.norm(g_tiled, axis=1)
+    norms = np.linalg.norm(g, axis=1)
     if np.any(norms == 0.0):
         raise DegenerateDirectionError("sweep contains a zero-response direction")
 
-    eta = seq.eta()
-    nu_prime = mu.doppler_hz + doppler_hz
-    phases = np.exp(2j * math.pi * np.outer(eta, nu_prime))  # (M*S, Nd)
-    numer = (np.conj(b_ref)[None, :] * g_tiled) @ phases     # (Na, Nd)
-    mag = np.abs(numer) / (norm_ref * norms[:, None])
+    # phases exp(2*pi*i*eta_m*nu') of the first snapshot, formed in one buffer
+    phases = np.zeros((m, doppler_hz.size), dtype=complex)  # (M, Nd)
+    np.outer(seq.eta()[:m], mu.doppler_hz + doppler_hz, out=phases.real)
+    np.multiply(2j * math.pi, phases, out=phases)
+    np.exp(phases, out=phases)
+    numer = np.multiply(np.conj(b_ref)[None, :], g, out=g) @ phases  # (Na, Nd)
+    del g, phases
+    mag = np.abs(numer)
+    del numer
+    mag /= norm_ref * norms[:, None]
+    mag *= snapshot_gain(doppler_hz, m, seq.delta_t, seq.snapshots) / seq.snapshots
     return AmbiguitySurface(doppler_hz, angle_offset_deg, angle_axis, mag, mu)
 
 

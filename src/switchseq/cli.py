@@ -37,7 +37,8 @@ EXIT_NUMERIC = 3
 
 NUMERIC_ERRORS = (DegenerateDirectionError, EndfireSingularityError,
                   UnobservableDopplerError, SingularFIMError,
-                  GridTooNarrowError, AnnealError, np.linalg.LinAlgError)
+                  GridTooNarrowError, AnnealError, np.linalg.LinAlgError,
+                  ArithmeticError)
 
 
 def _write_manifest(out_dir: Path, command: str, config: ExperimentConfig,
@@ -145,17 +146,20 @@ def cmd_crlb(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str]:
     wavelength = array.wavelength
     spacing = config.array_spec["spacing_wavelengths"] * wavelength
 
-    closed_phi = crlb_aoa(array.num_elements, spacing, wavelength,
-                          params.azimuth, params.amplitude, sigma)
-    closed_nu = crlb_doppler(seq.eta(), params.amplitude, sigma)
-    numeric = fim_numeric(array, seq, params, sigma, elevation=elevation)
+    # a bound that overflows or underflows to zero at extreme geometry or
+    # noise raises an ArithmeticError (exit 3) instead of warning
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        closed_phi = crlb_aoa(array.num_elements, spacing, wavelength,
+                              params.azimuth, params.amplitude, sigma)
+        closed_nu = crlb_doppler(seq.eta(), params.amplitude, sigma)
+        numeric = fim_numeric(array, seq, params, sigma, elevation=elevation)
 
-    # the closed forms are reciprocal-diagonal bounds, so the oracle check
-    # compares against 1/F_ii; the full-inverse variances are reported too,
-    # with off_diag_ratio saying how far apart the two routes can be
-    recip = numeric.reciprocal_diagonal
-    err_phi = abs(recip[0] - closed_phi) / closed_phi
-    err_nu = abs(recip[1] - closed_nu) / closed_nu
+        # the closed forms are reciprocal-diagonal bounds, so the oracle check
+        # compares against 1/F_ii; the full-inverse variances are reported
+        # too, with off_diag_ratio saying how far apart the two routes can be
+        recip = numeric.reciprocal_diagonal
+        err_phi = abs(recip[0] - closed_phi) / closed_phi
+        err_nu = abs(recip[1] - closed_nu) / closed_nu
     report = {
         "params": {
             "azimuth_deg": spec["azimuth_deg"],
@@ -191,10 +195,11 @@ def cmd_crlb(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str]:
     return ["crlb_report.json"]
 
 
-def cmd_compare(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str]:
-    array = config.array
-    for update in ("random", "hybrid"):
-        require_swaps(array, update, "compare")
+def _anneal_schemes(config: ExperimentConfig,
+                    seed: int) -> tuple[dict, dict, dict]:
+    """The sequential sequence and the random and hybrid anneals' results
+    and traces, with the evaluator's counts. The evaluator is dropped on
+    return, so the surface sweeps that follow do not hold it."""
     evaluator = _evaluator(config)
     # one RNG stream, drawn in order: random init and anneal, then hybrid
     rng = np.random.default_rng(seed)
@@ -204,6 +209,14 @@ def cmd_compare(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str]
         init = config.build_sequence(update, rng)
         sequences[update], traces[update] = anneal(
             init, replace(config.anneal, update=update), evaluator, rng)
+    return sequences, traces, _evaluator_counts(evaluator)
+
+
+def cmd_compare(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str]:
+    array = config.array
+    for update in ("random", "hybrid"):
+        require_swaps(array, update, "compare")
+    sequences, traces, counts = _anneal_schemes(config, seed)
 
     doppler, angles, axis = config.sweep
     params, _, sigma = config.crlb
@@ -229,7 +242,7 @@ def cmd_compare(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str]
     doc["anneal"] = {
         update: {"final_objective": trace.final_objective,
                  "best_objective": trace.best_objective,
-                 **_evaluator_counts(evaluator)}
+                 **counts}
         for update, trace in traces.items()
     }
     (out_dir / "comparison.json").write_text(json.dumps(doc, indent=2) + "\n")

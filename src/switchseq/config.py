@@ -264,18 +264,26 @@ class ExperimentConfig:
                params.azimuth % (2 * math.pi), elevation)
         crlb = (params, elevation,
                 _positive(crlb_spec["noise_sigma"], "config.crlb.noise_sigma"))
+        for key in ("amplitude", "noise_sigma"):  # the bounds square both
+            if not crlb_spec[key] * crlb_spec[key] < math.inf:
+                raise ConfigError(f"config.crlb.{key}: its square overflows a float")
 
         # the run's timing, snapshots x M slots of delta_t, from the element
         # count the spec asks for, before the array is built: its surface
-        # arrays, a row per element and snapshot, stay in the memory budget,
-        # and its Doppler phases 2*pi*nu*t, at the region bound, the swept
-        # or the crlb Doppler, must not overflow a float
-        rows = max(m, 1) * sequence_spec["snapshots"]  # building refuses m < 1
+        # arrays (angles x M, M x Dopplers, angles x Dopplers and the Doppler
+        # axis's snapshot sums) and its vectors of M x snapshots instants
+        # stay in the memory budget, and its Doppler phases 2*pi*nu*t, at the
+        # region bound, the swept or the crlb Doppler, must not overflow a float
+        m_rows = max(m, 1)  # building refuses m < 1
+        snapshots = sequence_spec["snapshots"]
+        rows = m_rows * snapshots
         angle_count = 2 * a_span / a_step + 1
         fields = (f"config.array.{counts}, config.sequence.snapshots "
                   "and config.sweep")
-        _check_budget(fields, angle_count, rows)
-        _check_budget(fields, 2 * d_span / d_step + 1, max(rows, angle_count))
+        _check_budget(fields, rows, 1)
+        _check_budget(fields, angle_count, m_rows)
+        _check_budget(fields, 2 * d_span / d_step + 1,
+                      max(m_rows, angle_count, snapshots))
         nu = max(region.doppler_bound, abs(params.doppler_hz),
                  abs(reference.doppler_hz) + d_span)
         instants = rows * delta_t
@@ -283,7 +291,17 @@ class ExperimentConfig:
             raise ConfigError("config.sequence.delta_t_s: the run's Doppler "
                               "phases overflow a float")
 
-        array = cls._build_array(array_spec, m)
+        # a steering phase k <u, p> or k <u' - u, p> (unit u, u') is at most
+        # 2 k sum_i |p_i| in magnitude; twice that, finite, leaves room for
+        # rounding, so no command's phases overflow a float
+        with np.errstate(over="ignore", invalid="ignore"):
+            array = cls._build_array(array_spec, m)
+            reach = 4 * array.wavenumber * np.abs(array.positions).sum(axis=1).max()
+        if not np.isfinite(reach):
+            fields = ("spacing_wavelengths" if array_spec["kind"] == "ula"
+                      else "spacing_wavelengths, config.array.radius_m")
+            raise ConfigError(f"config.array.{fields} and config.array.carrier_hz: "
+                              "the steering phases overflow a float")
         if sequence_spec["scheme"] == "hybrid" and array.partition is None:
             raise ConfigError("config.sequence.scheme: hybrid requires a "
                               "partitioned (octagonal) array")

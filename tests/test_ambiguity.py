@@ -16,8 +16,10 @@ from switchseq import (AmbiguitySurface, AnnealConfig, ArrayModel,
                        sequential)
 from switchseq.ambiguity import (_BLOCK_ENTRIES, _CSV_CELLS, FIXED_BITS,
                                  normalized_correlation,
-                                 save_surface_csv, sobol_points)
+                                 save_surface_csv, sobol_points,
+                                 sweep_directions)
 from switchseq.arrays import steering_matrix, unit_vectors
+from switchseq.signal import basis
 from switchseq.switching import draw_swap, hybrid_init, swap_sets
 
 from conftest import swapped
@@ -574,7 +576,7 @@ def test_surface_peak_and_bounds():
     assert surf.magnitude_db[a0, d0] == pytest.approx(0.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("snapshots", [1, 2, 3])
+@pytest.mark.parametrize("snapshots", [1, 2, 3, 8])
 @pytest.mark.parametrize("axis", ["eoa", "aoa"])
 @pytest.mark.parametrize("array_name", ["ula", "octagon"])
 def test_surface_matches_ambiguity_value_oracle(array_name, axis, snapshots):
@@ -597,6 +599,57 @@ def test_surface_matches_ambiguity_value_oracle(array_name, axis, snapshots):
                                    StructuralParams(az, el, mu.doppler_hz + d)))
                for d in dop] for az, el in directions]
     np.testing.assert_allclose(surf.magnitude, oracle, rtol=0, atol=1e-12)
+
+
+def tiled_surface(array, seq, mu, doppler_hz, angle_offset_deg, angle_axis):
+    """|X| as one (Na x M*S) @ (M*S x Nd) product over the instants of every
+    snapshot, with the steering tiled S times: the reference the factored
+    sweep is held to."""
+    az, el = sweep_directions(mu, angle_offset_deg, angle_axis)
+    b_ref = basis(array, seq, mu)
+    g_tiled = np.tile(steering_matrix(array, az, el), (1, seq.snapshots))
+    phases = np.exp(2j * math.pi * np.outer(seq.eta(), mu.doppler_hz + doppler_hz))
+    numer = (np.conj(b_ref)[None, :] * g_tiled) @ phases
+    norms = np.linalg.norm(g_tiled, axis=1)
+    return np.abs(numer) / (np.linalg.norm(b_ref) * norms[:, None])
+
+
+@pytest.mark.parametrize("snapshots", [1, 2, 8, 64])
+@pytest.mark.parametrize("axis", ["eoa", "aoa"])
+@pytest.mark.parametrize("array_name", ["ula", "octagon"])
+def test_surface_matches_the_tiled_product(array_name, axis, snapshots):
+    # the factored sweep does the tiled product's operations at one
+    # snapshot, and differs from it only in the last bits at several
+    arr = (make_ula(8, 0.5, 1.0) if array_name == "ula"
+           else make_octagonal(8, 2, 2, patch_exponent=2.0))
+    seq = random_init(arr.num_elements, 1e-4, snapshots,
+                      np.random.default_rng(snapshots))
+    mu = StructuralParams(0.3, 1.4, 37.0)
+    dop = np.linspace(-3000.0, 3000.0, 241)
+    ang = np.arange(-20.0, 20.5, 0.5)
+    surf = ambiguity_surface(arr, seq, mu, dop, ang, axis)
+    reference = tiled_surface(arr, seq, mu, dop, ang, axis)
+    if snapshots == 1:
+        assert np.array_equal(surf.magnitude, reference)
+    else:
+        np.testing.assert_allclose(surf.magnitude, reference, rtol=0, atol=1e-12)
+
+
+def test_surface_memory_does_not_grow_with_snapshots():
+    # the README octagon on a 61 x 401 grid: what the sweep allocates at its
+    # peak is the same at 16 snapshots as at one
+    arr = make_octagonal(8, 4, 4, patch_exponent=2.0)
+    mu = StructuralParams(math.pi / 4, math.pi / 2, 0.0)
+    peaks = []
+    for snapshots in (1, 16):
+        seq = random_init(arr.num_elements, 1e-4, snapshots,
+                          np.random.default_rng(0))
+        tracemalloc.start()
+        ambiguity_surface(arr, seq, mu, np.arange(-200.0, 201.0),
+                          np.arange(-30.0, 31.0), "eoa")
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_surface_rejects_bad_grids():

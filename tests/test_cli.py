@@ -7,12 +7,14 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import switchseq
+from switchseq import cli
 from switchseq.cli import main
 from switchseq.config import ConfigError, ExperimentConfig
 
@@ -184,6 +186,9 @@ def test_cli_exit_code_for_config_error(tmp_path, capsys):
     ("crlb", "crlb", "elevation_deg", 500),
     ("compare", "crlb", "noise_sigma", -1),
     ("compare", "crlb", "amplitude", 0),
+    # the bounds square the amplitude and the noise sigma as floats
+    ("crlb", "crlb", "amplitude", 1e308),
+    ("crlb", "crlb", "noise_sigma", 1e308),
 ])
 def test_cli_bad_field_exits_2_with_one_json_line(tmp_path, capsys, command,
                                                   section, key, value):
@@ -430,6 +435,38 @@ def test_huge_k_max_exits_2_before_annealing(tmp_path, k_max):
     assert "config.anneal.k_max" in error["message"]
 
 
+@pytest.mark.parametrize("spacing", [1e-300, 1e300])
+def test_crlb_bound_that_overflows_exits_3(tmp_path, capsys, spacing):
+    # a loadable geometry whose closed-form bound overflows or underflows
+    # to zero is a numeric failure: exit 3 with one JSON line, no warning
+    cfg = ula_config(array={"kind": "ula", "elements": 16,
+                            "spacing_wavelengths": spacing})
+    rc = main(["crlb", "--config", write_config(tmp_path, cfg),
+               "--out", str(tmp_path / "out")])
+    assert rc == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"]["message"]
+
+
+@pytest.mark.parametrize("base, key", [(ula_config, "spacing_wavelengths"),
+                                       (octagon_config, "spacing_wavelengths"),
+                                       (octagon_config, "radius_m")])
+def test_geometry_whose_steering_phases_overflow_exits_2(tmp_path, capsys,
+                                                         base, key):
+    # element positions of 1e308 wavelengths or metres give steering phases
+    # that overflow a float, so the objective sums would hold garbage
+    cfg = small_sweep_config(base)
+    cfg["array"][key] = 1e308
+    rc = main(["optimize", "--config", write_config(tmp_path, cfg),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "config"
+    assert f"config.array.{key}" in error["message"]
+    assert not (tmp_path / "out" / "sequence.json").exists()
+
+
 def test_work_budget_admits_thousands_of_proposals_at_2_pow_19_samples():
     cfg = json.loads(readme_block("CLI quick start", "json"))
     cfg["objective"]["samples"] = 2 ** 19
@@ -498,8 +535,9 @@ def small_sweep_config(base):
     return doc
 
 
-# every field the configs set or default, plus whole sections; a value from
-# the pool stays small, so no mutation can ask for a huge allocation
+# every field the configs set or default, plus whole sections; a huge value
+# (1e308) must be refused at load wherever it would ask for a huge
+# allocation, run or phase
 MUTABLE_FIELDS = [(None, key) for key in (
     "version", "seed", "array", "sequence", "anneal", "region", "objective",
     "reference", "sweep", "crlb", "effective_threshold_db", "output_dir")] + [
@@ -518,7 +556,7 @@ MUTABLE_FIELDS = [(None, key) for key in (
                  "phase", "noise_sigma"),
     }.items() for key in keys]
 MUTATION_VALUES = [-1, 0, 0.5, 1, 2, 3, "abc", True, None, [], {},
-                   float("nan"), float("inf"), -float("inf")]
+                   float("nan"), float("inf"), -float("inf"), 1e308]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -792,6 +830,29 @@ def test_compare_traces_follow_the_anneal_schedule(tmp_path):
         with open(out / name) as fh:
             temperatures = [float(row["temperature"]) for row in csv.DictReader(fh)]
         assert temperatures == [5.0 * 0.9 ** k for k in range(3)]
+
+
+def test_compare_drops_the_evaluator_before_the_surface_sweeps(tmp_path,
+                                                              monkeypatch):
+    # the anneals' evaluator is not read by compare_schemes, so it must be
+    # freed before the three surfaces are swept, not held beside them
+    built, alive = [], []
+    make, sweep = cli._evaluator, cli.compare_schemes
+
+    def evaluator(config):
+        made = make(config)
+        built.append(weakref.ref(made))
+        return made
+
+    def compare_schemes(*args, **kwargs):
+        alive.append([ref() is not None for ref in built])
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_evaluator", evaluator)
+    monkeypatch.setattr(cli, "compare_schemes", compare_schemes)
+    assert main(["compare", "--config", write_config(tmp_path, octagon_config()),
+                 "--out", str(tmp_path / "cmp")]) == 0
+    assert alive == [[False]]
 
 
 def test_compare_requires_partitioned_array(tmp_path):
