@@ -16,18 +16,17 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import BLAS_THREADS, __version__
-from .ambiguity import (DegenerateDirectionError, ObjectiveEvaluator,
-                        ambiguity_surface, save_surface_csv)
-from .analysis import GridTooNarrowError, compare_schemes
-from .anneal import AnnealError, anneal, save_trace_csv
+from .ambiguity import (DegenerateDirectionError, ambiguity_surface,
+                        save_surface_csv)
+from .analysis import GridTooNarrowError
+from .anneal import AnnealError, save_trace_csv
 from .arrays import effective_elements
-from .config import ConfigError, ExperimentConfig, check_seed, require_swaps
+from .config import ConfigError, ExperimentConfig, check_seed, evaluator_counts
 from .crlb import (EndfireSingularityError, SingularFIMError,
                    UnobservableDopplerError, crlb_aoa, crlb_doppler, fim_numeric)
 from .switching import SwitchingSequence
@@ -60,26 +59,10 @@ def _write_manifest(out_dir: Path, command: str, config: ExperimentConfig,
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _evaluator(config: ExperimentConfig) -> ObjectiveEvaluator:
-    """The objective evaluator for the config's sequences."""
-    spec = config.sequence_spec
-    return ObjectiveEvaluator(config.array, config.region, config.objective,
-                              spec["delta_t_s"], spec["snapshots"])
-
-
-def _evaluator_counts(evaluator: ObjectiveEvaluator) -> dict:
-    """Samples with a direction no element sees, and the share of element x
-    sample steering products the evaluator keeps."""
-    return {"degenerate_samples": evaluator.degenerate_count,
-            "live_fraction": evaluator.live_fraction}
-
-
 def cmd_optimize(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str]:
-    anneal_cfg = config.build_anneal()
-    rng = np.random.default_rng(seed)
-    init = config.build_sequence(anneal_cfg.update, rng)
-    evaluator = _evaluator(config)
-    final, trace = anneal(init, anneal_cfg, evaluator, rng)
+    evaluator = config.evaluator()
+    final, trace = config.anneal_scheme(config.build_anneal().update, evaluator,
+                                        np.random.default_rng(seed))
 
     final.save(out_dir / "sequence.json")
     trace.best_sequence.save(out_dir / "best_sequence.json")
@@ -92,7 +75,7 @@ def cmd_optimize(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str
         "t0": trace.t0,
         "alpha": trace.alpha,
         "iterations": len(trace.records),
-        **_evaluator_counts(evaluator),
+        **evaluator_counts(evaluator),
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(f"final objective {trace.final_objective:.6g} "
@@ -195,56 +178,23 @@ def cmd_crlb(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str]:
     return ["crlb_report.json"]
 
 
-def _anneal_schemes(config: ExperimentConfig,
-                    seed: int) -> tuple[dict, dict, dict]:
-    """The sequential sequence and the random and hybrid anneals' results
-    and traces, with the evaluator's counts. The evaluator is dropped on
-    return, so the surface sweeps that follow do not hold it."""
-    evaluator = _evaluator(config)
-    # one RNG stream, drawn in order: random init and anneal, then hybrid
-    rng = np.random.default_rng(seed)
-    sequences = {"sequential": config.build_sequence("sequential", rng)}
-    traces = {}
-    for update in ("random", "hybrid"):
-        init = config.build_sequence(update, rng)
-        sequences[update], traces[update] = anneal(
-            init, replace(config.anneal, update=update), evaluator, rng)
-    return sequences, traces, _evaluator_counts(evaluator)
-
-
 def cmd_compare(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str]:
-    array = config.array
-    for update in ("random", "hybrid"):
-        require_swaps(array, update, "compare")
-    sequences, traces, counts = _anneal_schemes(config, seed)
-
-    doppler, angles, axis = config.sweep
-    params, _, sigma = config.crlb
-    report = compare_schemes(
-        array, sequences, config.reference, doppler, angles, axis,
-        threshold_db=config.effective_threshold_db,
-        amplitude=params.amplitude, noise_sigma=sigma,
-    )
-
+    report, sequences, traces, counts = config.compare(seed)
     outputs = []
     for name, surface in report.surfaces.items():
         fname = f"surface_{name}.csv"
         save_surface_csv(surface, out_dir / fname, metadata={"seed": seed})
         outputs.extend([fname, fname + ".meta.json"])
-    for update in ("random", "hybrid"):
+    for update, trace in traces.items():  # random, then hybrid
         sequences[update].save(out_dir / f"sequence_{update}.json")
-        outputs.append(f"sequence_{update}.json")
-    for update in ("random", "hybrid"):
-        save_trace_csv(traces[update], out_dir / f"trace_{update}.csv")
-        outputs.append(f"trace_{update}.csv")
+        save_trace_csv(trace, out_dir / f"trace_{update}.csv")
+    outputs += [f"sequence_{update}.json" for update in traces]
+    outputs += [f"trace_{update}.csv" for update in traces]
 
     doc = report.to_dict()
-    doc["anneal"] = {
-        update: {"final_objective": trace.final_objective,
-                 "best_objective": trace.best_objective,
-                 **counts}
-        for update, trace in traces.items()
-    }
+    doc["anneal"] = {update: {"final_objective": trace.final_objective,
+                              "best_objective": trace.best_objective, **counts}
+                     for update, trace in traces.items()}
     (out_dir / "comparison.json").write_text(json.dumps(doc, indent=2) + "\n")
     outputs.append("comparison.json")
     print(f"broadening ratio {report.broadening_ratio:.3f} "

@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .ambiguity import ObjectiveConfig, Region, sweep_directions
-from .anneal import AnnealConfig
+from .ambiguity import (ObjectiveConfig, ObjectiveEvaluator, Region,
+                        sweep_directions)
+from .analysis import ComparisonReport, compare_schemes
+from .anneal import AnnealConfig, AnnealTrace, anneal
 from .arrays import (ArrayModel, Direction, attach_patterns, load_pattern_file,
                      make_octagonal, make_ula, SPEED_OF_LIGHT)
 from .crlb import ParamVector
@@ -127,6 +129,13 @@ def require_swaps(array: ArrayModel, update: str, path: str) -> None:
     """Reject an array on which the update's swap sets (swap_sets) hold no
     two slots to exchange."""
     _field(path, swap_sets, update, array.num_elements, array.partition)
+
+
+def evaluator_counts(evaluator: ObjectiveEvaluator) -> dict:
+    """Samples with a direction no element sees, and the share of element x
+    sample steering products the evaluator keeps."""
+    return {"degenerate_samples": evaluator.degenerate_count,
+            "live_fraction": evaluator.live_fraction}
 
 
 @dataclass
@@ -269,24 +278,24 @@ class ExperimentConfig:
                 raise ConfigError(f"config.crlb.{key}: its square overflows a float")
 
         # the run's timing, snapshots x M slots of delta_t, from the element
-        # count the spec asks for, before the array is built: its surface
-        # arrays (angles x M, M x Dopplers, angles x Dopplers and the Doppler
-        # axis's snapshot sums) and its vectors of M x snapshots instants
-        # stay in the memory budget, and its Doppler phases 2*pi*nu*t, at the
-        # region bound, the swept or the crlb Doppler, must not overflow a float
+        # count the spec asks for, before the array is built: the build (up
+        # to 320 bytes, 20 complex numbers, an octagon element) beside its M x
+        # snapshots instants, and its surface arrays (angles x M, M x Dopplers,
+        # angles x Dopplers, the Doppler axis's snapshot sums) stay in the
+        # memory budget, and its Doppler phases 2*pi*nu*t, at the region
+        # bound, the swept or the crlb Doppler, must not overflow a float
         m_rows = max(m, 1)  # building refuses m < 1
         snapshots = sequence_spec["snapshots"]
-        rows = m_rows * snapshots
         angle_count = 2 * a_span / a_step + 1
         fields = (f"config.array.{counts}, config.sequence.snapshots "
                   "and config.sweep")
-        _check_budget(fields, rows, 1)
+        _check_budget(fields, m_rows * (snapshots + 20), 1)
         _check_budget(fields, angle_count, m_rows)
         _check_budget(fields, 2 * d_span / d_step + 1,
                       max(m_rows, angle_count, snapshots))
         nu = max(region.doppler_bound, abs(params.doppler_hz),
                  abs(reference.doppler_hz) + d_span)
-        instants = rows * delta_t
+        instants = m_rows * snapshots * delta_t
         if not (math.isfinite(instants) and math.isfinite(2 * math.pi * nu * instants)):
             raise ConfigError("config.sequence.delta_t_s: the run's Doppler "
                               "phases overflow a float")
@@ -307,7 +316,7 @@ class ExperimentConfig:
                               "partitioned (octagonal) array")
 
         anneal_spec = None
-        anneal = AnnealConfig()
+        anneal_cfg = AnnealConfig()
         if top["anneal"] is not None:
             anneal_spec = _section(top["anneal"], {
                 "scheme": _REQUIRED,
@@ -319,11 +328,12 @@ class ExperimentConfig:
                 if anneal_spec[key] is not None:
                     anneal_spec[key] = _number(f"config.anneal.{key}", float,
                                                anneal_spec[key])
-            anneal = _field("config.anneal", AnnealConfig,
-                            update=anneal_spec["scheme"], k_max=anneal_spec["k_max"],
-                            t0=anneal_spec["t0"], alpha=anneal_spec["alpha"])
-            require_swaps(array, anneal.update, "config.anneal.scheme")
-        if anneal.k_max > WORK_BUDGET_SAMPLES / objective.samples:
+            anneal_cfg = _field(
+                "config.anneal", AnnealConfig, update=anneal_spec["scheme"],
+                k_max=anneal_spec["k_max"], t0=anneal_spec["t0"],
+                alpha=anneal_spec["alpha"])
+            require_swaps(array, anneal_cfg.update, "config.anneal.scheme")
+        if anneal_cfg.k_max > WORK_BUDGET_SAMPLES / objective.samples:
             raise ConfigError(
                 "config.anneal.k_max and config.objective.samples: k_max x "
                 f"samples exceeds the work budget of {WORK_BUDGET_SAMPLES}")
@@ -349,7 +359,7 @@ class ExperimentConfig:
             array=array,
             region=region,
             objective=objective,
-            anneal=anneal,
+            anneal=anneal_cfg,
             reference=reference,
             sweep=sweep,
             crlb=crlb,
@@ -439,6 +449,46 @@ class ExperimentConfig:
             return random_init(m, spec["delta_t_s"], spec["snapshots"], rng)
         return hybrid_init(m, spec["delta_t_s"], spec["snapshots"],
                            self.array.partition, rng)
+
+    def evaluator(self) -> ObjectiveEvaluator:
+        """The objective evaluator for the config's sequences."""
+        spec = self.sequence_spec
+        return ObjectiveEvaluator(self.array, self.region, self.objective,
+                                  spec["delta_t_s"], spec["snapshots"])
+
+    def anneal_scheme(self, update: str, evaluator: ObjectiveEvaluator,
+                      rng: np.random.Generator
+                      ) -> tuple[SwitchingSequence, AnnealTrace]:
+        """The update's starting sequence, annealed under that update."""
+        return anneal(self.build_sequence(update, rng),
+                      replace(self.anneal, update=update), evaluator, rng)
+
+    def compare(self, seed: int) -> tuple[ComparisonReport, dict, dict, dict]:
+        """The sequential/random/hybrid comparison at seed (the objective's
+        QMC points keep the config seed): its report, the three sequences,
+        the random and hybrid anneal traces, and the evaluator's counts."""
+        for update in ("random", "hybrid"):
+            require_swaps(self.array, update, "compare")
+        sequences, traces, counts = self._anneal_schemes(seed)
+        params, _, sigma = self.crlb
+        report = compare_schemes(
+            self.array, sequences, self.reference, *self.sweep,
+            threshold_db=self.effective_threshold_db,
+            amplitude=params.amplitude, noise_sigma=sigma)
+        return report, sequences, traces, counts
+
+    def _anneal_schemes(self, seed: int) -> tuple[dict, dict, dict]:
+        """compare's sequences, traces and counts. The evaluator is dropped
+        on return, so the surface sweeps that follow do not hold it."""
+        evaluator = self.evaluator()
+        # one RNG stream, drawn in order: random init and anneal, then hybrid
+        rng = np.random.default_rng(seed)
+        sequences = {"sequential": self.build_sequence("sequential", rng)}
+        traces = {}
+        for update in ("random", "hybrid"):
+            sequences[update], traces[update] = self.anneal_scheme(
+                update, evaluator, rng)
+        return sequences, traces, evaluator_counts(evaluator)
 
     def build_anneal(self) -> AnnealConfig:
         if self.anneal_spec is None:

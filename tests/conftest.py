@@ -1,4 +1,5 @@
 import itertools
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,6 +17,11 @@ def readme_block(section: str, language: str, index: int = 0) -> str:
     README heading."""
     text = README.read_text().split(f"\n## {section}\n", 1)[1]
     return text.split(f"```{language}\n")[index + 1].split("```", 1)[0]
+
+
+def readme_config() -> dict:
+    """The README quick-start config, parsed afresh on each call."""
+    return json.loads(readme_block("CLI quick start", "json"))
 
 
 def balance_score(order: tuple[int, ...]) -> float:

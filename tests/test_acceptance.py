@@ -1,8 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with `pytest tests/test_acceptance.py -v -s`. The octagonal pipeline
-(criteria 1, 2, 7) anneals random and hybrid sequences for 200 iterations at
-a fixed seed and takes on the order of half a minute.
+Run with `pytest tests/test_acceptance.py -v -s`. Criteria 1, 2 and 7 read
+README `compare`: ExperimentConfig.compare on the README quick-start config
+at its seed, which anneals random and hybrid sequences for 200 iterations
+and sweeps three surfaces. That fixture runs it twice in about half a
+second; the module takes 7-11 s on a 2-CPU machine, most of it criterion 6.
 """
 
 import math
@@ -10,10 +12,10 @@ import math
 import numpy as np
 import pytest
 
-from switchseq import (AnnealConfig, Direction, ObjectiveConfig,
-                       ObjectiveEvaluator, Region, StructuralParams,
-                       ambiguity_surface, ambiguity_value, anneal,
-                       basis_from_eta, compare_schemes, crlb_aoa, crlb_doppler,
+from switchseq import (AnnealConfig, Direction, ExperimentConfig,
+                       ObjectiveConfig, ObjectiveEvaluator, Region,
+                       StructuralParams, ambiguity_surface, ambiguity_value,
+                       anneal, basis_from_eta, crlb_aoa, crlb_doppler,
                        effective_elements, effective_factor, eta_subset,
                        fim_numeric, hybrid_init, make_octagonal, make_ula,
                        peak_sidelobe, random_init, sequential,
@@ -22,9 +24,9 @@ from switchseq.ambiguity import normalized_correlation
 from switchseq.crlb import ParamVector
 from switchseq.switching import SwitchingSequence
 
-from conftest import balanced_sequence
+from conftest import balanced_sequence, readme_config
 
-SEED = 1234
+SEED = 1234  # the README quick-start config seed
 DT = 1e-4
 K_MAX = 200
 SAMPLES = 4096
@@ -38,40 +40,13 @@ def criterion(cid: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def octagon_runs():
-    """Fixed-seed octagonal pipeline shared by criteria 1, 2, and 7."""
-    array = make_octagonal()  # 8 panels x 16 elements, q=2 patches
-    region = Region.default_for(DT)
-    obj_cfg = ObjectiveConfig(power=6, samples=SAMPLES, seed=SEED)
-
-    def run_both():
-        evaluator = ObjectiveEvaluator(array, region, obj_cfg, DT, 1)
-        rng = np.random.default_rng(SEED)
-        init_rand = random_init(128, DT, 1, rng)
-        cfg_rand = AnnealConfig(update="random", k_max=K_MAX)
-        seq_rand, trace_rand = anneal(init_rand, cfg_rand, evaluator, rng)
-        init_hyb = hybrid_init(128, DT, 1, array.partition, rng)
-        cfg_hyb = AnnealConfig(update="hybrid", k_max=K_MAX)
-        seq_hyb, trace_hyb = anneal(init_hyb, cfg_hyb, evaluator, rng)
-        return seq_rand, trace_rand, seq_hyb, trace_hyb
-
-    seq_rand, trace_rand, seq_hyb, trace_hyb = run_both()
-    seq_rand2, trace_rand2, seq_hyb2, trace_hyb2 = run_both()  # reproducibility
-
-    mu = StructuralParams(math.pi / 4, math.pi / 2, 0.0)  # panel-1 boresight
-    doppler = np.arange(-400.0, 400.0 + 0.5, 1.0)
-    angles = np.arange(-30.0, 30.0 + 0.25, 0.5)
-    report = compare_schemes(
-        array,
-        {"sequential": sequential(128, DT, partition=array.partition),
-         "random": seq_rand, "hybrid": seq_hyb},
-        mu, doppler, angles, angle_axis="eoa", threshold_db=-10.0,
-    )
-    return {
-        "array": array,
-        "report": report,
-        "runs": (seq_rand, trace_rand, seq_hyb, trace_hyb),
-        "reruns": (seq_rand2, trace_rand2, seq_hyb2, trace_hyb2),
-    }
+    """README compare at its seed, as the CLI runs it, shared by criteria 1,
+    2 and 7; run twice for criterion 7a's reproducibility check."""
+    config = ExperimentConfig.from_dict(readme_config())
+    report, sequences, traces, _ = config.compare(SEED)
+    _, sequences2, traces2, _ = config.compare(SEED)
+    return {"report": report, "sequences": sequences, "traces": traces,
+            "reruns": (sequences2, traces2)}
 
 
 def test_criterion_1_broadening_ratio(octagon_runs):
@@ -216,22 +191,18 @@ def test_criterion_6_ambiguity_property_suite():
 
 
 def test_criterion_7a_bit_reproducible(octagon_runs):
-    _, trace_a, _, trace_ha = octagon_runs["runs"]
-    seq_b, trace_b, seq_hb, trace_hb = octagon_runs["reruns"]
-    seq_a = octagon_runs["runs"][0]
-    same = (seq_a.order == seq_b.order
-            and octagon_runs["runs"][2].order == seq_hb.order
-            and all(ra == rb for ra, rb in zip(trace_a.records, trace_b.records))
-            and all(ra == rb for ra, rb in zip(trace_ha.records, trace_hb.records)))
+    sequences2, traces2 = octagon_runs["reruns"]
+    same = all(octagon_runs["sequences"][update].order == sequences2[update].order
+               and octagon_runs["traces"][update].records == traces2[update].records
+               for update in ("random", "hybrid"))
     criterion("7a reproducibility", same,
               "two fixed-seed runs produced bit-identical traces and sequences")
 
 
 def test_criterion_7b_temperature_exact(octagon_runs):
-    _, trace_rand, _, trace_hyb = octagon_runs["runs"]
     exact = all(
         rec.temperature == temperature_schedule(tr.t0, tr.alpha, rec.k)
-        for tr in (trace_rand, trace_hyb) for rec in tr.records
+        for tr in octagon_runs["traces"].values() for rec in tr.records
     )
     criterion("7b temperature-schedule", exact,
               "every trace temperature equals t0*alpha**k exactly")
@@ -239,7 +210,7 @@ def test_criterion_7b_temperature_exact(octagon_runs):
 
 def test_criterion_7c_improvements_accepted(octagon_runs):
     ok = True
-    for trace in (octagon_runs["runs"][1], octagon_runs["runs"][3]):
+    for trace in octagon_runs["traces"].values():
         current = trace.initial_objective
         for rec in trace.records:
             if rec.proposal_objective < current and not rec.accepted:
@@ -250,16 +221,15 @@ def test_criterion_7c_improvements_accepted(octagon_runs):
 
 
 def test_criterion_7d_scheme_ordering(octagon_runs):
-    f_rand = octagon_runs["runs"][1].final_objective
-    f_hyb = octagon_runs["runs"][3].final_objective
+    f_rand = octagon_runs["traces"]["random"].final_objective
+    f_hyb = octagon_runs["traces"]["hybrid"].final_objective
     criterion("7d scheme-ordering", f_rand < f_hyb,
               f"final objective random {f_rand:.3f} < hybrid {f_hyb:.3f}")
 
 
 def test_criterion_7e_stabilization(octagon_runs):
     rates = {}
-    for name, trace in (("random", octagon_runs["runs"][1]),
-                        ("hybrid", octagon_runs["runs"][3])):
+    for name, trace in octagon_runs["traces"].items():
         f = np.array([r.objective for r in trace.records])
         rates[name] = float(((f[100:-10] - f[110:]) / f[100:-10]).max())
     ok = all(r < 0.01 for r in rates.values())

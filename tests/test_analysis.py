@@ -1,4 +1,3 @@
-import json
 import math
 from dataclasses import replace
 
@@ -8,16 +7,15 @@ from scipy import ndimage
 from scipy.optimize import brentq
 
 from switchseq import (AmbiguitySurface, Direction, GridTooNarrowError,
-                       ObjectiveEvaluator, StructuralParams, alias_scan,
-                       ambiguity_surface, anneal, block_aperture_ratio,
-                       compare_schemes, effective_factor, half_power_width,
-                       make_octagonal, make_ula, peak_sidelobe, random_init,
-                       sequential)
+                       StructuralParams, alias_scan, ambiguity_surface,
+                       block_aperture_ratio, compare_schemes, effective_factor,
+                       half_power_width, make_octagonal, make_ula,
+                       peak_sidelobe, random_init, sequential)
 from switchseq.ambiguity import to_db
 from switchseq.analysis import _crossing, _max3x3
 from switchseq.config import ExperimentConfig
 
-from conftest import readme_block
+from conftest import readme_config
 
 BROADSIDE = StructuralParams(math.pi / 2, math.pi / 2, 0.0)
 
@@ -91,22 +89,10 @@ def test_half_power_width_grid_too_narrow():
 
 @pytest.fixture(scope="module")
 def readme_compare_surfaces():
-    """The three surfaces README compare writes: its config and seed, one
-    evaluator and one RNG stream drawn in compare's order."""
-    config = ExperimentConfig.from_dict(json.loads(readme_block("CLI quick start", "json")))
-    spec = config.sequence_spec
-    evaluator = ObjectiveEvaluator(config.array, config.region, config.objective,
-                                   spec["delta_t_s"], spec["snapshots"])
-    rng = np.random.default_rng(config.seed)
-    sequences = {"sequential": config.build_sequence("sequential", rng)}
-    for update in ("random", "hybrid"):
-        sequences[update], _ = anneal(config.build_sequence(update, rng),
-                                      replace(config.anneal, update=update),
-                                      evaluator, rng)
-    doppler, angles, axis = config.sweep
-    return {name: ambiguity_surface(config.array, seq, config.reference, doppler,
-                                    angles, axis)
-            for name, seq in sequences.items()}
+    """The three surfaces README compare writes, at its config and seed."""
+    config = ExperimentConfig.from_dict(readme_config())
+    report, _, _, _ = config.compare(config.seed)
+    return report.surfaces
 
 
 def whole_surface_width(surface, axis):

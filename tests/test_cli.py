@@ -14,11 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import switchseq
-from switchseq import cli
 from switchseq.cli import main
 from switchseq.config import ConfigError, ExperimentConfig
 
-from conftest import readme_block
+from conftest import readme_block, readme_config
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -291,7 +290,7 @@ def artifacts(out_dir):
 def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
     # README quick-start octagon: its 121x128 @ 128x801 surface product and
     # 4096x3 @ 3x128 steering product are big enough for OpenBLAS to thread
-    cfg = json.loads(readme_block("CLI quick start", "json"))
+    cfg = readme_config()
     cfg["anneal"]["k_max"] = 20
     config = write_config(tmp_path, cfg)
     runs = {}
@@ -362,7 +361,7 @@ def test_over_budget_samples_exit_2_without_allocating(tmp_path):
     # the README octagon (128 elements) at 2**28 samples: the evaluator
     # tables alone would need 1 TiB; under a 1.5 GB address-space limit a
     # run that tried to allocate them would end in a MemoryError traceback
-    cfg = json.loads(readme_block("CLI quick start", "json"))
+    cfg = readme_config()
     cfg["objective"]["samples"] = 2 ** 28
     proc = run_python(
         "import resource, sys\n"
@@ -384,14 +383,14 @@ def test_readme_config_at_2_pow_19_samples_loads():
     # the budget counts M steering products per sample, every element live
     # on every sample, and 23 phase factor rows at M = 128, so 2**19 samples
     # (1.2 GiB) fit the 2 GiB budget
-    cfg = json.loads(readme_block("CLI quick start", "json"))
+    cfg = readme_config()
     cfg["objective"]["samples"] = 2 ** 19
     assert ExperimentConfig.from_dict(cfg).objective.samples == 2 ** 19
 
 
 def test_samples_over_the_budget_exit_2_with_one_json_line(tmp_path, capsys):
     # 2**20 samples on the README octagon need 2.4 GiB of evaluator tables
-    cfg = json.loads(readme_block("CLI quick start", "json"))
+    cfg = readme_config()
     cfg["objective"]["samples"] = 2 ** 20
     rc = main(["optimize", "--config", write_config(tmp_path, cfg),
                "--out", str(tmp_path / "out")])
@@ -468,7 +467,7 @@ def test_geometry_whose_steering_phases_overflow_exits_2(tmp_path, capsys,
 
 
 def test_work_budget_admits_thousands_of_proposals_at_2_pow_19_samples():
-    cfg = json.loads(readme_block("CLI quick start", "json"))
+    cfg = readme_config()
     cfg["objective"]["samples"] = 2 ** 19
     cfg["anneal"]["k_max"] = 16384
     assert ExperimentConfig.from_dict(cfg).anneal.k_max == 16384
@@ -479,21 +478,25 @@ def test_work_budget_admits_thousands_of_proposals_at_2_pow_19_samples():
 
 def test_huge_array_at_one_sample_exits_2_before_building_the_array(tmp_path):
     # 4e6 panels of 2 x 2 elements fit the evaluator budget at one sample,
-    # but not their surface arrays (121 angles x 16e6 rows); that budget is
-    # checked on the spec's element count, so the panels are never built
-    cfg = octagon_config()
-    del cfg["sweep"]
-    cfg["array"]["panels"] = 4e6
-    cfg["objective"]["samples"] = 1
-    proc = run_python("import sys; from switchseq.cli import main; "
-                      "sys.exit(main(sys.argv[1:]))",
-                      "effective-factor", "--config", write_config(tmp_path, cfg),
-                      "--out", str(tmp_path / "out"), timeout=30)
-    assert proc.returncode == 2
-    (line,) = proc.stderr.splitlines()
-    error = json.loads(line)["error"]
-    assert error["type"] == "config"
-    assert "panels" in error["message"] and "config.sweep" in error["message"]
+    # but not their surface arrays (121 angles x 16e6 rows) at the default
+    # sweep, nor, on a one-cell sweep, the array itself (16e6 elements of
+    # about 300 bytes each); both budgets are checked on the spec's element
+    # count, so the panels are never built
+    for sweep in ({}, {"angle_span_deg": 0.0, "doppler_span_hz": 0.0}):
+        cfg = octagon_config(sweep=sweep)
+        cfg["array"]["panels"] = 4e6
+        cfg["objective"]["samples"] = 1
+        proc = run_python("import sys; from switchseq.cli import main; "
+                          "sys.exit(main(sys.argv[1:]))",
+                          "effective-factor", "--config",
+                          write_config(tmp_path, cfg),
+                          "--out", str(tmp_path / "out"), timeout=30)
+        assert proc.returncode == 2
+        (line,) = proc.stderr.splitlines()
+        error = json.loads(line)["error"]
+        assert error["type"] == "config"
+        assert "config.array.panels/rows/cols" in error["message"]
+        assert "config.sweep" in error["message"]
 
 
 def test_ambiguity_imports_neither_scipy_stats_nor_ndimage(tmp_path):
@@ -832,12 +835,38 @@ def test_compare_traces_follow_the_anneal_schedule(tmp_path):
         assert temperatures == [5.0 * 0.9 ** k for k in range(3)]
 
 
+def test_compare_seed_override_writes_the_library_comparison(tmp_path):
+    # --seed 7 reseeds the sequence and annealing draws of config.compare;
+    # the objective's QMC points keep config.seed (11)
+    cfg = octagon_config(seed=11)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", write_config(tmp_path, cfg),
+                 "--seed", "7", "--out", str(out)]) == 0
+    report, _, traces, counts = ExperimentConfig.from_dict(cfg).compare(7)
+    doc = report.to_dict()
+    doc["anneal"] = {update: {"final_objective": trace.final_objective,
+                              "best_objective": trace.best_objective, **counts}
+                     for update, trace in traces.items()}
+    written = json.loads((out / "comparison.json").read_text())
+    assert written == json.loads(json.dumps(doc))
+    for update, trace in traces.items():
+        with open(out / f"trace_{update}.csv") as fh:
+            objectives = [float(row["objective"]) for row in csv.DictReader(fh)]
+        assert objectives == [rec.objective for rec in trace.records]
+    # a run at either seed alone differs: at 11 its draws, at 7 its points
+    for alone in (11, 7):
+        config = ExperimentConfig.from_dict(dict(cfg, seed=alone))
+        _, _, other, _ = config.compare(alone)
+        assert all(other[update].records != trace.records
+                   for update, trace in traces.items())
+
+
 def test_compare_drops_the_evaluator_before_the_surface_sweeps(tmp_path,
                                                               monkeypatch):
     # the anneals' evaluator is not read by compare_schemes, so it must be
     # freed before the three surfaces are swept, not held beside them
     built, alive = [], []
-    make, sweep = cli._evaluator, cli.compare_schemes
+    make, sweep = ExperimentConfig.evaluator, switchseq.config.compare_schemes
 
     def evaluator(config):
         made = make(config)
@@ -848,8 +877,8 @@ def test_compare_drops_the_evaluator_before_the_surface_sweeps(tmp_path,
         alive.append([ref() is not None for ref in built])
         return sweep(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "_evaluator", evaluator)
-    monkeypatch.setattr(cli, "compare_schemes", compare_schemes)
+    monkeypatch.setattr(ExperimentConfig, "evaluator", evaluator)
+    monkeypatch.setattr(switchseq.config, "compare_schemes", compare_schemes)
     assert main(["compare", "--config", write_config(tmp_path, octagon_config()),
                  "--out", str(tmp_path / "cmp")]) == 0
     assert alive == [[False]]
