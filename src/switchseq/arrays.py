@@ -250,25 +250,21 @@ def make_octagonal(
     if radius <= 0:
         raise ValueError("radius must be positive")
 
-    positions = []
-    patterns: list[ElementPattern] = []
-    partition = []
+    size = rows * cols
+    angles = [2.0 * math.pi * p / panels for p in range(panels)]
+    normal = np.array([[math.cos(t), math.sin(t), 0.0] for t in angles])
+    tangent = np.array([[-math.sin(t), math.cos(t), 0.0] for t in angles])
     col_offsets = (np.arange(cols) - (cols - 1) / 2.0) * element_spacing
-    row_offsets = (np.arange(rows) - (rows - 1) / 2.0) * element_spacing
-    for p in range(panels):
-        theta = 2.0 * math.pi * p / panels
-        normal = np.array([math.cos(theta), math.sin(theta), 0.0])
-        tangent = np.array([-math.sin(theta), math.cos(theta), 0.0])
-        center = radius * normal
-        pattern = PatchPattern(exponent=patch_exponent, boresight=tuple(normal))
-        start = len(positions)
-        for r in row_offsets:
-            for c in col_offsets:
-                positions.append(center + c * tangent + np.array([0.0, 0.0, r]))
-                patterns.append(pattern)
-        partition.append(tuple(range(start, len(positions))))
+    heights = np.zeros((rows, 3))
+    heights[:, 2] = (np.arange(rows) - (rows - 1) / 2.0) * element_spacing
+    # element (p, r, c) at center_p + c tangent_p + (0, 0, r), panel-major
+    positions = (radius * normal[:, None, None] + col_offsets[:, None] * tangent[:, None, None]
+                 + heights[:, None]).reshape(-1, 3)
+    patterns = [PatchPattern(exponent=patch_exponent, boresight=tuple(n))
+                for n in normal.tolist()]
     return ArrayModel(
-        np.array(positions), tuple(patterns), wavelength, tuple(partition)
+        positions, tuple(p for p in patterns for _ in range(size)), wavelength,
+        tuple(tuple(range(s, s + size)) for s in range(0, panels * size, size))
     )
 
 

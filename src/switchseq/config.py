@@ -30,11 +30,25 @@ from .switching import (SwitchingSequence, hybrid_init, random_init, sequential,
                         swap_sets)
 
 CONFIG_VERSION = 1
-MEMORY_BUDGET_BYTES = 2 * 2 ** 30  # what a config may ask a run's largest arrays for
+MEMORY_BUDGET_BYTES = 2 * 2 ** 30  # what a config may ask any stage of a run for
 # annealing proposals x objective samples a config may ask for: a proposal
 # costs 60-150 ns a sample, so 2**33 (16384 proposals at 2**19 samples) is
 # at most about 20 minutes of annealing
 WORK_BUDGET_SAMPLES = 2 ** 33
+
+# Bytes a stage holds at its tracemalloc peak per unit of the sizes a config
+# sets, fitted on the worst case of each (tests/test_sizes.py probes them)
+ARRAY_BYTES = 640  # an element: a one-element octagon panel and a hybrid order
+INSTANT_BYTES = 144  # an element x snapshot: crlb's finite-difference FIM
+TRACE_BYTES = 208  # a proposal: its trace record, held twice by compare
+EVALUATOR_ELEMENT_BYTES = 544  # the evaluator: an element's row objects,
+EVALUATOR_SAMPLE_BYTES = 576  # a sample's points,
+EVALUATOR_ELEMENT_SAMPLE_BYTES = 26  # its tables (all live, on own indices)
+EVALUATOR_SNAPSHOT_SAMPLE_BYTES = 32  # and its snapshot gain temporaries
+SURFACE_CELL_BYTES = 60  # compare's three surfaces and the sweep,
+SURFACE_ANGLE_ELEMENT_BYTES = 60  # steering rows,
+SURFACE_ELEMENT_DOPPLER_BYTES = 20  # Doppler phases
+SURFACE_DOPPLER_SNAPSHOT_BYTES = 36  # and snapshot gains
 
 
 class ConfigError(ValueError):
@@ -97,13 +111,38 @@ def _positive(value: float, path: str) -> float:
     return value
 
 
-def _check_budget(fields: str, rows: float, row_items: int) -> None:
-    """Refuse, before anything is allocated, a run that would hold complex
-    arrays of rows x row_items over the memory budget (compared by division,
-    so a huge integer field cannot overflow a float)."""
-    if rows > MEMORY_BUDGET_BYTES / (16 * row_items):
-        raise ConfigError(f"{fields}: needs arrays over the "
-                          f"{MEMORY_BUDGET_BYTES >> 30} GiB memory budget")
+def _check_sizes(counts: str, m: int, snapshots: int, samples: int, k_max: int,
+                 angles: float, dopplers: float, delta_t: float, nu: float) -> None:
+    """The size gate, run before anything is built. Refuse a config whose
+    run would hold more than MEMORY_BUDGET_BYTES at a stage (the *_BYTES
+    times the sizes), anneal more than WORK_BUDGET_SAMPLES proposal samples,
+    or form Doppler phases 2*pi*nu*t, at the largest Doppler nu, over a float."""
+    run = f"config.array.{counts}, config.sequence.snapshots and config.sweep"
+    over = f"would need more than the {MEMORY_BUDGET_BYTES >> 30} GiB memory budget"
+    m = max(m, 1)  # building refuses m < 1
+    # exact integers, so a huge field never meets a float before it is refused
+    for fields, stage, need in (
+            (run, "the array", m * ARRAY_BYTES),
+            (run, "the activation instants", m * snapshots * INSTANT_BYTES),
+            ("config.anneal.k_max", "the anneal traces", k_max * 2 * TRACE_BYTES),
+            (f"config.objective.samples, config.array.{counts} and config.sequence"
+             ".snapshots", "the objective tables", m * EVALUATOR_ELEMENT_BYTES
+             + samples * (EVALUATOR_SAMPLE_BYTES + m * EVALUATOR_ELEMENT_SAMPLE_BYTES
+                          + snapshots * EVALUATOR_SNAPSHOT_SAMPLE_BYTES))):
+        if need > MEMORY_BUDGET_BYTES:
+            raise ConfigError(f"{fields}: {stage} {over}")
+    if k_max > WORK_BUDGET_SAMPLES / samples:
+        raise ConfigError("config.anneal.k_max and config.objective.samples: k_max x "
+                          f"samples exceeds the work budget of {WORK_BUDGET_SAMPLES}")
+    # m and snapshots are small here, so these products are finite or inf
+    if (angles * dopplers * SURFACE_CELL_BYTES + m * angles * SURFACE_ANGLE_ELEMENT_BYTES
+            + m * dopplers * SURFACE_ELEMENT_DOPPLER_BYTES
+            + dopplers * snapshots * SURFACE_DOPPLER_SNAPSHOT_BYTES > MEMORY_BUDGET_BYTES):
+        raise ConfigError(f"{run}: the surfaces {over}")
+    instants = m * snapshots * delta_t
+    if not (math.isfinite(instants) and math.isfinite(2 * math.pi * nu * instants)):
+        raise ConfigError("config.sequence.delta_t_s: the run's Doppler "
+                          "phases overflow a float")
 
 
 def _axis(spec: dict, span: str, step: str) -> tuple[float, float]:
@@ -230,8 +269,7 @@ class ExperimentConfig:
         }, "config.objective")
         objective = _field("config.objective", ObjectiveConfig, seed=seed,
                            **objective_spec)
-        array_spec, m, counts = cls._array_spec(top["array"], objective.samples,
-                                                sequence_spec["snapshots"])
+        array_spec, m, counts = cls._array_spec(top["array"])
 
         reference_spec = _section(top["reference"], {
             "azimuth_deg": 45.0,
@@ -277,44 +315,6 @@ class ExperimentConfig:
             if not crlb_spec[key] * crlb_spec[key] < math.inf:
                 raise ConfigError(f"config.crlb.{key}: its square overflows a float")
 
-        # the run's timing, snapshots x M slots of delta_t, from the element
-        # count the spec asks for, before the array is built: the build (up
-        # to 320 bytes, 20 complex numbers, an octagon element) beside its M x
-        # snapshots instants, and its surface arrays (angles x M, M x Dopplers,
-        # angles x Dopplers, the Doppler axis's snapshot sums) stay in the
-        # memory budget, and its Doppler phases 2*pi*nu*t, at the region
-        # bound, the swept or the crlb Doppler, must not overflow a float
-        m_rows = max(m, 1)  # building refuses m < 1
-        snapshots = sequence_spec["snapshots"]
-        angle_count = 2 * a_span / a_step + 1
-        fields = (f"config.array.{counts}, config.sequence.snapshots "
-                  "and config.sweep")
-        _check_budget(fields, m_rows * (snapshots + 20), 1)
-        _check_budget(fields, angle_count, m_rows)
-        _check_budget(fields, 2 * d_span / d_step + 1,
-                      max(m_rows, angle_count, snapshots))
-        nu = max(region.doppler_bound, abs(params.doppler_hz),
-                 abs(reference.doppler_hz) + d_span)
-        instants = m_rows * snapshots * delta_t
-        if not (math.isfinite(instants) and math.isfinite(2 * math.pi * nu * instants)):
-            raise ConfigError("config.sequence.delta_t_s: the run's Doppler "
-                              "phases overflow a float")
-
-        # a steering phase k <u, p> or k <u' - u, p> (unit u, u') is at most
-        # 2 k sum_i |p_i| in magnitude; twice that, finite, leaves room for
-        # rounding, so no command's phases overflow a float
-        with np.errstate(over="ignore", invalid="ignore"):
-            array = cls._build_array(array_spec, m)
-            reach = 4 * array.wavenumber * np.abs(array.positions).sum(axis=1).max()
-        if not np.isfinite(reach):
-            fields = ("spacing_wavelengths" if array_spec["kind"] == "ula"
-                      else "spacing_wavelengths, config.array.radius_m")
-            raise ConfigError(f"config.array.{fields} and config.array.carrier_hz: "
-                              "the steering phases overflow a float")
-        if sequence_spec["scheme"] == "hybrid" and array.partition is None:
-            raise ConfigError("config.sequence.scheme: hybrid requires a "
-                              "partitioned (octagonal) array")
-
         anneal_spec = None
         anneal_cfg = AnnealConfig()
         if top["anneal"] is not None:
@@ -332,11 +332,29 @@ class ExperimentConfig:
                 "config.anneal", AnnealConfig, update=anneal_spec["scheme"],
                 k_max=anneal_spec["k_max"], t0=anneal_spec["t0"],
                 alpha=anneal_spec["alpha"])
+        # Doppler phases at the region bound, the swept or the crlb Doppler
+        _check_sizes(counts, m, sequence_spec["snapshots"], objective.samples,
+                     anneal_cfg.k_max, 2 * a_span / a_step + 1,
+                     2 * d_span / d_step + 1, delta_t,
+                     max(region.doppler_bound, abs(params.doppler_hz),
+                         abs(reference.doppler_hz) + d_span))
+
+        # a steering phase k <u, p> or k <u' - u, p> (unit u, u') is at most
+        # 2 k sum_i |p_i| in magnitude; twice that, finite, leaves room for
+        # rounding, so no command's phases overflow a float
+        with np.errstate(over="ignore", invalid="ignore"):
+            array = cls._build_array(array_spec, m)
+            reach = 4 * array.wavenumber * np.abs(array.positions).sum(axis=1).max()
+        if not np.isfinite(reach):
+            fields = ("spacing_wavelengths" if array_spec["kind"] == "ula"
+                      else "spacing_wavelengths, config.array.radius_m")
+            raise ConfigError(f"config.array.{fields} and config.array.carrier_hz: "
+                              "the steering phases overflow a float")
+        if sequence_spec["scheme"] == "hybrid" and array.partition is None:
+            raise ConfigError("config.sequence.scheme: hybrid requires a "
+                              "partitioned (octagonal) array")
+        if anneal_spec is not None:
             require_swaps(array, anneal_cfg.update, "config.anneal.scheme")
-        if anneal_cfg.k_max > WORK_BUDGET_SAMPLES / objective.samples:
-            raise ConfigError(
-                "config.anneal.k_max and config.objective.samples: k_max x "
-                f"samples exceeds the work budget of {WORK_BUDGET_SAMPLES}")
 
         angles = _grid("config.sweep.angle_span_deg", a_span, a_step)
         _field("config.sweep.angle_span_deg", sweep_directions, reference,
@@ -366,11 +384,8 @@ class ExperimentConfig:
         )
 
     @staticmethod
-    def _array_spec(section, samples: int,
-                    snapshots: int) -> tuple[dict, int, str]:
-        """Array spec, the element count it asks for, and the fields that
-        set that count; the count is held to the memory budget of the
-        evaluator tables, so nothing is built for a spec over it."""
+    def _array_spec(section) -> tuple[dict, int, str]:
+        """Array spec, its element count and the fields that set the count."""
         if not isinstance(section, dict) or "kind" not in section:
             raise ConfigError("config.array.kind: required field missing")
         if section["kind"] == "ula":
@@ -398,15 +413,6 @@ class ExperimentConfig:
             counts = "panels/rows/cols"
         else:
             raise ConfigError("config.array.kind: must be 'ula' or 'octagonal'")
-        # evaluator tables, complex numbers per sample: M steering products
-        # at worst (every element live on every sample; an element keeps
-        # only the samples where its gain product is nonzero), the ceil(M/L)
-        # coarse and L = ceil(sqrt(M)) fine Doppler phase factors, and the
-        # snapshot factors
-        size = max(m, 1)
-        step = math.isqrt(size - 1) + 1
-        _check_budget(f"config.objective.samples and config.array.{counts}",
-                      samples, size + -(-size // step) + step + snapshots)
         return spec, m, counts
 
     @staticmethod

@@ -78,9 +78,7 @@ class SwitchingSequence:
         """
         m = self.num_elements
         within = self.slot_of() * self.delta_t
-        out = np.concatenate(
-            [within + s * m * self.delta_t for s in range(self.snapshots)]
-        )
+        out = (within + np.arange(self.snapshots)[:, None] * m * self.delta_t).ravel()
         return out - out.mean()
 
     def to_dict(self) -> dict:

@@ -6,7 +6,8 @@ import pytest
 from switchseq import (ArrayModel, Direction, OmniPattern, PatchPattern,
                        TabulatedPattern, effective_elements, make_octagonal,
                        make_ula, steering_matrix)
-from switchseq.arrays import attach_patterns, load_pattern_file, unit_vectors
+from switchseq.arrays import (attach_patterns, default_octagon_radius,
+                             load_pattern_file, unit_vectors)
 
 BROADSIDE = Direction(math.pi / 2, math.pi / 2)
 
@@ -92,6 +93,38 @@ def test_octagonal_back_panels_have_zero_gain():
     # panel 4 faces away from azimuth 0
     back = arr.partition[4]
     assert np.allclose(np.abs(v[list(back)]), 0.0)
+
+
+def octagon_by_element(panels, rows, cols, spacing, radius, exponent):
+    """make_octagonal built element by element: the loop it replaced."""
+    positions, boresights, partition = [], [], []
+    for p in range(panels):
+        theta = 2.0 * math.pi * p / panels
+        normal = np.array([math.cos(theta), math.sin(theta), 0.0])
+        tangent = np.array([-math.sin(theta), math.cos(theta), 0.0])
+        start = len(positions)
+        for r in (np.arange(rows) - (rows - 1) / 2.0) * spacing:
+            for c in (np.arange(cols) - (cols - 1) / 2.0) * spacing:
+                positions.append(radius * normal + c * tangent + np.array([0.0, 0.0, r]))
+                boresights.append(PatchPattern(exponent, tuple(normal)).boresight)
+        partition.append(tuple(range(start, len(positions))))
+    return np.array(positions), boresights, tuple(partition)
+
+
+@pytest.mark.parametrize("panels, rows, cols, radius", [
+    (8, 4, 4, None), (4, 2, 2, None), (12, 3, 5, 0.3), (3, 1, 1, 2.0)])
+def test_octagonal_equals_element_by_element_build(panels, rows, cols, radius):
+    arr = make_octagonal(panels, rows, cols, element_spacing=0.006,
+                         radius=radius, patch_exponent=1.5)
+    radius = radius or default_octagon_radius(cols, 0.006, panels)
+    positions, boresights, partition = octagon_by_element(
+        panels, rows, cols, 0.006, radius, 1.5)
+    assert arr.positions.tobytes() == positions.tobytes()
+    assert [p.boresight for p in arr.patterns] == boresights
+    assert {p.exponent for p in arr.patterns} == {1.5}
+    assert arr.partition == partition
+    # one pattern object a panel, shared by its elements
+    assert len({id(p) for p in arr.patterns}) == panels
 
 
 def test_octagonal_rejects_bad_geometry():

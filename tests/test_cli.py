@@ -379,17 +379,41 @@ def test_over_budget_samples_exit_2_without_allocating(tmp_path):
     assert "config.objective.samples" in error["message"]
 
 
+def test_over_budget_snapshots_exit_2_without_allocating(tmp_path):
+    # 2**25 activation instants: crlb's Fisher matrix would hold about 4.5
+    # GiB of them; under a 3 GB address-space limit a run that built them
+    # would end in a MemoryError traceback
+    cfg = ula_config(array={"kind": "ula", "elements": 2},
+                     sequence={"scheme": "sequential", "delta_t_s": 1e-3,
+                               "snapshots": 2 ** 24},
+                     objective={"samples": 1},
+                     sweep={"doppler_span_hz": 0.0, "angle_span_deg": 0.0})
+    proc = run_python(
+        "import resource, sys\n"
+        "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (3_000_000_000, hard))\n"
+        "from switchseq.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))",
+        "ambiguity", "--config", write_config(tmp_path, cfg),
+        "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "config"
+    assert "config.sequence.snapshots" in error["message"]
+
+
 def test_readme_config_at_2_pow_19_samples_loads():
-    # the budget counts M steering products per sample, every element live
-    # on every sample, and 23 phase factor rows at M = 128, so 2**19 samples
-    # (1.2 GiB) fit the 2 GiB budget
+    # the gate counts 3936 bytes a sample of objective tables at M = 128,
+    # so 2**19 samples (1.9 GiB) fit the 2 GiB budget
     cfg = readme_config()
     cfg["objective"]["samples"] = 2 ** 19
     assert ExperimentConfig.from_dict(cfg).objective.samples == 2 ** 19
 
 
 def test_samples_over_the_budget_exit_2_with_one_json_line(tmp_path, capsys):
-    # 2**20 samples on the README octagon need 2.4 GiB of evaluator tables
+    # 2**20 samples on the README octagon need 3.8 GiB of evaluator tables
     cfg = readme_config()
     cfg["objective"]["samples"] = 2 ** 20
     rc = main(["optimize", "--config", write_config(tmp_path, cfg),
@@ -477,11 +501,10 @@ def test_work_budget_admits_thousands_of_proposals_at_2_pow_19_samples():
 
 
 def test_huge_array_at_one_sample_exits_2_before_building_the_array(tmp_path):
-    # 4e6 panels of 2 x 2 elements fit the evaluator budget at one sample,
-    # but not their surface arrays (121 angles x 16e6 rows) at the default
-    # sweep, nor, on a one-cell sweep, the array itself (16e6 elements of
-    # about 300 bytes each); both budgets are checked on the spec's element
-    # count, so the panels are never built
+    # 4e6 panels of 2 x 2 elements at one sample: the array itself (16e6
+    # elements of 640 bytes) is over the budget at the default sweep and on
+    # a one-cell sweep; the gate counts the spec's elements, so the panels
+    # are never built
     for sweep in ({}, {"angle_span_deg": 0.0, "doppler_span_hz": 0.0}):
         cfg = octagon_config(sweep=sweep)
         cfg["array"]["panels"] = 4e6

@@ -57,6 +57,15 @@ def test_eta_snapshots_append_period_offsets():
     assert abs(eta.sum()) < 1e-15
 
 
+@pytest.mark.parametrize("m, snapshots", [(128, 1), (16, 7), (2, 2 ** 12),
+                                           (128, 64), (5, 1000)])
+def test_eta_equals_per_snapshot_concatenation(rng, m, snapshots):
+    seq = random_init(m, 3.7e-4, snapshots, rng)
+    within = seq.slot_of() * seq.delta_t
+    ref = np.concatenate([within + s * m * seq.delta_t for s in range(snapshots)])
+    assert seq.eta().tobytes() == (ref - ref.mean()).tobytes()
+
+
 def test_random_init_golden_value():
     seq = random_init(8, 1e-3, 1, np.random.default_rng(0))
     assert seq.order == GOLDEN_PERM_SEED0_M8
