@@ -24,14 +24,14 @@ def _blas_threads_requested() -> int | None:
     return None
 
 
-# Measured on the README quick-start octagon (largest product the surface
-# sweep's 121x128 @ 128x801): OpenBLAS hands each product to a second
+# Measured on the README quick-start octagon (largest products the surface
+# sweep's 121x128 @ 128x256 blocks): OpenBLAS hands each product to a second
 # thread that then spin-waits, a third of a run's CPU time, and a wait for
 # a descheduled worker when the host takes the other core. One thread gives
-# the same bits. The sweep's product has M rows per Doppler at any snapshot
-# count; on the largest sweep measured (601 x 3201 cells) a free second
-# core saves about 25 ms of 90 ms, where writing that surface takes 0.4 s;
-# see README "Threads".
+# the same bits. The sweep's products have M rows at any snapshot count; on
+# the largest sweep measured (601 x 3201 cells) a free second core saves
+# 20-40 ms of 100 ms, where writing that surface takes 0.4 s; see README
+# "Threads".
 # Set before any submodule imports numpy, and only when no variable asks
 # for a count; a numpy imported earlier already runs its pool, so then
 # nothing is set and the count is unknown (None).

@@ -22,10 +22,10 @@ swap of two slots moves two elements' terms, so swap_sums gives in
 O(samples) exactly the integers of a fresh sample_sums: every annealing
 proposal is scored equal to evaluate() bit for bit (the tests assert ==).
 
-ambiguity_surface sweeps the first snapshot only, one (angles x M) @
-(M x Dopplers) product, and scales each Doppler column by the snapshot
-gain, since every snapshot repeats the first M*delta_t later: its arrays
-and time do not grow with snapshots.
+ambiguity_surface sweeps the first snapshot only, writing |X| a block of
+Doppler columns at a time, and scales each column by the snapshot gain,
+since every snapshot repeats the first M*delta_t later: its arrays and
+time do not grow with snapshots, nor its temporaries with the Dopplers.
 
 The points come from sobol_points, a numpy scrambled Sobol generator whose
 output is byte-identical to scipy.stats.qmc.Sobol(d=5, scramble=True,
@@ -402,6 +402,27 @@ def sweep_directions(mu: StructuralParams, angle_offset_deg,
     raise ValueError("angle_axis must be 'eoa' or 'aoa'")
 
 
+SWEEP_COLUMNS = 256  # Doppler columns per block of the sweep
+
+
+def _column_blocks(n: int):
+    """Column ranges, the last of 2 to SWEEP_COLUMNS + 1: a one-column
+    product goes to gemv, which rounds unlike gemm."""
+    lo = 0
+    while lo < n:
+        hi = n if n - lo <= SWEEP_COLUMNS + 1 else lo + SWEEP_COLUMNS
+        yield lo, hi
+        lo = hi
+
+
+def _phases(eta: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """exp(2*pi*i*eta_m*nu') of each instant and Doppler, in one buffer."""
+    phases = np.zeros((eta.size, nu.size), dtype=complex)
+    np.outer(eta, nu, out=phases.real)
+    np.multiply(2j * math.pi, phases, out=phases)
+    return np.exp(phases, out=phases)
+
+
 def ambiguity_surface(array: ArrayModel, seq: SwitchingSequence,
                       mu: StructuralParams, doppler_hz, angle_offset_deg,
                       angle_axis: str = "eoa") -> AmbiguitySurface:
@@ -411,10 +432,10 @@ def ambiguity_surface(array: ArrayModel, seq: SwitchingSequence,
     ("aoa") of arrival relative to the reference.
 
     Snapshot s switches every element s*M*delta_t after snapshot 0, so a
-    cell is the first snapshot's normalized inner product, one
-    (Na x M) @ (M x Nd) product, times snapshot_gain / S at its Doppler
-    difference: the arrays do not grow with snapshots. At one snapshot the
-    factor is exactly 1.
+    cell is the first snapshot's normalized inner product, an
+    (Na x M) @ (M x w) product per block of w Doppler columns, times
+    snapshot_gain / S at its Doppler difference: the arrays do not grow with
+    snapshots. At one snapshot the factor is exactly 1.
     """
     doppler_hz = np.asarray(doppler_hz, dtype=float)
     angle_offset_deg = np.asarray(angle_offset_deg, dtype=float)
@@ -435,15 +456,13 @@ def ambiguity_surface(array: ArrayModel, seq: SwitchingSequence,
     if np.any(norms == 0.0):
         raise DegenerateDirectionError("sweep contains a zero-response direction")
 
-    # phases exp(2*pi*i*eta_m*nu') of the first snapshot, formed in one buffer
-    phases = np.zeros((m, doppler_hz.size), dtype=complex)  # (M, Nd)
-    np.outer(seq.eta()[:m], mu.doppler_hz + doppler_hz, out=phases.real)
-    np.multiply(2j * math.pi, phases, out=phases)
-    np.exp(phases, out=phases)
-    numer = np.multiply(np.conj(b_ref)[None, :], g, out=g) @ phases  # (Na, Nd)
-    del g, phases
-    mag = np.abs(numer)
-    del numer
+    # |X| a block of Doppler columns at a time
+    eta, nu = seq.eta()[:m], mu.doppler_hz + doppler_hz
+    np.multiply(np.conj(b_ref)[None, :], g, out=g)
+    mag = np.empty((angle_offset_deg.size, doppler_hz.size))
+    for lo, hi in _column_blocks(nu.size):
+        np.abs(g @ _phases(eta, nu[lo:hi]), out=mag[:, lo:hi])
+    del g
     mag /= norm_ref * norms[:, None]
     mag *= snapshot_gain(doppler_hz, m, seq.delta_t, seq.snapshots) / seq.snapshots
     return AmbiguitySurface(doppler_hz, angle_offset_deg, angle_axis, mag, mu)

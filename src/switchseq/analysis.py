@@ -154,6 +154,16 @@ def _max3x3(a: np.ndarray) -> np.ndarray:
     return np.maximum(np.maximum(rows[:, :-2], rows[:, 1:-1]), rows[:, 2:])
 
 
+def _main_lobe(surface: AmbiguitySurface) -> tuple[slice, slice]:
+    """Row and column slices of the main lobe (see alias_scan)."""
+    mag = surface.magnitude
+    peak_a, peak_d = _main_peak(surface)
+    row = mag[peak_a, :]
+    col = mag[:, peak_d]
+    return (slice(_first_null(col, peak_a, -1), _first_null(col, peak_a, +1) + 1),
+            slice(_first_null(row, peak_d, -1), _first_null(row, peak_d, +1) + 1))
+
+
 def alias_scan(surface: AmbiguitySurface) -> list[AliasPeak]:
     """Local maxima outside the main lobe, strongest first.
 
@@ -164,15 +174,8 @@ def alias_scan(surface: AmbiguitySurface) -> list[AliasPeak]:
     it must still count as a sidelobe. The first entry (if any) is the PSL.
     """
     mag = surface.magnitude
-    peak_a, peak_d = _main_peak(surface)
-    row = mag[peak_a, :]
-    col = mag[:, peak_d]
-    a_lo = _first_null(col, peak_a, -1)
-    a_hi = _first_null(col, peak_a, +1)
-    d_lo = _first_null(row, peak_d, -1)
-    d_hi = _first_null(row, peak_d, +1)
     main_lobe = np.zeros(mag.shape, dtype=bool)
-    main_lobe[a_lo:a_hi + 1, d_lo:d_hi + 1] = True
+    main_lobe[_main_lobe(surface)] = True
 
     local_max = (mag == _max3x3(mag))
     candidates = np.argwhere(local_max & ~main_lobe)
@@ -188,9 +191,35 @@ def alias_scan(surface: AmbiguitySurface) -> list[AliasPeak]:
     return peaks
 
 
+_SIDELOBE_CELLS = 2 ** 15  # cells per block of rows of peak_sidelobe
+
+
 def peak_sidelobe(surface: AmbiguitySurface) -> float:
-    peaks = alias_scan(surface)
-    return peaks[0].magnitude if peaks else 0.0
+    """alias_scan's first magnitude, or 0.0 if none, found a block of rows
+    at a time without its list."""
+    mag = surface.magnitude
+    lobe_rows, lobe_cols = _main_lobe(surface)
+    n = mag.shape[0]
+    step = max(1, _SIDELOBE_CELLS // mag.shape[1])
+    tops = []
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        # near: each cell's maximum with its row neighbours, on the block
+        # and the rows beside it; a peak is >= near there
+        top = min(lo, 1)
+        halo = mag[lo - top:hi + 1]
+        near = halo.copy()
+        np.maximum(near[:, 1:], halo[:, :-1], out=near[:, 1:])
+        np.maximum(near[:, :-1], halo[:, 1:], out=near[:, :-1])
+        cells, k = mag[lo:hi], hi - lo
+        peaks = cells >= near[top:top + k]
+        peaks[1 - top:] &= cells[1 - top:] >= near[:k - 1 + top]
+        below = near[top + 1:]
+        peaks[:len(below)] &= cells[:len(below)] >= below
+        peaks[max(lobe_rows.start - lo, 0):max(lobe_rows.stop - lo, 0), lobe_cols] = False
+        if peaks.any():
+            tops.append(cells[peaks].max())
+    return float(max(tops, default=0.0))
 
 
 @dataclass(frozen=True)

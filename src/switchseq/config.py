@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .ambiguity import (ObjectiveConfig, ObjectiveEvaluator, Region,
-                        sweep_directions)
+from .ambiguity import (SWEEP_COLUMNS, ObjectiveConfig, ObjectiveEvaluator,
+                        Region, sweep_directions)
 from .analysis import ComparisonReport, compare_schemes
 from .anneal import AnnealConfig, AnnealTrace, anneal
 from .arrays import (ArrayModel, Direction, attach_patterns, load_pattern_file,
@@ -45,9 +45,9 @@ EVALUATOR_ELEMENT_BYTES = 544  # the evaluator: an element's row objects,
 EVALUATOR_SAMPLE_BYTES = 576  # a sample's points,
 EVALUATOR_ELEMENT_SAMPLE_BYTES = 26  # its tables (all live, on own indices)
 EVALUATOR_SNAPSHOT_SAMPLE_BYTES = 32  # and its snapshot gain temporaries
-SURFACE_CELL_BYTES = 60  # compare's three surfaces and the sweep,
-SURFACE_ANGLE_ELEMENT_BYTES = 60  # steering rows,
-SURFACE_ELEMENT_DOPPLER_BYTES = 20  # Doppler phases
+SURFACE_CELL_BYTES = 26  # compare's three surfaces,
+SURFACE_ANGLE_ELEMENT_BYTES = 60  # the sweep's steering rows,
+SURFACE_BLOCK_BYTES = 20  # its block's phase and product rows
 SURFACE_DOPPLER_SNAPSHOT_BYTES = 36  # and snapshot gains
 
 
@@ -136,7 +136,7 @@ def _check_sizes(counts: str, m: int, snapshots: int, samples: int, k_max: int,
                           f"samples exceeds the work budget of {WORK_BUDGET_SAMPLES}")
     # m and snapshots are small here, so these products are finite or inf
     if (angles * dopplers * SURFACE_CELL_BYTES + m * angles * SURFACE_ANGLE_ELEMENT_BYTES
-            + m * dopplers * SURFACE_ELEMENT_DOPPLER_BYTES
+            + (m + angles) * min(dopplers, SWEEP_COLUMNS + 1) * SURFACE_BLOCK_BYTES
             + dopplers * snapshots * SURFACE_DOPPLER_SNAPSHOT_BYTES > MEMORY_BUDGET_BYTES):
         raise ConfigError(f"{run}: the surfaces {over}")
     instants = m * snapshots * delta_t

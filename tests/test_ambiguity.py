@@ -15,8 +15,8 @@ from switchseq import (AmbiguitySurface, AnnealConfig, ArrayModel,
                        basis_from_eta, make_octagonal, make_ula, random_init,
                        sequential)
 from switchseq.ambiguity import (_BLOCK_ENTRIES, _CSV_CELLS, FIXED_BITS,
-                                 normalized_correlation,
-                                 save_surface_csv, sobol_points,
+                                 SWEEP_COLUMNS, normalized_correlation,
+                                 save_surface_csv, snapshot_gain, sobol_points,
                                  sweep_directions)
 from switchseq.arrays import steering_matrix, unit_vectors
 from switchseq.signal import basis
@@ -612,6 +612,66 @@ def tiled_surface(array, seq, mu, doppler_hz, angle_offset_deg, angle_axis):
     numer = (np.conj(b_ref)[None, :] * g_tiled) @ phases
     norms = np.linalg.norm(g_tiled, axis=1)
     return np.abs(numer) / (np.linalg.norm(b_ref) * norms[:, None])
+
+
+def single_product_surface(array, seq, mu, doppler_hz, angle_offset_deg,
+                           angle_axis):
+    """|X| from one (Na x M) @ (M x Nd) product over every Doppler at once,
+    then scaled by the snapshot gain: the reference the blocked sweep is
+    held to, bit for bit."""
+    az, el = sweep_directions(mu, angle_offset_deg, angle_axis)
+    m = array.num_elements
+    b_ref = basis(array, seq, mu)[:m]
+    g = steering_matrix(array, az, el)
+    norms = np.linalg.norm(g, axis=1)
+    phases = np.zeros((m, doppler_hz.size), dtype=complex)
+    np.outer(seq.eta()[:m], mu.doppler_hz + doppler_hz, out=phases.real)
+    np.multiply(2j * math.pi, phases, out=phases)
+    np.exp(phases, out=phases)
+    mag = np.abs(np.multiply(np.conj(b_ref)[None, :], g, out=g) @ phases)
+    mag /= np.linalg.norm(b_ref) * norms[:, None]
+    return mag * (snapshot_gain(doppler_hz, m, seq.delta_t, seq.snapshots)
+                  / seq.snapshots)
+
+
+README_OCTAGON = dict(panels=8, rows=4, cols=4, patch_exponent=2.0)
+
+
+@pytest.mark.parametrize("snapshots, n_angles, n_dopplers", [
+    (1, 121, 801), (8, 121, 801),  # the README grid
+    (1, 601, 3201), (3, 61, 3 * SWEEP_COLUMNS + 1), (2, 5, 2), (1, 3, 1),
+    (1, 9, SWEEP_COLUMNS), (1, 9, SWEEP_COLUMNS + 1), (1, 9, SWEEP_COLUMNS + 2)])
+def test_blocked_sweep_equals_the_single_product(snapshots, n_angles, n_dopplers):
+    # blocks of SWEEP_COLUMNS Dopplers, the last of 2 to SWEEP_COLUMNS + 1
+    # (one more than a multiple is the case a one-column block would break)
+    arr = make_octagonal(**README_OCTAGON)
+    seq = random_init(arr.num_elements, 1e-4, snapshots,
+                      np.random.default_rng(n_dopplers))
+    mu = StructuralParams(math.pi / 4, math.pi / 2, 0.0)
+    dop = np.linspace(-400.0, 400.0, n_dopplers)
+    ang = np.linspace(-30.0, 30.0, n_angles)
+    surf = ambiguity_surface(arr, seq, mu, dop, ang, "eoa")
+    assert np.array_equal(surf.magnitude,
+                          single_product_surface(arr, seq, mu, dop, ang, "eoa"))
+
+
+def test_surface_temporaries_do_not_grow_with_the_dopplers():
+    # beyond its 8 B/cell result the sweep holds its steering rows and one
+    # block of phases and products, at 801 Dopplers as at 6401
+    arr = make_octagonal(**README_OCTAGON)
+    seq = random_init(arr.num_elements, 1e-4, 1, np.random.default_rng(0))
+    mu = StructuralParams(math.pi / 4, math.pi / 2, 0.0)
+    ang = np.linspace(-30.0, 30.0, 121)
+    over = []
+    for n_dopplers in (801, 6401):
+        dop = np.linspace(-400.0, 400.0, n_dopplers)
+        tracemalloc.start()
+        surf = ambiguity_surface(arr, seq, mu, dop, ang, "eoa")
+        over.append(tracemalloc.get_traced_memory()[1] - surf.magnitude.nbytes)
+        tracemalloc.stop()
+    block_bytes = (arr.num_elements + ang.size) * (SWEEP_COLUMNS + 1) * 16
+    assert abs(over[1] - over[0]) < block_bytes, over
+    assert over[1] < surf.magnitude.nbytes / 4, over
 
 
 @pytest.mark.parametrize("snapshots", [1, 2, 8, 64])

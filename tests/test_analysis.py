@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 from scipy.optimize import brentq
 
@@ -11,6 +13,7 @@ from switchseq import (AmbiguitySurface, Direction, GridTooNarrowError,
                        block_aperture_ratio, compare_schemes, effective_factor,
                        half_power_width, make_octagonal, make_ula,
                        peak_sidelobe, random_init, sequential)
+import switchseq.analysis as analysis_module
 from switchseq.ambiguity import to_db
 from switchseq.analysis import _crossing, _max3x3
 from switchseq.config import ExperimentConfig
@@ -242,6 +245,88 @@ def test_alias_scan_psl_shift_invariance(rng):
     s1 = ambiguity_surface(arr, seq, BROADSIDE, dop, ang, "aoa")
     s2 = ambiguity_surface(arr, seq, BROADSIDE, dop, ang, "aoa")
     assert peak_sidelobe(s1) == peak_sidelobe(s2)
+
+
+def reference_psl(surface) -> float:
+    """The PSL from the full scan: its strongest peak, or 0.0 without one."""
+    peaks = alias_scan(surface)
+    return peaks[0].magnitude if peaks else 0.0
+
+
+def assert_psl_is_the_scan_at_any_block_height(surface, heights=(1, 2, 3, 10 ** 6)):
+    """peak_sidelobe equals the reference bit for bit with blocks of 1, 2
+    and 3 rows (a non-divisor of most heights) and with one block."""
+    want = reference_psl(surface)
+    n_dopplers = surface.magnitude.shape[1]
+    for rows in heights:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis_module, "_SIDELOBE_CELLS", rows * n_dopplers)
+            got = peak_sidelobe(surface)
+        assert type(got) is float
+        assert got.hex() == want.hex(), (rows, got, want)
+
+
+@st.composite
+def plateau_surfaces(draw):
+    """Small surfaces of a few quantized levels, so that neighbours tie and
+    plateaus form, with the 1.0 self-point anywhere, the edges included;
+    1-row and 1-column surfaces among them."""
+    n_angles = draw(st.integers(1, 7))
+    n_dopplers = draw(st.integers(1, 7))
+    levels = draw(st.integers(1, 3))
+    values = draw(st.lists(st.integers(0, levels), min_size=n_angles * n_dopplers,
+                           max_size=n_angles * n_dopplers))
+    mag = np.array(values, dtype=float).reshape(n_angles, n_dopplers) / levels
+    peak_a = draw(st.integers(0, n_angles - 1))
+    peak_d = draw(st.integers(0, n_dopplers - 1))
+    mag[peak_a, peak_d] = 1.0
+    return AmbiguitySurface(np.arange(n_dopplers) - float(peak_d),
+                            np.arange(n_angles) - float(peak_a), "eoa", mag,
+                            BROADSIDE)
+
+
+@settings(max_examples=300, deadline=None)
+@given(plateau_surfaces())
+def test_peak_sidelobe_equals_the_scan_on_plateaus_and_edges(surface):
+    assert_psl_is_the_scan_at_any_block_height(surface)
+
+
+def test_peak_sidelobe_equals_the_scan_on_many_small_surfaces(rng):
+    # a cell that beats its row and one of the rows beside it, but not the
+    # main lobe on the other side, is rare: thousands of surfaces of three
+    # levels meet it dozens of times
+    for _ in range(3000):
+        n_angles, n_dopplers = rng.integers(1, 7, 2)
+        mag = rng.integers(0, 3, (n_angles, n_dopplers)) / 2.0
+        peak_a, peak_d = rng.integers(0, n_angles), rng.integers(0, n_dopplers)
+        mag[peak_a, peak_d] = 1.0
+        assert_psl_is_the_scan_at_any_block_height(AmbiguitySurface(
+            np.arange(n_dopplers) - float(peak_d), np.arange(n_angles) - float(peak_a),
+            "eoa", mag, BROADSIDE), (1, 2, 3))
+
+
+def test_peak_sidelobe_equals_the_scan_on_the_readme_surfaces(readme_compare_surfaces):
+    for surface in readme_compare_surfaces.values():
+        assert_psl_is_the_scan_at_any_block_height(surface, (1, 2, 7, 40, 10 ** 6))
+
+
+def test_peak_sidelobe_memory_does_not_grow_with_the_surface(rng):
+    # one block of rows at a time, so what it allocates at its peak is the
+    # same for a README-sized and a 20x larger surface
+    peaks = []
+    for n_angles, n_dopplers in ((121, 801), (601, 3201)):
+        mag = rng.uniform(0.0, 0.9, (n_angles, n_dopplers))
+        mag[n_angles // 2, n_dopplers // 2] = 1.0
+        surf = AmbiguitySurface(np.arange(n_dopplers) - n_dopplers // 2 * 1.0,
+                                np.arange(n_angles) - n_angles // 2 * 1.0, "eoa",
+                                mag, BROADSIDE)
+        tracemalloc.start()
+        peak_sidelobe(surf)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    block_bytes = analysis_module._SIDELOBE_CELLS * 8  # a block of floats
+    assert abs(peaks[1] - peaks[0]) < block_bytes, peaks
+    assert peaks[1] < mag.nbytes / 10, peaks
 
 
 def test_compare_schemes_identical_sequences_ratio_one(rng):

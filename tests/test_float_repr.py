@@ -48,16 +48,25 @@ def in_range(values) -> np.ndarray:
 
 
 def test_random_bit_patterns_match_repr():
-    # every double is equally likely: subnormals, NaN payloads and
-    # infinities included, plus the signed zeros and the extremes
+    # random sign and mantissa bits under a biased exponent drawn uniformly
+    # from the binades of 2**-14 to 2**53, which hold 1e-4 <= |x| < 1e16, so
+    # most values take the formatter's own path; then random bit patterns
+    # of every double (subnormals, NaN payloads and infinities, mostly left
+    # to repr), the signed zeros and the extremes
     rng = np.random.default_rng(17)
+    bits = rng.integers(0, 2 ** 64, 2 * 10 ** 6, dtype=np.uint64)
+    exponents = rng.integers(1023 - 14, 1023 + 54, bits.size, dtype=np.uint64)
+    drawn = (bits & np.uint64(0x800F_FFFF_FFFF_FFFF)
+             | exponents << np.uint64(52)).view(np.float64)
     values = np.concatenate([
-        rng.integers(0, 2 ** 64, 2 * 10 ** 6, dtype=np.uint64).view(np.float64),
+        drawn, rng.integers(0, 2 ** 64, 10 ** 5, dtype=np.uint64).view(np.float64),
         [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
          2.2250738585072014e-308, 1.7976931348623157e308]])
     share = repr_share(values)
-    # about 3% of bit patterns lie in the positional range
     assert 1 - in_range(values).mean() <= share < 1
+    # all but the parts of the two end binades outside the range, and
+    # about 3% of the bit patterns, lie in it and are formatted directly
+    assert (1 - share) * values.size > 0.95 * drawn.size
 
 
 def test_values_over_decimal_exponents_match_repr():

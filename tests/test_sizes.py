@@ -160,6 +160,7 @@ def test_readme_lists_the_gate_costs():
             f"{c.EVALUATOR_SNAPSHOT_SAMPLE_BYTES} S bytes a sample",
             f"{c.SURFACE_CELL_BYTES} B a cell",
             f"{c.SURFACE_ANGLE_ELEMENT_BYTES} B an angle × element",
-            f"{c.SURFACE_ELEMENT_DOPPLER_BYTES} B an element × Doppler",
+            f"{c.SURFACE_BLOCK_BYTES} B an (element + angle) × block column "
+            f"(a sweep block has at most {c.SWEEP_COLUMNS + 1} Dopplers)",
             f"{c.SURFACE_DOPPLER_SNAPSHOT_BYTES} B a Doppler × snapshot"):
         assert phrase in text
