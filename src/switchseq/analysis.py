@@ -204,18 +204,11 @@ def peak_sidelobe(surface: AmbiguitySurface) -> float:
     tops = []
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        # near: each cell's maximum with its row neighbours, on the block
-        # and the rows beside it; a peak is >= near there
-        top = min(lo, 1)
-        halo = mag[lo - top:hi + 1]
-        near = halo.copy()
-        np.maximum(near[:, 1:], halo[:, :-1], out=near[:, 1:])
-        np.maximum(near[:, :-1], halo[:, 1:], out=near[:, :-1])
-        cells, k = mag[lo:hi], hi - lo
-        peaks = cells >= near[top:top + k]
-        peaks[1 - top:] &= cells[1 - top:] >= near[:k - 1 + top]
-        below = near[top + 1:]
-        peaks[:len(below)] &= cells[:len(below)] >= below
+        # the block with the rows beside it, so _max3x3's edge padding is
+        # exact on the block's own rows
+        h = max(lo - 1, 0)
+        cells = mag[lo:hi]
+        peaks = cells == _max3x3(mag[h:hi + 1])[lo - h:][:hi - lo]
         peaks[max(lobe_rows.start - lo, 0):max(lobe_rows.stop - lo, 0), lobe_cols] = False
         if peaks.any():
             tops.append(cells[peaks].max())

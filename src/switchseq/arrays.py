@@ -100,6 +100,9 @@ class TabulatedPattern:
         g = np.asarray(self.gains, dtype=complex)
         if az.ndim != 1 or el.ndim != 1:
             raise ValueError("grids must be 1-D")
+        if not (np.isfinite(az).all() and np.isfinite(el).all()
+                and np.isfinite(g).all()):
+            raise ValueError("grids and gains must be finite")
         if np.any(np.diff(az) <= 0) or np.any(np.diff(el) <= 0):
             raise ValueError("grid axes must be strictly increasing")
         if az[0] < 0 or az[-1] >= 2 * math.pi:
@@ -307,28 +310,26 @@ def load_pattern_file(path: str | Path) -> dict[tuple[int, str], TabulatedPatter
                 raise ValueError(f"pattern pol {row['pol']!r} must be V or H")
             az = math.radians(float(row["azimuth_deg"]))
             el = math.radians(float(row["elevation_deg"]))
-            cells.setdefault(key, {})[(az, el)] = complex(
-                float(row["re"]), float(row["im"])
-            )
+            grid = cells.setdefault(key, {})
+            if (az, el) in grid:
+                raise ValueError(
+                    f"pattern file repeats element {key[0]} pol {key[1]} at "
+                    f"({row['azimuth_deg']}, {row['elevation_deg']}) deg"
+                )
+            grid[(az, el)] = complex(float(row["re"]), float(row["im"]))
 
     patterns = {}
     for key, grid in cells.items():
-        az_vals = np.array(sorted({a for a, _ in grid}))
-        el_vals = np.array(sorted({e for _, e in grid}))
-        if len(grid) != az_vals.size * el_vals.size:
+        # distinct keys, as many as the axes' product, fill the whole grid
+        az_vals = sorted({a for a, _ in grid})
+        el_vals = sorted({e for _, e in grid})
+        if len(grid) != len(az_vals) * len(el_vals):
             raise ValueError(
                 f"pattern grid for element {key[0]} pol {key[1]} is not rectangular"
             )
-        table = np.empty((az_vals.size, el_vals.size), dtype=complex)
-        for i, a in enumerate(az_vals):
-            for j, e in enumerate(el_vals):
-                if (a, e) not in grid:
-                    raise ValueError(
-                        f"pattern grid for element {key[0]} pol {key[1]} "
-                        f"is missing ({math.degrees(a)}, {math.degrees(e)}) deg"
-                    )
-                table[i, j] = grid[(a, e)]
-        patterns[key] = TabulatedPattern(az_vals, el_vals, table)
+        table = [[grid[(a, e)] for e in el_vals] for a in az_vals]
+        patterns[key] = TabulatedPattern(np.array(az_vals), np.array(el_vals),
+                                         np.array(table))
     return patterns
 
 

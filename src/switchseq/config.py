@@ -22,8 +22,8 @@ from .ambiguity import (SWEEP_COLUMNS, ObjectiveConfig, ObjectiveEvaluator,
                         Region, sweep_directions)
 from .analysis import ComparisonReport, compare_schemes
 from .anneal import AnnealConfig, AnnealTrace, anneal
-from .arrays import (ArrayModel, Direction, attach_patterns, load_pattern_file,
-                     make_octagonal, make_ula, SPEED_OF_LIGHT)
+from .arrays import (ArrayModel, attach_patterns, load_pattern_file, make_octagonal,
+                     make_ula, SPEED_OF_LIGHT)
 from .crlb import ParamVector
 from .signal import StructuralParams
 from .switching import (SwitchingSequence, hybrid_init, random_init, sequential,
@@ -278,7 +278,7 @@ class ExperimentConfig:
         }, "config.reference")
         reference = _field(
             "config.reference", StructuralParams,
-            math.radians(reference_spec["azimuth_deg"]) % (2 * math.pi),
+            math.radians(reference_spec["azimuth_deg"]),
             math.radians(reference_spec["elevation_deg"]),
             reference_spec["doppler_hz"],
         )
@@ -307,8 +307,8 @@ class ExperimentConfig:
                         math.radians(crlb_spec["azimuth_deg"]), crlb_spec["doppler_hz"],
                         crlb_spec["amplitude"], crlb_spec["phase"])
         elevation = math.radians(crlb_spec["elevation_deg"])
-        _field("config.crlb.elevation_deg", Direction,
-               params.azimuth % (2 * math.pi), elevation)
+        _field("config.crlb.elevation_deg", StructuralParams,
+               params.azimuth, elevation, params.doppler_hz)
         crlb = (params, elevation,
                 _positive(crlb_spec["noise_sigma"], "config.crlb.noise_sigma"))
         for key in ("amplitude", "noise_sigma"):  # the bounds square both

@@ -111,8 +111,7 @@ def crlb_doppler(eta: np.ndarray, amplitude: float, noise_sigma: float) -> float
 def signal_mean(array: ArrayModel, seq: SwitchingSequence, params: ParamVector,
                 elevation: float = math.pi / 2) -> np.ndarray:
     """Noise-free received mean for the four-parameter single-path model."""
-    mu = StructuralParams(params.azimuth % (2 * math.pi), elevation,
-                          params.doppler_hz)
+    mu = StructuralParams(params.azimuth, elevation, params.doppler_hz)
     return params.amplitude * np.exp(1j * params.phase) * basis(array, seq, mu)
 
 

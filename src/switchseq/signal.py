@@ -26,14 +26,15 @@ class StructuralParams:
     doppler_hz: float
 
     def __post_init__(self):
-        # range check via Direction
-        Direction(self.rx_azimuth % (2 * math.pi), self.rx_elevation)
+        # keep the azimuth in [0, 2*pi), then range check via Direction
+        object.__setattr__(self, "rx_azimuth", self.rx_azimuth % (2 * math.pi))
+        self.rx_direction
         if not np.isfinite(self.doppler_hz):
             raise ValueError("doppler must be finite")
 
     @property
     def rx_direction(self) -> Direction:
-        return Direction(self.rx_azimuth % (2 * math.pi), self.rx_elevation)
+        return Direction(self.rx_azimuth, self.rx_elevation)
 
 
 def basis_from_eta(array: ArrayModel, eta: np.ndarray,
@@ -43,7 +44,7 @@ def basis_from_eta(array: ArrayModel, eta: np.ndarray,
     m = array.num_elements
     if eta.size % m != 0:
         raise ValueError("eta length must be a multiple of the element count")
-    steer = steering_matrix(array, mu.rx_azimuth % (2 * math.pi), mu.rx_elevation)
+    steer = steering_matrix(array, mu.rx_azimuth, mu.rx_elevation)
     doppler = np.exp(2j * math.pi * mu.doppler_hz * eta)
     return np.tile(steer, eta.size // m) * doppler
 

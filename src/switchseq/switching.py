@@ -41,8 +41,8 @@ class SwitchingSequence:
 
     def __post_init__(self):
         order = tuple(map(_index, self.order))
-        if sorted(order) != list(range(len(order))):
-            raise ValueError("order must be a permutation of 0..M-1")
+        if not order or sorted(order) != list(range(len(order))):
+            raise ValueError("order must be a permutation of 0..M-1, M >= 1")
         if isinstance(self.delta_t, bool) or not 0 < self.delta_t < math.inf:
             raise ValueError("delta_t must be positive and finite")
         if _index(self.snapshots) < 1:
@@ -116,16 +116,12 @@ class SwitchingSequence:
 def sequential(m: int, delta_t: float, snapshots: int = 1,
                partition=None) -> SwitchingSequence:
     """Identity order: antenna k fires in slot k."""
-    if m < 1:
-        raise ValueError("need at least one antenna")
     return SwitchingSequence(tuple(range(m)), delta_t, snapshots, partition)
 
 
 def random_init(m: int, delta_t: float, snapshots: int,
                 rng: np.random.Generator) -> SwitchingSequence:
     """Uniformly random activation order from the caller's RNG."""
-    if m < 1:
-        raise ValueError("need at least one antenna")
     return SwitchingSequence(tuple(rng.permutation(m)), delta_t, snapshots)
 
 
@@ -137,13 +133,12 @@ def hybrid_init(m: int, delta_t: float, snapshots: int,
     inter-subset schedule is sequential while each subset's antennas are
     shuffled within its own slot range.
     """
-    part = tuple(tuple(int(i) for i in s) for s in partition)
-    if sorted(i for s in part for i in s) != list(range(m)):
-        raise ValueError("partition must cover 0..M-1 exactly once")
+    if sum(map(len, partition)) != m:
+        raise ValueError(f"partition must cover the {m} antennas")
     order: list[int] = []
-    for subset in part:
+    for subset in partition:
         order.extend(rng.permutation(np.asarray(subset)))
-    return SwitchingSequence(tuple(order), delta_t, snapshots, part)
+    return SwitchingSequence(tuple(order), delta_t, snapshots, partition)
 
 
 def swap_sets(update: str, m: int, partition) -> list[range]:

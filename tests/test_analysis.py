@@ -310,6 +310,22 @@ def test_peak_sidelobe_equals_the_scan_on_the_readme_surfaces(readme_compare_sur
         assert_psl_is_the_scan_at_any_block_height(surface, (1, 2, 7, 40, 10 ** 6))
 
 
+def test_peak_sidelobe_sees_the_rows_beside_a_block():
+    # at heights 1, 2 and 3, cells on a block's first or last row lose to or
+    # tie with a neighbour in the next block
+    mag = np.full((9, 9), 0.1)
+    mag[3, 2:7] = [0.0, 0.6, 1.0, 0.6, 0.0]  # main lobe: rows 2-5, cols 2-6
+    mag[2:6, 4] = [0.0, 1.0, 0.6, 0.0]
+    mag[2, 6] = mag[5, 2] = 0.9  # two main-lobe corners
+    mag[1, 7] = mag[6, 1] = 0.7  # beaten by a corner across rows 1|2 and 5|6
+    mag[5, 8] = mag[6, 8] = 0.4  # peaks that tie across rows 5|6
+    mag[8, 8] = 0.3
+    surface = AmbiguitySurface(np.arange(9) - 4.0, np.arange(9) - 3.0, "eoa", mag,
+                               BROADSIDE)
+    assert reference_psl(surface) == 0.4
+    assert_psl_is_the_scan_at_any_block_height(surface)
+
+
 def test_peak_sidelobe_memory_does_not_grow_with_the_surface(rng):
     # one block of rows at a time, so what it allocates at its peak is the
     # same for a README-sized and a 20x larger surface

@@ -222,6 +222,19 @@ def test_tabulated_pattern_rejects_bad_grids():
                          np.ones((3, 2), dtype=complex))
 
 
+def test_tabulated_pattern_rejects_non_finite_values():
+    az, el = np.array([0.0, 1.0]), np.array([0.5, 1.5])
+    for bad in (np.nan, np.inf, -np.inf):
+        for grids in (([bad, 1.0], el), (az, [0.5, bad])):
+            with pytest.raises(ValueError, match="finite"):
+                TabulatedPattern(*map(np.array, grids), np.ones((2, 2), dtype=complex))
+        for gain in (bad, complex(0.0, bad)):
+            table = np.ones((2, 2), dtype=complex)
+            table[1, 0] = gain
+            with pytest.raises(ValueError, match="finite"):
+                TabulatedPattern(az, el, table)
+
+
 def test_pattern_file_roundtrip(tmp_path):
     arr = make_ula(2, 0.5, 1.0)
     lines = ["element,pol,azimuth_deg,elevation_deg,re,im"]
@@ -250,6 +263,48 @@ def test_pattern_file_rejects_incomplete_grid(tmp_path):
     f = tmp_path / "bad.csv"
     f.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="rectangular"):
+        load_pattern_file(f)
+
+
+def test_pattern_file_refuses_a_repeated_row(tmp_path):
+    # a second (90, 20) row for element 0 pol V is refused, not taken in
+    # place of the first; the same angles for another element are not a repeat
+    lines = ["element,pol,azimuth_deg,elevation_deg,re,im"]
+    lines += [f"0,V,{a},{e},1.0,0.0" for a in (0.0, 90.0) for e in (20.0, 90.0)]
+    f = tmp_path / "repeat.csv"
+    f.write_text("\n".join(lines + ["1,V,90.0,20.0,1.0,0.0"]) + "\n")
+    assert set(load_pattern_file(f)) == {(0, "V"), (1, "V")}
+    f.write_text("\n".join(lines + ["0,V,90,20,5.0,0.0"]) + "\n")
+    with pytest.raises(ValueError, match=r"repeats element 0 pol V at \(90, 20\)"):
+        load_pattern_file(f)
+
+
+@pytest.mark.parametrize("column", ["azimuth_deg", "elevation_deg", "re", "im"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_pattern_file_refuses_non_finite_values(tmp_path, column, value):
+    rows = [dict(element=0, pol="V", azimuth_deg=a, elevation_deg=e, re=1.0, im=0.0)
+            for a in (0.0, 90.0) for e in (45.0, 90.0)]
+    if column in ("re", "im"):
+        rows[3][column] = value
+    else:  # a whole grid line; as no NaN equals another, a NaN line is
+        # refused as not rectangular before its grid is built
+        for r in rows:
+            if r[column] == 90.0:
+                r[column] = value
+    f = tmp_path / "non_finite.csv"
+    f.write_text("element,pol,azimuth_deg,elevation_deg,re,im\n" + "".join(
+        "{element},{pol},{azimuth_deg},{elevation_deg},{re},{im}\n".format(**r)
+        for r in rows))
+    with pytest.raises(ValueError, match="finite|rectangular"):
+        load_pattern_file(f)
+
+
+def test_pattern_file_nan_angle_on_a_one_line_grid(tmp_path):
+    # one elevation, so a NaN azimuth still gives as many rows as grid cells
+    f = tmp_path / "nan_azimuth.csv"
+    f.write_text("element,pol,azimuth_deg,elevation_deg,re,im\n"
+                 "0,V,0,90,1,0\n0,V,nan,90,1,0\n")
+    with pytest.raises(ValueError, match="finite"):
         load_pattern_file(f)
 
 

@@ -718,11 +718,12 @@ SEQUENCE_8 = {"M": 8, "delta_t_s": 1e-3, "snapshots": 1, "order": list(range(8))
     json.dumps(dict(SEQUENCE_8, delta_t_s=5e-4, snapshots=3)),
     json.dumps(dict(SEQUENCE_8, delta_t_s=1e306)),
     json.dumps(dict(SEQUENCE_8, snapshots=10 ** 9)),
+    json.dumps(dict(SEQUENCE_8, M=0, order=[])),
 ], ids=["not-json", "no-order", "top-level-list", "not-permutation",
         "delta-t-string", "partition-not-contiguous", "delta-t-infinity",
         "nested-past-recursion-limit", "order-fraction", "snapshots-fraction",
         "snapshots-true", "timing-differs-from-config", "delta-t-overflow",
-        "snapshots-over-budget"])
+        "snapshots-over-budget", "order-empty"])
 def test_ambiguity_bad_sequence_file_exits_2(tmp_path, capsys, content):
     cfg = ula_config()
     cfg["array"]["elements"] = 8  # matches the file, so only its content is bad
@@ -905,6 +906,36 @@ def test_compare_drops_the_evaluator_before_the_surface_sweeps(tmp_path,
     assert main(["compare", "--config", write_config(tmp_path, octagon_config()),
                  "--out", str(tmp_path / "cmp")]) == 0
     assert alive == [[False]]
+
+
+@pytest.mark.parametrize("defect", ["nan-gain", "repeated-row"])
+@pytest.mark.parametrize("command", ["optimize", "compare"])
+def test_bad_pattern_file_exits_2_at_load(tmp_path, capsys, command, defect):
+    # refused at load: past it a NaN gain gives optimize a meaningless
+    # objective and compare an unobservable Doppler (exit 3), and a repeated
+    # row replaces the first one
+    lines = ["element,pol,azimuth_deg,elevation_deg,re,im"]
+    lines += [f"{e},V,{a},{el},1.0,0.0" for e in range(16)
+              for a in range(0, 360, 90) for el in (0, 90, 180)]
+    good = octagon_config()
+    good["array"]["pattern_file"] = str(tmp_path / "good.csv")
+    (tmp_path / "good.csv").write_text("\n".join(lines) + "\n")
+    ExperimentConfig.from_dict(good)
+    if defect == "nan-gain":
+        lines[5] = lines[5].replace("1.0,0.0", "nan,0.0")
+    else:
+        lines.append(lines[5].replace("1.0,0.0", "5.0,0.0"))
+    cfg = octagon_config()
+    cfg["array"]["pattern_file"] = str(tmp_path / "bad.csv")
+    (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
+    rc = main([command, "--config", write_config(tmp_path, cfg),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "config"
+    assert error["message"].startswith("config.array.pattern_file: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_compare_requires_partitioned_array(tmp_path):

@@ -104,7 +104,11 @@ def test_hybrid_init_rejects_bad_partition(rng):
     with pytest.raises(ValueError):
         hybrid_init(4, 1e-3, 1, ((0, 1), (1, 2, 3)), rng)
     with pytest.raises(ValueError):
-        hybrid_init(4, 1e-3, 1, ((0, 1),), rng)
+        hybrid_init(4, 1e-3, 1, ((0, 1), (1, 2)), rng)
+    # a partition of fewer antennas than m, though valid for its own M
+    for partition in (((0, 1),), ((0, 1), (2, 3))):
+        with pytest.raises(ValueError, match="cover the 5 antennas"):
+            hybrid_init(5, 1e-3, 1, partition, rng)
 
 
 def test_swap_sets_random_is_all_slots():
@@ -221,6 +225,18 @@ def test_sequence_validation():
         SwitchingSequence((0, 1, 2, 3), 1e-3, partition=((0, 2), (1, 3)))
     with pytest.raises(ValueError):
         SwitchingSequence((0, 1, 2, 3), 1e-3, partition=((0, 1), (2,)))
+
+
+def test_an_empty_sequence_is_refused(rng):
+    # M = 0 would leave slot_of() and eta() nothing to index
+    for build in (lambda: SwitchingSequence((), 1e-4),
+                  lambda: SwitchingSequence.from_dict({"delta_t_s": 1e-4,
+                                                       "order": []}),
+                  lambda: sequential(0, 1e-4),
+                  lambda: sequential(-1, 1e-4),
+                  lambda: random_init(0, 1e-4, 1, rng)):
+        with pytest.raises(ValueError, match="M >= 1"):
+            build()
 
 
 def test_from_dict_checks_m_field():
