@@ -26,8 +26,10 @@ class StructuralParams:
     doppler_hz: float
 
     def __post_init__(self):
-        # keep the azimuth in [0, 2*pi), then range check via Direction
-        object.__setattr__(self, "rx_azimuth", self.rx_azimuth % (2 * math.pi))
+        # keep the azimuth in [0, 2*pi) (the second % takes the 2*pi that a
+        # tiny negative azimuth rounds to onto 0), then range check via Direction
+        turn = 2 * math.pi
+        object.__setattr__(self, "rx_azimuth", self.rx_azimuth % turn % turn)
         self.rx_direction
         if not np.isfinite(self.doppler_hz):
             raise ValueError("doppler must be finite")

@@ -295,7 +295,8 @@ def test_pattern_file_refuses_non_finite_values(tmp_path, column, value):
     f.write_text("element,pol,azimuth_deg,elevation_deg,re,im\n" + "".join(
         "{element},{pol},{azimuth_deg},{elevation_deg},{re},{im}\n".format(**r)
         for r in rows))
-    with pytest.raises(ValueError, match="finite|rectangular"):
+    nan_angle = value == "nan" and column not in ("re", "im")
+    with pytest.raises(ValueError, match="rectangular" if nan_angle else "finite"):
         load_pattern_file(f)
 
 

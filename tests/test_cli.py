@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -88,6 +89,16 @@ def test_config_requires_seed():
 def test_config_rejects_non_integer_seed():
     with pytest.raises(ConfigError, match="seed"):
         ExperimentConfig.from_dict(ula_config(seed=1.5))
+
+
+def test_config_wraps_a_negative_azimuth():
+    cfg = ula_config()
+    cfg["reference"]["azimuth_deg"] = -45.0
+    cfg["crlb"] = {"azimuth_deg": -270.0}
+    config = ExperimentConfig.from_dict(cfg)
+    cfg["reference"]["azimuth_deg"] = 315.0
+    assert config.reference == ExperimentConfig.from_dict(cfg).reference
+    assert config.reference.rx_azimuth == pytest.approx(math.radians(315.0))
 
 
 def test_config_rejects_wrong_version():

@@ -105,3 +105,8 @@ def test_structural_params_validation():
         StructuralParams(0.0, 1.0, math.nan)
     p = StructuralParams(1.0, 2.0, 3.0)
     assert p.rx_direction.azimuth == pytest.approx(1.0)
+    # any finite azimuth is kept wrapped into [0, 2*pi)
+    assert StructuralParams(-0.5, 1.0, 0.0).rx_azimuth == pytest.approx(2 * math.pi - 0.5)
+    assert StructuralParams(7.0, 1.0, 0.0).rx_azimuth == pytest.approx(7.0 - 2 * math.pi)
+    assert StructuralParams(-1e-20, 1.0, 0.0).rx_azimuth == 0.0
+    assert StructuralParams(2 * math.pi, 1.0, 0.0).rx_azimuth == 0.0
