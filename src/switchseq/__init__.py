@@ -52,9 +52,9 @@ from .analysis import (AliasPeak, ComparisonReport, GridTooNarrowError,
                        peak_sidelobe)
 from .anneal import (AnnealConfig, AnnealError, AnnealRecord, AnnealTrace,
                      anneal, temperature_schedule)
-from .arrays import (ArrayModel, Direction, OmniPattern, PatchPattern,
-                     TabulatedPattern, effective_elements, make_octagonal,
-                     make_ula, steering_matrix)
+from .arrays import (ArrayModel, OmniPattern, PatchPattern, TabulatedPattern,
+                     effective_elements, make_octagonal, make_ula,
+                     steering_matrix)
 from .config import ConfigError, ExperimentConfig
 from .crlb import (CRLBResult, EndfireSingularityError, ParamVector,
                    SingularFIMError, UnobservableDopplerError, crlb_aoa,

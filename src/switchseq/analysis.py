@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambiguity import AmbiguitySurface, ambiguity_surface, to_db
-from .arrays import ArrayModel, Direction, effective_elements
+from .arrays import ArrayModel, effective_elements
 from .crlb import crlb_doppler
 from .signal import StructuralParams
 from .switching import SwitchingSequence, eta_subset
@@ -89,17 +89,17 @@ def half_power_width(surface: AmbiguitySurface, axis: str) -> WidthReport:
                        upper=_crossing(coords, db, hi, hi + 1))
 
 
-def effective_factor(array: ArrayModel, direction: Direction,
+def effective_factor(array: ArrayModel, mu: StructuralParams,
                      threshold_db: float) -> float:
-    """Fraction of elements receiving significant power from the direction."""
-    return effective_elements(array, direction, threshold_db).size / array.num_elements
+    """Fraction of elements receiving significant power from mu's direction."""
+    return effective_elements(array, mu, threshold_db).size / array.num_elements
 
 
-def block_aperture_ratio(array: ArrayModel, direction: Direction) -> float | None:
+def block_aperture_ratio(array: ArrayModel, mu: StructuralParams) -> float | None:
     """R* = sigma_rand / sigma_hyb, the predicted hybrid/random Doppler
     broadening ratio.
 
-    sigma is the |g|^2-weighted RMS activation time at `direction`, in units
+    sigma is the |g|^2-weighted RMS activation time at mu's direction, in units
     of one slot. Random switching spreads every element uniformly over all M
     slots (sigma_rand^2 = M^2/12). Hybrid switching gives each partition
     subset its own contiguous block of slots, in partition order; with the
@@ -110,7 +110,7 @@ def block_aperture_ratio(array: ArrayModel, direction: Direction) -> float | Non
     """
     if array.partition is None:
         return None
-    w = np.abs(array.gain_matrix(direction.azimuth, direction.elevation)) ** 2
+    w = np.abs(array.gain_matrix(mu.rx_azimuth, mu.rx_elevation)) ** 2
     mass, centre, spread = [], [], []
     start = 0
     for subset in array.partition:
@@ -285,7 +285,7 @@ def compare_schemes(array: ArrayModel, sequences: dict[str, SwitchingSequence],
     if len(timings) != 1:
         raise ValueError("all sequences must share M, delta_t, and snapshots")
 
-    idx = effective_elements(array, mu.rx_direction, threshold_db)
+    idx = effective_elements(array, mu, threshold_db)
     surfaces = {}
     reports = {}
     for name, seq in sequences.items():
@@ -310,7 +310,7 @@ def compare_schemes(array: ArrayModel, sequences: dict[str, SwitchingSequence],
         angle_width_ratio=(reports["hybrid"].angle_width.width
                            / reports["random"].angle_width.width),
         effective_factor=idx.size / array.num_elements,
-        block_aperture_ratio=block_aperture_ratio(array, mu.rx_direction),
+        block_aperture_ratio=block_aperture_ratio(array, mu),
         threshold_db=threshold_db,
         angle_cell_deg=float(np.min(np.diff(angle_grid))),
     )

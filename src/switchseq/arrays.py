@@ -6,8 +6,12 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .signal import StructuralParams
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -15,20 +19,6 @@ SPEED_OF_LIGHT = 299792458.0
 # patch elements, so that directions exactly perpendicular to a panel normal
 # get zero gain even when trig round-off leaves a ~1e-17 residual.
 _GRAZING_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class Direction:
-    """Arrival direction: azimuth in [0, 2*pi), elevation in [0, pi] from zenith."""
-
-    azimuth: float
-    elevation: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.azimuth < 2.0 * math.pi + 1e-12):
-            raise ValueError(f"azimuth {self.azimuth} outside [0, 2*pi)")
-        if not (0.0 <= self.elevation <= math.pi + 1e-12):
-            raise ValueError(f"elevation {self.elevation} outside [0, pi]")
 
 
 def unit_vectors(azimuth, elevation) -> np.ndarray:
@@ -279,13 +269,13 @@ def steering_matrix(array: ArrayModel, azimuth, elevation) -> np.ndarray:
     return array.gain_matrix(azimuth, elevation) * np.exp(1j * phase)
 
 
-def effective_elements(
-    array: ArrayModel, direction: Direction, power_threshold_db: float
-) -> np.ndarray:
-    """Indices whose power |g_m|^2 is within power_threshold_db of the maximum."""
+def effective_elements(array: ArrayModel, mu: StructuralParams,
+                       power_threshold_db: float) -> np.ndarray:
+    """Indices whose power |g_m|^2 at the path mu's direction is within
+    power_threshold_db of the maximum."""
     if power_threshold_db > 0:
         raise ValueError("threshold must be <= 0 dB")
-    power = np.abs(array.gain_matrix(direction.azimuth, direction.elevation)) ** 2
+    power = np.abs(array.gain_matrix(mu.rx_azimuth, mu.rx_elevation)) ** 2
     peak = power.max()
     if peak <= 0:
         return np.array([], dtype=int)
@@ -310,12 +300,13 @@ def load_pattern_file(path: str | Path) -> dict[tuple[int, str], TabulatedPatter
                 raise ValueError(f"pattern pol {row['pol']!r} must be V or H")
             az = math.radians(float(row["azimuth_deg"]))
             el = math.radians(float(row["elevation_deg"]))
+            where = (f"element {key[0]} pol {key[1]} at "
+                     f"({row['azimuth_deg']}, {row['elevation_deg']}) deg")
+            if not (math.isfinite(az) and math.isfinite(el)):
+                raise ValueError(f"pattern file angles must be finite: {where}")
             grid = cells.setdefault(key, {})
             if (az, el) in grid:
-                raise ValueError(
-                    f"pattern file repeats element {key[0]} pol {key[1]} at "
-                    f"({row['azimuth_deg']}, {row['elevation_deg']}) deg"
-                )
+                raise ValueError(f"pattern file repeats {where}")
             grid[(az, el)] = complex(float(row["re"]), float(row["im"]))
 
     patterns = {}

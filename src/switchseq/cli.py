@@ -27,7 +27,7 @@ from .analysis import GridTooNarrowError
 from .anneal import AnnealError, save_trace_csv
 from .arrays import effective_elements
 from .config import ConfigError, ExperimentConfig, check_seed, evaluator_counts
-from .crlb import (EndfireSingularityError, SingularFIMError,
+from .crlb import (PARAM_NAMES, EndfireSingularityError, SingularFIMError,
                    UnobservableDopplerError, crlb_aoa, crlb_doppler, fim_numeric)
 from .switching import SwitchingSequence
 
@@ -125,7 +125,7 @@ def cmd_crlb(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str]:
     seq = config.build_sequence(config.sequence_spec["scheme"],
                                 np.random.default_rng(seed))
     spec = config.crlb_spec
-    params, elevation, sigma = config.crlb
+    params, sigma = config.crlb
     wavelength = array.wavelength
     spacing = config.array_spec["spacing_wavelengths"] * wavelength
 
@@ -135,7 +135,7 @@ def cmd_crlb(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str]:
         closed_phi = crlb_aoa(array.num_elements, spacing, wavelength,
                               params.azimuth, params.amplitude, sigma)
         closed_nu = crlb_doppler(seq.eta(), params.amplitude, sigma)
-        numeric = fim_numeric(array, seq, params, sigma, elevation=elevation)
+        numeric = fim_numeric(array, seq, params, sigma)
 
         # the closed forms are reciprocal-diagonal bounds, so the oracle check
         # compares against 1/F_ii; the full-inverse variances are reported
@@ -154,18 +154,8 @@ def cmd_crlb(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str]:
             "delta_t_s": seq.delta_t,
         },
         "closed_form": {"var_phi": closed_phi, "var_nu": closed_nu},
-        "numeric": {
-            "var_phi": numeric.var_phi,
-            "var_nu": numeric.var_nu,
-            "var_r": numeric.var_r,
-            "var_psi": numeric.var_psi,
-        },
-        "numeric_diagonal": {
-            "var_phi": recip[0],
-            "var_nu": recip[1],
-            "var_r": recip[2],
-            "var_psi": recip[3],
-        },
+        "numeric": {f"var_{n}": getattr(numeric, f"var_{n}") for n in PARAM_NAMES},
+        "numeric_diagonal": {f"var_{n}": r for n, r in zip(PARAM_NAMES, recip)},
         "off_diag_ratio": numeric.off_diag_ratio,
         "agreement": {
             "var_phi_rel_err": err_phi,
@@ -205,8 +195,7 @@ def cmd_compare(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str]
 def cmd_effective_factor(config: ExperimentConfig, out_dir: Path,
                          seed: int) -> list[str]:
     array = config.array
-    idx = effective_elements(array, config.reference.rx_direction,
-                             config.effective_threshold_db)
+    idx = effective_elements(array, config.reference, config.effective_threshold_db)
     report = {
         "azimuth_deg": config.reference_spec["azimuth_deg"],
         "elevation_deg": config.reference_spec["elevation_deg"],

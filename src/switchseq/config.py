@@ -183,7 +183,7 @@ class ExperimentConfig:
 
     anneal holds the anneal section's settings, or the AnnealConfig defaults
     (k_max 200, automatic t0/alpha) when the section is absent. crlb holds
-    the crlb section's parameters, elevation in radians and noise sigma.
+    the crlb section's parameters (angles in radians) and noise sigma.
     """
 
     raw: dict
@@ -201,7 +201,7 @@ class ExperimentConfig:
     anneal: AnnealConfig
     reference: StructuralParams
     sweep: tuple[np.ndarray, np.ndarray, str]
-    crlb: tuple[ParamVector, float, float]
+    crlb: tuple[ParamVector, float]
 
     # ---- constructors -------------------------------------------------
 
@@ -305,12 +305,11 @@ class ExperimentConfig:
         }, "config.crlb")
         params = _field("config.crlb", ParamVector,
                         math.radians(crlb_spec["azimuth_deg"]), crlb_spec["doppler_hz"],
-                        crlb_spec["amplitude"], crlb_spec["phase"])
-        elevation = math.radians(crlb_spec["elevation_deg"])
+                        crlb_spec["amplitude"], crlb_spec["phase"],
+                        math.radians(crlb_spec["elevation_deg"]))
         _field("config.crlb.elevation_deg", StructuralParams,
-               params.azimuth, elevation, params.doppler_hz)
-        crlb = (params, elevation,
-                _positive(crlb_spec["noise_sigma"], "config.crlb.noise_sigma"))
+               params.azimuth, params.elevation, params.doppler_hz)
+        crlb = (params, _positive(crlb_spec["noise_sigma"], "config.crlb.noise_sigma"))
         for key in ("amplitude", "noise_sigma"):  # the bounds square both
             if not crlb_spec[key] * crlb_spec[key] < math.inf:
                 raise ConfigError(f"config.crlb.{key}: its square overflows a float")
@@ -476,7 +475,7 @@ class ExperimentConfig:
         for update in ("random", "hybrid"):
             require_swaps(self.array, update, "compare")
         sequences, traces, counts = self._anneal_schemes(seed)
-        params, _, sigma = self.crlb
+        params, sigma = self.crlb
         report = compare_schemes(
             self.array, sequences, self.reference, *self.sweep,
             threshold_db=self.effective_threshold_db,

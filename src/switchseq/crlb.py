@@ -11,7 +11,7 @@ is measurable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,12 +41,14 @@ class SingularFIMError(ValueError):
 
 @dataclass(frozen=True)
 class ParamVector:
-    """Single-path parameter point: azimuth, Doppler, amplitude, phase."""
+    """Single-path parameter point: azimuth, Doppler, amplitude, phase, and
+    the elevation, held fixed by the four-parameter FIM."""
 
     azimuth: float
     doppler_hz: float
     amplitude: float
     phase: float
+    elevation: float = math.pi / 2
 
     def __post_init__(self):
         if not self.amplitude > 0:
@@ -108,18 +110,17 @@ def crlb_doppler(eta: np.ndarray, amplitude: float, noise_sigma: float) -> float
     return 0.125 * (noise_sigma / (amplitude * math.pi * norm)) ** 2
 
 
-def signal_mean(array: ArrayModel, seq: SwitchingSequence, params: ParamVector,
-                elevation: float = math.pi / 2) -> np.ndarray:
-    """Noise-free received mean for the four-parameter single-path model."""
-    mu = StructuralParams(params.azimuth, elevation, params.doppler_hz)
+def signal_mean(array: ArrayModel, seq: SwitchingSequence,
+                params: ParamVector) -> np.ndarray:
+    """Noise-free received mean for the single-path model."""
+    mu = StructuralParams(params.azimuth, params.elevation, params.doppler_hz)
     return params.amplitude * np.exp(1j * params.phase) * basis(array, seq, mu)
 
 
 def gain_phase_jacobian(array: ArrayModel, seq: SwitchingSequence,
-                        params: ParamVector,
-                        elevation: float = math.pi / 2) -> tuple[np.ndarray, np.ndarray]:
+                        params: ParamVector) -> tuple[np.ndarray, np.ndarray]:
     """Analytic d s/d r and d s/d psi, used to cross-check the FD machinery."""
-    s = signal_mean(array, seq, params, elevation)
+    s = signal_mean(array, seq, params)
     return s / params.amplitude, 1j * s
 
 
@@ -127,7 +128,7 @@ def gain_phase_jacobian(array: ArrayModel, seq: SwitchingSequence,
 # overflow give non-finite values, reported as one error instead of warnings
 @np.errstate(over="ignore", invalid="ignore")
 def fim_matrix(array: ArrayModel, seq: SwitchingSequence, params: ParamVector,
-               noise_sigma: float, elevation: float = math.pi / 2) -> np.ndarray:
+               noise_sigma: float) -> np.ndarray:
     """Fisher information matrix via central finite differences, symmetrized.
 
     The Doppler step is scaled by 1/||eta|| so the induced phase perturbation
@@ -148,8 +149,9 @@ def fim_matrix(array: ArrayModel, seq: SwitchingSequence, params: ParamVector,
                        params.amplitude, params.phase])
 
     def mean_at(theta: np.ndarray) -> np.ndarray:
-        p = ParamVector(theta[0], theta[1], theta[2], theta[3])
-        return signal_mean(array, seq, p, elevation)
+        p = replace(params, azimuth=theta[0], doppler_hz=theta[1],
+                    amplitude=theta[2], phase=theta[3])
+        return signal_mean(array, seq, p)
 
     n = array.num_elements * seq.snapshots
     jac = np.empty((n, 4), dtype=complex)
@@ -168,9 +170,9 @@ def fim_matrix(array: ArrayModel, seq: SwitchingSequence, params: ParamVector,
 
 
 def fim_numeric(array: ArrayModel, seq: SwitchingSequence, params: ParamVector,
-                noise_sigma: float, elevation: float = math.pi / 2) -> CRLBResult:
+                noise_sigma: float) -> CRLBResult:
     """Numeric bounds: FD Fisher information, variances from the full inverse."""
-    fim = fim_matrix(array, seq, params, noise_sigma, elevation)
+    fim = fim_matrix(array, seq, params, noise_sigma)
 
     # the parameters carry different units, so singularity is judged on the
     # correlation matrix D^-1/2 F D^-1/2; a zero diagonal keeps scale 1 and

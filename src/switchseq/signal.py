@@ -13,30 +13,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayModel, Direction, steering_matrix
+from .arrays import ArrayModel, steering_matrix
 from .switching import SwitchingSequence
 
 
 @dataclass(frozen=True)
 class StructuralParams:
-    """Structural parameters of one path: arrival angles and Doppler."""
+    """One path: arrival azimuth (any finite value, stored wrapped into
+    [0, 2*pi)), elevation in [0, pi] from zenith, and Doppler."""
 
     rx_azimuth: float
     rx_elevation: float
     doppler_hz: float
 
     def __post_init__(self):
+        if not math.isfinite(self.rx_azimuth):
+            raise ValueError(f"azimuth {self.rx_azimuth} outside [0, 2*pi)")
         # keep the azimuth in [0, 2*pi) (the second % takes the 2*pi that a
-        # tiny negative azimuth rounds to onto 0), then range check via Direction
+        # tiny negative azimuth rounds to onto 0)
         turn = 2 * math.pi
         object.__setattr__(self, "rx_azimuth", self.rx_azimuth % turn % turn)
-        self.rx_direction
+        if not 0.0 <= self.rx_elevation <= math.pi + 1e-12:
+            raise ValueError(f"elevation {self.rx_elevation} outside [0, pi]")
         if not np.isfinite(self.doppler_hz):
             raise ValueError("doppler must be finite")
-
-    @property
-    def rx_direction(self) -> Direction:
-        return Direction(self.rx_azimuth, self.rx_elevation)
 
 
 def basis_from_eta(array: ArrayModel, eta: np.ndarray,

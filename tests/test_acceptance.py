@@ -12,9 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from switchseq import (AnnealConfig, Direction, ExperimentConfig,
-                       ObjectiveConfig, ObjectiveEvaluator, Region,
-                       StructuralParams, alias_scan, ambiguity_surface,
+from switchseq import (AnnealConfig, ExperimentConfig, ObjectiveConfig,
+                       ObjectiveEvaluator, Region, StructuralParams, alias_scan, ambiguity_surface,
                        ambiguity_value, anneal, basis_from_eta, crlb_aoa,
                        crlb_doppler, effective_elements, effective_factor,
                        eta_subset, fim_numeric, hybrid_init, make_octagonal,
@@ -101,7 +100,8 @@ def test_criterion_3_crlb_oracle_equivalence():
 
 def test_criterion_4_crlb_ordering():
     array = make_octagonal()
-    idx = effective_elements(array, Direction(math.pi / 4, math.pi / 2), -10.0)
+    idx = effective_elements(array, StructuralParams(math.pi / 4, math.pi / 2, 0.0),
+                             -10.0)
     holds = 0
     for seed in range(20):
         rng = np.random.default_rng(seed)
@@ -244,9 +244,11 @@ def test_criterion_7e_stabilization(octagon_runs):
 
 def test_criterion_8_effective_factor():
     octagon = make_octagonal(patch_exponent=2.0)
-    xi_oct = effective_factor(octagon, Direction(math.pi / 4, math.pi / 2), -10.0)
+    xi_oct = effective_factor(octagon, StructuralParams(math.pi / 4, math.pi / 2, 0.0),
+                              -10.0)
     square = make_octagonal(4, 1, 8, patch_exponent=0.0)
-    xi_sq = effective_factor(square, Direction(math.pi / 2, math.pi / 2), -10.0)
+    xi_sq = effective_factor(square, StructuralParams(math.pi / 2, math.pi / 2, 0.0),
+                             -10.0)
     ok = (2.5 / 8 <= xi_oct <= 3.5 / 8) and xi_sq == 0.25
     criterion("8 effective-factor", ok,
               f"octagon xi = {xi_oct:.4f} in [0.3125, 0.4375], "

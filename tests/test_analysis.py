@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 from scipy.optimize import brentq
 
-from switchseq import (AmbiguitySurface, Direction, GridTooNarrowError,
-                       StructuralParams, alias_scan, ambiguity_surface,
-                       block_aperture_ratio, compare_schemes, effective_factor,
-                       half_power_width, make_octagonal, make_ula,
-                       peak_sidelobe, random_init, sequential)
+from switchseq import (AmbiguitySurface, GridTooNarrowError, StructuralParams,
+                       alias_scan, ambiguity_surface, block_aperture_ratio,
+                       compare_schemes, effective_factor, half_power_width,
+                       make_octagonal, make_ula, peak_sidelobe, random_init,
+                       sequential)
 import switchseq.analysis as analysis_module
 from switchseq.ambiguity import to_db
 from switchseq.analysis import _crossing, _max3x3
@@ -145,31 +145,32 @@ def test_half_power_requires_main_peak():
 
 def test_effective_factor_omni_is_one():
     arr = make_ula(8, 0.5, 1.0)
-    assert effective_factor(arr, Direction(1.0, 1.0), -10.0) == 1.0
+    assert effective_factor(arr, StructuralParams(1.0, 1.0, 0.0), -10.0) == 1.0
 
 
 def test_effective_factor_square_quarter():
     arr = make_octagonal(4, 1, 8, patch_exponent=0.0)
-    xi = effective_factor(arr, Direction(math.pi / 2, math.pi / 2), -10.0)
+    xi = effective_factor(arr, BROADSIDE, -10.0)
     assert xi == 0.25
 
 
 def test_effective_factor_octagon_three_eighths():
     arr = make_octagonal(patch_exponent=2.0)
-    xi = effective_factor(arr, Direction(math.pi / 4, math.pi / 2), -10.0)
+    xi = effective_factor(arr, StructuralParams(math.pi / 4, math.pi / 2, 0.0),
+                          -10.0)
     assert xi == pytest.approx(3 / 8)
 
 
 def test_effective_factor_non_increasing_in_threshold():
     arr = make_octagonal(patch_exponent=2.0)
-    d = Direction(0.1, math.pi / 2)
+    d = StructuralParams(0.1, math.pi / 2, 0.0)
     factors = [effective_factor(arr, d, t) for t in (-3.0, -6.0, -10.0, -20.0)]
     assert all(a <= b for a, b in zip(factors, factors[1:]))
 
 
 def test_block_aperture_ratio_sector_octagon_is_inverse_xi():
     # equal power on the three facing panels: R* reduces to 1/xi = 8/3
-    d = Direction(math.pi / 4, math.pi / 2)
+    d = StructuralParams(math.pi / 4, math.pi / 2, 0.0)
     sector = make_octagonal(patch_exponent=0.0)
     r_star = block_aperture_ratio(sector, d)
     assert abs(r_star - 1.0 / effective_factor(sector, d, -10.0)) <= 1e-12
@@ -179,14 +180,14 @@ def test_block_aperture_ratio_sector_octagon_is_inverse_xi():
 
 
 def test_block_aperture_ratio_none_without_blocks():
-    d = Direction(math.pi / 2, math.pi / 2)
+    d = BROADSIDE
     assert block_aperture_ratio(make_ula(8, 0.5, 1.0), d) is None
     # a partition that cuts across panels mixes gains within a subset
     arr = make_octagonal(4, 2, 2, patch_exponent=2.0)
     mixed = replace(arr, partition=((2, 3, 4, 5), (0, 1), tuple(range(6, 16))))
     assert block_aperture_ratio(mixed, d) is None
     # at zenith no panel receives power
-    assert block_aperture_ratio(arr, Direction(0.0, 0.0)) is None
+    assert block_aperture_ratio(arr, StructuralParams(0.0, 0.0, 0.0)) is None
 
 
 def _reference_max3x3(a):
@@ -359,8 +360,7 @@ def test_compare_schemes_identical_sequences_ratio_one(rng):
     assert doc["broadening_vs_inverse_factor"] == pytest.approx(
         report.broadening_ratio * report.effective_factor)
     assert set(doc["schemes"]) == {"random", "hybrid"}
-    assert doc["block_aperture_ratio"] == block_aperture_ratio(
-        arr, mu.rx_direction)
+    assert doc["block_aperture_ratio"] == block_aperture_ratio(arr, mu)
 
 
 def test_compare_schemes_requires_consistent_sequences(rng):

@@ -7,9 +7,10 @@ from switchseq import (EndfireSingularityError, ParamVector, SingularFIMError,
                        UnobservableDopplerError, crlb_aoa, crlb_doppler,
                        fim_matrix, fim_numeric, make_ula, random_init,
                        sequential)
+from switchseq.config import ExperimentConfig
 from switchseq.crlb import gain_phase_jacobian
 
-from conftest import balance_score, balanced_sequence
+from conftest import balance_score, balanced_sequence, readme_config
 
 SIGMA = 0.1
 PARAMS = ParamVector(azimuth=math.pi / 2, doppler_hz=0.0, amplitude=1.0, phase=0.3)
@@ -154,3 +155,27 @@ def test_balance_score_helper():
 def test_param_vector_validation():
     with pytest.raises(ValueError):
         ParamVector(0.0, 0.0, 0.0, 0.0)
+
+
+def test_elevation_reaches_the_fim():
+    # on a ULA along x the azimuth phase slope scales with sin(elevation),
+    # so var_phi * sin^2(theta) holds and the Doppler bound does not move
+    arr = make_ula(16, 0.5, 1.0)
+    seq = random_init(16, 1e-4, 1, np.random.default_rng(4))
+    broadside = fim_numeric(arr, seq, PARAMS, SIGMA)
+    for deg in (60.0, 30.0):
+        theta = math.radians(deg)
+        params = ParamVector(PARAMS.azimuth, PARAMS.doppler_hz, PARAMS.amplitude,
+                             PARAMS.phase, elevation=theta)
+        res = fim_numeric(arr, seq, params, SIGMA)
+        assert res.var_phi * math.sin(theta) ** 2 == pytest.approx(
+            broadside.var_phi, rel=1e-8)
+        assert res.var_nu == pytest.approx(broadside.var_nu, rel=1e-8)
+
+
+def test_config_crlb_carries_the_elevation():
+    cfg = readme_config()
+    cfg["crlb"] = {"elevation_deg": 60.0}
+    params, sigma = ExperimentConfig.from_dict(cfg).crlb
+    assert params.elevation == math.radians(60.0)
+    assert sigma == 0.1

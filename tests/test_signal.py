@@ -100,11 +100,18 @@ def test_snr_definition_plumbing(rng):
 
 def test_structural_params_validation():
     with pytest.raises(ValueError):
-        StructuralParams(0.0, 4.0, 0.0)
-    with pytest.raises(ValueError):
         StructuralParams(0.0, 1.0, math.nan)
+    # StructuralParams is the one owner of the direction checks
+    for azimuth in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="azimuth .* outside"):
+            StructuralParams(azimuth, 1.0, 0.0)
+    for elevation in (-1e-9, math.pi + 1e-9, 4.0, math.nan):
+        with pytest.raises(ValueError, match=r"elevation .* outside \[0, pi\]"):
+            StructuralParams(0.0, elevation, 0.0)
+    assert StructuralParams(0.0, 0.0, 0.0).rx_elevation == 0.0
+    assert StructuralParams(0.0, math.pi, 0.0).rx_elevation == math.pi
     p = StructuralParams(1.0, 2.0, 3.0)
-    assert p.rx_direction.azimuth == pytest.approx(1.0)
+    assert (p.rx_azimuth, p.rx_elevation, p.doppler_hz) == (1.0, 2.0, 3.0)
     # any finite azimuth is kept wrapped into [0, 2*pi)
     assert StructuralParams(-0.5, 1.0, 0.0).rx_azimuth == pytest.approx(2 * math.pi - 0.5)
     assert StructuralParams(7.0, 1.0, 0.0).rx_azimuth == pytest.approx(7.0 - 2 * math.pi)

@@ -51,8 +51,8 @@ def run_array(doc):
 def run_instants(doc):
     config = ExperimentConfig.from_dict(doc)
     seq = config.build_sequence("sequential", None)
-    params, elevation, sigma = config.crlb
-    return lambda: fim_numeric(config.array, seq, params, sigma, elevation)
+    params, sigma = config.crlb
+    return lambda: fim_numeric(config.array, seq, params, sigma)
 
 
 def run_surfaces(doc):
