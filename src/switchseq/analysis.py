@@ -12,7 +12,7 @@ from .ambiguity import AmbiguitySurface, ambiguity_surface, to_db
 from .arrays import ArrayModel, effective_elements
 from .crlb import crlb_doppler
 from .signal import StructuralParams
-from .switching import SwitchingSequence, eta_subset
+from .switching import SwitchingSequence
 
 HALF_POWER_DB = -3.0
 
@@ -276,8 +276,8 @@ def compare_schemes(array: ArrayModel, sequences: dict[str, SwitchingSequence],
     'sequential', are reported too). All sequences must share the element
     count and slot duration. The effective Doppler bound uses each scheme's
     activation instants restricted to the elements that pass threshold_db at
-    the reference direction, centered within that subset. R* is taken at
-    the reference direction too.
+    the reference direction, over every snapshot and centered within that
+    subset. R* is taken at the reference direction too.
     """
     if "random" not in sequences or "hybrid" not in sequences:
         raise ValueError("need 'random' and 'hybrid' sequences to compare")
@@ -297,8 +297,7 @@ def compare_schemes(array: ArrayModel, sequences: dict[str, SwitchingSequence],
             angle_width=half_power_width(surface, angle_axis),
             psl=peak_sidelobe(surface),
             crlb_nu_full=crlb_doppler(seq.eta(), amplitude, noise_sigma),
-            crlb_nu_effective=crlb_doppler(eta_subset(seq, idx), amplitude,
-                                           noise_sigma),
+            crlb_nu_effective=crlb_doppler(seq.eta(idx), amplitude, noise_sigma),
         )
 
     angle_grid = np.asarray(angle_offset_deg, dtype=float)

@@ -133,7 +133,7 @@ def cmd_crlb(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str]:
     # noise raises an ArithmeticError (exit 3) instead of warning
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         closed_phi = crlb_aoa(array.num_elements, spacing, wavelength,
-                              params.azimuth, params.amplitude, sigma)
+                              params.rx_azimuth, params.amplitude, sigma)
         closed_nu = crlb_doppler(seq.eta(), params.amplitude, sigma)
         numeric = fim_numeric(array, seq, params, sigma)
 
@@ -154,7 +154,7 @@ def cmd_crlb(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str]:
             "delta_t_s": seq.delta_t,
         },
         "closed_form": {"var_phi": closed_phi, "var_nu": closed_nu},
-        "numeric": {f"var_{n}": getattr(numeric, f"var_{n}") for n in PARAM_NAMES},
+        "numeric": {f"var_{n}": v for n, v in numeric.variances.items()},
         "numeric_diagonal": {f"var_{n}": r for n, r in zip(PARAM_NAMES, recip)},
         "off_diag_ratio": numeric.off_diag_ratio,
         "agreement": {

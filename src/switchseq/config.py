@@ -92,11 +92,11 @@ def _field(path: str, build, *args, **kwargs):
 
 
 def _number(path: str, kind: type, value):
-    """Convert a number field with kind (int or float). A JSON boolean,
-    NaN and +-Infinity are refused, and so is a fraction for an integer
-    field; an integral float such as 200.0 reads as an integer."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{path}: must be a number, not true/false")
+    """Convert a JSON number field to kind (int or float). A string, a
+    boolean, NaN and +-Infinity are refused, and so is a fraction for an
+    integer field; an integral float such as 200.0 reads as an integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: must be a number")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{path}: must be an integer")
     number = _field(path, kind, value)
@@ -232,7 +232,7 @@ class ExperimentConfig:
             "effective_threshold_db": -10.0,
             "output_dir": None,
         }, "config")
-        if top["version"] != CONFIG_VERSION:
+        if _number("config.version", int, top["version"]) != CONFIG_VERSION:
             raise ConfigError(f"config.version: expected {CONFIG_VERSION}")
         seed = check_seed(top["seed"], "config.seed")
         if top["output_dir"] is not None and not isinstance(top["output_dir"], str):
@@ -277,7 +277,7 @@ class ExperimentConfig:
             "doppler_hz": 0.0,
         }, "config.reference")
         reference = _field(
-            "config.reference", StructuralParams,
+            "config.reference.elevation_deg", StructuralParams,
             math.radians(reference_spec["azimuth_deg"]),
             math.radians(reference_spec["elevation_deg"]),
             reference_spec["doppler_hz"],
@@ -303,12 +303,11 @@ class ExperimentConfig:
             "phase": 0.0,
             "noise_sigma": 0.1,
         }, "config.crlb")
-        params = _field("config.crlb", ParamVector,
-                        math.radians(crlb_spec["azimuth_deg"]), crlb_spec["doppler_hz"],
-                        crlb_spec["amplitude"], crlb_spec["phase"],
-                        math.radians(crlb_spec["elevation_deg"]))
-        _field("config.crlb.elevation_deg", StructuralParams,
-               params.azimuth, params.elevation, params.doppler_hz)
+        amplitude = _positive(crlb_spec["amplitude"], "config.crlb.amplitude")
+        params = _field("config.crlb.elevation_deg", ParamVector,
+                        math.radians(crlb_spec["azimuth_deg"]),
+                        math.radians(crlb_spec["elevation_deg"]),
+                        crlb_spec["doppler_hz"], amplitude, crlb_spec["phase"])
         crlb = (params, _positive(crlb_spec["noise_sigma"], "config.crlb.noise_sigma"))
         for key in ("amplitude", "noise_sigma"):  # the bounds square both
             if not crlb_spec[key] * crlb_spec[key] < math.inf:

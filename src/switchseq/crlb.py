@@ -19,7 +19,10 @@ from .arrays import ArrayModel
 from .signal import StructuralParams, basis
 from .switching import SwitchingSequence
 
-PARAM_NAMES = ("phi", "nu", "r", "psi")
+# the FIM's parameters, each with the ParamVector field it perturbs
+FIM_FIELDS = {"phi": "rx_azimuth", "nu": "doppler_hz", "r": "amplitude",
+              "psi": "phase"}
+PARAM_NAMES = tuple(FIM_FIELDS)
 
 
 class EndfireSingularityError(ValueError):
@@ -40,17 +43,15 @@ class SingularFIMError(ValueError):
 
 
 @dataclass(frozen=True)
-class ParamVector:
-    """Single-path parameter point: azimuth, Doppler, amplitude, phase, and
-    the elevation, held fixed by the four-parameter FIM."""
+class ParamVector(StructuralParams):
+    """A path with its complex amplitude, amplitude * exp(1j * phase). The
+    four-parameter FIM holds the elevation fixed."""
 
-    azimuth: float
-    doppler_hz: float
     amplitude: float
     phase: float
-    elevation: float = math.pi / 2
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.amplitude > 0:
             raise ValueError("amplitude must be positive")
 
@@ -64,10 +65,7 @@ class CRLBResult:
     well the diagonal (reciprocal) approximation holds.
     """
 
-    var_phi: float
-    var_nu: float
-    var_r: float
-    var_psi: float
+    variances: dict[str, float]  # keyed by PARAM_NAMES
     fim: np.ndarray
     off_diag_ratio: float
 
@@ -113,8 +111,7 @@ def crlb_doppler(eta: np.ndarray, amplitude: float, noise_sigma: float) -> float
 def signal_mean(array: ArrayModel, seq: SwitchingSequence,
                 params: ParamVector) -> np.ndarray:
     """Noise-free received mean for the single-path model."""
-    mu = StructuralParams(params.azimuth, params.elevation, params.doppler_hz)
-    return params.amplitude * np.exp(1j * params.phase) * basis(array, seq, mu)
+    return params.amplitude * np.exp(1j * params.phase) * basis(array, seq, params)
 
 
 def gain_phase_jacobian(array: ArrayModel, seq: SwitchingSequence,
@@ -138,24 +135,22 @@ def fim_matrix(array: ArrayModel, seq: SwitchingSequence, params: ParamVector,
     if noise_sigma <= 0:
         raise ValueError("noise sigma must be positive")
     eta_norm = np.linalg.norm(seq.eta())
-    steps = np.array([
+    steps = np.array([  # in FIM_FIELDS order
         1e-6,                                    # azimuth, rad
         1e-3 / eta_norm if eta_norm > 0 else 1.0,  # Doppler, Hz
         1e-6 * params.amplitude,                 # amplitude
         1e-6,                                    # phase, rad
     ])
 
-    theta0 = np.array([params.azimuth, params.doppler_hz,
-                       params.amplitude, params.phase])
+    fields = tuple(FIM_FIELDS.values())
+    theta0 = np.array([getattr(params, f) for f in fields])
 
     def mean_at(theta: np.ndarray) -> np.ndarray:
-        p = replace(params, azimuth=theta[0], doppler_hz=theta[1],
-                    amplitude=theta[2], phase=theta[3])
-        return signal_mean(array, seq, p)
+        return signal_mean(array, seq, replace(params, **dict(zip(fields, theta))))
 
     n = array.num_elements * seq.snapshots
-    jac = np.empty((n, 4), dtype=complex)
-    for i in range(4):
+    jac = np.empty((n, len(fields)), dtype=complex)
+    for i in range(len(fields)):
         up = theta0.copy()
         dn = theta0.copy()
         up[i] += steps[i]
@@ -195,10 +190,7 @@ def fim_numeric(array: ArrayModel, seq: SwitchingSequence, params: ParamVector,
     off = fim - np.diag(diag)
     ratio = float(np.max(np.abs(off) / np.sqrt(np.outer(diag, diag))))
     return CRLBResult(
-        var_phi=float(cov[0, 0]),
-        var_nu=float(cov[1, 1]),
-        var_r=float(cov[2, 2]),
-        var_psi=float(cov[3, 3]),
+        variances={n: float(v) for n, v in zip(PARAM_NAMES, np.diag(cov))},
         fim=fim,
         off_diag_ratio=ratio,
     )

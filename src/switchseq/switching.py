@@ -68,16 +68,18 @@ class SwitchingSequence:
         inv[np.asarray(self.order)] = np.arange(self.num_elements)
         return inv
 
-    def eta(self) -> np.ndarray:
-        """Centered activation instants, antenna-major per snapshot, length
-        M*snapshots.
+    def eta(self, elements=None) -> np.ndarray:
+        """Centered activation instants of the given antennas (all by
+        default) over every snapshot, antenna-major per snapshot.
 
-        Entry m + s*M is the instant of antenna m in snapshot s, i.e.
-        slot_of(m)*delta_t plus s snapshot periods of M*delta_t, less the
-        mean of all entries, so the vector sums to zero.
+        Entry k + s*len(elements) is the instant of antenna elements[k] in
+        snapshot s, i.e. its slot_of()*delta_t plus s snapshot periods of
+        M*delta_t, less the mean of all entries, so the vector sums to zero.
         """
         m = self.num_elements
         within = self.slot_of() * self.delta_t
+        if elements is not None:
+            within = within[np.asarray(elements, dtype=int)]
         out = (within + np.arange(self.snapshots)[:, None] * m * self.delta_t).ravel()
         return out - out.mean()
 
@@ -164,13 +166,3 @@ def draw_swap(sets: list[range], k: int,
     slots = sets[k % len(sets)]
     i, j = rng.choice(len(slots), size=2, replace=False)
     return slots[int(i)], slots[int(j)]
-
-
-def eta_subset(seq: SwitchingSequence, indices) -> np.ndarray:
-    """Activation instants of the given antennas only (single snapshot),
-    centered over that subset, which is the convention for the effective
-    measurement-time norm of a hybrid sequence.
-    """
-    idx = np.asarray(list(indices), dtype=int)
-    eta = seq.slot_of()[idx] * seq.delta_t
-    return eta - eta.mean()

@@ -10,7 +10,8 @@ from scipy.optimize import brentq
 
 from switchseq import (AmbiguitySurface, GridTooNarrowError, StructuralParams,
                        alias_scan, ambiguity_surface, block_aperture_ratio,
-                       compare_schemes, effective_factor, half_power_width,
+                       compare_schemes, crlb_doppler, effective_elements,
+                       effective_factor, half_power_width, hybrid_init,
                        make_octagonal, make_ula, peak_sidelobe, random_init,
                        sequential)
 import switchseq.analysis as analysis_module
@@ -361,6 +362,24 @@ def test_compare_schemes_identical_sequences_ratio_one(rng):
         report.broadening_ratio * report.effective_factor)
     assert set(doc["schemes"]) == {"random", "hybrid"}
     assert doc["block_aperture_ratio"] == block_aperture_ratio(arr, mu)
+
+
+def test_effective_doppler_bound_spans_every_snapshot():
+    # the subset's instants come from every snapshot, as the full bound's do
+    arr = make_octagonal(4, 2, 2, patch_exponent=2.0)
+    gen = np.random.default_rng(1)
+    seqs = {"random": random_init(16, 1e-4, 4, gen),
+            "hybrid": hybrid_init(16, 1e-4, 4, arr.partition, gen)}
+    dop = np.arange(-4000.0, 4000.0 + 10.0, 25.0)
+    ang = np.arange(-80.0, 80.0 + 1.0, 2.0)
+    report = compare_schemes(arr, seqs, BROADSIDE, dop, ang)
+    idx = effective_elements(arr, BROADSIDE, -10.0)
+    assert 0 < idx.size < arr.num_elements
+    for name, seq in seqs.items():
+        sub = seq.eta().reshape(seq.snapshots, -1)[:, idx].ravel()
+        expected = crlb_doppler(sub - sub.mean(), 1.0, 1.0)
+        got = report.to_dict()["schemes"][name]["crlb_nu_effective_hz2"]
+        assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_compare_schemes_requires_consistent_sequences(rng):

@@ -196,6 +196,12 @@ def test_cli_exit_code_for_config_error(tmp_path, capsys):
     ("crlb", "crlb", "elevation_deg", 500),
     ("compare", "crlb", "noise_sigma", -1),
     ("compare", "crlb", "amplitude", 0),
+    ("ambiguity", "reference", "elevation_deg", 500),
+    # a number field must be a JSON number, not a string or a boolean
+    ("optimize", "anneal", "k_max", "200"),
+    ("ambiguity", "sequence", "delta_t_s", "1e-4"),
+    ("optimize", "objective", "samples", " 512 "),
+    ("optimize", None, "version", True),
     # the bounds square the amplitude and the noise sigma as floats
     ("crlb", "crlb", "amplitude", 1e308),
     ("crlb", "crlb", "noise_sigma", 1e308),

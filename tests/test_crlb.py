@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from switchseq.crlb import gain_phase_jacobian
 from conftest import balance_score, balanced_sequence, readme_config
 
 SIGMA = 0.1
-PARAMS = ParamVector(azimuth=math.pi / 2, doppler_hz=0.0, amplitude=1.0, phase=0.3)
+PARAMS = ParamVector(rx_azimuth=math.pi / 2, rx_elevation=math.pi / 2, doppler_hz=0.0,
+                     amplitude=1.0, phase=0.3)
 
 
 def test_crlb_aoa_amplitude_scaling():
@@ -63,10 +65,10 @@ def test_closed_forms_match_numeric_for_balanced_sequence():
     arr = make_ula(8, 0.5, 1.0)
     res = fim_numeric(arr, seq, PARAMS, SIGMA)
     assert res.off_diag_ratio < 1e-4
-    cf_phi = crlb_aoa(8, 0.5, 1.0, PARAMS.azimuth, PARAMS.amplitude, SIGMA)
+    cf_phi = crlb_aoa(8, 0.5, 1.0, PARAMS.rx_azimuth, PARAMS.amplitude, SIGMA)
     cf_nu = crlb_doppler(seq.eta(), PARAMS.amplitude, SIGMA)
-    assert res.var_phi == pytest.approx(cf_phi, rel=5e-3)
-    assert res.var_nu == pytest.approx(cf_nu, rel=5e-3)
+    assert res.variances["phi"] == pytest.approx(cf_phi, rel=5e-3)
+    assert res.variances["nu"] == pytest.approx(cf_nu, rel=5e-3)
 
 
 def test_sequential_fim_entries_match_closed_forms():
@@ -76,7 +78,7 @@ def test_sequential_fim_entries_match_closed_forms():
     seq = sequential(m, dt)
     arr = make_ula(m, 0.5, 1.0)
     fim = fim_matrix(arr, seq, PARAMS, SIGMA)
-    cf_phi = crlb_aoa(m, 0.5, 1.0, PARAMS.azimuth, PARAMS.amplitude, SIGMA)
+    cf_phi = crlb_aoa(m, 0.5, 1.0, PARAMS.rx_azimuth, PARAMS.amplitude, SIGMA)
     cf_nu = crlb_doppler(seq.eta(), PARAMS.amplitude, SIGMA)
     assert 1.0 / fim[0, 0] == pytest.approx(cf_phi, rel=5e-3)
     assert 1.0 / fim[1, 1] == pytest.approx(cf_nu, rel=5e-3)
@@ -86,7 +88,7 @@ def test_fim_amplitude_row_analytic():
     arr = make_ula(8, 0.5, 1.0)
     seq = sequential(8, 1e-3)
     fim = fim_matrix(arr, seq, PARAMS, SIGMA)
-    g = arr.gain_matrix(PARAMS.azimuth, math.pi / 2)
+    g = arr.gain_matrix(PARAMS.rx_azimuth, math.pi / 2)
     expected_rr = 2.0 * np.sum(np.abs(g) ** 2) / SIGMA ** 2
     assert fim[2, 2] == pytest.approx(expected_rr, rel=1e-6)
     # phase row: |ds/dpsi|^2 = r^2 |b|^2
@@ -110,8 +112,9 @@ def test_fim_positive_semidefinite(rng):
     arr = make_ula(16, 0.5, 1.0)
     for _ in range(5):
         seq = random_init(16, 1e-4, 1, rng)
-        p = ParamVector(rng.uniform(0.4, math.pi - 0.4), rng.uniform(-500, 500),
-                        rng.uniform(0.5, 2.0), rng.uniform(0, 2 * math.pi))
+        p = ParamVector(rng.uniform(0.4, math.pi - 0.4), math.pi / 2,
+                        rng.uniform(-500, 500), rng.uniform(0.5, 2.0),
+                        rng.uniform(0, 2 * math.pi))
         fim = fim_matrix(arr, seq, p, SIGMA)
         eig = np.linalg.eigvalsh(fim)
         assert eig.min() > -1e-6 * np.trace(fim)
@@ -126,13 +129,13 @@ def test_full_inverse_matches_diagonal_when_decoupled(rng):
         res = fim_numeric(arr, seq, PARAMS, SIGMA)
         if res.off_diag_ratio < 0.05:
             recip = res.reciprocal_diagonal
-            assert res.var_phi == pytest.approx(recip[0], rel=0.01)
-            assert res.var_nu == pytest.approx(recip[1], rel=0.01)
+            assert res.variances["phi"] == pytest.approx(recip[0], rel=0.01)
+            assert res.variances["nu"] == pytest.approx(recip[1], rel=0.01)
             checked += 1
     seq = balanced_sequence(8, 1e-4)
     res = fim_numeric(arr, seq, PARAMS, SIGMA)
     assert res.off_diag_ratio < 0.05
-    assert res.var_phi == pytest.approx(res.reciprocal_diagonal[0], rel=0.01)
+    assert res.variances["phi"] == pytest.approx(res.reciprocal_diagonal[0], rel=0.01)
     assert checked >= 0  # balanced case above guarantees a non-vacuous check
 
 
@@ -141,7 +144,7 @@ def test_singular_fim_names_combination():
     arr = make_ula(1, 0.5, 1.0)
     seq = sequential(1, 1e-3)
     with pytest.raises(SingularFIMError) as err:
-        fim_numeric(arr, seq, ParamVector(math.pi / 2, 0.0, 1.0, 0.0), SIGMA)
+        fim_numeric(arr, seq, replace(PARAMS, phase=0.0), SIGMA)
     assert err.value.null_combination.shape == (4,)
     message = str(err.value)
     assert "phi" in message or "nu" in message
@@ -153,8 +156,28 @@ def test_balance_score_helper():
 
 
 def test_param_vector_validation():
-    with pytest.raises(ValueError):
-        ParamVector(0.0, 0.0, 0.0, 0.0)
+    # a ParamVector is a StructuralParams, so it keeps the path's checks
+    for bad in ({"amplitude": 0.0}, {"amplitude": float("nan")},
+                {"rx_azimuth": float("nan")}, {"rx_elevation": 4.0},
+                {"rx_elevation": -1e-9}):
+        with pytest.raises(ValueError):
+            replace(PARAMS, **bad)
+    assert replace(PARAMS, rx_azimuth=-3 * math.pi / 2).rx_azimuth == pytest.approx(
+        math.pi / 2, abs=1e-15)
+
+
+def test_fim_tells_amplitude_from_phase():
+    # on a centered omni ULA the amplitude and phase rows decouple from the
+    # rest, and the phase row is the amplitude row scaled by A^2; at A = 2
+    # exchanging the two parameters moves both ratios by A^4 = 16
+    amp = 2.0
+    arr = make_ula(8, 0.5, 1.0)
+    seq = random_init(8, 1e-4, 1, np.random.default_rng(2))
+    params = replace(PARAMS, amplitude=amp)
+    fim = fim_matrix(arr, seq, params, SIGMA)
+    assert fim[3, 3] == pytest.approx(amp ** 2 * fim[2, 2], rel=1e-6)
+    var = fim_numeric(arr, seq, params, SIGMA).variances
+    assert var["psi"] * amp ** 2 == pytest.approx(var["r"], rel=1e-6)
 
 
 def test_elevation_reaches_the_fim():
@@ -165,17 +188,15 @@ def test_elevation_reaches_the_fim():
     broadside = fim_numeric(arr, seq, PARAMS, SIGMA)
     for deg in (60.0, 30.0):
         theta = math.radians(deg)
-        params = ParamVector(PARAMS.azimuth, PARAMS.doppler_hz, PARAMS.amplitude,
-                             PARAMS.phase, elevation=theta)
-        res = fim_numeric(arr, seq, params, SIGMA)
-        assert res.var_phi * math.sin(theta) ** 2 == pytest.approx(
-            broadside.var_phi, rel=1e-8)
-        assert res.var_nu == pytest.approx(broadside.var_nu, rel=1e-8)
+        res = fim_numeric(arr, seq, replace(PARAMS, rx_elevation=theta), SIGMA)
+        assert res.variances["phi"] * math.sin(theta) ** 2 == pytest.approx(
+            broadside.variances["phi"], rel=1e-8)
+        assert res.variances["nu"] == pytest.approx(broadside.variances["nu"], rel=1e-8)
 
 
 def test_config_crlb_carries_the_elevation():
     cfg = readme_config()
     cfg["crlb"] = {"elevation_deg": 60.0}
     params, sigma = ExperimentConfig.from_dict(cfg).crlb
-    assert params.elevation == math.radians(60.0)
+    assert params.rx_elevation == math.radians(60.0)
     assert sigma == 0.1

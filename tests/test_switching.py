@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from switchseq import (SwitchingSequence, draw_swap, eta_subset, hybrid_init,
+from switchseq import (SwitchingSequence, draw_swap, hybrid_init,
                        random_init, sequential, swap_sets)
 
 from conftest import swapped
@@ -189,14 +189,14 @@ def test_effective_subset_norm_inequality():
         r = np.random.default_rng(seed)
         hyb = hybrid_init(128, 1e-4, 1, PARTITION_8x16, r)
         rand = random_init(128, 1e-4, 1, r)
-        sub = np.linalg.norm(eta_subset(hyb, PARTITION_8x16[0]))
+        sub = np.linalg.norm(hyb.eta(PARTITION_8x16[0]))
         full = np.linalg.norm(rand.eta())
         assert sub <= full
 
 
 def test_eta_subset_centering():
     seq = sequential(8, 1e-3)
-    sub = eta_subset(seq, (2, 3, 4))
+    sub = seq.eta((2, 3, 4))
     assert abs(sub.sum()) < 1e-15
     assert np.allclose(sub, [-1e-3, 0.0, 1e-3])
 
