@@ -10,6 +10,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .switching import check_partition
+
 if TYPE_CHECKING:
     from .signal import StructuralParams
 
@@ -162,6 +164,8 @@ class ArrayModel:
             raise ValueError("one pattern per element required")
         if not self.wavelength > 0:
             raise ValueError("wavelength must be positive")
+        if self.partition is not None:
+            check_partition(self.partition, pos.shape[0])
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "patterns", tuple(self.patterns))

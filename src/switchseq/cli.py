@@ -2,7 +2,7 @@
 
 Subcommands: optimize, ambiguity, crlb, compare, effective-factor. Each
 cmd_* returns the files it wrote; main times it and writes a manifest with
-the resolved config, its hash, library versions, the OpenBLAS thread count
+the config as given, its hash, library versions, the OpenBLAS thread count
 asked for, wall time and those files, so an output directory is sufficient
 to reproduce itself.
 
@@ -146,6 +146,7 @@ def cmd_crlb(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str]:
     report = {
         "params": {
             "azimuth_deg": spec["azimuth_deg"],
+            "elevation_deg": spec["elevation_deg"],
             "doppler_hz": spec["doppler_hz"],
             "amplitude": spec["amplitude"],
             "phase": spec["phase"],

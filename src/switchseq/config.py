@@ -59,10 +59,11 @@ _REQUIRED = object()
 
 
 def _section(section, defaults: dict[str, object], path: str) -> dict:
-    """Check a section's key set and fill defaults (_REQUIRED marks a
-    mandatory key). A value whose default is a float or an int is converted
-    to that type by _number; one whose default is a bool must be a JSON
-    boolean."""
+    """Check a section's key set and fill defaults. Each default declares its
+    field's kind: _REQUIRED marks a mandatory key; a tuple lists the allowed
+    values, its first the default; the type float or str marks an optional
+    field, None when missing or null; a bool must be a JSON boolean; a float
+    or an int is converted to that type by _number."""
     if not isinstance(section, dict):
         raise ConfigError(f"{path}: must be a JSON object")
     unknown = set(section) - set(defaults)
@@ -70,14 +71,25 @@ def _section(section, defaults: dict[str, object], path: str) -> dict:
         raise ConfigError(f"{path}: unknown field(s) {sorted(unknown)}")
     out = {}
     for key, default in defaults.items():
+        where = f"{path}.{key}"
         value = section.get(key, default)
         if value is _REQUIRED:
-            raise ConfigError(f"{path}.{key}: required field missing")
-        if isinstance(default, bool):
+            raise ConfigError(f"{where}: required field missing")
+        if isinstance(default, tuple):
+            value = section.get(key, default[0])
+            if value not in default:
+                raise ConfigError(f"{where}: must be {'|'.join(default)}")
+        elif default in (float, str):
+            value = section.get(key)
+            if value is not None and default is float:
+                value = _number(where, float, value)
+            elif value is not None and not isinstance(value, str):
+                raise ConfigError(f"{where}: must be a string")
+        elif isinstance(default, bool):
             if not isinstance(value, bool):
-                raise ConfigError(f"{path}.{key}: must be true or false")
+                raise ConfigError(f"{where}: must be true or false")
         elif isinstance(default, (int, float)):
-            value = _number(f"{path}.{key}", type(default), value)
+            value = _number(where, type(default), value)
         out[key] = value
     return out
 
@@ -164,12 +176,6 @@ def check_seed(value, path: str) -> int:
     return value
 
 
-def require_swaps(array: ArrayModel, update: str, path: str) -> None:
-    """Reject an array on which the update's swap sets (swap_sets) hold no
-    two slots to exchange."""
-    _field(path, swap_sets, update, array.num_elements, array.partition)
-
-
 def evaluator_counts(evaluator: ObjectiveEvaluator) -> dict:
     """Samples with a direction no element sees, and the share of element x
     sample steering products the evaluator keeps."""
@@ -230,35 +236,30 @@ class ExperimentConfig:
             "sweep": {},
             "crlb": {},
             "effective_threshold_db": -10.0,
-            "output_dir": None,
+            "output_dir": str,
         }, "config")
         if _number("config.version", int, top["version"]) != CONFIG_VERSION:
             raise ConfigError(f"config.version: expected {CONFIG_VERSION}")
         seed = check_seed(top["seed"], "config.seed")
-        if top["output_dir"] is not None and not isinstance(top["output_dir"], str):
-            raise ConfigError("config.output_dir: must be a string")
 
         sequence_spec = _section(top["sequence"], {
-            "scheme": "sequential",
+            "scheme": ("sequential", "random", "hybrid"),
             "delta_t_s": 1e-4,
             "snapshots": 1,
         }, "config.sequence")
-        if sequence_spec["scheme"] not in ("sequential", "random", "hybrid"):
-            raise ConfigError("config.sequence.scheme: must be sequential|random|hybrid")
         delta_t = _positive(sequence_spec["delta_t_s"], "config.sequence.delta_t_s")
         if sequence_spec["snapshots"] < 1:
             raise ConfigError("config.sequence.snapshots: must be >= 1")
 
         region_spec = _section(top["region"], {
             "doppler_fraction": 0.25,
-            "doppler_bound_hz": None,
+            "doppler_bound_hz": float,
         }, "config.region")
         bound = region_spec["doppler_bound_hz"]
         if bound is None:
             region = _field("config.region.doppler_fraction", Region.default_for,
                             delta_t, region_spec["doppler_fraction"])
         else:
-            bound = _number("config.region.doppler_bound_hz", float, bound)
             region = _field("config.region.doppler_bound_hz", Region,
                             doppler_bound=bound)
 
@@ -287,11 +288,9 @@ class ExperimentConfig:
             "doppler_step_hz": 1.0,
             "angle_span_deg": 30.0,
             "angle_step_deg": 0.5,
-            "angle_axis": "eoa",
+            "angle_axis": ("eoa", "aoa"),
         }, "config.sweep")
         axis = sweep_spec["angle_axis"]
-        if axis not in ("eoa", "aoa"):
-            raise ConfigError("config.sweep.angle_axis: must be eoa|aoa")
         d_span, d_step = _axis(sweep_spec, "doppler_span_hz", "doppler_step_hz")
         a_span, a_step = _axis(sweep_spec, "angle_span_deg", "angle_step_deg")
 
@@ -319,13 +318,9 @@ class ExperimentConfig:
             anneal_spec = _section(top["anneal"], {
                 "scheme": _REQUIRED,
                 "k_max": 200,
-                "t0": None,
-                "alpha": None,
+                "t0": float,
+                "alpha": float,
             }, "config.anneal")
-            for key in ("t0", "alpha"):
-                if anneal_spec[key] is not None:
-                    anneal_spec[key] = _number(f"config.anneal.{key}", float,
-                                               anneal_spec[key])
             anneal_cfg = _field(
                 "config.anneal", AnnealConfig, update=anneal_spec["scheme"],
                 k_max=anneal_spec["k_max"], t0=anneal_spec["t0"],
@@ -352,7 +347,8 @@ class ExperimentConfig:
             raise ConfigError("config.sequence.scheme: hybrid requires a "
                               "partitioned (octagonal) array")
         if anneal_spec is not None:
-            require_swaps(array, anneal_cfg.update, "config.anneal.scheme")
+            _field("config.anneal.scheme", swap_sets, anneal_cfg.update,
+                   array.num_elements, array.partition)
 
         angles = _grid("config.sweep.angle_span_deg", a_span, a_step)
         _field("config.sweep.angle_span_deg", sweep_directions, reference,
@@ -402,10 +398,10 @@ class ExperimentConfig:
                 "rows": 4,
                 "cols": 4,
                 "spacing_wavelengths": 0.5,
-                "radius_m": None,
+                "radius_m": float,
                 "carrier_hz": 28e9,
                 "patch_exponent": 2.0,
-                "pattern_file": None,
+                "pattern_file": str,
             }, "config.array")
             m = spec["panels"] * spec["rows"] * spec["cols"]
             counts = "panels/rows/cols"
@@ -421,21 +417,23 @@ class ExperimentConfig:
         spacing = spec["spacing_wavelengths"] * wavelength
         if spec["kind"] == "ula":
             return _field("config.array", make_ula, m, spacing, wavelength)
-        radius = spec["radius_m"]
-        if radius is not None:
-            radius = _number("config.array.radius_m", float, radius)
         array = _field(
             "config.array", make_octagonal,
             panels=spec["panels"], rows=spec["rows"], cols=spec["cols"],
-            element_spacing=spacing, radius=radius,
+            element_spacing=spacing, radius=spec["radius_m"],
             wavelength=wavelength, patch_exponent=spec["patch_exponent"],
         )
         if spec["pattern_file"] is not None:
-            path = _field("config.array.pattern_file", Path, spec["pattern_file"])
+            path = Path(spec["pattern_file"])
             if not path.exists():
                 raise ConfigError(f"config.array.pattern_file: file not found: {path}")
             array = _field("config.array.pattern_file",
                            lambda: attach_patterns(array, load_pattern_file(path)))
+            # the objective samples every elevation; gain() refuses one off the grid
+            if any(p.elevation_grid[0] > 0 or p.elevation_grid[-1] < math.pi
+                   for p in array.patterns):
+                raise ConfigError("config.array.pattern_file: elevations must be "
+                                  "tabulated from 0 to 180 degrees")
         return array
 
     # ---- run objects ---------------------------------------------------
@@ -472,18 +470,8 @@ class ExperimentConfig:
         QMC points keep the config seed): its report, the three sequences,
         the random and hybrid anneal traces, and the evaluator's counts."""
         for update in ("random", "hybrid"):
-            require_swaps(self.array, update, "compare")
-        sequences, traces, counts = self._anneal_schemes(seed)
-        params, sigma = self.crlb
-        report = compare_schemes(
-            self.array, sequences, self.reference, *self.sweep,
-            threshold_db=self.effective_threshold_db,
-            amplitude=params.amplitude, noise_sigma=sigma)
-        return report, sequences, traces, counts
-
-    def _anneal_schemes(self, seed: int) -> tuple[dict, dict, dict]:
-        """compare's sequences, traces and counts. The evaluator is dropped
-        on return, so the surface sweeps that follow do not hold it."""
+            _field("compare", swap_sets, update, self.array.num_elements,
+                   self.array.partition)
         evaluator = self.evaluator()
         # one RNG stream, drawn in order: random init and anneal, then hybrid
         rng = np.random.default_rng(seed)
@@ -492,7 +480,14 @@ class ExperimentConfig:
         for update in ("random", "hybrid"):
             sequences[update], traces[update] = self.anneal_scheme(
                 update, evaluator, rng)
-        return sequences, traces, evaluator_counts(evaluator)
+        counts = evaluator_counts(evaluator)
+        del evaluator  # so the surface sweeps below do not hold it
+        params, sigma = self.crlb
+        report = compare_schemes(
+            self.array, sequences, self.reference, *self.sweep,
+            threshold_db=self.effective_threshold_db,
+            amplitude=params.amplitude, noise_sigma=sigma)
+        return report, sequences, traces, counts
 
     def build_anneal(self) -> AnnealConfig:
         if self.anneal_spec is None:

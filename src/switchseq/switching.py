@@ -24,6 +24,19 @@ def _index(value) -> int:
     return operator.index(value)
 
 
+def check_partition(partition, m: int) -> tuple[tuple[int, ...], ...]:
+    """The partition as tuples of indices, which must form disjoint
+    contiguous index ranges that cover 0..m-1 (in any order)."""
+    part = tuple(tuple(map(_index, s)) for s in partition)
+    covered = [i for subset in part for i in subset]
+    if sorted(covered) != list(range(m)):
+        raise ValueError("partition subsets must be disjoint and cover 0..M-1")
+    for subset in part:
+        if list(subset) != list(range(subset[0], subset[-1] + 1)):
+            raise ValueError("partition subsets must be contiguous index ranges")
+    return part
+
+
 @dataclass(frozen=True)
 class SwitchingSequence:
     """Activation order of M antennas, one per slot of length delta_t.
@@ -49,14 +62,8 @@ class SwitchingSequence:
             raise ValueError("snapshots must be >= 1")
         object.__setattr__(self, "order", order)
         if self.partition is not None:
-            part = tuple(tuple(map(_index, s)) for s in self.partition)
-            covered = [i for subset in part for i in subset]
-            if sorted(covered) != list(range(len(order))):
-                raise ValueError("partition subsets must be disjoint and cover 0..M-1")
-            for subset in part:
-                if list(subset) != list(range(subset[0], subset[-1] + 1)):
-                    raise ValueError("partition subsets must be contiguous index ranges")
-            object.__setattr__(self, "partition", part)
+            object.__setattr__(self, "partition",
+                               check_partition(self.partition, len(order)))
 
     @property
     def num_elements(self) -> int:

@@ -81,6 +81,16 @@ def test_octagonal_element_count_and_partition():
     assert flat == list(range(128))
 
 
+def test_array_model_refuses_a_bad_partition():
+    arr = make_ula(4, 0.5, 1.0)
+    for partition in (((0, 1), (1, 2)), ((0, 1),), ((0, 2), (1, 3))):
+        with pytest.raises(ValueError, match="partition"):
+            ArrayModel(arr.positions, arr.patterns, arr.wavelength, partition)
+    # subsets in any order are a partition
+    assert ArrayModel(arr.positions, arr.patterns, arr.wavelength,
+                      ((2, 3), (0, 1))).partition == ((2, 3), (0, 1))
+
+
 def test_octagonal_counts_generalize():
     arr = make_octagonal(panels=5, rows=2, cols=3)
     assert arr.num_elements == 5 * 2 * 3

@@ -205,6 +205,11 @@ def test_cli_exit_code_for_config_error(tmp_path, capsys):
     # the bounds square the amplitude and the noise sigma as floats
     ("crlb", "crlb", "amplitude", 1e308),
     ("crlb", "crlb", "noise_sigma", 1e308),
+    # a choice field takes one of its values; an optional string a string
+    ("ambiguity", "sequence", "scheme", "zigzag"),
+    ("ambiguity", "sweep", "angle_axis", "zoa"),
+    ("optimize", None, "output_dir", 5),
+    ("ambiguity", "array", "pattern_file", 5),
 ])
 def test_cli_bad_field_exits_2_with_one_json_line(tmp_path, capsys, command,
                                                   section, key, value):
@@ -225,6 +230,22 @@ def test_cli_bad_field_exits_2_with_one_json_line(tmp_path, capsys, command,
     error = json.loads(line)["error"]
     assert error["type"] == "config"
     assert key in error["message"]
+
+
+@pytest.mark.parametrize("section, key", [
+    (None, "output_dir"), ("region", "doppler_bound_hz"), ("anneal", "t0"),
+    ("anneal", "alpha"), ("array", "radius_m"), ("array", "pattern_file")])
+def test_optional_field_null_loads_like_a_missing_one(section, key):
+    cfg = octagon_config()
+    where = cfg if section is None else cfg.setdefault(section, {})
+    where.pop(key, None)
+    missing = ExperimentConfig.from_dict(cfg)
+    where[key] = None
+    null = ExperimentConfig.from_dict(cfg)
+    assert (null.output_dir, null.array_spec, null.anneal_spec, null.region,
+            null.anneal) == (missing.output_dir, missing.array_spec,
+                             missing.anneal_spec, missing.region, missing.anneal)
+    assert (null.array.positions == missing.array.positions).all()
 
 
 def test_config_integer_fields_accept_integral_floats():
@@ -815,6 +836,7 @@ def test_crlb_report_fields_and_agreement(tmp_path):
     assert main(["crlb", "--config", write_config(tmp_path, cfg),
                  "--out", str(out)]) == 0
     report = json.loads((out / "crlb_report.json").read_text())
+    assert report["params"]["elevation_deg"] == 90.0  # the default, echoed
     assert set(report["closed_form"]) == {"var_phi", "var_nu"}
     assert set(report["numeric"]) == {"var_phi", "var_nu", "var_r", "var_psi"}
     assert "off_diag_ratio" in report
@@ -925,23 +947,29 @@ def test_compare_drops_the_evaluator_before_the_surface_sweeps(tmp_path,
     assert alive == [[False]]
 
 
-@pytest.mark.parametrize("defect", ["nan-gain", "repeated-row"])
-@pytest.mark.parametrize("command", ["optimize", "compare"])
+@pytest.mark.parametrize("defect", ["nan-gain", "repeated-row", "upper-hemisphere"])
+@pytest.mark.parametrize("command", ["optimize", "ambiguity", "compare",
+                                     "effective-factor"])
 def test_bad_pattern_file_exits_2_at_load(tmp_path, capsys, command, defect):
     # refused at load: past it a NaN gain gives optimize a meaningless
-    # objective and compare an unobservable Doppler (exit 3), and a repeated
-    # row replaces the first one
-    lines = ["element,pol,azimuth_deg,elevation_deg,re,im"]
-    lines += [f"{e},V,{a},{el},1.0,0.0" for e in range(16)
-              for a in range(0, 360, 90) for el in (0, 90, 180)]
+    # objective and compare an unobservable Doppler (exit 3), a repeated
+    # row replaces the first one, and an elevation off the grid, which the
+    # objective samples, raises in the gain lookup
+    def table(elevations):
+        return ["element,pol,azimuth_deg,elevation_deg,re,im"] + [
+            f"{e},V,{a},{el},1.0,0.0" for e in range(16)
+            for a in range(0, 360, 90) for el in elevations]
+    lines = table((0, 90, 180))
     good = octagon_config()
     good["array"]["pattern_file"] = str(tmp_path / "good.csv")
     (tmp_path / "good.csv").write_text("\n".join(lines) + "\n")
     ExperimentConfig.from_dict(good)
     if defect == "nan-gain":
         lines[5] = lines[5].replace("1.0,0.0", "nan,0.0")
-    else:
+    elif defect == "repeated-row":
         lines.append(lines[5].replace("1.0,0.0", "5.0,0.0"))
+    else:
+        lines = table((0, 45, 90))
     cfg = octagon_config()
     cfg["array"]["pattern_file"] = str(tmp_path / "bad.csv")
     (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")

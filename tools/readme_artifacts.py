@@ -3,14 +3,19 @@
     PYTHONPATH=<tree>/src python tools/readme_artifacts.py OUT
 
 Runs the quick-start `optimize`, `ambiguity --sequence` on its output,
-`compare` and `effective-factor`, and the ULA `crlb` as written, at
-elevation_deg 60 and at azimuth_deg 45 and -270, each into a folder of OUT.
-Then prints `sha256  path` for every file there, with `wall_time_s` dropped
-from each manifest.json, so the runs of two trees compare with `diff`.
+`compare` and `effective-factor`, the quick-start `compare` again on an
+array whose V-pol patterns load from a file it writes (cos^2 patches on a
+10-degree grid), and the ULA `crlb` as written, at elevation_deg 60 and at
+azimuth_deg 45 and -270, each into a folder of OUT. Runs from OUT, so that
+no path in a config depends on it. Then prints `sha256  path` for every
+file there, with `wall_time_s` dropped from each manifest.json, so the runs
+of two trees compare with `diff`.
 """
 
 import hashlib
 import json
+import math
+import os
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -20,24 +25,43 @@ from switchseq.cli import main
 README = Path(__file__).resolve().parents[1] / "README.md"
 CRLB_RUNS = {"crlb": {}, "crlb_el60": {"elevation_deg": 60.0},
              "crlb_az45": {"azimuth_deg": 45.0}, "crlb_az-270": {"azimuth_deg": -270.0}}
+PATTERNS = "patterns.csv"
+
+
+def write_patterns(path: Path, array: dict) -> None:
+    """V-pol gain max(0, cos psi)^2 of each octagon element, psi the angle
+    to its panel's outward normal, on a 10-degree azimuth x elevation grid."""
+    size = array["rows"] * array["cols"]
+    lines = ["element,pol,azimuth_deg,elevation_deg,re,im"]
+    for e in range(array["panels"] * size):
+        normal = 360.0 * (e // size) / array["panels"]
+        for az in range(0, 360, 10):
+            for el in range(0, 181, 10):
+                cos_psi = (math.sin(math.radians(el))
+                           * math.cos(math.radians(az - normal)))
+                lines.append(f"{e},V,{az},{el},{max(cos_psi, 0.0) ** 2:.6f},0")
+    path.write_text("\n".join(lines) + "\n")
 
 
 def run(out: Path) -> None:
     # the first two json blocks under the README's quick-start heading
     text = README.read_text().split("\n## CLI quick start\n", 1)[1]
     quick, ula = (json.loads(b.split("```", 1)[0]) for b in text.split("```json\n")[1:3])
-    runs = [("optimize", quick, []),
-            ("ambiguity", quick, ["--sequence", str(out / "optimize/sequence.json")]),
-            ("compare", quick, []), ("effective-factor", quick, [])]
-    runs += [(name, {**ula, "crlb": {**ula["crlb"], **extra}}, [])
+    tabulated = {**quick, "array": {**quick["array"], "pattern_file": PATTERNS}}
+    runs = [("optimize", "optimize", quick, []),
+            ("ambiguity", "ambiguity", quick, ["--sequence", "optimize/sequence.json"]),
+            ("compare", "compare", quick, []),
+            ("effective-factor", "effective-factor", quick, []),
+            ("compare_patterns", "compare", tabulated, [])]
+    runs += [(name, "crlb", {**ula, "crlb": {**ula["crlb"], **extra}}, [])
              for name, extra in CRLB_RUNS.items()]
     out.mkdir(parents=True, exist_ok=True)
-    for name, cfg, flags in runs:
-        path = out / f"{name}.json"
-        path.write_text(json.dumps(cfg))
-        command = "crlb" if name in CRLB_RUNS else name
+    write_patterns(out / PATTERNS, quick["array"])
+    os.chdir(out)
+    for name, command, cfg, flags in runs:
+        Path(f"{name}.json").write_text(json.dumps(cfg))
         with redirect_stdout(sys.stderr):
-            rc = main([command, "--config", str(path), "--out", str(out / name), *flags])
+            rc = main([command, "--config", f"{name}.json", "--out", name, *flags])
         if rc != 0:
             raise SystemExit(f"{name} exited {rc}")
 
@@ -53,5 +77,6 @@ def digest(out: Path) -> None:
 
 
 if __name__ == "__main__":
-    run(Path(sys.argv[1]))
-    digest(Path(sys.argv[1]))
+    OUT = Path(sys.argv[1]).resolve()
+    run(OUT)
+    digest(OUT)
