@@ -28,7 +28,6 @@ class WidthReport:
     axis: str
     lower: float
     upper: float
-    method: str = "linear interpolation in dB"
 
     @property
     def width(self) -> float:
@@ -215,69 +214,21 @@ def peak_sidelobe(surface: AmbiguitySurface) -> float:
     return float(max(tops, default=0.0))
 
 
-@dataclass(frozen=True)
-class SchemeReport:
-    doppler_width: WidthReport
-    angle_width: WidthReport
-    psl: float
-    crlb_nu_full: float
-    crlb_nu_effective: float
-
-    def to_dict(self) -> dict:
-        return {
-            "doppler_half_power_hz": [self.doppler_width.lower, self.doppler_width.upper],
-            "doppler_width_hz": self.doppler_width.width,
-            "angle_half_power_deg": [self.angle_width.lower, self.angle_width.upper],
-            "angle_width_deg": self.angle_width.width,
-            "psl": self.psl,
-            "psl_db": 20.0 * math.log10(max(self.psl, 1e-300)),
-            "crlb_nu_full_hz2": self.crlb_nu_full,
-            "crlb_nu_effective_hz2": self.crlb_nu_effective,
-        }
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    schemes: dict[str, SchemeReport]
-    surfaces: dict[str, AmbiguitySurface]
-    broadening_ratio: float         # hybrid/random Doppler width
-    angle_width_ratio: float        # hybrid/random angle width
-    effective_factor: float
-    block_aperture_ratio: float | None  # R*, the predicted broadening ratio
-    threshold_db: float
-    angle_cell_deg: float
-
-    @property
-    def inverse_effective_factor(self) -> float:
-        return 1.0 / self.effective_factor
-
-    def to_dict(self) -> dict:
-        return {
-            "schemes": {name: rep.to_dict() for name, rep in self.schemes.items()},
-            "broadening_ratio": self.broadening_ratio,
-            "angle_width_ratio": self.angle_width_ratio,
-            "effective_factor": self.effective_factor,
-            "inverse_effective_factor": self.inverse_effective_factor,
-            "block_aperture_ratio": self.block_aperture_ratio,
-            "broadening_vs_inverse_factor": self.broadening_ratio * self.effective_factor,
-            "effective_threshold_db": self.threshold_db,
-            "angle_cell_deg": self.angle_cell_deg,
-        }
-
-
 def compare_schemes(array: ArrayModel, sequences: dict[str, SwitchingSequence],
                     mu: StructuralParams, doppler_hz, angle_offset_deg,
                     angle_axis: str = "eoa", threshold_db: float = -10.0,
                     amplitude: float = 1.0, noise_sigma: float = 1.0
-                    ) -> ComparisonReport:
-    """Surfaces, widths, PSLs, and Doppler bounds for a set of schemes.
+                    ) -> tuple[dict, dict[str, AmbiguitySurface]]:
+    """Widths, PSLs and Doppler bounds for a set of schemes, as the
+    comparison.json document keys them, and each scheme's surface.
 
     sequences must contain 'random' and 'hybrid' entries (any extras, e.g.
     'sequential', are reported too). All sequences must share the element
     count and slot duration. The effective Doppler bound uses each scheme's
     activation instants restricted to the elements that pass threshold_db at
     the reference direction, over every snapshot and centered within that
-    subset. R* is taken at the reference direction too.
+    subset. R* (block_aperture_ratio, the predicted hybrid/random broadening
+    ratio) is taken at the reference direction too.
     """
     if "random" not in sequences or "hybrid" not in sequences:
         raise ValueError("need 'random' and 'hybrid' sequences to compare")
@@ -287,29 +238,38 @@ def compare_schemes(array: ArrayModel, sequences: dict[str, SwitchingSequence],
 
     idx = effective_elements(array, mu, threshold_db)
     surfaces = {}
-    reports = {}
+    schemes = {}
     for name, seq in sequences.items():
         surface = ambiguity_surface(array, seq, mu, doppler_hz,
                                     angle_offset_deg, angle_axis)
         surfaces[name] = surface
-        reports[name] = SchemeReport(
-            doppler_width=half_power_width(surface, "doppler"),
-            angle_width=half_power_width(surface, angle_axis),
-            psl=peak_sidelobe(surface),
-            crlb_nu_full=crlb_doppler(seq.eta(), amplitude, noise_sigma),
-            crlb_nu_effective=crlb_doppler(seq.eta(idx), amplitude, noise_sigma),
-        )
+        doppler = half_power_width(surface, "doppler")
+        angle = half_power_width(surface, angle_axis)
+        psl = peak_sidelobe(surface)
+        schemes[name] = {
+            "doppler_half_power_hz": [doppler.lower, doppler.upper],
+            "doppler_width_hz": doppler.width,
+            "angle_half_power_deg": [angle.lower, angle.upper],
+            "angle_width_deg": angle.width,
+            "psl": psl,
+            "psl_db": 20.0 * math.log10(max(psl, 1e-300)),
+            "crlb_nu_full_hz2": crlb_doppler(seq.eta(), amplitude, noise_sigma),
+            "crlb_nu_effective_hz2": crlb_doppler(seq.eta(idx), amplitude,
+                                                  noise_sigma),
+        }
 
-    angle_grid = np.asarray(angle_offset_deg, dtype=float)
-    return ComparisonReport(
-        schemes=reports,
-        surfaces=surfaces,
-        broadening_ratio=(reports["hybrid"].doppler_width.width
-                          / reports["random"].doppler_width.width),
-        angle_width_ratio=(reports["hybrid"].angle_width.width
-                           / reports["random"].angle_width.width),
-        effective_factor=idx.size / array.num_elements,
-        block_aperture_ratio=block_aperture_ratio(array, mu),
-        threshold_db=threshold_db,
-        angle_cell_deg=float(np.min(np.diff(angle_grid))),
-    )
+    hybrid, random = schemes["hybrid"], schemes["random"]
+    broadening = hybrid["doppler_width_hz"] / random["doppler_width_hz"]
+    xi = idx.size / array.num_elements
+    return {
+        "schemes": schemes,
+        "broadening_ratio": broadening,
+        "angle_width_ratio": hybrid["angle_width_deg"] / random["angle_width_deg"],
+        "effective_factor": xi,
+        "inverse_effective_factor": 1.0 / xi,
+        "block_aperture_ratio": block_aperture_ratio(array, mu),
+        "broadening_vs_inverse_factor": broadening * xi,
+        "effective_threshold_db": threshold_db,
+        "angle_cell_deg": float(np.min(np.diff(np.asarray(angle_offset_deg,
+                                                          dtype=float)))),
+    }, surfaces

@@ -133,7 +133,8 @@ def cmd_crlb(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str]:
     # noise raises an ArithmeticError (exit 3) instead of warning
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         closed_phi = crlb_aoa(array.num_elements, spacing, wavelength,
-                              params.rx_azimuth, params.amplitude, sigma)
+                              params.rx_azimuth, params.rx_elevation,
+                              params.amplitude, sigma)
         closed_nu = crlb_doppler(seq.eta(), params.amplitude, sigma)
         numeric = fim_numeric(array, seq, params, sigma)
 
@@ -170,9 +171,9 @@ def cmd_crlb(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str]:
 
 
 def cmd_compare(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str]:
-    report, sequences, traces, counts = config.compare(seed)
+    doc, surfaces, sequences, traces = config.compare(seed)
     outputs = []
-    for name, surface in report.surfaces.items():
+    for name, surface in surfaces.items():
         fname = f"surface_{name}.csv"
         save_surface_csv(surface, out_dir / fname, metadata={"seed": seed})
         outputs.extend([fname, fname + ".meta.json"])
@@ -182,14 +183,10 @@ def cmd_compare(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str]
     outputs += [f"sequence_{update}.json" for update in traces]
     outputs += [f"trace_{update}.csv" for update in traces]
 
-    doc = report.to_dict()
-    doc["anneal"] = {update: {"final_objective": trace.final_objective,
-                              "best_objective": trace.best_objective, **counts}
-                     for update, trace in traces.items()}
     (out_dir / "comparison.json").write_text(json.dumps(doc, indent=2) + "\n")
     outputs.append("comparison.json")
-    print(f"broadening ratio {report.broadening_ratio:.3f} "
-          f"(1/effective factor {report.inverse_effective_factor:.3f})")
+    print(f"broadening ratio {doc['broadening_ratio']:.3f} "
+          f"(1/effective factor {doc['inverse_effective_factor']:.3f})")
     return outputs
 
 

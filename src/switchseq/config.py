@@ -20,7 +20,7 @@ import numpy as np
 
 from .ambiguity import (SWEEP_COLUMNS, ObjectiveConfig, ObjectiveEvaluator,
                         Region, sweep_directions)
-from .analysis import ComparisonReport, compare_schemes
+from .analysis import compare_schemes
 from .anneal import AnnealConfig, AnnealTrace, anneal
 from .arrays import (ArrayModel, attach_patterns, load_pattern_file, make_octagonal,
                      make_ula, SPEED_OF_LIGHT)
@@ -256,6 +256,9 @@ class ExperimentConfig:
             "doppler_bound_hz": float,
         }, "config.region")
         bound = region_spec["doppler_bound_hz"]
+        if bound is not None and "doppler_fraction" in top["region"]:
+            raise ConfigError("config.region.doppler_fraction and config.region."
+                              "doppler_bound_hz: set one of the two, not both")
         if bound is None:
             region = _field("config.region.doppler_fraction", Region.default_for,
                             delta_t, region_spec["doppler_fraction"])
@@ -465,10 +468,12 @@ class ExperimentConfig:
         return anneal(self.build_sequence(update, rng),
                       replace(self.anneal, update=update), evaluator, rng)
 
-    def compare(self, seed: int) -> tuple[ComparisonReport, dict, dict, dict]:
+    def compare(self, seed: int) -> tuple[dict, dict, dict, dict]:
         """The sequential/random/hybrid comparison at seed (the objective's
-        QMC points keep the config seed): its report, the three sequences,
-        the random and hybrid anneal traces, and the evaluator's counts."""
+        QMC points keep the config seed): the comparison.json document, with
+        each anneal's objectives and the evaluator's counts in its anneal
+        block, then the three surfaces, the three sequences, and the random
+        and hybrid anneal traces."""
         for update in ("random", "hybrid"):
             _field("compare", swap_sets, update, self.array.num_elements,
                    self.array.partition)
@@ -483,11 +488,15 @@ class ExperimentConfig:
         counts = evaluator_counts(evaluator)
         del evaluator  # so the surface sweeps below do not hold it
         params, sigma = self.crlb
-        report = compare_schemes(
+        document, surfaces = compare_schemes(
             self.array, sequences, self.reference, *self.sweep,
             threshold_db=self.effective_threshold_db,
             amplitude=params.amplitude, noise_sigma=sigma)
-        return report, sequences, traces, counts
+        document["anneal"] = {
+            update: {"final_objective": trace.final_objective,
+                     "best_objective": trace.best_objective, **counts}
+            for update, trace in traces.items()}
+        return document, surfaces, sequences, traces
 
     def build_anneal(self) -> AnnealConfig:
         if self.anneal_spec is None:

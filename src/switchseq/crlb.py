@@ -1,6 +1,7 @@
 """Estimation bounds: closed-form CRLBs for arrival azimuth and Doppler, and
 an independent numeric Fisher-information pipeline built on central finite
-differences of the noise-free signal mean.
+differences of the noise-free signal mean. The closed forms hold at any
+elevation of the path.
 
 The numeric pipeline deliberately shares nothing with the closed forms so it
 can act as their oracle: variances come from the full FIM inverse, with the
@@ -26,7 +27,7 @@ PARAM_NAMES = tuple(FIM_FIELDS)
 
 
 class EndfireSingularityError(ValueError):
-    """The azimuth bound diverges at endfire (sin phi = 0)."""
+    """The azimuth bound diverges at endfire (sin phi sin theta = 0)."""
 
 
 class UnobservableDopplerError(ValueError):
@@ -76,8 +77,10 @@ class CRLBResult:
 
 
 def crlb_aoa(num_elements: int, spacing: float, wavelength: float,
-             azimuth: float, amplitude: float, noise_sigma: float) -> float:
-    """Closed-form azimuth variance bound for an omni ULA, in rad^2.
+             azimuth: float, elevation: float, amplitude: float,
+             noise_sigma: float) -> float:
+    """Closed-form azimuth variance bound for an omni ULA along x, in rad^2,
+    at any elevation: its geometry term is lambda / (2 pi d sin phi sin theta).
 
     Depends on the element count and geometry only, never on the switching
     sequence.
@@ -86,9 +89,10 @@ def crlb_aoa(num_elements: int, spacing: float, wavelength: float,
         raise ValueError("azimuth is unobservable with fewer than 2 elements")
     if spacing <= 0 or wavelength <= 0:
         raise ValueError("spacing and wavelength must be positive")
-    s = math.sin(azimuth)
+    s = math.sin(azimuth) * math.sin(elevation)
     if abs(s) < 1e-12:
-        raise EndfireSingularityError(f"azimuth bound diverges at endfire (phi={azimuth})")
+        raise EndfireSingularityError("azimuth bound diverges at endfire "
+                                      f"(phi={azimuth}, theta={elevation})")
     geom = wavelength / (2.0 * math.pi * spacing * s)
     return (
         noise_sigma ** 2 * 6.0

@@ -95,8 +95,8 @@ def test_half_power_width_grid_too_narrow():
 def readme_compare_surfaces():
     """The three surfaces README compare writes, at its config and seed."""
     config = ExperimentConfig.from_dict(readme_config())
-    report, _, _, _ = config.compare(config.seed)
-    return report.surfaces
+    _, surfaces, _, _ = config.compare(config.seed)
+    return surfaces
 
 
 def whole_surface_width(surface, axis):
@@ -353,14 +353,13 @@ def test_compare_schemes_identical_sequences_ratio_one(rng):
     mu = StructuralParams(math.pi / 2, math.pi / 2, 0.0)
     dop = np.arange(-4000.0, 4000.0 + 10.0, 25.0)
     ang = np.arange(-80.0, 80.0 + 1.0, 2.0)
-    report = compare_schemes(arr, {"random": seq, "hybrid": seq}, mu, dop, ang,
-                             angle_axis="eoa", threshold_db=-10.0)
-    assert report.broadening_ratio == 1.0
-    assert report.angle_width_ratio == 1.0
-    doc = report.to_dict()
-    assert doc["broadening_vs_inverse_factor"] == pytest.approx(
-        report.broadening_ratio * report.effective_factor)
-    assert set(doc["schemes"]) == {"random", "hybrid"}
+    doc, surfaces = compare_schemes(arr, {"random": seq, "hybrid": seq}, mu,
+                                    dop, ang, angle_axis="eoa", threshold_db=-10.0)
+    assert doc["broadening_ratio"] == 1.0
+    assert doc["angle_width_ratio"] == 1.0
+    assert doc["broadening_vs_inverse_factor"] == doc["effective_factor"]
+    assert doc["inverse_effective_factor"] == 1.0 / doc["effective_factor"]
+    assert set(doc["schemes"]) == set(surfaces) == {"random", "hybrid"}
     assert doc["block_aperture_ratio"] == block_aperture_ratio(arr, mu)
 
 
@@ -372,13 +371,13 @@ def test_effective_doppler_bound_spans_every_snapshot():
             "hybrid": hybrid_init(16, 1e-4, 4, arr.partition, gen)}
     dop = np.arange(-4000.0, 4000.0 + 10.0, 25.0)
     ang = np.arange(-80.0, 80.0 + 1.0, 2.0)
-    report = compare_schemes(arr, seqs, BROADSIDE, dop, ang)
+    doc, _ = compare_schemes(arr, seqs, BROADSIDE, dop, ang)
     idx = effective_elements(arr, BROADSIDE, -10.0)
     assert 0 < idx.size < arr.num_elements
     for name, seq in seqs.items():
         sub = seq.eta().reshape(seq.snapshots, -1)[:, idx].ravel()
         expected = crlb_doppler(sub - sub.mean(), 1.0, 1.0)
-        got = report.to_dict()["schemes"][name]["crlb_nu_effective_hz2"]
+        got = doc["schemes"][name]["crlb_nu_effective_hz2"]
         assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -398,5 +397,5 @@ def test_compare_schemes_requires_consistent_sequences(rng):
 def test_width_report_fields():
     _, _, surf = ula_surface()
     rep = half_power_width(surf, "doppler")
-    assert rep.method == "linear interpolation in dB"
+    assert rep.axis == "doppler"
     assert rep.width == rep.upper - rep.lower

@@ -232,6 +232,19 @@ def test_cli_bad_field_exits_2_with_one_json_line(tmp_path, capsys, command,
     assert key in error["message"]
 
 
+def test_region_refuses_a_fraction_beside_a_bound(tmp_path, capsys):
+    # a bound sets the region alone, so a fraction beside it would be
+    # ignored unchecked; both together exit 2, naming both fields
+    cfg = octagon_config(region={"doppler_fraction": -1.0,
+                                 "doppler_bound_hz": 300.0})
+    rc = main(["optimize", "--config", write_config(tmp_path, cfg),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert "config.region.doppler_fraction" in message
+    assert "doppler_bound_hz" in message
+
+
 @pytest.mark.parametrize("section, key", [
     (None, "output_dir"), ("region", "doppler_bound_hz"), ("anneal", "t0"),
     ("anneal", "alpha"), ("array", "radius_m"), ("array", "pattern_file")])
@@ -843,6 +856,21 @@ def test_crlb_report_fields_and_agreement(tmp_path):
     assert report["agreement"]["within_1pct"] is True
 
 
+def test_crlb_closed_forms_agree_off_the_horizon(tmp_path):
+    # the azimuth bound carries sin(theta): at 60 degrees it is 4/3 of the
+    # horizon's, and the numeric oracle agrees with it
+    cfg = ula_config()
+    cfg["sequence"] = {"scheme": "random", "delta_t_s": 1e-3}
+    cfg["crlb"] = {"azimuth_deg": 90.0, "elevation_deg": 60.0, "noise_sigma": 0.1}
+    out = tmp_path / "crlb"
+    assert main(["crlb", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "crlb_report.json").read_text())
+    assert report["params"]["elevation_deg"] == 60.0
+    assert report["agreement"]["var_phi_rel_err"] < 1e-6
+    assert report["agreement"]["within_1pct"] is True
+
+
 def test_crlb_rejects_non_ula_array(tmp_path):
     rc = main(["crlb", "--config", write_config(tmp_path, octagon_config()),
                "--out", str(tmp_path / "c3")])
@@ -886,6 +914,28 @@ def test_compare_pipeline(tmp_path):
         assert (out / name).exists()
 
 
+def test_comparison_json_key_layout(tmp_path):
+    # the file's bytes follow the keys' order, which no key lookup sees
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", write_config(tmp_path, octagon_config()),
+                 "--out", str(out)]) == 0
+    doc = json.loads((out / "comparison.json").read_text())
+    assert list(doc) == [
+        "schemes", "broadening_ratio", "angle_width_ratio", "effective_factor",
+        "inverse_effective_factor", "block_aperture_ratio",
+        "broadening_vs_inverse_factor", "effective_threshold_db",
+        "angle_cell_deg", "anneal"]
+    assert list(doc["schemes"]) == ["sequential", "random", "hybrid"]
+    assert list(doc["schemes"]["hybrid"]) == [
+        "doppler_half_power_hz", "doppler_width_hz", "angle_half_power_deg",
+        "angle_width_deg", "psl", "psl_db", "crlb_nu_full_hz2",
+        "crlb_nu_effective_hz2"]
+    assert list(doc["anneal"]) == ["random", "hybrid"]
+    assert list(doc["anneal"]["hybrid"]) == [
+        "final_objective", "best_objective", "degenerate_samples",
+        "live_fraction"]
+
+
 def test_compare_traces_follow_the_anneal_schedule(tmp_path):
     cfg = octagon_config()
     cfg["anneal"].update(t0=5.0, alpha=0.9)
@@ -905,11 +955,7 @@ def test_compare_seed_override_writes_the_library_comparison(tmp_path):
     out = tmp_path / "cmp"
     assert main(["compare", "--config", write_config(tmp_path, cfg),
                  "--seed", "7", "--out", str(out)]) == 0
-    report, _, traces, counts = ExperimentConfig.from_dict(cfg).compare(7)
-    doc = report.to_dict()
-    doc["anneal"] = {update: {"final_objective": trace.final_objective,
-                              "best_objective": trace.best_objective, **counts}
-                     for update, trace in traces.items()}
+    doc, _, _, traces = ExperimentConfig.from_dict(cfg).compare(7)
     written = json.loads((out / "comparison.json").read_text())
     assert written == json.loads(json.dumps(doc))
     for update, trace in traces.items():
@@ -919,7 +965,7 @@ def test_compare_seed_override_writes_the_library_comparison(tmp_path):
     # a run at either seed alone differs: at 11 its draws, at 7 its points
     for alone in (11, 7):
         config = ExperimentConfig.from_dict(dict(cfg, seed=alone))
-        _, _, other, _ = config.compare(alone)
+        _, _, _, other = config.compare(alone)
         assert all(other[update].records != trace.records
                    for update, trace in traces.items())
 

@@ -3,13 +3,14 @@
     PYTHONPATH=<tree>/src python tools/readme_artifacts.py OUT
 
 Runs the quick-start `optimize`, `ambiguity --sequence` on its output,
-`compare` and `effective-factor`, the quick-start `compare` again on an
-array whose V-pol patterns load from a file it writes (cos^2 patches on a
-10-degree grid), and the ULA `crlb` as written, at elevation_deg 60 and at
-azimuth_deg 45 and -270, each into a folder of OUT. Runs from OUT, so that
-no path in a config depends on it. Then prints `sha256  path` for every
-file there, with `wall_time_s` dropped from each manifest.json, so the runs
-of two trees compare with `diff`.
+`compare` and `effective-factor`, the quick-start `compare` again on two
+arrays whose V-pol patterns load from files it writes (cos^2 patches on a
+10-degree grid, then the same with a per-element amplitude and phase
+ripple, so that R* is null), and the ULA `crlb` as written, at
+elevation_deg 60 and at azimuth_deg 45 and -270, each into a folder of
+OUT. Runs from OUT, so that no path in a config depends on it. Then prints
+`sha256  path` for every file there, with `wall_time_s` dropped from each
+manifest.json, so the runs of two trees compare with `diff`.
 """
 
 import hashlib
@@ -25,21 +26,33 @@ from switchseq.cli import main
 README = Path(__file__).resolve().parents[1] / "README.md"
 CRLB_RUNS = {"crlb": {}, "crlb_el60": {"elevation_deg": 60.0},
              "crlb_az45": {"azimuth_deg": 45.0}, "crlb_az-270": {"azimuth_deg": -270.0}}
-PATTERNS = "patterns.csv"
+# each pattern-file compare run: its file, and whether the gains ripple
+PATTERNS = {"compare_patterns": ("patterns.csv", False),
+            "compare_ripple": ("patterns_ripple.csv", True)}
 
 
-def write_patterns(path: Path, array: dict) -> None:
+def write_patterns(path: Path, array: dict, ripple: bool) -> None:
     """V-pol gain max(0, cos psi)^2 of each octagon element, psi the angle
-    to its panel's outward normal, on a 10-degree azimuth x elevation grid."""
+    to its panel's outward normal, on a 10-degree azimuth x elevation grid.
+    With ripple, element e's gain is scaled by 1 + 0.2 sin(1.7 e + 0.3) and
+    turned by 0.5 cos(2.3 e) radians."""
     size = array["rows"] * array["cols"]
     lines = ["element,pol,azimuth_deg,elevation_deg,re,im"]
     for e in range(array["panels"] * size):
         normal = 360.0 * (e // size) / array["panels"]
+        scale = 1.0 + 0.2 * math.sin(1.7 * e + 0.3)
+        turn = 0.5 * math.cos(2.3 * e)
         for az in range(0, 360, 10):
             for el in range(0, 181, 10):
                 cos_psi = (math.sin(math.radians(el))
                            * math.cos(math.radians(az - normal)))
-                lines.append(f"{e},V,{az},{el},{max(cos_psi, 0.0) ** 2:.6f},0")
+                gain = max(cos_psi, 0.0) ** 2
+                if ripple:
+                    gain *= scale
+                    lines.append(f"{e},V,{az},{el},{gain * math.cos(turn):.6f},"
+                                 f"{gain * math.sin(turn):.6f}")
+                else:
+                    lines.append(f"{e},V,{az},{el},{gain:.6f},0")
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -47,16 +60,17 @@ def run(out: Path) -> None:
     # the first two json blocks under the README's quick-start heading
     text = README.read_text().split("\n## CLI quick start\n", 1)[1]
     quick, ula = (json.loads(b.split("```", 1)[0]) for b in text.split("```json\n")[1:3])
-    tabulated = {**quick, "array": {**quick["array"], "pattern_file": PATTERNS}}
     runs = [("optimize", "optimize", quick, []),
             ("ambiguity", "ambiguity", quick, ["--sequence", "optimize/sequence.json"]),
             ("compare", "compare", quick, []),
-            ("effective-factor", "effective-factor", quick, []),
-            ("compare_patterns", "compare", tabulated, [])]
+            ("effective-factor", "effective-factor", quick, [])]
+    runs += [(name, "compare", {**quick, "array": {**quick["array"], "pattern_file": file}},
+              []) for name, (file, _) in PATTERNS.items()]
     runs += [(name, "crlb", {**ula, "crlb": {**ula["crlb"], **extra}}, [])
              for name, extra in CRLB_RUNS.items()]
     out.mkdir(parents=True, exist_ok=True)
-    write_patterns(out / PATTERNS, quick["array"])
+    for file, ripple in PATTERNS.values():
+        write_patterns(out / file, quick["array"], ripple)
     os.chdir(out)
     for name, command, cfg, flags in runs:
         Path(f"{name}.json").write_text(json.dumps(cfg))
