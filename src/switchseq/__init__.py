@@ -59,5 +59,5 @@ from .crlb import (CRLBResult, EndfireSingularityError, ParamVector,
                    SingularFIMError, UnobservableDopplerError, crlb_aoa,
                    crlb_doppler, fim_matrix, fim_numeric)
 from .signal import StructuralParams, basis, basis_from_eta
-from .switching import (SwitchingSequence, draw_swap, hybrid_init, random_init,
-                        sequential, swap_sets)
+from .switching import (SwitchingSequence, draw_swap, random_init, sequential,
+                        swap_sets)

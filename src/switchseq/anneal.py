@@ -6,10 +6,12 @@ one acceptance draw per iteration from a single caller-visible RNG stream.
 Together with the objective's fixed QMC point set this makes whole runs
 bit-reproducible from the seed.
 
-A move is a slot pair that draw_swap takes from the update's swap_sets, so
-a proposal is scored from the chain's order and per-sample sums plus the
-swap's delta (ObjectiveEvaluator.swap_sums): the two moved elements' terms,
-formed on their live samples only, so it costs O(samples) instead of
+A move is a slot pair that draw_swap takes from the swap_sets of the
+starting sequence's partition, so an anneal keeps each subset in its slot
+block (without a partition, any two slots swap). A proposal is scored from
+the chain's order and per-sample sums plus the swap's delta
+(ObjectiveEvaluator.swap_sums): the two moved elements' terms, formed on
+their live samples only, so it costs O(samples) instead of
 O(samples * elements); the order changes only on accept. The sums are
 exact fixed-point integers, so that score equals a fresh evaluate() of the
 proposal bit for bit, and an accepted proposal's sums carry forward as they
@@ -42,18 +44,16 @@ class AnnealError(RuntimeError):
 
 @dataclass(frozen=True)
 class AnnealConfig:
-    """Annealing move and schedule; anneal takes the evaluator and RNG its
-    caller built. t0/alpha of None are resolved at run start: t0 =
-    0.1*|f(init)| and alpha such that the final temperature is 1e-4*t0."""
+    """Annealing schedule; anneal takes the evaluator and RNG its caller
+    built, and its moves from the starting sequence's partition. t0/alpha
+    of None are resolved at run start: t0 = 0.1*|f(init)| and alpha such
+    that the final temperature is 1e-4*t0."""
 
-    update: str = "random"
     k_max: int = 200
     t0: float | None = None
     alpha: float | None = None
 
     def __post_init__(self):
-        if self.update not in ("random", "hybrid"):
-            raise ValueError("update must be 'random' or 'hybrid'")
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
         if self.t0 is not None and not self.t0 > 0:
@@ -99,7 +99,7 @@ def anneal(init: SwitchingSequence, config: AnnealConfig,
     The returned sequence is the one held after the last iteration; the
     lowest-objective sequence seen along the way is kept in the trace.
     """
-    sets = swap_sets(config.update, init.num_elements, init.partition)
+    sets = swap_sets(init.num_elements, init.partition)
     order = list(init.order)
     sums = evaluator.sample_sums(init)
     f_current = evaluator.score(sums)

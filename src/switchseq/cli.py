@@ -6,7 +6,7 @@ the config as given, its hash, library versions, the OpenBLAS thread count
 asked for, wall time and those files, so an output directory is sufficient
 to reproduce itself.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure.
+Exit codes: 0 success, 2 configuration or output error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -60,8 +60,10 @@ def _write_manifest(out_dir: Path, command: str, config: ExperimentConfig,
 
 
 def cmd_optimize(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str]:
+    if config.anneal_spec is None:
+        raise ConfigError("config.anneal: section required for this command")
     evaluator = config.evaluator()
-    final, trace = config.anneal_scheme(config.build_anneal().update, evaluator,
+    final, trace = config.anneal_scheme(config.anneal_spec["scheme"], evaluator,
                                         np.random.default_rng(seed))
 
     final.save(out_dir / "sequence.json")
@@ -177,11 +179,11 @@ def cmd_compare(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str]
         fname = f"surface_{name}.csv"
         save_surface_csv(surface, out_dir / fname, metadata={"seed": seed})
         outputs.extend([fname, fname + ".meta.json"])
-    for update, trace in traces.items():  # random, then hybrid
-        sequences[update].save(out_dir / f"sequence_{update}.json")
-        save_trace_csv(trace, out_dir / f"trace_{update}.csv")
-    outputs += [f"sequence_{update}.json" for update in traces]
-    outputs += [f"trace_{update}.csv" for update in traces]
+    for scheme, trace in traces.items():  # random, then hybrid
+        sequences[scheme].save(out_dir / f"sequence_{scheme}.json")
+        save_trace_csv(trace, out_dir / f"trace_{scheme}.csv")
+    outputs += [f"sequence_{scheme}.json" for scheme in traces]
+    outputs += [f"trace_{scheme}.csv" for scheme in traces]
 
     (out_dir / "comparison.json").write_text(json.dumps(doc, indent=2) + "\n")
     outputs.append("comparison.json")
@@ -241,19 +243,19 @@ def main(argv=None) -> int:
         config = ExperimentConfig.from_file(args.config)
         seed = config.seed if args.seed is None else check_seed(args.seed, "--seed")
         out_dir = Path(args.out or config.output_dir or ".")
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            source = "--out" if args.out else "config.output_dir"
-            raise ConfigError(f"{source}: {exc}") from exc
         command = {"optimize": cmd_optimize, "ambiguity": cmd_ambiguity,
                    "crlb": cmd_crlb, "compare": cmd_compare,
                    "effective-factor": cmd_effective_factor}[args.command]
         extra = [args.sequence] if args.command == "ambiguity" else []
-        start = time.perf_counter()
-        outputs = command(config, out_dir, seed, *extra)
-        _write_manifest(out_dir, args.command, config, seed,
-                        time.perf_counter() - start, outputs)
+        try:  # the output directory, a command's files or the manifest
+            out_dir.mkdir(parents=True, exist_ok=True)
+            start = time.perf_counter()
+            outputs = command(config, out_dir, seed, *extra)
+            _write_manifest(out_dir, args.command, config, seed,
+                            time.perf_counter() - start, outputs)
+        except OSError as exc:
+            source = "--out" if args.out else "config.output_dir"
+            raise ConfigError(f"{source}: {exc}") from exc
         return 0
     except ConfigError as exc:
         print(json.dumps({"error": {"type": "config", "message": str(exc)}}),

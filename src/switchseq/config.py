@@ -11,9 +11,10 @@ run's timing (element count, slot duration, snapshots).
 
 from __future__ import annotations
 
+import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +27,7 @@ from .arrays import (ArrayModel, attach_patterns, load_pattern_file, make_octago
                      make_ula, SPEED_OF_LIGHT)
 from .crlb import ParamVector
 from .signal import StructuralParams
-from .switching import (SwitchingSequence, hybrid_init, random_init, sequential,
-                        swap_sets)
+from .switching import SwitchingSequence, random_init, sequential, swap_sets
 
 CONFIG_VERSION = 1
 MEMORY_BUDGET_BYTES = 2 * 2 ** 30  # what a config may ask any stage of a run for
@@ -95,11 +95,12 @@ def _section(section, defaults: dict[str, object], path: str) -> dict:
 
 
 def _field(path: str, build, *args, **kwargs):
-    """Call a converter or domain constructor, reporting its ValueError or
-    TypeError as a ConfigError that names the field."""
+    """Call a converter, domain constructor or file reader, reporting its
+    ValueError, TypeError or read error as a ConfigError that names the
+    field."""
     try:
         return build(*args, **kwargs)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, OSError, csv.Error) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -174,6 +175,16 @@ def check_seed(value, path: str) -> int:
         raise ConfigError(f"{path}: must be a non-negative integer "
                           "(no wall-clock default)")
     return value
+
+
+def _check_scheme(array: ArrayModel, scheme: str, path: str) -> None:
+    """Refuse a scheme whose sequences could not anneal on the array: a
+    hybrid one needs the array's partition, and every swap set (all slots
+    for random, each subset's block for hybrid) at least 2 slots."""
+    if scheme == "hybrid" and array.partition is None:
+        raise ConfigError(f"{path}: hybrid requires a partitioned (octagonal) array")
+    _field(path, swap_sets, array.num_elements,
+           array.partition if scheme == "hybrid" else None)
 
 
 def evaluator_counts(evaluator: ObjectiveEvaluator) -> dict:
@@ -324,10 +335,10 @@ class ExperimentConfig:
                 "t0": float,
                 "alpha": float,
             }, "config.anneal")
-            anneal_cfg = _field(
-                "config.anneal", AnnealConfig, update=anneal_spec["scheme"],
-                k_max=anneal_spec["k_max"], t0=anneal_spec["t0"],
-                alpha=anneal_spec["alpha"])
+            if anneal_spec["scheme"] not in ("random", "hybrid"):
+                raise ConfigError("config.anneal.scheme: must be random|hybrid")
+            anneal_cfg = _field("config.anneal", AnnealConfig, k_max=anneal_spec["k_max"],
+                                t0=anneal_spec["t0"], alpha=anneal_spec["alpha"])
         # Doppler phases at the region bound, the swept or the crlb Doppler
         _check_sizes(counts, m, sequence_spec["snapshots"], objective.samples,
                      anneal_cfg.k_max, 2 * a_span / a_step + 1,
@@ -346,12 +357,10 @@ class ExperimentConfig:
                       else "spacing_wavelengths, config.array.radius_m")
             raise ConfigError(f"config.array.{fields} and config.array.carrier_hz: "
                               "the steering phases overflow a float")
-        if sequence_spec["scheme"] == "hybrid" and array.partition is None:
-            raise ConfigError("config.sequence.scheme: hybrid requires a "
-                              "partitioned (octagonal) array")
+        if sequence_spec["scheme"] == "hybrid":
+            _check_scheme(array, "hybrid", "config.sequence.scheme")
         if anneal_spec is not None:
-            _field("config.anneal.scheme", swap_sets, anneal_cfg.update,
-                   array.num_elements, array.partition)
+            _check_scheme(array, anneal_spec["scheme"], "config.anneal.scheme")
 
         angles = _grid("config.sweep.angle_span_deg", a_span, a_step)
         _field("config.sweep.angle_span_deg", sweep_directions, reference,
@@ -427,11 +436,8 @@ class ExperimentConfig:
             wavelength=wavelength, patch_exponent=spec["patch_exponent"],
         )
         if spec["pattern_file"] is not None:
-            path = Path(spec["pattern_file"])
-            if not path.exists():
-                raise ConfigError(f"config.array.pattern_file: file not found: {path}")
-            array = _field("config.array.pattern_file",
-                           lambda: attach_patterns(array, load_pattern_file(path)))
+            array = _field("config.array.pattern_file", lambda: attach_patterns(
+                array, load_pattern_file(spec["pattern_file"])))
             # the objective samples every elevation; gain() refuses one off the grid
             if any(p.elevation_grid[0] > 0 or p.elevation_grid[-1] < math.pi
                    for p in array.patterns):
@@ -450,10 +456,8 @@ class ExperimentConfig:
         if scheme == "sequential":
             return sequential(m, spec["delta_t_s"], spec["snapshots"],
                               self.array.partition)
-        if scheme == "random":
-            return random_init(m, spec["delta_t_s"], spec["snapshots"], rng)
-        return hybrid_init(m, spec["delta_t_s"], spec["snapshots"],
-                           self.array.partition, rng)
+        return random_init(m, spec["delta_t_s"], spec["snapshots"], rng,
+                           self.array.partition if scheme == "hybrid" else None)
 
     def evaluator(self) -> ObjectiveEvaluator:
         """The objective evaluator for the config's sequences."""
@@ -461,12 +465,11 @@ class ExperimentConfig:
         return ObjectiveEvaluator(self.array, self.region, self.objective,
                                   spec["delta_t_s"], spec["snapshots"])
 
-    def anneal_scheme(self, update: str, evaluator: ObjectiveEvaluator,
+    def anneal_scheme(self, scheme: str, evaluator: ObjectiveEvaluator,
                       rng: np.random.Generator
                       ) -> tuple[SwitchingSequence, AnnealTrace]:
-        """The update's starting sequence, annealed under that update."""
-        return anneal(self.build_sequence(update, rng),
-                      replace(self.anneal, update=update), evaluator, rng)
+        """The scheme's starting sequence, annealed within its partition."""
+        return anneal(self.build_sequence(scheme, rng), self.anneal, evaluator, rng)
 
     def compare(self, seed: int) -> tuple[dict, dict, dict, dict]:
         """The sequential/random/hybrid comparison at seed (the objective's
@@ -474,17 +477,16 @@ class ExperimentConfig:
         each anneal's objectives and the evaluator's counts in its anneal
         block, then the three surfaces, the three sequences, and the random
         and hybrid anneal traces."""
-        for update in ("random", "hybrid"):
-            _field("compare", swap_sets, update, self.array.num_elements,
-                   self.array.partition)
+        for scheme in ("random", "hybrid"):
+            _check_scheme(self.array, scheme, "compare")
         evaluator = self.evaluator()
         # one RNG stream, drawn in order: random init and anneal, then hybrid
         rng = np.random.default_rng(seed)
         sequences = {"sequential": self.build_sequence("sequential", rng)}
         traces = {}
-        for update in ("random", "hybrid"):
-            sequences[update], traces[update] = self.anneal_scheme(
-                update, evaluator, rng)
+        for scheme in ("random", "hybrid"):
+            sequences[scheme], traces[scheme] = self.anneal_scheme(
+                scheme, evaluator, rng)
         counts = evaluator_counts(evaluator)
         del evaluator  # so the surface sweeps below do not hold it
         params, sigma = self.crlb
@@ -493,15 +495,10 @@ class ExperimentConfig:
             threshold_db=self.effective_threshold_db,
             amplitude=params.amplitude, noise_sigma=sigma)
         document["anneal"] = {
-            update: {"final_objective": trace.final_objective,
+            scheme: {"final_objective": trace.final_objective,
                      "best_objective": trace.best_objective, **counts}
-            for update, trace in traces.items()}
+            for scheme, trace in traces.items()}
         return document, surfaces, sequences, traces
-
-    def build_anneal(self) -> AnnealConfig:
-        if self.anneal_spec is None:
-            raise ConfigError("config.anneal: section required for this command")
-        return self.anneal
 
     # The accessors below return objects built once by from_dict; the
     # benchmark scripts under perfbench/ call them by these names.

@@ -42,8 +42,10 @@ class SwitchingSequence:
     """Activation order of M antennas, one per slot of length delta_t.
 
     order[k] is the antenna activated in slot k. partition, when present,
-    lists disjoint contiguous antenna-index subsets (panel-major) whose slot
-    ranges the hybrid scheme keeps fixed. The same order repeats in every
+    lists disjoint contiguous antenna-index subsets (panel-major), and
+    states the sequence's scheme: each subset holds its own block of slots,
+    which annealing keeps (the hybrid scheme); without one, any antenna may
+    take any slot (the random scheme). The same order repeats in every
     snapshot; snapshots are num_elements*delta_t apart.
     """
 
@@ -129,40 +131,25 @@ def sequential(m: int, delta_t: float, snapshots: int = 1,
 
 
 def random_init(m: int, delta_t: float, snapshots: int,
-                rng: np.random.Generator) -> SwitchingSequence:
-    """Uniformly random activation order from the caller's RNG."""
-    return SwitchingSequence(tuple(rng.permutation(m)), delta_t, snapshots)
-
-
-def hybrid_init(m: int, delta_t: float, snapshots: int,
-                partition, rng: np.random.Generator) -> SwitchingSequence:
-    """Random order within each subset, subsets in partition order.
-
-    Subset i occupies the slots directly after subset i-1, so the
-    inter-subset schedule is sequential while each subset's antennas are
-    shuffled within its own slot range.
-    """
-    if sum(map(len, partition)) != m:
+                rng: np.random.Generator, partition=None) -> SwitchingSequence:
+    """Random order within each subset of the partition, subset i in the
+    slots right after subset i-1's (the hybrid scheme), or over all m slots
+    without one (the random scheme); the sequence keeps the partition."""
+    subsets = partition or [range(m)]
+    if sum(map(len, subsets)) != m:
         raise ValueError(f"partition must cover the {m} antennas")
-    order: list[int] = []
-    for subset in partition:
-        order.extend(rng.permutation(np.asarray(subset)))
+    order = [i for subset in subsets for i in rng.permutation(np.asarray(subset))]
     return SwitchingSequence(tuple(order), delta_t, snapshots, partition)
 
 
-def swap_sets(update: str, m: int, partition) -> list[range]:
-    """Slot ranges a swap move draws its two slots from: all m slots for a
-    random update; for a hybrid one, each partition subset's contiguous slot
-    block, in partition order, so the inter-subset order never changes."""
-    if update == "hybrid":
-        if partition is None:
-            raise ValueError("hybrid swaps require a partitioned (octagonal) array")
-        ends = list(accumulate(map(len, partition), initial=0))
-        sets = [range(a, b) for a, b in zip(ends, ends[1:])]
-    else:
-        sets = [range(m)]
+def swap_sets(m: int, partition) -> list[range]:
+    """Slot ranges a swap move draws its two slots from: each partition
+    subset's contiguous slot block, in partition order, so the inter-subset
+    order never changes (all m slots when the partition is None)."""
+    ends = list(accumulate(map(len, partition or [range(m)]), initial=0))
+    sets = [range(a, b) for a, b in zip(ends, ends[1:])]
     if min(map(len, sets), default=0) < 2:
-        raise ValueError(f"{update} swaps need at least 2 elements in every swap set")
+        raise ValueError("swaps need at least 2 elements in every swap set")
     return sets
 
 

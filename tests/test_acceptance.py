@@ -16,9 +16,8 @@ from switchseq import (AnnealConfig, ExperimentConfig, ObjectiveConfig,
                        ObjectiveEvaluator, Region, StructuralParams, alias_scan, ambiguity_surface,
                        ambiguity_value, anneal, basis_from_eta, crlb_aoa,
                        crlb_doppler, effective_elements, effective_factor,
-                       fim_numeric, hybrid_init, make_octagonal,
-                       make_ula, peak_sidelobe, random_init, sequential,
-                       temperature_schedule)
+                       fim_numeric, make_octagonal, make_ula, peak_sidelobe,
+                       random_init, sequential, temperature_schedule)
 from switchseq.ambiguity import normalized_correlation
 from switchseq.crlb import ParamVector
 from switchseq.switching import SwitchingSequence
@@ -106,7 +105,7 @@ def test_criterion_4_crlb_ordering():
     holds = 0
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        hyb = hybrid_init(128, DT, 1, array.partition, rng)
+        hyb = random_init(128, DT, 1, rng, array.partition)
         rand = random_init(128, DT, 1, rng)
         c_hyb = crlb_doppler(hyb.eta(idx), 1.0, 0.1)
         c_rand = crlb_doppler(rand.eta(), 1.0, 0.1)
@@ -136,7 +135,7 @@ def test_criterion_5_aliasing_reproduction():
     rng = np.random.default_rng(seed)
     evaluator = ObjectiveEvaluator(
         array, region, ObjectiveConfig(power=6, samples=SAMPLES, seed=seed), dt, 1)
-    cfg = AnnealConfig(update="random", k_max=K_MAX)
+    cfg = AnnealConfig(k_max=K_MAX)
     opt, _ = anneal(random_init(m, dt, 1, rng), cfg, evaluator, rng)
     surf_rand = ambiguity_surface(array, opt, mu, doppler, angles, "aoa")
     psl_rand = peak_sidelobe(surf_rand)

@@ -20,7 +20,7 @@ from switchseq.ambiguity import (_BLOCK_ENTRIES, _CSV_CELLS, FIXED_BITS,
                                  sweep_directions)
 from switchseq.arrays import steering_matrix, unit_vectors
 from switchseq.signal import basis
-from switchseq.switching import draw_swap, hybrid_init, swap_sets
+from switchseq.switching import draw_swap, swap_sets
 
 from conftest import swapped
 
@@ -175,18 +175,16 @@ def reference_objective(ev, seq):
     return ev.volume * np.sum(mags ** ev.config.power) / ev.config.samples
 
 
-def chain_init(arr, update, snapshots, rng):
-    if update == "hybrid":
-        return hybrid_init(arr.num_elements, 1e-4, snapshots, arr.partition, rng)
-    return random_init(arr.num_elements, 1e-4, snapshots, rng)
+def chain_init(arr, scheme, snapshots, rng):
+    return random_init(arr.num_elements, 1e-4, snapshots, rng,
+                       arr.partition if scheme == "hybrid" else None)
 
 
 def swap_chain(arr, snapshots, length, rng):
     """Initial sequence plus length-1 successive swaps (hybrid when the
     array is partitioned)."""
-    update = "random" if arr.partition is None else "hybrid"
-    sets = swap_sets(update, arr.num_elements, arr.partition)
-    seqs = [chain_init(arr, update, snapshots, rng)]
+    seqs = [chain_init(arr, "hybrid", snapshots, rng)]
+    sets = swap_sets(arr.num_elements, seqs[0].partition)
     while len(seqs) < length:
         seqs.append(swapped(seqs[-1], *draw_swap(sets, len(seqs), rng)))
     return seqs
@@ -238,10 +236,10 @@ def test_evaluate_matches_per_call_exp_reference(array_name, snapshots, sin_elev
 
 @pytest.mark.parametrize("sin_elevation", [False, True])
 @pytest.mark.parametrize("snapshots", [1, 3])
-@pytest.mark.parametrize("array_name, update", [
+@pytest.mark.parametrize("array_name, scheme", [
     ("ula", "random"), ("octagon", "random"), ("octagon", "hybrid"),
     ("single_panel", "random"), ("tabulated", "hybrid")])
-def test_swap_sums_carried_along_a_chain_match_evaluate(array_name, update,
+def test_swap_sums_carried_along_a_chain_match_evaluate(array_name, scheme,
                                                          snapshots, sin_elevation):
     # every step is taken, as if accepted, so the sums carry 200 deltas; they
     # stay equal, integer for integer, to a fresh sample_sums, and so score
@@ -250,8 +248,8 @@ def test_swap_sums_carried_along_a_chain_match_evaluate(array_name, update,
     cfg = ObjectiveConfig(power=6, samples=256, seed=5, sin_elevation=sin_elevation)
     ev = ObjectiveEvaluator(arr, Region.default_for(1e-4), cfg, 1e-4, snapshots)
     rng = np.random.default_rng(snapshots)
-    seq = chain_init(arr, update, snapshots, rng)
-    sets = swap_sets(update, arr.num_elements, arr.partition)
+    seq = chain_init(arr, scheme, snapshots, rng)
+    sets = swap_sets(seq.num_elements, seq.partition)
     sums = ev.sample_sums(seq)
     assert sums.dtype == np.int64 and sums.shape == (2, cfg.samples)
     assert ev.score(sums) == ev.evaluate(seq)
@@ -498,7 +496,7 @@ def test_optimized_random_beats_sequential():
     f_seq = ev.evaluate(sequential(m, dt))
     rng = np.random.default_rng(2)
     opt, _ = anneal(random_init(m, dt, 1, rng),
-                    AnnealConfig(update="random", k_max=80), ev, rng)
+                    AnnealConfig(k_max=80), ev, rng)
     assert ev.evaluate(opt) < f_seq
 
 

@@ -11,9 +11,8 @@ from scipy.optimize import brentq
 from switchseq import (AmbiguitySurface, GridTooNarrowError, StructuralParams,
                        alias_scan, ambiguity_surface, block_aperture_ratio,
                        compare_schemes, crlb_doppler, effective_elements,
-                       effective_factor, half_power_width, hybrid_init,
-                       make_octagonal, make_ula, peak_sidelobe, random_init,
-                       sequential)
+                       effective_factor, half_power_width, make_octagonal,
+                       make_ula, peak_sidelobe, random_init, sequential)
 import switchseq.analysis as analysis_module
 from switchseq.ambiguity import to_db
 from switchseq.analysis import _crossing, _max3x3
@@ -368,7 +367,7 @@ def test_effective_doppler_bound_spans_every_snapshot():
     arr = make_octagonal(4, 2, 2, patch_exponent=2.0)
     gen = np.random.default_rng(1)
     seqs = {"random": random_init(16, 1e-4, 4, gen),
-            "hybrid": hybrid_init(16, 1e-4, 4, arr.partition, gen)}
+            "hybrid": random_init(16, 1e-4, 4, gen, arr.partition)}
     dop = np.arange(-4000.0, 4000.0 + 10.0, 25.0)
     ang = np.arange(-80.0, 80.0 + 1.0, 2.0)
     doc, _ = compare_schemes(arr, seqs, BROADSIDE, dop, ang)

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from switchseq import (AnnealConfig, AnnealError, ObjectiveConfig,
-                       ObjectiveEvaluator, Region, anneal, hybrid_init,
-                       make_octagonal, make_ula, random_init, sequential,
-                       temperature_schedule)
+                       ObjectiveEvaluator, Region, anneal, make_octagonal,
+                       make_ula, random_init, sequential, temperature_schedule)
 from switchseq.anneal import save_trace_csv
 from switchseq.switching import draw_swap, swap_sets
 
@@ -36,7 +35,7 @@ def test_fixed_seed_bit_reproducible():
     def run():
         rng = np.random.default_rng(13)
         init = random_init(8, DT, 1, rng)
-        return anneal(init, AnnealConfig(update="random", k_max=25),
+        return anneal(init, AnnealConfig(k_max=25),
                       ObjectiveEvaluator(arr, region, cfg, DT, 1), rng)
 
     (final_a, trace_a), (final_b, trace_b) = run(), run()
@@ -50,7 +49,7 @@ def test_temperature_trace_is_exact_schedule():
     arr, region, cfg = small_setup()
     rng = np.random.default_rng(3)
     init = random_init(8, DT, 1, rng)
-    _, trace = anneal(init, AnnealConfig(update="random", k_max=30),
+    _, trace = anneal(init, AnnealConfig(k_max=30),
                       ObjectiveEvaluator(arr, region, cfg, DT, 1), rng)
     for rec in trace.records:
         assert rec.temperature == temperature_schedule(trace.t0, trace.alpha, rec.k)
@@ -60,7 +59,7 @@ def test_default_schedule_resolution():
     arr, region, cfg = small_setup()
     rng = np.random.default_rng(3)
     init = random_init(8, DT, 1, rng)
-    _, trace = anneal(init, AnnealConfig(update="random", k_max=40),
+    _, trace = anneal(init, AnnealConfig(k_max=40),
                       ObjectiveEvaluator(arr, region, cfg, DT, 1), rng)
     assert trace.t0 == pytest.approx(0.1 * trace.initial_objective)
     assert trace.alpha == pytest.approx(1e-4 ** (1.0 / 40))
@@ -70,7 +69,7 @@ def test_improving_proposals_always_accepted():
     arr, region, cfg = small_setup()
     rng = np.random.default_rng(5)
     init = random_init(8, DT, 1, rng)
-    _, trace = anneal(init, AnnealConfig(update="random", k_max=60),
+    _, trace = anneal(init, AnnealConfig(k_max=60),
                       ObjectiveEvaluator(arr, region, cfg, DT, 1), rng)
     current = trace.initial_objective
     for rec in trace.records:
@@ -86,8 +85,7 @@ def test_huge_temperature_accepts_worse_moves():
     ev = ObjectiveEvaluator(arr, region, cfg, DT, 1)
     accepted = []
     for _ in range(10):
-        _, trace = anneal(init, AnnealConfig(update="random", k_max=1,
-                                             t0=1e18, alpha=0.5), ev, rng)
+        _, trace = anneal(init, AnnealConfig(k_max=1, t0=1e18, alpha=0.5), ev, rng)
         accepted.append(trace.records[0].accepted)
     assert all(accepted)
 
@@ -101,8 +99,7 @@ def test_tiny_temperature_rejects_worse_moves():
     f0 = ev.evaluate(init)
     for seed in range(40):
         rng = np.random.default_rng(seed)
-        _, trace = anneal(init, AnnealConfig(update="random", k_max=1,
-                                             t0=1e-300, alpha=0.5), ev, rng)
+        _, trace = anneal(init, AnnealConfig(k_max=1, t0=1e-300, alpha=0.5), ev, rng)
         rec = trace.records[0]
         if rec.proposal_objective > f0:
             assert not rec.accepted
@@ -115,7 +112,7 @@ def test_final_objective_matches_reevaluation():
     arr, region, cfg = small_setup()
     rng = np.random.default_rng(21)
     init = random_init(8, DT, 1, rng)
-    final, trace = anneal(init, AnnealConfig(update="random", k_max=20),
+    final, trace = anneal(init, AnnealConfig(k_max=20),
                           ObjectiveEvaluator(arr, region, cfg, DT, 1), rng)
     ev = ObjectiveEvaluator(arr, region, cfg, final.delta_t, final.snapshots)
     assert trace.records[-1].objective == ev.evaluate(final)
@@ -125,7 +122,7 @@ def test_best_so_far_tracked():
     arr, region, cfg = small_setup()
     rng = np.random.default_rng(2)
     init = random_init(8, DT, 1, rng)
-    final, trace = anneal(init, AnnealConfig(update="random", k_max=50),
+    final, trace = anneal(init, AnnealConfig(k_max=50),
                           ObjectiveEvaluator(arr, region, cfg, DT, 1), rng)
     objectives = [trace.initial_objective] + [r.objective for r in trace.records]
     assert trace.best_objective == min(objectives)
@@ -138,21 +135,30 @@ def test_hybrid_runs_preserve_subset_ranges():
     region = Region.default_for(DT)
     cfg = ObjectiveConfig(power=6, samples=256, seed=6)
     rng = np.random.default_rng(6)
-    init = hybrid_init(16, DT, 1, arr.partition, rng)
-    final, trace = anneal(init, AnnealConfig(update="hybrid", k_max=30),
+    init = random_init(16, DT, 1, rng, arr.partition)
+    final, trace = anneal(init, AnnealConfig(k_max=30),
                           ObjectiveEvaluator(arr, region, cfg, DT, 1), rng)
     assert len(trace.records) == 30
-    sets = swap_sets("hybrid", 16, final.partition)
+    sets = swap_sets(16, final.partition)
     for subset, slots in zip(final.partition, sets):
         assert set(final.order[slots.start:slots.stop]) == set(subset)
 
 
-def test_hybrid_update_requires_partition():
-    arr, region, cfg = small_setup()
-    with pytest.raises(ValueError):
-        anneal(sequential(8, DT), AnnealConfig(update="hybrid", k_max=5),
-               ObjectiveEvaluator(arr, region, cfg, DT, 1),
-               np.random.default_rng(0))
+def test_anneal_keeps_the_partition_of_its_start():
+    # the start's partition alone sets the moves: under a default config a
+    # sequential or a hybrid start keeps each subset in its own slot block
+    arr = make_octagonal(4, 2, 2, patch_exponent=2.0)
+    partition = arr.partition
+    ev = ObjectiveEvaluator(arr, Region.default_for(DT),
+                            ObjectiveConfig(power=6, samples=256, seed=4), DT, 1)
+    rng = np.random.default_rng(4)
+    for init in (sequential(16, DT, 1, partition),
+                 random_init(16, DT, 1, rng, partition)):
+        final, trace = anneal(init, AnnealConfig(), ev, rng)
+        assert final.partition == trace.best_sequence.partition == partition
+        for seq in (final, trace.best_sequence):
+            for subset, slots in zip(partition, swap_sets(16, partition)):
+                assert set(seq.order[slots.start:slots.stop]) == set(subset)
 
 
 class Exploding:
@@ -185,7 +191,7 @@ def test_objective_failure_carries_partial_trace():
         rng = np.random.default_rng(9)
         init = random_init(8, DT, 1, rng)
         with pytest.raises(AnnealError) as err:
-            anneal(init, AnnealConfig(update="random", k_max=50), ev, rng)
+            anneal(init, AnnealConfig(k_max=50), ev, rng)
         trace = err.value.trace
         # fail_after proposals scored, the next one fails
         assert len(trace.records) == fail_after
@@ -194,7 +200,7 @@ def test_objective_failure_carries_partial_trace():
         # 12): replay the recorded moves from the same draws
         replay = np.random.default_rng(9)
         best = current = random_init(8, DT, 1, replay)
-        sets = swap_sets("random", 8, None)
+        sets = swap_sets(8, None)
         for rec in trace.records:
             slots = draw_swap(sets, rec.k, replay)
             replay.random()
@@ -218,10 +224,10 @@ def test_anneal_peak_memory_is_one_product_matrix():
         ev = ObjectiveEvaluator(arr, Region.default_for(1e-4),
                                 ObjectiveConfig(samples=samples, seed=3), 1e-4, 1)
         rng = np.random.default_rng(3)
-        init = hybrid_init(arr.num_elements, 1e-4, 1, arr.partition, rng)
+        init = random_init(arr.num_elements, 1e-4, 1, rng, arr.partition)
         baseline = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        anneal(init, AnnealConfig(update="hybrid", k_max=200), ev, rng)
+        anneal(init, AnnealConfig(k_max=200), ev, rng)
         peak = tracemalloc.get_traced_memory()[1] - baseline
     finally:
         tracemalloc.stop()
@@ -248,7 +254,7 @@ def reference_anneal(init, config, evaluator, rng):
     evaluate(); returns the final sequence, (objective, proposal objective,
     accepted) per iteration and best_k."""
     current = init
-    sets = swap_sets(config.update, init.num_elements, init.partition)
+    sets = swap_sets(init.num_elements, init.partition)
     f_current = evaluator.evaluate(current)
     t0 = config.t0 if config.t0 is not None else 0.1 * abs(f_current)
     alpha = (config.alpha if config.alpha is not None
@@ -285,17 +291,16 @@ REFERENCE_CASES = {
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
 def test_delta_scored_anneal_matches_full_evaluate_loop(case, seed):
-    build, update, snapshots = REFERENCE_CASES[case]
+    build, scheme, snapshots = REFERENCE_CASES[case]
     arr = build()
     ev = ObjectiveEvaluator(arr, Region.default_for(DT),
                             ObjectiveConfig(power=6, samples=256, seed=seed),
                             DT, snapshots)
-    config = AnnealConfig(update=update, k_max=120)
+    config = AnnealConfig(k_max=120)
 
     def init(rng):
-        if update == "hybrid":
-            return hybrid_init(arr.num_elements, DT, snapshots, arr.partition, rng)
-        return random_init(arr.num_elements, DT, snapshots, rng)
+        return random_init(arr.num_elements, DT, snapshots, rng,
+                           arr.partition if scheme == "hybrid" else None)
 
     rng = np.random.default_rng(seed)
     ref_final, ref_rows, ref_best_k = reference_anneal(init(rng), config, ev, rng)
@@ -320,26 +325,21 @@ GOLDEN_CHAINS = {
 }
 
 
-@pytest.mark.parametrize("update", sorted(GOLDEN_CHAINS))
-def test_anneal_rng_stream_golden(update):
+@pytest.mark.parametrize("scheme", sorted(GOLDEN_CHAINS))
+def test_anneal_rng_stream_golden(scheme):
     arr = make_octagonal(4, 1, 4, patch_exponent=2.0)
     ev = ObjectiveEvaluator(arr, Region.default_for(DT),
                             ObjectiveConfig(power=6, samples=256, seed=31), DT, 1)
     rng = np.random.default_rng(31)
-    if update == "hybrid":
-        init = hybrid_init(16, DT, 1, arr.partition, rng)
-    else:
-        init = random_init(16, DT, 1, rng)
-    final, trace = anneal(init, AnnealConfig(update=update, k_max=60), ev, rng)
-    order, best_k, accepted = GOLDEN_CHAINS[update]
+    init = random_init(16, DT, 1, rng, arr.partition if scheme == "hybrid" else None)
+    final, trace = anneal(init, AnnealConfig(k_max=60), ev, rng)
+    order, best_k, accepted = GOLDEN_CHAINS[scheme]
     assert final.order == order
     assert trace.best_k == best_k
     assert "".join(str(int(r.accepted)) for r in trace.records) == accepted
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        AnnealConfig(update="greedy")
     with pytest.raises(ValueError):
         AnnealConfig(k_max=0)
     with pytest.raises(ValueError):
@@ -352,7 +352,7 @@ def test_trace_csv_format(tmp_path):
     arr, region, cfg = small_setup()
     rng = np.random.default_rng(4)
     init = random_init(8, DT, 1, rng)
-    _, trace = anneal(init, AnnealConfig(update="random", k_max=12),
+    _, trace = anneal(init, AnnealConfig(k_max=12),
                       ObjectiveEvaluator(arr, region, cfg, DT, 1), rng)
     path = tmp_path / "trace.csv"
     save_trace_csv(trace, path)

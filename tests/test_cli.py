@@ -126,6 +126,18 @@ def test_anneal_needs_two_elements_in_every_swap_set(tmp_path, capsys):
     assert main(["compare", "--config", write_config(tmp_path, cfg),
                  "--out", str(tmp_path / "out")]) == 2
     assert "swap" in json.loads(capsys.readouterr().err)["error"]["message"]
+    cfg["sequence"]["scheme"] = "hybrid"  # a hybrid sequence is one that anneals
+    with pytest.raises(ConfigError, match="config.sequence.scheme: .*swap"):
+        ExperimentConfig.from_dict(cfg)
+
+
+@pytest.mark.parametrize("scheme", ["sequential", "greedy"])
+def test_anneal_scheme_must_be_random_or_hybrid(tmp_path, capsys, scheme):
+    cfg = octagon_config(anneal={"scheme": scheme})
+    assert main(["optimize", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["message"] == "config.anneal.scheme: must be random|hybrid"
 
 
 def test_config_missing_file(tmp_path):
@@ -819,6 +831,26 @@ def test_unusable_output_directory_exits_2(tmp_path, capsys):
         assert error["message"].startswith(source + ":")
 
 
+@pytest.mark.parametrize("command, artifact", [
+    ("optimize", "sequence.json"), ("ambiguity", "surface.csv"),
+    ("crlb", "crlb_report.json"), ("compare", "surface_sequential.csv"),
+    ("effective-factor", "effective_factor.json"),
+    ("effective-factor", "manifest.json")])
+def test_unwritable_artifact_exits_2(tmp_path, capsys, command, artifact):
+    # a directory where the file goes (file modes do not stop every user)
+    cfg = octagon_config()
+    if command == "crlb":  # a random order leaves the FIM regular
+        cfg = ula_config(sequence={"scheme": "random", "delta_t_s": 1e-3})
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    assert main([command, "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "config"
+    assert error["message"].startswith("--out: ") and artifact in error["message"]
+
+
 def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
     # the README's two config blocks under the names its commands read, and
     # every switchseq command of its two shell blocks run through main
@@ -993,14 +1025,16 @@ def test_compare_drops_the_evaluator_before_the_surface_sweeps(tmp_path,
     assert alive == [[False]]
 
 
-@pytest.mark.parametrize("defect", ["nan-gain", "repeated-row", "upper-hemisphere"])
+@pytest.mark.parametrize("defect", ["nan-gain", "repeated-row", "upper-hemisphere",
+                                    "directory", "long-field"])
 @pytest.mark.parametrize("command", ["optimize", "ambiguity", "compare",
                                      "effective-factor"])
 def test_bad_pattern_file_exits_2_at_load(tmp_path, capsys, command, defect):
     # refused at load: past it a NaN gain gives optimize a meaningless
     # objective and compare an unobservable Doppler (exit 3), a repeated
     # row replaces the first one, and an elevation off the grid, which the
-    # objective samples, raises in the gain lookup
+    # objective samples, raises in the gain lookup; a directory or a field
+    # over the csv module's 131072-character limit cannot be read
     def table(elevations):
         return ["element,pol,azimuth_deg,elevation_deg,re,im"] + [
             f"{e},V,{a},{el},1.0,0.0" for e in range(16)
@@ -1014,11 +1048,16 @@ def test_bad_pattern_file_exits_2_at_load(tmp_path, capsys, command, defect):
         lines[5] = lines[5].replace("1.0,0.0", "nan,0.0")
     elif defect == "repeated-row":
         lines.append(lines[5].replace("1.0,0.0", "5.0,0.0"))
-    else:
+    elif defect == "long-field":
+        lines[5] = lines[5].replace("1.0,0.0", "1." + "0" * 131072 + ",0.0")
+    elif defect == "upper-hemisphere":
         lines = table((0, 45, 90))
     cfg = octagon_config()
     cfg["array"]["pattern_file"] = str(tmp_path / "bad.csv")
-    (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
+    if defect == "directory":
+        (tmp_path / "bad.csv").mkdir()
+    else:
+        (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
     rc = main([command, "--config", write_config(tmp_path, cfg),
                "--out", str(tmp_path / "out")])
     assert rc == 2

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from switchseq import (SwitchingSequence, draw_swap, hybrid_init,
-                       random_init, sequential, swap_sets)
+from switchseq import (SwitchingSequence, draw_swap, random_init, sequential,
+                       swap_sets)
 
 from conftest import swapped
 
@@ -69,6 +69,7 @@ def test_eta_equals_per_snapshot_concatenation(rng, m, snapshots):
 def test_random_init_golden_value():
     seq = random_init(8, 1e-3, 1, np.random.default_rng(0))
     assert seq.order == GOLDEN_PERM_SEED0_M8
+    assert seq.partition is None
 
 
 def test_random_init_is_bijection(rng):
@@ -83,55 +84,54 @@ def test_random_init_different_seeds_differ():
 
 
 def test_hybrid_init_subset_slot_ranges(rng):
-    seq = hybrid_init(4, 1e-3, 1, PARTITION_4x2, rng)
+    seq = random_init(4, 1e-3, 1, rng, PARTITION_4x2)
+    assert seq.partition == PARTITION_4x2
     assert set(seq.order[:2]) == {0, 1}
     assert set(seq.order[2:]) == {2, 3}
 
 
 def test_hybrid_init_panel_slot_ranges(rng):
-    seq = hybrid_init(128, 1e-3, 1, PARTITION_8x16, rng)
-    for p, slots in zip(seq.partition, swap_sets("hybrid", 128, seq.partition)):
+    seq = random_init(128, 1e-3, 1, rng, PARTITION_8x16)
+    for p, slots in zip(seq.partition, swap_sets(128, seq.partition)):
         assert set(seq.order[slots.start:slots.stop]) == set(p)
 
 
 def test_hybrid_init_single_subset_equals_random():
-    a = hybrid_init(8, 1e-3, 1, (tuple(range(8)),), np.random.default_rng(5))
+    a = random_init(8, 1e-3, 1, np.random.default_rng(5), (tuple(range(8)),))
     b = random_init(8, 1e-3, 1, np.random.default_rng(5))
     assert a.order == b.order
 
 
 def test_hybrid_init_rejects_bad_partition(rng):
     with pytest.raises(ValueError):
-        hybrid_init(4, 1e-3, 1, ((0, 1), (1, 2, 3)), rng)
+        random_init(4, 1e-3, 1, rng, ((0, 1), (1, 2, 3)))
     with pytest.raises(ValueError):
-        hybrid_init(4, 1e-3, 1, ((0, 1), (1, 2)), rng)
+        random_init(4, 1e-3, 1, rng, ((0, 1), (1, 2)))
     # a partition of fewer antennas than m, though valid for its own M
     for partition in (((0, 1),), ((0, 1), (2, 3))):
         with pytest.raises(ValueError, match="cover the 5 antennas"):
-            hybrid_init(5, 1e-3, 1, partition, rng)
+            random_init(5, 1e-3, 1, rng, partition)
 
 
 def test_swap_sets_random_is_all_slots():
-    assert swap_sets("random", 7, None) == [range(7)]
-    # a random update ignores the partition
-    assert swap_sets("random", 4, PARTITION_4x2) == [range(4)]
+    assert swap_sets(7, None) == [range(7)]
 
 
 def test_swap_sets_hybrid_are_panel_slot_blocks():
-    assert swap_sets("hybrid", 4, PARTITION_4x2) == [range(0, 2), range(2, 4)]
-    assert swap_sets("hybrid", 128, PARTITION_8x16) == [
+    assert swap_sets(4, PARTITION_4x2) == [range(0, 2), range(2, 4)]
+    assert swap_sets(128, PARTITION_8x16) == [
         range(16 * p, 16 * p + 16) for p in range(8)]
     # blocks follow the subset sizes in partition order
-    assert swap_sets("hybrid", 7, ((0, 1, 2), (3, 4), (5, 6))) == [
+    assert swap_sets(7, ((0, 1, 2), (3, 4), (5, 6))) == [
         range(0, 3), range(3, 5), range(5, 7)]
 
 
 def test_swap_random_m2_is_transposition(rng):
-    assert sorted(draw_swap(swap_sets("random", 2, None), 0, rng)) == [0, 1]
+    assert sorted(draw_swap(swap_sets(2, None), 0, rng)) == [0, 1]
 
 
 def test_swap_random_preserves_bijection(rng):
-    sets = swap_sets("random", 31, None)
+    sets = swap_sets(31, None)
     seq = random_init(31, 1e-3, 1, rng)
     for k in range(50):
         seq = swapped(seq, *draw_swap(sets, k, rng))
@@ -140,12 +140,12 @@ def test_swap_random_preserves_bijection(rng):
 
 def test_swap_random_rejects_single_antenna():
     with pytest.raises(ValueError, match="swap"):
-        swap_sets("random", 1, None)
+        swap_sets(1, None)
 
 
 def test_swap_hybrid_cycles_subsets():
     # k and k + len(sets) draw from the same set, with the same draws
-    sets = swap_sets("hybrid", 128, PARTITION_8x16)
+    sets = swap_sets(128, PARTITION_8x16)
     for k in range(8):
         pair = draw_swap(sets, k, np.random.default_rng(1))
         assert draw_swap(sets, k + len(sets), np.random.default_rng(1)) == pair
@@ -153,8 +153,8 @@ def test_swap_hybrid_cycles_subsets():
 
 
 def test_swap_hybrid_keeps_subsets_in_their_ranges(rng):
-    seq = hybrid_init(32, 1e-3, 1, PARTITION_8x4, rng)
-    sets = swap_sets("hybrid", 32, seq.partition)
+    seq = random_init(32, 1e-3, 1, rng, PARTITION_8x4)
+    sets = swap_sets(32, seq.partition)
     for k in range(40):
         seq = swapped(seq, *draw_swap(sets, k, rng))
         for subset, slots in zip(seq.partition, sets):
@@ -164,8 +164,8 @@ def test_swap_hybrid_keeps_subsets_in_their_ranges(rng):
 def test_swap_hybrid_changes_at_most_two_entries(rng):
     # a move is two distinct slots of its set: a swap changes exactly two
     # entries, never one
-    for update, partition in (("hybrid", PARTITION_8x16), ("random", None)):
-        sets = swap_sets(update, 128, partition)
+    for partition in (PARTITION_8x16, None):
+        sets = swap_sets(128, partition)
         for k in range(64):
             a, b = draw_swap(sets, k, rng)
             assert a != b
@@ -174,12 +174,7 @@ def test_swap_hybrid_changes_at_most_two_entries(rng):
 
 def test_swap_hybrid_rejects_singleton_subsets():
     with pytest.raises(ValueError, match="swap"):
-        swap_sets("hybrid", 3, ((0,), (1, 2)))
-
-
-def test_swap_hybrid_requires_partition():
-    with pytest.raises(ValueError, match="hybrid"):
-        swap_sets("hybrid", 4, None)
+        swap_sets(3, ((0,), (1, 2)))
 
 
 def test_effective_subset_norm_inequality():
@@ -187,7 +182,7 @@ def test_effective_subset_norm_inequality():
     # never exceed the norm of a full random sequence's centered instants
     for seed in range(50):
         r = np.random.default_rng(seed)
-        hyb = hybrid_init(128, 1e-4, 1, PARTITION_8x16, r)
+        hyb = random_init(128, 1e-4, 1, r, PARTITION_8x16)
         rand = random_init(128, 1e-4, 1, r)
         sub = np.linalg.norm(hyb.eta(PARTITION_8x16[0]))
         full = np.linalg.norm(rand.eta())
@@ -202,8 +197,8 @@ def test_eta_subset_centering():
 
 
 def test_json_roundtrip_bit_exact(tmp_path, rng):
-    seq = hybrid_init(32, 1.2345678901234e-4, 3,
-                      tuple(tuple(range(8 * p, 8 * p + 8)) for p in range(4)), rng)
+    seq = random_init(32, 1.2345678901234e-4, 3, rng,
+                      tuple(tuple(range(8 * p, 8 * p + 8)) for p in range(4)))
     path = tmp_path / "seq.json"
     seq.save(path)
     back = SwitchingSequence.load(path)

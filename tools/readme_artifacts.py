@@ -3,7 +3,8 @@
     PYTHONPATH=<tree>/src python tools/readme_artifacts.py OUT
 
 Runs the quick-start `optimize`, `ambiguity --sequence` on its output,
-`compare` and `effective-factor`, the quick-start `compare` again on two
+`compare` and `effective-factor`, `optimize` again with the random scheme
+(`optimize_random`), the quick-start `compare` again on two
 arrays whose V-pol patterns load from files it writes (cos^2 patches on a
 10-degree grid, then the same with a per-element amplitude and phase
 ripple, so that R* is null), and the ULA `crlb` as written, at
@@ -63,7 +64,9 @@ def run(out: Path) -> None:
     runs = [("optimize", "optimize", quick, []),
             ("ambiguity", "ambiguity", quick, ["--sequence", "optimize/sequence.json"]),
             ("compare", "compare", quick, []),
-            ("effective-factor", "effective-factor", quick, [])]
+            ("effective-factor", "effective-factor", quick, []),
+            ("optimize_random", "optimize",
+             {**quick, "anneal": {**quick["anneal"], "scheme": "random"}}, [])]
     runs += [(name, "compare", {**quick, "array": {**quick["array"], "pattern_file": file}},
               []) for name, (file, _) in PATTERNS.items()]
     runs += [(name, "crlb", {**ula, "crlb": {**ula["crlb"], **extra}}, [])
