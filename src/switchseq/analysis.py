@@ -94,7 +94,8 @@ def effective_factor(array: ArrayModel, mu: StructuralParams,
     return effective_elements(array, mu, threshold_db).size / array.num_elements
 
 
-def block_aperture_ratio(array: ArrayModel, mu: StructuralParams) -> float | None:
+def block_aperture_ratio(array: ArrayModel, mu: StructuralParams,
+                         snapshots: int) -> float | None:
     """R* = sigma_rand / sigma_hyb, the predicted hybrid/random Doppler
     broadening ratio.
 
@@ -103,8 +104,10 @@ def block_aperture_ratio(array: ArrayModel, mu: StructuralParams) -> float | Non
     slots (sigma_rand^2 = M^2/12). Hybrid switching gives each partition
     subset its own contiguous block of slots, in partition order; with the
     weight constant within a subset the order inside a block cannot matter.
-    With equal power on the effective elements, R* = 1/xi. None when the
-    array has no partition, |g|^2 varies within a subset, or no element
+    Snapshot s repeats the order s*M slots later, which adds the spread of
+    those offsets, M^2 (S^2 - 1)/12, to both (0 at one snapshot). With equal
+    power on the effective elements and one snapshot, R* = 1/xi. None when
+    the array has no partition, |g|^2 varies within a subset, or no element
     receives power.
     """
     if array.partition is None:
@@ -127,7 +130,8 @@ def block_aperture_ratio(array: ArrayModel, mu: StructuralParams) -> float | Non
     mean = np.average(centre, weights=mass)
     var_hyb = np.average(np.array(spread) + (centre - mean) ** 2, weights=mass)
     m = array.num_elements
-    return math.sqrt(m * m / 12.0 / var_hyb)
+    repeats = m * m * (snapshots * snapshots - 1) / 12.0
+    return math.sqrt((m * m / 12.0 + repeats) / (var_hyb + repeats))
 
 
 @dataclass(frozen=True)
@@ -224,17 +228,19 @@ def compare_schemes(array: ArrayModel, sequences: dict[str, SwitchingSequence],
 
     sequences must contain 'random' and 'hybrid' entries (any extras, e.g.
     'sequential', are reported too). All sequences must share the element
-    count and slot duration. The effective Doppler bound uses each scheme's
-    activation instants restricted to the elements that pass threshold_db at
-    the reference direction, over every snapshot and centered within that
-    subset. R* (block_aperture_ratio, the predicted hybrid/random broadening
-    ratio) is taken at the reference direction too.
+    count, slot duration and snapshot count. The effective Doppler bound uses
+    each scheme's activation instants restricted to the elements that pass
+    threshold_db at the reference direction, over every snapshot and centered
+    within that subset. R* (block_aperture_ratio, the predicted hybrid/random
+    broadening ratio) is taken at the reference direction and the sequences'
+    snapshot count too.
     """
     if "random" not in sequences or "hybrid" not in sequences:
         raise ValueError("need 'random' and 'hybrid' sequences to compare")
     timings = {(s.num_elements, s.delta_t, s.snapshots) for s in sequences.values()}
     if len(timings) != 1:
         raise ValueError("all sequences must share M, delta_t, and snapshots")
+    (_, _, snapshots), = timings
 
     idx = effective_elements(array, mu, threshold_db)
     surfaces = {}
@@ -267,7 +273,7 @@ def compare_schemes(array: ArrayModel, sequences: dict[str, SwitchingSequence],
         "angle_width_ratio": hybrid["angle_width_deg"] / random["angle_width_deg"],
         "effective_factor": xi,
         "inverse_effective_factor": 1.0 / xi,
-        "block_aperture_ratio": block_aperture_ratio(array, mu),
+        "block_aperture_ratio": block_aperture_ratio(array, mu, snapshots),
         "broadening_vs_inverse_factor": broadening * xi,
         "effective_threshold_db": threshold_db,
         "angle_cell_deg": float(np.min(np.diff(np.asarray(angle_offset_deg,

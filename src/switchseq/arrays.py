@@ -77,9 +77,11 @@ class TabulatedPattern:
     """Complex gain tabulated on a rectangular (azimuth, elevation) grid.
 
     The azimuth grid must be strictly increasing inside [0, 2*pi) and is
-    treated as periodic; the elevation grid must be strictly increasing
-    inside [0, pi]. Queries are interpolated bilinearly; elevation queries
-    outside the tabulated range are rejected.
+    treated as periodic from its first azimuth: the first column repeats one
+    turn later, so a query below the first azimuth interpolates between the
+    last column and the first. The elevation grid must be strictly
+    increasing inside [0, pi]. Queries are interpolated bilinearly;
+    elevation queries outside the tabulated range are rejected.
     """
 
     azimuth_grid: np.ndarray
@@ -106,9 +108,14 @@ class TabulatedPattern:
         for name, arr in (("azimuth_grid", az), ("elevation_grid", el), ("gains", g)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        # the periodic closure in azimuth: the first column again, one turn on
+        object.__setattr__(self, "_az_ext", np.append(az, az[0] + 2 * math.pi))
+        object.__setattr__(self, "_g_ext", np.vstack([g, g[0:1]]))
 
     def gain(self, azimuth, elevation) -> np.ndarray:
-        az = np.mod(np.asarray(azimuth, dtype=float), 2 * math.pi)
+        az_ext, g_ext = self._az_ext, self._g_ext
+        az = az_ext[0] + np.mod(np.asarray(azimuth, dtype=float) - az_ext[0],
+                                2 * math.pi)
         el = np.asarray(elevation, dtype=float)
         if np.any(el < self.elevation_grid[0] - 1e-12) or np.any(
             el > self.elevation_grid[-1] + 1e-12
@@ -116,9 +123,6 @@ class TabulatedPattern:
             raise ValueError("elevation query outside tabulated grid")
         el = np.clip(el, self.elevation_grid[0], self.elevation_grid[-1])
 
-        # periodic closure in azimuth: wrap the first column to 2*pi
-        az_ext = np.append(self.azimuth_grid, self.azimuth_grid[0] + 2 * math.pi)
-        g_ext = np.vstack([self.gains, self.gains[0:1]])
         ia = np.clip(np.searchsorted(az_ext, az, side="right") - 1, 0, az_ext.size - 2)
         ie = np.clip(
             np.searchsorted(self.elevation_grid, el, side="right") - 1,

@@ -26,7 +26,8 @@ from .ambiguity import (DegenerateDirectionError, ambiguity_surface,
 from .analysis import GridTooNarrowError
 from .anneal import AnnealError, save_trace_csv
 from .arrays import effective_elements
-from .config import ConfigError, ExperimentConfig, check_seed, evaluator_counts
+from .config import (ConfigError, ExperimentConfig, check_seed, evaluator_counts,
+                     unique_keys)
 from .crlb import (PARAM_NAMES, EndfireSingularityError, SingularFIMError,
                    UnobservableDopplerError, crlb_aoa, crlb_doppler, fim_numeric)
 from .switching import SwitchingSequence
@@ -93,7 +94,8 @@ def cmd_ambiguity(config: ExperimentConfig, out_dir: Path, seed: int,
         path = Path(sequence_file)
         try:  # the hash is of the bytes parsed
             data = path.read_bytes()
-            seq = SwitchingSequence.from_dict(json.loads(data))
+            seq = SwitchingSequence.from_dict(
+                json.loads(data, object_pairs_hook=unique_keys))
         except (OSError, LookupError, TypeError, ValueError, OverflowError,
                 RecursionError) as exc:
             raise ConfigError(f"--sequence: {path}: {exc!r}") from exc
@@ -121,9 +123,12 @@ def cmd_ambiguity(config: ExperimentConfig, out_dir: Path, seed: int,
 
 def cmd_crlb(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str]:
     if config.array_spec["kind"] != "ula":
-        raise ConfigError("crlb closed forms are derived for the omni ULA; "
-                          "use an array of kind 'ula'")
+        raise ConfigError("config.array.kind: crlb closed forms are derived for "
+                          "the omni ULA; use an array of kind 'ula'")
     array = config.array
+    if array.num_elements < 2:
+        raise ConfigError("config.array.elements: crlb needs at least 2 elements; "
+                          "the azimuth is unobservable with fewer")
     seq = config.build_sequence(config.sequence_spec["scheme"],
                                 np.random.default_rng(seed))
     spec = config.crlb_spec
@@ -136,7 +141,7 @@ def cmd_crlb(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str]:
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         closed_phi = crlb_aoa(array.num_elements, spacing, wavelength,
                               params.rx_azimuth, params.rx_elevation,
-                              params.amplitude, sigma)
+                              params.amplitude, sigma, seq.snapshots)
         closed_nu = crlb_doppler(seq.eta(), params.amplitude, sigma)
         numeric = fim_numeric(array, seq, params, sigma)
 

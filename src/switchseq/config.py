@@ -1,6 +1,6 @@
 """Experiment configuration: a single versioned JSON document, validated
-fail-closed (unknown keys are rejected) so typos cannot silently change a
-scientific run.
+fail-closed (unknown and repeated keys are rejected) so typos cannot
+silently change a scientific run.
 
 Loading builds every run object once (array, region, objective and anneal
 settings, reference and crlb parameters, sweep grids) through the domain
@@ -61,9 +61,9 @@ _REQUIRED = object()
 def _section(section, defaults: dict[str, object], path: str) -> dict:
     """Check a section's key set and fill defaults. Each default declares its
     field's kind: _REQUIRED marks a mandatory key; a tuple lists the allowed
-    values, its first the default; the type float or str marks an optional
-    field, None when missing or null; a bool must be a JSON boolean; a float
-    or an int is converted to that type by _number."""
+    values, its first the default or _REQUIRED; the type float or str marks an
+    optional field, None when missing or null; a bool must be a JSON boolean;
+    a float or an int is converted to that type by _number."""
     if not isinstance(section, dict):
         raise ConfigError(f"{path}: must be a JSON object")
     unknown = set(section) - set(defaults)
@@ -72,13 +72,13 @@ def _section(section, defaults: dict[str, object], path: str) -> dict:
     out = {}
     for key, default in defaults.items():
         where = f"{path}.{key}"
-        value = section.get(key, default)
+        value = section.get(key, default[0] if isinstance(default, tuple) else default)
         if value is _REQUIRED:
             raise ConfigError(f"{where}: required field missing")
         if isinstance(default, tuple):
-            value = section.get(key, default[0])
-            if value not in default:
-                raise ConfigError(f"{where}: must be {'|'.join(default)}")
+            choices = [choice for choice in default if choice is not _REQUIRED]
+            if value not in choices:
+                raise ConfigError(f"{where}: must be {'|'.join(choices)}")
         elif default in (float, str):
             value = section.get(key)
             if value is not None and default is float:
@@ -92,6 +92,17 @@ def _section(section, defaults: dict[str, object], path: str) -> dict:
             value = _number(where, type(default), value)
         out[key] = value
     return out
+
+
+# each array kind's fields besides kind, with their defaults as _section
+# reads them, and the fields whose product is its element count
+ARRAY_KINDS = {
+    "ula": ({"elements": _REQUIRED, "spacing_wavelengths": 0.5, "carrier_hz": 28e9},
+            ("elements",)),
+    "octagonal": ({"panels": 8, "rows": 4, "cols": 4, "spacing_wavelengths": 0.5,
+                   "radius_m": float, "carrier_hz": 28e9, "patch_exponent": 2.0,
+                   "pattern_file": str}, ("panels", "rows", "cols")),
+}
 
 
 def _field(path: str, build, *args, **kwargs):
@@ -177,6 +188,17 @@ def check_seed(value, path: str) -> int:
     return value
 
 
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A json.loads object_pairs_hook that refuses a key repeated within an
+    object, of which json would keep the last value without a word."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def _check_scheme(array: ArrayModel, scheme: str, path: str) -> None:
     """Refuse a scheme whose sequences could not anneal on the array: a
     hybrid one needs the array's partition, and every swap set (all slots
@@ -228,7 +250,7 @@ class ExperimentConfig:
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         try:
-            doc = json.loads(path.read_bytes())
+            doc = json.loads(path.read_bytes(), object_pairs_hook=unique_keys)
         except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         return cls.from_dict(doc)
@@ -330,13 +352,11 @@ class ExperimentConfig:
         anneal_cfg = AnnealConfig()
         if top["anneal"] is not None:
             anneal_spec = _section(top["anneal"], {
-                "scheme": _REQUIRED,
+                "scheme": (_REQUIRED, "random", "hybrid"),
                 "k_max": 200,
                 "t0": float,
                 "alpha": float,
             }, "config.anneal")
-            if anneal_spec["scheme"] not in ("random", "hybrid"):
-                raise ConfigError("config.anneal.scheme: must be random|hybrid")
             anneal_cfg = _field("config.anneal", AnnealConfig, k_max=anneal_spec["k_max"],
                                 t0=anneal_spec["t0"], alpha=anneal_spec["alpha"])
         # Doppler phases at the region bound, the swept or the crlb Doppler
@@ -353,9 +373,9 @@ class ExperimentConfig:
             array = cls._build_array(array_spec, m)
             reach = 4 * array.wavenumber * np.abs(array.positions).sum(axis=1).max()
         if not np.isfinite(reach):
-            fields = ("spacing_wavelengths" if array_spec["kind"] == "ula"
-                      else "spacing_wavelengths, config.array.radius_m")
-            raise ConfigError(f"config.array.{fields} and config.array.carrier_hz: "
+            fields = ", ".join(f"config.array.{key}" for key in
+                               ("spacing_wavelengths", "radius_m") if key in array_spec)
+            raise ConfigError(f"{fields} and config.array.carrier_hz: "
                               "the steering phases overflow a float")
         if sequence_spec["scheme"] == "hybrid":
             _check_scheme(array, "hybrid", "config.sequence.scheme")
@@ -394,32 +414,12 @@ class ExperimentConfig:
         """Array spec, its element count and the fields that set the count."""
         if not isinstance(section, dict) or "kind" not in section:
             raise ConfigError("config.array.kind: required field missing")
-        if section["kind"] == "ula":
-            spec = _section(section, {
-                "kind": _REQUIRED,
-                "elements": _REQUIRED,
-                "spacing_wavelengths": 0.5,
-                "carrier_hz": 28e9,
-            }, "config.array")
-            m = _number("config.array.elements", int, spec["elements"])
-            counts = "elements"
-        elif section["kind"] == "octagonal":
-            spec = _section(section, {
-                "kind": _REQUIRED,
-                "panels": 8,
-                "rows": 4,
-                "cols": 4,
-                "spacing_wavelengths": 0.5,
-                "radius_m": float,
-                "carrier_hz": 28e9,
-                "patch_exponent": 2.0,
-                "pattern_file": str,
-            }, "config.array")
-            m = spec["panels"] * spec["rows"] * spec["cols"]
-            counts = "panels/rows/cols"
-        else:
+        if not isinstance(section["kind"], str) or section["kind"] not in ARRAY_KINDS:
             raise ConfigError("config.array.kind: must be 'ula' or 'octagonal'")
-        return spec, m, counts
+        fields, counts = ARRAY_KINDS[section["kind"]]
+        spec = _section(section, {"kind": _REQUIRED, **fields}, "config.array")
+        m = math.prod(_number(f"config.array.{key}", int, spec[key]) for key in counts)
+        return spec, m, "/".join(counts)
 
     @staticmethod
     def _build_array(spec: dict, m: int) -> ArrayModel:

@@ -78,12 +78,14 @@ class CRLBResult:
 
 def crlb_aoa(num_elements: int, spacing: float, wavelength: float,
              azimuth: float, elevation: float, amplitude: float,
-             noise_sigma: float) -> float:
+             noise_sigma: float, snapshots: int) -> float:
     """Closed-form azimuth variance bound for an omni ULA along x, in rad^2,
     at any elevation: its geometry term is lambda / (2 pi d sin phi sin theta).
+    Each of the snapshots observes the whole array once, so the bound falls
+    as 1/snapshots.
 
-    Depends on the element count and geometry only, never on the switching
-    sequence.
+    Depends on the element count, the snapshot count and geometry only, never
+    on the switching order.
     """
     if num_elements < 2:
         raise ValueError("azimuth is unobservable with fewer than 2 elements")
@@ -96,7 +98,7 @@ def crlb_aoa(num_elements: int, spacing: float, wavelength: float,
     geom = wavelength / (2.0 * math.pi * spacing * s)
     return (
         noise_sigma ** 2 * 6.0
-        / (amplitude ** 2 * num_elements * (num_elements ** 2 - 1))
+        / (amplitude ** 2 * num_elements * (num_elements ** 2 - 1) * snapshots)
         * geom ** 2
     )
 

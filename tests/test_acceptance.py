@@ -87,7 +87,7 @@ def test_criterion_3_crlb_oracle_equivalence():
             worst_ratio = max(worst_ratio, res.off_diag_ratio)
             if res.off_diag_ratio < 0.05:
                 cf_phi = crlb_aoa(m, 0.5, 1.0, params.rx_azimuth,
-                                  params.rx_elevation, amp, sigma)
+                                  params.rx_elevation, amp, sigma, 1)
                 cf_nu = crlb_doppler(eta, amp, sigma)
                 worst_err = max(worst_err,
                                 abs(res.variances["phi"] - cf_phi) / cf_phi,

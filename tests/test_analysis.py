@@ -172,22 +172,32 @@ def test_block_aperture_ratio_sector_octagon_is_inverse_xi():
     # equal power on the three facing panels: R* reduces to 1/xi = 8/3
     d = StructuralParams(math.pi / 4, math.pi / 2, 0.0)
     sector = make_octagonal(patch_exponent=0.0)
-    r_star = block_aperture_ratio(sector, d)
+    r_star = block_aperture_ratio(sector, d, 1)
     assert abs(r_star - 1.0 / effective_factor(sector, d, -10.0)) <= 1e-12
     # q = 2 patches give the side panels a quarter of the power
-    patch = block_aperture_ratio(make_octagonal(patch_exponent=2.0), d)
+    patch = block_aperture_ratio(make_octagonal(patch_exponent=2.0), d, 1)
     assert patch == pytest.approx(8.0 / math.sqrt(5.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("snapshots", [2, 4])
+def test_block_aperture_ratio_tracks_the_width_ratio_over_snapshots(snapshots):
+    # every element's instants also spread over the S cycles, which narrows
+    # the hybrid/random width ratio towards 1 (1.09 at S = 2, 1.02 at S = 4)
+    cfg = readme_config()
+    cfg["sequence"]["snapshots"] = snapshots
+    doc = ExperimentConfig.from_dict(cfg).compare(cfg["seed"])[0]
+    assert doc["block_aperture_ratio"] == pytest.approx(doc["broadening_ratio"], rel=0.1)
 
 
 def test_block_aperture_ratio_none_without_blocks():
     d = BROADSIDE
-    assert block_aperture_ratio(make_ula(8, 0.5, 1.0), d) is None
+    assert block_aperture_ratio(make_ula(8, 0.5, 1.0), d, 1) is None
     # a partition that cuts across panels mixes gains within a subset
     arr = make_octagonal(4, 2, 2, patch_exponent=2.0)
     mixed = replace(arr, partition=((2, 3, 4, 5), (0, 1), tuple(range(6, 16))))
-    assert block_aperture_ratio(mixed, d) is None
+    assert block_aperture_ratio(mixed, d, 1) is None
     # at zenith no panel receives power
-    assert block_aperture_ratio(arr, StructuralParams(0.0, 0.0, 0.0)) is None
+    assert block_aperture_ratio(arr, StructuralParams(0.0, 0.0, 0.0), 1) is None
 
 
 def _reference_max3x3(a):
@@ -359,7 +369,7 @@ def test_compare_schemes_identical_sequences_ratio_one(rng):
     assert doc["broadening_vs_inverse_factor"] == doc["effective_factor"]
     assert doc["inverse_effective_factor"] == 1.0 / doc["effective_factor"]
     assert set(doc["schemes"]) == set(surfaces) == {"random", "hybrid"}
-    assert doc["block_aperture_ratio"] == block_aperture_ratio(arr, mu)
+    assert doc["block_aperture_ratio"] == block_aperture_ratio(arr, mu, 1)
 
 
 def test_effective_doppler_bound_spans_every_snapshot():

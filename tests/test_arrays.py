@@ -211,6 +211,16 @@ def test_tabulated_pattern_bilinear_interpolation():
     assert pat.gain(az[0] + 2 * math.pi, el[3]) == pytest.approx(table[0, 3])
 
 
+def test_tabulated_pattern_is_periodic_from_its_first_azimuth():
+    # a grid from 5 to 355 degrees: below 5 degrees a query lies between the
+    # last column (gain 36) and the first (gain 1), one turn on
+    az = np.radians(np.arange(5.0, 360.0, 10.0))
+    pat = TabulatedPattern(az, np.array([0.0, math.pi]),
+                           np.repeat(np.arange(1.0, 37.0)[:, None], 2, axis=1))
+    for query, expected in ((1.0, 15.0), (4.9, 1.35), (359.0, 22.0), (-359.0, 15.0)):
+        assert pat.gain(math.radians(query), 1.0) == pytest.approx(expected, rel=1e-12)
+
+
 def test_tabulated_pattern_rejects_out_of_grid_elevation():
     az = np.linspace(0, 2 * math.pi, 8, endpoint=False)
     el = np.linspace(0.5, 2.5, 5)

@@ -140,6 +140,24 @@ def test_anneal_scheme_must_be_random_or_hybrid(tmp_path, capsys, scheme):
     assert error["message"] == "config.anneal.scheme: must be random|hybrid"
 
 
+@pytest.mark.parametrize("text, key", [
+    ('"seed": 1234, "seed": 7', "seed"),
+    ('"array": {"kind": "ula", "elements": 16, "kind": "octagonal"}', "kind"),
+], ids=["top-level", "nested"])
+def test_config_refuses_a_repeated_key(tmp_path, capsys, text, key):
+    # json keeps the last copy of a key, so the typo would leave no trace
+    cfg = ula_config()
+    del cfg["seed"], cfg["array"]
+    path = tmp_path / "config.json"
+    path.write_text("{" + text + ", " + json.dumps(cfg)[1:])
+    assert main(["effective-factor", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "config"
+    assert f"repeated key '{key}'" in error["message"]
+
+
 def test_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         ExperimentConfig.from_file(tmp_path / "nope.json")
@@ -222,6 +240,10 @@ def test_cli_exit_code_for_config_error(tmp_path, capsys):
     ("ambiguity", "sweep", "angle_axis", "zoa"),
     ("optimize", None, "output_dir", 5),
     ("ambiguity", "array", "pattern_file", 5),
+    # refused after load: optimize anneals, so it needs the section
+    ("optimize", None, "anneal", None),
+    ("ambiguity", "sequence", "snapshots", 0),
+    ("effective-factor", None, "effective_threshold_db", 1.0),
 ])
 def test_cli_bad_field_exits_2_with_one_json_line(tmp_path, capsys, command,
                                                   section, key, value):
@@ -782,11 +804,13 @@ SEQUENCE_8 = {"M": 8, "delta_t_s": 1e-3, "snapshots": 1, "order": list(range(8))
     json.dumps(dict(SEQUENCE_8, delta_t_s=1e306)),
     json.dumps(dict(SEQUENCE_8, snapshots=10 ** 9)),
     json.dumps(dict(SEQUENCE_8, M=0, order=[])),
+    # json would keep the later order, the reverse of the first
+    json.dumps(SEQUENCE_8)[:-1] + ', "order": [7, 6, 5, 4, 3, 2, 1, 0]}',
 ], ids=["not-json", "no-order", "top-level-list", "not-permutation",
         "delta-t-string", "partition-not-contiguous", "delta-t-infinity",
         "nested-past-recursion-limit", "order-fraction", "snapshots-fraction",
         "snapshots-true", "timing-differs-from-config", "delta-t-overflow",
-        "snapshots-over-budget", "order-empty"])
+        "snapshots-over-budget", "order-empty", "repeated-key"])
 def test_ambiguity_bad_sequence_file_exits_2(tmp_path, capsys, content):
     cfg = ula_config()
     cfg["array"]["elements"] = 8  # matches the file, so only its content is bad
@@ -909,6 +933,47 @@ def test_crlb_rejects_non_ula_array(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("cfg, field", [
+    (octagon_config(), "config.array.kind"),
+    (ula_config(array={"kind": "ula", "elements": 1}), "config.array.elements"),
+], ids=["octagon", "one-element"])
+def test_crlb_refuses_an_array_without_closed_forms(tmp_path, capsys, cfg, field):
+    # the closed forms hold for an omni ULA of at least 2 elements
+    assert main(["crlb", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "config"
+    assert error["message"].startswith(field + ": ")
+
+
+@pytest.mark.parametrize("snapshots", [2, 3])
+def test_crlb_closed_forms_agree_over_snapshots(tmp_path, snapshots):
+    # every snapshot observes the array once more, so both bounds fall as 1/S
+    cfg = ula_config()
+    cfg["sequence"] = {"scheme": "random", "delta_t_s": 1e-3, "snapshots": snapshots}
+    out = tmp_path / "crlb"
+    assert main(["crlb", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "crlb_report.json").read_text())
+    assert report["agreement"]["var_phi_rel_err"] < 1e-6
+    assert report["agreement"]["within_1pct"] is True
+
+
+def test_ambiguity_at_a_reference_no_element_sees_exits_3(tmp_path, capsys):
+    # every patch of the octagon faces the horizon, so none sees the zenith
+    cfg = octagon_config(reference={"azimuth_deg": 90.0, "elevation_deg": 0.0})
+    cfg["sweep"]["angle_axis"] = "aoa"
+    assert main(["ambiguity", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "DegenerateDirectionError"
+    assert "reference direction" in error["message"]
+
+
 def test_crlb_endfire_structured_error(tmp_path, capsys):
     cfg = ula_config()
     cfg["crlb"] = {"azimuth_deg": 0.0}
@@ -1026,7 +1091,8 @@ def test_compare_drops_the_evaluator_before_the_surface_sweeps(tmp_path,
 
 
 @pytest.mark.parametrize("defect", ["nan-gain", "repeated-row", "upper-hemisphere",
-                                    "directory", "long-field"])
+                                    "directory", "long-field", "missing-column",
+                                    "missing-element"])
 @pytest.mark.parametrize("command", ["optimize", "ambiguity", "compare",
                                      "effective-factor"])
 def test_bad_pattern_file_exits_2_at_load(tmp_path, capsys, command, defect):
@@ -1034,7 +1100,9 @@ def test_bad_pattern_file_exits_2_at_load(tmp_path, capsys, command, defect):
     # objective and compare an unobservable Doppler (exit 3), a repeated
     # row replaces the first one, and an elevation off the grid, which the
     # objective samples, raises in the gain lookup; a directory or a field
-    # over the csv module's 131072-character limit cannot be read
+    # over the csv module's 131072-character limit cannot be read; a file
+    # without the im column, or without element 15, does not give every
+    # element a complex V gain
     def table(elevations):
         return ["element,pol,azimuth_deg,elevation_deg,re,im"] + [
             f"{e},V,{a},{el},1.0,0.0" for e in range(16)
@@ -1052,6 +1120,10 @@ def test_bad_pattern_file_exits_2_at_load(tmp_path, capsys, command, defect):
         lines[5] = lines[5].replace("1.0,0.0", "1." + "0" * 131072 + ",0.0")
     elif defect == "upper-hemisphere":
         lines = table((0, 45, 90))
+    elif defect == "missing-column":
+        lines = [line.rsplit(",", 1)[0] for line in lines]
+    elif defect == "missing-element":
+        lines = [line for line in lines if not line.startswith("15,")]
     cfg = octagon_config()
     cfg["array"]["pattern_file"] = str(tmp_path / "bad.csv")
     if defect == "directory":

@@ -19,9 +19,9 @@ PARAMS = ParamVector(rx_azimuth=math.pi / 2, rx_elevation=math.pi / 2, doppler_h
 
 
 def test_crlb_aoa_amplitude_scaling():
-    base = crlb_aoa(8, 0.5, 1.0, math.pi / 3, math.pi / 2, 1.0, SIGMA)
+    base = crlb_aoa(8, 0.5, 1.0, math.pi / 3, math.pi / 2, 1.0, SIGMA, 1)
     assert crlb_aoa(8, 0.5, 1.0, math.pi / 3, math.pi / 2, 2.0,
-                    SIGMA) == pytest.approx(base / 4)
+                    SIGMA, 1) == pytest.approx(base / 4)
 
 
 def test_crlb_aoa_endfire_singularity():
@@ -29,18 +29,18 @@ def test_crlb_aoa_endfire_singularity():
     for phi, theta in ((0.0, math.pi / 2), (math.pi, math.pi / 2),
                        (math.pi / 2, 0.0), (math.pi / 2, math.pi)):
         with pytest.raises(EndfireSingularityError):
-            crlb_aoa(8, 0.5, 1.0, phi, theta, 1.0, SIGMA)
+            crlb_aoa(8, 0.5, 1.0, phi, theta, 1.0, SIGMA, 1)
 
 
 def test_crlb_aoa_needs_two_elements():
     with pytest.raises(ValueError):
-        crlb_aoa(1, 0.5, 1.0, math.pi / 2, math.pi / 2, 1.0, SIGMA)
+        crlb_aoa(1, 0.5, 1.0, math.pi / 2, math.pi / 2, 1.0, SIGMA, 1)
 
 
 def test_crlb_aoa_sequence_independent():
     # the bound uses only element count and geometry, never the order
-    v = crlb_aoa(16, 0.5, 1.0, math.pi / 4, math.pi / 2, 1.0, SIGMA)
-    assert v == crlb_aoa(16, 0.5, 1.0, math.pi / 4, math.pi / 2, 1.0, SIGMA)
+    v = crlb_aoa(16, 0.5, 1.0, math.pi / 4, math.pi / 2, 1.0, SIGMA, 1)
+    assert v == crlb_aoa(16, 0.5, 1.0, math.pi / 4, math.pi / 2, 1.0, SIGMA, 1)
 
 
 def test_crlb_doppler_time_scaling():
@@ -69,7 +69,7 @@ def test_closed_forms_match_numeric_for_balanced_sequence():
     res = fim_numeric(arr, seq, PARAMS, SIGMA)
     assert res.off_diag_ratio < 1e-4
     cf_phi = crlb_aoa(8, 0.5, 1.0, PARAMS.rx_azimuth, PARAMS.rx_elevation,
-                      PARAMS.amplitude, SIGMA)
+                      PARAMS.amplitude, SIGMA, 1)
     cf_nu = crlb_doppler(seq.eta(), PARAMS.amplitude, SIGMA)
     assert res.variances["phi"] == pytest.approx(cf_phi, rel=5e-3)
     assert res.variances["nu"] == pytest.approx(cf_nu, rel=5e-3)
@@ -83,7 +83,7 @@ def test_sequential_fim_entries_match_closed_forms():
     arr = make_ula(m, 0.5, 1.0)
     fim = fim_matrix(arr, seq, PARAMS, SIGMA)
     cf_phi = crlb_aoa(m, 0.5, 1.0, PARAMS.rx_azimuth, PARAMS.rx_elevation,
-                      PARAMS.amplitude, SIGMA)
+                      PARAMS.amplitude, SIGMA, 1)
     cf_nu = crlb_doppler(seq.eta(), PARAMS.amplitude, SIGMA)
     assert 1.0 / fim[0, 0] == pytest.approx(cf_phi, rel=5e-3)
     assert 1.0 / fim[1, 1] == pytest.approx(cf_nu, rel=5e-3)
