@@ -17,10 +17,12 @@ A sequence is scored from its per-sample sums S_n = sum_m cross[m, n] *
 P[slot_m, n], held as exact int64 fixed-point numbers: each term is rounded
 to a multiple of 2**-FIXED_BITS from real multiplies and adds only, which
 round the same whatever the array shape, and integer addition is exact, so
-an element's terms add into the sums at its live samples in any order. A
-swap of two slots moves two elements' terms, so swap_sums gives in
-O(samples) exactly the integers of a fresh sample_sums: every annealing
-proposal is scored equal to evaluate() bit for bit (the tests assert ==).
+an element's terms add into the sums at its live samples in any order.
+f_P is the total() of the samples' contributions(). A swap of two slots
+moves two elements' terms, so propose() gives exactly the integers of a
+fresh sample_sums, and recomputes the contributions only on the two
+elements' live samples: every annealing proposal is scored equal to
+evaluate() bit for bit (the tests assert ==).
 
 ambiguity_surface sweeps the first snapshot only, writing |X| a block of
 Doppler columns at a time, and scales each column by the snapshot gain,
@@ -174,8 +176,8 @@ def snapshot_gain(dnu: np.ndarray, m: int, delta_t: float,
 # Sample sums are int64 multiples of 2**-FIXED_BITS. |term| <= |cross[m, n]|
 # as |P| = 1, and by Cauchy-Schwarz sum_m |cross[m, n]| = sum_m |g_m||g'_m| /
 # (S ||g|| ||g'||) <= 1/S <= 1 (up to rounding), so a sum stays within about
-# 2**61 + M and a partial sum of swap_sums (two terms in and two out) within
-# 3 * 2**61 < 2**63.
+# 2**61 + M, and a sum plus one moved element's term difference in propose
+# within 3 * 2**61 < 2**63.
 FIXED_BITS = 61
 _BLOCK_ENTRIES = 2 ** 15  # samples x elements per block of the build
 
@@ -222,12 +224,33 @@ class ObjectiveEvaluator:
         self.azimuth_prime = phi_p
         self.elevation_prime = theta_p
 
+        # Doppler phase of sample n in slot s, exp(2*pi*i*dnu*s*dt), is
+        # coarse[s // L] * fine[s % L] with coarse rows exp(2*pi*i*dnu*lo*dt)
+        # for lo = 0, L, 2L, ... and fine rows exp(2*pi*i*dnu*r*dt) for
+        # r < L = ceil(sqrt(M)): term() forms the row of a slot from these
+        # two tables of about sqrt(M) rows each, on an element's live
+        # samples, one complex multiply per sample. They are formed before
+        # the products, so that their temporaries are gone while those grow
+        self._step = math.isqrt(m - 1) + 1
+        self._fine = 2j * math.pi * np.outer(np.arange(self._step) * self.delta_t, dnu)
+        np.exp(self._fine, out=self._fine)
+        self._coarse = np.empty(((m - 1) // self._step + 1, n), dtype=complex)
+        for row, lo in zip(self._coarse, range(0, m, self._step)):
+            np.exp(2j * math.pi * (lo * self.delta_t) * dnu, out=row)
+        # squared snapshot gain (the 1/snapshots normalization already sits
+        # in the basis norms)
+        self._snapshot_power = snapshot_gain(dnu, m, self.delta_t,
+                                             self.snapshots) ** 2
+
         # steering cross-products conj(g_m) g'_m / (||g|| ||g'||), taken as
         # conj(G) G' exp(i k (u' - u).p) only on the samples where the gain
         # product is nonzero: a pattern object is evaluated in both
         # directions once, and its elements share the sorted index of its
-        # live samples (slice(None) when it is live on every sample)
+        # live samples (slice(None) when it is live on every sample); the
+        # products of a run of elements that share a pattern object within
+        # a block are formed as one (run x live) block
         du = unit_vectors(phi_p, theta_p) - unit_vectors(phi, theta)
+        del u
         block = max(1, _BLOCK_ENTRIES // n)
         self.live = []  # per element: the samples its products are kept on
         self._cross = []  # per element: (2, live) real and imaginary rows
@@ -240,20 +263,28 @@ class ObjectiveEvaluator:
             # the order in which numpy adds the elements' |G|^2 into power
             mag2 = np.empty((2, n, len(patterns))).transpose(0, 2, 1)
             arg = array.wavenumber * (array.positions[rows] @ du.T)
-            for j, p in enumerate(patterns):
-                if p is not pattern:
-                    pattern = p
-                    gains = np.array([p.gain(phi, theta), p.gain(phi_p, theta_p)])
+            starts = [j for j, p in enumerate(patterns)
+                      if j == 0 or p is not patterns[j - 1]]
+            for j, k in zip(starts, starts[1:] + [len(patterns)]):
+                if patterns[j] is not pattern:
+                    pattern = patterns[j]
+                    gains = np.array([pattern.gain(phi, theta),
+                                      pattern.gain(phi_p, theta_p)])
                     both = np.conj(gains[0]) * gains[1]
                     live = np.flatnonzero(both != 0.0)
                     live = slice(None) if live.size == n else live
                     both = both[live]
                     pattern_mag2 = gains.real ** 2 + gains.imag ** 2
-                mag2[:, j] = pattern_mag2
-                term = both * np.exp(1j * arg[j][live])
-                self.live.append(live)
-                self._cross.append(np.array([term.real, term.imag]))
+                    del gains
+                mag2[:, j:k] = pattern_mag2[:, None]
+                terms = 1j * arg[j:k][:, live]
+                np.multiply(both, np.exp(terms, out=terms), out=terms)
+                self.live += [live] * (k - j)
+                self._cross += list(np.stack([terms.real, terms.imag], axis=1))
+                del terms
             power += mag2.sum(axis=1)
+            del mag2, arg
+        del du
         # runs of consecutive elements that share a pattern's live index
         starts = [e for e in range(m) if e == 0 or self.live[e] is not self.live[e - 1]]
         self._runs = [(self.live[lo], range(lo, hi))
@@ -267,25 +298,9 @@ class ObjectiveEvaluator:
         for live, cross in zip(self.live, self._cross):
             cross *= scale[live]
 
-        # Doppler phase of sample n in slot s, exp(2*pi*i*dnu*s*dt), is
-        # coarse[s // L] * fine[s % L] with coarse rows exp(2*pi*i*dnu*lo*dt)
-        # for lo = 0, L, 2L, ... and fine rows exp(2*pi*i*dnu*r*dt) for
-        # r < L = ceil(sqrt(M)): term() forms the row of a slot from these
-        # two tables of about sqrt(M) rows each, on an element's live
-        # samples, one complex multiply per sample
-        self._step = math.isqrt(m - 1) + 1
-        self._fine = np.exp(2j * math.pi * np.outer(np.arange(self._step) * self.delta_t,
-                                                    dnu))
-        self._coarse = np.array([np.exp(2j * math.pi * (lo * self.delta_t) * dnu)
-                                 for lo in range(0, m, self._step)])
-        # squared snapshot gain (the 1/snapshots normalization already sits
-        # in the basis norms)
-        self._snapshot_power = snapshot_gain(dnu, m, self.delta_t,
-                                             self.snapshots) ** 2
-
     def evaluate(self, seq: SwitchingSequence) -> float:
         """QMC estimate of f_P for one sequence."""
-        return self.score(self.sample_sums(seq))
+        return self.total(self.contributions(self.sample_sums(seq)))
 
     @property
     def live_fraction(self) -> float:
@@ -334,24 +349,36 @@ class ObjectiveEvaluator:
         q, r = divmod(slot, self._step)
         return self._coarse[q][live] * self._fine[r][live]
 
-    def swap_sums(self, sums: np.ndarray, order, a: int, b: int) -> np.ndarray:
-        """Sample sums after exchanging the antennas of slots a and b of an
-        activation order, given that order's sums: each of the two elements
-        moves its term to its new slot on its own live samples, so this
-        costs O(samples) and equals a fresh sample_sums exactly."""
-        out = sums.copy()
+    def propose(self, sums: np.ndarray, contributions: np.ndarray, order,
+                a: int, b: int) -> tuple[np.ndarray, np.ndarray, float]:
+        """Sample sums, contributions and f_P after exchanging the antennas
+        of slots a and b of an activation order, given that order's sums
+        and contributions: each of the two elements moves its term to its
+        new slot on its own live samples, and only there do the
+        contributions change, so this costs O(live samples) and equals a
+        fresh evaluate() exactly."""
+        sums, contributions = sums.copy(), contributions.copy()
         for element, old, new in ((order[a], a, b), (order[b], b, a)):
-            out[:, self.live[element]] += (self.term(element, new)
-                                           - self.term(element, old))
-        return out
+            live = self.live[element]
+            delta = self.term(element, new) - self.term(element, old)
+            sums[0][live] += delta[0]
+            sums[1][live] += delta[1]
+        live_a, live_b = self.live[order[a]], self.live[order[b]]
+        for live in (live_a,) if live_a is live_b else (live_a, live_b):
+            contributions[live] = self.contributions(sums, live)
+        return sums, contributions, self.total(contributions)
 
-    def score(self, sums: np.ndarray) -> float:
-        """f_P from the per-sample sums; the power is even, so |S|**power
-        is (re**2 + im**2)**(power/2)."""
-        re, im = sums * 2.0 ** -FIXED_BITS
-        mag2 = (re * re + im * im) * self._snapshot_power
-        total = np.sum(mag2 ** (self.config.power // 2))
-        return float(self.volume * total / self.config.samples)
+    def contributions(self, sums: np.ndarray, live=slice(None)) -> np.ndarray:
+        """Each sample's term of f_P on the samples live, from the sums:
+        |S_n|**power times the snapshot gain's; the power is even, so
+        |S|**power is (re**2 + im**2)**(power/2)."""
+        re, im = sums[0][live] * 2.0 ** -FIXED_BITS, sums[1][live] * 2.0 ** -FIXED_BITS
+        mag2 = (re * re + im * im) * self._snapshot_power[live]
+        return mag2 ** (self.config.power // 2)
+
+    def total(self, contributions: np.ndarray) -> float:
+        """f_P from the contributions of every sample."""
+        return float(self.volume * np.sum(contributions) / self.config.samples)
 
 
 DB_FLOOR = -100.0

@@ -9,13 +9,15 @@ bit-reproducible from the seed.
 A move is a slot pair that draw_swap takes from the swap_sets of the
 starting sequence's partition, so an anneal keeps each subset in its slot
 block (without a partition, any two slots swap). A proposal is scored from
-the chain's order and per-sample sums plus the swap's delta
-(ObjectiveEvaluator.swap_sums): the two moved elements' terms, formed on
-their live samples only, so it costs O(samples) instead of
+the chain's order, per-sample sums and per-sample contributions to the
+objective plus the swap's delta (ObjectiveEvaluator.propose): the two moved
+elements' terms, formed on their live samples only, and the contributions
+recomputed there only, so it costs O(live samples) instead of
 O(samples * elements); the order changes only on accept. The sums are
 exact fixed-point integers, so that score equals a fresh evaluate() of the
-proposal bit for bit, and an accepted proposal's sums carry forward as they
-are: every objective in the trace is exact (the tests assert it with ==).
+proposal bit for bit, and an accepted proposal's sums and contributions
+carry forward as they are: every objective in the trace is exact (the tests
+assert it with ==).
 """
 
 from __future__ import annotations
@@ -102,7 +104,8 @@ def anneal(init: SwitchingSequence, config: AnnealConfig,
     sets = swap_sets(init.num_elements, init.partition)
     order = list(init.order)
     sums = evaluator.sample_sums(init)
-    f_current = evaluator.score(sums)
+    contributions = evaluator.contributions(sums)
+    f_current = evaluator.total(contributions)
     t0 = config.t0 if config.t0 is not None else DEFAULT_T0_FRACTION * abs(f_current)
     alpha = (config.alpha if config.alpha is not None
              else DEFAULT_FINAL_TEMPERATURE_RATIO ** (1.0 / config.k_max))
@@ -117,19 +120,19 @@ def anneal(init: SwitchingSequence, config: AnnealConfig,
         a, b = draw_swap(sets, k, rng)
         u = rng.random()
         try:
-            proposal_sums = evaluator.swap_sums(sums, order, a, b)
-            f_proposal = evaluator.score(proposal_sums)
+            proposal = evaluator.propose(sums, contributions, order, a, b)
         except Exception as exc:
             trace.best_sequence = replace(init, order=best_order)
             raise AnnealError(f"objective evaluation failed at iteration {k}",
                               trace) from exc
+        f_proposal = proposal[2]
         temperature = temperature_schedule(t0, alpha, k)
         delta = f_current - f_proposal
         # literal rule exp(delta/T) > u, written to avoid overflow for delta >= 0
         accepted = delta >= 0.0 or math.exp(delta / temperature) > u
         if accepted:
             order[a], order[b] = order[b], order[a]
-            sums, f_current = proposal_sums, f_proposal
+            sums, contributions, f_current = proposal
         if f_current < trace.best_objective:
             trace.best_objective = f_current
             trace.best_k = k

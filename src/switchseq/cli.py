@@ -242,6 +242,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _remove_empty(dirs: list[Path]) -> None:
+    """Remove the directories, deepest first, up to the first that is not
+    empty, so that a command that fails leaves no empty directory it made."""
+    for d in dirs:
+        try:
+            d.rmdir()
+        except OSError:
+            return
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -252,7 +262,9 @@ def main(argv=None) -> int:
                    "crlb": cmd_crlb, "compare": cmd_compare,
                    "effective-factor": cmd_effective_factor}[args.command]
         extra = [args.sequence] if args.command == "ambiguity" else []
+        made = []  # the directories mkdir makes, deepest first
         try:  # the output directory, a command's files or the manifest
+            made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
             out_dir.mkdir(parents=True, exist_ok=True)
             start = time.perf_counter()
             outputs = command(config, out_dir, seed, *extra)
@@ -261,6 +273,8 @@ def main(argv=None) -> int:
         except OSError as exc:
             source = "--out" if args.out else "config.output_dir"
             raise ConfigError(f"{source}: {exc}") from exc
+        finally:  # a run has written its manifest, so no directory it made is empty
+            _remove_empty(made)
         return 0
     except ConfigError as exc:
         print(json.dumps({"error": {"type": "config", "message": str(exc)}}),

@@ -241,9 +241,10 @@ def test_evaluate_matches_per_call_exp_reference(array_name, snapshots, sin_elev
     ("single_panel", "random"), ("tabulated", "hybrid")])
 def test_swap_sums_carried_along_a_chain_match_evaluate(array_name, scheme,
                                                          snapshots, sin_elevation):
-    # every step is taken, as if accepted, so the sums carry 200 deltas; they
-    # stay equal, integer for integer, to a fresh sample_sums, and so score
-    # equal to evaluate
+    # every step is taken, as if accepted, so the sums carry 200 deltas and
+    # the contributions 200 partial rescorings; they stay equal, integer for
+    # integer and bit for bit, to a fresh sample_sums and its contributions,
+    # and so the proposal's f_P equal to evaluate
     arr = DIFFERENTIAL_ARRAYS[array_name]()
     cfg = ObjectiveConfig(power=6, samples=256, seed=5, sin_elevation=sin_elevation)
     ev = ObjectiveEvaluator(arr, Region.default_for(1e-4), cfg, 1e-4, snapshots)
@@ -252,13 +253,16 @@ def test_swap_sums_carried_along_a_chain_match_evaluate(array_name, scheme,
     sets = swap_sets(seq.num_elements, seq.partition)
     sums = ev.sample_sums(seq)
     assert sums.dtype == np.int64 and sums.shape == (2, cfg.samples)
-    assert ev.score(sums) == ev.evaluate(seq)
+    contributions = ev.contributions(sums)
+    assert ev.total(contributions) == ev.evaluate(seq)
     for k in range(200):
         a, b = draw_swap(sets, k, rng)
-        sums = ev.swap_sums(sums, seq.order, a, b)
+        sums, contributions, f = ev.propose(sums, contributions, seq.order, a, b)
         seq = swapped(seq, a, b)
         assert np.array_equal(sums, ev.sample_sums(seq)), k
-        assert ev.score(sums) == ev.evaluate(seq), k
+        assert np.array_equal(bits(contributions),
+                              bits(ev.contributions(ev.sample_sums(seq)))), k
+        assert f == ev.evaluate(seq), k
 
 
 def reference_cross(ev):
@@ -453,7 +457,7 @@ TIGHT_REGION = Region(azimuth=(0.3, 0.3 + 1e-9), elevation=(1.2, 1.2 + 1e-9),
                          ids=["default", "tight"])
 @pytest.mark.parametrize("array_name", sorted(DIFFERENTIAL_ARRAYS))
 def test_fixed_point_sums_within_overflow_bound(array_name, region, snapshots):
-    # sum_m |term| bounds every partial sum of sample_sums and swap_sums; it
+    # sum_m |term| bounds every partial sum of sample_sums and propose; it
     # is 2**61 sum_m |cross[m, n]| <= 2**61 by Cauchy-Schwarz, plus 1/2 per
     # rounded term and a few ulps of 2**61 from the floating-point build
     arr = DIFFERENTIAL_ARRAYS[array_name]()

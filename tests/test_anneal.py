@@ -186,7 +186,7 @@ class Exploding:
 def test_objective_failure_carries_partial_trace():
     arr, region, cfg = small_setup()
     for fail_after in (4, 12):
-        ev = Exploding(ObjectiveEvaluator(arr, region, cfg, DT, 1), "swap_sums",
+        ev = Exploding(ObjectiveEvaluator(arr, region, cfg, DT, 1), "propose",
                        fail_after=fail_after)
         rng = np.random.default_rng(9)
         init = random_init(8, DT, 1, rng)
@@ -239,7 +239,7 @@ def test_zero_initial_objective_is_an_anneal_error():
     # a zero objective leaves no automatic t0: a numeric failure (CLI exit
     # 3), not a bad argument
     class Zero(ObjectiveEvaluator):
-        def score(self, sums):
+        def total(self, contributions):
             return 0.0
 
     arr, region, cfg = small_setup()

@@ -855,6 +855,36 @@ def test_unusable_output_directory_exits_2(tmp_path, capsys):
         assert error["message"].startswith(source + ":")
 
 
+def one_element_panels():
+    cfg = octagon_config()
+    cfg["array"].update(rows=1, cols=1)
+    del cfg["anneal"]  # compare anneals both schemes without the section
+    return cfg
+
+
+def readme_without_anneal():
+    cfg = readme_config()
+    del cfg["anneal"]
+    return cfg
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("optimize", readme_without_anneal()), ("crlb", octagon_config()),
+    ("compare", one_element_panels())], ids=["optimize", "crlb", "compare"])
+def test_command_refused_after_load_leaves_no_directory(tmp_path, capsys,
+                                                        command, cfg):
+    # a directory main made is removed with its made parents, one that
+    # existed before is kept
+    config = write_config(tmp_path, cfg)
+    out = tmp_path / "made" / "out"
+    assert main([command, "--config", config, "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "config"
+    assert not (tmp_path / "made").exists()
+    out.mkdir(parents=True)
+    assert main([command, "--config", config, "--out", str(out)]) == 2
+    assert out.is_dir() and not any(out.iterdir())
+
+
 @pytest.mark.parametrize("command, artifact", [
     ("optimize", "sequence.json"), ("ambiguity", "surface.csv"),
     ("crlb", "crlb_report.json"), ("compare", "surface_sequential.csv"),
