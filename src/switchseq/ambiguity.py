@@ -39,7 +39,8 @@ floats, but formats the dB values a block of cells at a time with
 _repr_words, an exact array formatter: it gives repr's shortest digits by
 integer and floating-point arithmetic (Dekker's two-product, Clinger's fast
 path) and leaves to repr the few values it does not cover. The tests hold
-it to repr on millions of doubles.
+it to repr on millions of doubles. save_surface_sidecar writes the CSV's
+JSON sidecar: the axes, the reference, then the metadata given.
 """
 
 from __future__ import annotations
@@ -285,10 +286,6 @@ class ObjectiveEvaluator:
             power += mag2.sum(axis=1)
             del mag2, arg
         del du
-        # runs of consecutive elements that share a pattern's live index
-        starts = [e for e in range(m) if e == 0 or self.live[e] is not self.live[e - 1]]
-        self._runs = [(self.live[lo], range(lo, hi))
-                      for lo, hi in zip(starts, starts[1:] + [m])]
         ok = (power > 0.0).all(axis=0)
         self.degenerate_count = int(n - ok.sum())
         # normalised and scaled to units of 2**-FIXED_BITS; zero where a
@@ -318,15 +315,11 @@ class ObjectiveEvaluator:
             raise ValueError("sequence does not match the evaluator's array")
         if seq.delta_t != self.delta_t or seq.snapshots != self.snapshots:
             raise ValueError("sequence timing does not match the evaluator")
-        # the terms of a run of elements that share a live index add into
-        # one buffer, scattered into the sums once per run
         sums = np.zeros((2, self.config.samples), dtype=np.int64)
-        slots = seq.slot_of().tolist()
-        for live, elements in self._runs:
-            total = self.term(elements[0], slots[elements[0]])
-            for element in elements[1:]:
-                total += self.term(element, slots[element])
-            sums[:, live] += total
+        for element, slot in enumerate(seq.slot_of().tolist()):
+            live, term = self.live[element], self.term(element, slot)
+            sums[0][live] += term[0]
+            sums[1][live] += term[1]
         return sums
 
     def term(self, element: int, slot: int) -> np.ndarray:
@@ -617,10 +610,8 @@ def _csv_words(values: np.ndarray) -> np.ndarray:
     return text.astype(f"S{4 * width}").view(np.uint32).reshape(-1, width).T.copy()
 
 
-def save_surface_csv(surface: AmbiguitySurface, path: str | Path,
-                     metadata: dict | None = None) -> None:
-    """Write the surface in dB as long-format CSV plus a JSON sidecar."""
-    path = Path(path)
+def save_surface_csv(surface: AmbiguitySurface, path: str | Path) -> None:
+    """Write the surface in dB as long-format CSV."""
     # the bytes csv.writer gives for repr'd floats (never quoted), built a
     # block of cells at a time as a NUL-padded word grid, one line a column:
     # the Doppler, the angle, the value and CRLF; the NULs are then deleted
@@ -642,6 +633,12 @@ def save_surface_csv(surface: AmbiguitySurface, path: str | Path,
                 block[wd:wd + wa].reshape(wa, *mag.shape)[...] = angles[:, r:r + rows, None]
                 _repr_words(to_db(mag).ravel(), block[wd + wa:-1])
                 fh.write(block.T.tobytes().translate(None, b"\0"))
+
+
+def save_surface_sidecar(surface: AmbiguitySurface, path: str | Path,
+                         **metadata) -> None:
+    """Write the JSON sidecar of a surface's CSV: its axes and reference,
+    then the metadata."""
     sidecar = {
         "angle_axis": surface.angle_axis,
         "angle_offset_deg": [float(x) for x in surface.angle_offset_deg],
@@ -651,9 +648,6 @@ def save_surface_csv(surface: AmbiguitySurface, path: str | Path,
             "rx_elevation_rad": surface.reference.rx_elevation,
             "doppler_hz": surface.reference.doppler_hz,
         },
+        **metadata,
     }
-    if metadata:
-        sidecar.update(metadata)
-    path.with_suffix(path.suffix + ".meta.json").write_text(
-        json.dumps(sidecar, indent=2) + "\n"
-    )
+    Path(path).write_text(json.dumps(sidecar, indent=2) + "\n")

@@ -132,16 +132,24 @@ class TabulatedPattern:
         ta = (az - az_ext[ia]) / (az_ext[ia + 1] - az_ext[ia])
         denom = self.elevation_grid[ie + 1] - self.elevation_grid[ie]
         te = (el - self.elevation_grid[ie]) / denom
-        g00 = g_ext[ia, ie]
-        g10 = g_ext[ia + 1, ie]
-        g01 = g_ext[ia, ie + 1]
-        g11 = g_ext[ia + 1, ie + 1]
-        return (
-            g00 * (1 - ta) * (1 - te)
-            + g10 * ta * (1 - te)
-            + g01 * (1 - ta) * te
-            + g11 * ta * te
-        )
+        cols = g_ext.shape[1]
+        flat = ia * cols + ie  # of g00 in the raveled table
+        del az, el, ia, ie
+        ua, ue = 1 - ta, 1 - te
+
+        def corner(offset, wa, we):
+            term = g_ext.take(flat + offset)
+            term *= wa
+            term *= we
+            return term
+
+        # g00 ua ue + g10 ta ue + g01 ua te + g11 ta te, each product and
+        # add in that order, in place: one term is held beside the sum
+        out = corner(0, ua, ue)
+        out += corner(cols, ta, ue)
+        out += corner(1, ua, te)
+        out += corner(cols + 1, ta, te)
+        return out
 
 
 ElementPattern = OmniPattern | PatchPattern | TabulatedPattern

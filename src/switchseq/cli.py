@@ -1,10 +1,13 @@
 """Command-line experiment runner.
 
 Subcommands: optimize, ambiguity, crlb, compare, effective-factor. Each
-cmd_* returns the files it wrote; main times it and writes a manifest with
-the config as given, its hash, library versions, the OpenBLAS thread count
-asked for, wall time and those files, so an output directory is sufficient
-to reproduce itself.
+cmd_* computes, prints one summary line and returns its artifacts by file
+name, each a JSON document or a writer called with the file's path. Only
+then does main make the output directory and write them, in that order,
+and last a manifest with the config as given, its hash, library versions,
+the OpenBLAS thread count asked for, wall time and those files, so an
+output directory is sufficient to reproduce itself. A run that fails
+before that point leaves no directory.
 
 Exit codes: 0 success, 2 configuration or output error, 3 numeric failure.
 """
@@ -12,6 +15,7 @@ Exit codes: 0 success, 2 configuration or output error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -22,7 +26,7 @@ import numpy as np
 
 from . import BLAS_THREADS, __version__
 from .ambiguity import (DegenerateDirectionError, ambiguity_surface,
-                        save_surface_csv)
+                        save_surface_csv, save_surface_sidecar)
 from .analysis import GridTooNarrowError
 from .anneal import AnnealError, save_trace_csv
 from .arrays import effective_elements
@@ -41,11 +45,10 @@ NUMERIC_ERRORS = (DegenerateDirectionError, EndfireSingularityError,
                   ArithmeticError)
 
 
-def _write_manifest(out_dir: Path, command: str, config: ExperimentConfig,
-                    seed: int, wall_time_s: float,
-                    outputs: list[str]) -> None:
+def _manifest(command: str, config: ExperimentConfig, seed: int,
+              wall_time_s: float, outputs: list[str]) -> dict:
     canonical = json.dumps(config.raw, sort_keys=True).encode()
-    manifest = {
+    return {
         "command": command,
         "package_version": __version__,
         "python_version": sys.version.split()[0],
@@ -57,19 +60,24 @@ def _write_manifest(out_dir: Path, command: str, config: ExperimentConfig,
         "wall_time_s": wall_time_s,
         "outputs": outputs,
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def cmd_optimize(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str]:
+def _write(path: Path, artifact) -> None:
+    """Write a JSON document, or call a writer with the path."""
+    if callable(artifact):
+        artifact(path)
+    else:
+        path.write_text(json.dumps(artifact, indent=2) + "\n")
+
+
+def cmd_optimize(config: ExperimentConfig, seed: int) -> dict:
     if config.anneal_spec is None:
         raise ConfigError("config.anneal: section required for this command")
     evaluator = config.evaluator()
     final, trace = config.anneal_scheme(config.anneal_spec["scheme"], evaluator,
                                         np.random.default_rng(seed))
-
-    final.save(out_dir / "sequence.json")
-    trace.best_sequence.save(out_dir / "best_sequence.json")
-    save_trace_csv(trace, out_dir / "trace.csv")
+    print(f"final objective {trace.final_objective:.6g} "
+          f"(best {trace.best_objective:.6g} at k={trace.best_k})")
     summary = {
         "initial_objective": trace.initial_objective,
         "final_objective": trace.final_objective,
@@ -80,14 +88,14 @@ def cmd_optimize(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str
         "iterations": len(trace.records),
         **evaluator_counts(evaluator),
     }
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    print(f"final objective {trace.final_objective:.6g} "
-          f"(best {trace.best_objective:.6g} at k={trace.best_k})")
-    return ["sequence.json", "best_sequence.json", "trace.csv", "summary.json"]
+    return {"sequence.json": final.save,
+            "best_sequence.json": trace.best_sequence.save,
+            "trace.csv": functools.partial(save_trace_csv, trace),
+            "summary.json": summary}
 
 
-def cmd_ambiguity(config: ExperimentConfig, out_dir: Path, seed: int,
-                  sequence_file: str | None = None) -> list[str]:
+def cmd_ambiguity(config: ExperimentConfig, seed: int,
+                  sequence_file: str | None = None) -> dict:
     array = config.array
     doppler, angles, axis = config.sweep
     if sequence_file is not None:
@@ -114,14 +122,14 @@ def cmd_ambiguity(config: ExperimentConfig, out_dir: Path, seed: int,
         seq_hash = None
 
     surface = ambiguity_surface(array, seq, config.reference, doppler, angles, axis)
-    save_surface_csv(surface, out_dir / "surface.csv",
-                     metadata={"seed": seed, "sequence_sha256": seq_hash})
     print(f"surface {surface.magnitude.shape[0]}x{surface.magnitude.shape[1]} "
-          f"written to {out_dir / 'surface.csv'}")
-    return ["surface.csv", "surface.csv.meta.json"]
+          "written to surface.csv")
+    return {"surface.csv": functools.partial(save_surface_csv, surface),
+            "surface.csv.meta.json": functools.partial(
+                save_surface_sidecar, surface, seed=seed, sequence_sha256=seq_hash)}
 
 
-def cmd_crlb(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str]:
+def cmd_crlb(config: ExperimentConfig, seed: int) -> dict:
     if config.array_spec["kind"] != "ula":
         raise ConfigError("config.array.kind: crlb closed forms are derived for "
                           "the omni ULA; use an array of kind 'ula'")
@@ -172,33 +180,27 @@ def cmd_crlb(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str]:
             "within_1pct": bool(err_phi < 0.01 and err_nu < 0.01),
         },
     }
-    (out_dir / "crlb_report.json").write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report["agreement"], indent=2))
-    return ["crlb_report.json"]
+    return {"crlb_report.json": report}
 
 
-def cmd_compare(config: ExperimentConfig, out_dir: Path, seed: int) -> list[str]:
+def cmd_compare(config: ExperimentConfig, seed: int) -> dict:
     doc, surfaces, sequences, traces = config.compare(seed)
-    outputs = []
-    for name, surface in surfaces.items():
-        fname = f"surface_{name}.csv"
-        save_surface_csv(surface, out_dir / fname, metadata={"seed": seed})
-        outputs.extend([fname, fname + ".meta.json"])
-    for scheme, trace in traces.items():  # random, then hybrid
-        sequences[scheme].save(out_dir / f"sequence_{scheme}.json")
-        save_trace_csv(trace, out_dir / f"trace_{scheme}.csv")
-    outputs += [f"sequence_{scheme}.json" for scheme in traces]
-    outputs += [f"trace_{scheme}.csv" for scheme in traces]
-
-    (out_dir / "comparison.json").write_text(json.dumps(doc, indent=2) + "\n")
-    outputs.append("comparison.json")
     print(f"broadening ratio {doc['broadening_ratio']:.3f} "
           f"(1/effective factor {doc['inverse_effective_factor']:.3f})")
-    return outputs
+    artifacts = {}
+    for name, surface in surfaces.items():
+        artifacts[f"surface_{name}.csv"] = functools.partial(save_surface_csv, surface)
+        artifacts[f"surface_{name}.csv.meta.json"] = functools.partial(
+            save_surface_sidecar, surface, seed=seed)
+    # the traces' order, random then hybrid, is the files' order
+    artifacts |= {f"sequence_{s}.json": sequences[s].save for s in traces}
+    artifacts |= {f"trace_{s}.csv": functools.partial(save_trace_csv, trace)
+                  for s, trace in traces.items()}
+    return artifacts | {"comparison.json": doc}
 
 
-def cmd_effective_factor(config: ExperimentConfig, out_dir: Path,
-                         seed: int) -> list[str]:
+def cmd_effective_factor(config: ExperimentConfig, seed: int) -> dict:
     array = config.array
     idx = effective_elements(array, config.reference, config.effective_threshold_db)
     report = {
@@ -210,10 +212,9 @@ def cmd_effective_factor(config: ExperimentConfig, out_dir: Path,
         "effective_factor": idx.size / array.num_elements,
         "indices": idx.tolist(),
     }
-    (out_dir / "effective_factor.json").write_text(json.dumps(report, indent=2) + "\n")
     print(f"effective factor {report['effective_factor']:.4f} "
           f"({idx.size}/{array.num_elements})")
-    return ["effective_factor.json"]
+    return {"effective_factor.json": report}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,16 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _remove_empty(dirs: list[Path]) -> None:
-    """Remove the directories, deepest first, up to the first that is not
-    empty, so that a command that fails leaves no empty directory it made."""
-    for d in dirs:
-        try:
-            d.rmdir()
-        except OSError:
-            return
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -262,19 +253,18 @@ def main(argv=None) -> int:
                    "crlb": cmd_crlb, "compare": cmd_compare,
                    "effective-factor": cmd_effective_factor}[args.command]
         extra = [args.sequence] if args.command == "ambiguity" else []
-        made = []  # the directories mkdir makes, deepest first
+        start = time.perf_counter()
+        artifacts = command(config, seed, *extra)
         try:  # the output directory, a command's files or the manifest
-            made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
             out_dir.mkdir(parents=True, exist_ok=True)
-            start = time.perf_counter()
-            outputs = command(config, out_dir, seed, *extra)
-            _write_manifest(out_dir, args.command, config, seed,
-                            time.perf_counter() - start, outputs)
+            for name, artifact in artifacts.items():
+                _write(out_dir / name, artifact)
+            _write(out_dir / "manifest.json",
+                   _manifest(args.command, config, seed,
+                             time.perf_counter() - start, list(artifacts)))
         except OSError as exc:
             source = "--out" if args.out else "config.output_dir"
             raise ConfigError(f"{source}: {exc}") from exc
-        finally:  # a run has written its manifest, so no directory it made is empty
-            _remove_empty(made)
         return 0
     except ConfigError as exc:
         print(json.dumps({"error": {"type": "config", "message": str(exc)}}),

@@ -113,7 +113,7 @@ class SwitchingSequence:
             order=tuple(order),
             delta_t=d["delta_t_s"],
             snapshots=d.get("snapshots", 1),
-            partition=tuple(tuple(s) for s in partition) if partition else None,
+            partition=None if partition is None else tuple(map(tuple, partition)),
         )
 
     def save(self, path: str | Path) -> None:

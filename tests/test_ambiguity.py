@@ -16,8 +16,8 @@ from switchseq import (AmbiguitySurface, AnnealConfig, ArrayModel,
                        sequential)
 from switchseq.ambiguity import (_BLOCK_ENTRIES, _CSV_CELLS, FIXED_BITS,
                                  SWEEP_COLUMNS, normalized_correlation,
-                                 save_surface_csv, snapshot_gain, sobol_points,
-                                 sweep_directions)
+                                 save_surface_csv, save_surface_sidecar,
+                                 snapshot_gain, sobol_points, sweep_directions)
 from switchseq.arrays import steering_matrix, unit_vectors
 from switchseq.signal import basis
 from switchseq.switching import draw_swap, swap_sets
@@ -738,7 +738,8 @@ def test_surface_csv_export(tmp_path):
     ang = np.arange(-10.0, 10.5, 5.0)
     surf = ambiguity_surface(arr, seq, BROADSIDE, dop, ang, "aoa")
     out = tmp_path / "surface.csv"
-    save_surface_csv(surf, out, metadata={"note": "test"})
+    save_surface_csv(surf, out)
+    save_surface_sidecar(surf, tmp_path / "surface.csv.meta.json", note="test")
     with open(out) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["delta_doppler_hz", "angle_deg", "magnitude_db"]

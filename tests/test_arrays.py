@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from switchseq import (ArrayModel, OmniPattern, PatchPattern, StructuralParams,
                        TabulatedPattern, effective_elements, make_octagonal,
@@ -209,6 +211,70 @@ def test_tabulated_pattern_bilinear_interpolation():
     assert abs(pat.gain(mid_a, mid_e) - fn(mid_a, mid_e)) < 2e-2
     # azimuth wraps periodically
     assert pat.gain(az[0] + 2 * math.pi, el[3]) == pytest.approx(table[0, 3])
+
+
+def expression_gain(pat, azimuth, elevation):
+    """TabulatedPattern.gain as one expression of the four corner terms:
+    the reference for the in-place sum."""
+    az_ext, g_ext, el_grid = pat._az_ext, pat._g_ext, pat.elevation_grid
+    az = az_ext[0] + np.mod(np.asarray(azimuth, dtype=float) - az_ext[0],
+                            2 * math.pi)
+    el = np.clip(np.asarray(elevation, dtype=float), el_grid[0], el_grid[-1])
+    ia = np.clip(np.searchsorted(az_ext, az, side="right") - 1, 0, az_ext.size - 2)
+    ie = np.clip(np.searchsorted(el_grid, el, side="right") - 1, 0, el_grid.size - 2)
+    ta = (az - az_ext[ia]) / (az_ext[ia + 1] - az_ext[ia])
+    te = (el - el_grid[ie]) / (el_grid[ie + 1] - el_grid[ie])
+    return (g_ext[ia, ie] * (1 - ta) * (1 - te) + g_ext[ia + 1, ie] * ta * (1 - te)
+            + g_ext[ia, ie + 1] * (1 - ta) * te + g_ext[ia + 1, ie + 1] * ta * te)
+
+
+def random_table(rng, n_az, n_el):
+    """Grids strictly inside their ranges and gains with some zeros of
+    either sign, in either part."""
+    az = np.sort(rng.choice(np.linspace(0.0, 2 * math.pi, 720, endpoint=False),
+                            n_az, replace=False))
+    el = np.sort(rng.choice(np.linspace(0.0, math.pi, 361), n_el, replace=False))
+    gains = rng.normal(size=(n_az, n_el)) + 1j * rng.normal(size=(n_az, n_el))
+    zero = rng.random(gains.shape) < 0.3
+    gains.real[zero] = rng.choice([0.0, -0.0], zero.sum())
+    zero = rng.random(gains.shape) < 0.3
+    gains.imag[zero] = rng.choice([0.0, -0.0], zero.sum())
+    return TabulatedPattern(az, el, gains)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_az=st.integers(1, 12), n_el=st.integers(2, 8),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_tabulated_gain_has_the_bits_of_the_expression(n_az, n_el, seed):
+    # random queries, every grid node, and the nodes one turn either way
+    rng = np.random.default_rng(seed)
+    pat = random_table(rng, n_az, n_el)
+    nodes_az, nodes_el = (g.ravel() for g in np.meshgrid(pat.azimuth_grid,
+                                                         pat.elevation_grid))
+    azimuth = np.concatenate([rng.uniform(-20.0, 20.0, 500), nodes_az,
+                              nodes_az - 2 * math.pi, nodes_az + 2 * math.pi])
+    elevation = np.concatenate([
+        rng.uniform(pat.elevation_grid[0], pat.elevation_grid[-1], 500),
+        nodes_el, nodes_el, nodes_el])
+    got = pat.gain(azimuth, elevation)
+    assert np.array_equal(got.view(np.uint64),
+                          expression_gain(pat, azimuth, elevation).view(np.uint64))
+
+
+def test_tabulated_gain_holds_few_sample_sized_arrays():
+    # the sum is formed in place: one term beside it, not the ten arrays
+    # of the expression (10.5 times the result on this call)
+    rng = np.random.default_rng(1)
+    pat = random_table(rng, 36, 19)
+    azimuth = rng.uniform(-10.0, 10.0, 2 ** 14)
+    elevation = rng.uniform(pat.elevation_grid[0], pat.elevation_grid[-1], 2 ** 14)
+    tracemalloc.start()
+    try:
+        result = pat.gain(azimuth, elevation)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * result.nbytes, peak / result.nbytes
 
 
 def test_tabulated_pattern_is_periodic_from_its_first_azimuth():

@@ -791,6 +791,8 @@ SEQUENCE_8 = {"M": 8, "delta_t_s": 1e-3, "snapshots": 1, "order": list(range(8))
     json.dumps(dict(SEQUENCE_8, order=[0, 0, 1, 2, 3, 4, 5, 6])),
     json.dumps(dict(SEQUENCE_8, delta_t_s="x")),
     json.dumps(dict(SEQUENCE_8, partition=[[0, 2], [1, 3, 4, 5, 6, 7]])),
+    # a falsy partition is a bad partition, not a random-scheme sequence
+    *(json.dumps(dict(SEQUENCE_8, partition=p)) for p in ([], 0, False, "")),
     json.dumps(dict(SEQUENCE_8, delta_t_s=float("inf"))),
     "[" * 100000 + "]" * 100000,
     # a fraction or a boolean is refused, not truncated to an integer
@@ -807,7 +809,9 @@ SEQUENCE_8 = {"M": 8, "delta_t_s": 1e-3, "snapshots": 1, "order": list(range(8))
     # json would keep the later order, the reverse of the first
     json.dumps(SEQUENCE_8)[:-1] + ', "order": [7, 6, 5, 4, 3, 2, 1, 0]}',
 ], ids=["not-json", "no-order", "top-level-list", "not-permutation",
-        "delta-t-string", "partition-not-contiguous", "delta-t-infinity",
+        "delta-t-string", "partition-not-contiguous", "partition-empty-list",
+        "partition-zero", "partition-false", "partition-empty-string",
+        "delta-t-infinity",
         "nested-past-recursion-limit", "order-fraction", "snapshots-fraction",
         "snapshots-true", "timing-differs-from-config", "delta-t-overflow",
         "snapshots-over-budget", "order-empty", "repeated-key"])
@@ -868,21 +872,28 @@ def readme_without_anneal():
     return cfg
 
 
-@pytest.mark.parametrize("command, cfg", [
-    ("optimize", readme_without_anneal()), ("crlb", octagon_config()),
-    ("compare", one_element_panels())], ids=["optimize", "crlb", "compare"])
+@pytest.mark.parametrize("command, cfg, code, error_type", [
+    ("optimize", readme_without_anneal(), 2, "config"),
+    ("crlb", octagon_config(), 2, "config"),
+    ("compare", one_element_panels(), 2, "config"),
+    ("compare", octagon_config(sweep={"angle_span_deg": 0.5}), 3,
+     "GridTooNarrowError")],
+    ids=["optimize", "crlb", "compare", "compare-numeric"])
 def test_command_refused_after_load_leaves_no_directory(tmp_path, capsys,
-                                                        command, cfg):
-    # a directory main made is removed with its made parents, one that
-    # existed before is kept
+                                                        command, cfg, code,
+                                                        error_type):
+    # main makes the directory only once the command has its artifacts, so
+    # a refused or failing run makes none, and one that existed is untouched
     config = write_config(tmp_path, cfg)
     out = tmp_path / "made" / "out"
-    assert main([command, "--config", config, "--out", str(out)]) == 2
-    assert json.loads(capsys.readouterr().err)["error"]["type"] == "config"
+    assert main([command, "--config", config, "--out", str(out)]) == code
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == error_type
     assert not (tmp_path / "made").exists()
     out.mkdir(parents=True)
-    assert main([command, "--config", config, "--out", str(out)]) == 2
-    assert out.is_dir() and not any(out.iterdir())
+    (out / "kept.txt").write_text("kept")
+    assert main([command, "--config", config, "--out", str(out)]) == code
+    assert [p.name for p in out.iterdir()] == ["kept.txt"]
+    assert (out / "kept.txt").read_text() == "kept"
 
 
 @pytest.mark.parametrize("command, artifact", [
@@ -1196,6 +1207,20 @@ def test_effective_factor_cmd(tmp_path):
 # ---- manifest ----------------------------------------------------------
 
 
+# each command's files, in the order it writes them
+OUTPUTS = {
+    "optimize": ["sequence.json", "best_sequence.json", "trace.csv", "summary.json"],
+    "ambiguity": ["surface.csv", "surface.csv.meta.json"],
+    "crlb": ["crlb_report.json"],
+    "compare": [f"surface_{name}.csv{suffix}"
+                for name in ("sequential", "random", "hybrid")
+                for suffix in ("", ".meta.json")]
+               + ["sequence_random.json", "sequence_hybrid.json",
+                  "trace_random.csv", "trace_hybrid.csv", "comparison.json"],
+    "effective-factor": ["effective_factor.json"],
+}
+
+
 @pytest.mark.parametrize("command, doc", [
     ("optimize", small_sweep_config(ula_config)),
     ("ambiguity", ula_config()),
@@ -1212,5 +1237,6 @@ def test_manifest_lists_every_file_the_command_wrote(tmp_path, command, doc):
     # conftest imports numpy before switchseq, so the count is unknown here;
     # known counts are checked in test_artifacts_do_not_depend_on_blas_threads
     assert manifest["openblas_num_threads"] is None
-    written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
-    assert sorted(manifest["outputs"]) == written
+    assert manifest["outputs"] == OUTPUTS[command]
+    written = {p.name for p in out.iterdir() if p.name != "manifest.json"}
+    assert written == set(OUTPUTS[command])

@@ -240,6 +240,17 @@ def test_from_dict_checks_m_field():
                                      "snapshots": 1, "order": [0, 1]})
 
 
+@pytest.mark.parametrize("partition, error", [
+    ([], ValueError), ("", ValueError), (0, TypeError), (False, TypeError)],
+    ids=["empty-list", "empty-string", "zero", "false"])
+def test_from_dict_refuses_a_falsy_partition(partition, error):
+    # only a missing or null partition makes a random-scheme sequence
+    doc = {"M": 3, "delta_t_s": 1e-3, "order": [2, 0, 1]}
+    assert SwitchingSequence.from_dict(dict(doc, partition=None)).partition is None
+    with pytest.raises(error):
+        SwitchingSequence.from_dict(dict(doc, partition=partition))
+
+
 def test_sequence_refuses_fractions_and_booleans():
     # an index is taken as it is, never truncated; numpy integers pass
     doc = {"M": 3, "delta_t_s": 1e-3, "snapshots": 2, "order": [2, 0, 1],
