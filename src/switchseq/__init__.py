@@ -45,10 +45,10 @@ else:
 
 from .ambiguity import (AmbiguitySurface, DegenerateDirectionError,
                         ObjectiveConfig, ObjectiveEvaluator, Region,
-                        ambiguity_surface, ambiguity_value)
-from .analysis import (AliasPeak, GridTooNarrowError, WidthReport, alias_scan,
-                       block_aperture_ratio, compare_schemes, effective_factor,
-                       half_power_width, peak_sidelobe)
+                        ambiguity_surface)
+from .analysis import (GridTooNarrowError, WidthReport, block_aperture_ratio,
+                       compare_schemes, effective_factor, half_power_width,
+                       peak_sidelobe)
 from .anneal import (AnnealConfig, AnnealError, AnnealRecord, AnnealTrace,
                      anneal, temperature_schedule)
 from .arrays import (ArrayModel, OmniPattern, PatchPattern, TabulatedPattern,

@@ -39,14 +39,13 @@ floats, but formats the dB values a block of cells at a time with
 _repr_words, an exact array formatter: it gives repr's shortest digits by
 integer and floating-point arithmetic (Dekker's two-product, Clinger's fast
 path) and leaves to repr the few values it does not cover. The tests hold
-it to repr on millions of doubles. save_surface_sidecar writes the CSV's
-JSON sidecar: the axes, the reference, then the metadata given.
+it to repr on millions of doubles. surface_sidecar gives the CSV's JSON
+sidecar: the axes, the reference, then the metadata given.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -103,21 +102,6 @@ class ObjectiveConfig:
             raise ValueError("samples must be >= 1")
         if self.samples > 2 ** SOBOL_BITS:
             raise ValueError(f"samples must be <= 2**{SOBOL_BITS}, the Sobol period")
-
-
-def normalized_correlation(b1: np.ndarray, b2: np.ndarray) -> complex:
-    """b1^H b2 / (||b1|| ||b2||); raises on a zero-norm input."""
-    n1 = np.linalg.norm(b1)
-    n2 = np.linalg.norm(b2)
-    if n1 == 0.0 or n2 == 0.0:
-        raise DegenerateDirectionError("basis vector has zero norm")
-    return complex(np.vdot(b1, b2) / (n1 * n2))
-
-
-def ambiguity_value(array: ArrayModel, seq: SwitchingSequence,
-                    mu: StructuralParams, mu_prime: StructuralParams) -> complex:
-    """Normalized inner product of the two basis vectors; |result| <= 1."""
-    return normalized_correlation(basis(array, seq, mu), basis(array, seq, mu_prime))
 
 
 SOBOL_BITS = 30
@@ -194,7 +178,6 @@ class ObjectiveEvaluator:
     def __init__(self, array: ArrayModel, region: Region, config: ObjectiveConfig,
                  delta_t: float, snapshots: int = 1):
         self.array = array
-        self.region = region
         self.config = config
         self.delta_t = float(delta_t)
         self.snapshots = int(snapshots)
@@ -635,11 +618,10 @@ def save_surface_csv(surface: AmbiguitySurface, path: str | Path) -> None:
                 fh.write(block.T.tobytes().translate(None, b"\0"))
 
 
-def save_surface_sidecar(surface: AmbiguitySurface, path: str | Path,
-                         **metadata) -> None:
-    """Write the JSON sidecar of a surface's CSV: its axes and reference,
-    then the metadata."""
-    sidecar = {
+def surface_sidecar(surface: AmbiguitySurface, **metadata) -> dict:
+    """The JSON sidecar of a surface's CSV: its axes and reference, then
+    the metadata."""
+    return {
         "angle_axis": surface.angle_axis,
         "angle_offset_deg": [float(x) for x in surface.angle_offset_deg],
         "delta_doppler_hz": [float(x) for x in surface.doppler_hz],
@@ -650,4 +632,3 @@ def save_surface_sidecar(surface: AmbiguitySurface, path: str | Path,
         },
         **metadata,
     }
-    Path(path).write_text(json.dumps(sidecar, indent=2) + "\n")

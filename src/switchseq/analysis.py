@@ -134,13 +134,6 @@ def block_aperture_ratio(array: ArrayModel, mu: StructuralParams,
     return math.sqrt((m * m / 12.0 + repeats) / (var_hyb + repeats))
 
 
-@dataclass(frozen=True)
-class AliasPeak:
-    doppler_hz: float
-    angle_offset_deg: float
-    magnitude: float
-
-
 def _first_null(values: np.ndarray, start: int, step: int) -> int:
     """Index of the first local minimum walking from start in direction step."""
     i = start
@@ -158,7 +151,11 @@ def _max3x3(a: np.ndarray) -> np.ndarray:
 
 
 def _main_lobe(surface: AmbiguitySurface) -> tuple[slice, slice]:
-    """Row and column slices of the main lobe (see alias_scan)."""
+    """Row and column slices of the main lobe: the inter-null rectangle
+    around the self-point, out to the first local minimum along each axis.
+    Not a connected region: under sequential switching the angle-Doppler
+    alias ridge sits at |X| = 1 and touches the main lobe, yet is a
+    sidelobe."""
     mag = surface.magnitude
     peak_a, peak_d = _main_peak(surface)
     row = mag[peak_a, :]
@@ -167,39 +164,12 @@ def _main_lobe(surface: AmbiguitySurface) -> tuple[slice, slice]:
             slice(_first_null(row, peak_d, -1), _first_null(row, peak_d, +1) + 1))
 
 
-def alias_scan(surface: AmbiguitySurface) -> list[AliasPeak]:
-    """Local maxima outside the main lobe, strongest first.
-
-    The main lobe is taken as the inter-null rectangle around the global
-    peak (out to the first local minimum along each axis). A connected-
-    component mask would be wrong here: under sequential switching the
-    angle-Doppler alias ridge sits at |X| = 1 and touches the main lobe, so
-    it must still count as a sidelobe. The first entry (if any) is the PSL.
-    """
-    mag = surface.magnitude
-    main_lobe = np.zeros(mag.shape, dtype=bool)
-    main_lobe[_main_lobe(surface)] = True
-
-    local_max = (mag == _max3x3(mag))
-    candidates = np.argwhere(local_max & ~main_lobe)
-    peaks = [
-        AliasPeak(
-            doppler_hz=float(surface.doppler_hz[d]),
-            angle_offset_deg=float(surface.angle_offset_deg[a]),
-            magnitude=float(mag[a, d]),
-        )
-        for a, d in candidates
-    ]
-    peaks.sort(key=lambda p: p.magnitude, reverse=True)
-    return peaks
-
-
 _SIDELOBE_CELLS = 2 ** 15  # cells per block of rows of peak_sidelobe
 
 
 def peak_sidelobe(surface: AmbiguitySurface) -> float:
-    """alias_scan's first magnitude, or 0.0 if none, found a block of rows
-    at a time without its list."""
+    """The largest |X| at a maximum of its 3x3 neighbourhood outside the
+    main lobe, or 0.0 if none, found a block of rows at a time."""
     mag = surface.magnitude
     lobe_rows, lobe_cols = _main_lobe(surface)
     n = mag.shape[0]

@@ -26,15 +26,14 @@ import numpy as np
 
 from . import BLAS_THREADS, __version__
 from .ambiguity import (DegenerateDirectionError, ambiguity_surface,
-                        save_surface_csv, save_surface_sidecar)
+                        save_surface_csv, surface_sidecar)
 from .analysis import GridTooNarrowError
 from .anneal import AnnealError, save_trace_csv
 from .arrays import effective_elements
-from .config import (ConfigError, ExperimentConfig, check_seed, evaluator_counts,
-                     unique_keys)
+from .config import ConfigError, ExperimentConfig, check_seed, evaluator_counts
 from .crlb import (PARAM_NAMES, EndfireSingularityError, SingularFIMError,
                    UnobservableDopplerError, crlb_aoa, crlb_doppler, fim_numeric)
-from .switching import SwitchingSequence
+from .switching import SwitchingSequence, unique_keys
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -125,8 +124,8 @@ def cmd_ambiguity(config: ExperimentConfig, seed: int,
     print(f"surface {surface.magnitude.shape[0]}x{surface.magnitude.shape[1]} "
           "written to surface.csv")
     return {"surface.csv": functools.partial(save_surface_csv, surface),
-            "surface.csv.meta.json": functools.partial(
-                save_surface_sidecar, surface, seed=seed, sequence_sha256=seq_hash)}
+            "surface.csv.meta.json": surface_sidecar(
+                surface, seed=seed, sequence_sha256=seq_hash)}
 
 
 def cmd_crlb(config: ExperimentConfig, seed: int) -> dict:
@@ -191,8 +190,7 @@ def cmd_compare(config: ExperimentConfig, seed: int) -> dict:
     artifacts = {}
     for name, surface in surfaces.items():
         artifacts[f"surface_{name}.csv"] = functools.partial(save_surface_csv, surface)
-        artifacts[f"surface_{name}.csv.meta.json"] = functools.partial(
-            save_surface_sidecar, surface, seed=seed)
+        artifacts[f"surface_{name}.csv.meta.json"] = surface_sidecar(surface, seed=seed)
     # the traces' order, random then hybrid, is the files' order
     artifacts |= {f"sequence_{s}.json": sequences[s].save for s in traces}
     artifacts |= {f"trace_{s}.csv": functools.partial(save_trace_csv, trace)

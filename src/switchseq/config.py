@@ -27,7 +27,8 @@ from .arrays import (ArrayModel, attach_patterns, load_pattern_file, make_octago
                      make_ula, SPEED_OF_LIGHT)
 from .crlb import ParamVector
 from .signal import StructuralParams
-from .switching import SwitchingSequence, random_init, sequential, swap_sets
+from .switching import (SwitchingSequence, random_init, sequential, swap_sets,
+                        unique_keys)
 
 CONFIG_VERSION = 1
 MEMORY_BUDGET_BYTES = 2 * 2 ** 30  # what a config may ask any stage of a run for
@@ -186,17 +187,6 @@ def check_seed(value, path: str) -> int:
         raise ConfigError(f"{path}: must be a non-negative integer "
                           "(no wall-clock default)")
     return value
-
-
-def unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """A json.loads object_pairs_hook that refuses a key repeated within an
-    object, of which json would keep the last value without a word."""
-    doc = {}
-    for key, value in pairs:
-        if key in doc:
-            raise ValueError(f"repeated key {key!r}")
-        doc[key] = value
-    return doc
 
 
 def _check_scheme(array: ArrayModel, scheme: str, path: str) -> None:

@@ -120,13 +120,6 @@ def signal_mean(array: ArrayModel, seq: SwitchingSequence,
     return params.amplitude * np.exp(1j * params.phase) * basis(array, seq, params)
 
 
-def gain_phase_jacobian(array: ArrayModel, seq: SwitchingSequence,
-                        params: ParamVector) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic d s/d r and d s/d psi, used to cross-check the FD machinery."""
-    s = signal_mean(array, seq, params)
-    return s / params.amplitude, 1j * s
-
-
 # activation instants so large that the eta norm, the Jacobian or the FIM
 # overflow give non-finite values, reported as one error instead of warnings
 @np.errstate(over="ignore", invalid="ignore")

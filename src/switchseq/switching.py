@@ -24,6 +24,17 @@ def _index(value) -> int:
     return operator.index(value)
 
 
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A json.loads object_pairs_hook that refuses a key repeated within an
+    object, of which json would keep the last value without a word."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def check_partition(partition, m: int) -> tuple[tuple[int, ...], ...]:
     """The partition as tuples of indices, which must form disjoint
     contiguous index ranges that cover 0..m-1 (in any order)."""
@@ -121,7 +132,8 @@ class SwitchingSequence:
 
     @classmethod
     def load(cls, path: str | Path) -> "SwitchingSequence":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(json.loads(Path(path).read_text(),
+                                        object_pairs_hook=unique_keys))
 
 
 def sequential(m: int, delta_t: float, snapshots: int = 1,

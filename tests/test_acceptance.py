@@ -13,16 +13,16 @@ import numpy as np
 import pytest
 
 from switchseq import (AnnealConfig, ExperimentConfig, ObjectiveConfig,
-                       ObjectiveEvaluator, Region, StructuralParams, alias_scan, ambiguity_surface,
-                       ambiguity_value, anneal, basis_from_eta, crlb_aoa,
+                       ObjectiveEvaluator, Region, StructuralParams,
+                       ambiguity_surface, anneal, basis_from_eta, crlb_aoa,
                        crlb_doppler, effective_elements, effective_factor,
                        fim_numeric, make_octagonal, make_ula, peak_sidelobe,
                        random_init, sequential, temperature_schedule)
-from switchseq.ambiguity import normalized_correlation
 from switchseq.crlb import ParamVector
 from switchseq.switching import SwitchingSequence
 
 from conftest import balanced_sequence, readme_config
+from oracles import alias_scan, ambiguity_value, normalized_correlation
 
 SEED = 1234  # the README quick-start config seed
 DT = 1e-4

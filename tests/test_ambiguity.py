@@ -1,5 +1,4 @@
 import csv
-import json
 import math
 import tracemalloc
 import warnings
@@ -11,18 +10,17 @@ from switchseq import (AmbiguitySurface, AnnealConfig, ArrayModel,
                        DegenerateDirectionError,
                        ObjectiveConfig, ObjectiveEvaluator, PatchPattern,
                        Region, StructuralParams, TabulatedPattern,
-                       ambiguity_surface, ambiguity_value, anneal,
-                       basis_from_eta, make_octagonal, make_ula, random_init,
-                       sequential)
+                       ambiguity_surface, anneal, basis_from_eta,
+                       make_octagonal, make_ula, random_init, sequential)
 from switchseq.ambiguity import (_BLOCK_ENTRIES, _CSV_CELLS, FIXED_BITS,
-                                 SWEEP_COLUMNS, normalized_correlation,
-                                 save_surface_csv, save_surface_sidecar,
-                                 snapshot_gain, sobol_points, sweep_directions)
+                                 SWEEP_COLUMNS, save_surface_csv, snapshot_gain,
+                                 sobol_points, surface_sidecar, sweep_directions)
 from switchseq.arrays import steering_matrix, unit_vectors
 from switchseq.signal import basis
 from switchseq.switching import draw_swap, swap_sets
 
 from conftest import swapped
+from oracles import ambiguity_value, normalized_correlation
 
 BROADSIDE = StructuralParams(math.pi / 2, math.pi / 2, 0.0)
 
@@ -739,12 +737,11 @@ def test_surface_csv_export(tmp_path):
     surf = ambiguity_surface(arr, seq, BROADSIDE, dop, ang, "aoa")
     out = tmp_path / "surface.csv"
     save_surface_csv(surf, out)
-    save_surface_sidecar(surf, tmp_path / "surface.csv.meta.json", note="test")
     with open(out) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["delta_doppler_hz", "angle_deg", "magnitude_db"]
     assert len(rows) - 1 == dop.size * ang.size
-    meta = json.loads((tmp_path / "surface.csv.meta.json").read_text())
+    meta = surface_sidecar(surf, note="test")
     assert meta["note"] == "test"
     assert meta["angle_axis"] == "aoa"
     assert len(meta["delta_doppler_hz"]) == dop.size

@@ -9,16 +9,17 @@ from scipy import ndimage
 from scipy.optimize import brentq
 
 from switchseq import (AmbiguitySurface, GridTooNarrowError, StructuralParams,
-                       alias_scan, ambiguity_surface, block_aperture_ratio,
-                       compare_schemes, crlb_doppler, effective_elements,
-                       effective_factor, half_power_width, make_octagonal,
-                       make_ula, peak_sidelobe, random_init, sequential)
+                       ambiguity_surface, block_aperture_ratio, compare_schemes,
+                       crlb_doppler, effective_elements, effective_factor,
+                       half_power_width, make_octagonal, make_ula,
+                       peak_sidelobe, random_init, sequential)
 import switchseq.analysis as analysis_module
 from switchseq.ambiguity import to_db
 from switchseq.analysis import _crossing, _max3x3
 from switchseq.config import ExperimentConfig
 
 from conftest import readme_config
+from oracles import alias_scan
 
 BROADSIDE = StructuralParams(math.pi / 2, math.pi / 2, 0.0)
 

@@ -9,9 +9,9 @@ from switchseq import (EndfireSingularityError, ParamVector, SingularFIMError,
                        fim_matrix, fim_numeric, make_ula, random_init,
                        sequential)
 from switchseq.config import ExperimentConfig
-from switchseq.crlb import gain_phase_jacobian
 
 from conftest import balance_score, balanced_sequence, readme_config
+from oracles import gain_phase_jacobian
 
 SIGMA = 0.1
 PARAMS = ParamVector(rx_azimuth=math.pi / 2, rx_elevation=math.pi / 2, doppler_hz=0.0,

@@ -209,6 +209,14 @@ def test_json_roundtrip_bit_exact(tmp_path, rng):
     assert set(doc) == {"M", "delta_t_s", "snapshots", "order", "partition"}
 
 
+def test_load_refuses_a_repeated_key(tmp_path):
+    # json alone would keep the last value without a word
+    path = tmp_path / "seq.json"
+    path.write_text('{"delta_t_s": 1e-3, "order": [0, 1], "order": [1, 0]}')
+    with pytest.raises(ValueError, match="repeated key 'order'"):
+        SwitchingSequence.load(path)
+
+
 def test_sequence_validation():
     with pytest.raises(ValueError):
         SwitchingSequence((0, 0, 1), 1e-3)
