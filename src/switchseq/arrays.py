@@ -311,6 +311,9 @@ def load_pattern_file(path: str | Path) -> dict[tuple[int, str], TabulatedPatter
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ValueError(f"pattern file must have columns {sorted(required)}")
         for row in reader:
+            short = [k for k, v in row.items() if v is None]
+            if short:
+                raise ValueError(f"pattern file line {reader.line_num} has no {short[0]}")
             key = (int(row["element"]), row["pol"].strip().upper())
             if key[1] not in ("V", "H"):
                 raise ValueError(f"pattern pol {row['pol']!r} must be V or H")

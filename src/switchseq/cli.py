@@ -30,10 +30,10 @@ from .ambiguity import (DegenerateDirectionError, ambiguity_surface,
 from .analysis import GridTooNarrowError
 from .anneal import AnnealError, save_trace_csv
 from .arrays import effective_elements
-from .config import ConfigError, ExperimentConfig, check_seed, evaluator_counts
+from .config import ConfigError, ExperimentConfig, check_seed
 from .crlb import (PARAM_NAMES, EndfireSingularityError, SingularFIMError,
                    UnobservableDopplerError, crlb_aoa, crlb_doppler, fim_numeric)
-from .switching import SwitchingSequence, unique_keys
+from .switching import SwitchingSequence
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -72,9 +72,10 @@ def _write(path: Path, artifact) -> None:
 def cmd_optimize(config: ExperimentConfig, seed: int) -> dict:
     if config.anneal_spec is None:
         raise ConfigError("config.anneal: section required for this command")
-    evaluator = config.evaluator()
-    final, trace = config.anneal_scheme(config.anneal_spec["scheme"], evaluator,
-                                        np.random.default_rng(seed))
+    scheme = config.anneal_spec["scheme"]
+    sequences, traces, counts = config.anneal_schemes([scheme],
+                                                      np.random.default_rng(seed))
+    final, trace = sequences[scheme], traces[scheme]
     print(f"final objective {trace.final_objective:.6g} "
           f"(best {trace.best_objective:.6g} at k={trace.best_k})")
     summary = {
@@ -85,7 +86,7 @@ def cmd_optimize(config: ExperimentConfig, seed: int) -> dict:
         "t0": trace.t0,
         "alpha": trace.alpha,
         "iterations": len(trace.records),
-        **evaluator_counts(evaluator),
+        **counts,
     }
     return {"sequence.json": final.save,
             "best_sequence.json": trace.best_sequence.save,
@@ -101,8 +102,7 @@ def cmd_ambiguity(config: ExperimentConfig, seed: int,
         path = Path(sequence_file)
         try:  # the hash is of the bytes parsed
             data = path.read_bytes()
-            seq = SwitchingSequence.from_dict(
-                json.loads(data, object_pairs_hook=unique_keys))
+            seq = SwitchingSequence.from_json(data)
         except (OSError, LookupError, TypeError, ValueError, OverflowError,
                 RecursionError) as exc:
             raise ConfigError(f"--sequence: {path}: {exc!r}") from exc
@@ -138,7 +138,6 @@ def cmd_crlb(config: ExperimentConfig, seed: int) -> dict:
                           "the azimuth is unobservable with fewer")
     seq = config.build_sequence(config.sequence_spec["scheme"],
                                 np.random.default_rng(seed))
-    spec = config.crlb_spec
     params, sigma = config.crlb
     wavelength = array.wavelength
     spacing = config.array_spec["spacing_wavelengths"] * wavelength
@@ -159,16 +158,8 @@ def cmd_crlb(config: ExperimentConfig, seed: int) -> dict:
         err_phi = abs(recip[0] - closed_phi) / closed_phi
         err_nu = abs(recip[1] - closed_nu) / closed_nu
     report = {
-        "params": {
-            "azimuth_deg": spec["azimuth_deg"],
-            "elevation_deg": spec["elevation_deg"],
-            "doppler_hz": spec["doppler_hz"],
-            "amplitude": spec["amplitude"],
-            "phase": spec["phase"],
-            "noise_sigma": sigma,
-            "elements": array.num_elements,
-            "delta_t_s": seq.delta_t,
-        },
+        "params": {**config.crlb_spec, "elements": array.num_elements,
+                   "delta_t_s": seq.delta_t},
         "closed_form": {"var_phi": closed_phi, "var_nu": closed_nu},
         "numeric": {f"var_{n}": v for n, v in numeric.variances.items()},
         "numeric_diagonal": {f"var_{n}": r for n, r in zip(PARAM_NAMES, recip)},

@@ -22,7 +22,7 @@ import numpy as np
 from .ambiguity import (SWEEP_COLUMNS, ObjectiveConfig, ObjectiveEvaluator,
                         Region, sweep_directions)
 from .analysis import compare_schemes
-from .anneal import AnnealConfig, AnnealTrace, anneal
+from .anneal import AnnealConfig, anneal
 from .arrays import (ArrayModel, attach_patterns, load_pattern_file, make_octagonal,
                      make_ula, SPEED_OF_LIGHT)
 from .crlb import ParamVector
@@ -197,13 +197,6 @@ def _check_scheme(array: ArrayModel, scheme: str, path: str) -> None:
         raise ConfigError(f"{path}: hybrid requires a partitioned (octagonal) array")
     _field(path, swap_sets, array.num_elements,
            array.partition if scheme == "hybrid" else None)
-
-
-def evaluator_counts(evaluator: ObjectiveEvaluator) -> dict:
-    """Samples with a direction no element sees, and the share of element x
-    sample steering products the evaluator keeps."""
-    return {"degenerate_samples": evaluator.degenerate_count,
-            "live_fraction": evaluator.live_fraction}
 
 
 @dataclass
@@ -449,17 +442,22 @@ class ExperimentConfig:
         return random_init(m, spec["delta_t_s"], spec["snapshots"], rng,
                            self.array.partition if scheme == "hybrid" else None)
 
-    def evaluator(self) -> ObjectiveEvaluator:
-        """The objective evaluator for the config's sequences."""
+    def anneal_schemes(self, schemes, rng: np.random.Generator
+                       ) -> tuple[dict, dict, dict]:
+        """Each scheme's starting sequence annealed within its partition, in
+        turn from rng, against one objective evaluator dropped on return:
+        the final sequences and traces by scheme, and the evaluator's
+        degenerate_samples (with a direction no element sees) and
+        live_fraction."""
         spec = self.sequence_spec
-        return ObjectiveEvaluator(self.array, self.region, self.objective,
-                                  spec["delta_t_s"], spec["snapshots"])
-
-    def anneal_scheme(self, scheme: str, evaluator: ObjectiveEvaluator,
-                      rng: np.random.Generator
-                      ) -> tuple[SwitchingSequence, AnnealTrace]:
-        """The scheme's starting sequence, annealed within its partition."""
-        return anneal(self.build_sequence(scheme, rng), self.anneal, evaluator, rng)
+        evaluator = ObjectiveEvaluator(self.array, self.region, self.objective,
+                                       spec["delta_t_s"], spec["snapshots"])
+        sequences, traces = {}, {}
+        for scheme in schemes:
+            sequences[scheme], traces[scheme] = anneal(
+                self.build_sequence(scheme, rng), self.anneal, evaluator, rng)
+        return sequences, traces, {"degenerate_samples": evaluator.degenerate_count,
+                                   "live_fraction": evaluator.live_fraction}
 
     def compare(self, seed: int) -> tuple[dict, dict, dict, dict]:
         """The sequential/random/hybrid comparison at seed (the objective's
@@ -469,16 +467,11 @@ class ExperimentConfig:
         and hybrid anneal traces."""
         for scheme in ("random", "hybrid"):
             _check_scheme(self.array, scheme, "compare")
-        evaluator = self.evaluator()
         # one RNG stream, drawn in order: random init and anneal, then hybrid
         rng = np.random.default_rng(seed)
         sequences = {"sequential": self.build_sequence("sequential", rng)}
-        traces = {}
-        for scheme in ("random", "hybrid"):
-            sequences[scheme], traces[scheme] = self.anneal_scheme(
-                scheme, evaluator, rng)
-        counts = evaluator_counts(evaluator)
-        del evaluator  # so the surface sweeps below do not hold it
+        annealed, traces, counts = self.anneal_schemes(("random", "hybrid"), rng)
+        sequences |= annealed
         params, sigma = self.crlb
         document, surfaces = compare_schemes(
             self.array, sequences, self.reference, *self.sweep,

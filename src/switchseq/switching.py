@@ -131,9 +131,12 @@ class SwitchingSequence:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
     @classmethod
+    def from_json(cls, data: bytes) -> "SwitchingSequence":
+        return cls.from_dict(json.loads(data, object_pairs_hook=unique_keys))
+
+    @classmethod
     def load(cls, path: str | Path) -> "SwitchingSequence":
-        return cls.from_dict(json.loads(Path(path).read_text(),
-                                        object_pairs_hook=unique_keys))
+        return cls.from_json(Path(path).read_bytes())
 
 
 def sequential(m: int, delta_t: float, snapshots: int = 1,

@@ -1108,15 +1108,30 @@ def test_compare_seed_override_writes_the_library_comparison(tmp_path):
                    for update, trace in traces.items())
 
 
+def test_optimize_random_writes_compares_random_anneal(tmp_path):
+    # both anneal through one stage on one stream from the seed, and the
+    # sequential sequence compare builds first draws nothing
+    path = write_config(tmp_path, octagon_config(anneal={"scheme": "random",
+                                                         "k_max": 20}))
+    for command in ("optimize", "compare"):
+        assert main([command, "--config", path, "--out",
+                     str(tmp_path / command)]) == 0
+    opt, cmp = tmp_path / "optimize", tmp_path / "compare"
+    assert (opt / "trace.csv").read_bytes() == (cmp / "trace_random.csv").read_bytes()
+    orders = [json.loads(f.read_text())["order"] for f in
+              (opt / "sequence.json", cmp / "sequence_random.json")]
+    assert orders[0] == orders[1]
+
+
 def test_compare_drops_the_evaluator_before_the_surface_sweeps(tmp_path,
                                                               monkeypatch):
     # the anneals' evaluator is not read by compare_schemes, so it must be
     # freed before the three surfaces are swept, not held beside them
     built, alive = [], []
-    make, sweep = ExperimentConfig.evaluator, switchseq.config.compare_schemes
+    make, sweep = switchseq.config.ObjectiveEvaluator, switchseq.config.compare_schemes
 
-    def evaluator(config):
-        made = make(config)
+    def evaluator(*args, **kwargs):
+        made = make(*args, **kwargs)
         built.append(weakref.ref(made))
         return made
 
@@ -1124,7 +1139,7 @@ def test_compare_drops_the_evaluator_before_the_surface_sweeps(tmp_path,
         alive.append([ref() is not None for ref in built])
         return sweep(*args, **kwargs)
 
-    monkeypatch.setattr(ExperimentConfig, "evaluator", evaluator)
+    monkeypatch.setattr(switchseq.config, "ObjectiveEvaluator", evaluator)
     monkeypatch.setattr(switchseq.config, "compare_schemes", compare_schemes)
     assert main(["compare", "--config", write_config(tmp_path, octagon_config()),
                  "--out", str(tmp_path / "cmp")]) == 0
@@ -1133,7 +1148,7 @@ def test_compare_drops_the_evaluator_before_the_surface_sweeps(tmp_path,
 
 @pytest.mark.parametrize("defect", ["nan-gain", "repeated-row", "upper-hemisphere",
                                     "directory", "long-field", "missing-column",
-                                    "missing-element"])
+                                    "missing-element", "short-row"])
 @pytest.mark.parametrize("command", ["optimize", "ambiguity", "compare",
                                      "effective-factor"])
 def test_bad_pattern_file_exits_2_at_load(tmp_path, capsys, command, defect):
@@ -1143,7 +1158,7 @@ def test_bad_pattern_file_exits_2_at_load(tmp_path, capsys, command, defect):
     # objective samples, raises in the gain lookup; a directory or a field
     # over the csv module's 131072-character limit cannot be read; a file
     # without the im column, or without element 15, does not give every
-    # element a complex V gain
+    # element a complex V gain, and neither does a row short of fields
     def table(elevations):
         return ["element,pol,azimuth_deg,elevation_deg,re,im"] + [
             f"{e},V,{a},{el},1.0,0.0" for e in range(16)
@@ -1165,6 +1180,8 @@ def test_bad_pattern_file_exits_2_at_load(tmp_path, capsys, command, defect):
         lines = [line.rsplit(",", 1)[0] for line in lines]
     elif defect == "missing-element":
         lines = [line for line in lines if not line.startswith("15,")]
+    elif defect == "short-row":
+        lines = [lines[0], "0"]
     cfg = octagon_config()
     cfg["array"]["pattern_file"] = str(tmp_path / "bad.csv")
     if defect == "directory":

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import switchseq.config as config_module
+from switchseq.ambiguity import ObjectiveEvaluator
 from switchseq.analysis import compare_schemes
+from switchseq.anneal import anneal
 from switchseq.config import ConfigError, ExperimentConfig
 from switchseq.crlb import fim_numeric
 
@@ -40,7 +42,9 @@ def write_patterns(path, elements):
 
 def run_evaluator(doc):
     config = ExperimentConfig.from_dict(doc)
-    return lambda: config.evaluator()
+    spec = config.sequence_spec
+    return lambda: ObjectiveEvaluator(config.array, config.region, config.objective,
+                                      spec["delta_t_s"], spec["snapshots"])
 
 
 def run_array(doc):
@@ -66,9 +70,11 @@ def run_surfaces(doc):
 
 def run_traces(doc):
     config = ExperimentConfig.from_dict(doc)
-    evaluator, rng = config.evaluator(), np.random.default_rng(0)
-    return lambda: [config.anneal_scheme("random", evaluator, rng)
-                    for _ in range(2)]
+    spec, rng = config.sequence_spec, np.random.default_rng(0)
+    evaluator = ObjectiveEvaluator(config.array, config.region, config.objective,
+                                   spec["delta_t_s"], spec["snapshots"])
+    return lambda: [anneal(config.build_sequence("random", rng), config.anneal,
+                           evaluator, rng) for _ in range(2)]
 
 
 def probes(tmp_path):

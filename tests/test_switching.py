@@ -217,6 +217,14 @@ def test_load_refuses_a_repeated_key(tmp_path):
         SwitchingSequence.load(path)
 
 
+def test_load_reads_a_utf8_file_with_a_bom(tmp_path):
+    # as ambiguity --sequence does: json detects the encoding from the bytes
+    seq = sequential(4, 1e-3)
+    path = tmp_path / "seq.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps(seq.to_dict()).encode())
+    assert SwitchingSequence.load(path) == seq
+
+
 def test_sequence_validation():
     with pytest.raises(ValueError):
         SwitchingSequence((0, 0, 1), 1e-3)
