@@ -37,11 +37,7 @@ DEFAULT_FINAL_TEMPERATURE_RATIO = 1e-4
 
 
 class AnnealError(RuntimeError):
-    """Objective evaluation failed mid-run; carries the trace so far."""
-
-    def __init__(self, message: str, trace: "AnnealTrace"):
-        super().__init__(message)
-        self.trace = trace
+    """The automatic t0 has no scale: the initial objective is zero or NaN."""
 
 
 @dataclass(frozen=True)
@@ -90,7 +86,7 @@ class AnnealTrace:
 
     @property
     def final_objective(self) -> float:
-        return self.records[-1].objective if self.records else self.initial_objective
+        return self.records[-1].objective
 
 
 def anneal(init: SwitchingSequence, config: AnnealConfig,
@@ -110,21 +106,16 @@ def anneal(init: SwitchingSequence, config: AnnealConfig,
     alpha = (config.alpha if config.alpha is not None
              else DEFAULT_FINAL_TEMPERATURE_RATIO ** (1.0 / config.k_max))
 
-    trace = AnnealTrace(t0=t0, alpha=alpha, initial_objective=f_current,
-                        best_objective=f_current, best_k=-1, best_sequence=init)
     if not t0 > 0:
         raise AnnealError(f"auto t0 failed: initial objective is {f_current!r}; "
-                          "set t0 explicitly", trace)
+                          "set t0 explicitly")
+    trace = AnnealTrace(t0=t0, alpha=alpha, initial_objective=f_current,
+                        best_objective=f_current, best_k=-1, best_sequence=init)
     best_order = init.order  # the best sequence is built from it once, at the end
     for k in range(config.k_max):
         a, b = draw_swap(sets, k, rng)
         u = rng.random()
-        try:
-            proposal = evaluator.propose(sums, contributions, order, a, b)
-        except Exception as exc:
-            trace.best_sequence = replace(init, order=best_order)
-            raise AnnealError(f"objective evaluation failed at iteration {k}",
-                              trace) from exc
+        proposal = evaluator.propose(sums, contributions, order, a, b)
         f_proposal = proposal[2]
         temperature = temperature_schedule(t0, alpha, k)
         delta = f_current - f_proposal

@@ -301,15 +301,19 @@ def effective_elements(array: ArrayModel, mu: StructuralParams,
 def load_pattern_file(path: str | Path) -> dict[tuple[int, str], TabulatedPattern]:
     """Read tabulated patterns from CSV.
 
-    Expected header: element,pol,azimuth_deg,elevation_deg,re,im. Each
+    Expected header: element,pol,azimuth_deg,elevation_deg,re,im, each
+    column once; the file is UTF-8, with or without a BOM. Each
     (element, pol) pair must supply a complete rectangular grid.
     """
     cells: dict[tuple[int, str], dict[tuple[float, float], complex]] = {}
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         required = {"element", "pol", "azimuth_deg", "elevation_deg", "re", "im"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        header = reader.fieldnames
+        if header is None or not required.issubset(header):
             raise ValueError(f"pattern file must have columns {sorted(required)}")
+        if len(set(header)) < len(header):
+            raise ValueError(f"pattern file header repeats a column: {header}")
         for row in reader:
             short = [k for k, v in row.items() if v is None]
             if short:

@@ -73,25 +73,15 @@ def cmd_optimize(config: ExperimentConfig, seed: int) -> dict:
     if config.anneal_spec is None:
         raise ConfigError("config.anneal: section required for this command")
     scheme = config.anneal_spec["scheme"]
-    sequences, traces, counts = config.anneal_schemes([scheme],
-                                                      np.random.default_rng(seed))
+    sequences, traces, reports = config.anneal_schemes([scheme],
+                                                       np.random.default_rng(seed))
     final, trace = sequences[scheme], traces[scheme]
     print(f"final objective {trace.final_objective:.6g} "
           f"(best {trace.best_objective:.6g} at k={trace.best_k})")
-    summary = {
-        "initial_objective": trace.initial_objective,
-        "final_objective": trace.final_objective,
-        "best_objective": trace.best_objective,
-        "best_k": trace.best_k,
-        "t0": trace.t0,
-        "alpha": trace.alpha,
-        "iterations": len(trace.records),
-        **counts,
-    }
     return {"sequence.json": final.save,
             "best_sequence.json": trace.best_sequence.save,
             "trace.csv": functools.partial(save_trace_csv, trace),
-            "summary.json": summary}
+            "summary.json": reports[scheme]}
 
 
 def cmd_ambiguity(config: ExperimentConfig, seed: int,

@@ -446,7 +446,9 @@ class ExperimentConfig:
                        ) -> tuple[dict, dict, dict]:
         """Each scheme's starting sequence annealed within its partition, in
         turn from rng, against one objective evaluator dropped on return:
-        the final sequences and traces by scheme, and the evaluator's
+        the final sequences, traces and reports by scheme. A report, which
+        optimize writes as summary.json and compare as an anneal block, is
+        the chain's objectives, schedule and length, and the evaluator's
         degenerate_samples (with a direction no element sees) and
         live_fraction."""
         spec = self.sequence_spec
@@ -456,31 +458,36 @@ class ExperimentConfig:
         for scheme in schemes:
             sequences[scheme], traces[scheme] = anneal(
                 self.build_sequence(scheme, rng), self.anneal, evaluator, rng)
-        return sequences, traces, {"degenerate_samples": evaluator.degenerate_count,
-                                   "live_fraction": evaluator.live_fraction}
+        reports = {scheme: {"initial_objective": trace.initial_objective,
+                            "final_objective": trace.final_objective,
+                            "best_objective": trace.best_objective,
+                            "best_k": trace.best_k,
+                            "t0": trace.t0,
+                            "alpha": trace.alpha,
+                            "iterations": len(trace.records),
+                            "degenerate_samples": evaluator.degenerate_count,
+                            "live_fraction": evaluator.live_fraction}
+                   for scheme, trace in traces.items()}
+        return sequences, traces, reports
 
     def compare(self, seed: int) -> tuple[dict, dict, dict, dict]:
         """The sequential/random/hybrid comparison at seed (the objective's
         QMC points keep the config seed): the comparison.json document, with
-        each anneal's objectives and the evaluator's counts in its anneal
-        block, then the three surfaces, the three sequences, and the random
-        and hybrid anneal traces."""
+        each anneal's report in its anneal block, then the three surfaces,
+        the three sequences, and the random and hybrid anneal traces."""
         for scheme in ("random", "hybrid"):
             _check_scheme(self.array, scheme, "compare")
         # one RNG stream, drawn in order: random init and anneal, then hybrid
         rng = np.random.default_rng(seed)
         sequences = {"sequential": self.build_sequence("sequential", rng)}
-        annealed, traces, counts = self.anneal_schemes(("random", "hybrid"), rng)
+        annealed, traces, reports = self.anneal_schemes(("random", "hybrid"), rng)
         sequences |= annealed
         params, sigma = self.crlb
         document, surfaces = compare_schemes(
             self.array, sequences, self.reference, *self.sweep,
             threshold_db=self.effective_threshold_db,
             amplitude=params.amplitude, noise_sigma=sigma)
-        document["anneal"] = {
-            scheme: {"final_objective": trace.final_objective,
-                     "best_objective": trace.best_objective, **counts}
-            for scheme, trace in traces.items()}
+        document["anneal"] = reports
         return document, surfaces, sequences, traces
 
     # The accessors below return objects built once by from_dict; the

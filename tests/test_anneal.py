@@ -183,34 +183,17 @@ class Exploding:
         return counted
 
 
-def test_objective_failure_carries_partial_trace():
+def test_objective_failure_propagates_unchanged():
+    # anneal reports no failure of its own past the t0 check: what the
+    # objective raises reaches the caller as it was raised
     arr, region, cfg = small_setup()
-    for fail_after in (4, 12):
-        ev = Exploding(ObjectiveEvaluator(arr, region, cfg, DT, 1), "propose",
-                       fail_after=fail_after)
-        rng = np.random.default_rng(9)
-        init = random_init(8, DT, 1, rng)
-        with pytest.raises(AnnealError) as err:
-            anneal(init, AnnealConfig(k_max=50), ev, rng)
-        trace = err.value.trace
-        # fail_after proposals scored, the next one fails
-        assert len(trace.records) == fail_after
-        # the trace's best sequence is the best order scored before the
-        # failure (the initial one within 4 proposals, a later one within
-        # 12): replay the recorded moves from the same draws
-        replay = np.random.default_rng(9)
-        best = current = random_init(8, DT, 1, replay)
-        sets = swap_sets(8, None)
-        for rec in trace.records:
-            slots = draw_swap(sets, rec.k, replay)
-            replay.random()
-            if rec.accepted:
-                current = swapped(current, *slots)
-            if rec.k == trace.best_k:
-                best = current
-        assert (trace.best_k >= 0) == (fail_after == 12)
-        assert trace.best_sequence == best
-        assert ev.evaluate(best) == trace.best_objective
+    ev = Exploding(ObjectiveEvaluator(arr, region, cfg, DT, 1), "propose",
+                   fail_after=4)
+    rng = np.random.default_rng(9)
+    with pytest.raises(RuntimeError, match="boom") as err:
+        anneal(random_init(8, DT, 1, rng), AnnealConfig(k_max=50), ev, rng)
+    assert type(err.value) is RuntimeError
+    assert ev.calls == 5
 
 
 def test_anneal_peak_memory_is_one_product_matrix():
@@ -243,10 +226,9 @@ def test_zero_initial_objective_is_an_anneal_error():
             return 0.0
 
     arr, region, cfg = small_setup()
-    with pytest.raises(AnnealError, match="t0") as err:
+    with pytest.raises(AnnealError, match="t0"):
         anneal(sequential(8, DT), AnnealConfig(k_max=5),
                Zero(arr, region, cfg, DT, 1), np.random.default_rng(0))
-    assert err.value.trace.records == []
 
 
 def reference_anneal(init, config, evaluator, rng):

@@ -337,6 +337,24 @@ def test_pattern_file_roundtrip(tmp_path):
     assert g[1] == pytest.approx(2.0 + 0.5j)
 
 
+def test_pattern_file_with_a_bom_loads(tmp_path):
+    # spreadsheet programs save "CSV UTF-8" with a byte order mark, which
+    # must not become part of the first column's name
+    lines = ["element,pol,azimuth_deg,elevation_deg,re,im"]
+    lines += [f"{m},V,{a},{e},{1.0 + m},{0.5 * m}" for m in range(2)
+              for a in (0.0, 90.0) for e in (45.0, 90.0)]
+    text = "\n".join(lines) + "\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(text.encode("utf-8-sig"))
+    expected, got = load_pattern_file(plain), load_pattern_file(marked)
+    assert set(got) == set(expected) == {(0, "V"), (1, "V")}
+    for key, pattern in expected.items():
+        for name in ("azimuth_grid", "elevation_grid", "gains"):
+            np.testing.assert_array_equal(getattr(got[key], name),
+                                          getattr(pattern, name))
+
+
 def test_pattern_file_rejects_incomplete_grid(tmp_path):
     lines = ["element,pol,azimuth_deg,elevation_deg,re,im",
              "0,V,0.0,45.0,1.0,0.0",

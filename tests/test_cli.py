@@ -1041,8 +1041,10 @@ def test_compare_pipeline(tmp_path):
         with open(out / f"trace_{update}.csv") as fh:
             rows = list(csv.DictReader(fh))
         block = report["anneal"][update]
-        assert set(block) == {"final_objective", "best_objective",
-                              "degenerate_samples", "live_fraction"}
+        assert set(block) == {"initial_objective", "final_objective",
+                              "best_objective", "best_k", "t0", "alpha",
+                              "iterations", "degenerate_samples",
+                              "live_fraction"}
         assert block["live_fraction"] == 0.25  # each patch sees a half-space
         assert block["final_objective"] == float(rows[-1]["objective"])
     for name in ("surface_sequential.csv", "surface_random.csv",
@@ -1070,8 +1072,8 @@ def test_comparison_json_key_layout(tmp_path):
         "crlb_nu_effective_hz2"]
     assert list(doc["anneal"]) == ["random", "hybrid"]
     assert list(doc["anneal"]["hybrid"]) == [
-        "final_objective", "best_objective", "degenerate_samples",
-        "live_fraction"]
+        "initial_objective", "final_objective", "best_objective", "best_k",
+        "t0", "alpha", "iterations", "degenerate_samples", "live_fraction"]
 
 
 def test_compare_traces_follow_the_anneal_schedule(tmp_path):
@@ -1110,7 +1112,8 @@ def test_compare_seed_override_writes_the_library_comparison(tmp_path):
 
 def test_optimize_random_writes_compares_random_anneal(tmp_path):
     # both anneal through one stage on one stream from the seed, and the
-    # sequential sequence compare builds first draws nothing
+    # sequential sequence compare builds first draws nothing; the stage
+    # builds the one report that is summary.json and the anneal block
     path = write_config(tmp_path, octagon_config(anneal={"scheme": "random",
                                                          "k_max": 20}))
     for command in ("optimize", "compare"):
@@ -1121,6 +1124,8 @@ def test_optimize_random_writes_compares_random_anneal(tmp_path):
     orders = [json.loads(f.read_text())["order"] for f in
               (opt / "sequence.json", cmp / "sequence_random.json")]
     assert orders[0] == orders[1]
+    assert (json.loads((opt / "summary.json").read_text())
+            == json.loads((cmp / "comparison.json").read_text())["anneal"]["random"])
 
 
 def test_compare_drops_the_evaluator_before_the_surface_sweeps(tmp_path,
@@ -1148,7 +1153,8 @@ def test_compare_drops_the_evaluator_before_the_surface_sweeps(tmp_path,
 
 @pytest.mark.parametrize("defect", ["nan-gain", "repeated-row", "upper-hemisphere",
                                     "directory", "long-field", "missing-column",
-                                    "missing-element", "short-row"])
+                                    "missing-element", "short-row",
+                                    "repeated-column"])
 @pytest.mark.parametrize("command", ["optimize", "ambiguity", "compare",
                                      "effective-factor"])
 def test_bad_pattern_file_exits_2_at_load(tmp_path, capsys, command, defect):
@@ -1158,7 +1164,8 @@ def test_bad_pattern_file_exits_2_at_load(tmp_path, capsys, command, defect):
     # objective samples, raises in the gain lookup; a directory or a field
     # over the csv module's 131072-character limit cannot be read; a file
     # without the im column, or without element 15, does not give every
-    # element a complex V gain, and neither does a row short of fields
+    # element a complex V gain, and neither does a row short of fields; a
+    # header that repeats a column would read the gains from its last copy
     def table(elevations):
         return ["element,pol,azimuth_deg,elevation_deg,re,im"] + [
             f"{e},V,{a},{el},1.0,0.0" for e in range(16)
@@ -1182,6 +1189,8 @@ def test_bad_pattern_file_exits_2_at_load(tmp_path, capsys, command, defect):
         lines = [line for line in lines if not line.startswith("15,")]
     elif defect == "short-row":
         lines = [lines[0], "0"]
+    elif defect == "repeated-column":
+        lines = [lines[0] + ",re"] + [line + ",7.0" for line in lines[1:]]
     cfg = octagon_config()
     cfg["array"]["pattern_file"] = str(tmp_path / "bad.csv")
     if defect == "directory":
