@@ -51,13 +51,12 @@ from .analysis import (GridTooNarrowError, WidthReport, block_aperture_ratio,
                        peak_sidelobe)
 from .anneal import (AnnealConfig, AnnealError, AnnealRecord, AnnealTrace,
                      anneal, temperature_schedule)
-from .arrays import (ArrayModel, OmniPattern, PatchPattern, TabulatedPattern,
-                     effective_elements, make_octagonal, make_ula,
-                     steering_matrix)
+from .arrays import (ArrayModel, OmniPattern, PatchPattern, StructuralParams,
+                     TabulatedPattern, basis, basis_from_eta, effective_elements,
+                     make_octagonal, make_ula, steering_matrix)
 from .config import ConfigError, ExperimentConfig
 from .crlb import (CRLBResult, EndfireSingularityError, ParamVector,
                    SingularFIMError, UnobservableDopplerError, crlb_aoa,
                    crlb_doppler, fim_matrix, fim_numeric)
-from .signal import StructuralParams, basis, basis_from_eta
 from .switching import (SwitchingSequence, draw_swap, random_init, sequential,
                         swap_sets)

@@ -52,12 +52,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrays import ArrayModel, steering_matrix, unit_vectors
-from .signal import StructuralParams, basis
+from .arrays import (ArrayModel, StructuralParams, basis, steering_matrix,
+                     unit_vectors)
 from .switching import SwitchingSequence
 
 
-class DegenerateDirectionError(ValueError):
+class DegenerateDirectionError(ValueError, ArithmeticError):
     """All element gains vanish for a direction, so the basis has zero norm."""
 
 

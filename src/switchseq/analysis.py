@@ -9,15 +9,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambiguity import AmbiguitySurface, ambiguity_surface, to_db
-from .arrays import ArrayModel, effective_elements
+from .arrays import ArrayModel, StructuralParams, effective_elements
 from .crlb import crlb_doppler
-from .signal import StructuralParams
 from .switching import SwitchingSequence
 
 HALF_POWER_DB = -3.0
 
 
-class GridTooNarrowError(ValueError):
+class GridTooNarrowError(ValueError, ArithmeticError):
     """The sweep grid misses the main-lobe peak or clips the main lobe."""
 
 

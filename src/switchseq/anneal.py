@@ -36,7 +36,7 @@ DEFAULT_T0_FRACTION = 0.1
 DEFAULT_FINAL_TEMPERATURE_RATIO = 1e-4
 
 
-class AnnealError(RuntimeError):
+class AnnealError(RuntimeError, ArithmeticError):
     """The automatic t0 has no scale: the initial objective is zero or NaN."""
 
 

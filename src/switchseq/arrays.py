@@ -1,4 +1,11 @@
-"""Antenna array geometries, element radiation patterns, and steering vectors."""
+"""Antenna array geometries, element radiation patterns, steering vectors,
+and the narrowband single-path signal model: the combined basis vector of a
+path, its steering vector times its Doppler phase progression.
+
+Only the vertical-polarization SIMO path is executable. The full
+dual-polarized MIMO basis (Tx/Rx responses per polarization, Kronecker
+structure, frequency basis) is out of scope here.
+"""
 
 from __future__ import annotations
 
@@ -6,14 +13,10 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .switching import check_partition
-
-if TYPE_CHECKING:
-    from .signal import StructuralParams
+from .switching import SwitchingSequence, check_partition
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -285,17 +288,59 @@ def steering_matrix(array: ArrayModel, azimuth, elevation) -> np.ndarray:
     return array.gain_matrix(azimuth, elevation) * np.exp(1j * phase)
 
 
+@dataclass(frozen=True)
+class StructuralParams:
+    """One path: arrival azimuth (any finite value, stored wrapped into
+    [0, 2*pi)), elevation in [0, pi] from zenith, and Doppler."""
+
+    rx_azimuth: float
+    rx_elevation: float
+    doppler_hz: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.rx_azimuth):
+            raise ValueError(f"azimuth {self.rx_azimuth} outside [0, 2*pi)")
+        # keep the azimuth in [0, 2*pi) (the second % takes the 2*pi that a
+        # tiny negative azimuth rounds to onto 0)
+        turn = 2 * math.pi
+        object.__setattr__(self, "rx_azimuth", self.rx_azimuth % turn % turn)
+        if not 0.0 <= self.rx_elevation <= math.pi + 1e-12:
+            raise ValueError(f"elevation {self.rx_elevation} outside [0, pi]")
+        if not np.isfinite(self.doppler_hz):
+            raise ValueError("doppler must be finite")
+
+
+def basis_from_eta(array: ArrayModel, eta: np.ndarray,
+                   mu: StructuralParams) -> np.ndarray:
+    """Basis vector for explicit activation instants (length M*snapshots)."""
+    eta = np.asarray(eta, dtype=float)
+    m = array.num_elements
+    if eta.size % m != 0:
+        raise ValueError("eta length must be a multiple of the element count")
+    steer = steering_matrix(array, mu.rx_azimuth, mu.rx_elevation)
+    doppler = np.exp(2j * math.pi * mu.doppler_hz * eta)
+    return np.tile(steer, eta.size // m) * doppler
+
+
+def basis(array: ArrayModel, seq: SwitchingSequence,
+          mu: StructuralParams) -> np.ndarray:
+    """Combined basis b(mu, eta): steering vector (tiled over snapshots)
+    times the Doppler phase vector."""
+    if seq.num_elements != array.num_elements:
+        raise ValueError("sequence and array element counts differ")
+    return basis_from_eta(array, seq.eta(), mu)
+
+
 def effective_elements(array: ArrayModel, mu: StructuralParams,
                        power_threshold_db: float) -> np.ndarray:
-    """Indices whose power |g_m|^2 at the path mu's direction is within
-    power_threshold_db of the maximum."""
+    """Indices whose nonzero power |g_m|^2 at the path mu's direction is
+    within power_threshold_db of the maximum."""
     if power_threshold_db > 0:
         raise ValueError("threshold must be <= 0 dB")
     power = np.abs(array.gain_matrix(mu.rx_azimuth, mu.rx_elevation)) ** 2
-    peak = power.max()
-    if peak <= 0:
-        return np.array([], dtype=int)
-    return np.flatnonzero(power >= peak * 10.0 ** (power_threshold_db / 10.0))
+    floor = power.max() * 10.0 ** (power_threshold_db / 10.0)
+    # power > 0 too: below about -3240 dB the floor underflows to 0.0
+    return np.flatnonzero((power > 0) & (power >= floor))
 
 
 def load_pattern_file(path: str | Path) -> dict[tuple[int, str], TabulatedPattern]:
@@ -319,6 +364,9 @@ def load_pattern_file(path: str | Path) -> dict[tuple[int, str], TabulatedPatter
             if short:
                 raise ValueError(f"pattern file line {reader.line_num} has no {short[0]}")
             key = (int(row["element"]), row["pol"].strip().upper())
+            if key[0] < 0:
+                raise ValueError(f"pattern file line {reader.line_num} has "
+                                 f"negative element {key[0]}")
             if key[1] not in ("V", "H"):
                 raise ValueError(f"pattern pol {row['pol']!r} must be V or H")
             az = math.radians(float(row["azimuth_deg"]))

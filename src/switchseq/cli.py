@@ -25,23 +25,18 @@ from pathlib import Path
 import numpy as np
 
 from . import BLAS_THREADS, __version__
-from .ambiguity import (DegenerateDirectionError, ambiguity_surface,
-                        save_surface_csv, surface_sidecar)
-from .analysis import GridTooNarrowError
-from .anneal import AnnealError, save_trace_csv
+from .ambiguity import ambiguity_surface, save_surface_csv, surface_sidecar
+from .anneal import save_trace_csv
 from .arrays import effective_elements
 from .config import ConfigError, ExperimentConfig, check_seed
-from .crlb import (PARAM_NAMES, EndfireSingularityError, SingularFIMError,
-                   UnobservableDopplerError, crlb_aoa, crlb_doppler, fim_numeric)
+from .crlb import PARAM_NAMES, crlb_aoa, crlb_doppler, fim_numeric
 from .switching import SwitchingSequence
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-NUMERIC_ERRORS = (DegenerateDirectionError, EndfireSingularityError,
-                  UnobservableDopplerError, SingularFIMError,
-                  GridTooNarrowError, AnnealError, np.linalg.LinAlgError,
-                  ArithmeticError)
+# every numeric failure raised in the package is an ArithmeticError
+NUMERIC_ERRORS = (ArithmeticError, np.linalg.LinAlgError)
 
 
 def _manifest(command: str, config: ExperimentConfig, seed: int,

@@ -23,10 +23,9 @@ from .ambiguity import (SWEEP_COLUMNS, ObjectiveConfig, ObjectiveEvaluator,
                         Region, sweep_directions)
 from .analysis import compare_schemes
 from .anneal import AnnealConfig, anneal
-from .arrays import (ArrayModel, attach_patterns, load_pattern_file, make_octagonal,
-                     make_ula, SPEED_OF_LIGHT)
+from .arrays import (ArrayModel, StructuralParams, attach_patterns, load_pattern_file,
+                     make_octagonal, make_ula, SPEED_OF_LIGHT)
 from .crlb import ParamVector
-from .signal import StructuralParams
 from .switching import (SwitchingSequence, random_init, sequential, swap_sets,
                         unique_keys)
 
@@ -183,10 +182,11 @@ def _grid(path: str, span: float, step: float) -> np.ndarray:
 
 def check_seed(value, path: str) -> int:
     """A seed is a non-negative integer; there is no wall-clock default."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+    seed = _number(path, int, value)
+    if seed < 0:
         raise ConfigError(f"{path}: must be a non-negative integer "
                           "(no wall-clock default)")
-    return value
+    return seed
 
 
 def _check_scheme(array: ArrayModel, scheme: str, path: str) -> None:

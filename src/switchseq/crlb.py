@@ -16,8 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arrays import ArrayModel
-from .signal import StructuralParams, basis
+from .arrays import ArrayModel, StructuralParams, basis
 from .switching import SwitchingSequence
 
 # the FIM's parameters, each with the ParamVector field it perturbs
@@ -26,15 +25,15 @@ FIM_FIELDS = {"phi": "rx_azimuth", "nu": "doppler_hz", "r": "amplitude",
 PARAM_NAMES = tuple(FIM_FIELDS)
 
 
-class EndfireSingularityError(ValueError):
+class EndfireSingularityError(ValueError, ArithmeticError):
     """The azimuth bound diverges at endfire (sin phi sin theta = 0)."""
 
 
-class UnobservableDopplerError(ValueError):
+class UnobservableDopplerError(ValueError, ArithmeticError):
     """All activation instants coincide, so Doppler is unobservable."""
 
 
-class SingularFIMError(ValueError):
+class SingularFIMError(ValueError, ArithmeticError):
     """The Fisher information matrix is numerically singular or not finite;
     null_combination is None in the second case."""
 

@@ -19,7 +19,7 @@ from switchseq.ambiguity import AmbiguitySurface, DegenerateDirectionError
 from switchseq.analysis import _main_lobe, _max3x3
 from switchseq.arrays import ArrayModel
 from switchseq.crlb import ParamVector, signal_mean
-from switchseq.signal import StructuralParams, basis
+from switchseq.arrays import StructuralParams, basis
 from switchseq.switching import SwitchingSequence
 
 

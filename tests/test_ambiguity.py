@@ -16,7 +16,7 @@ from switchseq.ambiguity import (_BLOCK_ENTRIES, _CSV_CELLS, FIXED_BITS,
                                  SWEEP_COLUMNS, save_surface_csv, snapshot_gain,
                                  sobol_points, surface_sidecar, sweep_directions)
 from switchseq.arrays import steering_matrix, unit_vectors
-from switchseq.signal import basis
+from switchseq.arrays import basis
 from switchseq.switching import draw_swap, swap_sets
 
 from conftest import swapped

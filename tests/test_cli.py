@@ -1,9 +1,12 @@
 import contextlib
 import csv
+import importlib
+import inspect
 import io
 import json
 import math
 import os
+import pkgutil
 import shlex
 import subprocess
 import sys
@@ -174,6 +177,19 @@ def test_config_invalid_json(tmp_path):
         ExperimentConfig.from_file(tmp_path)  # a directory
 
 
+def test_every_package_error_is_a_config_or_numeric_failure():
+    # main maps ConfigError to exit 2 and ArithmeticError to exit 3 by
+    # type, so an error class outside both would end a run in a traceback
+    errors = [cls for info in pkgutil.iter_modules(switchseq.__path__)
+              for _, cls in inspect.getmembers(
+                  importlib.import_module(f"switchseq.{info.name}"), inspect.isclass)
+              if issubclass(cls, BaseException)
+              and cls.__module__ == f"switchseq.{info.name}"]
+    assert len(errors) >= 7  # ConfigError and six numeric failures
+    for cls in errors:
+        assert issubclass(cls, (ConfigError, ArithmeticError)), cls
+
+
 def test_cli_exit_code_for_config_error(tmp_path, capsys):
     cfg = ula_config()
     cfg["array"]["kind"] = "spherical"
@@ -301,9 +317,11 @@ def test_config_integer_fields_accept_integral_floats():
     config = ExperimentConfig.from_dict(cfg)
     assert config.anneal.k_max == 200 and type(config.anneal.k_max) is int
     assert config.objective.samples == 256 and type(config.objective.samples) is int
-    cfg = ula_config()
+    cfg = ula_config(seed=7.0)
     cfg["array"]["elements"] = 16.0
-    assert ExperimentConfig.from_dict(cfg).array.num_elements == 16
+    config = ExperimentConfig.from_dict(cfg)
+    assert config.array.num_elements == 16
+    assert config.seed == 7 and type(config.seed) is int
     for bad in (16.5, True):
         cfg["array"]["elements"] = bad
         with pytest.raises(ConfigError, match="elements"):
@@ -1154,7 +1172,7 @@ def test_compare_drops_the_evaluator_before_the_surface_sweeps(tmp_path,
 @pytest.mark.parametrize("defect", ["nan-gain", "repeated-row", "upper-hemisphere",
                                     "directory", "long-field", "missing-column",
                                     "missing-element", "short-row",
-                                    "repeated-column"])
+                                    "repeated-column", "negative-element"])
 @pytest.mark.parametrize("command", ["optimize", "ambiguity", "compare",
                                      "effective-factor"])
 def test_bad_pattern_file_exits_2_at_load(tmp_path, capsys, command, defect):
@@ -1165,7 +1183,8 @@ def test_bad_pattern_file_exits_2_at_load(tmp_path, capsys, command, defect):
     # over the csv module's 131072-character limit cannot be read; a file
     # without the im column, or without element 15, does not give every
     # element a complex V gain, and neither does a row short of fields; a
-    # header that repeats a column would read the gains from its last copy
+    # header that repeats a column would read the gains from its last copy,
+    # and rows for a negative element would load unread
     def table(elevations):
         return ["element,pol,azimuth_deg,elevation_deg,re,im"] + [
             f"{e},V,{a},{el},1.0,0.0" for e in range(16)
@@ -1191,6 +1210,8 @@ def test_bad_pattern_file_exits_2_at_load(tmp_path, capsys, command, defect):
         lines = [lines[0], "0"]
     elif defect == "repeated-column":
         lines = [lines[0] + ",re"] + [line + ",7.0" for line in lines[1:]]
+    elif defect == "negative-element":
+        lines.append("-1" + lines[1][1:])
     cfg = octagon_config()
     cfg["array"]["pattern_file"] = str(tmp_path / "bad.csv")
     if defect == "directory":
@@ -1228,6 +1249,13 @@ def test_effective_factor_cmd(tmp_path):
     report = json.loads((out / "effective_factor.json").read_text())
     assert report["effective_elements"] == 48
     assert report["effective_factor"] == pytest.approx(0.375)
+    # at -4000 dB the threshold's power ratio underflows to 0.0, yet the 80
+    # elements at zero gain toward the reference still do not count
+    doc["effective_threshold_db"] = -4000.0
+    assert main(["effective-factor", "--config", write_config(tmp_path, doc),
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "effective_factor.json").read_text())
+    assert report["effective_elements"] == 48
 
 
 # ---- manifest ----------------------------------------------------------
