@@ -232,7 +232,9 @@ class ObjectiveEvaluator:
         # directions once, and its elements share the sorted index of its
         # live samples (slice(None) when it is live on every sample); the
         # products of a run of elements that share a pattern object within
-        # a block are formed as one (run x live) block
+        # a block are formed as one (run x live) block. A block's |G|^2 is
+        # summed into power, and its scratch freed, before its products are
+        # formed, so that the scratch is not held beside them
         du = unit_vectors(phi_p, theta_p) - unit_vectors(phi, theta)
         del u
         block = max(1, _BLOCK_ENTRIES // n)
@@ -240,34 +242,41 @@ class ObjectiveEvaluator:
         self._cross = []  # per element: (2, live) real and imaginary rows
         power = np.zeros((2, n))  # sum_m |G_m|^2 of both directions
         pattern = None  # the last pattern object
+        pattern_mag2 = np.empty((2, n))  # its |G|^2 in both directions
         for lo in range(0, m, block):
             rows = slice(lo, lo + block)
             patterns = array.patterns[rows]
             # element axis innermost in memory, as in a gain matrix: it sets
             # the order in which numpy adds the elements' |G|^2 into power
             mag2 = np.empty((2, n, len(patterns))).transpose(0, 2, 1)
-            arg = array.wavenumber * (array.positions[rows] @ du.T)
             starts = [j for j, p in enumerate(patterns)
                       if j == 0 or p is not patterns[j - 1]]
+            runs = []  # (first, stop, live, gain product) per run
             for j, k in zip(starts, starts[1:] + [len(patterns)]):
                 if patterns[j] is not pattern:
                     pattern = patterns[j]
-                    gains = np.array([pattern.gain(phi, theta),
-                                      pattern.gain(phi_p, theta_p)])
-                    both = np.conj(gains[0]) * gains[1]
+                    both = pattern.gain(phi, theta)
+                    np.add(both.real ** 2, both.imag ** 2, out=pattern_mag2[0])
+                    gain = pattern.gain(phi_p, theta_p)
+                    np.add(gain.real ** 2, gain.imag ** 2, out=pattern_mag2[1])
+                    np.multiply(np.conj(both, out=both), gain, out=both)
+                    del gain
                     live = np.flatnonzero(both != 0.0)
                     live = slice(None) if live.size == n else live
                     both = both[live]
-                    pattern_mag2 = gains.real ** 2 + gains.imag ** 2
-                    del gains
                 mag2[:, j:k] = pattern_mag2[:, None]
-                terms = 1j * arg[j:k][:, live]
-                np.multiply(both, np.exp(terms, out=terms), out=terms)
-                self.live += [live] * (k - j)
+                runs.append((j, k, live, both))
+            power += mag2.sum(axis=1)
+            del mag2
+            arg = array.positions[rows] @ du.T
+            arg *= array.wavenumber
+            for j, k, kept, product in runs:
+                terms = 1j * arg[j:k][:, kept]
+                np.multiply(product, np.exp(terms, out=terms), out=terms)
+                self.live += [kept] * (k - j)
                 self._cross += list(np.stack([terms.real, terms.imag], axis=1))
                 del terms
-            power += mag2.sum(axis=1)
-            del mag2, arg
+            del arg, runs
         del du
         ok = (power > 0.0).all(axis=0)
         self.degenerate_count = int(n - ok.sum())

@@ -282,10 +282,13 @@ def make_octagonal(
 
 def steering_matrix(array: ArrayModel, azimuth, elevation) -> np.ndarray:
     """Steering vectors for (broadcastable) angle arrays, shape (..., M):
-    entry m is g_m(dir) * exp(j k <u, p_m>)."""
-    u = unit_vectors(azimuth, elevation)
-    phase = array.wavenumber * (u @ array.positions.T)
-    return array.gain_matrix(azimuth, elevation) * np.exp(1j * phase)
+    entry m is g_m(dir) * exp(j k <u, p_m>), formed in one complex buffer."""
+    phase = unit_vectors(azimuth, elevation) @ array.positions.T
+    phase *= array.wavenumber
+    rows = 1j * phase
+    del phase
+    np.exp(rows, out=rows)
+    return np.multiply(array.gain_matrix(azimuth, elevation), rows, out=rows)
 
 
 @dataclass(frozen=True)
@@ -398,7 +401,12 @@ def load_pattern_file(path: str | Path) -> dict[tuple[int, str], TabulatedPatter
 def attach_patterns(array: ArrayModel,
                     patterns: dict[tuple[int, str], TabulatedPattern]) -> ArrayModel:
     """Replace the array's element patterns with the vertical-polarization
-    ("V") ones tabulated in a file."""
+    ("V") ones tabulated in a file, which must name no element the array
+    does not have."""
+    top = max((element for element, _ in patterns), default=-1)
+    if top >= array.num_elements:
+        raise ValueError(f"tabulated pattern for element {top}, but the array "
+                         f"has {array.num_elements} elements")
     new = []
     for m in range(array.num_elements):
         if (m, "V") not in patterns:

@@ -8,8 +8,12 @@ from hypothesis import given, settings, strategies as st
 from switchseq import (ArrayModel, OmniPattern, PatchPattern, StructuralParams,
                        TabulatedPattern, effective_elements, make_octagonal,
                        make_ula, steering_matrix)
+from switchseq.ambiguity import sweep_directions
 from switchseq.arrays import (attach_patterns, default_octagon_radius,
                              load_pattern_file, unit_vectors)
+from switchseq.config import ExperimentConfig
+
+from conftest import readme_config
 
 BROADSIDE = StructuralParams(math.pi / 2, math.pi / 2, 0.0)
 
@@ -65,6 +69,25 @@ def test_steering_azimuth_periodicity():
     v1 = steering_matrix(arr, az, 1.0)
     v2 = steering_matrix(arr, az + 2 * math.pi, 1.0)
     assert np.allclose(v1, v2, atol=1e-12)
+
+
+def test_steering_rows_are_formed_in_one_buffer():
+    # the phase is scaled in place and its exponential and the gain product
+    # are taken in the one complex buffer: on the README sweep (121 angles x
+    # 128 elements) the call peaks at 2.1 times its result, 3.5 times when
+    # each step made a new array
+    config = ExperimentConfig.from_dict(readme_config())
+    _, offsets, axis = config.sweep
+    azimuth, elevation = sweep_directions(config.reference, offsets, axis)
+    steering_matrix(config.array, azimuth, elevation)  # numpy's first-use modules
+    tracemalloc.start()
+    try:
+        rows = steering_matrix(config.array, azimuth, elevation)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (121, 128)
+    assert peak < 2.5 * rows.nbytes, peak / rows.nbytes
 
 
 def test_centered_ula_conjugate_symmetry():

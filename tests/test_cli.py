@@ -1172,7 +1172,8 @@ def test_compare_drops_the_evaluator_before_the_surface_sweeps(tmp_path,
 @pytest.mark.parametrize("defect", ["nan-gain", "repeated-row", "upper-hemisphere",
                                     "directory", "long-field", "missing-column",
                                     "missing-element", "short-row",
-                                    "repeated-column", "negative-element"])
+                                    "repeated-column", "negative-element",
+                                    "extra-element"])
 @pytest.mark.parametrize("command", ["optimize", "ambiguity", "compare",
                                      "effective-factor"])
 def test_bad_pattern_file_exits_2_at_load(tmp_path, capsys, command, defect):
@@ -1184,7 +1185,8 @@ def test_bad_pattern_file_exits_2_at_load(tmp_path, capsys, command, defect):
     # without the im column, or without element 15, does not give every
     # element a complex V gain, and neither does a row short of fields; a
     # header that repeats a column would read the gains from its last copy,
-    # and rows for a negative element would load unread
+    # and rows for a negative element, or for element 16 of this 16-element
+    # array, would load unread
     def table(elevations):
         return ["element,pol,azimuth_deg,elevation_deg,re,im"] + [
             f"{e},V,{a},{el},1.0,0.0" for e in range(16)
@@ -1212,6 +1214,8 @@ def test_bad_pattern_file_exits_2_at_load(tmp_path, capsys, command, defect):
         lines = [lines[0] + ",re"] + [line + ",7.0" for line in lines[1:]]
     elif defect == "negative-element":
         lines.append("-1" + lines[1][1:])
+    elif defect == "extra-element":
+        lines.append("16" + lines[1][1:])
     cfg = octagon_config()
     cfg["array"]["pattern_file"] = str(tmp_path / "bad.csv")
     if defect == "directory":
@@ -1225,6 +1229,8 @@ def test_bad_pattern_file_exits_2_at_load(tmp_path, capsys, command, defect):
     error = json.loads(line)["error"]
     assert error["type"] == "config"
     assert error["message"].startswith("config.array.pattern_file: ")
+    if defect == "extra-element":
+        assert "element 16" in error["message"]
     assert not (tmp_path / "out").exists()
 
 
