@@ -1,5 +1,6 @@
-"""Spatio-temporal ambiguity function and the integral objective over the
-angle-Doppler region, estimated with deterministic scrambled-Sobol sampling.
+"""Spatio-temporal ambiguity function and the integral objective over two
+arrival directions on the whole sphere and their Doppler difference within
+a bound, estimated with deterministic scrambled-Sobol sampling.
 
 The objective is evaluated with a fixed low-discrepancy point set per
 (seed, sample count), so comparing two sequences uses common random numbers
@@ -63,21 +64,17 @@ class DegenerateDirectionError(ValueError, ArithmeticError):
 
 @dataclass(frozen=True)
 class Region:
-    """Integration region: angle boxes plus a bound on the Doppler difference."""
+    """Whole sphere in both directions, Doppler difference within +-doppler_bound."""
 
-    azimuth: tuple[float, float] = (0.0, 2.0 * math.pi)
-    elevation: tuple[float, float] = (0.0, math.pi)
     doppler_bound: float = 1.0
 
     def __post_init__(self):
         if not self.doppler_bound > 0:
             raise ValueError("doppler bound must be positive")
-        if not (self.azimuth[0] < self.azimuth[1] and self.elevation[0] < self.elevation[1]):
-            raise ValueError("angle ranges must be non-degenerate")
 
     @classmethod
     def default_for(cls, delta_t: float, doppler_fraction: float = 0.25) -> "Region":
-        """Full-sphere box with the Doppler bound a fraction of 1/(2*delta_t)."""
+        """The Doppler bound a fraction of 1/(2*delta_t)."""
         return cls(doppler_bound=doppler_fraction / (2.0 * delta_t))
 
 
@@ -186,27 +183,19 @@ class ObjectiveEvaluator:
         n = config.samples
         u = sobol_points(n, config.seed)
 
-        az0, az1 = region.azimuth
-        el0, el1 = region.elevation
-        phi = az0 + u[:, 0] * (az1 - az0)
-        phi_p = az0 + u[:, 2] * (az1 - az0)
+        # uniform angles, or with sin_elevation cos(theta) uniform on [-1, 1]
+        phi = u[:, 0] * (2.0 * math.pi)
+        phi_p = u[:, 2] * (2.0 * math.pi)
         if config.sin_elevation:
-            c0, c1 = math.cos(el0), math.cos(el1)
-            theta = np.arccos(c0 + u[:, 1] * (c1 - c0))
-            theta_p = np.arccos(c0 + u[:, 3] * (c1 - c0))
-            el_measure = abs(c0 - c1)
+            theta = np.arccos(1.0 - u[:, 1] * 2.0)
+            theta_p = np.arccos(1.0 - u[:, 3] * 2.0)
+            el_measure = 2.0
         else:
-            theta = el0 + u[:, 1] * (el1 - el0)
-            theta_p = el0 + u[:, 3] * (el1 - el0)
-            el_measure = el1 - el0
+            theta = u[:, 1] * math.pi
+            theta_p = u[:, 3] * math.pi
+            el_measure = math.pi
         dnu = region.doppler_bound * (2.0 * u[:, 4] - 1.0)
-
-        self.volume = (az1 - az0) ** 2 * el_measure ** 2 * (2.0 * region.doppler_bound)
-        self.delta_doppler = dnu
-        self.azimuth = phi
-        self.elevation = theta
-        self.azimuth_prime = phi_p
-        self.elevation_prime = theta_p
+        self.volume = (2.0 * math.pi) ** 2 * el_measure ** 2 * (2.0 * region.doppler_bound)
 
         # Doppler phase of sample n in slot s, exp(2*pi*i*dnu*s*dt), is
         # coarse[s // L] * fine[s % L] with coarse rows exp(2*pi*i*dnu*lo*dt)
@@ -225,6 +214,7 @@ class ObjectiveEvaluator:
         # in the basis norms)
         self._snapshot_power = snapshot_gain(dnu, m, self.delta_t,
                                              self.snapshots) ** 2
+        del dnu
 
         # steering cross-products conj(g_m) g'_m / (||g|| ||g'||), taken as
         # conj(G) G' exp(i k (u' - u).p) only on the samples where the gain
@@ -381,7 +371,8 @@ class AmbiguitySurface:
 
     def __post_init__(self):
         for name in ("doppler_hz", "angle_offset_deg", "magnitude"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            # the caller's axes are copied before they are frozen, not magnitude
+            arr = np.array(getattr(self, name), dtype=float, copy=name != "magnitude" or None)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.magnitude.shape != (self.angle_offset_deg.size, self.doppler_hz.size):

@@ -180,7 +180,7 @@ class ArrayModel:
         if not self.wavelength > 0:
             raise ValueError("wavelength must be positive")
         if self.partition is not None:
-            check_partition(self.partition, pos.shape[0])
+            object.__setattr__(self, "partition", check_partition(self.partition, len(pos)))
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "patterns", tuple(self.patterns))

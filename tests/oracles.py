@@ -3,6 +3,9 @@
 - ambiguity_value is the definition of X, the normalized inner product of
   two basis vectors, which ambiguity_surface and the objective evaluate in
   bulk;
+- objective_points maps the Sobol points to the directions and Doppler
+  differences over which f_P integrates, which the evaluator maps in place
+  and does not keep;
 - alias_scan lists every sidelobe, whose first magnitude peak_sidelobe
   finds a block of rows at a time without the list;
 - gain_phase_jacobian is the analytic amplitude and phase Jacobian that the
@@ -11,11 +14,14 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from switchseq.ambiguity import AmbiguitySurface, DegenerateDirectionError
+import switchseq.ambiguity
+from switchseq.ambiguity import (AmbiguitySurface, DegenerateDirectionError,
+                                 ObjectiveConfig, Region)
 from switchseq.analysis import _main_lobe, _max3x3
 from switchseq.arrays import ArrayModel
 from switchseq.crlb import ParamVector, signal_mean
@@ -36,6 +42,27 @@ def ambiguity_value(array: ArrayModel, seq: SwitchingSequence,
                     mu: StructuralParams, mu_prime: StructuralParams) -> complex:
     """Normalized inner product of the two basis vectors; |result| <= 1."""
     return normalized_correlation(basis(array, seq, mu), basis(array, seq, mu_prime))
+
+
+def objective_points(region: Region, objective: ObjectiveConfig):
+    """Sample points and volume of f_P, the integral of |X(mu, mu')|**P over
+    both arrival directions on the whole sphere and the Doppler difference
+    within +-doppler_bound. Sobol coordinates 0 and 2 are the azimuths on
+    [0, 2 pi), 1 and 3 the elevations, uniform on [0, pi] or, with
+    sin_elevation, uniform in cos on [-1, 1] (the measure of [0, pi] under
+    sin is 2), and 4 the Doppler difference. Returns (azimuth, elevation,
+    azimuth', elevation', Doppler difference, volume): the volume is the
+    product of the five coordinates' measures."""
+    u = switchseq.ambiguity.sobol_points(objective.samples, objective.seed)
+    if objective.sin_elevation:
+        theta, theta_p = np.arccos(1.0 - u[:, 1] * 2.0), np.arccos(1.0 - u[:, 3] * 2.0)
+        el_measure = 2.0
+    else:
+        theta, theta_p, el_measure = u[:, 1] * math.pi, u[:, 3] * math.pi, math.pi
+    bound = region.doppler_bound
+    volume = (2.0 * math.pi) ** 2 * el_measure ** 2 * (2.0 * bound)
+    return (u[:, 0] * (2.0 * math.pi), theta, u[:, 2] * (2.0 * math.pi), theta_p,
+            bound * (2.0 * u[:, 4] - 1.0), volume)
 
 
 @dataclass(frozen=True)

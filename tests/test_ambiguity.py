@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import switchseq.ambiguity
 from switchseq import (AmbiguitySurface, AnnealConfig, ArrayModel,
                        DegenerateDirectionError,
                        ObjectiveConfig, ObjectiveEvaluator, PatchPattern,
@@ -22,7 +23,7 @@ from switchseq.config import ExperimentConfig
 from switchseq.switching import draw_swap, swap_sets
 
 from conftest import readme_config, swapped
-from oracles import ambiguity_value, normalized_correlation
+from oracles import ambiguity_value, normalized_correlation, objective_points
 
 BROADSIDE = StructuralParams(math.pi / 2, math.pi / 2, 0.0)
 
@@ -105,13 +106,12 @@ def test_objective_matches_bruteforce_per_sample_values():
     cfg = ObjectiveConfig(power=6, samples=64, seed=9)
     ev = ObjectiveEvaluator(arr, region, cfg, seq.delta_t, seq.snapshots)
     assert ev.degenerate_count == 0
+    *points, volume = objective_points(region, cfg)
     total = 0.0
-    for i in range(cfg.samples):
-        mu = StructuralParams(ev.azimuth[i], ev.elevation[i], 0.0)
-        mu_p = StructuralParams(ev.azimuth_prime[i], ev.elevation_prime[i],
-                                ev.delta_doppler[i])
+    for phi, theta, phi_p, theta_p, dnu in zip(*points):
+        mu, mu_p = StructuralParams(phi, theta, 0.0), StructuralParams(phi_p, theta_p, dnu)
         total += abs(ambiguity_value(arr, seq, mu, mu_p)) ** cfg.power
-    brute = ev.volume * total / cfg.samples
+    brute = volume * total / cfg.samples
     assert ev.evaluate(seq) == pytest.approx(brute, rel=1e-10)
 
 
@@ -121,13 +121,12 @@ def test_objective_matches_bruteforce_with_snapshots():
     region = Region.default_for(1e-4)
     cfg = ObjectiveConfig(power=6, samples=32, seed=2)
     ev = ObjectiveEvaluator(arr, region, cfg, seq.delta_t, seq.snapshots)
+    *points, volume = objective_points(region, cfg)
     total = 0.0
-    for i in range(cfg.samples):
-        mu = StructuralParams(ev.azimuth[i], ev.elevation[i], 0.0)
-        mu_p = StructuralParams(ev.azimuth_prime[i], ev.elevation_prime[i],
-                                ev.delta_doppler[i])
+    for phi, theta, phi_p, theta_p, dnu in zip(*points):
+        mu, mu_p = StructuralParams(phi, theta, 0.0), StructuralParams(phi_p, theta_p, dnu)
         total += abs(ambiguity_value(arr, seq, mu, mu_p)) ** cfg.power
-    brute = ev.volume * total / cfg.samples
+    brute = volume * total / cfg.samples
     assert ev.evaluate(seq) == pytest.approx(brute, rel=1e-10)
 
 
@@ -156,23 +155,26 @@ def test_sobol_points_match_scipy_bytes(seed):
         assert points.tobytes() == ref.tobytes(), (seed, n)
 
 
-def reference_objective(ev, seq):
-    """f_P rebuilt from the evaluator's sample points, with the Doppler
-    phases taken by a complex exponential per call instead of the table."""
-    g = steering_matrix(ev.array, ev.azimuth, ev.elevation)
-    g_p = steering_matrix(ev.array, ev.azimuth_prime, ev.elevation_prime)
+def reference_objective(ev, region, seq):
+    """f_P rebuilt from the oracle's sample points of the evaluator's region
+    and objective, with the Doppler phases taken by a complex exponential
+    per call instead of the table."""
+    phi, theta, phi_p, theta_p, dnu, volume = objective_points(region, ev.config)
+    assert volume == ev.volume
+    g = steering_matrix(ev.array, phi, theta)
+    g_p = steering_matrix(ev.array, phi_p, theta_p)
     norm = np.sqrt(ev.snapshots * np.sum(np.abs(g) ** 2, axis=1))
     norm_p = np.sqrt(ev.snapshots * np.sum(np.abs(g_p) ** 2, axis=1))
     ok = (norm > 0.0) & (norm_p > 0.0)
     denom = np.where(ok, norm * norm_p, 1.0)
     cross = np.where(ok[:, None], np.conj(g) * g_p / denom[:, None], 0.0)
     eta = seq.slot_of() * seq.delta_t
-    phases = np.exp(2j * math.pi * np.outer(ev.delta_doppler, eta))
+    phases = np.exp(2j * math.pi * np.outer(dnu, eta))
     mags = np.abs((cross * phases).sum(axis=1))
     if seq.snapshots > 1:
         offsets = np.arange(seq.snapshots) * seq.num_elements * seq.delta_t
-        mags *= np.abs(np.exp(2j * math.pi * np.outer(ev.delta_doppler, offsets)).sum(axis=1))
-    return ev.volume * np.sum(mags ** ev.config.power) / ev.config.samples
+        mags *= np.abs(np.exp(2j * math.pi * np.outer(dnu, offsets)).sum(axis=1))
+    return volume * np.sum(mags ** ev.config.power) / ev.config.samples
 
 
 def chain_init(arr, scheme, snapshots, rng):
@@ -226,11 +228,12 @@ DIFFERENTIAL_ARRAYS = {
 def test_evaluate_matches_per_call_exp_reference(array_name, snapshots, sin_elevation):
     arr = DIFFERENTIAL_ARRAYS[array_name]()
     cfg = ObjectiveConfig(power=6, samples=256, seed=11, sin_elevation=sin_elevation)
-    ev = ObjectiveEvaluator(arr, Region.default_for(1e-4), cfg, 1e-4, snapshots)
+    region = Region.default_for(1e-4)
+    ev = ObjectiveEvaluator(arr, region, cfg, 1e-4, snapshots)
     if array_name == "single_panel":
         assert ev.degenerate_count > 0
     for seq in swap_chain(arr, snapshots, 21, np.random.default_rng(snapshots)):
-        ref = reference_objective(ev, seq)
+        ref = reference_objective(ev, region, seq)
         assert abs(ev.evaluate(seq) - ref) <= 1e-12 * abs(ref)
 
 
@@ -265,15 +268,14 @@ def test_swap_sums_carried_along_a_chain_match_evaluate(array_name, scheme,
         assert f == ev.evaluate(seq), k
 
 
-def reference_cross(ev):
+def reference_cross(ev, region):
     """The evaluator's steering products as the dense (M, 2, samples) table
     it once held, built a block of elements at a time as it built them:
     conj(G) G' exp(i k (u' - u).p) where the gain product is nonzero and
     0.0 elsewhere, then scaled to units of 2**-FIXED_BITS."""
     array, n = ev.array, ev.config.samples
     m = array.num_elements
-    phi, theta = ev.azimuth, ev.elevation
-    phi_p, theta_p = ev.azimuth_prime, ev.elevation_prime
+    phi, theta, phi_p, theta_p, _, _ = objective_points(region, ev.config)
     du = unit_vectors(phi_p, theta_p) - unit_vectors(phi, theta)
     block = max(1, _BLOCK_ENTRIES // n)
     dense = np.zeros((m, 2, n))
@@ -301,12 +303,12 @@ def reference_cross(ev):
     return dense
 
 
-def reference_phase_table(ev):
+def reference_phase_table(ev, region):
     """Doppler phase of every sample in every slot as the (M, 2, samples)
     real and imaginary rows the evaluator once held whole: slots lo..lo+L-1,
     L = ceil(sqrt(M)), as one coarse row exp(2 pi i dnu lo dt) times the
     fine rows exp(2 pi i dnu r dt)."""
-    m, dt, dnu = ev.array.num_elements, ev.delta_t, ev.delta_doppler
+    m, dt, dnu = ev.array.num_elements, ev.delta_t, objective_points(region, ev.config)[4]
     step = math.isqrt(m - 1) + 1
     fine = np.exp(2j * math.pi * np.outer(np.arange(step) * dt, dnu))
     phase = np.empty((m, 2, dnu.size))
@@ -350,9 +352,10 @@ def test_live_products_equal_the_dense_reference(array_name, samples, snapshots)
     # at 4096 samples the build takes 8 elements a block, so several blocks
     # add into the power sums
     arr = DIFFERENTIAL_ARRAYS[array_name]()
-    ev = ObjectiveEvaluator(arr, Region.default_for(1e-4),
-                            ObjectiveConfig(samples=samples, seed=2), 1e-4, snapshots)
-    dense = reference_cross(ev)
+    region = Region.default_for(1e-4)
+    ev = ObjectiveEvaluator(arr, region, ObjectiveConfig(samples=samples, seed=2),
+                            1e-4, snapshots)
+    dense = reference_cross(ev, region)
     patterns = {}
     for e, (live, cross) in enumerate(zip(ev.live, ev._cross)):
         if isinstance(live, slice):
@@ -374,9 +377,9 @@ def test_block_terms_equal_per_row_terms(array_name):
     # reference's term there, and the dense term is 0 elsewhere
     arr = DIFFERENTIAL_ARRAYS[array_name]()
     m = arr.num_elements
-    ev = ObjectiveEvaluator(arr, Region.default_for(1e-4),
-                            ObjectiveConfig(samples=256, seed=2), 1e-4, 1)
-    dense, table = reference_cross(ev), reference_phase_table(ev)
+    region = Region.default_for(1e-4)
+    ev = ObjectiveEvaluator(arr, region, ObjectiveConfig(samples=256, seed=2), 1e-4, 1)
+    dense, table = reference_cross(ev, region), reference_phase_table(ev, region)
     slots = np.random.default_rng(m).permutation(m)
     rows = reference_terms(dense, table, np.arange(m), slots)
     assert rows.dtype == np.int64 and rows.shape == (m, 2, 256)
@@ -395,9 +398,9 @@ def test_phase_rows_equal_the_full_slot_table(m, snapshots, sin_elevation):
     # slot on an element's live samples; every row, on every sample and on
     # a subset, and every term formed from it, has the bits of the table
     cfg = ObjectiveConfig(samples=256, seed=6, sin_elevation=sin_elevation)
-    ev = ObjectiveEvaluator(make_ula(m, 0.5, 1.0), Region.default_for(1e-4), cfg,
-                            1e-4, snapshots)
-    table = reference_phase_table(ev)
+    region = Region.default_for(1e-4)
+    ev = ObjectiveEvaluator(make_ula(m, 0.5, 1.0), region, cfg, 1e-4, snapshots)
+    table = reference_phase_table(ev, region)
     subset = np.flatnonzero(np.random.default_rng(m).random(256) < 0.3)
     for s in range(m):
         for live in (slice(None), subset):
@@ -405,7 +408,7 @@ def test_phase_rows_equal_the_full_slot_table(m, snapshots, sin_elevation):
             assert np.array_equal(bits(row.real), bits(table[s, 0][live]))
             assert np.array_equal(bits(row.imag), bits(table[s, 1][live]))
     assert all(live == slice(None) for live in ev.live)  # omni: live everywhere
-    dense = reference_cross(ev)
+    dense = reference_cross(ev, region)
     slots = np.random.default_rng(m).permutation(m)
     terms = reference_terms(dense, table, np.arange(m), slots)
     for e in range(m):
@@ -449,8 +452,8 @@ def retained_matrices(arr, samples=1024):
 def test_evaluator_build_frees_its_scratch_before_the_products_grow():
     # a block's |G|^2 scratch (0.5 MiB here) is summed into the powers and
     # freed before the block's products are formed: on the README octagon
-    # at 4096 samples the build then peaks 0.76 MiB above what it keeps,
-    # and 1.17 MiB when the scratch is held beside the products
+    # at 4096 samples the build then peaks 0.89 MiB above what it keeps,
+    # and 1.30 MiB when the scratch is held beside the products
     config = ExperimentConfig.from_dict(readme_config())
     spec = config.sequence_spec
 
@@ -470,28 +473,44 @@ def test_evaluator_build_frees_its_scratch_before_the_products_grow():
     assert peak - retained < 0.95 * 2 ** 20, (peak - retained) / 2 ** 20
 
 
-# the two directions of every sample nearly coincide and the Doppler
-# difference nearly vanishes, so |S_n| reaches 1, the bound's worst case
-TIGHT_REGION = Region(azimuth=(0.3, 0.3 + 1e-9), elevation=(1.2, 1.2 + 1e-9),
-                      doppler_bound=1e-9)
+def squeezed_sobol_points(monkeypatch, region):
+    """Make the evaluator's Sobol points map into boxes 1e-9 wide at
+    azimuth 0.3 and elevation 1.2 (uniform elevations), in both directions,
+    and to Doppler differences within 1e-9 of 0 under region's bound."""
+    sobol_points = switchseq.ambiguity.sobol_points
+
+    def squeezed(n, seed):
+        u = sobol_points(n, seed)
+        u[:, [0, 2]] = (0.3 + u[:, [0, 2]] * 1e-9) / (2.0 * math.pi)
+        u[:, [1, 3]] = (1.2 + u[:, [1, 3]] * 1e-9) / math.pi
+        u[:, 4] = 0.5 + (u[:, 4] - 0.5) * (1e-9 / region.doppler_bound)
+        return u
+
+    monkeypatch.setattr(switchseq.ambiguity, "sobol_points", squeezed)
 
 
 @pytest.mark.parametrize("snapshots", [1, 3])
-@pytest.mark.parametrize("region", [Region.default_for(1e-4), TIGHT_REGION],
-                         ids=["default", "tight"])
+@pytest.mark.parametrize("points", ["default", "tight"])
 @pytest.mark.parametrize("array_name", sorted(DIFFERENTIAL_ARRAYS))
-def test_fixed_point_sums_within_overflow_bound(array_name, region, snapshots):
+def test_fixed_point_sums_within_overflow_bound(array_name, points, snapshots,
+                                                monkeypatch):
     # sum_m |term| bounds every partial sum of sample_sums and propose; it
     # is 2**61 sum_m |cross[m, n]| <= 2**61 by Cauchy-Schwarz, plus 1/2 per
-    # rounded term and a few ulps of 2**61 from the floating-point build
+    # rounded term and a few ulps of 2**61 from the floating-point build.
+    # With the tight points the two directions of every sample nearly
+    # coincide and the Doppler difference nearly vanishes, so |S_n| reaches
+    # 1, the bound's worst case
     arr = DIFFERENTIAL_ARRAYS[array_name]()
     m = arr.num_elements
+    region = Region.default_for(1e-4)
+    if points == "tight":
+        squeezed_sobol_points(monkeypatch, region)
     ev = ObjectiveEvaluator(arr, region, ObjectiveConfig(samples=256, seed=4),
                             1e-4, snapshots)
-    if array_name == "single_panel" and region is not TIGHT_REGION:
+    if array_name == "single_panel" and points == "default":
         assert ev.degenerate_count > 0
     bound = 2 ** 61 * (1 + 1e-12) + m
-    dense, table = reference_cross(ev), reference_phase_table(ev)
+    dense, table = reference_cross(ev, region), reference_phase_table(ev, region)
     for seq in swap_chain(arr, snapshots, 5, np.random.default_rng(m)):
         slots = seq.slot_of()
         terms = reference_terms(dense, table, np.arange(m), slots)
@@ -499,7 +518,7 @@ def test_fixed_point_sums_within_overflow_bound(array_name, region, snapshots):
             assert np.array_equal(ev.term(e, int(slots[e])), terms[e][:, ev.live[e]])
         assert np.abs(terms).sum(axis=0).max() <= bound
         assert np.array_equal(terms.sum(axis=0), ev.sample_sums(seq))
-    if region is TIGHT_REGION and snapshots == 1:
+    if points == "tight" and snapshots == 1:
         # the bound is reached: sums of 2**61 in magnitude, not far below
         assert np.abs(ev.sample_sums(seq)).max() > 2 ** 61 * (1 - 1e-6)
 
@@ -736,6 +755,17 @@ def test_surface_memory_does_not_grow_with_snapshots():
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def test_surface_leaves_its_callers_grids_writable():
+    # the surface freezes copies of its axes, not the config's own grids
+    config = ExperimentConfig.from_dict(readme_config())
+    spec = config.sequence_spec
+    seq = sequential(config.array.num_elements, spec["delta_t_s"], spec["snapshots"])
+    surface = ambiguity_surface(config.array, seq, config.reference, *config.sweep)
+    for grid, axis in zip(config.sweep[:2], (surface.doppler_hz, surface.angle_offset_deg)):
+        assert grid.flags.writeable and not axis.flags.writeable
+        assert axis is not grid and np.array_equal(axis, grid)
 
 
 def test_surface_rejects_bad_grids():

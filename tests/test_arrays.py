@@ -116,6 +116,18 @@ def test_array_model_refuses_a_bad_partition():
                       ((2, 3), (0, 1))).partition == ((2, 3), (0, 1))
 
 
+def test_array_model_keeps_the_partition_it_checked():
+    # lists go in, tuples are kept: editing the lists afterwards does not
+    # change an array that was already validated
+    arr = make_ula(4, 0.5, 1.0)
+    subsets = [[0, 1], [2, 3]]
+    model = ArrayModel(arr.positions, arr.patterns, arr.wavelength, subsets)
+    assert model.partition == ((0, 1), (2, 3))
+    assert all(type(subset) is tuple for subset in model.partition)
+    subsets[0][0], subsets[1][:] = 3, []
+    assert model.partition == ((0, 1), (2, 3))
+
+
 def test_octagonal_counts_generalize():
     arr = make_octagonal(panels=5, rows=2, cols=3)
     assert arr.num_elements == 5 * 2 * 3

@@ -638,7 +638,7 @@ from switchseq.config import ExperimentConfig
 from switchseq.ambiguity import ObjectiveEvaluator
 config = ExperimentConfig.from_file(sys.argv[1])
 evaluator = ObjectiveEvaluator(config.array, config.region, config.objective, 1e-3)
-assert evaluator.azimuth.size == 256
+assert evaluator.config.samples == 256
 loaded["evaluator"] = "scipy" in sys.modules
 assert main(["optimize", "--config", sys.argv[1], "--out", sys.argv[3]]) == 0
 loaded["optimize"] = "scipy" in sys.modules
@@ -1239,6 +1239,47 @@ def test_compare_requires_partitioned_array(tmp_path):
     rc = main(["compare", "--config", write_config(tmp_path, cfg),
                "--out", str(tmp_path / "c2")])
     assert rc == 2
+
+
+class Annealed(Exception):
+    pass
+
+
+def refuse_to_anneal(*args):
+    raise Annealed
+
+
+@pytest.mark.parametrize("sweep, span, step", [
+    ({"angle_step_deg": 0.7}, "angle_span_deg", "angle_step_deg"),
+    ({"doppler_step_hz": 3.0}, "doppler_span_hz", "doppler_step_hz"),
+], ids=["angle", "doppler"])
+def test_compare_refuses_a_sweep_axis_without_a_zero_offset_cell(
+        tmp_path, capsys, monkeypatch, sweep, span, step):
+    # the nearest cells are 0.1 degrees and 1 Hz from zero, where the main
+    # lobe is anchored; compare refuses before it anneals anything
+    monkeypatch.setattr(ExperimentConfig, "anneal_schemes", refuse_to_anneal)
+    cfg = octagon_config()
+    cfg["sweep"].update(sweep)
+    assert main(["compare", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "config"
+    assert error["message"].startswith(f"config.sweep.{span}: ")
+    assert f"config.sweep.{step}" in error["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_accepts_a_zero_offset_cell_off_by_rounding():
+    # np.arange puts the middle cell of a 3.0 span at step 0.1 at 2.7e-15
+    # degrees, not 0.0: that is a zero-offset cell, so compare goes on to anneal
+    cfg = octagon_config()
+    cfg["sweep"].update(angle_span_deg=3.0, angle_step_deg=0.1)
+    config = ExperimentConfig.from_dict(cfg)
+    assert 0.0 < abs(config.sweep[1]).min() < 1e-14
+    config.anneal_schemes = refuse_to_anneal
+    with pytest.raises(Annealed):
+        config.compare(0)
 
 
 def test_effective_factor_cmd(tmp_path):
