@@ -372,7 +372,8 @@ class AmbiguitySurface:
     def __post_init__(self):
         for name in ("doppler_hz", "angle_offset_deg", "magnitude"):
             # the caller's axes are copied before they are frozen, not magnitude
-            arr = np.array(getattr(self, name), dtype=float, copy=name != "magnitude" or None)
+            make = np.asarray if name == "magnitude" else np.array
+            arr = make(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.magnitude.shape != (self.angle_offset_deg.size, self.doppler_hz.size):

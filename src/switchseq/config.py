@@ -214,7 +214,6 @@ class ExperimentConfig:
     sequence_spec: dict
     anneal_spec: dict | None
     reference_spec: dict
-    sweep_spec: dict
     crlb_spec: dict
     effective_threshold_db: float
     output_dir: str | None
@@ -381,7 +380,6 @@ class ExperimentConfig:
             sequence_spec=sequence_spec,
             anneal_spec=anneal_spec,
             reference_spec=reference_spec,
-            sweep_spec=sweep_spec,
             crlb_spec=crlb_spec,
             effective_threshold_db=top["effective_threshold_db"],
             output_dir=top["output_dir"],
@@ -481,7 +479,7 @@ class ExperimentConfig:
             _check_scheme(self.array, scheme, "compare")
         # the widths and the PSL anchor the main lobe at the zero-offset cell
         for grid, axis, unit in zip(self.sweep, ("doppler", "angle"), ("hz", "deg")):
-            if np.abs(grid).min() > 1e-9 * self.sweep_spec[f"{axis}_step_{unit}"]:
+            if grid.size > 1 and np.abs(grid).min() > 1e-6 * (grid[1] - grid[0]):
                 raise ConfigError(f"config.sweep.{axis}_span_{unit}: compare needs a "
                                   f"multiple of config.sweep.{axis}_step_{unit}")
         # one RNG stream, drawn in order: random init and anneal, then hybrid

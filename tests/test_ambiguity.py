@@ -766,6 +766,10 @@ def test_surface_leaves_its_callers_grids_writable():
     for grid, axis in zip(config.sweep[:2], (surface.doppler_hz, surface.angle_offset_deg)):
         assert grid.flags.writeable and not axis.flags.writeable
         assert axis is not grid and np.array_equal(axis, grid)
+    # magnitude is made for the surface, so it is frozen without a copy
+    magnitude = surface.magnitude.copy()
+    again = replace(surface, magnitude=magnitude)
+    assert again.magnitude is magnitude and not magnitude.flags.writeable
 
 
 def test_surface_rejects_bad_grids():

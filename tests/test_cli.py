@@ -638,7 +638,7 @@ from switchseq.config import ExperimentConfig
 from switchseq.ambiguity import ObjectiveEvaluator
 config = ExperimentConfig.from_file(sys.argv[1])
 evaluator = ObjectiveEvaluator(config.array, config.region, config.objective, 1e-3)
-assert evaluator.config.samples == 256
+assert evaluator._snapshot_power.size == 256
 loaded["evaluator"] = "scipy" in sys.modules
 assert main(["optimize", "--config", sys.argv[1], "--out", sys.argv[3]]) == 0
 loaded["optimize"] = "scipy" in sys.modules
@@ -1252,11 +1252,15 @@ def refuse_to_anneal(*args):
 @pytest.mark.parametrize("sweep, span, step", [
     ({"angle_step_deg": 0.7}, "angle_span_deg", "angle_step_deg"),
     ({"doppler_step_hz": 3.0}, "doppler_span_hz", "doppler_step_hz"),
-], ids=["angle", "doppler"])
+    ({"doppler_span_hz": 4000.0 + 25.0 * 1.1e-6}, "doppler_span_hz", "doppler_step_hz"),
+    ({"doppler_span_hz": 4000.025}, "doppler_span_hz", "doppler_step_hz"),
+], ids=["angle", "doppler", "doppler-millionth", "doppler-thousandth"])
 def test_compare_refuses_a_sweep_axis_without_a_zero_offset_cell(
         tmp_path, capsys, monkeypatch, sweep, span, step):
-    # the nearest cells are 0.1 degrees and 1 Hz from zero, where the main
-    # lobe is anchored; compare refuses before it anneals anything
+    # the nearest cells are 0.1 degrees, 1 Hz, 1.1e-6 and 1e-3 steps from
+    # zero, where the main lobe is anchored; compare refuses before it anneals
+    # anything, even though this array's main lobe still reads 1 within 1e-6
+    # at the last two (it falls by 1e-6 near 0.08 steps)
     monkeypatch.setattr(ExperimentConfig, "anneal_schemes", refuse_to_anneal)
     cfg = octagon_config()
     cfg["sweep"].update(sweep)
@@ -1270,13 +1274,18 @@ def test_compare_refuses_a_sweep_axis_without_a_zero_offset_cell(
     assert not (tmp_path / "out").exists()
 
 
-def test_compare_accepts_a_zero_offset_cell_off_by_rounding():
+@pytest.mark.parametrize("sweep, axis, nearest", [
+    ({"angle_span_deg": 3.0, "angle_step_deg": 0.1}, 1, 1e-14),
+    ({"doppler_span_hz": 4000.0 + 25.0 * 0.9e-6}, 0, 25.0 * 1e-6),
+], ids=["angle", "doppler"])
+def test_compare_accepts_a_nearest_cell_within_a_millionth_of_a_step(sweep, axis, nearest):
     # np.arange puts the middle cell of a 3.0 span at step 0.1 at 2.7e-15
-    # degrees, not 0.0: that is a zero-offset cell, so compare goes on to anneal
+    # degrees, not 0.0, and a cell 0.9e-6 steps from zero is also within the
+    # tolerance: those are zero-offset cells, so compare goes on to anneal
     cfg = octagon_config()
-    cfg["sweep"].update(angle_span_deg=3.0, angle_step_deg=0.1)
+    cfg["sweep"].update(sweep)
     config = ExperimentConfig.from_dict(cfg)
-    assert 0.0 < abs(config.sweep[1]).min() < 1e-14
+    assert 0.0 < abs(config.sweep[axis]).min() < nearest
     config.anneal_schemes = refuse_to_anneal
     with pytest.raises(Annealed):
         config.compare(0)
