@@ -44,8 +44,7 @@ else:
         BLAS_THREADS = 1
 
 from .ambiguity import (AmbiguitySurface, DegenerateDirectionError,
-                        ObjectiveConfig, ObjectiveEvaluator, Region,
-                        ambiguity_surface)
+                        ObjectiveConfig, ObjectiveEvaluator, ambiguity_surface)
 from .analysis import (GridTooNarrowError, WidthReport, block_aperture_ratio,
                        compare_schemes, effective_factor, half_power_width,
                        peak_sidelobe)

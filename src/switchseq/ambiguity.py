@@ -63,22 +63,6 @@ class DegenerateDirectionError(ValueError, ArithmeticError):
 
 
 @dataclass(frozen=True)
-class Region:
-    """Whole sphere in both directions, Doppler difference within +-doppler_bound."""
-
-    doppler_bound: float = 1.0
-
-    def __post_init__(self):
-        if not self.doppler_bound > 0:
-            raise ValueError("doppler bound must be positive")
-
-    @classmethod
-    def default_for(cls, delta_t: float, doppler_fraction: float = 0.25) -> "Region":
-        """The Doppler bound a fraction of 1/(2*delta_t)."""
-        return cls(doppler_bound=doppler_fraction / (2.0 * delta_t))
-
-
-@dataclass(frozen=True)
 class ObjectiveConfig:
     """Settings for the integral objective f_P.
 
@@ -165,15 +149,18 @@ _BLOCK_ENTRIES = 2 ** 15  # samples x elements per block of the build
 
 
 class ObjectiveEvaluator:
-    """Precomputed QMC machinery for evaluating f_P over many sequences.
+    """Precomputed QMC machinery for evaluating f_P, its Doppler difference
+    within +-doppler_bound (Hz), over many sequences.
 
     All sequences passed to evaluate() must share the element count, slot
     duration, and snapshot count given at construction; those fix the sample
     points and steering products (common random numbers).
     """
 
-    def __init__(self, array: ArrayModel, region: Region, config: ObjectiveConfig,
-                 delta_t: float, snapshots: int = 1):
+    def __init__(self, array: ArrayModel, doppler_bound: float,
+                 config: ObjectiveConfig, delta_t: float, snapshots: int = 1):
+        if not doppler_bound > 0:
+            raise ValueError("doppler bound must be positive")
         self.array = array
         self.config = config
         self.delta_t = float(delta_t)
@@ -194,8 +181,8 @@ class ObjectiveEvaluator:
             theta = u[:, 1] * math.pi
             theta_p = u[:, 3] * math.pi
             el_measure = math.pi
-        dnu = region.doppler_bound * (2.0 * u[:, 4] - 1.0)
-        self.volume = (2.0 * math.pi) ** 2 * el_measure ** 2 * (2.0 * region.doppler_bound)
+        dnu = doppler_bound * (2.0 * u[:, 4] - 1.0)
+        self.volume = (2.0 * math.pi) ** 2 * el_measure ** 2 * (2.0 * doppler_bound)
 
         # Doppler phase of sample n in slot s, exp(2*pi*i*dnu*s*dt), is
         # coarse[s // L] * fine[s % L] with coarse rows exp(2*pi*i*dnu*lo*dt)

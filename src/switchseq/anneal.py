@@ -119,8 +119,10 @@ def anneal(init: SwitchingSequence, config: AnnealConfig,
         f_proposal = proposal[2]
         temperature = temperature_schedule(t0, alpha, k)
         delta = f_current - f_proposal
-        # literal rule exp(delta/T) > u, written to avoid overflow for delta >= 0
-        accepted = delta >= 0.0 or math.exp(delta / temperature) > u
+        # literal rule exp(delta/T) > u, written to avoid overflow for delta >= 0;
+        # a schedule cooled to T = 0.0 takes improvements only, its limit
+        accepted = delta >= 0.0 or (temperature > 0.0
+                                    and math.exp(delta / temperature) > u)
         if accepted:
             order[a], order[b] = order[b], order[a]
             sums, contributions, f_current = proposal

@@ -83,8 +83,9 @@ class TabulatedPattern:
     treated as periodic from its first azimuth: the first column repeats one
     turn later, so a query below the first azimuth interpolates between the
     last column and the first. The elevation grid must be strictly
-    increasing inside [0, pi]. Queries are interpolated bilinearly;
-    elevation queries outside the tabulated range are rejected.
+    increasing inside [0, pi]. Queries are interpolated bilinearly (in
+    azimuth on one elevation); elevation queries outside the tabulated
+    range are rejected.
     """
 
     azimuth_grid: np.ndarray
@@ -111,12 +112,17 @@ class TabulatedPattern:
         for name, arr in (("azimuth_grid", az), ("elevation_grid", el), ("gains", g)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        # the periodic closure in azimuth: the first column again, one turn on
+        # the periodic closure in azimuth: the first column again, one turn
+        # on; a lone elevation repeats one radian on, to interpolate between
+        g = np.vstack([g, g[0:1]])
+        if el.size == 1:
+            el, g = np.append(el, el[0] + 1.0), np.hstack([g, g])
         object.__setattr__(self, "_az_ext", np.append(az, az[0] + 2 * math.pi))
-        object.__setattr__(self, "_g_ext", np.vstack([g, g[0:1]]))
+        object.__setattr__(self, "_el_ext", el)
+        object.__setattr__(self, "_g_ext", g)
 
     def gain(self, azimuth, elevation) -> np.ndarray:
-        az_ext, g_ext = self._az_ext, self._g_ext
+        az_ext, el_ext, g_ext = self._az_ext, self._el_ext, self._g_ext
         az = az_ext[0] + np.mod(np.asarray(azimuth, dtype=float) - az_ext[0],
                                 2 * math.pi)
         el = np.asarray(elevation, dtype=float)
@@ -127,14 +133,9 @@ class TabulatedPattern:
         el = np.clip(el, self.elevation_grid[0], self.elevation_grid[-1])
 
         ia = np.clip(np.searchsorted(az_ext, az, side="right") - 1, 0, az_ext.size - 2)
-        ie = np.clip(
-            np.searchsorted(self.elevation_grid, el, side="right") - 1,
-            0,
-            self.elevation_grid.size - 2,
-        )
+        ie = np.clip(np.searchsorted(el_ext, el, side="right") - 1, 0, el_ext.size - 2)
         ta = (az - az_ext[ia]) / (az_ext[ia + 1] - az_ext[ia])
-        denom = self.elevation_grid[ie + 1] - self.elevation_grid[ie]
-        te = (el - self.elevation_grid[ie]) / denom
+        te = (el - el_ext[ie]) / (el_ext[ie + 1] - el_ext[ie])
         cols = g_ext.shape[1]
         flat = ia * cols + ie  # of g00 in the raveled table
         del az, el, ia, ie
@@ -363,6 +364,9 @@ def load_pattern_file(path: str | Path) -> dict[tuple[int, str], TabulatedPatter
         if len(set(header)) < len(header):
             raise ValueError(f"pattern file header repeats a column: {header}")
         for row in reader:
+            if None in row:  # DictReader's key for the fields past the header
+                raise ValueError(f"pattern file line {reader.line_num} has more "
+                                 "fields than its header")
             short = [k for k, v in row.items() if v is None]
             if short:
                 raise ValueError(f"pattern file line {reader.line_num} has no {short[0]}")

@@ -2,11 +2,11 @@
 fail-closed (unknown and repeated keys are rejected) so typos cannot
 silently change a scientific run.
 
-Loading builds every run object once (array, region, objective and anneal
-settings, reference and crlb parameters, sweep grids) through the domain
-constructors, so their checks are the config's checks: any error they
-raise becomes a ConfigError that names the field. The config alone sets a
-run's timing (element count, slot duration, snapshots).
+Loading builds every run object once (array, Doppler bound, objective and
+anneal settings, reference and crlb parameters, sweep grids) through the
+domain constructors, so their checks are the config's checks: any error
+they raise becomes a ConfigError that names the field. The config alone
+sets a run's timing (element count, slot duration, snapshots).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .ambiguity import (SWEEP_COLUMNS, ObjectiveConfig, ObjectiveEvaluator,
-                        Region, sweep_directions)
+                        sweep_directions)
 from .analysis import compare_schemes
 from .anneal import AnnealConfig, anneal
 from .arrays import (ArrayModel, StructuralParams, attach_patterns, load_pattern_file,
@@ -218,7 +218,7 @@ class ExperimentConfig:
     effective_threshold_db: float
     output_dir: str | None
     array: ArrayModel
-    region: Region
+    doppler_bound: float
     objective: ObjectiveConfig
     anneal: AnnealConfig
     reference: StructuralParams
@@ -267,20 +267,11 @@ class ExperimentConfig:
         if sequence_spec["snapshots"] < 1:
             raise ConfigError("config.sequence.snapshots: must be >= 1")
 
-        region_spec = _section(top["region"], {
-            "doppler_fraction": 0.25,
-            "doppler_bound_hz": float,
-        }, "config.region")
-        bound = region_spec["doppler_bound_hz"]
-        if bound is not None and "doppler_fraction" in top["region"]:
-            raise ConfigError("config.region.doppler_fraction and config.region."
-                              "doppler_bound_hz: set one of the two, not both")
-        if bound is None:
-            region = _field("config.region.doppler_fraction", Region.default_for,
-                            delta_t, region_spec["doppler_fraction"])
-        else:
-            region = _field("config.region.doppler_bound_hz", Region,
-                            doppler_bound=bound)
+        # the objective's Doppler bound, a fraction of 1/(2 delta_t)
+        region_spec = _section(top["region"], {"doppler_fraction": 0.25},
+                               "config.region")
+        doppler_bound = _positive(region_spec["doppler_fraction"],
+                                  "config.region.doppler_fraction") / (2.0 * delta_t)
 
         objective_spec = _section(top["objective"], {
             "power": 6,
@@ -342,12 +333,14 @@ class ExperimentConfig:
             }, "config.anneal")
             anneal_cfg = _field("config.anneal", AnnealConfig, k_max=anneal_spec["k_max"],
                                 t0=anneal_spec["t0"], alpha=anneal_spec["alpha"])
-        # Doppler phases at the region bound, the swept or the crlb Doppler
+        # Doppler phases at the objective's bound, the swept or the crlb Doppler
         _check_sizes(counts, m, sequence_spec["snapshots"], objective.samples,
                      anneal_cfg.k_max, 2 * a_span / a_step + 1,
                      2 * d_span / d_step + 1, delta_t,
-                     max(region.doppler_bound, abs(params.doppler_hz),
+                     max(doppler_bound, abs(params.doppler_hz),
                          abs(reference.doppler_hz) + d_span))
+        # underflow, checked after the gate names a huge delta_t_s
+        _positive(doppler_bound, "config.region.doppler_fraction")
 
         # a steering phase k <u, p> or k <u' - u, p> (unit u, u') is at most
         # 2 k sum_i |p_i| in magnitude; twice that, finite, leaves room for
@@ -384,7 +377,7 @@ class ExperimentConfig:
             effective_threshold_db=top["effective_threshold_db"],
             output_dir=top["output_dir"],
             array=array,
-            region=region,
+            doppler_bound=doppler_bound,
             objective=objective,
             anneal=anneal_cfg,
             reference=reference,
@@ -452,7 +445,7 @@ class ExperimentConfig:
         degenerate_samples (with a direction no element sees) and
         live_fraction."""
         spec = self.sequence_spec
-        evaluator = ObjectiveEvaluator(self.array, self.region, self.objective,
+        evaluator = ObjectiveEvaluator(self.array, self.doppler_bound, self.objective,
                                        spec["delta_t_s"], spec["snapshots"])
         sequences, traces = {}, {}
         for scheme in schemes:
@@ -501,8 +494,8 @@ class ExperimentConfig:
     def build_array(self) -> ArrayModel:
         return self.array
 
-    def build_region(self) -> Region:
-        return self.region
+    def build_region(self) -> float:
+        return self.doppler_bound
 
     def build_objective(self) -> ObjectiveConfig:
         return self.objective

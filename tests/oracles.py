@@ -21,7 +21,7 @@ import numpy as np
 
 import switchseq.ambiguity
 from switchseq.ambiguity import (AmbiguitySurface, DegenerateDirectionError,
-                                 ObjectiveConfig, Region)
+                                 ObjectiveConfig)
 from switchseq.analysis import _main_lobe, _max3x3
 from switchseq.arrays import ArrayModel
 from switchseq.crlb import ParamVector, signal_mean
@@ -44,7 +44,7 @@ def ambiguity_value(array: ArrayModel, seq: SwitchingSequence,
     return normalized_correlation(basis(array, seq, mu), basis(array, seq, mu_prime))
 
 
-def objective_points(region: Region, objective: ObjectiveConfig):
+def objective_points(doppler_bound: float, objective: ObjectiveConfig):
     """Sample points and volume of f_P, the integral of |X(mu, mu')|**P over
     both arrival directions on the whole sphere and the Doppler difference
     within +-doppler_bound. Sobol coordinates 0 and 2 are the azimuths on
@@ -59,10 +59,9 @@ def objective_points(region: Region, objective: ObjectiveConfig):
         el_measure = 2.0
     else:
         theta, theta_p, el_measure = u[:, 1] * math.pi, u[:, 3] * math.pi, math.pi
-    bound = region.doppler_bound
-    volume = (2.0 * math.pi) ** 2 * el_measure ** 2 * (2.0 * bound)
+    volume = (2.0 * math.pi) ** 2 * el_measure ** 2 * (2.0 * doppler_bound)
     return (u[:, 0] * (2.0 * math.pi), theta, u[:, 2] * (2.0 * math.pi), theta_p,
-            bound * (2.0 * u[:, 4] - 1.0), volume)
+            doppler_bound * (2.0 * u[:, 4] - 1.0), volume)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from switchseq import (AnnealConfig, ExperimentConfig, ObjectiveConfig,
-                       ObjectiveEvaluator, Region, StructuralParams,
+                       ObjectiveEvaluator, StructuralParams,
                        ambiguity_surface, anneal, basis_from_eta, crlb_aoa,
                        crlb_doppler, effective_elements, effective_factor,
                        fim_numeric, make_octagonal, make_ula, peak_sidelobe,
@@ -131,10 +131,10 @@ def test_criterion_5_aliasing_reproduction():
     surf_seq = ambiguity_surface(array, seq, mu, doppler, angles, "aoa")
     psl_seq = peak_sidelobe(surf_seq)
 
-    region = Region(doppler_bound=300.0)
+    bound = 300.0
     rng = np.random.default_rng(seed)
     evaluator = ObjectiveEvaluator(
-        array, region, ObjectiveConfig(power=6, samples=SAMPLES, seed=seed), dt, 1)
+        array, bound, ObjectiveConfig(power=6, samples=SAMPLES, seed=seed), dt, 1)
     cfg = AnnealConfig(k_max=K_MAX)
     opt, _ = anneal(random_init(m, dt, 1, rng), cfg, evaluator, rng)
     surf_rand = ambiguity_surface(array, opt, mu, doppler, angles, "aoa")

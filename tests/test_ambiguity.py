@@ -11,7 +11,7 @@ import switchseq.ambiguity
 from switchseq import (AmbiguitySurface, AnnealConfig, ArrayModel,
                        DegenerateDirectionError,
                        ObjectiveConfig, ObjectiveEvaluator, PatchPattern,
-                       Region, StructuralParams, TabulatedPattern,
+                       StructuralParams, TabulatedPattern,
                        ambiguity_surface, anneal, basis_from_eta,
                        make_octagonal, make_ula, random_init, sequential)
 from switchseq.ambiguity import (_BLOCK_ENTRIES, _CSV_CELLS, FIXED_BITS,
@@ -102,11 +102,11 @@ def test_time_shift_invariance(rng):
 def test_objective_matches_bruteforce_per_sample_values():
     arr = make_octagonal(8, 2, 2, patch_exponent=2.0)
     seq = random_init(arr.num_elements, 1e-4, 1, np.random.default_rng(4))
-    region = Region.default_for(1e-4)
+    bound = 0.25 / (2.0 * 1e-4)
     cfg = ObjectiveConfig(power=6, samples=64, seed=9)
-    ev = ObjectiveEvaluator(arr, region, cfg, seq.delta_t, seq.snapshots)
+    ev = ObjectiveEvaluator(arr, bound, cfg, seq.delta_t, seq.snapshots)
     assert ev.degenerate_count == 0
-    *points, volume = objective_points(region, cfg)
+    *points, volume = objective_points(bound, cfg)
     total = 0.0
     for phi, theta, phi_p, theta_p, dnu in zip(*points):
         mu, mu_p = StructuralParams(phi, theta, 0.0), StructuralParams(phi_p, theta_p, dnu)
@@ -118,10 +118,10 @@ def test_objective_matches_bruteforce_per_sample_values():
 def test_objective_matches_bruteforce_with_snapshots():
     arr = make_octagonal(8, 2, 2, patch_exponent=2.0)
     seq = random_init(arr.num_elements, 1e-4, 2, np.random.default_rng(12))
-    region = Region.default_for(1e-4)
+    bound = 0.25 / (2.0 * 1e-4)
     cfg = ObjectiveConfig(power=6, samples=32, seed=2)
-    ev = ObjectiveEvaluator(arr, region, cfg, seq.delta_t, seq.snapshots)
-    *points, volume = objective_points(region, cfg)
+    ev = ObjectiveEvaluator(arr, bound, cfg, seq.delta_t, seq.snapshots)
+    *points, volume = objective_points(bound, cfg)
     total = 0.0
     for phi, theta, phi_p, theta_p, dnu in zip(*points):
         mu, mu_p = StructuralParams(phi, theta, 0.0), StructuralParams(phi_p, theta_p, dnu)
@@ -133,11 +133,11 @@ def test_objective_matches_bruteforce_with_snapshots():
 def test_objective_bit_stable_across_runs():
     arr = make_ula(16, 0.5, 1.0)
     seq = sequential(16, 1e-3)
-    region = Region(doppler_bound=200.0)
+    bound = 200.0
     cfg = ObjectiveConfig(power=6, samples=512, seed=3)
     # two independently built evaluators give the same bits
-    f1 = ObjectiveEvaluator(arr, region, cfg, seq.delta_t, 1).evaluate(seq)
-    f2 = ObjectiveEvaluator(arr, region, cfg, seq.delta_t, 1).evaluate(seq)
+    f1 = ObjectiveEvaluator(arr, bound, cfg, seq.delta_t, 1).evaluate(seq)
+    f2 = ObjectiveEvaluator(arr, bound, cfg, seq.delta_t, 1).evaluate(seq)
     assert f1 == f2
 
 
@@ -155,11 +155,11 @@ def test_sobol_points_match_scipy_bytes(seed):
         assert points.tobytes() == ref.tobytes(), (seed, n)
 
 
-def reference_objective(ev, region, seq):
-    """f_P rebuilt from the oracle's sample points of the evaluator's region
-    and objective, with the Doppler phases taken by a complex exponential
-    per call instead of the table."""
-    phi, theta, phi_p, theta_p, dnu, volume = objective_points(region, ev.config)
+def reference_objective(ev, bound, seq):
+    """f_P rebuilt from the oracle's sample points of the evaluator's Doppler
+    bound and objective, with the Doppler phases taken by a complex
+    exponential per call instead of the table."""
+    phi, theta, phi_p, theta_p, dnu, volume = objective_points(bound, ev.config)
     assert volume == ev.volume
     g = steering_matrix(ev.array, phi, theta)
     g_p = steering_matrix(ev.array, phi_p, theta_p)
@@ -228,12 +228,12 @@ DIFFERENTIAL_ARRAYS = {
 def test_evaluate_matches_per_call_exp_reference(array_name, snapshots, sin_elevation):
     arr = DIFFERENTIAL_ARRAYS[array_name]()
     cfg = ObjectiveConfig(power=6, samples=256, seed=11, sin_elevation=sin_elevation)
-    region = Region.default_for(1e-4)
-    ev = ObjectiveEvaluator(arr, region, cfg, 1e-4, snapshots)
+    bound = 0.25 / (2.0 * 1e-4)
+    ev = ObjectiveEvaluator(arr, bound, cfg, 1e-4, snapshots)
     if array_name == "single_panel":
         assert ev.degenerate_count > 0
     for seq in swap_chain(arr, snapshots, 21, np.random.default_rng(snapshots)):
-        ref = reference_objective(ev, region, seq)
+        ref = reference_objective(ev, bound, seq)
         assert abs(ev.evaluate(seq) - ref) <= 1e-12 * abs(ref)
 
 
@@ -250,7 +250,7 @@ def test_swap_sums_carried_along_a_chain_match_evaluate(array_name, scheme,
     # and so the proposal's f_P equal to evaluate
     arr = DIFFERENTIAL_ARRAYS[array_name]()
     cfg = ObjectiveConfig(power=6, samples=256, seed=5, sin_elevation=sin_elevation)
-    ev = ObjectiveEvaluator(arr, Region.default_for(1e-4), cfg, 1e-4, snapshots)
+    ev = ObjectiveEvaluator(arr, 0.25 / (2.0 * 1e-4), cfg, 1e-4, snapshots)
     rng = np.random.default_rng(snapshots)
     seq = chain_init(arr, scheme, snapshots, rng)
     sets = swap_sets(seq.num_elements, seq.partition)
@@ -268,14 +268,14 @@ def test_swap_sums_carried_along_a_chain_match_evaluate(array_name, scheme,
         assert f == ev.evaluate(seq), k
 
 
-def reference_cross(ev, region):
+def reference_cross(ev, bound):
     """The evaluator's steering products as the dense (M, 2, samples) table
     it once held, built a block of elements at a time as it built them:
     conj(G) G' exp(i k (u' - u).p) where the gain product is nonzero and
     0.0 elsewhere, then scaled to units of 2**-FIXED_BITS."""
     array, n = ev.array, ev.config.samples
     m = array.num_elements
-    phi, theta, phi_p, theta_p, _, _ = objective_points(region, ev.config)
+    phi, theta, phi_p, theta_p, _, _ = objective_points(bound, ev.config)
     du = unit_vectors(phi_p, theta_p) - unit_vectors(phi, theta)
     block = max(1, _BLOCK_ENTRIES // n)
     dense = np.zeros((m, 2, n))
@@ -303,12 +303,12 @@ def reference_cross(ev, region):
     return dense
 
 
-def reference_phase_table(ev, region):
+def reference_phase_table(ev, bound):
     """Doppler phase of every sample in every slot as the (M, 2, samples)
     real and imaginary rows the evaluator once held whole: slots lo..lo+L-1,
     L = ceil(sqrt(M)), as one coarse row exp(2 pi i dnu lo dt) times the
     fine rows exp(2 pi i dnu r dt)."""
-    m, dt, dnu = ev.array.num_elements, ev.delta_t, objective_points(region, ev.config)[4]
+    m, dt, dnu = ev.array.num_elements, ev.delta_t, objective_points(bound, ev.config)[4]
     step = math.isqrt(m - 1) + 1
     fine = np.exp(2j * math.pi * np.outer(np.arange(step) * dt, dnu))
     phase = np.empty((m, 2, dnu.size))
@@ -352,10 +352,10 @@ def test_live_products_equal_the_dense_reference(array_name, samples, snapshots)
     # at 4096 samples the build takes 8 elements a block, so several blocks
     # add into the power sums
     arr = DIFFERENTIAL_ARRAYS[array_name]()
-    region = Region.default_for(1e-4)
-    ev = ObjectiveEvaluator(arr, region, ObjectiveConfig(samples=samples, seed=2),
+    bound = 0.25 / (2.0 * 1e-4)
+    ev = ObjectiveEvaluator(arr, bound, ObjectiveConfig(samples=samples, seed=2),
                             1e-4, snapshots)
-    dense = reference_cross(ev, region)
+    dense = reference_cross(ev, bound)
     patterns = {}
     for e, (live, cross) in enumerate(zip(ev.live, ev._cross)):
         if isinstance(live, slice):
@@ -377,9 +377,9 @@ def test_block_terms_equal_per_row_terms(array_name):
     # reference's term there, and the dense term is 0 elsewhere
     arr = DIFFERENTIAL_ARRAYS[array_name]()
     m = arr.num_elements
-    region = Region.default_for(1e-4)
-    ev = ObjectiveEvaluator(arr, region, ObjectiveConfig(samples=256, seed=2), 1e-4, 1)
-    dense, table = reference_cross(ev, region), reference_phase_table(ev, region)
+    bound = 0.25 / (2.0 * 1e-4)
+    ev = ObjectiveEvaluator(arr, bound, ObjectiveConfig(samples=256, seed=2), 1e-4, 1)
+    dense, table = reference_cross(ev, bound), reference_phase_table(ev, bound)
     slots = np.random.default_rng(m).permutation(m)
     rows = reference_terms(dense, table, np.arange(m), slots)
     assert rows.dtype == np.int64 and rows.shape == (m, 2, 256)
@@ -398,9 +398,9 @@ def test_phase_rows_equal_the_full_slot_table(m, snapshots, sin_elevation):
     # slot on an element's live samples; every row, on every sample and on
     # a subset, and every term formed from it, has the bits of the table
     cfg = ObjectiveConfig(samples=256, seed=6, sin_elevation=sin_elevation)
-    region = Region.default_for(1e-4)
-    ev = ObjectiveEvaluator(make_ula(m, 0.5, 1.0), region, cfg, 1e-4, snapshots)
-    table = reference_phase_table(ev, region)
+    bound = 0.25 / (2.0 * 1e-4)
+    ev = ObjectiveEvaluator(make_ula(m, 0.5, 1.0), bound, cfg, 1e-4, snapshots)
+    table = reference_phase_table(ev, bound)
     subset = np.flatnonzero(np.random.default_rng(m).random(256) < 0.3)
     for s in range(m):
         for live in (slice(None), subset):
@@ -408,7 +408,7 @@ def test_phase_rows_equal_the_full_slot_table(m, snapshots, sin_elevation):
             assert np.array_equal(bits(row.real), bits(table[s, 0][live]))
             assert np.array_equal(bits(row.imag), bits(table[s, 1][live]))
     assert all(live == slice(None) for live in ev.live)  # omni: live everywhere
-    dense = reference_cross(ev, region)
+    dense = reference_cross(ev, bound)
     slots = np.random.default_rng(m).permutation(m)
     terms = reference_terms(dense, table, np.arange(m), slots)
     for e in range(m):
@@ -435,7 +435,7 @@ def retained_matrices(arr, samples=1024):
     """Memory an evaluator keeps after its build, in units of one samples x
     M complex matrix (tracemalloc)."""
     def build(n):
-        return ObjectiveEvaluator(arr, Region.default_for(1e-4),
+        return ObjectiveEvaluator(arr, 0.25 / (2.0 * 1e-4),
                                   ObjectiveConfig(samples=n, seed=3), 1e-4, 1)
 
     build(1)  # modules numpy loads on first use are not the evaluator's
@@ -458,7 +458,7 @@ def test_evaluator_build_frees_its_scratch_before_the_products_grow():
     spec = config.sequence_spec
 
     def build(samples):
-        return ObjectiveEvaluator(config.array, config.region,
+        return ObjectiveEvaluator(config.array, config.doppler_bound,
                                   replace(config.objective, samples=samples),
                                   spec["delta_t_s"], spec["snapshots"])
 
@@ -473,17 +473,17 @@ def test_evaluator_build_frees_its_scratch_before_the_products_grow():
     assert peak - retained < 0.95 * 2 ** 20, (peak - retained) / 2 ** 20
 
 
-def squeezed_sobol_points(monkeypatch, region):
+def squeezed_sobol_points(monkeypatch, doppler_bound):
     """Make the evaluator's Sobol points map into boxes 1e-9 wide at
     azimuth 0.3 and elevation 1.2 (uniform elevations), in both directions,
-    and to Doppler differences within 1e-9 of 0 under region's bound."""
+    and to Doppler differences within 1e-9 of 0 under doppler_bound."""
     sobol_points = switchseq.ambiguity.sobol_points
 
     def squeezed(n, seed):
         u = sobol_points(n, seed)
         u[:, [0, 2]] = (0.3 + u[:, [0, 2]] * 1e-9) / (2.0 * math.pi)
         u[:, [1, 3]] = (1.2 + u[:, [1, 3]] * 1e-9) / math.pi
-        u[:, 4] = 0.5 + (u[:, 4] - 0.5) * (1e-9 / region.doppler_bound)
+        u[:, 4] = 0.5 + (u[:, 4] - 0.5) * (1e-9 / doppler_bound)
         return u
 
     monkeypatch.setattr(switchseq.ambiguity, "sobol_points", squeezed)
@@ -502,15 +502,15 @@ def test_fixed_point_sums_within_overflow_bound(array_name, points, snapshots,
     # 1, the bound's worst case
     arr = DIFFERENTIAL_ARRAYS[array_name]()
     m = arr.num_elements
-    region = Region.default_for(1e-4)
+    doppler = 0.25 / (2.0 * 1e-4)
     if points == "tight":
-        squeezed_sobol_points(monkeypatch, region)
-    ev = ObjectiveEvaluator(arr, region, ObjectiveConfig(samples=256, seed=4),
+        squeezed_sobol_points(monkeypatch, doppler)
+    ev = ObjectiveEvaluator(arr, doppler, ObjectiveConfig(samples=256, seed=4),
                             1e-4, snapshots)
     if array_name == "single_panel" and points == "default":
         assert ev.degenerate_count > 0
     bound = 2 ** 61 * (1 + 1e-12) + m
-    dense, table = reference_cross(ev, region), reference_phase_table(ev, region)
+    dense, table = reference_cross(ev, doppler), reference_phase_table(ev, doppler)
     for seq in swap_chain(arr, snapshots, 5, np.random.default_rng(m)):
         slots = seq.slot_of()
         terms = reference_terms(dense, table, np.arange(m), slots)
@@ -526,10 +526,10 @@ def test_fixed_point_sums_within_overflow_bound(array_name, points, snapshots,
 def test_objective_power_monotonicity():
     arr = make_ula(16, 0.5, 1.0)
     seq = sequential(16, 1e-3)
-    region = Region(doppler_bound=200.0)
-    f2 = ObjectiveEvaluator(arr, region, ObjectiveConfig(power=2, samples=512, seed=1),
+    bound = 200.0
+    f2 = ObjectiveEvaluator(arr, bound, ObjectiveConfig(power=2, samples=512, seed=1),
                             seq.delta_t).evaluate(seq)
-    f6 = ObjectiveEvaluator(arr, region, ObjectiveConfig(power=6, samples=512, seed=1),
+    f6 = ObjectiveEvaluator(arr, bound, ObjectiveConfig(power=6, samples=512, seed=1),
                             seq.delta_t).evaluate(seq)
     assert f6 <= f2
 
@@ -537,9 +537,9 @@ def test_objective_power_monotonicity():
 def test_optimized_random_beats_sequential():
     m, dt = 16, 1e-3
     arr = make_ula(m, 0.5, 1.0)
-    region = Region(doppler_bound=300.0)
+    bound = 300.0
     cfg = ObjectiveConfig(power=6, samples=1024, seed=2)
-    ev = ObjectiveEvaluator(arr, region, cfg, dt, 1)
+    ev = ObjectiveEvaluator(arr, bound, cfg, dt, 1)
     f_seq = ev.evaluate(sequential(m, dt))
     rng = np.random.default_rng(2)
     opt, _ = anneal(random_init(m, dt, 1, rng),
@@ -551,18 +551,18 @@ def test_objective_invariant_to_permutation_relabel_volume():
     # same sequence evaluated through a fresh evaluator built from it
     arr = make_ula(8, 0.5, 1.0)
     seq = sequential(8, 1e-3)
-    region = Region(doppler_bound=100.0)
+    bound = 100.0
     cfg = ObjectiveConfig(samples=256, seed=8)
-    ev = ObjectiveEvaluator(arr, region, cfg, 1e-3, 1)
-    fresh = ObjectiveEvaluator(arr, region, cfg, seq.delta_t, seq.snapshots)
+    ev = ObjectiveEvaluator(arr, bound, cfg, 1e-3, 1)
+    fresh = ObjectiveEvaluator(arr, bound, cfg, seq.delta_t, seq.snapshots)
     assert ev.evaluate(seq) == fresh.evaluate(seq)
 
 
 def test_evaluator_counts_degenerate_directions():
     arr = single_panel_array()
-    region = Region()  # full sphere, ~half the draws face the back
+    bound = 1.0  # full sphere, ~half the draws face the back
     cfg = ObjectiveConfig(samples=256, seed=0)
-    ev = ObjectiveEvaluator(arr, region, cfg, 1e-3, 1)
+    ev = ObjectiveEvaluator(arr, bound, cfg, 1e-3, 1)
     assert ev.degenerate_count > 0
     val = ev.evaluate(sequential(4, 1e-3))
     assert np.isfinite(val) and val >= 0.0
@@ -570,7 +570,7 @@ def test_evaluator_counts_degenerate_directions():
 
 def test_evaluator_rejects_mismatched_sequences():
     arr = make_ula(8, 0.5, 1.0)
-    ev = ObjectiveEvaluator(arr, Region(doppler_bound=100.0),
+    ev = ObjectiveEvaluator(arr, 100.0,
                             ObjectiveConfig(samples=64, seed=0), 1e-3, 1)
     with pytest.raises(ValueError):
         ev.evaluate(sequential(8, 2e-3))
@@ -583,11 +583,11 @@ def test_evaluator_rejects_mismatched_sequences():
 def test_sin_elevation_option_changes_measure():
     arr = make_ula(8, 0.5, 1.0)
     seq = sequential(8, 1e-3)
-    region = Region(doppler_bound=100.0)
-    flat = ObjectiveEvaluator(arr, region, ObjectiveConfig(samples=512, seed=1),
+    bound = 100.0
+    flat = ObjectiveEvaluator(arr, bound, ObjectiveConfig(samples=512, seed=1),
                               seq.delta_t).evaluate(seq)
     weighted = ObjectiveEvaluator(
-        arr, region, ObjectiveConfig(samples=512, seed=1, sin_elevation=True),
+        arr, bound, ObjectiveConfig(samples=512, seed=1, sin_elevation=True),
         seq.delta_t).evaluate(seq)
     assert flat != weighted
     assert np.isfinite(weighted)
@@ -603,8 +603,8 @@ def test_config_validation():
     with pytest.raises(ValueError, match="Sobol period"):
         ObjectiveConfig(samples=2 ** 30 + 1)
     assert ObjectiveConfig(samples=2 ** 30).samples == 2 ** 30
-    with pytest.raises(ValueError):
-        Region(doppler_bound=0.0)
+    with pytest.raises(ValueError, match="doppler bound"):
+        ObjectiveEvaluator(make_ula(4, 0.5, 1.0), 0.0, ObjectiveConfig(samples=1), 1e-3)
 
 
 def test_surface_peak_and_bounds():
@@ -787,6 +787,9 @@ def test_surface_rejects_bad_grids():
     with pytest.raises(ValueError):
         ambiguity_surface(arr, seq, BROADSIDE, np.array([0.0]),
                           np.array([0.0]), "bogus")
+    # a surface built directly: magnitude is (angles, dopplers)
+    with pytest.raises(ValueError, match="magnitude shape"):
+        AmbiguitySurface(np.zeros(3), np.zeros(2), "eoa", np.ones((3, 2)), BROADSIDE)
 
 
 def test_surface_csv_export(tmp_path):

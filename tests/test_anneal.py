@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from switchseq import (AnnealConfig, AnnealError, ObjectiveConfig,
-                       ObjectiveEvaluator, Region, anneal, make_octagonal,
+                       ObjectiveEvaluator, anneal, make_octagonal,
                        make_ula, random_init, sequential, temperature_schedule)
 from switchseq.anneal import save_trace_csv
 from switchseq.switching import draw_swap, swap_sets
@@ -17,9 +17,9 @@ DT = 1e-3
 
 def small_setup():
     arr = make_ula(8, 0.5, 1.0)
-    region = Region(doppler_bound=200.0)
+    bound = 200.0
     cfg = ObjectiveConfig(power=6, samples=256, seed=7)
-    return arr, region, cfg
+    return arr, bound, cfg
 
 
 def test_temperature_schedule_values():
@@ -30,13 +30,13 @@ def test_temperature_schedule_values():
 
 
 def test_fixed_seed_bit_reproducible():
-    arr, region, cfg = small_setup()
+    arr, bound, cfg = small_setup()
 
     def run():
         rng = np.random.default_rng(13)
         init = random_init(8, DT, 1, rng)
         return anneal(init, AnnealConfig(k_max=25),
-                      ObjectiveEvaluator(arr, region, cfg, DT, 1), rng)
+                      ObjectiveEvaluator(arr, bound, cfg, DT, 1), rng)
 
     (final_a, trace_a), (final_b, trace_b) = run(), run()
     assert final_a.order == final_b.order
@@ -46,31 +46,31 @@ def test_fixed_seed_bit_reproducible():
 
 
 def test_temperature_trace_is_exact_schedule():
-    arr, region, cfg = small_setup()
+    arr, bound, cfg = small_setup()
     rng = np.random.default_rng(3)
     init = random_init(8, DT, 1, rng)
     _, trace = anneal(init, AnnealConfig(k_max=30),
-                      ObjectiveEvaluator(arr, region, cfg, DT, 1), rng)
+                      ObjectiveEvaluator(arr, bound, cfg, DT, 1), rng)
     for rec in trace.records:
         assert rec.temperature == temperature_schedule(trace.t0, trace.alpha, rec.k)
 
 
 def test_default_schedule_resolution():
-    arr, region, cfg = small_setup()
+    arr, bound, cfg = small_setup()
     rng = np.random.default_rng(3)
     init = random_init(8, DT, 1, rng)
     _, trace = anneal(init, AnnealConfig(k_max=40),
-                      ObjectiveEvaluator(arr, region, cfg, DT, 1), rng)
+                      ObjectiveEvaluator(arr, bound, cfg, DT, 1), rng)
     assert trace.t0 == pytest.approx(0.1 * trace.initial_objective)
     assert trace.alpha == pytest.approx(1e-4 ** (1.0 / 40))
 
 
 def test_improving_proposals_always_accepted():
-    arr, region, cfg = small_setup()
+    arr, bound, cfg = small_setup()
     rng = np.random.default_rng(5)
     init = random_init(8, DT, 1, rng)
     _, trace = anneal(init, AnnealConfig(k_max=60),
-                      ObjectiveEvaluator(arr, region, cfg, DT, 1), rng)
+                      ObjectiveEvaluator(arr, bound, cfg, DT, 1), rng)
     current = trace.initial_objective
     for rec in trace.records:
         if rec.proposal_objective < current:
@@ -79,10 +79,10 @@ def test_improving_proposals_always_accepted():
 
 
 def test_huge_temperature_accepts_worse_moves():
-    arr, region, cfg = small_setup()
+    arr, bound, cfg = small_setup()
     rng = np.random.default_rng(1)
     init = sequential(8, DT)
-    ev = ObjectiveEvaluator(arr, region, cfg, DT, 1)
+    ev = ObjectiveEvaluator(arr, bound, cfg, DT, 1)
     accepted = []
     for _ in range(10):
         _, trace = anneal(init, AnnealConfig(k_max=1, t0=1e18, alpha=0.5), ev, rng)
@@ -91,10 +91,10 @@ def test_huge_temperature_accepts_worse_moves():
 
 
 def test_tiny_temperature_rejects_worse_moves():
-    arr, region, cfg = small_setup()
+    arr, bound, cfg = small_setup()
     # sequential eta is the alias-heavy worst case, most proposals improve it;
     # find a seed whose proposal is worse, then check it is rejected cold
-    ev = ObjectiveEvaluator(arr, region, cfg, DT, 1)
+    ev = ObjectiveEvaluator(arr, bound, cfg, DT, 1)
     init = random_init(8, DT, 1, np.random.default_rng(10))
     f0 = ev.evaluate(init)
     for seed in range(40):
@@ -109,35 +109,35 @@ def test_tiny_temperature_rejects_worse_moves():
 
 
 def test_final_objective_matches_reevaluation():
-    arr, region, cfg = small_setup()
+    arr, bound, cfg = small_setup()
     rng = np.random.default_rng(21)
     init = random_init(8, DT, 1, rng)
     final, trace = anneal(init, AnnealConfig(k_max=20),
-                          ObjectiveEvaluator(arr, region, cfg, DT, 1), rng)
-    ev = ObjectiveEvaluator(arr, region, cfg, final.delta_t, final.snapshots)
+                          ObjectiveEvaluator(arr, bound, cfg, DT, 1), rng)
+    ev = ObjectiveEvaluator(arr, bound, cfg, final.delta_t, final.snapshots)
     assert trace.records[-1].objective == ev.evaluate(final)
 
 
 def test_best_so_far_tracked():
-    arr, region, cfg = small_setup()
+    arr, bound, cfg = small_setup()
     rng = np.random.default_rng(2)
     init = random_init(8, DT, 1, rng)
     final, trace = anneal(init, AnnealConfig(k_max=50),
-                          ObjectiveEvaluator(arr, region, cfg, DT, 1), rng)
+                          ObjectiveEvaluator(arr, bound, cfg, DT, 1), rng)
     objectives = [trace.initial_objective] + [r.objective for r in trace.records]
     assert trace.best_objective == min(objectives)
-    ev = ObjectiveEvaluator(arr, region, cfg, final.delta_t, final.snapshots)
+    ev = ObjectiveEvaluator(arr, bound, cfg, final.delta_t, final.snapshots)
     assert ev.evaluate(trace.best_sequence) == trace.best_objective
 
 
 def test_hybrid_runs_preserve_subset_ranges():
     arr = make_octagonal(4, 1, 4, patch_exponent=2.0)
-    region = Region.default_for(DT)
+    bound = 0.25 / (2.0 * DT)
     cfg = ObjectiveConfig(power=6, samples=256, seed=6)
     rng = np.random.default_rng(6)
     init = random_init(16, DT, 1, rng, arr.partition)
     final, trace = anneal(init, AnnealConfig(k_max=30),
-                          ObjectiveEvaluator(arr, region, cfg, DT, 1), rng)
+                          ObjectiveEvaluator(arr, bound, cfg, DT, 1), rng)
     assert len(trace.records) == 30
     sets = swap_sets(16, final.partition)
     for subset, slots in zip(final.partition, sets):
@@ -149,7 +149,7 @@ def test_anneal_keeps_the_partition_of_its_start():
     # sequential or a hybrid start keeps each subset in its own slot block
     arr = make_octagonal(4, 2, 2, patch_exponent=2.0)
     partition = arr.partition
-    ev = ObjectiveEvaluator(arr, Region.default_for(DT),
+    ev = ObjectiveEvaluator(arr, 0.25 / (2.0 * DT),
                             ObjectiveConfig(power=6, samples=256, seed=4), DT, 1)
     rng = np.random.default_rng(4)
     for init in (sequential(16, DT, 1, partition),
@@ -186,8 +186,8 @@ class Exploding:
 def test_objective_failure_propagates_unchanged():
     # anneal reports no failure of its own past the t0 check: what the
     # objective raises reaches the caller as it was raised
-    arr, region, cfg = small_setup()
-    ev = Exploding(ObjectiveEvaluator(arr, region, cfg, DT, 1), "propose",
+    arr, bound, cfg = small_setup()
+    ev = Exploding(ObjectiveEvaluator(arr, bound, cfg, DT, 1), "propose",
                    fail_after=4)
     rng = np.random.default_rng(9)
     with pytest.raises(RuntimeError, match="boom") as err:
@@ -204,7 +204,7 @@ def test_anneal_peak_memory_is_one_product_matrix():
     samples = 1024
     tracemalloc.start()
     try:
-        ev = ObjectiveEvaluator(arr, Region.default_for(1e-4),
+        ev = ObjectiveEvaluator(arr, 0.25 / (2.0 * 1e-4),
                                 ObjectiveConfig(samples=samples, seed=3), 1e-4, 1)
         rng = np.random.default_rng(3)
         init = random_init(arr.num_elements, 1e-4, 1, rng, arr.partition)
@@ -225,10 +225,10 @@ def test_zero_initial_objective_is_an_anneal_error():
         def total(self, contributions):
             return 0.0
 
-    arr, region, cfg = small_setup()
+    arr, bound, cfg = small_setup()
     with pytest.raises(AnnealError, match="t0"):
         anneal(sequential(8, DT), AnnealConfig(k_max=5),
-               Zero(arr, region, cfg, DT, 1), np.random.default_rng(0))
+               Zero(arr, bound, cfg, DT, 1), np.random.default_rng(0))
 
 
 def reference_anneal(init, config, evaluator, rng):
@@ -275,7 +275,7 @@ REFERENCE_CASES = {
 def test_delta_scored_anneal_matches_full_evaluate_loop(case, seed):
     build, scheme, snapshots = REFERENCE_CASES[case]
     arr = build()
-    ev = ObjectiveEvaluator(arr, Region.default_for(DT),
+    ev = ObjectiveEvaluator(arr, 0.25 / (2.0 * DT),
                             ObjectiveConfig(power=6, samples=256, seed=seed),
                             DT, snapshots)
     config = AnnealConfig(k_max=120)
@@ -310,7 +310,7 @@ GOLDEN_CHAINS = {
 @pytest.mark.parametrize("scheme", sorted(GOLDEN_CHAINS))
 def test_anneal_rng_stream_golden(scheme):
     arr = make_octagonal(4, 1, 4, patch_exponent=2.0)
-    ev = ObjectiveEvaluator(arr, Region.default_for(DT),
+    ev = ObjectiveEvaluator(arr, 0.25 / (2.0 * DT),
                             ObjectiveConfig(power=6, samples=256, seed=31), DT, 1)
     rng = np.random.default_rng(31)
     init = random_init(16, DT, 1, rng, arr.partition if scheme == "hybrid" else None)
@@ -331,11 +331,11 @@ def test_config_validation():
 
 
 def test_trace_csv_format(tmp_path):
-    arr, region, cfg = small_setup()
+    arr, bound, cfg = small_setup()
     rng = np.random.default_rng(4)
     init = random_init(8, DT, 1, rng)
     _, trace = anneal(init, AnnealConfig(k_max=12),
-                      ObjectiveEvaluator(arr, region, cfg, DT, 1), rng)
+                      ObjectiveEvaluator(arr, bound, cfg, DT, 1), rng)
     path = tmp_path / "trace.csv"
     save_trace_csv(trace, path)
     lines = path.read_text().strip().splitlines()

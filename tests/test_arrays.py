@@ -322,6 +322,15 @@ def test_tabulated_pattern_is_periodic_from_its_first_azimuth():
         assert pat.gain(math.radians(query), 1.0) == pytest.approx(expected, rel=1e-12)
 
 
+def test_tabulated_pattern_of_one_elevation_interpolates_in_azimuth():
+    # an azimuth cut: at its elevation gain gives the tabulated values and
+    # their azimuth interpolation, with no 0/0 (a RuntimeWarning fails here)
+    pat = TabulatedPattern(np.array([0.0, math.pi]), np.array([1.2]),
+                           np.array([[1 + 2j], [3 - 1j]]))
+    got = pat.gain(np.array([0.0, math.pi, math.pi / 2, -math.pi / 2]), 1.2)
+    assert np.array_equal(got, [1 + 2j, 3 - 1j, 2 + 0.5j, 2 + 0.5j])
+
+
 def test_tabulated_pattern_rejects_out_of_grid_elevation():
     az = np.linspace(0, 2 * math.pi, 8, endpoint=False)
     el = np.linspace(0.5, 2.5, 5)
@@ -331,6 +340,9 @@ def test_tabulated_pattern_rejects_out_of_grid_elevation():
 
 
 def test_tabulated_pattern_rejects_bad_grids():
+    with pytest.raises(ValueError, match="1-D"):
+        TabulatedPattern(np.array([[0.0, 1.0]]), np.array([0.0, 1.0]),
+                         np.ones((2, 2), dtype=complex))
     with pytest.raises(ValueError):
         TabulatedPattern(np.array([0.0, 0.0, 1.0]), np.array([0.0, 1.0]),
                          np.ones((3, 2), dtype=complex))

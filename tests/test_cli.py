@@ -37,7 +37,7 @@ def ula_config(**overrides):
         "array": {"kind": "ula", "elements": 16},
         "sequence": {"scheme": "sequential", "delta_t_s": 1e-3},
         "objective": {"power": 6, "samples": 256},
-        "region": {"doppler_bound_hz": 200.0},
+        "region": {"doppler_fraction": 0.4},  # 200 Hz at 1 ms
         "sweep": {"doppler_span_hz": 60.0, "doppler_step_hz": 1.0,
                   "angle_span_deg": 25.0, "angle_step_deg": 0.5,
                   "angle_axis": "aoa"},
@@ -214,7 +214,7 @@ def test_cli_exit_code_for_config_error(tmp_path, capsys):
     ("ambiguity", "array", "rows", 0),
     ("ambiguity", "sequence", "snapshots", "abc"),
     ("optimize", "region", "doppler_fraction", -1),
-    ("optimize", "region", "doppler_bound_hz", 0),
+    ("optimize", "region", "doppler_fraction", 0),
     ("ambiguity", "sweep", "angle_span_deg", 120),
     ("ambiguity", "sweep", "doppler_span_hz", -5),
     ("ambiguity", "reference", "azimuth_deg", "x"),
@@ -226,7 +226,7 @@ def test_cli_exit_code_for_config_error(tmp_path, capsys):
     ("ambiguity", "sequence", "delta_t_s", True),
     ("ambiguity", "sequence", "snapshots", 1.5),
     ("ambiguity", "array", "radius_m", True),
-    ("optimize", "region", "doppler_bound_hz", True),
+    ("optimize", "region", "doppler_fraction", True),
     ("effective-factor", None, "effective_threshold_db", False),
     ("ambiguity", "sweep", "doppler_span_hz", float("inf")),
     ("ambiguity", "sweep", "doppler_step_hz", float("inf")),
@@ -263,9 +263,9 @@ def test_cli_exit_code_for_config_error(tmp_path, capsys):
 ])
 def test_cli_bad_field_exits_2_with_one_json_line(tmp_path, capsys, command,
                                                   section, key, value):
-    # crlb needs a ULA; the 1e308 delta_t_s cases need its 200 Hz Doppler
-    # bound (the octagon's default, 0.25/(2*delta_t), underflows to 0 first)
-    cfg = ula_config() if command == "crlb" or value == 1e308 else octagon_config()
+    # crlb needs a ULA; a 1e308 delta_t_s is refused by the size gate, which
+    # runs before the Doppler bound (here 0.25/(2*delta_t)) is checked
+    cfg = ula_config() if command == "crlb" else octagon_config()
     flags = []
     if section == "--":
         flags = [f"--{key}", str(value)]
@@ -282,22 +282,17 @@ def test_cli_bad_field_exits_2_with_one_json_line(tmp_path, capsys, command,
     assert key in error["message"]
 
 
-def test_region_refuses_a_fraction_beside_a_bound(tmp_path, capsys):
-    # a bound sets the region alone, so a fraction beside it would be
-    # ignored unchecked; both together exit 2, naming both fields
-    cfg = octagon_config(region={"doppler_fraction": -1.0,
-                                 "doppler_bound_hz": 300.0})
-    rc = main(["optimize", "--config", write_config(tmp_path, cfg),
-               "--out", str(tmp_path / "out")])
-    assert rc == 2
-    message = json.loads(capsys.readouterr().err)["error"]["message"]
-    assert "config.region.doppler_fraction" in message
-    assert "doppler_bound_hz" in message
+def test_doppler_bound_that_underflows_exits_2():
+    # a positive fraction whose bound, fraction / (2 delta_t), is 0.0
+    cfg = octagon_config(sequence={"scheme": "sequential", "delta_t_s": 1.0},
+                         region={"doppler_fraction": 5e-324})
+    with pytest.raises(ConfigError, match=r"config\.region\.doppler_fraction: "):
+        ExperimentConfig.from_dict(cfg)
 
 
 @pytest.mark.parametrize("section, key", [
-    (None, "output_dir"), ("region", "doppler_bound_hz"), ("anneal", "t0"),
-    ("anneal", "alpha"), ("array", "radius_m"), ("array", "pattern_file")])
+    (None, "output_dir"), ("anneal", "t0"), ("anneal", "alpha"),
+    ("array", "radius_m"), ("array", "pattern_file")])
 def test_optional_field_null_loads_like_a_missing_one(section, key):
     cfg = octagon_config()
     where = cfg if section is None else cfg.setdefault(section, {})
@@ -305,9 +300,9 @@ def test_optional_field_null_loads_like_a_missing_one(section, key):
     missing = ExperimentConfig.from_dict(cfg)
     where[key] = None
     null = ExperimentConfig.from_dict(cfg)
-    assert (null.output_dir, null.array_spec, null.anneal_spec, null.region,
+    assert (null.output_dir, null.array_spec, null.anneal_spec, null.doppler_bound,
             null.anneal) == (missing.output_dir, missing.array_spec,
-                             missing.anneal_spec, missing.region, missing.anneal)
+                             missing.anneal_spec, missing.doppler_bound, missing.anneal)
     assert (null.array.positions == missing.array.positions).all()
 
 
@@ -637,7 +632,7 @@ loaded["ambiguity"] = "scipy" in sys.modules
 from switchseq.config import ExperimentConfig
 from switchseq.ambiguity import ObjectiveEvaluator
 config = ExperimentConfig.from_file(sys.argv[1])
-evaluator = ObjectiveEvaluator(config.array, config.region, config.objective, 1e-3)
+evaluator = ObjectiveEvaluator(config.array, config.doppler_bound, config.objective, 1e-3)
 assert evaluator._snapshot_power.size == 256
 loaded["evaluator"] = "scipy" in sys.modules
 assert main(["optimize", "--config", sys.argv[1], "--out", sys.argv[3]]) == 0
@@ -677,7 +672,7 @@ MUTABLE_FIELDS = [(None, key) for key in (
         "sequence": ("scheme", "delta_t_s", "snapshots"),
         "anneal": ("scheme", "k_max", "t0", "alpha"),
         "objective": ("power", "samples", "sin_elevation"),
-        "region": ("doppler_fraction", "doppler_bound_hz"),
+        "region": ("doppler_fraction",),
         "reference": ("azimuth_deg", "elevation_deg", "doppler_hz"),
         "sweep": ("doppler_span_hz", "doppler_step_hz", "angle_span_deg",
                   "angle_step_deg", "angle_axis"),
@@ -754,6 +749,22 @@ def test_optimize_seed_override_changes_result(tmp_path):
                  "--seed", "43"]) == 0
     assert ((out1 / "sequence.json").read_bytes()
             != (out2 / "sequence.json").read_bytes())
+
+
+def test_optimize_whose_schedule_cools_to_zero_takes_improvements_only(tmp_path):
+    # t0 * 0.001**k underflows to 0.0 by k = 110, where exp(delta / T)
+    # would divide by zero; a chain at T = 0.0 rejects every worse proposal
+    cfg = octagon_config(anneal={"scheme": "hybrid", "k_max": 200, "alpha": 0.001})
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    with open(out / "trace.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    # each row's proposal against the objective held before it
+    worse_at_zero = [row["accepted"] for before, row in zip(rows, rows[1:])
+                     if float(row["temperature"]) == 0.0
+                     and float(row["proposal_objective"]) > float(before["objective"])]
+    assert worse_at_zero and set(worse_at_zero) == {"0"}
 
 
 # ---- ambiguity ---------------------------------------------------------
@@ -1022,15 +1033,21 @@ def test_crlb_closed_forms_agree_over_snapshots(tmp_path, snapshots):
 
 
 def test_ambiguity_at_a_reference_no_element_sees_exits_3(tmp_path, capsys):
-    # every patch of the octagon faces the horizon, so none sees the zenith
-    cfg = octagon_config(reference={"azimuth_deg": 90.0, "elevation_deg": 0.0})
-    cfg["sweep"]["angle_axis"] = "aoa"
-    assert main(["ambiguity", "--config", write_config(tmp_path, cfg),
-                 "--out", str(tmp_path / "out")]) == 3
-    (line,) = capsys.readouterr().err.splitlines()
-    error = json.loads(line)["error"]
-    assert error["type"] == "DegenerateDirectionError"
-    assert "reference direction" in error["message"]
+    # every patch of the octagon faces the horizon, so none sees the zenith:
+    # neither as the reference nor in an elevation sweep 90 degrees either
+    # side of the horizon
+    at_zenith = octagon_config(reference={"azimuth_deg": 90.0, "elevation_deg": 0.0})
+    at_zenith["sweep"]["angle_axis"] = "aoa"
+    through_zenith = octagon_config()
+    through_zenith["sweep"]["angle_span_deg"] = 90.0
+    for cfg, message in ((at_zenith, "reference direction"),
+                         (through_zenith, "sweep contains a zero-response direction")):
+        assert main(["ambiguity", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        error = json.loads(line)["error"]
+        assert error["type"] == "DegenerateDirectionError"
+        assert message in error["message"]
 
 
 def test_crlb_endfire_structured_error(tmp_path, capsys):
@@ -1171,9 +1188,10 @@ def test_compare_drops_the_evaluator_before_the_surface_sweeps(tmp_path,
 
 @pytest.mark.parametrize("defect", ["nan-gain", "repeated-row", "upper-hemisphere",
                                     "directory", "long-field", "missing-column",
-                                    "missing-element", "short-row",
+                                    "missing-element", "short-row", "long-row",
                                     "repeated-column", "negative-element",
-                                    "extra-element"])
+                                    "extra-element", "azimuth-360",
+                                    "elevation-over-180"])
 @pytest.mark.parametrize("command", ["optimize", "ambiguity", "compare",
                                      "effective-factor"])
 def test_bad_pattern_file_exits_2_at_load(tmp_path, capsys, command, defect):
@@ -1184,13 +1202,15 @@ def test_bad_pattern_file_exits_2_at_load(tmp_path, capsys, command, defect):
     # over the csv module's 131072-character limit cannot be read; a file
     # without the im column, or without element 15, does not give every
     # element a complex V gain, and neither does a row short of fields; a
-    # header that repeats a column would read the gains from its last copy,
-    # and rows for a negative element, or for element 16 of this 16-element
-    # array, would load unread
-    def table(elevations):
+    # row with more fields than the header (decimal commas, say) would load
+    # the wrong gain; a header that repeats a column would read the gains
+    # from its last copy, and rows for a negative element, or for element
+    # 16 of this 16-element array, would load unread; azimuth 360 repeats
+    # azimuth 0, and no elevation lies past 180
+    def table(elevations, azimuths=range(0, 360, 90)):
         return ["element,pol,azimuth_deg,elevation_deg,re,im"] + [
             f"{e},V,{a},{el},1.0,0.0" for e in range(16)
-            for a in range(0, 360, 90) for el in elevations]
+            for a in azimuths for el in elevations]
     lines = table((0, 90, 180))
     good = octagon_config()
     good["array"]["pattern_file"] = str(tmp_path / "good.csv")
@@ -1210,12 +1230,18 @@ def test_bad_pattern_file_exits_2_at_load(tmp_path, capsys, command, defect):
         lines = [line for line in lines if not line.startswith("15,")]
     elif defect == "short-row":
         lines = [lines[0], "0"]
+    elif defect == "long-row":
+        lines[5] = lines[5].replace("1.0,0.0", "0,5,0")  # meant as 0.5, 0
     elif defect == "repeated-column":
         lines = [lines[0] + ",re"] + [line + ",7.0" for line in lines[1:]]
     elif defect == "negative-element":
         lines.append("-1" + lines[1][1:])
     elif defect == "extra-element":
         lines.append("16" + lines[1][1:])
+    elif defect == "azimuth-360":
+        lines = table((0, 90, 180), range(0, 361, 90))
+    elif defect == "elevation-over-180":
+        lines = table((0, 90, 180, 190))
     cfg = octagon_config()
     cfg["array"]["pattern_file"] = str(tmp_path / "bad.csv")
     if defect == "directory":
@@ -1229,8 +1255,10 @@ def test_bad_pattern_file_exits_2_at_load(tmp_path, capsys, command, defect):
     error = json.loads(line)["error"]
     assert error["type"] == "config"
     assert error["message"].startswith("config.array.pattern_file: ")
-    if defect == "extra-element":
-        assert "element 16" in error["message"]
+    assert {"long-row": "more fields than its header", "extra-element": "element 16",
+            "azimuth-360": "azimuth grid must lie inside [0, 2*pi)",
+            "elevation-over-180": "elevation grid must lie inside [0, pi]"
+            }.get(defect, "") in error["message"]
     assert not (tmp_path / "out").exists()
 
 

@@ -37,6 +37,22 @@ def test_crlb_aoa_needs_two_elements():
         crlb_aoa(1, 0.5, 1.0, math.pi / 2, math.pi / 2, 1.0, SIGMA, 1)
 
 
+def test_crlb_aoa_needs_a_positive_spacing_and_wavelength():
+    for spacing, wavelength in ((0.0, 1.0), (-0.5, 1.0), (0.5, 0.0)):
+        with pytest.raises(ValueError, match="spacing and wavelength"):
+            crlb_aoa(8, spacing, wavelength, math.pi / 2, math.pi / 2, 1.0, SIGMA, 1)
+
+
+def test_fim_matrix_refuses_a_non_positive_sigma_and_an_overflowing_fim():
+    arr = make_ula(8, 0.5, 1.0)
+    for sigma in (0.0, -SIGMA):
+        with pytest.raises(ValueError, match="noise sigma"):
+            fim_matrix(arr, sequential(8, 1e-3), PARAMS, sigma)
+    # at activation instants of 1e300 s the Doppler column overflows
+    with pytest.raises(SingularFIMError, match="not finite"):
+        fim_matrix(arr, sequential(8, 1e300), PARAMS, SIGMA)
+
+
 def test_crlb_aoa_sequence_independent():
     # the bound uses only element count and geometry, never the order
     v = crlb_aoa(16, 0.5, 1.0, math.pi / 4, math.pi / 2, 1.0, SIGMA, 1)

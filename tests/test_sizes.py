@@ -43,8 +43,9 @@ def write_patterns(path, elements):
 def run_evaluator(doc):
     config = ExperimentConfig.from_dict(doc)
     spec = config.sequence_spec
-    return lambda: ObjectiveEvaluator(config.array, config.region, config.objective,
-                                      spec["delta_t_s"], spec["snapshots"])
+    return lambda: ObjectiveEvaluator(config.array, config.doppler_bound,
+                                      config.objective, spec["delta_t_s"],
+                                      spec["snapshots"])
 
 
 def run_array(doc):
@@ -71,8 +72,9 @@ def run_surfaces(doc):
 def run_traces(doc):
     config = ExperimentConfig.from_dict(doc)
     spec, rng = config.sequence_spec, np.random.default_rng(0)
-    evaluator = ObjectiveEvaluator(config.array, config.region, config.objective,
-                                   spec["delta_t_s"], spec["snapshots"])
+    evaluator = ObjectiveEvaluator(config.array, config.doppler_bound,
+                                   config.objective, spec["delta_t_s"],
+                                   spec["snapshots"])
     return lambda: [anneal(config.build_sequence("random", rng), config.anneal,
                            evaluator, rng) for _ in range(2)]
 
