@@ -74,7 +74,6 @@ class ObjectiveConfig:
     power: int = 6
     samples: int = 4096
     seed: int = 0
-    sin_elevation: bool = False
 
     def __post_init__(self):
         if self.power < 2 or self.power % 2 != 0:
@@ -170,19 +169,13 @@ class ObjectiveEvaluator:
         n = config.samples
         u = sobol_points(n, config.seed)
 
-        # uniform angles, or with sin_elevation cos(theta) uniform on [-1, 1]
+        # uniform azimuths and elevations, not weighted by solid angle
         phi = u[:, 0] * (2.0 * math.pi)
+        theta = u[:, 1] * math.pi
         phi_p = u[:, 2] * (2.0 * math.pi)
-        if config.sin_elevation:
-            theta = np.arccos(1.0 - u[:, 1] * 2.0)
-            theta_p = np.arccos(1.0 - u[:, 3] * 2.0)
-            el_measure = 2.0
-        else:
-            theta = u[:, 1] * math.pi
-            theta_p = u[:, 3] * math.pi
-            el_measure = math.pi
+        theta_p = u[:, 3] * math.pi
         dnu = doppler_bound * (2.0 * u[:, 4] - 1.0)
-        self.volume = (2.0 * math.pi) ** 2 * el_measure ** 2 * (2.0 * doppler_bound)
+        self.volume = (2.0 * math.pi) ** 2 * math.pi ** 2 * (2.0 * doppler_bound)
 
         # Doppler phase of sample n in slot s, exp(2*pi*i*dnu*s*dt), is
         # coarse[s // L] * fine[s % L] with coarse rows exp(2*pi*i*dnu*lo*dt)
@@ -255,12 +248,14 @@ class ObjectiveEvaluator:
                 del terms
             del arg, runs
         del du
-        ok = (power > 0.0).all(axis=0)
+        norm2 = power[0] * power[1]
+        ok = norm2 > 0.0
         self.degenerate_count = int(n - ok.sum())
         # normalised and scaled to units of 2**-FIXED_BITS; zero where a
         # direction is degenerate (its gains, and so its products, are zero)
+        # or the power product underflows, where the scale would be inf
         scale = np.where(ok, 2.0 ** FIXED_BITS, 0.0) / np.where(
-            ok, self.snapshots * np.sqrt(power[0] * power[1]), 1.0)
+            ok, self.snapshots * np.sqrt(norm2), 1.0)
         for live, cross in zip(self.live, self._cross):
             cross *= scale[live]
 

@@ -62,8 +62,8 @@ def _section(section, defaults: dict[str, object], path: str) -> dict:
     """Check a section's key set and fill defaults. Each default declares its
     field's kind: _REQUIRED marks a mandatory key; a tuple lists the allowed
     values, its first the default or _REQUIRED; the type float or str marks an
-    optional field, None when missing or null; a bool must be a JSON boolean;
-    a float or an int is converted to that type by _number."""
+    optional field, None when missing or null; a float or an int is converted
+    to that type by _number."""
     if not isinstance(section, dict):
         raise ConfigError(f"{path}: must be a JSON object")
     unknown = set(section) - set(defaults)
@@ -85,9 +85,6 @@ def _section(section, defaults: dict[str, object], path: str) -> dict:
                 value = _number(where, float, value)
             elif value is not None and not isinstance(value, str):
                 raise ConfigError(f"{where}: must be a string")
-        elif isinstance(default, bool):
-            if not isinstance(value, bool):
-                raise ConfigError(f"{where}: must be true or false")
         elif isinstance(default, (int, float)):
             value = _number(where, type(default), value)
         out[key] = value
@@ -136,11 +133,12 @@ def _positive(value: float, path: str) -> float:
 
 
 def _check_sizes(counts: str, m: int, snapshots: int, samples: int, k_max: int,
-                 angles: float, dopplers: float, delta_t: float, nu: float) -> None:
+                 angles: float, dopplers: float, delta_t: float, nus: dict) -> None:
     """The size gate, run before anything is built. Refuse a config whose
     run would hold more than MEMORY_BUDGET_BYTES at a stage (the *_BYTES
     times the sizes), anneal more than WORK_BUDGET_SAMPLES proposal samples,
-    or form Doppler phases 2*pi*nu*t, at the largest Doppler nu, over a float."""
+    or form Doppler phases 2*pi*nu*t, at the largest Doppler nu, over a float:
+    nus maps the fields that set each Doppler to it."""
     run = f"config.array.{counts}, config.sequence.snapshots and config.sweep"
     over = f"would need more than the {MEMORY_BUDGET_BYTES >> 30} GiB memory budget"
     m = max(m, 1)  # building refuses m < 1
@@ -164,8 +162,11 @@ def _check_sizes(counts: str, m: int, snapshots: int, samples: int, k_max: int,
             + dopplers * snapshots * SURFACE_DOPPLER_SNAPSHOT_BYTES > MEMORY_BUDGET_BYTES):
         raise ConfigError(f"{run}: the surfaces {over}")
     instants = m * snapshots * delta_t
-    if not (math.isfinite(instants) and math.isfinite(2 * math.pi * nu * instants)):
-        raise ConfigError("config.sequence.delta_t_s: the run's Doppler "
+    fields, nu = max(nus.items(), key=lambda item: item[1])
+    if not math.isfinite(2 * math.pi * nu * instants):
+        # instants over a float are delta_t's alone
+        fields = f" and {fields}" if math.isfinite(instants) else ""
+        raise ConfigError(f"config.sequence.delta_t_s{fields}: the run's Doppler "
                           "phases overflow a float")
 
 
@@ -276,7 +277,6 @@ class ExperimentConfig:
         objective_spec = _section(top["objective"], {
             "power": 6,
             "samples": 4096,
-            "sin_elevation": False,
         }, "config.objective")
         objective = _field("config.objective", ObjectiveConfig, seed=seed,
                            **objective_spec)
@@ -333,12 +333,13 @@ class ExperimentConfig:
             }, "config.anneal")
             anneal_cfg = _field("config.anneal", AnnealConfig, k_max=anneal_spec["k_max"],
                                 t0=anneal_spec["t0"], alpha=anneal_spec["alpha"])
-        # Doppler phases at the objective's bound, the swept or the crlb Doppler
         _check_sizes(counts, m, sequence_spec["snapshots"], objective.samples,
                      anneal_cfg.k_max, 2 * a_span / a_step + 1,
                      2 * d_span / d_step + 1, delta_t,
-                     max(doppler_bound, abs(params.doppler_hz),
-                         abs(reference.doppler_hz) + d_span))
+                     {"config.region.doppler_fraction": doppler_bound,
+                      "config.crlb.doppler_hz": abs(params.doppler_hz),
+                      "config.reference.doppler_hz and config.sweep.doppler_span_hz":
+                      abs(reference.doppler_hz) + d_span})
         # underflow, checked after the gate names a huge delta_t_s
         _positive(doppler_bound, "config.region.doppler_fraction")
 
@@ -442,8 +443,8 @@ class ExperimentConfig:
         the final sequences, traces and reports by scheme. A report, which
         optimize writes as summary.json and compare as an anneal block, is
         the chain's objectives, schedule and length, and the evaluator's
-        degenerate_samples (with a direction no element sees) and
-        live_fraction."""
+        degenerate_samples (with a direction no element sees, or a power
+        product that underflows) and live_fraction."""
         spec = self.sequence_spec
         evaluator = ObjectiveEvaluator(self.array, self.doppler_bound, self.objective,
                                        spec["delta_t_s"], spec["snapshots"])

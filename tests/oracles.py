@@ -48,20 +48,14 @@ def objective_points(doppler_bound: float, objective: ObjectiveConfig):
     """Sample points and volume of f_P, the integral of |X(mu, mu')|**P over
     both arrival directions on the whole sphere and the Doppler difference
     within +-doppler_bound. Sobol coordinates 0 and 2 are the azimuths on
-    [0, 2 pi), 1 and 3 the elevations, uniform on [0, pi] or, with
-    sin_elevation, uniform in cos on [-1, 1] (the measure of [0, pi] under
-    sin is 2), and 4 the Doppler difference. Returns (azimuth, elevation,
-    azimuth', elevation', Doppler difference, volume): the volume is the
-    product of the five coordinates' measures."""
+    [0, 2 pi), 1 and 3 the elevations, uniform on [0, pi], and 4 the Doppler
+    difference. Returns (azimuth, elevation, azimuth', elevation', Doppler
+    difference, volume): the volume is the product of the five coordinates'
+    measures."""
     u = switchseq.ambiguity.sobol_points(objective.samples, objective.seed)
-    if objective.sin_elevation:
-        theta, theta_p = np.arccos(1.0 - u[:, 1] * 2.0), np.arccos(1.0 - u[:, 3] * 2.0)
-        el_measure = 2.0
-    else:
-        theta, theta_p, el_measure = u[:, 1] * math.pi, u[:, 3] * math.pi, math.pi
-    volume = (2.0 * math.pi) ** 2 * el_measure ** 2 * (2.0 * doppler_bound)
-    return (u[:, 0] * (2.0 * math.pi), theta, u[:, 2] * (2.0 * math.pi), theta_p,
-            doppler_bound * (2.0 * u[:, 4] - 1.0), volume)
+    volume = (2.0 * math.pi) ** 2 * math.pi ** 2 * (2.0 * doppler_bound)
+    return (u[:, 0] * (2.0 * math.pi), u[:, 1] * math.pi, u[:, 2] * (2.0 * math.pi),
+            u[:, 3] * math.pi, doppler_bound * (2.0 * u[:, 4] - 1.0), volume)
 
 
 @dataclass(frozen=True)

@@ -222,12 +222,11 @@ DIFFERENTIAL_ARRAYS = {
 }
 
 
-@pytest.mark.parametrize("sin_elevation", [False, True])
 @pytest.mark.parametrize("snapshots", [1, 3])
 @pytest.mark.parametrize("array_name", sorted(DIFFERENTIAL_ARRAYS))
-def test_evaluate_matches_per_call_exp_reference(array_name, snapshots, sin_elevation):
+def test_evaluate_matches_per_call_exp_reference(array_name, snapshots):
     arr = DIFFERENTIAL_ARRAYS[array_name]()
-    cfg = ObjectiveConfig(power=6, samples=256, seed=11, sin_elevation=sin_elevation)
+    cfg = ObjectiveConfig(power=6, samples=256, seed=11)
     bound = 0.25 / (2.0 * 1e-4)
     ev = ObjectiveEvaluator(arr, bound, cfg, 1e-4, snapshots)
     if array_name == "single_panel":
@@ -237,19 +236,17 @@ def test_evaluate_matches_per_call_exp_reference(array_name, snapshots, sin_elev
         assert abs(ev.evaluate(seq) - ref) <= 1e-12 * abs(ref)
 
 
-@pytest.mark.parametrize("sin_elevation", [False, True])
 @pytest.mark.parametrize("snapshots", [1, 3])
 @pytest.mark.parametrize("array_name, scheme", [
     ("ula", "random"), ("octagon", "random"), ("octagon", "hybrid"),
     ("single_panel", "random"), ("tabulated", "hybrid")])
-def test_swap_sums_carried_along_a_chain_match_evaluate(array_name, scheme,
-                                                         snapshots, sin_elevation):
+def test_swap_sums_carried_along_a_chain_match_evaluate(array_name, scheme, snapshots):
     # every step is taken, as if accepted, so the sums carry 200 deltas and
     # the contributions 200 partial rescorings; they stay equal, integer for
     # integer and bit for bit, to a fresh sample_sums and its contributions,
     # and so the proposal's f_P equal to evaluate
     arr = DIFFERENTIAL_ARRAYS[array_name]()
-    cfg = ObjectiveConfig(power=6, samples=256, seed=5, sin_elevation=sin_elevation)
+    cfg = ObjectiveConfig(power=6, samples=256, seed=5)
     ev = ObjectiveEvaluator(arr, 0.25 / (2.0 * 1e-4), cfg, 1e-4, snapshots)
     rng = np.random.default_rng(snapshots)
     seq = chain_init(arr, scheme, snapshots, rng)
@@ -390,14 +387,13 @@ def test_block_terms_equal_per_row_terms(array_name):
         assert not rows[e][:, dead_samples(ev, e)].any()
 
 
-@pytest.mark.parametrize("sin_elevation", [False, True])
 @pytest.mark.parametrize("snapshots", [1, 3])
 @pytest.mark.parametrize("m", [1, 2, 5, 16, 37, 128])
-def test_phase_rows_equal_the_full_slot_table(m, snapshots, sin_elevation):
+def test_phase_rows_equal_the_full_slot_table(m, snapshots):
     # the evaluator keeps two phase factor tables and forms the row of a
     # slot on an element's live samples; every row, on every sample and on
     # a subset, and every term formed from it, has the bits of the table
-    cfg = ObjectiveConfig(samples=256, seed=6, sin_elevation=sin_elevation)
+    cfg = ObjectiveConfig(samples=256, seed=6)
     bound = 0.25 / (2.0 * 1e-4)
     ev = ObjectiveEvaluator(make_ula(m, 0.5, 1.0), bound, cfg, 1e-4, snapshots)
     table = reference_phase_table(ev, bound)
@@ -578,19 +574,6 @@ def test_evaluator_rejects_mismatched_sequences():
         ev.evaluate(sequential(4, 1e-3))
     with pytest.raises(ValueError):
         ev.evaluate(sequential(8, 1e-3, snapshots=2))
-
-
-def test_sin_elevation_option_changes_measure():
-    arr = make_ula(8, 0.5, 1.0)
-    seq = sequential(8, 1e-3)
-    bound = 100.0
-    flat = ObjectiveEvaluator(arr, bound, ObjectiveConfig(samples=512, seed=1),
-                              seq.delta_t).evaluate(seq)
-    weighted = ObjectiveEvaluator(
-        arr, bound, ObjectiveConfig(samples=512, seed=1, sin_elevation=True),
-        seq.delta_t).evaluate(seq)
-    assert flat != weighted
-    assert np.isfinite(weighted)
 
 
 def test_config_validation():

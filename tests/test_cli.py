@@ -1,6 +1,6 @@
 import contextlib
 import csv
-import importlib
+import importlib.util
 import inspect
 import io
 import json
@@ -14,10 +14,12 @@ import tempfile
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import switchseq
+from switchseq.ambiguity import ObjectiveEvaluator
 from switchseq.cli import main
 from switchseq.config import ConfigError, ExperimentConfig
 
@@ -236,6 +238,7 @@ def test_cli_exit_code_for_config_error(tmp_path, capsys):
     ("crlb", "sequence", "delta_t_s", float("inf")),
     ("crlb", "sequence", "delta_t_s", 1e308),
     ("optimize", "sequence", "delta_t_s", 1e308),
+    ("optimize", "region", "doppler_fraction", 1e308),
     # the crlb section is built at load, so every command refuses it
     ("crlb", "crlb", "amplitude", 0),
     ("crlb", "crlb", "noise_sigma", 0),
@@ -288,6 +291,48 @@ def test_doppler_bound_that_underflows_exits_2():
                          region={"doppler_fraction": 5e-324})
     with pytest.raises(ConfigError, match=r"config\.region\.doppler_fraction: "):
         ExperimentConfig.from_dict(cfg)
+
+
+# a 1e308 field at 1 s slots, and the fields the size gate names for it
+PHASE_OVERFLOW_FIELDS = {
+    ("sequence", "delta_t_s"): "",  # the instants overflow: delta_t_s alone
+    ("region", "doppler_fraction"): " and config.region.doppler_fraction",
+    ("crlb", "doppler_hz"): " and config.crlb.doppler_hz",
+    ("reference", "doppler_hz"):
+        " and config.reference.doppler_hz and config.sweep.doppler_span_hz",
+}
+
+
+@pytest.mark.parametrize("section, key", list(PHASE_OVERFLOW_FIELDS))
+def test_doppler_phases_that_overflow_name_the_field_of_the_doppler(section, key):
+    # the instants of 16 slots of 1 s are finite, so a 1e308 Doppler
+    # overflows the phases, and the gate names the field that set it
+    cfg = ula_config(sequence={"scheme": "sequential", "delta_t_s": 1.0})
+    cfg.setdefault(section, {})[key] = 1e308
+    fields = PHASE_OVERFLOW_FIELDS[section, key]
+    with pytest.raises(ConfigError) as caught:
+        ExperimentConfig.from_dict(cfg)
+    assert str(caught.value).startswith(
+        f"config.sequence.delta_t_s{fields}: the run's Doppler phases overflow")
+
+
+def test_power_product_that_underflows_is_a_degenerate_sample(tmp_path):
+    # at patch exponent 180 both directions' powers can be positive while
+    # their product underflows to 0.0: such a sample is degenerate, where an
+    # inf scale would make the products inf or NaN and wrap the sums
+    cfg = octagon_config(array={"kind": "octagonal", "panels": 5, "rows": 1,
+                                "cols": 3, "patch_exponent": 180.0})
+    config = ExperimentConfig.from_dict(cfg)
+    spec = config.sequence_spec
+    ev = ObjectiveEvaluator(config.array, config.doppler_bound, config.objective,
+                            spec["delta_t_s"], spec["snapshots"])
+    assert all(np.isfinite(cross).all() for cross in ev._cross)
+    for scheme in ("sequential", "hybrid"):
+        seq = config.build_sequence(scheme, np.random.default_rng(0))
+        # a contribution, |S_n|**2 times the snapshot power, is at most 1
+        assert ev.contributions(ev.sample_sums(seq)).max() <= 1.0
+    assert main(["optimize", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("section, key", [
@@ -671,7 +716,7 @@ MUTABLE_FIELDS = [(None, key) for key in (
                   "patch_exponent", "pattern_file"),
         "sequence": ("scheme", "delta_t_s", "snapshots"),
         "anneal": ("scheme", "k_max", "t0", "alpha"),
-        "objective": ("power", "samples", "sin_elevation"),
+        "objective": ("power", "samples"),
         "region": ("doppler_fraction",),
         "reference": ("azimuth_deg", "elevation_deg", "doppler_hz"),
         "sweep": ("doppler_span_hz", "doppler_step_hz", "angle_span_deg",
@@ -962,6 +1007,30 @@ def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
         assert main(argv[1:]) == 0, capsys.readouterr().err
     report = json.loads((tmp_path / "runs/crlb/crlb_report.json").read_text())
     assert report["agreement"]["within_1pct"] is True
+
+
+def test_benchmark_checks_pass_on_the_readme_config(tmp_path):
+    # the benchmark's output checks, which build their references through
+    # the config's accessors and the evaluator's positional signature, pass
+    # on each workload's command, run through main on a small README config
+    spec = importlib.util.spec_from_file_location(
+        "checks", Path(__file__).resolve().parents[1] / "perfbench" / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    cfg = readme_config()
+    cfg["objective"]["samples"] = 256
+    cfg["anneal"]["k_max"] = 5
+    path = write_config(tmp_path, cfg)
+    checker = checks.Checker(Path(path))
+    run, surface, compare = (tmp_path / name for name in ("run", "surface", "compare"))
+    sequence = run / "best_sequence.json"
+    for argv in (["optimize", "--out", str(run)],
+                 ["ambiguity", "--out", str(surface), "--sequence", str(sequence)],
+                 ["compare", "--out", str(compare)]):
+        assert main([*argv, "--config", path]) == 0
+    assert checker.check_anneal(run) == []
+    assert checker.check_surface(surface, sequence) == []
+    assert checker.check_compare(compare) == []
 
 
 # ---- crlb --------------------------------------------------------------

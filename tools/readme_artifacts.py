@@ -4,7 +4,8 @@
 
 Runs the quick-start `optimize`, `ambiguity --sequence` on its output,
 `compare` and `effective-factor`, `optimize` again with the random scheme
-(`optimize_random`), the quick-start `compare` again on two
+(`optimize_random`), `compare` again sweeping the azimuth (`compare_aoa`,
+`sweep.angle_axis` aoa), the quick-start `compare` again on two
 arrays whose V-pol patterns load from files it writes (cos^2 patches on a
 10-degree grid, then the same with a per-element amplitude and phase
 ripple, so that R* is null), and the ULA `crlb` as written, at
@@ -66,7 +67,9 @@ def run(out: Path) -> None:
             ("compare", "compare", quick, []),
             ("effective-factor", "effective-factor", quick, []),
             ("optimize_random", "optimize",
-             {**quick, "anneal": {**quick["anneal"], "scheme": "random"}}, [])]
+             {**quick, "anneal": {**quick["anneal"], "scheme": "random"}}, []),
+            ("compare_aoa", "compare",
+             {**quick, "sweep": {**quick["sweep"], "angle_axis": "aoa"}}, [])]
     runs += [(name, "compare", {**quick, "array": {**quick["array"], "pattern_file": file}},
               []) for name, (file, _) in PATTERNS.items()]
     runs += [(name, "crlb", {**ula, "crlb": {**ula["crlb"], **extra}}, [])
