@@ -46,8 +46,7 @@ else:
 from .ambiguity import (AmbiguitySurface, DegenerateDirectionError,
                         ObjectiveConfig, ObjectiveEvaluator, ambiguity_surface)
 from .analysis import (GridTooNarrowError, WidthReport, block_aperture_ratio,
-                       compare_schemes, effective_factor, half_power_width,
-                       peak_sidelobe)
+                       compare_schemes, half_power_width, peak_sidelobe)
 from .anneal import (AnnealConfig, AnnealError, AnnealRecord, AnnealTrace,
                      anneal, temperature_schedule)
 from .arrays import (ArrayModel, OmniPattern, PatchPattern, StructuralParams,

@@ -87,12 +87,6 @@ def half_power_width(surface: AmbiguitySurface, axis: str) -> WidthReport:
                        upper=_crossing(coords, db, hi, hi + 1))
 
 
-def effective_factor(array: ArrayModel, mu: StructuralParams,
-                     threshold_db: float) -> float:
-    """Fraction of elements receiving significant power from mu's direction."""
-    return effective_elements(array, mu, threshold_db).size / array.num_elements
-
-
 def block_aperture_ratio(array: ArrayModel, mu: StructuralParams,
                          snapshots: int) -> float | None:
     """R* = sigma_rand / sigma_hyb, the predicted hybrid/random Doppler

@@ -1,13 +1,14 @@
 """Command-line experiment runner.
 
 Subcommands: optimize, ambiguity, crlb, compare, effective-factor. Each
-cmd_* computes, prints one summary line and returns its artifacts by file
-name, each a JSON document or a writer called with the file's path. Only
-then does main make the output directory and write them, in that order,
-and last a manifest with the config as given, its hash, library versions,
-the OpenBLAS thread count asked for, wall time and those files, so an
-output directory is sufficient to reproduce itself. A run that fails
-before that point leaves no directory.
+cmd_* takes the config, with --seed applied, computes, prints one summary
+line and returns its artifacts by file name, each a JSON document or a
+writer called with the file's path. Only then does main make the --out
+directory and write them, in that order, and last a manifest with the
+run's seed, the config as given, its hash, library versions, the OpenBLAS
+thread count asked for, wall time and those files, so an output directory
+is sufficient to reproduce itself. A run that fails before that point
+leaves no directory.
 
 Exit codes: 0 success, 2 configuration or output error, 3 numeric failure.
 """
@@ -15,6 +16,7 @@ Exit codes: 0 success, 2 configuration or output error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -39,8 +41,8 @@ EXIT_NUMERIC = 3
 NUMERIC_ERRORS = (ArithmeticError, np.linalg.LinAlgError)
 
 
-def _manifest(command: str, config: ExperimentConfig, seed: int,
-              wall_time_s: float, outputs: list[str]) -> dict:
+def _manifest(command: str, config: ExperimentConfig, wall_time_s: float,
+              outputs: list[str]) -> dict:
     canonical = json.dumps(config.raw, sort_keys=True).encode()
     return {
         "command": command,
@@ -48,7 +50,7 @@ def _manifest(command: str, config: ExperimentConfig, seed: int,
         "python_version": sys.version.split()[0],
         "numpy_version": np.__version__,
         "openblas_num_threads": BLAS_THREADS,
-        "seed": seed,
+        "seed": config.seed,
         "config": config.raw,
         "config_sha256": hashlib.sha256(canonical).hexdigest(),
         "wall_time_s": wall_time_s,
@@ -64,12 +66,12 @@ def _write(path: Path, artifact) -> None:
         path.write_text(json.dumps(artifact, indent=2) + "\n")
 
 
-def cmd_optimize(config: ExperimentConfig, seed: int) -> dict:
+def cmd_optimize(config: ExperimentConfig) -> dict:
     if config.anneal_spec is None:
         raise ConfigError("config.anneal: section required for this command")
     scheme = config.anneal_spec["scheme"]
-    sequences, traces, reports = config.anneal_schemes([scheme],
-                                                       np.random.default_rng(seed))
+    sequences, traces, reports = config.anneal_schemes(
+        [scheme], np.random.default_rng(config.seed))
     final, trace = sequences[scheme], traces[scheme]
     print(f"final objective {trace.final_objective:.6g} "
           f"(best {trace.best_objective:.6g} at k={trace.best_k})")
@@ -79,8 +81,7 @@ def cmd_optimize(config: ExperimentConfig, seed: int) -> dict:
             "summary.json": reports[scheme]}
 
 
-def cmd_ambiguity(config: ExperimentConfig, seed: int,
-                  sequence_file: str | None = None) -> dict:
+def cmd_ambiguity(config: ExperimentConfig, sequence_file: str | None = None) -> dict:
     array = config.array
     doppler, angles, axis = config.sweep
     if sequence_file is not None:
@@ -102,7 +103,7 @@ def cmd_ambiguity(config: ExperimentConfig, seed: int,
                 f"differ from the config's {expected}")
     else:
         seq = config.build_sequence(config.sequence_spec["scheme"],
-                                    np.random.default_rng(seed))
+                                    np.random.default_rng(config.seed))
         seq_hash = None
 
     surface = ambiguity_surface(array, seq, config.reference, doppler, angles, axis)
@@ -110,10 +111,10 @@ def cmd_ambiguity(config: ExperimentConfig, seed: int,
           "written to surface.csv")
     return {"surface.csv": functools.partial(save_surface_csv, surface),
             "surface.csv.meta.json": surface_sidecar(
-                surface, seed=seed, sequence_sha256=seq_hash)}
+                surface, seed=config.seed, sequence_sha256=seq_hash)}
 
 
-def cmd_crlb(config: ExperimentConfig, seed: int) -> dict:
+def cmd_crlb(config: ExperimentConfig) -> dict:
     if config.array_spec["kind"] != "ula":
         raise ConfigError("config.array.kind: crlb closed forms are derived for "
                           "the omni ULA; use an array of kind 'ula'")
@@ -122,7 +123,7 @@ def cmd_crlb(config: ExperimentConfig, seed: int) -> dict:
         raise ConfigError("config.array.elements: crlb needs at least 2 elements; "
                           "the azimuth is unobservable with fewer")
     seq = config.build_sequence(config.sequence_spec["scheme"],
-                                np.random.default_rng(seed))
+                                np.random.default_rng(config.seed))
     params, sigma = config.crlb
     wavelength = array.wavelength
     spacing = config.array_spec["spacing_wavelengths"] * wavelength
@@ -159,14 +160,15 @@ def cmd_crlb(config: ExperimentConfig, seed: int) -> dict:
     return {"crlb_report.json": report}
 
 
-def cmd_compare(config: ExperimentConfig, seed: int) -> dict:
-    doc, surfaces, sequences, traces = config.compare(seed)
+def cmd_compare(config: ExperimentConfig) -> dict:
+    doc, surfaces, sequences, traces = config.compare()
     print(f"broadening ratio {doc['broadening_ratio']:.3f} "
           f"(1/effective factor {doc['inverse_effective_factor']:.3f})")
     artifacts = {}
     for name, surface in surfaces.items():
         artifacts[f"surface_{name}.csv"] = functools.partial(save_surface_csv, surface)
-        artifacts[f"surface_{name}.csv.meta.json"] = surface_sidecar(surface, seed=seed)
+        artifacts[f"surface_{name}.csv.meta.json"] = surface_sidecar(
+            surface, seed=config.seed)
     # the traces' order, random then hybrid, is the files' order
     artifacts |= {f"sequence_{s}.json": sequences[s].save for s in traces}
     artifacts |= {f"trace_{s}.csv": functools.partial(save_trace_csv, trace)
@@ -174,7 +176,7 @@ def cmd_compare(config: ExperimentConfig, seed: int) -> dict:
     return artifacts | {"comparison.json": doc}
 
 
-def cmd_effective_factor(config: ExperimentConfig, seed: int) -> dict:
+def cmd_effective_factor(config: ExperimentConfig) -> dict:
     array = config.array
     idx = effective_elements(array, config.reference, config.effective_threshold_db)
     report = {
@@ -208,9 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="experiment JSON config")
         p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
-        p.add_argument("--out", default=None,
-                       help="output directory (default: config output_dir or cwd)")
+                       help="the run's seed, in place of the config's seed")
+        p.add_argument("--out", default=".", help="output directory (default: cwd)")
         if name == "ambiguity":
             p.add_argument("--sequence", default=None,
                            help="sequence JSON file (default: built from config)")
@@ -221,24 +222,24 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = ExperimentConfig.from_file(args.config)
-        seed = config.seed if args.seed is None else check_seed(args.seed, "--seed")
-        out_dir = Path(args.out or config.output_dir or ".")
+        if args.seed is not None:
+            config = dataclasses.replace(config, seed=check_seed(args.seed, "--seed"))
         command = {"optimize": cmd_optimize, "ambiguity": cmd_ambiguity,
                    "crlb": cmd_crlb, "compare": cmd_compare,
                    "effective-factor": cmd_effective_factor}[args.command]
         extra = [args.sequence] if args.command == "ambiguity" else []
         start = time.perf_counter()
-        artifacts = command(config, seed, *extra)
+        artifacts = command(config, *extra)
         try:  # the output directory, a command's files or the manifest
+            out_dir = Path(args.out)
             out_dir.mkdir(parents=True, exist_ok=True)
             for name, artifact in artifacts.items():
                 _write(out_dir / name, artifact)
             _write(out_dir / "manifest.json",
-                   _manifest(args.command, config, seed,
-                             time.perf_counter() - start, list(artifacts)))
+                   _manifest(args.command, config, time.perf_counter() - start,
+                             list(artifacts)))
         except OSError as exc:
-            source = "--out" if args.out else "config.output_dir"
-            raise ConfigError(f"{source}: {exc}") from exc
+            raise ConfigError(f"--out: {exc}") from exc
         return 0
     except ConfigError as exc:
         print(json.dumps({"error": {"type": "config", "message": str(exc)}}),

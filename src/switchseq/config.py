@@ -204,9 +204,12 @@ def _check_scheme(array: ArrayModel, scheme: str, path: str) -> None:
 class ExperimentConfig:
     """Fully resolved experiment settings and the run objects built from them.
 
-    anneal holds the anneal section's settings, or the AnnealConfig defaults
-    (k_max 200, automatic t0/alpha) when the section is absent. crlb holds
-    the crlb section's parameters (angles in radians) and noise sigma.
+    seed seeds the run's draws (starting sequences and anneals); a CLI
+    --seed replaces it, while objective.seed keeps the file's seed, so the
+    objective's QMC points do not move. anneal holds the anneal section's
+    settings, or the AnnealConfig defaults (k_max 200, automatic t0/alpha)
+    when the section is absent. crlb holds the crlb section's parameters
+    (angles in radians) and noise sigma.
     """
 
     raw: dict
@@ -217,7 +220,6 @@ class ExperimentConfig:
     reference_spec: dict
     crlb_spec: dict
     effective_threshold_db: float
-    output_dir: str | None
     array: ArrayModel
     doppler_bound: float
     objective: ObjectiveConfig
@@ -253,7 +255,6 @@ class ExperimentConfig:
             "sweep": {},
             "crlb": {},
             "effective_threshold_db": -10.0,
-            "output_dir": str,
         }, "config")
         if _number("config.version", int, top["version"]) != CONFIG_VERSION:
             raise ConfigError(f"config.version: expected {CONFIG_VERSION}")
@@ -376,7 +377,6 @@ class ExperimentConfig:
             reference_spec=reference_spec,
             crlb_spec=crlb_spec,
             effective_threshold_db=top["effective_threshold_db"],
-            output_dir=top["output_dir"],
             array=array,
             doppler_bound=doppler_bound,
             objective=objective,
@@ -464,11 +464,11 @@ class ExperimentConfig:
                    for scheme, trace in traces.items()}
         return sequences, traces, reports
 
-    def compare(self, seed: int) -> tuple[dict, dict, dict, dict]:
-        """The sequential/random/hybrid comparison at seed (the objective's
-        QMC points keep the config seed): the comparison.json document, with
-        each anneal's report in its anneal block, then the three surfaces,
-        the three sequences, and the random and hybrid anneal traces."""
+    def compare(self) -> tuple[dict, dict, dict, dict]:
+        """The sequential/random/hybrid comparison drawn from seed: the
+        comparison.json document, with each anneal's report in its anneal
+        block, then the three surfaces, the three sequences, and the random
+        and hybrid anneal traces."""
         for scheme in ("random", "hybrid"):
             _check_scheme(self.array, scheme, "compare")
         # the widths and the PSL anchor the main lobe at the zero-offset cell
@@ -477,7 +477,7 @@ class ExperimentConfig:
                 raise ConfigError(f"config.sweep.{axis}_span_{unit}: compare needs a "
                                   f"multiple of config.sweep.{axis}_step_{unit}")
         # one RNG stream, drawn in order: random init and anneal, then hybrid
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(self.seed)
         sequences = {"sequential": self.build_sequence("sequential", rng)}
         annealed, traces, reports = self.anneal_schemes(("random", "hybrid"), rng)
         sequences |= annealed

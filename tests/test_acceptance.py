@@ -8,6 +8,7 @@ second; the module takes 7-11 s on a 2-CPU machine, most of it criterion 6.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,9 +16,9 @@ import pytest
 from switchseq import (AnnealConfig, ExperimentConfig, ObjectiveConfig,
                        ObjectiveEvaluator, StructuralParams,
                        ambiguity_surface, anneal, basis_from_eta, crlb_aoa,
-                       crlb_doppler, effective_elements, effective_factor,
-                       fim_numeric, make_octagonal, make_ula, peak_sidelobe,
-                       random_init, sequential, temperature_schedule)
+                       crlb_doppler, effective_elements, fim_numeric,
+                       make_octagonal, make_ula, peak_sidelobe, random_init,
+                       sequential, temperature_schedule)
 from switchseq.crlb import ParamVector
 from switchseq.switching import SwitchingSequence
 
@@ -40,9 +41,9 @@ def criterion(cid: str, ok: bool, detail: str) -> None:
 def octagon_runs():
     """README compare at its seed, as the CLI runs it, shared by criteria 1,
     2 and 7; run twice for criterion 7a's reproducibility check."""
-    config = ExperimentConfig.from_dict(readme_config())
-    report, _, sequences, traces = config.compare(SEED)
-    _, _, sequences2, traces2 = config.compare(SEED)
+    config = replace(ExperimentConfig.from_dict(readme_config()), seed=SEED)
+    report, _, sequences, traces = config.compare()
+    _, _, sequences2, traces2 = config.compare()
     return {"report": report, "sequences": sequences, "traces": traces,
             "reruns": (sequences2, traces2)}
 
@@ -244,11 +245,11 @@ def test_criterion_7e_stabilization(octagon_runs):
 
 def test_criterion_8_effective_factor():
     octagon = make_octagonal(patch_exponent=2.0)
-    xi_oct = effective_factor(octagon, StructuralParams(math.pi / 4, math.pi / 2, 0.0),
-                              -10.0)
+    xi_oct = effective_elements(octagon, StructuralParams(math.pi / 4, math.pi / 2, 0.0),
+                                -10.0).size / octagon.num_elements
     square = make_octagonal(4, 1, 8, patch_exponent=0.0)
-    xi_sq = effective_factor(square, StructuralParams(math.pi / 2, math.pi / 2, 0.0),
-                             -10.0)
+    xi_sq = effective_elements(square, StructuralParams(math.pi / 2, math.pi / 2, 0.0),
+                               -10.0).size / square.num_elements
     ok = (2.5 / 8 <= xi_oct <= 3.5 / 8) and xi_sq == 0.25
     criterion("8 effective-factor", ok,
               f"octagon xi = {xi_oct:.4f} in [0.3125, 0.4375], "

@@ -10,9 +10,9 @@ from scipy.optimize import brentq
 
 from switchseq import (AmbiguitySurface, GridTooNarrowError, StructuralParams,
                        ambiguity_surface, block_aperture_ratio, compare_schemes,
-                       crlb_doppler, effective_elements, effective_factor,
-                       half_power_width, make_octagonal, make_ula,
-                       peak_sidelobe, random_init, sequential)
+                       crlb_doppler, effective_elements, half_power_width,
+                       make_octagonal, make_ula, peak_sidelobe, random_init,
+                       sequential)
 import switchseq.analysis as analysis_module
 from switchseq.ambiguity import to_db
 from switchseq.analysis import _crossing, _max3x3
@@ -95,7 +95,7 @@ def test_half_power_width_grid_too_narrow():
 def readme_compare_surfaces():
     """The three surfaces README compare writes, at its config and seed."""
     config = ExperimentConfig.from_dict(readme_config())
-    _, surfaces, _, _ = config.compare(config.seed)
+    _, surfaces, _, _ = config.compare()
     return surfaces
 
 
@@ -146,26 +146,27 @@ def test_half_power_requires_main_peak():
 
 def test_effective_factor_omni_is_one():
     arr = make_ula(8, 0.5, 1.0)
-    assert effective_factor(arr, StructuralParams(1.0, 1.0, 0.0), -10.0) == 1.0
+    idx = effective_elements(arr, StructuralParams(1.0, 1.0, 0.0), -10.0)
+    assert idx.size / arr.num_elements == 1.0
 
 
 def test_effective_factor_square_quarter():
     arr = make_octagonal(4, 1, 8, patch_exponent=0.0)
-    xi = effective_factor(arr, BROADSIDE, -10.0)
-    assert xi == 0.25
+    assert effective_elements(arr, BROADSIDE, -10.0).size / arr.num_elements == 0.25
 
 
 def test_effective_factor_octagon_three_eighths():
     arr = make_octagonal(patch_exponent=2.0)
-    xi = effective_factor(arr, StructuralParams(math.pi / 4, math.pi / 2, 0.0),
-                          -10.0)
+    xi = effective_elements(arr, StructuralParams(math.pi / 4, math.pi / 2, 0.0),
+                            -10.0).size / arr.num_elements
     assert xi == pytest.approx(3 / 8)
 
 
 def test_effective_factor_non_increasing_in_threshold():
     arr = make_octagonal(patch_exponent=2.0)
     d = StructuralParams(0.1, math.pi / 2, 0.0)
-    factors = [effective_factor(arr, d, t) for t in (-3.0, -6.0, -10.0, -20.0)]
+    factors = [effective_elements(arr, d, t).size / arr.num_elements
+               for t in (-3.0, -6.0, -10.0, -20.0)]
     assert all(a <= b for a, b in zip(factors, factors[1:]))
 
 
@@ -174,7 +175,8 @@ def test_block_aperture_ratio_sector_octagon_is_inverse_xi():
     d = StructuralParams(math.pi / 4, math.pi / 2, 0.0)
     sector = make_octagonal(patch_exponent=0.0)
     r_star = block_aperture_ratio(sector, d, 1)
-    assert abs(r_star - 1.0 / effective_factor(sector, d, -10.0)) <= 1e-12
+    xi = effective_elements(sector, d, -10.0).size / sector.num_elements
+    assert abs(r_star - 1.0 / xi) <= 1e-12
     # q = 2 patches give the side panels a quarter of the power
     patch = block_aperture_ratio(make_octagonal(patch_exponent=2.0), d, 1)
     assert patch == pytest.approx(8.0 / math.sqrt(5.0), rel=1e-12)
@@ -186,7 +188,7 @@ def test_block_aperture_ratio_tracks_the_width_ratio_over_snapshots(snapshots):
     # the hybrid/random width ratio towards 1 (1.09 at S = 2, 1.02 at S = 4)
     cfg = readme_config()
     cfg["sequence"]["snapshots"] = snapshots
-    doc = ExperimentConfig.from_dict(cfg).compare(cfg["seed"])[0]
+    doc = ExperimentConfig.from_dict(cfg).compare()[0]
     assert doc["block_aperture_ratio"] == pytest.approx(doc["broadening_ratio"], rel=0.1)
 
 

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -257,7 +258,6 @@ def test_cli_exit_code_for_config_error(tmp_path, capsys):
     # a choice field takes one of its values; an optional string a string
     ("ambiguity", "sequence", "scheme", "zigzag"),
     ("ambiguity", "sweep", "angle_axis", "zoa"),
-    ("optimize", None, "output_dir", 5),
     ("ambiguity", "array", "pattern_file", 5),
     # refused after load: optimize anneals, so it needs the section
     ("optimize", None, "anneal", None),
@@ -336,8 +336,8 @@ def test_power_product_that_underflows_is_a_degenerate_sample(tmp_path):
 
 
 @pytest.mark.parametrize("section, key", [
-    (None, "output_dir"), ("anneal", "t0"), ("anneal", "alpha"),
-    ("array", "radius_m"), ("array", "pattern_file")])
+    ("anneal", "t0"), ("anneal", "alpha"), ("array", "radius_m"),
+    ("array", "pattern_file")])
 def test_optional_field_null_loads_like_a_missing_one(section, key):
     cfg = octagon_config()
     where = cfg if section is None else cfg.setdefault(section, {})
@@ -345,9 +345,8 @@ def test_optional_field_null_loads_like_a_missing_one(section, key):
     missing = ExperimentConfig.from_dict(cfg)
     where[key] = None
     null = ExperimentConfig.from_dict(cfg)
-    assert (null.output_dir, null.array_spec, null.anneal_spec, null.doppler_bound,
-            null.anneal) == (missing.output_dir, missing.array_spec,
-                             missing.anneal_spec, missing.doppler_bound, missing.anneal)
+    assert (null.array_spec, null.anneal_spec, null.doppler_bound, null.anneal) == (
+        missing.array_spec, missing.anneal_spec, missing.doppler_bound, missing.anneal)
     assert (null.array.positions == missing.array.positions).all()
 
 
@@ -451,6 +450,101 @@ def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
         runs[threads] = artifacts(out)
     assert len(runs["1"]) == 8
     assert runs["1"] == runs["2"]
+
+
+# the OpenBLAS core a child runs, and whether numpy dispatches to its
+# X86_V4 (AVX-512) paths
+CPU_PATHS = """
+import ctypes, json
+from pathlib import Path
+import numpy
+from numpy._core._multiarray_umath import __cpu_features__
+core = None
+libs = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
+for path in sorted(libs.glob("*openblas*")):
+    lib = ctypes.CDLL(str(path))
+    if hasattr(lib, "scipy_openblas_get_corename64_"):
+        lib.scipy_openblas_get_corename64_.argtypes = []
+        lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
+        core = lib.scipy_openblas_get_corename64_().decode()
+print(json.dumps({"core": core, "x86_v4": __cpu_features__.get("X86_V4", False)}))
+"""
+
+
+def cpu_paths(env):
+    """CPU_PATHS read in a child with env added; None if the child fails."""
+    proc = run_python(CPU_PATHS, blas_env=env)
+    return json.loads(proc.stdout) if proc.returncode == 0 else None
+
+
+def cpu_flags():
+    try:
+        return set(Path("/proc/cpuinfo").read_text().split())
+    except OSError:
+        return set()
+
+
+def compare_outputs(out_dir, env):
+    """Run a small README compare in a child with env added; return the
+    directory it wrote."""
+    cfg = readme_config()
+    cfg["anneal"]["k_max"] = 20
+    config = write_config(out_dir, cfg)
+    proc = run_python("import sys; from switchseq.cli import main; "
+                      "sys.exit(main(sys.argv[1:]))",
+                      "compare", "--config", config, "--out", str(out_dir / "out"),
+                      blas_env=env)
+    assert proc.returncode == 0, proc.stderr
+    return out_dir / "out"
+
+
+@pytest.fixture(scope="module")
+def default_compare(tmp_path_factory):
+    return compare_outputs(tmp_path_factory.mktemp("default"), {})
+
+
+def read_columns(path):
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    return {key: np.array([float(row[key]) for row in rows]) for key in rows[0]}
+
+
+@pytest.mark.parametrize("env", [
+    {"OPENBLAS_CORETYPE": "Haswell"},
+    {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+], ids=["openblas-haswell", "numpy-no-avx512"])
+def test_compare_holds_across_cpu_paths(tmp_path, default_compare, env):
+    # another OpenBLAS kernel or numpy CPU dispatch moves the last bits of
+    # objectives and surfaces, not the annealed sequences
+    paths = cpu_paths(env)
+    if "OPENBLAS_CORETYPE" in env:
+        if not {"avx2", "fma"} <= cpu_flags():
+            pytest.skip("the CPU cannot run OpenBLAS's Haswell kernels")
+        if paths is None or paths["core"] != "Haswell":
+            pytest.skip("the OpenBLAS core cannot be read or set")
+    elif not (cpu_paths({}) or {}).get("x86_v4") or paths is None or paths["x86_v4"]:
+        pytest.skip("numpy's AVX-512 paths are absent or cannot be turned off")
+    out = compare_outputs(tmp_path, env)
+    for scheme in ("random", "hybrid"):
+        name = f"sequence_{scheme}.json"
+        assert (out / name).read_bytes() == (default_compare / name).read_bytes()
+        trace, base = (read_columns(d / f"trace_{scheme}.csv")
+                       for d in (out, default_compare))
+        for key in ("objective", "proposal_objective"):
+            np.testing.assert_allclose(trace[key], base[key], rtol=1e-12, atol=0)
+    runs = [json.loads((d / "comparison.json").read_text())["anneal"]
+            for d in (out, default_compare)]
+    for scheme, report in runs[0].items():
+        for key in ("initial_objective", "final_objective", "best_objective"):
+            assert report[key] == pytest.approx(runs[1][scheme][key], rel=1e-12)
+    for scheme in ("sequential", "random", "hybrid"):
+        surface, base = (read_columns(d / f"surface_{scheme}.csv")
+                         for d in (out, default_compare))
+        assert surface.keys() == base.keys()
+        for key in ("delta_doppler_hz", "angle_deg"):
+            assert (surface[key] == base[key]).all()
+        np.testing.assert_allclose(surface["magnitude_db"], base["magnitude_db"],
+                                   rtol=0, atol=1e-9)
 
 
 def test_failing_run_prints_one_json_line_despite_sobol_warning(tmp_path):
@@ -709,7 +803,7 @@ def small_sweep_config(base):
 # allocation, run or phase
 MUTABLE_FIELDS = [(None, key) for key in (
     "version", "seed", "array", "sequence", "anneal", "region", "objective",
-    "reference", "sweep", "crlb", "effective_threshold_db", "output_dir")] + [
+    "reference", "sweep", "crlb", "effective_threshold_db")] + [
     (section, key) for section, keys in {
         "array": ("kind", "elements", "panels", "rows", "cols",
                   "spacing_wavelengths", "radius_m", "carrier_hz",
@@ -917,20 +1011,26 @@ def test_ambiguity_sequence_array_mismatch(tmp_path):
 
 
 def test_unusable_output_directory_exits_2(tmp_path, capsys):
-    # --out names an existing file; config.output_dir lies under a file
+    # --out names an existing file
     blocker = tmp_path / "file"
     blocker.write_text("")
     config = write_config(tmp_path, ula_config())
-    nested = write_config(tmp_path, ula_config(output_dir=str(blocker / "out")),
-                          "nested.json")
-    for argv, source in (
-            (["--config", config, "--out", str(blocker)], "--out"),
-            (["--config", nested], "config.output_dir")):
-        assert main(["effective-factor", *argv]) == 2
-        (line,) = capsys.readouterr().err.splitlines()
-        error = json.loads(line)["error"]
-        assert error["type"] == "config"
-        assert error["message"].startswith(source + ":")
+    assert main(["effective-factor", "--config", config, "--out", str(blocker)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "config"
+    assert error["message"].startswith("--out:")
+
+
+def test_config_output_dir_exits_2_as_an_unknown_field(tmp_path, capsys, monkeypatch):
+    # --out alone names where a run writes; the config has no output field
+    monkeypatch.chdir(tmp_path)
+    config = write_config(tmp_path, ula_config(output_dir="elsewhere"))
+    assert main(["effective-factor", "--config", config]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == {
+        "type": "config", "message": "config: unknown field(s) ['output_dir']"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def one_element_panels():
@@ -1193,13 +1293,16 @@ def test_compare_traces_follow_the_anneal_schedule(tmp_path):
 
 
 def test_compare_seed_override_writes_the_library_comparison(tmp_path):
-    # --seed 7 reseeds the sequence and annealing draws of config.compare;
-    # the objective's QMC points keep config.seed (11)
+    # --seed 7 replaces the run's seed, which draws the sequences and
+    # anneals of config.compare; the objective's QMC points keep the
+    # file's seed (11)
     cfg = octagon_config(seed=11)
     out = tmp_path / "cmp"
     assert main(["compare", "--config", write_config(tmp_path, cfg),
                  "--seed", "7", "--out", str(out)]) == 0
-    doc, _, _, traces = ExperimentConfig.from_dict(cfg).compare(7)
+    config = replace(ExperimentConfig.from_dict(cfg), seed=7)
+    assert config.objective.seed == 11
+    doc, _, _, traces = config.compare()
     written = json.loads((out / "comparison.json").read_text())
     assert written == json.loads(json.dumps(doc))
     for update, trace in traces.items():
@@ -1208,8 +1311,7 @@ def test_compare_seed_override_writes_the_library_comparison(tmp_path):
         assert objectives == [rec.objective for rec in trace.records]
     # a run at either seed alone differs: at 11 its draws, at 7 its points
     for alone in (11, 7):
-        config = ExperimentConfig.from_dict(dict(cfg, seed=alone))
-        _, _, _, other = config.compare(alone)
+        _, _, _, other = ExperimentConfig.from_dict(dict(cfg, seed=alone)).compare()
         assert all(other[update].records != trace.records
                    for update, trace in traces.items())
 
@@ -1385,7 +1487,7 @@ def test_compare_accepts_a_nearest_cell_within_a_millionth_of_a_step(sweep, axis
     assert 0.0 < abs(config.sweep[axis]).min() < nearest
     config.anneal_schemes = refuse_to_anneal
     with pytest.raises(Annealed):
-        config.compare(0)
+        config.compare()
 
 
 def test_effective_factor_cmd(tmp_path):

@@ -4,13 +4,13 @@
 
 Runs the quick-start `optimize`, `ambiguity --sequence` on its output,
 `compare` and `effective-factor`, `optimize` again with the random scheme
-(`optimize_random`), `compare` again sweeping the azimuth (`compare_aoa`,
-`sweep.angle_axis` aoa), the quick-start `compare` again on two
-arrays whose V-pol patterns load from files it writes (cos^2 patches on a
-10-degree grid, then the same with a per-element amplitude and phase
-ripple, so that R* is null), and the ULA `crlb` as written, at
-elevation_deg 60 and at azimuth_deg 45 and -270, each into a folder of
-OUT. Runs from OUT, so that no path in a config depends on it. Then prints
+(`optimize_random`) and with `--seed 7` (`optimize_seed7`), `compare`
+again sweeping the azimuth (`compare_aoa`, `sweep.angle_axis` aoa), the
+quick-start `compare` again on two arrays whose V-pol patterns load from
+files it writes (cos^2 patches on a 10-degree grid, then the same with a
+per-element amplitude and phase ripple, so that R* is null), and the ULA
+`crlb` as written, at elevation_deg 60 and at azimuth_deg 45 and -270,
+each into a folder of OUT. Runs from OUT, so that no path in a config depends on it. Then prints
 `sha256  path` for every file there, with `wall_time_s` dropped from each
 manifest.json, so the runs of two trees compare with `diff`.
 """
@@ -68,6 +68,7 @@ def run(out: Path) -> None:
             ("effective-factor", "effective-factor", quick, []),
             ("optimize_random", "optimize",
              {**quick, "anneal": {**quick["anneal"], "scheme": "random"}}, []),
+            ("optimize_seed7", "optimize", quick, ["--seed", "7"]),
             ("compare_aoa", "compare",
              {**quick, "sweep": {**quick["sweep"], "angle_axis": "aoa"}}, [])]
     runs += [(name, "compare", {**quick, "array": {**quick["array"], "pattern_file": file}},
