@@ -10,7 +10,7 @@ thread count asked for, wall time and those files, so an output directory
 is sufficient to reproduce itself. A run that fails before that point
 leaves no directory.
 
-Exit codes: 0 success, 2 configuration or output error, 3 numeric failure.
+Exit codes: 0 success, 2 config, argument or output error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -193,8 +193,15 @@ def cmd_effective_factor(config: ExperimentConfig) -> dict:
     return {"effective_factor.json": report}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a ConfigError for a bad argument, as its subparsers do: exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="switchseq",
         description="Design and evaluate antenna switching sequences for "
                     "switched-array channel sounders.",
@@ -209,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="experiment JSON config")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", default=None,
                        help="the run's seed, in place of the config's seed")
         p.add_argument("--out", default=".", help="output directory (default: cwd)")
         if name == "ambiguity":
@@ -219,11 +226,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = ExperimentConfig.from_file(args.config)
         if args.seed is not None:
-            config = dataclasses.replace(config, seed=check_seed(args.seed, "--seed"))
+            try:  # JSON, so it reads as the config's seed does
+                seed = json.loads(args.seed)
+            except ValueError:
+                seed = args.seed  # a string, which check_seed refuses
+            config = dataclasses.replace(config, seed=check_seed(seed, "--seed"))
         command = {"optimize": cmd_optimize, "ambiguity": cmd_ambiguity,
                    "crlb": cmd_crlb, "compare": cmd_compare,
                    "effective-factor": cmd_effective_factor}[args.command]

@@ -208,8 +208,8 @@ class ExperimentConfig:
     --seed replaces it, while objective.seed keeps the file's seed, so the
     objective's QMC points do not move. anneal holds the anneal section's
     settings, or the AnnealConfig defaults (k_max 200, automatic t0/alpha)
-    when the section is absent. crlb holds the crlb section's parameters
-    (angles in radians) and noise sigma.
+    when the section is absent. crlb holds the crlb section's path (angles
+    in radians, Doppler and phase 0.0) and noise sigma.
     """
 
     raw: dict
@@ -283,17 +283,16 @@ class ExperimentConfig:
                            **objective_spec)
         array_spec, m, counts = cls._array_spec(top["array"])
 
+        # the path's Doppler and phase are 0.0: a surface sees only Doppler
+        # differences, and no bound depends on either
         reference_spec = _section(top["reference"], {
             "azimuth_deg": 45.0,
             "elevation_deg": 90.0,
-            "doppler_hz": 0.0,
         }, "config.reference")
         reference = _field(
             "config.reference.elevation_deg", StructuralParams,
             math.radians(reference_spec["azimuth_deg"]),
-            math.radians(reference_spec["elevation_deg"]),
-            reference_spec["doppler_hz"],
-        )
+            math.radians(reference_spec["elevation_deg"]), 0.0)
         sweep_spec = _section(top["sweep"], {
             "doppler_span_hz": 400.0,
             "doppler_step_hz": 1.0,
@@ -308,16 +307,13 @@ class ExperimentConfig:
         crlb_spec = _section(top["crlb"], {
             "azimuth_deg": 90.0,
             "elevation_deg": 90.0,
-            "doppler_hz": 0.0,
             "amplitude": 1.0,
-            "phase": 0.0,
             "noise_sigma": 0.1,
         }, "config.crlb")
         amplitude = _positive(crlb_spec["amplitude"], "config.crlb.amplitude")
         params = _field("config.crlb.elevation_deg", ParamVector,
                         math.radians(crlb_spec["azimuth_deg"]),
-                        math.radians(crlb_spec["elevation_deg"]),
-                        crlb_spec["doppler_hz"], amplitude, crlb_spec["phase"])
+                        math.radians(crlb_spec["elevation_deg"]), 0.0, amplitude, 0.0)
         crlb = (params, _positive(crlb_spec["noise_sigma"], "config.crlb.noise_sigma"))
         for key in ("amplitude", "noise_sigma"):  # the bounds square both
             if not crlb_spec[key] * crlb_spec[key] < math.inf:
@@ -338,9 +334,7 @@ class ExperimentConfig:
                      anneal_cfg.k_max, 2 * a_span / a_step + 1,
                      2 * d_span / d_step + 1, delta_t,
                      {"config.region.doppler_fraction": doppler_bound,
-                      "config.crlb.doppler_hz": abs(params.doppler_hz),
-                      "config.reference.doppler_hz and config.sweep.doppler_span_hz":
-                      abs(reference.doppler_hz) + d_span})
+                      "config.sweep.doppler_span_hz": d_span})
         # underflow, checked after the gate names a huge delta_t_s
         _positive(doppler_bound, "config.region.doppler_fraction")
 
@@ -436,6 +430,12 @@ class ExperimentConfig:
         return random_init(m, spec["delta_t_s"], spec["snapshots"], rng,
                            self.array.partition if scheme == "hybrid" else None)
 
+    def evaluator(self) -> ObjectiveEvaluator:
+        """The run's objective evaluator, timed by the sequence section."""
+        spec = self.sequence_spec
+        return ObjectiveEvaluator(self.array, self.doppler_bound, self.objective,
+                                  spec["delta_t_s"], spec["snapshots"])
+
     def anneal_schemes(self, schemes, rng: np.random.Generator
                        ) -> tuple[dict, dict, dict]:
         """Each scheme's starting sequence annealed within its partition, in
@@ -445,9 +445,7 @@ class ExperimentConfig:
         the chain's objectives, schedule and length, and the evaluator's
         degenerate_samples (with a direction no element sees, or a power
         product that underflows) and live_fraction."""
-        spec = self.sequence_spec
-        evaluator = ObjectiveEvaluator(self.array, self.doppler_bound, self.objective,
-                                       spec["delta_t_s"], spec["snapshots"])
+        evaluator = self.evaluator()
         sequences, traces = {}, {}
         for scheme in schemes:
             sequences[scheme], traces[scheme] = anneal(

@@ -451,12 +451,10 @@ def test_evaluator_build_frees_its_scratch_before_the_products_grow():
     # at 4096 samples the build then peaks 0.89 MiB above what it keeps,
     # and 1.30 MiB when the scratch is held beside the products
     config = ExperimentConfig.from_dict(readme_config())
-    spec = config.sequence_spec
 
     def build(samples):
-        return ObjectiveEvaluator(config.array, config.doppler_bound,
-                                  replace(config.objective, samples=samples),
-                                  spec["delta_t_s"], spec["snapshots"])
+        return replace(config, objective=replace(config.objective,
+                                                 samples=samples)).evaluator()
 
     build(1)  # modules numpy loads on first use are not the evaluator's
     tracemalloc.start()

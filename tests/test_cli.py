@@ -20,8 +20,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import switchseq
-from switchseq.ambiguity import ObjectiveEvaluator
-from switchseq.cli import main
+from switchseq.ambiguity import ambiguity_surface
+from switchseq.cli import cmd_crlb, main
 from switchseq.config import ConfigError, ExperimentConfig
 
 from conftest import readme_block, readme_config
@@ -105,6 +105,29 @@ def test_config_wraps_a_negative_azimuth():
     cfg["reference"]["azimuth_deg"] = 315.0
     assert config.reference == ExperimentConfig.from_dict(cfg).reference
     assert config.reference.rx_azimuth == pytest.approx(math.radians(315.0))
+
+
+def test_path_doppler_and_phase_change_no_surface_or_bound(capsys):
+    # why the config fixes both at 0.0: a surface compares two paths by their
+    # Doppler difference, and neither the closed-form bounds nor the numeric
+    # FIM's variances depend on the path's own Doppler or phase
+    config = ExperimentConfig.from_dict(readme_config())
+    seq = config.build_sequence("hybrid", np.random.default_rng(0))
+    surface = ambiguity_surface(config.array, seq, config.reference, *config.sweep)
+    for nu in (-450.0, 300.0, 700.0):
+        moved = ambiguity_surface(config.array, seq, replace(
+            config.reference, doppler_hz=nu), *config.sweep)
+        assert np.abs(moved.magnitude - surface.magnitude).max() < 1e-12
+    config = ExperimentConfig.from_dict(json.loads(readme_block(
+        "CLI quick start", "json", 1)))
+    params, sigma = config.crlb
+    (report,) = cmd_crlb(config).values()
+    for nu, psi in ((300.0, 1.2), (-40.0, -2.0)):
+        moved = replace(config, crlb=(replace(params, doppler_hz=nu, phase=psi), sigma))
+        (other,) = cmd_crlb(moved).values()
+        assert other["closed_form"] == report["closed_form"]
+        for block in ("numeric", "numeric_diagonal"):
+            assert other[block] == pytest.approx(report[block], rel=1e-8, abs=0)
 
 
 def test_config_rejects_wrong_version():
@@ -297,9 +320,7 @@ def test_doppler_bound_that_underflows_exits_2():
 PHASE_OVERFLOW_FIELDS = {
     ("sequence", "delta_t_s"): "",  # the instants overflow: delta_t_s alone
     ("region", "doppler_fraction"): " and config.region.doppler_fraction",
-    ("crlb", "doppler_hz"): " and config.crlb.doppler_hz",
-    ("reference", "doppler_hz"):
-        " and config.reference.doppler_hz and config.sweep.doppler_span_hz",
+    ("sweep", "doppler_span_hz"): " and config.sweep.doppler_span_hz",
 }
 
 
@@ -309,6 +330,10 @@ def test_doppler_phases_that_overflow_name_the_field_of_the_doppler(section, key
     # overflows the phases, and the gate names the field that set it
     cfg = ula_config(sequence={"scheme": "sequential", "delta_t_s": 1.0})
     cfg.setdefault(section, {})[key] = 1e308
+    if key == "doppler_span_hz":
+        # a span at its step is three Dopplers, which the surfaces' budget
+        # admits; 1e307, as the gate counts them from twice the span
+        cfg["sweep"].update(doppler_span_hz=1e307, doppler_step_hz=1e307)
     fields = PHASE_OVERFLOW_FIELDS[section, key]
     with pytest.raises(ConfigError) as caught:
         ExperimentConfig.from_dict(cfg)
@@ -323,9 +348,7 @@ def test_power_product_that_underflows_is_a_degenerate_sample(tmp_path):
     cfg = octagon_config(array={"kind": "octagonal", "panels": 5, "rows": 1,
                                 "cols": 3, "patch_exponent": 180.0})
     config = ExperimentConfig.from_dict(cfg)
-    spec = config.sequence_spec
-    ev = ObjectiveEvaluator(config.array, config.doppler_bound, config.objective,
-                            spec["delta_t_s"], spec["snapshots"])
+    ev = config.evaluator()
     assert all(np.isfinite(cross).all() for cross in ev._cross)
     for scheme in ("sequential", "hybrid"):
         seq = config.build_sequence(scheme, np.random.default_rng(0))
@@ -769,9 +792,7 @@ loaded = {}
 assert main(["ambiguity", "--config", sys.argv[1], "--out", sys.argv[3]]) == 0
 loaded["ambiguity"] = "scipy" in sys.modules
 from switchseq.config import ExperimentConfig
-from switchseq.ambiguity import ObjectiveEvaluator
-config = ExperimentConfig.from_file(sys.argv[1])
-evaluator = ObjectiveEvaluator(config.array, config.doppler_bound, config.objective, 1e-3)
+evaluator = ExperimentConfig.from_file(sys.argv[1]).evaluator()
 assert evaluator._snapshot_power.size == 256
 loaded["evaluator"] = "scipy" in sys.modules
 assert main(["optimize", "--config", sys.argv[1], "--out", sys.argv[3]]) == 0
@@ -812,11 +833,10 @@ MUTABLE_FIELDS = [(None, key) for key in (
         "anneal": ("scheme", "k_max", "t0", "alpha"),
         "objective": ("power", "samples"),
         "region": ("doppler_fraction",),
-        "reference": ("azimuth_deg", "elevation_deg", "doppler_hz"),
+        "reference": ("azimuth_deg", "elevation_deg"),
         "sweep": ("doppler_span_hz", "doppler_step_hz", "angle_span_deg",
                   "angle_step_deg", "angle_axis"),
-        "crlb": ("azimuth_deg", "elevation_deg", "doppler_hz", "amplitude",
-                 "phase", "noise_sigma"),
+        "crlb": ("azimuth_deg", "elevation_deg", "amplitude", "noise_sigma"),
     }.items() for key in keys]
 MUTATION_VALUES = [-1, 0, 0.5, 1, 2, 3, "abc", True, None, [], {},
                    float("nan"), float("inf"), -float("inf"), 1e308]
@@ -1031,6 +1051,71 @@ def test_config_output_dir_exits_2_as_an_unknown_field(tmp_path, capsys, monkeyp
     assert json.loads(line)["error"] == {
         "type": "config", "message": "config: unknown field(s) ['output_dir']"}
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("section, key", [
+    ("reference", "doppler_hz"), ("crlb", "doppler_hz"), ("crlb", "phase")])
+def test_path_doppler_and_phase_fields_exit_2_as_unknown_fields(
+        tmp_path, capsys, monkeypatch, section, key):
+    # the path's Doppler and phase are 0.0, so even that value is refused
+    monkeypatch.chdir(tmp_path)
+    cfg = ula_config()
+    cfg.setdefault(section, {})[key] = 0.0
+    assert main(["crlb", "--config", write_config(tmp_path, cfg)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == {
+        "type": "config", "message": f"config.{section}: unknown field(s) ['{key}']"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["optimize", "--config", "config.json", "--seed", "abc"], "--seed"),
+    (["optimize", "--config", "config.json", "--seed", "7.5"], "--seed"),
+    (["optimize", "--config", "config.json", "--seed", "true"], "--seed"),
+    (["optimize", "--config", "config.json", "--seed"], "--seed"),
+    (["optimize", "--config", "config.json", "--bogus"], "--bogus"),
+    (["bogus", "--config", "config.json"], "bogus"),
+    (["optimize"], "--config"),
+    ([], "command"),
+], ids=["seed-string", "seed-fraction", "seed-boolean", "seed-missing-value",
+        "unknown-flag", "unknown-command", "no-config", "no-command"])
+def test_cli_argument_error_exits_2_with_one_json_line(tmp_path, capsys, monkeypatch,
+                                                      argv, name):
+    # main returns the exit code; argparse's usage text and SystemExit stay out
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path, octagon_config())
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "config"
+    assert name in error["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["optimize", "-h"]])
+def test_cli_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as caught:
+        main(argv)
+    assert caught.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: switchseq")
+
+
+def test_seed_flag_reads_an_integral_float_as_the_config_does(tmp_path):
+    # --seed 7.0 is the config's "seed": 7.0, which reads as 7
+    cfg = ula_config(anneal={"scheme": "random", "k_max": 4})
+    path = write_config(tmp_path, cfg)
+    runs = {}
+    for seed in ("7", "7.0"):
+        out = tmp_path / seed
+        assert main(["optimize", "--config", path, "--out", str(out), "--seed", seed]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        del manifest["wall_time_s"]
+        runs[seed] = manifest, {p.name: p.read_bytes() for p in out.iterdir()
+                                if p.name != "manifest.json"}
+    assert runs["7"] == runs["7.0"]
+    assert runs["7"][0]["seed"] == 7
 
 
 def one_element_panels():

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import switchseq.config as config_module
-from switchseq.ambiguity import ObjectiveEvaluator
 from switchseq.analysis import compare_schemes
 from switchseq.anneal import anneal
 from switchseq.config import ConfigError, ExperimentConfig
@@ -41,11 +40,7 @@ def write_patterns(path, elements):
 
 
 def run_evaluator(doc):
-    config = ExperimentConfig.from_dict(doc)
-    spec = config.sequence_spec
-    return lambda: ObjectiveEvaluator(config.array, config.doppler_bound,
-                                      config.objective, spec["delta_t_s"],
-                                      spec["snapshots"])
+    return ExperimentConfig.from_dict(doc).evaluator
 
 
 def run_array(doc):
@@ -71,10 +66,7 @@ def run_surfaces(doc):
 
 def run_traces(doc):
     config = ExperimentConfig.from_dict(doc)
-    spec, rng = config.sequence_spec, np.random.default_rng(0)
-    evaluator = ObjectiveEvaluator(config.array, config.doppler_bound,
-                                   config.objective, spec["delta_t_s"],
-                                   spec["snapshots"])
+    rng, evaluator = np.random.default_rng(0), config.evaluator()
     return lambda: [anneal(config.build_sequence("random", rng), config.anneal,
                            evaluator, rng) for _ in range(2)]
 
