@@ -6,9 +6,9 @@ line and returns its artifacts by file name, each a JSON document or a
 writer called with the file's path. Only then does main make the --out
 directory and write them, in that order, and last a manifest with the
 run's seed, the config as given, its hash, library versions, the OpenBLAS
-thread count asked for, wall time and those files, so an output directory
-is sufficient to reproduce itself. A run that fails before that point
-leaves no directory.
+thread count asked for, the CPU paths that fix the last bits, wall time and
+those files, so an output directory is sufficient to reproduce itself. A
+run that fails before that point leaves no directory.
 
 Exit codes: 0 success, 2 config, argument or output error, 3 numeric failure.
 """
@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 config, argument or output error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import functools
 import hashlib
@@ -41,6 +42,26 @@ EXIT_NUMERIC = 3
 NUMERIC_ERRORS = (ArithmeticError, np.linalg.LinAlgError)
 
 
+def _cpu_paths() -> dict:
+    """The core of the OpenBLAS bundled with numpy (None without one) and
+    the CPU dispatch targets numpy enables: another of either moves the
+    last bits of objectives and surfaces."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    core = None
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        if hasattr(lib, "scipy_openblas_get_corename64_"):
+            lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
+            core = lib.scipy_openblas_get_corename64_().decode()
+    return {"openblas_core": core,
+            "numpy_cpu_dispatch": [target for target in __cpu_dispatch__
+                                   if __cpu_features__.get(target)]}
+
+
 def _manifest(command: str, config: ExperimentConfig, wall_time_s: float,
               outputs: list[str]) -> dict:
     canonical = json.dumps(config.raw, sort_keys=True).encode()
@@ -50,6 +71,7 @@ def _manifest(command: str, config: ExperimentConfig, wall_time_s: float,
         "python_version": sys.version.split()[0],
         "numpy_version": np.__version__,
         "openblas_num_threads": BLAS_THREADS,
+        **_cpu_paths(),
         "seed": config.seed,
         "config": config.raw,
         "config_sha256": hashlib.sha256(canonical).hexdigest(),
@@ -177,12 +199,12 @@ def cmd_compare(config: ExperimentConfig) -> dict:
 
 
 def cmd_effective_factor(config: ExperimentConfig) -> dict:
-    array = config.array
-    idx = effective_elements(array, config.reference, config.effective_threshold_db)
+    array, spec = config.array, config.reference_spec
+    idx = effective_elements(array, config.reference, spec["effective_threshold_db"])
     report = {
-        "azimuth_deg": config.reference_spec["azimuth_deg"],
-        "elevation_deg": config.reference_spec["elevation_deg"],
-        "threshold_db": config.effective_threshold_db,
+        "azimuth_deg": spec["azimuth_deg"],
+        "elevation_deg": spec["elevation_deg"],
+        "threshold_db": spec["effective_threshold_db"],
         "effective_elements": int(idx.size),
         "total_elements": array.num_elements,
         "effective_factor": idx.size / array.num_elements,

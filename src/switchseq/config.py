@@ -209,7 +209,8 @@ class ExperimentConfig:
     objective's QMC points do not move. anneal holds the anneal section's
     settings, or the AnnealConfig defaults (k_max 200, automatic t0/alpha)
     when the section is absent. crlb holds the crlb section's path (angles
-    in radians, Doppler and phase 0.0) and noise sigma.
+    in radians, Doppler and phase 0.0) and noise sigma. reference_spec
+    holds the effective-factor threshold, effective_threshold_db.
     """
 
     raw: dict
@@ -219,7 +220,6 @@ class ExperimentConfig:
     anneal_spec: dict | None
     reference_spec: dict
     crlb_spec: dict
-    effective_threshold_db: float
     array: ArrayModel
     doppler_bound: float
     objective: ObjectiveConfig
@@ -249,12 +249,10 @@ class ExperimentConfig:
             "array": _REQUIRED,
             "sequence": {},
             "anneal": None,
-            "region": {},
             "objective": {},
             "reference": {},
             "sweep": {},
             "crlb": {},
-            "effective_threshold_db": -10.0,
         }, "config")
         if _number("config.version", int, top["version"]) != CONFIG_VERSION:
             raise ConfigError(f"config.version: expected {CONFIG_VERSION}")
@@ -269,16 +267,14 @@ class ExperimentConfig:
         if sequence_spec["snapshots"] < 1:
             raise ConfigError("config.sequence.snapshots: must be >= 1")
 
-        # the objective's Doppler bound, a fraction of 1/(2 delta_t)
-        region_spec = _section(top["region"], {"doppler_fraction": 0.25},
-                               "config.region")
-        doppler_bound = _positive(region_spec["doppler_fraction"],
-                                  "config.region.doppler_fraction") / (2.0 * delta_t)
-
         objective_spec = _section(top["objective"], {
             "power": 6,
             "samples": 4096,
+            "doppler_fraction": 0.25,
         }, "config.objective")
+        # the objective's Doppler bound, a fraction of 1/(2 delta_t)
+        doppler_bound = _positive(objective_spec.pop("doppler_fraction"),
+                                  "config.objective.doppler_fraction") / (2.0 * delta_t)
         objective = _field("config.objective", ObjectiveConfig, seed=seed,
                            **objective_spec)
         array_spec, m, counts = cls._array_spec(top["array"])
@@ -288,7 +284,10 @@ class ExperimentConfig:
         reference_spec = _section(top["reference"], {
             "azimuth_deg": 45.0,
             "elevation_deg": 90.0,
+            "effective_threshold_db": -10.0,
         }, "config.reference")
+        if reference_spec["effective_threshold_db"] > 0:
+            raise ConfigError("config.reference.effective_threshold_db: must be <= 0")
         reference = _field(
             "config.reference.elevation_deg", StructuralParams,
             math.radians(reference_spec["azimuth_deg"]),
@@ -331,12 +330,12 @@ class ExperimentConfig:
             anneal_cfg = _field("config.anneal", AnnealConfig, k_max=anneal_spec["k_max"],
                                 t0=anneal_spec["t0"], alpha=anneal_spec["alpha"])
         _check_sizes(counts, m, sequence_spec["snapshots"], objective.samples,
-                     anneal_cfg.k_max, 2 * a_span / a_step + 1,
-                     2 * d_span / d_step + 1, delta_t,
-                     {"config.region.doppler_fraction": doppler_bound,
+                     anneal_cfg.k_max, 2 * (a_span / a_step) + 1,
+                     2 * (d_span / d_step) + 1, delta_t,
+                     {"config.objective.doppler_fraction": doppler_bound,
                       "config.sweep.doppler_span_hz": d_span})
         # underflow, checked after the gate names a huge delta_t_s
-        _positive(doppler_bound, "config.region.doppler_fraction")
+        _positive(doppler_bound, "config.objective.doppler_fraction")
 
         # a steering phase k <u, p> or k <u' - u, p> (unit u, u') is at most
         # 2 k sum_i |p_i| in magnitude; twice that, finite, leaves room for
@@ -359,8 +358,6 @@ class ExperimentConfig:
                angles, axis)
         sweep = (_grid("config.sweep.doppler_span_hz", d_span, d_step),
                  angles, axis)
-        if top["effective_threshold_db"] > 0:
-            raise ConfigError("config.effective_threshold_db: must be <= 0")
 
         return cls(
             raw=doc,
@@ -370,7 +367,6 @@ class ExperimentConfig:
             anneal_spec=anneal_spec,
             reference_spec=reference_spec,
             crlb_spec=crlb_spec,
-            effective_threshold_db=top["effective_threshold_db"],
             array=array,
             doppler_bound=doppler_bound,
             objective=objective,
@@ -469,11 +465,12 @@ class ExperimentConfig:
         and hybrid anneal traces."""
         for scheme in ("random", "hybrid"):
             _check_scheme(self.array, scheme, "compare")
-        # the widths and the PSL anchor the main lobe at the zero-offset cell
+        # the widths and the PSL anchor the main lobe at the zero-offset cell,
+        # and a half-power width needs a cell on each side of it
         for grid, axis, unit in zip(self.sweep, ("doppler", "angle"), ("hz", "deg")):
-            if grid.size > 1 and np.abs(grid).min() > 1e-6 * (grid[1] - grid[0]):
+            if grid.size == 1 or np.abs(grid).min() > 1e-6 * (grid[1] - grid[0]):
                 raise ConfigError(f"config.sweep.{axis}_span_{unit}: compare needs a "
-                                  f"multiple of config.sweep.{axis}_step_{unit}")
+                                  f"nonzero multiple of config.sweep.{axis}_step_{unit}")
         # one RNG stream, drawn in order: random init and anneal, then hybrid
         rng = np.random.default_rng(self.seed)
         sequences = {"sequential": self.build_sequence("sequential", rng)}
@@ -482,7 +479,7 @@ class ExperimentConfig:
         params, sigma = self.crlb
         document, surfaces = compare_schemes(
             self.array, sequences, self.reference, *self.sweep,
-            threshold_db=self.effective_threshold_db,
+            threshold_db=self.reference_spec["effective_threshold_db"],
             amplitude=params.amplitude, noise_sigma=sigma)
         document["anneal"] = reports
         return document, surfaces, sequences, traces

@@ -39,8 +39,8 @@ def ula_config(**overrides):
         "seed": 42,
         "array": {"kind": "ula", "elements": 16},
         "sequence": {"scheme": "sequential", "delta_t_s": 1e-3},
-        "objective": {"power": 6, "samples": 256},
-        "region": {"doppler_fraction": 0.4},  # 200 Hz at 1 ms
+        # a Doppler bound of 200 Hz at 1 ms
+        "objective": {"power": 6, "samples": 256, "doppler_fraction": 0.4},
         "sweep": {"doppler_span_hz": 60.0, "doppler_step_hz": 1.0,
                   "angle_span_deg": 25.0, "angle_step_deg": 0.5,
                   "angle_axis": "aoa"},
@@ -239,12 +239,12 @@ def test_cli_exit_code_for_config_error(tmp_path, capsys):
     ("ambiguity", "array", "panels", 2),
     ("ambiguity", "array", "rows", 0),
     ("ambiguity", "sequence", "snapshots", "abc"),
-    ("optimize", "region", "doppler_fraction", -1),
-    ("optimize", "region", "doppler_fraction", 0),
+    ("optimize", "objective", "doppler_fraction", -1),
+    ("optimize", "objective", "doppler_fraction", 0),
     ("ambiguity", "sweep", "angle_span_deg", 120),
     ("ambiguity", "sweep", "doppler_span_hz", -5),
     ("ambiguity", "reference", "azimuth_deg", "x"),
-    ("effective-factor", None, "effective_threshold_db", "x"),
+    ("effective-factor", "reference", "effective_threshold_db", "x"),
     ("optimize", "anneal", "k_max", 2.7),
     ("optimize", "anneal", "t0", True),
     ("optimize", "objective", "samples", True),
@@ -252,8 +252,8 @@ def test_cli_exit_code_for_config_error(tmp_path, capsys):
     ("ambiguity", "sequence", "delta_t_s", True),
     ("ambiguity", "sequence", "snapshots", 1.5),
     ("ambiguity", "array", "radius_m", True),
-    ("optimize", "region", "doppler_fraction", True),
-    ("effective-factor", None, "effective_threshold_db", False),
+    ("optimize", "objective", "doppler_fraction", True),
+    ("effective-factor", "reference", "effective_threshold_db", False),
     ("ambiguity", "sweep", "doppler_span_hz", float("inf")),
     ("ambiguity", "sweep", "doppler_step_hz", float("inf")),
     ("ambiguity", "sweep", "angle_span_deg", float("inf")),
@@ -262,7 +262,7 @@ def test_cli_exit_code_for_config_error(tmp_path, capsys):
     ("crlb", "sequence", "delta_t_s", float("inf")),
     ("crlb", "sequence", "delta_t_s", 1e308),
     ("optimize", "sequence", "delta_t_s", 1e308),
-    ("optimize", "region", "doppler_fraction", 1e308),
+    ("optimize", "objective", "doppler_fraction", 1e308),
     # the crlb section is built at load, so every command refuses it
     ("crlb", "crlb", "amplitude", 0),
     ("crlb", "crlb", "noise_sigma", 0),
@@ -285,7 +285,7 @@ def test_cli_exit_code_for_config_error(tmp_path, capsys):
     # refused after load: optimize anneals, so it needs the section
     ("optimize", None, "anneal", None),
     ("ambiguity", "sequence", "snapshots", 0),
-    ("effective-factor", None, "effective_threshold_db", 1.0),
+    ("effective-factor", "reference", "effective_threshold_db", 1.0),
 ])
 def test_cli_bad_field_exits_2_with_one_json_line(tmp_path, capsys, command,
                                                   section, key, value):
@@ -311,30 +311,31 @@ def test_cli_bad_field_exits_2_with_one_json_line(tmp_path, capsys, command,
 def test_doppler_bound_that_underflows_exits_2():
     # a positive fraction whose bound, fraction / (2 delta_t), is 0.0
     cfg = octagon_config(sequence={"scheme": "sequential", "delta_t_s": 1.0},
-                         region={"doppler_fraction": 5e-324})
-    with pytest.raises(ConfigError, match=r"config\.region\.doppler_fraction: "):
+                         objective={"doppler_fraction": 5e-324})
+    with pytest.raises(ConfigError, match=r"config\.objective\.doppler_fraction: "):
         ExperimentConfig.from_dict(cfg)
 
 
-# a 1e308 field at 1 s slots, and the fields the size gate names for it
-PHASE_OVERFLOW_FIELDS = {
-    ("sequence", "delta_t_s"): "",  # the instants overflow: delta_t_s alone
-    ("region", "doppler_fraction"): " and config.region.doppler_fraction",
-    ("sweep", "doppler_span_hz"): " and config.sweep.doppler_span_hz",
-}
-
-
-@pytest.mark.parametrize("section, key", list(PHASE_OVERFLOW_FIELDS))
-def test_doppler_phases_that_overflow_name_the_field_of_the_doppler(section, key):
-    # the instants of 16 slots of 1 s are finite, so a 1e308 Doppler
-    # overflows the phases, and the gate names the field that set it
+@pytest.mark.parametrize("section, key, value", [
+    ("sequence", "delta_t_s", 1e308),
+    ("objective", "doppler_fraction", 1e308),
+    ("sweep", "doppler_span_hz", 1e307),
+    ("sweep", "doppler_span_hz", 1e308),
+], ids=["sequence-delta_t_s", "objective-doppler_fraction", "sweep-doppler_span_hz",
+        "sweep-doppler_span_hz-1e308"])
+def test_doppler_phases_that_overflow_name_the_field_of_the_doppler(section, key,
+                                                                    value):
+    # the instants of 16 slots of 1 s are finite, so a Doppler of 1e307 or
+    # more overflows the phases, and the gate names the field that set it;
+    # huge instants overflow them whatever the Doppler, so it names delta_t_s
+    # alone
     cfg = ula_config(sequence={"scheme": "sequential", "delta_t_s": 1.0})
-    cfg.setdefault(section, {})[key] = 1e308
+    cfg.setdefault(section, {})[key] = value
     if key == "doppler_span_hz":
         # a span at its step is three Dopplers, which the surfaces' budget
-        # admits; 1e307, as the gate counts them from twice the span
-        cfg["sweep"].update(doppler_span_hz=1e307, doppler_step_hz=1e307)
-    fields = PHASE_OVERFLOW_FIELDS[section, key]
+        # admits even where twice the span overflows a float
+        cfg["sweep"]["doppler_step_hz"] = value
+    fields = "" if key == "delta_t_s" else f" and config.{section}.{key}"
     with pytest.raises(ConfigError) as caught:
         ExperimentConfig.from_dict(cfg)
     assert str(caught.value).startswith(
@@ -548,6 +549,12 @@ def test_compare_holds_across_cpu_paths(tmp_path, default_compare, env):
     elif not (cpu_paths({}) or {}).get("x86_v4") or paths is None or paths["x86_v4"]:
         pytest.skip("numpy's AVX-512 paths are absent or cannot be turned off")
     out = compare_outputs(tmp_path, env)
+    # the manifest records the path the run took
+    manifest = json.loads((out / "manifest.json").read_text())
+    if "OPENBLAS_CORETYPE" in env:
+        assert manifest["openblas_core"] == "Haswell"
+    else:
+        assert "X86_V4" not in manifest["numpy_cpu_dispatch"]
     for scheme in ("random", "hybrid"):
         name = f"sequence_{scheme}.json"
         assert (out / name).read_bytes() == (default_compare / name).read_bytes()
@@ -823,17 +830,16 @@ def small_sweep_config(base):
 # (1e308) must be refused at load wherever it would ask for a huge
 # allocation, run or phase
 MUTABLE_FIELDS = [(None, key) for key in (
-    "version", "seed", "array", "sequence", "anneal", "region", "objective",
-    "reference", "sweep", "crlb", "effective_threshold_db")] + [
+    "version", "seed", "array", "sequence", "anneal", "objective", "reference",
+    "sweep", "crlb")] + [
     (section, key) for section, keys in {
         "array": ("kind", "elements", "panels", "rows", "cols",
                   "spacing_wavelengths", "radius_m", "carrier_hz",
                   "patch_exponent", "pattern_file"),
         "sequence": ("scheme", "delta_t_s", "snapshots"),
         "anneal": ("scheme", "k_max", "t0", "alpha"),
-        "objective": ("power", "samples"),
-        "region": ("doppler_fraction",),
-        "reference": ("azimuth_deg", "elevation_deg"),
+        "objective": ("power", "samples", "doppler_fraction"),
+        "reference": ("azimuth_deg", "elevation_deg", "effective_threshold_db"),
         "sweep": ("doppler_span_hz", "doppler_step_hz", "angle_span_deg",
                   "angle_step_deg", "angle_axis"),
         "crlb": ("azimuth_deg", "elevation_deg", "amplitude", "noise_sigma"),
@@ -1066,6 +1072,21 @@ def test_path_doppler_and_phase_fields_exit_2_as_unknown_fields(
     assert json.loads(line)["error"] == {
         "type": "config", "message": f"config.{section}: unknown field(s) ['{key}']"}
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("region", {"doppler_fraction": 0.25}), ("effective_threshold_db", -10.0)])
+def test_region_and_top_level_threshold_exit_2_as_unknown_fields(
+        tmp_path, capsys, key, value):
+    # objective.doppler_fraction and reference.effective_threshold_db hold
+    # these settings, so the old paths are refused even at their defaults
+    out = tmp_path / "out"
+    config = write_config(tmp_path, ula_config(**{key: value}))
+    assert main(["effective-factor", "--config", config, "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == {
+        "type": "config", "message": f"config: unknown field(s) ['{key}']"}
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -1538,24 +1559,30 @@ def refuse_to_anneal(*args):
     ({"doppler_step_hz": 3.0}, "doppler_span_hz", "doppler_step_hz"),
     ({"doppler_span_hz": 4000.0 + 25.0 * 1.1e-6}, "doppler_span_hz", "doppler_step_hz"),
     ({"doppler_span_hz": 4000.025}, "doppler_span_hz", "doppler_step_hz"),
-], ids=["angle", "doppler", "doppler-millionth", "doppler-thousandth"])
+    ({"angle_span_deg": 0.0}, "angle_span_deg", "angle_step_deg"),
+    ({"doppler_span_hz": 0.0}, "doppler_span_hz", "doppler_step_hz"),
+], ids=["angle", "doppler", "doppler-millionth", "doppler-thousandth", "angle-zero",
+        "doppler-zero"])
 def test_compare_refuses_a_sweep_axis_without_a_zero_offset_cell(
         tmp_path, capsys, monkeypatch, sweep, span, step):
     # the nearest cells are 0.1 degrees, 1 Hz, 1.1e-6 and 1e-3 steps from
-    # zero, where the main lobe is anchored; compare refuses before it anneals
-    # anything, even though this array's main lobe still reads 1 within 1e-6
-    # at the last two (it falls by 1e-6 near 0.08 steps)
+    # zero, where the main lobe is anchored, or the zero cell is the axis's
+    # only one, which has no half-power width; compare refuses before it
+    # anneals anything, even though this array's main lobe still reads 1
+    # within 1e-6 at 1.1e-6 and 1e-3 steps (it falls by 1e-6 near 0.08
+    # steps), while ambiguity writes each of these grids
     monkeypatch.setattr(ExperimentConfig, "anneal_schemes", refuse_to_anneal)
     cfg = octagon_config()
     cfg["sweep"].update(sweep)
-    assert main(["compare", "--config", write_config(tmp_path, cfg),
-                 "--out", str(tmp_path / "out")]) == 2
+    config = write_config(tmp_path, cfg)
+    assert main(["compare", "--config", config, "--out", str(tmp_path / "out")]) == 2
     (line,) = capsys.readouterr().err.splitlines()
     error = json.loads(line)["error"]
     assert error["type"] == "config"
     assert error["message"].startswith(f"config.sweep.{span}: ")
     assert f"config.sweep.{step}" in error["message"]
     assert not (tmp_path / "out").exists()
+    assert main(["ambiguity", "--config", config, "--out", str(tmp_path / "cut")]) == 0
 
 
 @pytest.mark.parametrize("sweep, axis, nearest", [
@@ -1580,8 +1607,8 @@ def test_effective_factor_cmd(tmp_path):
         "version": 1,
         "seed": 1,
         "array": {"kind": "octagonal"},
-        "reference": {"azimuth_deg": 45.0, "elevation_deg": 90.0},
-        "effective_threshold_db": -10.0,
+        "reference": {"azimuth_deg": 45.0, "elevation_deg": 90.0,
+                      "effective_threshold_db": -10.0},
     }
     out = tmp_path / "eff"
     assert main(["effective-factor", "--config", write_config(tmp_path, doc),
@@ -1591,7 +1618,7 @@ def test_effective_factor_cmd(tmp_path):
     assert report["effective_factor"] == pytest.approx(0.375)
     # at -4000 dB the threshold's power ratio underflows to 0.0, yet the 80
     # elements at zero gain toward the reference still do not count
-    doc["effective_threshold_db"] = -4000.0
+    doc["reference"]["effective_threshold_db"] = -4000.0
     assert main(["effective-factor", "--config", write_config(tmp_path, doc),
                  "--out", str(out)]) == 0
     report = json.loads((out / "effective_factor.json").read_text())
