@@ -183,8 +183,8 @@ def peak_sidelobe(surface: AmbiguitySurface) -> float:
 
 def compare_schemes(array: ArrayModel, sequences: dict[str, SwitchingSequence],
                     mu: StructuralParams, doppler_hz, angle_offset_deg,
-                    angle_axis: str = "eoa", threshold_db: float = -10.0,
-                    amplitude: float = 1.0, noise_sigma: float = 1.0
+                    angle_axis: str = "eoa", *, threshold_db: float,
+                    amplitude: float, noise_sigma: float
                     ) -> tuple[dict, dict[str, AmbiguitySurface]]:
     """Widths, PSLs and Doppler bounds for a set of schemes, as the
     comparison.json document keys them, and each scheme's surface.

@@ -146,7 +146,7 @@ def cmd_crlb(config: ExperimentConfig) -> dict:
                           "the azimuth is unobservable with fewer")
     seq = config.build_sequence(config.sequence_spec["scheme"],
                                 np.random.default_rng(config.seed))
-    params, sigma = config.crlb
+    params, sigma, spec = config.reference, config.noise_sigma, config.reference_spec
     wavelength = array.wavelength
     spacing = config.array_spec["spacing_wavelengths"] * wavelength
 
@@ -166,8 +166,10 @@ def cmd_crlb(config: ExperimentConfig) -> dict:
         err_phi = abs(recip[0] - closed_phi) / closed_phi
         err_nu = abs(recip[1] - closed_nu) / closed_nu
     report = {
-        "params": {**config.crlb_spec, "elements": array.num_elements,
-                   "delta_t_s": seq.delta_t},
+        "params": {"azimuth_deg": spec["azimuth_deg"],
+                   "elevation_deg": spec["elevation_deg"],
+                   "amplitude": params.amplitude, "noise_sigma": sigma,
+                   "elements": array.num_elements, "delta_t_s": seq.delta_t},
         "closed_form": {"var_phi": closed_phi, "var_nu": closed_nu},
         "numeric": {f"var_{n}": v for n, v in numeric.variances.items()},
         "numeric_diagonal": {f"var_{n}": r for n, r in zip(PARAM_NAMES, recip)},

@@ -3,7 +3,7 @@ fail-closed (unknown and repeated keys are rejected) so typos cannot
 silently change a scientific run.
 
 Loading builds every run object once (array, Doppler bound, objective and
-anneal settings, reference and crlb parameters, sweep grids) through the
+anneal settings, reference path and noise sigma, sweep grids) through the
 domain constructors, so their checks are the config's checks: any error
 they raise becomes a ConfigError that names the field. The config alone
 sets a run's timing (element count, slot duration, snapshots).
@@ -23,8 +23,8 @@ from .ambiguity import (SWEEP_COLUMNS, ObjectiveConfig, ObjectiveEvaluator,
                         sweep_directions)
 from .analysis import compare_schemes
 from .anneal import AnnealConfig, anneal
-from .arrays import (ArrayModel, StructuralParams, attach_patterns, load_pattern_file,
-                     make_octagonal, make_ula, SPEED_OF_LIGHT)
+from .arrays import (ArrayModel, attach_patterns, load_pattern_file, make_octagonal,
+                     make_ula, SPEED_OF_LIGHT)
 from .crlb import ParamVector
 from .switching import (SwitchingSequence, random_init, sequential, swap_sets,
                         unique_keys)
@@ -208,8 +208,9 @@ class ExperimentConfig:
     --seed replaces it, while objective.seed keeps the file's seed, so the
     objective's QMC points do not move. anneal holds the anneal section's
     settings, or the AnnealConfig defaults (k_max 200, automatic t0/alpha)
-    when the section is absent. crlb holds the crlb section's path (angles
-    in radians, Doppler and phase 0.0) and noise sigma. reference_spec
+    when the section is absent. reference is the one path every command
+    reads: the reference section's angles in radians, Doppler and phase 0.0,
+    and crlb.amplitude; noise_sigma is crlb.noise_sigma. reference_spec
     holds the effective-factor threshold, effective_threshold_db.
     """
 
@@ -219,14 +220,13 @@ class ExperimentConfig:
     sequence_spec: dict
     anneal_spec: dict | None
     reference_spec: dict
-    crlb_spec: dict
     array: ArrayModel
     doppler_bound: float
     objective: ObjectiveConfig
     anneal: AnnealConfig
-    reference: StructuralParams
+    reference: ParamVector
     sweep: tuple[np.ndarray, np.ndarray, str]
-    crlb: tuple[ParamVector, float]
+    noise_sigma: float
 
     # ---- constructors -------------------------------------------------
 
@@ -279,8 +279,19 @@ class ExperimentConfig:
                            **objective_spec)
         array_spec, m, counts = cls._array_spec(top["array"])
 
-        # the path's Doppler and phase are 0.0: a surface sees only Doppler
-        # differences, and no bound depends on either
+        crlb_spec = _section(top["crlb"], {
+            "amplitude": 1.0,
+            "noise_sigma": 0.1,
+        }, "config.crlb")
+        amplitude = _positive(crlb_spec["amplitude"], "config.crlb.amplitude")
+        noise_sigma = _positive(crlb_spec["noise_sigma"], "config.crlb.noise_sigma")
+        for key in ("amplitude", "noise_sigma"):  # the bounds square both
+            if not crlb_spec[key] * crlb_spec[key] < math.inf:
+                raise ConfigError(f"config.crlb.{key}: its square overflows a float")
+
+        # the one path every command reads, with crlb's amplitude; its Doppler
+        # and phase are 0.0: a surface sees only Doppler differences, and no
+        # bound depends on either
         reference_spec = _section(top["reference"], {
             "azimuth_deg": 45.0,
             "elevation_deg": 90.0,
@@ -289,9 +300,9 @@ class ExperimentConfig:
         if reference_spec["effective_threshold_db"] > 0:
             raise ConfigError("config.reference.effective_threshold_db: must be <= 0")
         reference = _field(
-            "config.reference.elevation_deg", StructuralParams,
+            "config.reference.elevation_deg", ParamVector,
             math.radians(reference_spec["azimuth_deg"]),
-            math.radians(reference_spec["elevation_deg"]), 0.0)
+            math.radians(reference_spec["elevation_deg"]), 0.0, amplitude, 0.0)
         sweep_spec = _section(top["sweep"], {
             "doppler_span_hz": 400.0,
             "doppler_step_hz": 1.0,
@@ -302,21 +313,6 @@ class ExperimentConfig:
         axis = sweep_spec["angle_axis"]
         d_span, d_step = _axis(sweep_spec, "doppler_span_hz", "doppler_step_hz")
         a_span, a_step = _axis(sweep_spec, "angle_span_deg", "angle_step_deg")
-
-        crlb_spec = _section(top["crlb"], {
-            "azimuth_deg": 90.0,
-            "elevation_deg": 90.0,
-            "amplitude": 1.0,
-            "noise_sigma": 0.1,
-        }, "config.crlb")
-        amplitude = _positive(crlb_spec["amplitude"], "config.crlb.amplitude")
-        params = _field("config.crlb.elevation_deg", ParamVector,
-                        math.radians(crlb_spec["azimuth_deg"]),
-                        math.radians(crlb_spec["elevation_deg"]), 0.0, amplitude, 0.0)
-        crlb = (params, _positive(crlb_spec["noise_sigma"], "config.crlb.noise_sigma"))
-        for key in ("amplitude", "noise_sigma"):  # the bounds square both
-            if not crlb_spec[key] * crlb_spec[key] < math.inf:
-                raise ConfigError(f"config.crlb.{key}: its square overflows a float")
 
         anneal_spec = None
         anneal_cfg = AnnealConfig()
@@ -366,14 +362,13 @@ class ExperimentConfig:
             sequence_spec=sequence_spec,
             anneal_spec=anneal_spec,
             reference_spec=reference_spec,
-            crlb_spec=crlb_spec,
             array=array,
             doppler_bound=doppler_bound,
             objective=objective,
             anneal=anneal_cfg,
             reference=reference,
             sweep=sweep,
-            crlb=crlb,
+            noise_sigma=noise_sigma,
         )
 
     @staticmethod
@@ -476,11 +471,10 @@ class ExperimentConfig:
         sequences = {"sequential": self.build_sequence("sequential", rng)}
         annealed, traces, reports = self.anneal_schemes(("random", "hybrid"), rng)
         sequences |= annealed
-        params, sigma = self.crlb
         document, surfaces = compare_schemes(
             self.array, sequences, self.reference, *self.sweep,
             threshold_db=self.reference_spec["effective_threshold_db"],
-            amplitude=params.amplitude, noise_sigma=sigma)
+            amplitude=self.reference.amplitude, noise_sigma=self.noise_sigma)
         document["anneal"] = reports
         return document, surfaces, sequences, traces
 
@@ -496,7 +490,7 @@ class ExperimentConfig:
     def build_objective(self) -> ObjectiveConfig:
         return self.objective
 
-    def reference_params(self) -> StructuralParams:
+    def reference_params(self) -> ParamVector:
         return self.reference
 
     def sweep_grids(self) -> tuple[np.ndarray, np.ndarray, str]:

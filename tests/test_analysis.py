@@ -366,7 +366,8 @@ def test_compare_schemes_identical_sequences_ratio_one(rng):
     dop = np.arange(-4000.0, 4000.0 + 10.0, 25.0)
     ang = np.arange(-80.0, 80.0 + 1.0, 2.0)
     doc, surfaces = compare_schemes(arr, {"random": seq, "hybrid": seq}, mu,
-                                    dop, ang, angle_axis="eoa", threshold_db=-10.0)
+                                    dop, ang, angle_axis="eoa", threshold_db=-10.0,
+                                    amplitude=1.0, noise_sigma=1.0)
     assert doc["broadening_ratio"] == 1.0
     assert doc["angle_width_ratio"] == 1.0
     assert doc["broadening_vs_inverse_factor"] == doc["effective_factor"]
@@ -383,7 +384,8 @@ def test_effective_doppler_bound_spans_every_snapshot():
             "hybrid": random_init(16, 1e-4, 4, gen, arr.partition)}
     dop = np.arange(-4000.0, 4000.0 + 10.0, 25.0)
     ang = np.arange(-80.0, 80.0 + 1.0, 2.0)
-    doc, _ = compare_schemes(arr, seqs, BROADSIDE, dop, ang)
+    doc, _ = compare_schemes(arr, seqs, BROADSIDE, dop, ang, threshold_db=-10.0,
+                             amplitude=1.0, noise_sigma=1.0)
     idx = effective_elements(arr, BROADSIDE, -10.0)
     assert 0 < idx.size < arr.num_elements
     for name, seq in seqs.items():
@@ -398,12 +400,13 @@ def test_compare_schemes_requires_consistent_sequences(rng):
     a = sequential(16, 1e-4)
     b = sequential(16, 2e-4)
     mu = StructuralParams(math.pi / 4, math.pi / 2, 0.0)
+    settings = {"threshold_db": -10.0, "amplitude": 1.0, "noise_sigma": 1.0}
     with pytest.raises(ValueError):
         compare_schemes(arr, {"random": a, "hybrid": b}, mu,
-                        np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+                        np.array([0.0, 1.0]), np.array([0.0, 1.0]), **settings)
     with pytest.raises(ValueError):
         compare_schemes(arr, {"random": a}, mu,
-                        np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+                        np.array([0.0, 1.0]), np.array([0.0, 1.0]), **settings)
 
 
 def test_width_report_fields():

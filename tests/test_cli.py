@@ -23,6 +23,7 @@ import switchseq
 from switchseq.ambiguity import ambiguity_surface
 from switchseq.cli import cmd_crlb, main
 from switchseq.config import ConfigError, ExperimentConfig
+from switchseq.crlb import crlb_aoa
 
 from conftest import readme_block, readme_config
 
@@ -100,7 +101,6 @@ def test_config_rejects_non_integer_seed():
 def test_config_wraps_a_negative_azimuth():
     cfg = ula_config()
     cfg["reference"]["azimuth_deg"] = -45.0
-    cfg["crlb"] = {"azimuth_deg": -270.0}
     config = ExperimentConfig.from_dict(cfg)
     cfg["reference"]["azimuth_deg"] = 315.0
     assert config.reference == ExperimentConfig.from_dict(cfg).reference
@@ -120,10 +120,10 @@ def test_path_doppler_and_phase_change_no_surface_or_bound(capsys):
         assert np.abs(moved.magnitude - surface.magnitude).max() < 1e-12
     config = ExperimentConfig.from_dict(json.loads(readme_block(
         "CLI quick start", "json", 1)))
-    params, sigma = config.crlb
     (report,) = cmd_crlb(config).values()
     for nu, psi in ((300.0, 1.2), (-40.0, -2.0)):
-        moved = replace(config, crlb=(replace(params, doppler_hz=nu, phase=psi), sigma))
+        moved = replace(config, reference=replace(config.reference, doppler_hz=nu,
+                                                  phase=psi))
         (other,) = cmd_crlb(moved).values()
         assert other["closed_form"] == report["closed_form"]
         for block in ("numeric", "numeric_diagonal"):
@@ -266,7 +266,7 @@ def test_cli_exit_code_for_config_error(tmp_path, capsys):
     # the crlb section is built at load, so every command refuses it
     ("crlb", "crlb", "amplitude", 0),
     ("crlb", "crlb", "noise_sigma", 0),
-    ("crlb", "crlb", "elevation_deg", 500),
+    ("crlb", "reference", "elevation_deg", 500),
     ("compare", "crlb", "noise_sigma", -1),
     ("compare", "crlb", "amplitude", 0),
     ("ambiguity", "reference", "elevation_deg", 500),
@@ -842,7 +842,7 @@ MUTABLE_FIELDS = [(None, key) for key in (
         "reference": ("azimuth_deg", "elevation_deg", "effective_threshold_db"),
         "sweep": ("doppler_span_hz", "doppler_step_hz", "angle_span_deg",
                   "angle_step_deg", "angle_axis"),
-        "crlb": ("azimuth_deg", "elevation_deg", "amplitude", "noise_sigma"),
+        "crlb": ("amplitude", "noise_sigma"),
     }.items() for key in keys]
 MUTATION_VALUES = [-1, 0, 0.5, 1, 2, 3, "abc", True, None, [], {},
                    float("nan"), float("inf"), -float("inf"), 1e308]
@@ -1060,10 +1060,12 @@ def test_config_output_dir_exits_2_as_an_unknown_field(tmp_path, capsys, monkeyp
 
 
 @pytest.mark.parametrize("section, key", [
-    ("reference", "doppler_hz"), ("crlb", "doppler_hz"), ("crlb", "phase")])
+    ("reference", "doppler_hz"), ("crlb", "doppler_hz"), ("crlb", "phase"),
+    ("crlb", "azimuth_deg"), ("crlb", "elevation_deg")])
 def test_path_doppler_and_phase_fields_exit_2_as_unknown_fields(
         tmp_path, capsys, monkeypatch, section, key):
-    # the path's Doppler and phase are 0.0, so even that value is refused
+    # the path's Doppler and phase are 0.0, so even that value is refused,
+    # and crlb bounds the reference path, so it has no direction of its own
     monkeypatch.chdir(tmp_path)
     cfg = ula_config()
     cfg.setdefault(section, {})[key] = 0.0
@@ -1245,7 +1247,7 @@ def test_benchmark_checks_pass_on_the_readme_config(tmp_path):
 def test_crlb_report_fields_and_agreement(tmp_path):
     cfg = ula_config()
     cfg["sequence"] = {"scheme": "random", "delta_t_s": 1e-3}
-    cfg["crlb"] = {"azimuth_deg": 90.0, "noise_sigma": 0.1}
+    cfg["crlb"] = {"noise_sigma": 0.1}
     out = tmp_path / "crlb"
     assert main(["crlb", "--config", write_config(tmp_path, cfg),
                  "--out", str(out)]) == 0
@@ -1262,7 +1264,7 @@ def test_crlb_closed_forms_agree_off_the_horizon(tmp_path):
     # horizon's, and the numeric oracle agrees with it
     cfg = ula_config()
     cfg["sequence"] = {"scheme": "random", "delta_t_s": 1e-3}
-    cfg["crlb"] = {"azimuth_deg": 90.0, "elevation_deg": 60.0, "noise_sigma": 0.1}
+    cfg["reference"]["elevation_deg"] = 60.0
     out = tmp_path / "crlb"
     assert main(["crlb", "--config", write_config(tmp_path, cfg),
                  "--out", str(out)]) == 0
@@ -1270,6 +1272,23 @@ def test_crlb_closed_forms_agree_off_the_horizon(tmp_path):
     assert report["params"]["elevation_deg"] == 60.0
     assert report["agreement"]["var_phi_rel_err"] < 1e-6
     assert report["agreement"]["within_1pct"] is True
+
+
+def test_crlb_bounds_the_reference_path(tmp_path):
+    # the crlb section has no direction: the bounds are the reference path's
+    cfg = json.loads(readme_block("CLI quick start", "json", 1))
+    cfg["reference"] = {"azimuth_deg": 60.0, "elevation_deg": 70.0}
+    assert set(cfg["crlb"]) == {"noise_sigma"}
+    out = tmp_path / "crlb"
+    assert main(["crlb", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "crlb_report.json").read_text())
+    assert (report["params"]["azimuth_deg"], report["params"]["elevation_deg"]) == (
+        60.0, 70.0)
+    wavelength = ExperimentConfig.from_dict(cfg).array.wavelength
+    assert report["closed_form"]["var_phi"] == crlb_aoa(
+        16, 0.5 * wavelength, wavelength, math.radians(60.0), math.radians(70.0),
+        1.0, 0.1, 1)
 
 
 def test_crlb_rejects_non_ula_array(tmp_path):
@@ -1327,7 +1346,7 @@ def test_ambiguity_at_a_reference_no_element_sees_exits_3(tmp_path, capsys):
 
 def test_crlb_endfire_structured_error(tmp_path, capsys):
     cfg = ula_config()
-    cfg["crlb"] = {"azimuth_deg": 0.0}
+    cfg["reference"]["azimuth_deg"] = 0.0
     rc = main(["crlb", "--config", write_config(tmp_path, cfg),
                "--out", str(tmp_path / "z")])
     assert rc == 3

@@ -217,7 +217,7 @@ def test_elevation_reaches_the_fim():
 
 def test_config_crlb_carries_the_elevation():
     cfg = readme_config()
-    cfg["crlb"] = {"elevation_deg": 60.0}
-    params, sigma = ExperimentConfig.from_dict(cfg).crlb
-    assert params.rx_elevation == math.radians(60.0)
-    assert sigma == 0.1
+    cfg["reference"]["elevation_deg"] = 60.0
+    config = ExperimentConfig.from_dict(cfg)
+    assert config.reference.rx_elevation == math.radians(60.0)
+    assert config.noise_sigma == 0.1

@@ -51,8 +51,7 @@ def run_array(doc):
 def run_instants(doc):
     config = ExperimentConfig.from_dict(doc)
     seq = config.build_sequence("sequential", None)
-    params, sigma = config.crlb
-    return lambda: fim_numeric(config.array, seq, params, sigma)
+    return lambda: fim_numeric(config.array, seq, config.reference, config.noise_sigma)
 
 
 def run_surfaces(doc):
@@ -60,8 +59,10 @@ def run_surfaces(doc):
     rng = np.random.default_rng(0)
     sequences = {s: config.build_sequence(s, rng)
                  for s in ("sequential", "random", "hybrid")}
-    return lambda: compare_schemes(config.array, sequences, config.reference,
-                                   *config.sweep)
+    return lambda: compare_schemes(
+        config.array, sequences, config.reference, *config.sweep,
+        threshold_db=config.reference_spec["effective_threshold_db"],
+        amplitude=config.reference.amplitude, noise_sigma=config.noise_sigma)
 
 
 def run_traces(doc):

@@ -9,8 +9,9 @@ again sweeping the azimuth (`compare_aoa`, `sweep.angle_axis` aoa), the
 quick-start `compare` again on two arrays whose V-pol patterns load from
 files it writes (cos^2 patches on a 10-degree grid, then the same with a
 per-element amplitude and phase ripple, so that R* is null), and the ULA
-`crlb` as written, at elevation_deg 60 and at azimuth_deg 45 and -270,
-each into a folder of OUT. Runs from OUT, so that no path in a config depends on it. Then prints
+`crlb` as written, then with the reference path, which crlb bounds, at
+elevation_deg 60 and at azimuth_deg 45 and -270, each into a folder of OUT.
+Runs from OUT, so that no path in a config depends on it. Then prints
 `sha256  path` for every file there, with `wall_time_s` dropped from each
 manifest.json, so the runs of two trees compare with `diff`.
 """
@@ -73,7 +74,7 @@ def run(out: Path) -> None:
              {**quick, "sweep": {**quick["sweep"], "angle_axis": "aoa"}}, [])]
     runs += [(name, "compare", {**quick, "array": {**quick["array"], "pattern_file": file}},
               []) for name, (file, _) in PATTERNS.items()]
-    runs += [(name, "crlb", {**ula, "crlb": {**ula["crlb"], **extra}}, [])
+    runs += [(name, "crlb", {**ula, "reference": {**ula["reference"], **extra}}, [])
              for name, extra in CRLB_RUNS.items()]
     out.mkdir(parents=True, exist_ok=True)
     for file, ripple in PATTERNS.values():
