@@ -184,8 +184,7 @@ def peak_sidelobe(surface: AmbiguitySurface) -> float:
 def compare_schemes(array: ArrayModel, sequences: dict[str, SwitchingSequence],
                     mu: StructuralParams, doppler_hz, angle_offset_deg,
                     angle_axis: str = "eoa", *, threshold_db: float,
-                    amplitude: float, noise_sigma: float
-                    ) -> tuple[dict, dict[str, AmbiguitySurface]]:
+                    noise_sigma: float) -> tuple[dict, dict[str, AmbiguitySurface]]:
     """Widths, PSLs and Doppler bounds for a set of schemes, as the
     comparison.json document keys them, and each scheme's surface.
 
@@ -222,9 +221,8 @@ def compare_schemes(array: ArrayModel, sequences: dict[str, SwitchingSequence],
             "angle_width_deg": angle.width,
             "psl": psl,
             "psl_db": 20.0 * math.log10(max(psl, 1e-300)),
-            "crlb_nu_full_hz2": crlb_doppler(seq.eta(), amplitude, noise_sigma),
-            "crlb_nu_effective_hz2": crlb_doppler(seq.eta(idx), amplitude,
-                                                  noise_sigma),
+            "crlb_nu_full_hz2": crlb_doppler(seq.eta(), noise_sigma),
+            "crlb_nu_effective_hz2": crlb_doppler(seq.eta(idx), noise_sigma),
         }
 
     hybrid, random = schemes["hybrid"], schemes["random"]

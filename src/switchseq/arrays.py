@@ -10,9 +10,9 @@ structure, frequency basis) is out of scope here.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -347,15 +347,15 @@ def effective_elements(array: ArrayModel, mu: StructuralParams,
     return np.flatnonzero((power > 0) & (power >= floor))
 
 
-def load_pattern_file(path: str | Path) -> dict[tuple[int, str], TabulatedPattern]:
-    """Read tabulated patterns from CSV.
+def parse_pattern_file(data: bytes) -> dict[tuple[int, str], TabulatedPattern]:
+    """Tabulated patterns from the bytes of a CSV file.
 
     Expected header: element,pol,azimuth_deg,elevation_deg,re,im, each
     column once; the file is UTF-8, with or without a BOM. Each
     (element, pol) pair must supply a complete rectangular grid.
     """
     cells: dict[tuple[int, str], dict[tuple[float, float], complex]] = {}
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"element", "pol", "azimuth_deg", "elevation_deg", "re", "im"}
         header = reader.fieldnames

@@ -5,10 +5,11 @@ cmd_* takes the config, with --seed applied, computes, prints one summary
 line and returns its artifacts by file name, each a JSON document or a
 writer called with the file's path. Only then does main make the --out
 directory and write them, in that order, and last a manifest with the
-run's seed, the config as given, its hash, library versions, the OpenBLAS
-thread count asked for, the CPU paths that fix the last bits, wall time and
-those files, so an output directory is sufficient to reproduce itself. A
-run that fails before that point leaves no directory.
+run's seed, the config as given, its hash and the pattern file's, library
+versions, the OpenBLAS thread count asked for, the CPU paths that fix the
+last bits, wall time and those files, so an output directory is sufficient
+to reproduce itself. A run that fails before that point leaves no
+directory.
 
 Exit codes: 0 success, 2 config, argument or output error, 3 numeric failure.
 """
@@ -75,6 +76,7 @@ def _manifest(command: str, config: ExperimentConfig, wall_time_s: float,
         "seed": config.seed,
         "config": config.raw,
         "config_sha256": hashlib.sha256(canonical).hexdigest(),
+        "pattern_file_sha256": config.pattern_file_sha256,
         "wall_time_s": wall_time_s,
         "outputs": outputs,
     }
@@ -154,9 +156,9 @@ def cmd_crlb(config: ExperimentConfig) -> dict:
     # noise raises an ArithmeticError (exit 3) instead of warning
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         closed_phi = crlb_aoa(array.num_elements, spacing, wavelength,
-                              params.rx_azimuth, params.rx_elevation,
-                              params.amplitude, sigma, seq.snapshots)
-        closed_nu = crlb_doppler(seq.eta(), params.amplitude, sigma)
+                              params.rx_azimuth, params.rx_elevation, sigma,
+                              seq.snapshots)
+        closed_nu = crlb_doppler(seq.eta(), sigma)
         numeric = fim_numeric(array, seq, params, sigma)
 
         # the closed forms are reciprocal-diagonal bounds, so the oracle check
@@ -168,8 +170,8 @@ def cmd_crlb(config: ExperimentConfig) -> dict:
     report = {
         "params": {"azimuth_deg": spec["azimuth_deg"],
                    "elevation_deg": spec["elevation_deg"],
-                   "amplitude": params.amplitude, "noise_sigma": sigma,
-                   "elements": array.num_elements, "delta_t_s": seq.delta_t},
+                   "noise_sigma": sigma, "elements": array.num_elements,
+                   "delta_t_s": seq.delta_t},
         "closed_form": {"var_phi": closed_phi, "var_nu": closed_nu},
         "numeric": {f"var_{n}": v for n, v in numeric.variances.items()},
         "numeric_diagonal": {f"var_{n}": r for n, r in zip(PARAM_NAMES, recip)},

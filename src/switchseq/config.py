@@ -12,8 +12,10 @@ sets a run's timing (element count, slot duration, snapshots).
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,8 +25,8 @@ from .ambiguity import (SWEEP_COLUMNS, ObjectiveConfig, ObjectiveEvaluator,
                         sweep_directions)
 from .analysis import compare_schemes
 from .anneal import AnnealConfig, anneal
-from .arrays import (ArrayModel, attach_patterns, load_pattern_file, make_octagonal,
-                     make_ula, SPEED_OF_LIGHT)
+from .arrays import (ArrayModel, attach_patterns, make_octagonal, make_ula,
+                     parse_pattern_file, SPEED_OF_LIGHT)
 from .crlb import ParamVector
 from .switching import (SwitchingSequence, random_init, sequential, swap_sets,
                         unique_keys)
@@ -49,6 +51,7 @@ SURFACE_CELL_BYTES = 26  # compare's three surfaces,
 SURFACE_ANGLE_ELEMENT_BYTES = 60  # the sweep's steering rows,
 SURFACE_BLOCK_BYTES = 20  # its block's phase and product rows
 SURFACE_DOPPLER_SNAPSHOT_BYTES = 36  # and snapshot gains
+PATTERN_FILE_BYTES = 96  # a byte of the pattern file, parsed into grids of a row or two
 
 
 class ConfigError(ValueError):
@@ -133,12 +136,14 @@ def _positive(value: float, path: str) -> float:
 
 
 def _check_sizes(counts: str, m: int, snapshots: int, samples: int, k_max: int,
-                 angles: float, dopplers: float, delta_t: float, nus: dict) -> None:
-    """The size gate, run before anything is built. Refuse a config whose
-    run would hold more than MEMORY_BUDGET_BYTES at a stage (the *_BYTES
-    times the sizes), anneal more than WORK_BUDGET_SAMPLES proposal samples,
-    or form Doppler phases 2*pi*nu*t, at the largest Doppler nu, over a float:
-    nus maps the fields that set each Doppler to it."""
+                 angles: float, dopplers: float, delta_t: float, nus: dict,
+                 pattern_bytes: int) -> None:
+    """The size gate, run before anything is built or read. Refuse a config
+    whose run would hold more than MEMORY_BUDGET_BYTES at a stage (the
+    *_BYTES times the sizes, pattern_bytes the pattern file's), anneal more
+    than WORK_BUDGET_SAMPLES proposal samples, or form Doppler phases
+    2*pi*nu*t, at the largest Doppler nu, over a float: nus maps the fields
+    that set each Doppler to it."""
     run = f"config.array.{counts}, config.sequence.snapshots and config.sweep"
     over = f"would need more than the {MEMORY_BUDGET_BYTES >> 30} GiB memory budget"
     m = max(m, 1)  # building refuses m < 1
@@ -150,7 +155,9 @@ def _check_sizes(counts: str, m: int, snapshots: int, samples: int, k_max: int,
             (f"config.objective.samples, config.array.{counts} and config.sequence"
              ".snapshots", "the objective tables", m * EVALUATOR_ELEMENT_BYTES
              + samples * (EVALUATOR_SAMPLE_BYTES + m * EVALUATOR_ELEMENT_SAMPLE_BYTES
-                          + snapshots * EVALUATOR_SNAPSHOT_SAMPLE_BYTES))):
+                          + snapshots * EVALUATOR_SNAPSHOT_SAMPLE_BYTES)),
+            ("config.array.pattern_file", "the pattern file",
+             pattern_bytes * PATTERN_FILE_BYTES)):
         if need > MEMORY_BUDGET_BYTES:
             raise ConfigError(f"{fields}: {stage} {over}")
     if k_max > WORK_BUDGET_SAMPLES / samples:
@@ -168,6 +175,11 @@ def _check_sizes(counts: str, m: int, snapshots: int, samples: int, k_max: int,
         fields = f" and {fields}" if math.isfinite(instants) else ""
         raise ConfigError(f"config.sequence.delta_t_s{fields}: the run's Doppler "
                           "phases overflow a float")
+
+
+def _read(path: str, size: int) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read(size)
 
 
 def _axis(spec: dict, span: str, step: str) -> tuple[float, float]:
@@ -210,8 +222,11 @@ class ExperimentConfig:
     settings, or the AnnealConfig defaults (k_max 200, automatic t0/alpha)
     when the section is absent. reference is the one path every command
     reads: the reference section's angles in radians, Doppler and phase 0.0,
-    and crlb.amplitude; noise_sigma is crlb.noise_sigma. reference_spec
-    holds the effective-factor threshold, effective_threshold_db.
+    and amplitude 1.0; noise_sigma is crlb.noise_sigma, the noise standard
+    deviation relative to that amplitude. reference_spec holds the
+    effective-factor threshold, effective_threshold_db. pattern_file_sha256
+    is the SHA-256 of the pattern file's bytes the array was parsed from,
+    None without one.
     """
 
     raw: dict
@@ -227,6 +242,7 @@ class ExperimentConfig:
     reference: ParamVector
     sweep: tuple[np.ndarray, np.ndarray, str]
     noise_sigma: float
+    pattern_file_sha256: str | None
 
     # ---- constructors -------------------------------------------------
 
@@ -279,19 +295,15 @@ class ExperimentConfig:
                            **objective_spec)
         array_spec, m, counts = cls._array_spec(top["array"])
 
-        crlb_spec = _section(top["crlb"], {
-            "amplitude": 1.0,
-            "noise_sigma": 0.1,
-        }, "config.crlb")
-        amplitude = _positive(crlb_spec["amplitude"], "config.crlb.amplitude")
-        noise_sigma = _positive(crlb_spec["noise_sigma"], "config.crlb.noise_sigma")
-        for key in ("amplitude", "noise_sigma"):  # the bounds square both
-            if not crlb_spec[key] * crlb_spec[key] < math.inf:
-                raise ConfigError(f"config.crlb.{key}: its square overflows a float")
+        noise_sigma = _positive(_section(top["crlb"], {"noise_sigma": 0.1},
+                                         "config.crlb")["noise_sigma"],
+                                "config.crlb.noise_sigma")
+        if not noise_sigma * noise_sigma < math.inf:  # the bounds square it
+            raise ConfigError("config.crlb.noise_sigma: its square overflows a float")
 
-        # the one path every command reads, with crlb's amplitude; its Doppler
-        # and phase are 0.0: a surface sees only Doppler differences, and no
-        # bound depends on either
+        # the one path every command reads, of amplitude 1.0, as noise_sigma
+        # is relative to it; its Doppler and phase are 0.0: a surface sees
+        # only Doppler differences, and no bound depends on either
         reference_spec = _section(top["reference"], {
             "azimuth_deg": 45.0,
             "elevation_deg": 90.0,
@@ -302,7 +314,7 @@ class ExperimentConfig:
         reference = _field(
             "config.reference.elevation_deg", ParamVector,
             math.radians(reference_spec["azimuth_deg"]),
-            math.radians(reference_spec["elevation_deg"]), 0.0, amplitude, 0.0)
+            math.radians(reference_spec["elevation_deg"]), 0.0, 1.0, 0.0)
         sweep_spec = _section(top["sweep"], {
             "doppler_span_hz": 400.0,
             "doppler_step_hz": 1.0,
@@ -325,19 +337,26 @@ class ExperimentConfig:
             }, "config.anneal")
             anneal_cfg = _field("config.anneal", AnnealConfig, k_max=anneal_spec["k_max"],
                                 t0=anneal_spec["t0"], alpha=anneal_spec["alpha"])
+        pattern_file = array_spec.get("pattern_file")  # only an octagon has one
+        pattern_size = 0 if pattern_file is None else _field(
+            "config.array.pattern_file", os.path.getsize, pattern_file)
         _check_sizes(counts, m, sequence_spec["snapshots"], objective.samples,
                      anneal_cfg.k_max, 2 * (a_span / a_step) + 1,
                      2 * (d_span / d_step) + 1, delta_t,
                      {"config.objective.doppler_fraction": doppler_bound,
-                      "config.sweep.doppler_span_hz": d_span})
+                      "config.sweep.doppler_span_hz": d_span}, pattern_size)
         # underflow, checked after the gate names a huge delta_t_s
         _positive(doppler_bound, "config.objective.doppler_fraction")
 
+        # read once, no more than the gate counted: the array is parsed from
+        # the bytes the manifest hashes
+        patterns = None if pattern_file is None else _field(
+            "config.array.pattern_file", _read, pattern_file, pattern_size)
         # a steering phase k <u, p> or k <u' - u, p> (unit u, u') is at most
         # 2 k sum_i |p_i| in magnitude; twice that, finite, leaves room for
         # rounding, so no command's phases overflow a float
         with np.errstate(over="ignore", invalid="ignore"):
-            array = cls._build_array(array_spec, m)
+            array = cls._build_array(array_spec, m, patterns)
             reach = 4 * array.wavenumber * np.abs(array.positions).sum(axis=1).max()
         if not np.isfinite(reach):
             fields = ", ".join(f"config.array.{key}" for key in
@@ -369,6 +388,8 @@ class ExperimentConfig:
             reference=reference,
             sweep=sweep,
             noise_sigma=noise_sigma,
+            pattern_file_sha256=None if patterns is None
+            else hashlib.sha256(patterns).hexdigest(),
         )
 
     @staticmethod
@@ -384,8 +405,9 @@ class ExperimentConfig:
         return spec, m, "/".join(counts)
 
     @staticmethod
-    def _build_array(spec: dict, m: int) -> ArrayModel:
-        """The array model of a spec _array_spec has checked."""
+    def _build_array(spec: dict, m: int, patterns: bytes | None) -> ArrayModel:
+        """The array model of a spec _array_spec has checked, with the
+        pattern file's bytes, if it names one."""
         wavelength = SPEED_OF_LIGHT / _positive(spec["carrier_hz"],
                                                 "config.array.carrier_hz")
         spacing = spec["spacing_wavelengths"] * wavelength
@@ -397,9 +419,9 @@ class ExperimentConfig:
             element_spacing=spacing, radius=spec["radius_m"],
             wavelength=wavelength, patch_exponent=spec["patch_exponent"],
         )
-        if spec["pattern_file"] is not None:
+        if patterns is not None:
             array = _field("config.array.pattern_file", lambda: attach_patterns(
-                array, load_pattern_file(spec["pattern_file"])))
+                array, parse_pattern_file(patterns)))
             # the objective samples every elevation; gain() refuses one off the grid
             if any(p.elevation_grid[0] > 0 or p.elevation_grid[-1] < math.pi
                    for p in array.patterns):
@@ -474,7 +496,7 @@ class ExperimentConfig:
         document, surfaces = compare_schemes(
             self.array, sequences, self.reference, *self.sweep,
             threshold_db=self.reference_spec["effective_threshold_db"],
-            amplitude=self.reference.amplitude, noise_sigma=self.noise_sigma)
+            noise_sigma=self.noise_sigma)
         document["anneal"] = reports
         return document, surfaces, sequences, traces
 

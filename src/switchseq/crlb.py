@@ -1,7 +1,8 @@
 """Estimation bounds: closed-form CRLBs for arrival azimuth and Doppler, and
 an independent numeric Fisher-information pipeline built on central finite
 differences of the noise-free signal mean. The closed forms hold at any
-elevation of the path.
+elevation of the path and depend on it only through its SNR, so they take
+the noise sigma relative to the path's amplitude, 1/sqrt(SNR).
 
 The numeric pipeline deliberately shares nothing with the closed forms so it
 can act as their oracle: variances come from the full FIM inverse, with the
@@ -76,8 +77,8 @@ class CRLBResult:
 
 
 def crlb_aoa(num_elements: int, spacing: float, wavelength: float,
-             azimuth: float, elevation: float, amplitude: float,
-             noise_sigma: float, snapshots: int) -> float:
+             azimuth: float, elevation: float, noise_sigma: float,
+             snapshots: int) -> float:
     """Closed-form azimuth variance bound for an omni ULA along x, in rad^2,
     at any elevation: its geometry term is lambda / (2 pi d sin phi sin theta).
     Each of the snapshots observes the whole array once, so the bound falls
@@ -97,12 +98,12 @@ def crlb_aoa(num_elements: int, spacing: float, wavelength: float,
     geom = wavelength / (2.0 * math.pi * spacing * s)
     return (
         noise_sigma ** 2 * 6.0
-        / (amplitude ** 2 * num_elements * (num_elements ** 2 - 1) * snapshots)
+        / (float(num_elements) * (num_elements ** 2 - 1) * snapshots)
         * geom ** 2
     )
 
 
-def crlb_doppler(eta: np.ndarray, amplitude: float, noise_sigma: float) -> float:
+def crlb_doppler(eta: np.ndarray, noise_sigma: float) -> float:
     """Closed-form Doppler variance bound from a centered activation vector, Hz^2."""
     eta = np.asarray(eta, dtype=float)
     # an overflowing norm gives the bound's limit, 0, without a warning
@@ -110,7 +111,7 @@ def crlb_doppler(eta: np.ndarray, amplitude: float, noise_sigma: float) -> float
         norm = np.linalg.norm(eta)
     if norm == 0.0:
         raise UnobservableDopplerError("centered activation vector has zero norm")
-    return 0.125 * (noise_sigma / (amplitude * math.pi * norm)) ** 2
+    return 0.125 * (noise_sigma / (math.pi * norm)) ** 2
 
 
 def signal_mean(array: ArrayModel, seq: SwitchingSequence,

@@ -88,8 +88,8 @@ def test_criterion_3_crlb_oracle_equivalence():
             worst_ratio = max(worst_ratio, res.off_diag_ratio)
             if res.off_diag_ratio < 0.05:
                 cf_phi = crlb_aoa(m, 0.5, 1.0, params.rx_azimuth,
-                                  params.rx_elevation, amp, sigma, 1)
-                cf_nu = crlb_doppler(eta, amp, sigma)
+                                  params.rx_elevation, sigma, 1)
+                cf_nu = crlb_doppler(eta, sigma)
                 worst_err = max(worst_err,
                                 abs(res.variances["phi"] - cf_phi) / cf_phi,
                                 abs(res.variances["nu"] - cf_nu) / cf_nu)
@@ -108,8 +108,8 @@ def test_criterion_4_crlb_ordering():
         rng = np.random.default_rng(seed)
         hyb = random_init(128, DT, 1, rng, array.partition)
         rand = random_init(128, DT, 1, rng)
-        c_hyb = crlb_doppler(hyb.eta(idx), 1.0, 0.1)
-        c_rand = crlb_doppler(rand.eta(), 1.0, 0.1)
+        c_hyb = crlb_doppler(hyb.eta(idx), 0.1)
+        c_rand = crlb_doppler(rand.eta(), 0.1)
         holds += c_hyb >= c_rand
     criterion("4 crlb-ordering", holds == 20,
               f"effective-hybrid bound >= full-random bound for {holds}/20 seeds")

@@ -367,7 +367,7 @@ def test_compare_schemes_identical_sequences_ratio_one(rng):
     ang = np.arange(-80.0, 80.0 + 1.0, 2.0)
     doc, surfaces = compare_schemes(arr, {"random": seq, "hybrid": seq}, mu,
                                     dop, ang, angle_axis="eoa", threshold_db=-10.0,
-                                    amplitude=1.0, noise_sigma=1.0)
+                                    noise_sigma=1.0)
     assert doc["broadening_ratio"] == 1.0
     assert doc["angle_width_ratio"] == 1.0
     assert doc["broadening_vs_inverse_factor"] == doc["effective_factor"]
@@ -385,12 +385,12 @@ def test_effective_doppler_bound_spans_every_snapshot():
     dop = np.arange(-4000.0, 4000.0 + 10.0, 25.0)
     ang = np.arange(-80.0, 80.0 + 1.0, 2.0)
     doc, _ = compare_schemes(arr, seqs, BROADSIDE, dop, ang, threshold_db=-10.0,
-                             amplitude=1.0, noise_sigma=1.0)
+                             noise_sigma=1.0)
     idx = effective_elements(arr, BROADSIDE, -10.0)
     assert 0 < idx.size < arr.num_elements
     for name, seq in seqs.items():
         sub = seq.eta().reshape(seq.snapshots, -1)[:, idx].ravel()
-        expected = crlb_doppler(sub - sub.mean(), 1.0, 1.0)
+        expected = crlb_doppler(sub - sub.mean(), 1.0)
         got = doc["schemes"][name]["crlb_nu_effective_hz2"]
         assert got == pytest.approx(expected, rel=1e-12)
 
@@ -400,7 +400,7 @@ def test_compare_schemes_requires_consistent_sequences(rng):
     a = sequential(16, 1e-4)
     b = sequential(16, 2e-4)
     mu = StructuralParams(math.pi / 4, math.pi / 2, 0.0)
-    settings = {"threshold_db": -10.0, "amplitude": 1.0, "noise_sigma": 1.0}
+    settings = {"threshold_db": -10.0, "noise_sigma": 1.0}
     with pytest.raises(ValueError):
         compare_schemes(arr, {"random": a, "hybrid": b}, mu,
                         np.array([0.0, 1.0]), np.array([0.0, 1.0]), **settings)

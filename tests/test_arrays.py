@@ -10,7 +10,7 @@ from switchseq import (ArrayModel, OmniPattern, PatchPattern, StructuralParams,
                        make_ula, steering_matrix)
 from switchseq.ambiguity import sweep_directions
 from switchseq.arrays import (attach_patterns, default_octagon_radius,
-                             load_pattern_file, unit_vectors)
+                             parse_pattern_file, unit_vectors)
 from switchseq.config import ExperimentConfig
 
 from conftest import readme_config
@@ -376,7 +376,7 @@ def test_pattern_file_roundtrip(tmp_path):
     f = tmp_path / "patterns.csv"
     f.write_text("\n".join(lines) + "\n")
 
-    pats = load_pattern_file(f)
+    pats = parse_pattern_file(f.read_bytes())
     assert set(pats) == {(0, "V"), (1, "V")}
     fitted = attach_patterns(arr, pats)
     g = fitted.gain_matrix(0.0, math.pi / 2)
@@ -394,7 +394,7 @@ def test_pattern_file_with_a_bom_loads(tmp_path):
     plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
     plain.write_bytes(text.encode())
     marked.write_bytes(text.encode("utf-8-sig"))
-    expected, got = load_pattern_file(plain), load_pattern_file(marked)
+    expected, got = (parse_pattern_file(f.read_bytes()) for f in (plain, marked))
     assert set(got) == set(expected) == {(0, "V"), (1, "V")}
     for key, pattern in expected.items():
         for name in ("azimuth_grid", "elevation_grid", "gains"):
@@ -410,7 +410,7 @@ def test_pattern_file_rejects_incomplete_grid(tmp_path):
     f = tmp_path / "bad.csv"
     f.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="rectangular"):
-        load_pattern_file(f)
+        parse_pattern_file(f.read_bytes())
 
 
 def test_pattern_file_refuses_a_repeated_row(tmp_path):
@@ -420,10 +420,10 @@ def test_pattern_file_refuses_a_repeated_row(tmp_path):
     lines += [f"0,V,{a},{e},1.0,0.0" for a in (0.0, 90.0) for e in (20.0, 90.0)]
     f = tmp_path / "repeat.csv"
     f.write_text("\n".join(lines + ["1,V,90.0,20.0,1.0,0.0"]) + "\n")
-    assert set(load_pattern_file(f)) == {(0, "V"), (1, "V")}
+    assert set(parse_pattern_file(f.read_bytes())) == {(0, "V"), (1, "V")}
     f.write_text("\n".join(lines + ["0,V,90,20,5.0,0.0"]) + "\n")
     with pytest.raises(ValueError, match=r"repeats element 0 pol V at \(90, 20\)"):
-        load_pattern_file(f)
+        parse_pattern_file(f.read_bytes())
 
 
 @pytest.mark.parametrize("column", ["azimuth_deg", "elevation_deg", "re", "im"])
@@ -442,7 +442,7 @@ def test_pattern_file_refuses_non_finite_values(tmp_path, column, value):
         "{element},{pol},{azimuth_deg},{elevation_deg},{re},{im}\n".format(**r)
         for r in rows))
     with pytest.raises(ValueError, match="finite"):
-        load_pattern_file(f)
+        parse_pattern_file(f.read_bytes())
 
 
 def test_pattern_file_nan_angle_on_a_one_line_grid(tmp_path):
@@ -451,22 +451,20 @@ def test_pattern_file_nan_angle_on_a_one_line_grid(tmp_path):
     f.write_text("element,pol,azimuth_deg,elevation_deg,re,im\n"
                  "0,V,0,90,1,0\n0,V,nan,90,1,0\n")
     with pytest.raises(ValueError, match="finite"):
-        load_pattern_file(f)
+        parse_pattern_file(f.read_bytes())
 
 
-def test_pattern_file_pol_must_be_v_or_h(tmp_path):
+def test_pattern_file_pol_must_be_v_or_h():
     def pattern_file(pol):
         lines = ["element,pol,azimuth_deg,elevation_deg,re,im"]
         lines += [f"0,{p},{a},{e},1.0,0.0" for p in ("V", pol)
                   for a in (0.0, 90.0) for e in (45.0, 90.0)]
-        f = tmp_path / f"pol_{pol}.csv"
-        f.write_text("\n".join(lines) + "\n")
-        return f
+        return ("\n".join(lines) + "\n").encode()
 
-    assert set(load_pattern_file(pattern_file(" h"))) == {(0, "V"), (0, "H")}
+    assert set(parse_pattern_file(pattern_file(" h"))) == {(0, "V"), (0, "H")}
     for pol in ("X", "", "VH"):
         with pytest.raises(ValueError, match="V or H"):
-            load_pattern_file(pattern_file(pol))
+            parse_pattern_file(pattern_file(pol))
 
 
 def test_array_model_validation():

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import importlib.util
 import inspect
 import io
@@ -264,19 +265,16 @@ def test_cli_exit_code_for_config_error(tmp_path, capsys):
     ("optimize", "sequence", "delta_t_s", 1e308),
     ("optimize", "objective", "doppler_fraction", 1e308),
     # the crlb section is built at load, so every command refuses it
-    ("crlb", "crlb", "amplitude", 0),
     ("crlb", "crlb", "noise_sigma", 0),
     ("crlb", "reference", "elevation_deg", 500),
     ("compare", "crlb", "noise_sigma", -1),
-    ("compare", "crlb", "amplitude", 0),
     ("ambiguity", "reference", "elevation_deg", 500),
     # a number field must be a JSON number, not a string or a boolean
     ("optimize", "anneal", "k_max", "200"),
     ("ambiguity", "sequence", "delta_t_s", "1e-4"),
     ("optimize", "objective", "samples", " 512 "),
     ("optimize", None, "version", True),
-    # the bounds square the amplitude and the noise sigma as floats
-    ("crlb", "crlb", "amplitude", 1e308),
+    # the bounds square the noise sigma as a float
     ("crlb", "crlb", "noise_sigma", 1e308),
     # a choice field takes one of its values; an optional string a string
     ("ambiguity", "sequence", "scheme", "zigzag"),
@@ -842,7 +840,7 @@ MUTABLE_FIELDS = [(None, key) for key in (
         "reference": ("azimuth_deg", "elevation_deg", "effective_threshold_db"),
         "sweep": ("doppler_span_hz", "doppler_step_hz", "angle_span_deg",
                   "angle_step_deg", "angle_axis"),
-        "crlb": ("amplitude", "noise_sigma"),
+        "crlb": ("noise_sigma",),
     }.items() for key in keys]
 MUTATION_VALUES = [-1, 0, 0.5, 1, 2, 3, "abc", True, None, [], {},
                    float("nan"), float("inf"), -float("inf"), 1e308]
@@ -1061,7 +1059,7 @@ def test_config_output_dir_exits_2_as_an_unknown_field(tmp_path, capsys, monkeyp
 
 @pytest.mark.parametrize("section, key", [
     ("reference", "doppler_hz"), ("crlb", "doppler_hz"), ("crlb", "phase"),
-    ("crlb", "azimuth_deg"), ("crlb", "elevation_deg")])
+    ("crlb", "azimuth_deg"), ("crlb", "elevation_deg"), ("crlb", "amplitude")])
 def test_path_doppler_and_phase_fields_exit_2_as_unknown_fields(
         tmp_path, capsys, monkeypatch, section, key):
     # the path's Doppler and phase are 0.0, so even that value is refused,
@@ -1288,7 +1286,7 @@ def test_crlb_bounds_the_reference_path(tmp_path):
     wavelength = ExperimentConfig.from_dict(cfg).array.wavelength
     assert report["closed_form"]["var_phi"] == crlb_aoa(
         16, 0.5 * wavelength, wavelength, math.radians(60.0), math.radians(70.0),
-        1.0, 0.1, 1)
+        0.1, 1)
 
 
 def test_crlb_rejects_non_ula_array(tmp_path):
@@ -1556,6 +1554,54 @@ def test_bad_pattern_file_exits_2_at_load(tmp_path, capsys, command, defect):
             "elevation-over-180": "elevation grid must lie inside [0, pi]"
             }.get(defect, "") in error["message"]
     assert not (tmp_path / "out").exists()
+
+
+def test_manifest_records_the_pattern_file_hash(tmp_path):
+    # the manifest hashes the bytes the array was parsed from, so editing
+    # one gain changes the hash as well as the outputs; without a file it
+    # is null
+    lines = ["element,pol,azimuth_deg,elevation_deg,re,im"]
+    for e in range(16):  # cos^2 patches on a 10-degree grid, as the tool writes
+        for az in range(0, 360, 10):
+            for el in range(0, 181, 10):
+                cos_psi = (math.sin(math.radians(el))
+                           * math.cos(math.radians(az - 90.0 * (e // 4))))
+                lines.append(f"{e},V,{az},{el},{max(cos_psi, 0.0) ** 2:.6f},0")
+    row = lines[100].split(",")
+    row[4] = f"{float(row[4]) + 0.25:.6f}"
+    hashes = {}
+    for name, table in (("table", lines), ("edited", lines[:100] + [",".join(row)]
+                                           + lines[101:])):
+        path = tmp_path / f"{name}.csv"
+        path.write_text("\n".join(table) + "\n")
+        cfg = octagon_config()
+        cfg["array"]["pattern_file"] = str(path)
+        out = tmp_path / name
+        assert main(["compare", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        hashes[name] = json.loads((out / "manifest.json").read_text())[
+            "pattern_file_sha256"]
+        assert hashes[name] == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert hashes["table"] != hashes["edited"]
+    out = tmp_path / "quick"
+    assert main(["effective-factor", "--config",
+                 write_config(tmp_path, readme_config()), "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["pattern_file_sha256"] is None
+
+
+def test_pattern_file_is_read_no_further_than_the_gate_counted(tmp_path, monkeypatch):
+    # the size gate counts the file's size before it is read, and the read
+    # stops there, so a file that grows after, or a device such as
+    # /dev/zero whose size reads 0, is no larger than the gate counted
+    path = tmp_path / "table.csv"
+    path.write_text("element,pol,azimuth_deg,elevation_deg,re,im\n"
+                    + "".join(f"{e},V,0,{el},1,0\n" for e in range(16) for el in (0, 180)))
+    cfg = octagon_config()
+    cfg["array"]["pattern_file"] = str(path)
+    ExperimentConfig.from_dict(cfg)
+    monkeypatch.setattr(os.path, "getsize", lambda _: 0)
+    with pytest.raises(ConfigError, match="pattern_file: pattern file must have columns"):
+        ExperimentConfig.from_dict(cfg)
 
 
 def test_compare_requires_partitioned_array(tmp_path):

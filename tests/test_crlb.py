@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ from switchseq import (EndfireSingularityError, ParamVector, SingularFIMError,
                        sequential)
 from switchseq.config import ExperimentConfig
 
-from conftest import balance_score, balanced_sequence, readme_config
+from conftest import balance_score, balanced_sequence, readme_block, readme_config
 from oracles import gain_phase_jacobian
 
 SIGMA = 0.1
@@ -18,10 +19,10 @@ PARAMS = ParamVector(rx_azimuth=math.pi / 2, rx_elevation=math.pi / 2, doppler_h
                      amplitude=1.0, phase=0.3)
 
 
-def test_crlb_aoa_amplitude_scaling():
-    base = crlb_aoa(8, 0.5, 1.0, math.pi / 3, math.pi / 2, 1.0, SIGMA, 1)
-    assert crlb_aoa(8, 0.5, 1.0, math.pi / 3, math.pi / 2, 2.0,
-                    SIGMA, 1) == pytest.approx(base / 4)
+def test_crlb_aoa_noise_scaling():
+    base = crlb_aoa(8, 0.5, 1.0, math.pi / 3, math.pi / 2, SIGMA, 1)
+    assert crlb_aoa(8, 0.5, 1.0, math.pi / 3, math.pi / 2,
+                    2 * SIGMA, 1) == pytest.approx(4 * base)
 
 
 def test_crlb_aoa_endfire_singularity():
@@ -29,18 +30,18 @@ def test_crlb_aoa_endfire_singularity():
     for phi, theta in ((0.0, math.pi / 2), (math.pi, math.pi / 2),
                        (math.pi / 2, 0.0), (math.pi / 2, math.pi)):
         with pytest.raises(EndfireSingularityError):
-            crlb_aoa(8, 0.5, 1.0, phi, theta, 1.0, SIGMA, 1)
+            crlb_aoa(8, 0.5, 1.0, phi, theta, SIGMA, 1)
 
 
 def test_crlb_aoa_needs_two_elements():
     with pytest.raises(ValueError):
-        crlb_aoa(1, 0.5, 1.0, math.pi / 2, math.pi / 2, 1.0, SIGMA, 1)
+        crlb_aoa(1, 0.5, 1.0, math.pi / 2, math.pi / 2, SIGMA, 1)
 
 
 def test_crlb_aoa_needs_a_positive_spacing_and_wavelength():
     for spacing, wavelength in ((0.0, 1.0), (-0.5, 1.0), (0.5, 0.0)):
         with pytest.raises(ValueError, match="spacing and wavelength"):
-            crlb_aoa(8, spacing, wavelength, math.pi / 2, math.pi / 2, 1.0, SIGMA, 1)
+            crlb_aoa(8, spacing, wavelength, math.pi / 2, math.pi / 2, SIGMA, 1)
 
 
 def test_fim_matrix_refuses_a_non_positive_sigma_and_an_overflowing_fim():
@@ -55,24 +56,24 @@ def test_fim_matrix_refuses_a_non_positive_sigma_and_an_overflowing_fim():
 
 def test_crlb_aoa_sequence_independent():
     # the bound uses only element count and geometry, never the order
-    v = crlb_aoa(16, 0.5, 1.0, math.pi / 4, math.pi / 2, 1.0, SIGMA, 1)
-    assert v == crlb_aoa(16, 0.5, 1.0, math.pi / 4, math.pi / 2, 1.0, SIGMA, 1)
+    v = crlb_aoa(16, 0.5, 1.0, math.pi / 4, math.pi / 2, SIGMA, 1)
+    assert v == crlb_aoa(16, 0.5, 1.0, math.pi / 4, math.pi / 2, SIGMA, 1)
 
 
 def test_crlb_doppler_time_scaling():
     eta = sequential(16, 1e-3).eta()
-    base = crlb_doppler(eta, 1.0, SIGMA)
-    assert crlb_doppler(3.0 * eta, 1.0, SIGMA) == pytest.approx(base / 9.0)
+    base = crlb_doppler(eta, SIGMA)
+    assert crlb_doppler(3.0 * eta, SIGMA) == pytest.approx(base / 9.0)
 
 
 def test_crlb_doppler_zero_norm():
     with pytest.raises(UnobservableDopplerError):
-        crlb_doppler(np.zeros(4), 1.0, SIGMA)
+        crlb_doppler(np.zeros(4), SIGMA)
 
 
 def test_crlb_doppler_monotone_in_measurement_time():
     # more slots -> larger ||eta|| -> smaller bound
-    bounds = [crlb_doppler(sequential(m, 1e-3).eta(), 1.0, SIGMA)
+    bounds = [crlb_doppler(sequential(m, 1e-3).eta(), SIGMA)
               for m in (16, 32, 64, 128)]
     assert all(a > b for a, b in zip(bounds, bounds[1:]))
 
@@ -85,8 +86,8 @@ def test_closed_forms_match_numeric_for_balanced_sequence():
     res = fim_numeric(arr, seq, PARAMS, SIGMA)
     assert res.off_diag_ratio < 1e-4
     cf_phi = crlb_aoa(8, 0.5, 1.0, PARAMS.rx_azimuth, PARAMS.rx_elevation,
-                      PARAMS.amplitude, SIGMA, 1)
-    cf_nu = crlb_doppler(seq.eta(), PARAMS.amplitude, SIGMA)
+                      SIGMA, 1)
+    cf_nu = crlb_doppler(seq.eta(), SIGMA)
     assert res.variances["phi"] == pytest.approx(cf_phi, rel=5e-3)
     assert res.variances["nu"] == pytest.approx(cf_nu, rel=5e-3)
 
@@ -99,8 +100,8 @@ def test_sequential_fim_entries_match_closed_forms():
     arr = make_ula(m, 0.5, 1.0)
     fim = fim_matrix(arr, seq, PARAMS, SIGMA)
     cf_phi = crlb_aoa(m, 0.5, 1.0, PARAMS.rx_azimuth, PARAMS.rx_elevation,
-                      PARAMS.amplitude, SIGMA, 1)
-    cf_nu = crlb_doppler(seq.eta(), PARAMS.amplitude, SIGMA)
+                      SIGMA, 1)
+    cf_nu = crlb_doppler(seq.eta(), SIGMA)
     assert 1.0 / fim[0, 0] == pytest.approx(cf_phi, rel=5e-3)
     assert 1.0 / fim[1, 1] == pytest.approx(cf_nu, rel=5e-3)
 
@@ -199,6 +200,21 @@ def test_fim_tells_amplitude_from_phase():
     assert fim[3, 3] == pytest.approx(amp ** 2 * fim[2, 2], rel=1e-6)
     var = fim_numeric(arr, seq, params, SIGMA).variances
     assert var["psi"] * amp ** 2 == pytest.approx(var["r"], rel=1e-6)
+
+
+def test_bounds_depend_on_the_path_only_through_its_snr():
+    # why the config has no amplitude: on the README ULA, amplitude A at
+    # noise sigma 0.1 A gives the variances of A = 1, with var_r scaled by A^2
+    config = ExperimentConfig.from_dict(json.loads(
+        readme_block("CLI quick start", "json", 1)))
+    seq = config.build_sequence("random", np.random.default_rng(config.seed))
+    unit = fim_numeric(config.array, seq, config.reference, 0.1).variances
+    for amp in (0.5, 2.0, 3.7):
+        var = fim_numeric(config.array, seq, replace(config.reference, amplitude=amp),
+                          0.1 * amp).variances
+        for name in ("phi", "nu", "psi"):
+            assert var[name] == pytest.approx(unit[name], rel=1e-8)
+        assert var["r"] / amp ** 2 == pytest.approx(unit["r"], rel=1e-8)
 
 
 def test_elevation_reaches_the_fim():

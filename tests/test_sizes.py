@@ -39,6 +39,21 @@ def write_patterns(path, elements):
     return str(path)
 
 
+def write_grids(path, elements):
+    """The fewest bytes a pattern grid can take, each on rows as short as
+    its element allows: per element, a V grid of elevations 0 and 180
+    degrees at one azimuth and an H grid of one row."""
+    lines = ["element,pol,azimuth_deg,elevation_deg,re,im"]
+    for e in range(elements):
+        lines += [f"{e},V,0,0,1,0", f"{e},V,0,180,1,0", f"{e},H,0,0,1,0"]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def run_load(doc):
+    return lambda: ExperimentConfig.from_dict(doc)
+
+
 def run_evaluator(doc):
     return ExperimentConfig.from_dict(doc).evaluator
 
@@ -62,7 +77,7 @@ def run_surfaces(doc):
     return lambda: compare_schemes(
         config.array, sequences, config.reference, *config.sweep,
         threshold_db=config.reference_spec["effective_threshold_db"],
-        amplitude=config.reference.amplitude, noise_sigma=config.noise_sigma)
+        noise_sigma=config.noise_sigma)
 
 
 def run_traces(doc):
@@ -94,6 +109,10 @@ def probes(tmp_path):
         "the anneal traces": (probe_config(
             {"kind": "ula", "elements": 8},
             anneal={"scheme": "random", "k_max": 256}), run_traces),
+        "the pattern file": (probe_config(
+            {"kind": "octagonal", "panels": 300, "rows": 1, "cols": 1,
+             "pattern_file": write_grids(tmp_path / "grids.csv", 300)}),
+            run_load),
     }
 
 
@@ -109,7 +128,7 @@ def traced_peak(run) -> int:
 
 @pytest.mark.parametrize("stage", ["the objective tables", "the array",
                                    "the activation instants", "the surfaces",
-                                   "the anneal traces"])
+                                   "the anneal traces", "the pattern file"])
 def test_gate_counts_each_stage_between_its_peak_and_twice_it(
         tmp_path, monkeypatch, stage):
     # the gate refuses a config whose count exceeds the budget: at a budget
@@ -163,5 +182,6 @@ def test_readme_lists_the_gate_costs():
             f"{c.SURFACE_ANGLE_ELEMENT_BYTES} B an angle × element",
             f"{c.SURFACE_BLOCK_BYTES} B an (element + angle) × block column "
             f"(a sweep block has at most {c.SWEEP_COLUMNS + 1} Dopplers)",
-            f"{c.SURFACE_DOPPLER_SNAPSHOT_BYTES} B a Doppler × snapshot"):
+            f"{c.SURFACE_DOPPLER_SNAPSHOT_BYTES} B a Doppler × snapshot",
+            f"{c.PATTERN_FILE_BYTES} B a byte of `array.pattern_file`"):
         assert phrase in text

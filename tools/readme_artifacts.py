@@ -3,7 +3,8 @@
     PYTHONPATH=<tree>/src python tools/readme_artifacts.py OUT
 
 Runs the quick-start `optimize`, `ambiguity --sequence` on its output,
-`compare` and `effective-factor`, `optimize` again with the random scheme
+`ambiguity` on the sequence the config builds (`ambiguity_built`), `compare`
+and `effective-factor`, `optimize` again with the random scheme
 (`optimize_random`) and with `--seed 7` (`optimize_seed7`), `compare`
 again sweeping the azimuth (`compare_aoa`, `sweep.angle_axis` aoa), the
 quick-start `compare` again on two arrays whose V-pol patterns load from
@@ -65,6 +66,7 @@ def run(out: Path) -> None:
     quick, ula = (json.loads(b.split("```", 1)[0]) for b in text.split("```json\n")[1:3])
     runs = [("optimize", "optimize", quick, []),
             ("ambiguity", "ambiguity", quick, ["--sequence", "optimize/sequence.json"]),
+            ("ambiguity_built", "ambiguity", quick, []),
             ("compare", "compare", quick, []),
             ("effective-factor", "effective-factor", quick, []),
             ("optimize_random", "optimize",
