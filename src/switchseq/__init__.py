@@ -53,8 +53,8 @@ from .arrays import (ArrayModel, OmniPattern, PatchPattern, StructuralParams,
                      TabulatedPattern, basis, basis_from_eta, effective_elements,
                      make_octagonal, make_ula, steering_matrix)
 from .config import ConfigError, ExperimentConfig
-from .crlb import (CRLBResult, EndfireSingularityError, ParamVector,
-                   SingularFIMError, UnobservableDopplerError, crlb_aoa,
-                   crlb_doppler, fim_matrix, fim_numeric)
+from .crlb import (CRLBResult, EndfireSingularityError, SingularFIMError,
+                   UnobservableDopplerError, crlb_aoa, crlb_doppler, fim_matrix,
+                   fim_numeric)
 from .switching import (SwitchingSequence, draw_swap, random_init, sequential,
                         swap_sets)

@@ -53,7 +53,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrays import (ArrayModel, StructuralParams, basis, steering_matrix,
+from .arrays import (ArrayModel, StructuralParams, steering_matrix,
                      unit_vectors)
 from .switching import SwitchingSequence
 
@@ -415,7 +415,8 @@ def ambiguity_surface(array: ArrayModel, seq: SwitchingSequence,
     """Sweep mu' over Doppler differences and angle offsets with mu fixed.
 
     The angle axis offsets either the elevation ("eoa") or the azimuth
-    ("aoa") of arrival relative to the reference.
+    ("aoa") of arrival relative to the reference. X depends on the Doppler
+    only through the difference, so the sweep reads only mu's direction.
 
     Snapshot s switches every element s*M*delta_t after snapshot 0, so a
     cell is the first snapshot's normalized inner product, an
@@ -430,9 +431,11 @@ def ambiguity_surface(array: ArrayModel, seq: SwitchingSequence,
     if np.any(np.diff(doppler_hz) <= 0) or np.any(np.diff(angle_offset_deg) <= 0):
         raise ValueError("sweep grids must be strictly increasing")
 
-    az, el = sweep_directions(mu, angle_offset_deg, angle_axis)
     m = array.num_elements
-    b_ref = basis(array, seq, mu)[:m]  # the first snapshot
+    if seq.num_elements != m:
+        raise ValueError("sequence and array element counts differ")
+    az, el = sweep_directions(mu, angle_offset_deg, angle_axis)
+    b_ref = steering_matrix(array, mu.rx_azimuth, mu.rx_elevation)
     norm_ref = np.linalg.norm(b_ref)
     if norm_ref == 0.0:
         raise DegenerateDirectionError("reference direction has zero array response")
@@ -443,7 +446,7 @@ def ambiguity_surface(array: ArrayModel, seq: SwitchingSequence,
         raise DegenerateDirectionError("sweep contains a zero-response direction")
 
     # |X| a block of Doppler columns at a time
-    eta, nu = seq.eta()[:m], mu.doppler_hz + doppler_hz
+    eta, nu = seq.eta()[:m], doppler_hz
     np.multiply(np.conj(b_ref)[None, :], g, out=g)
     mag = np.empty((angle_offset_deg.size, doppler_hz.size))
     for lo, hi in _column_blocks(nu.size):

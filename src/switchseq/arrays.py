@@ -19,6 +19,9 @@ import numpy as np
 from .switching import SwitchingSequence, check_partition
 
 SPEED_OF_LIGHT = 299792458.0
+# the model's wavelength, at a 28 GHz carrier; a config gives its lengths in
+# wavelengths, so no phase, and no result, depends on the carrier
+WAVELENGTH = SPEED_OF_LIGHT / 28e9
 
 # Dot products at or below this are treated as grazing/back-hemisphere for
 # patch elements, so that directions exactly perpendicular to a panel normal
@@ -240,7 +243,7 @@ def make_octagonal(
     cols: int = 4,
     element_spacing: float | None = None,
     radius: float | None = None,
-    wavelength: float = SPEED_OF_LIGHT / 28e9,
+    wavelength: float = WAVELENGTH,
     patch_exponent: float = 2.0,
 ) -> ArrayModel:
     """Ring of vertical rectangular panels tangent to a cylinder.
@@ -347,6 +350,15 @@ def effective_elements(array: ArrayModel, mu: StructuralParams,
     return np.flatnonzero((power > 0) & (power >= floor))
 
 
+def _cell(row: dict, column: str, line: str, kind: type = float):
+    """A pattern file cell as a float or an int, refused with its line and column."""
+    try:
+        return kind(row[column])
+    except ValueError:
+        raise ValueError(f"{line} has {column} {row[column]!r}, not "
+                         f"{'an integer' if kind is int else 'a number'}") from None
+
+
 def parse_pattern_file(data: bytes) -> dict[tuple[int, str], TabulatedPattern]:
     """Tabulated patterns from the bytes of a CSV file.
 
@@ -364,28 +376,30 @@ def parse_pattern_file(data: bytes) -> dict[tuple[int, str], TabulatedPattern]:
         if len(set(header)) < len(header):
             raise ValueError(f"pattern file header repeats a column: {header}")
         for row in reader:
+            line = f"pattern file line {reader.line_num}"
             if None in row:  # DictReader's key for the fields past the header
-                raise ValueError(f"pattern file line {reader.line_num} has more "
-                                 "fields than its header")
+                raise ValueError(f"{line} has more fields than its header")
             short = [k for k, v in row.items() if v is None]
             if short:
-                raise ValueError(f"pattern file line {reader.line_num} has no {short[0]}")
-            key = (int(row["element"]), row["pol"].strip().upper())
+                raise ValueError(f"{line} has no {short[0]}")
+            key = (_cell(row, "element", line, int), row["pol"].strip().upper())
             if key[0] < 0:
-                raise ValueError(f"pattern file line {reader.line_num} has "
-                                 f"negative element {key[0]}")
+                raise ValueError(f"{line} has negative element {key[0]}")
             if key[1] not in ("V", "H"):
-                raise ValueError(f"pattern pol {row['pol']!r} must be V or H")
-            az = math.radians(float(row["azimuth_deg"]))
-            el = math.radians(float(row["elevation_deg"]))
+                raise ValueError(f"{line} has pol {row['pol']!r}, which must be V or H")
+            az = math.radians(_cell(row, "azimuth_deg", line))
+            el = math.radians(_cell(row, "elevation_deg", line))
             where = (f"element {key[0]} pol {key[1]} at "
                      f"({row['azimuth_deg']}, {row['elevation_deg']}) deg")
             if not (math.isfinite(az) and math.isfinite(el)):
-                raise ValueError(f"pattern file angles must be finite: {where}")
+                raise ValueError(f"{line} angles must be finite: {where}")
+            gain = complex(_cell(row, "re", line), _cell(row, "im", line))
+            if not (math.isfinite(gain.real) and math.isfinite(gain.imag)):
+                raise ValueError(f"{line} gain must be finite: {where}")
             grid = cells.setdefault(key, {})
             if (az, el) in grid:
-                raise ValueError(f"pattern file repeats {where}")
-            grid[(az, el)] = complex(float(row["re"]), float(row["im"]))
+                raise ValueError(f"{line} repeats {where}")
+            grid[(az, el)] = gain
 
     patterns = {}
     for key, grid in cells.items():

@@ -25,9 +25,8 @@ from .ambiguity import (SWEEP_COLUMNS, ObjectiveConfig, ObjectiveEvaluator,
                         sweep_directions)
 from .analysis import compare_schemes
 from .anneal import AnnealConfig, anneal
-from .arrays import (ArrayModel, attach_patterns, make_octagonal, make_ula,
-                     parse_pattern_file, SPEED_OF_LIGHT)
-from .crlb import ParamVector
+from .arrays import (WAVELENGTH, ArrayModel, StructuralParams, attach_patterns,
+                     make_octagonal, make_ula, parse_pattern_file)
 from .switching import (SwitchingSequence, random_init, sequential, swap_sets,
                         unique_keys)
 
@@ -95,12 +94,12 @@ def _section(section, defaults: dict[str, object], path: str) -> dict:
 
 
 # each array kind's fields besides kind, with their defaults as _section
-# reads them, and the fields whose product is its element count
+# reads them, and the fields whose product is its element count; lengths
+# are in wavelengths
 ARRAY_KINDS = {
-    "ula": ({"elements": _REQUIRED, "spacing_wavelengths": 0.5, "carrier_hz": 28e9},
-            ("elements",)),
+    "ula": ({"elements": _REQUIRED, "spacing_wavelengths": 0.5}, ("elements",)),
     "octagonal": ({"panels": 8, "rows": 4, "cols": 4, "spacing_wavelengths": 0.5,
-                   "radius_m": float, "carrier_hz": 28e9, "patch_exponent": 2.0,
+                   "radius_wavelengths": float, "patch_exponent": 2.0,
                    "pattern_file": str}, ("panels", "rows", "cols")),
 }
 
@@ -221,9 +220,9 @@ class ExperimentConfig:
     objective's QMC points do not move. anneal holds the anneal section's
     settings, or the AnnealConfig defaults (k_max 200, automatic t0/alpha)
     when the section is absent. reference is the one path every command
-    reads: the reference section's angles in radians, Doppler and phase 0.0,
-    and amplitude 1.0; noise_sigma is crlb.noise_sigma, the noise standard
-    deviation relative to that amplitude. reference_spec holds the
+    reads: the reference section's angles in radians and Doppler 0.0;
+    noise_sigma is crlb.noise_sigma, the noise standard deviation relative
+    to the path's amplitude. reference_spec holds the
     effective-factor threshold, effective_threshold_db. pattern_file_sha256
     is the SHA-256 of the pattern file's bytes the array was parsed from,
     None without one.
@@ -239,7 +238,7 @@ class ExperimentConfig:
     doppler_bound: float
     objective: ObjectiveConfig
     anneal: AnnealConfig
-    reference: ParamVector
+    reference: StructuralParams
     sweep: tuple[np.ndarray, np.ndarray, str]
     noise_sigma: float
     pattern_file_sha256: str | None
@@ -301,9 +300,8 @@ class ExperimentConfig:
         if not noise_sigma * noise_sigma < math.inf:  # the bounds square it
             raise ConfigError("config.crlb.noise_sigma: its square overflows a float")
 
-        # the one path every command reads, of amplitude 1.0, as noise_sigma
-        # is relative to it; its Doppler and phase are 0.0: a surface sees
-        # only Doppler differences, and no bound depends on either
+        # the one path every command reads, of Doppler 0.0: a surface sees
+        # only Doppler differences, and no bound depends on it
         reference_spec = _section(top["reference"], {
             "azimuth_deg": 45.0,
             "elevation_deg": 90.0,
@@ -312,9 +310,9 @@ class ExperimentConfig:
         if reference_spec["effective_threshold_db"] > 0:
             raise ConfigError("config.reference.effective_threshold_db: must be <= 0")
         reference = _field(
-            "config.reference.elevation_deg", ParamVector,
+            "config.reference.elevation_deg", StructuralParams,
             math.radians(reference_spec["azimuth_deg"]),
-            math.radians(reference_spec["elevation_deg"]), 0.0, 1.0, 0.0)
+            math.radians(reference_spec["elevation_deg"]), 0.0)
         sweep_spec = _section(top["sweep"], {
             "doppler_span_hz": 400.0,
             "doppler_step_hz": 1.0,
@@ -360,9 +358,9 @@ class ExperimentConfig:
             reach = 4 * array.wavenumber * np.abs(array.positions).sum(axis=1).max()
         if not np.isfinite(reach):
             fields = ", ".join(f"config.array.{key}" for key in
-                               ("spacing_wavelengths", "radius_m") if key in array_spec)
-            raise ConfigError(f"{fields} and config.array.carrier_hz: "
-                              "the steering phases overflow a float")
+                               ("spacing_wavelengths", "radius_wavelengths")
+                               if key in array_spec)
+            raise ConfigError(f"{fields}: the steering phases overflow a float")
         if sequence_spec["scheme"] == "hybrid":
             _check_scheme(array, "hybrid", "config.sequence.scheme")
         if anneal_spec is not None:
@@ -408,16 +406,16 @@ class ExperimentConfig:
     def _build_array(spec: dict, m: int, patterns: bytes | None) -> ArrayModel:
         """The array model of a spec _array_spec has checked, with the
         pattern file's bytes, if it names one."""
-        wavelength = SPEED_OF_LIGHT / _positive(spec["carrier_hz"],
-                                                "config.array.carrier_hz")
-        spacing = spec["spacing_wavelengths"] * wavelength
+        spacing = spec["spacing_wavelengths"] * WAVELENGTH
         if spec["kind"] == "ula":
-            return _field("config.array", make_ula, m, spacing, wavelength)
+            return _field("config.array", make_ula, m, spacing, WAVELENGTH)
+        radius = spec["radius_wavelengths"]
         array = _field(
             "config.array", make_octagonal,
             panels=spec["panels"], rows=spec["rows"], cols=spec["cols"],
-            element_spacing=spacing, radius=spec["radius_m"],
-            wavelength=wavelength, patch_exponent=spec["patch_exponent"],
+            element_spacing=spacing,
+            radius=None if radius is None else radius * WAVELENGTH,
+            wavelength=WAVELENGTH, patch_exponent=spec["patch_exponent"],
         )
         if patterns is not None:
             array = _field("config.array.pattern_file", lambda: attach_patterns(
@@ -512,7 +510,7 @@ class ExperimentConfig:
     def build_objective(self) -> ObjectiveConfig:
         return self.objective
 
-    def reference_params(self) -> ParamVector:
+    def reference_params(self) -> StructuralParams:
         return self.reference
 
     def sweep_grids(self) -> tuple[np.ndarray, np.ndarray, str]:

@@ -7,7 +7,9 @@ the noise sigma relative to the path's amplitude, 1/sqrt(SNR).
 The numeric pipeline deliberately shares nothing with the closed forms so it
 can act as their oracle: variances come from the full FIM inverse, with the
 reciprocal-diagonal shortcut exposed separately so the gap between the two
-is measurable.
+is measurable. It differentiates the path's azimuth and Doppler and its
+complex amplitude r exp(j psi), taken at r = 1 and psi = 0: the noise sigma
+is relative to the amplitude, and no bound depends on the phase.
 """
 
 from __future__ import annotations
@@ -20,10 +22,8 @@ import numpy as np
 from .arrays import ArrayModel, StructuralParams, basis
 from .switching import SwitchingSequence
 
-# the FIM's parameters, each with the ParamVector field it perturbs
-FIM_FIELDS = {"phi": "rx_azimuth", "nu": "doppler_hz", "r": "amplitude",
-              "psi": "phase"}
-PARAM_NAMES = tuple(FIM_FIELDS)
+# the FIM's parameters: azimuth, Doppler, amplitude and phase
+PARAM_NAMES = ("phi", "nu", "r", "psi")
 
 
 class EndfireSingularityError(ValueError, ArithmeticError):
@@ -41,20 +41,6 @@ class SingularFIMError(ValueError, ArithmeticError):
     def __init__(self, message: str, null_combination: np.ndarray | None):
         super().__init__(message)
         self.null_combination = null_combination
-
-
-@dataclass(frozen=True)
-class ParamVector(StructuralParams):
-    """A path with its complex amplitude, amplitude * exp(1j * phase). The
-    four-parameter FIM holds the elevation fixed."""
-
-    amplitude: float
-    phase: float
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.amplitude > 0:
-            raise ValueError("amplitude must be positive")
 
 
 @dataclass(frozen=True)
@@ -114,18 +100,14 @@ def crlb_doppler(eta: np.ndarray, noise_sigma: float) -> float:
     return 0.125 * (noise_sigma / (math.pi * norm)) ** 2
 
 
-def signal_mean(array: ArrayModel, seq: SwitchingSequence,
-                params: ParamVector) -> np.ndarray:
-    """Noise-free received mean for the single-path model."""
-    return params.amplitude * np.exp(1j * params.phase) * basis(array, seq, params)
-
-
 # activation instants so large that the eta norm, the Jacobian or the FIM
 # overflow give non-finite values, reported as one error instead of warnings
 @np.errstate(over="ignore", invalid="ignore")
-def fim_matrix(array: ArrayModel, seq: SwitchingSequence, params: ParamVector,
+def fim_matrix(array: ArrayModel, seq: SwitchingSequence, params: StructuralParams,
                noise_sigma: float) -> np.ndarray:
-    """Fisher information matrix via central finite differences, symmetrized.
+    """Fisher information matrix via central finite differences, symmetrized,
+    of the PARAM_NAMES at the path's azimuth and Doppler, amplitude 1.0 and
+    phase 0.0; the elevation is held fixed.
 
     The Doppler step is scaled by 1/||eta|| so the induced phase perturbation
     stays O(1e-3) rad for any sequence length. A FIM that is not finite
@@ -134,22 +116,23 @@ def fim_matrix(array: ArrayModel, seq: SwitchingSequence, params: ParamVector,
     if noise_sigma <= 0:
         raise ValueError("noise sigma must be positive")
     eta_norm = np.linalg.norm(seq.eta())
-    steps = np.array([  # in FIM_FIELDS order
+    steps = np.array([  # in PARAM_NAMES order
         1e-6,                                    # azimuth, rad
         1e-3 / eta_norm if eta_norm > 0 else 1.0,  # Doppler, Hz
-        1e-6 * params.amplitude,                 # amplitude
+        1e-6,                                    # amplitude
         1e-6,                                    # phase, rad
     ])
-
-    fields = tuple(FIM_FIELDS.values())
-    theta0 = np.array([getattr(params, f) for f in fields])
+    theta0 = np.array([params.rx_azimuth, params.doppler_hz, 1.0, 0.0])
 
     def mean_at(theta: np.ndarray) -> np.ndarray:
-        return signal_mean(array, seq, replace(params, **dict(zip(fields, theta))))
+        """Noise-free received mean of the single-path model at theta."""
+        azimuth, doppler, amplitude, phase = theta
+        mu = replace(params, rx_azimuth=azimuth, doppler_hz=doppler)
+        return amplitude * np.exp(1j * phase) * basis(array, seq, mu)
 
     n = array.num_elements * seq.snapshots
-    jac = np.empty((n, len(fields)), dtype=complex)
-    for i in range(len(fields)):
+    jac = np.empty((n, len(PARAM_NAMES)), dtype=complex)
+    for i in range(len(PARAM_NAMES)):
         up = theta0.copy()
         dn = theta0.copy()
         up[i] += steps[i]
@@ -163,7 +146,7 @@ def fim_matrix(array: ArrayModel, seq: SwitchingSequence, params: ParamVector,
     return 0.5 * (fim + fim.T)
 
 
-def fim_numeric(array: ArrayModel, seq: SwitchingSequence, params: ParamVector,
+def fim_numeric(array: ArrayModel, seq: SwitchingSequence, params: StructuralParams,
                 noise_sigma: float) -> CRLBResult:
     """Numeric bounds: FD Fisher information, variances from the full inverse."""
     fim = fim_matrix(array, seq, params, noise_sigma)

@@ -24,7 +24,6 @@ from switchseq.ambiguity import (AmbiguitySurface, DegenerateDirectionError,
                                  ObjectiveConfig)
 from switchseq.analysis import _main_lobe, _max3x3
 from switchseq.arrays import ArrayModel
-from switchseq.crlb import ParamVector, signal_mean
 from switchseq.arrays import StructuralParams, basis
 from switchseq.switching import SwitchingSequence
 
@@ -87,7 +86,8 @@ def alias_scan(surface: AmbiguitySurface) -> list[AliasPeak]:
 
 
 def gain_phase_jacobian(array: ArrayModel, seq: SwitchingSequence,
-                        params: ParamVector) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic d s/d r and d s/d psi, used to cross-check the FD machinery."""
-    s = signal_mean(array, seq, params)
-    return s / params.amplitude, 1j * s
+                        mu: StructuralParams) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic d s/d r and d s/d psi of the mean s = r exp(j psi) b(mu) at
+    r = 1 and psi = 0, used to cross-check the FD machinery."""
+    s = basis(array, seq, mu)
+    return s, 1j * s

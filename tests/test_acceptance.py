@@ -19,7 +19,6 @@ from switchseq import (AnnealConfig, ExperimentConfig, ObjectiveConfig,
                        crlb_doppler, effective_elements, fim_numeric,
                        make_octagonal, make_ula, peak_sidelobe, random_init,
                        sequential, temperature_schedule)
-from switchseq.crlb import ParamVector
 from switchseq.switching import SwitchingSequence
 
 from conftest import balanced_sequence, readme_config
@@ -75,7 +74,7 @@ def test_criterion_2_angular_preservation(octagon_runs):
 
 
 def test_criterion_3_crlb_oracle_equivalence():
-    sigma, amp = 0.1, 1.0
+    sigma = 0.1
     worst_err = 0.0
     worst_ratio = 0.0
     for m in (4, 8, 16):
@@ -83,7 +82,7 @@ def test_criterion_3_crlb_oracle_equivalence():
         seq = balanced_sequence(m, DT)
         eta = seq.eta()
         for phi_deg in (45.0, 90.0, 135.0):
-            params = ParamVector(math.radians(phi_deg), math.pi / 2, 0.0, amp, 0.2)
+            params = StructuralParams(math.radians(phi_deg), math.pi / 2, 0.0)
             res = fim_numeric(array, seq, params, sigma)
             worst_ratio = max(worst_ratio, res.off_diag_ratio)
             if res.off_diag_ratio < 0.05:

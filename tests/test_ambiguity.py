@@ -647,11 +647,11 @@ def single_product_surface(array, seq, mu, doppler_hz, angle_offset_deg,
     held to, bit for bit."""
     az, el = sweep_directions(mu, angle_offset_deg, angle_axis)
     m = array.num_elements
-    b_ref = basis(array, seq, mu)[:m]
+    b_ref = steering_matrix(array, mu.rx_azimuth, mu.rx_elevation)
     g = steering_matrix(array, az, el)
     norms = np.linalg.norm(g, axis=1)
     phases = np.zeros((m, doppler_hz.size), dtype=complex)
-    np.outer(seq.eta()[:m], mu.doppler_hz + doppler_hz, out=phases.real)
+    np.outer(seq.eta()[:m], doppler_hz, out=phases.real)
     np.multiply(2j * math.pi, phases, out=phases)
     np.exp(phases, out=phases)
     mag = np.abs(np.multiply(np.conj(b_ref)[None, :], g, out=g) @ phases)
@@ -704,8 +704,9 @@ def test_surface_temporaries_do_not_grow_with_the_dopplers():
 @pytest.mark.parametrize("axis", ["eoa", "aoa"])
 @pytest.mark.parametrize("array_name", ["ula", "octagon"])
 def test_surface_matches_the_tiled_product(array_name, axis, snapshots):
-    # the factored sweep does the tiled product's operations at one
-    # snapshot, and differs from it only in the last bits at several
+    # the factored sweep reads only mu's direction: at one snapshot it does
+    # the tiled product's operations at Doppler 0.0, and it differs from the
+    # product at mu's own Doppler, which cancels from X, in the last bits
     arr = (make_ula(8, 0.5, 1.0) if array_name == "ula"
            else make_octagonal(8, 2, 2, patch_exponent=2.0))
     seq = random_init(arr.num_elements, 1e-4, snapshots,
@@ -714,11 +715,11 @@ def test_surface_matches_the_tiled_product(array_name, axis, snapshots):
     dop = np.linspace(-3000.0, 3000.0, 241)
     ang = np.arange(-20.0, 20.5, 0.5)
     surf = ambiguity_surface(arr, seq, mu, dop, ang, axis)
-    reference = tiled_surface(arr, seq, mu, dop, ang, axis)
     if snapshots == 1:
-        assert np.array_equal(surf.magnitude, reference)
-    else:
-        np.testing.assert_allclose(surf.magnitude, reference, rtol=0, atol=1e-12)
+        assert np.array_equal(surf.magnitude, tiled_surface(
+            arr, seq, replace(mu, doppler_hz=0.0), dop, ang, axis))
+    np.testing.assert_allclose(surf.magnitude, tiled_surface(arr, seq, mu, dop, ang, axis),
+                               rtol=0, atol=1e-12)
 
 
 def test_surface_memory_does_not_grow_with_snapshots():

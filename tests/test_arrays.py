@@ -445,6 +445,26 @@ def test_pattern_file_refuses_non_finite_values(tmp_path, column, value):
         parse_pattern_file(f.read_bytes())
 
 
+@pytest.mark.parametrize("column, value, refusal", [
+    ("element", "1.0", "has element '1.0', not an integer"),
+    ("element", "", "has element '', not an integer"),
+    ("azimuth_deg", "abc", "has azimuth_deg 'abc', not a number"),
+    ("re", "x", "has re 'x', not a number"),
+    ("im", "inf", r"gain must be finite: element 0 pol V at \(90.0, 90.0\) deg")],
+    ids=["element-1.0", "element-empty", "azimuth-abc", "re-x", "im-inf"])
+def test_pattern_file_value_refusals_name_their_line(column, value, refusal):
+    # a table has tens of thousands of rows, so a refused value names its
+    # line (the header is line 1) and its column or element
+    rows = [dict(element=0, pol="V", azimuth_deg=a, elevation_deg=e, re=1.0, im=0.0)
+            for a in (0.0, 90.0) for e in (45.0, 90.0)]
+    rows[3][column] = value
+    data = ("element,pol,azimuth_deg,elevation_deg,re,im\n" + "".join(
+        "{element},{pol},{azimuth_deg},{elevation_deg},{re},{im}\n".format(**r)
+        for r in rows)).encode()
+    with pytest.raises(ValueError, match=f"^pattern file line 5 {refusal}$"):
+        parse_pattern_file(data)
+
+
 def test_pattern_file_nan_angle_on_a_one_line_grid(tmp_path):
     # one elevation, so a NaN azimuth still gives as many rows as grid cells
     f = tmp_path / "nan_azimuth.csv"

@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 import switchseq
 from switchseq.ambiguity import ambiguity_surface
+from switchseq.arrays import WAVELENGTH, make_octagonal
 from switchseq.cli import cmd_crlb, main
 from switchseq.config import ConfigError, ExperimentConfig
 from switchseq.crlb import crlb_aoa
@@ -109,22 +110,22 @@ def test_config_wraps_a_negative_azimuth():
 
 
 def test_path_doppler_and_phase_change_no_surface_or_bound(capsys):
-    # why the config fixes both at 0.0: a surface compares two paths by their
-    # Doppler difference, and neither the closed-form bounds nor the numeric
-    # FIM's variances depend on the path's own Doppler or phase
+    # why the config fixes the path's Doppler at 0.0 and has no phase: a
+    # surface compares two paths by their Doppler difference, so the sweep
+    # reads only the path's direction, and neither the closed-form bounds
+    # nor the numeric FIM's variances depend on the path's own Doppler
     config = ExperimentConfig.from_dict(readme_config())
     seq = config.build_sequence("hybrid", np.random.default_rng(0))
     surface = ambiguity_surface(config.array, seq, config.reference, *config.sweep)
     for nu in (-450.0, 300.0, 700.0):
         moved = ambiguity_surface(config.array, seq, replace(
             config.reference, doppler_hz=nu), *config.sweep)
-        assert np.abs(moved.magnitude - surface.magnitude).max() < 1e-12
+        assert np.array_equal(moved.magnitude, surface.magnitude)
     config = ExperimentConfig.from_dict(json.loads(readme_block(
         "CLI quick start", "json", 1)))
     (report,) = cmd_crlb(config).values()
-    for nu, psi in ((300.0, 1.2), (-40.0, -2.0)):
-        moved = replace(config, reference=replace(config.reference, doppler_hz=nu,
-                                                  phase=psi))
+    for nu in (300.0, -40.0):
+        moved = replace(config, reference=replace(config.reference, doppler_hz=nu))
         (other,) = cmd_crlb(moved).values()
         assert other["closed_form"] == report["closed_form"]
         for block in ("numeric", "numeric_diagonal"):
@@ -252,7 +253,7 @@ def test_cli_exit_code_for_config_error(tmp_path, capsys):
     ("optimize", "objective", "power", 6.5),
     ("ambiguity", "sequence", "delta_t_s", True),
     ("ambiguity", "sequence", "snapshots", 1.5),
-    ("ambiguity", "array", "radius_m", True),
+    ("ambiguity", "array", "radius_wavelengths", True),
     ("optimize", "objective", "doppler_fraction", True),
     ("effective-factor", "reference", "effective_threshold_db", False),
     ("ambiguity", "sweep", "doppler_span_hz", float("inf")),
@@ -358,7 +359,7 @@ def test_power_product_that_underflows_is_a_degenerate_sample(tmp_path):
 
 
 @pytest.mark.parametrize("section, key", [
-    ("anneal", "t0"), ("anneal", "alpha"), ("array", "radius_m"),
+    ("anneal", "t0"), ("anneal", "alpha"), ("array", "radius_wavelengths"),
     ("array", "pattern_file")])
 def test_optional_field_null_loads_like_a_missing_one(section, key):
     cfg = octagon_config()
@@ -738,10 +739,10 @@ def test_crlb_bound_that_overflows_exits_3(tmp_path, capsys, spacing):
 
 @pytest.mark.parametrize("base, key", [(ula_config, "spacing_wavelengths"),
                                        (octagon_config, "spacing_wavelengths"),
-                                       (octagon_config, "radius_m")])
+                                       (octagon_config, "radius_wavelengths")])
 def test_geometry_whose_steering_phases_overflow_exits_2(tmp_path, capsys,
                                                          base, key):
-    # element positions of 1e308 wavelengths or metres give steering phases
+    # element positions of 1e308 wavelengths give steering phases
     # that overflow a float, so the objective sums would hold garbage
     cfg = small_sweep_config(base)
     cfg["array"][key] = 1e308
@@ -832,8 +833,8 @@ MUTABLE_FIELDS = [(None, key) for key in (
     "sweep", "crlb")] + [
     (section, key) for section, keys in {
         "array": ("kind", "elements", "panels", "rows", "cols",
-                  "spacing_wavelengths", "radius_m", "carrier_hz",
-                  "patch_exponent", "pattern_file"),
+                  "spacing_wavelengths", "radius_wavelengths", "patch_exponent",
+                  "pattern_file"),
         "sequence": ("scheme", "delta_t_s", "snapshots"),
         "anneal": ("scheme", "k_max", "t0", "alpha"),
         "objective": ("power", "samples", "doppler_fraction"),
@@ -1072,6 +1073,32 @@ def test_path_doppler_and_phase_fields_exit_2_as_unknown_fields(
     assert json.loads(line)["error"] == {
         "type": "config", "message": f"config.{section}: unknown field(s) ['{key}']"}
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("base, key, value", [
+    (ula_config, "carrier_hz", 28e9), (octagon_config, "carrier_hz", 28e9),
+    (octagon_config, "radius_m", 0.01)])
+def test_carrier_and_metre_radius_exit_2_as_unknown_fields(
+        tmp_path, capsys, monkeypatch, base, key, value):
+    # no result depends on the carrier, so the model fixes it at 28 GHz and
+    # takes every length in wavelengths; even the old default is refused
+    monkeypatch.chdir(tmp_path)
+    cfg = base()
+    cfg["array"][key] = value
+    assert main(["ambiguity", "--config", write_config(tmp_path, cfg)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == {
+        "type": "config", "message": f"config.array: unknown field(s) ['{key}']"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_octagon_radius_is_given_in_wavelengths():
+    cfg = octagon_config()
+    cfg["array"]["radius_wavelengths"] = 3.0
+    array = ExperimentConfig.from_dict(cfg).array
+    expected = make_octagonal(panels=4, rows=2, cols=2, radius=3.0 * WAVELENGTH)
+    assert array.wavelength == WAVELENGTH
+    assert np.array_equal(array.positions, expected.positions)
 
 
 @pytest.mark.parametrize("key, value", [
@@ -1485,7 +1512,7 @@ def test_compare_drops_the_evaluator_before_the_surface_sweeps(tmp_path,
                                     "missing-element", "short-row", "long-row",
                                     "repeated-column", "negative-element",
                                     "extra-element", "azimuth-360",
-                                    "elevation-over-180"])
+                                    "elevation-over-180", "fractional-element"])
 @pytest.mark.parametrize("command", ["optimize", "ambiguity", "compare",
                                      "effective-factor"])
 def test_bad_pattern_file_exits_2_at_load(tmp_path, capsys, command, defect):
@@ -1500,7 +1527,8 @@ def test_bad_pattern_file_exits_2_at_load(tmp_path, capsys, command, defect):
     # the wrong gain; a header that repeats a column would read the gains
     # from its last copy, and rows for a negative element, or for element
     # 16 of this 16-element array, would load unread; azimuth 360 repeats
-    # azimuth 0, and no elevation lies past 180
+    # azimuth 0, and no elevation lies past 180; a value that does not parse
+    # is named by its line
     def table(elevations, azimuths=range(0, 360, 90)):
         return ["element,pol,azimuth_deg,elevation_deg,re,im"] + [
             f"{e},V,{a},{el},1.0,0.0" for e in range(16)
@@ -1536,6 +1564,8 @@ def test_bad_pattern_file_exits_2_at_load(tmp_path, capsys, command, defect):
         lines = table((0, 90, 180), range(0, 361, 90))
     elif defect == "elevation-over-180":
         lines = table((0, 90, 180, 190))
+    elif defect == "fractional-element":
+        lines[5] = "1.0" + lines[5][1:]
     cfg = octagon_config()
     cfg["array"]["pattern_file"] = str(tmp_path / "bad.csv")
     if defect == "directory":
@@ -1551,7 +1581,8 @@ def test_bad_pattern_file_exits_2_at_load(tmp_path, capsys, command, defect):
     assert error["message"].startswith("config.array.pattern_file: ")
     assert {"long-row": "more fields than its header", "extra-element": "element 16",
             "azimuth-360": "azimuth grid must lie inside [0, 2*pi)",
-            "elevation-over-180": "elevation grid must lie inside [0, pi]"
+            "elevation-over-180": "elevation grid must lie inside [0, pi]",
+            "fractional-element": "pattern file line 6 has element '1.0', not an integer"
             }.get(defect, "") in error["message"]
     assert not (tmp_path / "out").exists()
 

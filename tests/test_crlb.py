@@ -1,22 +1,21 @@
-import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from switchseq import (EndfireSingularityError, ParamVector, SingularFIMError,
+from switchseq import (EndfireSingularityError, SingularFIMError, StructuralParams,
                        UnobservableDopplerError, crlb_aoa, crlb_doppler,
                        fim_matrix, fim_numeric, make_ula, random_init,
                        sequential)
 from switchseq.config import ExperimentConfig
 
-from conftest import balance_score, balanced_sequence, readme_block, readme_config
+from conftest import balance_score, balanced_sequence, readme_config
 from oracles import gain_phase_jacobian
 
 SIGMA = 0.1
-PARAMS = ParamVector(rx_azimuth=math.pi / 2, rx_elevation=math.pi / 2, doppler_hz=0.0,
-                     amplitude=1.0, phase=0.3)
+PARAMS = StructuralParams(rx_azimuth=math.pi / 2, rx_elevation=math.pi / 2,
+                          doppler_hz=0.0)
 
 
 def test_crlb_aoa_noise_scaling():
@@ -113,8 +112,8 @@ def test_fim_amplitude_row_analytic():
     g = arr.gain_matrix(PARAMS.rx_azimuth, math.pi / 2)
     expected_rr = 2.0 * np.sum(np.abs(g) ** 2) / SIGMA ** 2
     assert fim[2, 2] == pytest.approx(expected_rr, rel=1e-6)
-    # phase row: |ds/dpsi|^2 = r^2 |b|^2
-    assert fim[3, 3] == pytest.approx(PARAMS.amplitude ** 2 * expected_rr, rel=1e-6)
+    # phase row: |ds/dpsi|^2 = r^2 |b|^2, at r = 1
+    assert fim[3, 3] == pytest.approx(expected_rr, rel=1e-6)
 
 
 def test_fd_matches_analytic_gain_phase_columns():
@@ -134,9 +133,8 @@ def test_fim_positive_semidefinite(rng):
     arr = make_ula(16, 0.5, 1.0)
     for _ in range(5):
         seq = random_init(16, 1e-4, 1, rng)
-        p = ParamVector(rng.uniform(0.4, math.pi - 0.4), math.pi / 2,
-                        rng.uniform(-500, 500), rng.uniform(0.5, 2.0),
-                        rng.uniform(0, 2 * math.pi))
+        p = StructuralParams(rng.uniform(0.4, math.pi - 0.4), math.pi / 2,
+                             rng.uniform(-500, 500))
         fim = fim_matrix(arr, seq, p, SIGMA)
         eig = np.linalg.eigvalsh(fim)
         assert eig.min() > -1e-6 * np.trace(fim)
@@ -166,7 +164,7 @@ def test_singular_fim_names_combination():
     arr = make_ula(1, 0.5, 1.0)
     seq = sequential(1, 1e-3)
     with pytest.raises(SingularFIMError) as err:
-        fim_numeric(arr, seq, replace(PARAMS, phase=0.0), SIGMA)
+        fim_numeric(arr, seq, PARAMS, SIGMA)
     assert err.value.null_combination.shape == (4,)
     message = str(err.value)
     assert "phi" in message or "nu" in message
@@ -177,44 +175,16 @@ def test_balance_score_helper():
     assert balance_score(balanced_sequence(16, 1e-3).order) == 0.0
 
 
-def test_param_vector_validation():
-    # a ParamVector is a StructuralParams, so it keeps the path's checks
-    for bad in ({"amplitude": 0.0}, {"amplitude": float("nan")},
-                {"rx_azimuth": float("nan")}, {"rx_elevation": 4.0},
-                {"rx_elevation": -1e-9}):
-        with pytest.raises(ValueError):
-            replace(PARAMS, **bad)
-    assert replace(PARAMS, rx_azimuth=-3 * math.pi / 2).rx_azimuth == pytest.approx(
-        math.pi / 2, abs=1e-15)
-
-
 def test_fim_tells_amplitude_from_phase():
     # on a centered omni ULA the amplitude and phase rows decouple from the
-    # rest, and the phase row is the amplitude row scaled by A^2; at A = 2
-    # exchanging the two parameters moves both ratios by A^4 = 16
-    amp = 2.0
+    # rest, and the phase row is the amplitude row scaled by A^2: at the
+    # FIM's A = 1 the two rows and their bounds are equal
     arr = make_ula(8, 0.5, 1.0)
     seq = random_init(8, 1e-4, 1, np.random.default_rng(2))
-    params = replace(PARAMS, amplitude=amp)
-    fim = fim_matrix(arr, seq, params, SIGMA)
-    assert fim[3, 3] == pytest.approx(amp ** 2 * fim[2, 2], rel=1e-6)
-    var = fim_numeric(arr, seq, params, SIGMA).variances
-    assert var["psi"] * amp ** 2 == pytest.approx(var["r"], rel=1e-6)
-
-
-def test_bounds_depend_on_the_path_only_through_its_snr():
-    # why the config has no amplitude: on the README ULA, amplitude A at
-    # noise sigma 0.1 A gives the variances of A = 1, with var_r scaled by A^2
-    config = ExperimentConfig.from_dict(json.loads(
-        readme_block("CLI quick start", "json", 1)))
-    seq = config.build_sequence("random", np.random.default_rng(config.seed))
-    unit = fim_numeric(config.array, seq, config.reference, 0.1).variances
-    for amp in (0.5, 2.0, 3.7):
-        var = fim_numeric(config.array, seq, replace(config.reference, amplitude=amp),
-                          0.1 * amp).variances
-        for name in ("phi", "nu", "psi"):
-            assert var[name] == pytest.approx(unit[name], rel=1e-8)
-        assert var["r"] / amp ** 2 == pytest.approx(unit["r"], rel=1e-8)
+    fim = fim_matrix(arr, seq, PARAMS, SIGMA)
+    assert fim[3, 3] == pytest.approx(fim[2, 2], rel=1e-6)
+    var = fim_numeric(arr, seq, PARAMS, SIGMA).variances
+    assert var["psi"] == pytest.approx(var["r"], rel=1e-6)
 
 
 def test_elevation_reaches_the_fim():

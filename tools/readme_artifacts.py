@@ -5,16 +5,18 @@
 Runs the quick-start `optimize`, `ambiguity --sequence` on its output,
 `ambiguity` on the sequence the config builds (`ambiguity_built`), `compare`
 and `effective-factor`, `optimize` again with the random scheme
-(`optimize_random`) and with `--seed 7` (`optimize_seed7`), `compare`
-again sweeping the azimuth (`compare_aoa`, `sweep.angle_axis` aoa), the
-quick-start `compare` again on two arrays whose V-pol patterns load from
-files it writes (cos^2 patches on a 10-degree grid, then the same with a
-per-element amplitude and phase ripple, so that R* is null), and the ULA
-`crlb` as written, then with the reference path, which crlb bounds, at
-elevation_deg 60 and at azimuth_deg 45 and -270, each into a folder of OUT.
-Runs from OUT, so that no path in a config depends on it. Then prints
-`sha256  path` for every file there, with `wall_time_s` dropped from each
-manifest.json, so the runs of two trees compare with `diff`.
+(`optimize_random`) and with `--seed 7` (`optimize_seed7`), `compare` again
+sweeping the azimuth (`compare_aoa`, `sweep.angle_axis` aoa) and on a ring
+whose panels leave gaps (`compare_gapped`, `array.radius_wavelengths` 3.0,
+past the 2.414 at which they touch), the quick-start `compare` again on two
+arrays whose V-pol patterns load from files it writes (cos^2 patches on a
+10-degree grid, then the same with a per-element amplitude and phase
+ripple, so that R* is null), and the ULA `crlb` as written, then with the
+reference path, which crlb bounds, at elevation_deg 60 and at azimuth_deg
+45 and -270, each into a folder of OUT. Runs from OUT, where a relative
+`array.pattern_file` is read, so that no path in a config depends on it.
+Then prints `sha256  path` for every file there, with `wall_time_s` dropped
+from each manifest.json, so the runs of two trees compare with `diff`.
 """
 
 import hashlib
@@ -73,7 +75,9 @@ def run(out: Path) -> None:
              {**quick, "anneal": {**quick["anneal"], "scheme": "random"}}, []),
             ("optimize_seed7", "optimize", quick, ["--seed", "7"]),
             ("compare_aoa", "compare",
-             {**quick, "sweep": {**quick["sweep"], "angle_axis": "aoa"}}, [])]
+             {**quick, "sweep": {**quick["sweep"], "angle_axis": "aoa"}}, []),
+            ("compare_gapped", "compare",
+             {**quick, "array": {**quick["array"], "radius_wavelengths": 3.0}}, [])]
     runs += [(name, "compare", {**quick, "array": {**quick["array"], "pattern_file": file}},
               []) for name, (file, _) in PATTERNS.items()]
     runs += [(name, "crlb", {**ula, "reference": {**ula["reference"], **extra}}, [])
