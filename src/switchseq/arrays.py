@@ -2,6 +2,9 @@
 and the narrowband single-path signal model: the combined basis vector of a
 path, its steering vector times its Doppler phase progression.
 
+The array builders take their lengths in wavelengths and place elements in
+metres at the model's one carrier (WAVELENGTH), so no result depends on it.
+
 Only the vertical-polarization SIMO path is executable. The full
 dual-polarized MIMO basis (Tx/Rx responses per polarization, Kronecker
 structure, frequency basis) is out of scope here.
@@ -19,8 +22,7 @@ import numpy as np
 from .switching import SwitchingSequence, check_partition
 
 SPEED_OF_LIGHT = 299792458.0
-# the model's wavelength, at a 28 GHz carrier; a config gives its lengths in
-# wavelengths, so no phase, and no result, depends on the carrier
+# the model's wavelength, at a 28 GHz carrier
 WAVELENGTH = SPEED_OF_LIGHT / 28e9
 
 # Dot products at or below this are treated as grazing/back-hemisphere for
@@ -164,15 +166,15 @@ ElementPattern = OmniPattern | PatchPattern | TabulatedPattern
 
 @dataclass(frozen=True)
 class ArrayModel:
-    """Immutable antenna array: element positions, per-element patterns, wavelength.
+    """Immutable antenna array: element positions and per-element patterns.
 
-    positions is (M, 3) in meters. partition, when present, is the natural
-    grouping of element indices into contiguous panels (panel-major order).
+    positions is (M, 3) in metres at the model's carrier (WAVELENGTH).
+    partition, when present, is the natural grouping of element indices
+    into contiguous panels (panel-major order).
     """
 
     positions: np.ndarray
     patterns: tuple[ElementPattern, ...]
-    wavelength: float
     partition: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
@@ -181,8 +183,6 @@ class ArrayModel:
             raise ValueError("positions must be a non-empty (M, 3) array")
         if len(self.patterns) != pos.shape[0]:
             raise ValueError("one pattern per element required")
-        if not self.wavelength > 0:
-            raise ValueError("wavelength must be positive")
         if self.partition is not None:
             object.__setattr__(self, "partition", check_partition(self.partition, len(pos)))
         pos.setflags(write=False)
@@ -195,7 +195,7 @@ class ArrayModel:
 
     @property
     def wavenumber(self) -> float:
-        return 2.0 * math.pi / self.wavelength
+        return 2.0 * math.pi / WAVELENGTH
 
     def gain_matrix(self, azimuth, elevation) -> np.ndarray:
         """Per-element complex gains at (broadcastable) angles, shape (..., M).
@@ -215,21 +215,23 @@ class ArrayModel:
         return out
 
 
-def make_ula(num_elements: int, spacing: float, wavelength: float) -> ArrayModel:
+def make_ula(num_elements: int, spacing_wavelengths: float) -> ArrayModel:
     """Uniform linear array of omni elements on the x axis, centered at the origin.
 
-    Element m sits at x = (m - (M-1)/2) * spacing, so the broadside phase
-    profile is symmetric about zero.
+    Element m sits at x = (m - (M-1)/2) * spacing, spacing being
+    spacing_wavelengths wavelengths, so the broadside phase profile is
+    symmetric about zero.
     """
     if num_elements < 1:
         raise ValueError("need at least one element")
-    if spacing <= 0 or wavelength <= 0:
-        raise ValueError("spacing and wavelength must be positive")
+    spacing = spacing_wavelengths * WAVELENGTH
+    if spacing <= 0:
+        raise ValueError("spacing must be positive")
     offsets = np.arange(num_elements) - (num_elements - 1) / 2.0
     positions = np.zeros((num_elements, 3))
     positions[:, 0] = offsets * spacing
     pattern = OmniPattern()
-    return ArrayModel(positions, (pattern,) * num_elements, wavelength)
+    return ArrayModel(positions, (pattern,) * num_elements)
 
 
 def default_octagon_radius(cols: int, spacing: float, panels: int = 8) -> float:
@@ -241,28 +243,27 @@ def make_octagonal(
     panels: int = 8,
     rows: int = 4,
     cols: int = 4,
-    element_spacing: float | None = None,
-    radius: float | None = None,
-    wavelength: float = WAVELENGTH,
+    spacing_wavelengths: float = 0.5,
+    radius_wavelengths: float | None = None,
     patch_exponent: float = 2.0,
 ) -> ArrayModel:
     """Ring of vertical rectangular panels tangent to a cylinder.
 
     Panel p faces outward at azimuth 2*pi*p/panels; its rows*cols patch
     elements share a boresight along that outward normal. Elements are
-    ordered panel-major, which defines the natural subset partition.
-    spacing defaults to wavelength/2 and radius to the edge-touching value.
+    ordered panel-major, which defines the natural subset partition. The
+    element spacing and the radius are in wavelengths; the radius defaults
+    to the edge-touching value.
     """
     if panels < 3:
         raise ValueError("need at least 3 panels")
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be >= 1")
-    if element_spacing is None:
-        element_spacing = wavelength / 2.0
+    element_spacing = spacing_wavelengths * WAVELENGTH
     if element_spacing <= 0:
         raise ValueError("element spacing must be positive")
-    if radius is None:
-        radius = default_octagon_radius(cols, element_spacing, panels)
+    radius = (default_octagon_radius(cols, element_spacing, panels)
+              if radius_wavelengths is None else radius_wavelengths * WAVELENGTH)
     if radius <= 0:
         raise ValueError("radius must be positive")
 
@@ -279,7 +280,7 @@ def make_octagonal(
     patterns = [PatchPattern(exponent=patch_exponent, boresight=tuple(n))
                 for n in normal.tolist()]
     return ArrayModel(
-        positions, tuple(p for p in patterns for _ in range(size)), wavelength,
+        positions, tuple(p for p in patterns for _ in range(size)),
         tuple(tuple(range(s, s + size)) for s in range(0, panels * size, size))
     )
 
@@ -353,6 +354,8 @@ def effective_elements(array: ArrayModel, mu: StructuralParams,
 def _cell(row: dict, column: str, line: str, kind: type = float):
     """A pattern file cell as a float or an int, refused with its line and column."""
     try:
+        if "_" in row[column]:  # int() and float() would read '1_0' as 10
+            raise ValueError
         return kind(row[column])
     except ValueError:
         raise ValueError(f"{line} has {column} {row[column]!r}, not "
@@ -430,4 +433,4 @@ def attach_patterns(array: ArrayModel,
         if (m, "V") not in patterns:
             raise ValueError(f"no tabulated pattern for element {m} pol V")
         new.append(patterns[(m, "V")])
-    return ArrayModel(array.positions, tuple(new), array.wavelength, array.partition)
+    return ArrayModel(array.positions, tuple(new), array.partition)

@@ -149,13 +149,11 @@ def cmd_crlb(config: ExperimentConfig) -> dict:
     seq = config.build_sequence(config.sequence_spec["scheme"],
                                 np.random.default_rng(config.seed))
     params, sigma, spec = config.reference, config.noise_sigma, config.reference_spec
-    wavelength = array.wavelength
-    spacing = config.array_spec["spacing_wavelengths"] * wavelength
 
     # a bound that overflows or underflows to zero at extreme geometry or
     # noise raises an ArithmeticError (exit 3) instead of warning
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        closed_phi = crlb_aoa(array.num_elements, spacing, wavelength,
+        closed_phi = crlb_aoa(array.num_elements, config.array_spec["spacing_wavelengths"],
                               params.rx_azimuth, params.rx_elevation, sigma,
                               seq.snapshots)
         closed_nu = crlb_doppler(seq.eta(), sigma)

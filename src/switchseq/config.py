@@ -25,8 +25,8 @@ from .ambiguity import (SWEEP_COLUMNS, ObjectiveConfig, ObjectiveEvaluator,
                         sweep_directions)
 from .analysis import compare_schemes
 from .anneal import AnnealConfig, anneal
-from .arrays import (WAVELENGTH, ArrayModel, StructuralParams, attach_patterns,
-                     make_octagonal, make_ula, parse_pattern_file)
+from .arrays import (ArrayModel, StructuralParams, attach_patterns, make_octagonal,
+                     make_ula, parse_pattern_file)
 from .switching import (SwitchingSequence, random_init, sequential, swap_sets,
                         unique_keys)
 
@@ -406,17 +406,11 @@ class ExperimentConfig:
     def _build_array(spec: dict, m: int, patterns: bytes | None) -> ArrayModel:
         """The array model of a spec _array_spec has checked, with the
         pattern file's bytes, if it names one."""
-        spacing = spec["spacing_wavelengths"] * WAVELENGTH
         if spec["kind"] == "ula":
-            return _field("config.array", make_ula, m, spacing, WAVELENGTH)
-        radius = spec["radius_wavelengths"]
-        array = _field(
-            "config.array", make_octagonal,
-            panels=spec["panels"], rows=spec["rows"], cols=spec["cols"],
-            element_spacing=spacing,
-            radius=None if radius is None else radius * WAVELENGTH,
-            wavelength=WAVELENGTH, patch_exponent=spec["patch_exponent"],
-        )
+            return _field("config.array", make_ula, m, spec["spacing_wavelengths"])
+        array = _field("config.array", make_octagonal, **{
+            key: value for key, value in spec.items()
+            if key not in ("kind", "pattern_file")})
         if patterns is not None:
             array = _field("config.array.pattern_file", lambda: attach_patterns(
                 array, parse_pattern_file(patterns)))

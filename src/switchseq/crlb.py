@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arrays import ArrayModel, StructuralParams, basis
+from .arrays import WAVELENGTH, ArrayModel, StructuralParams, basis
 from .switching import SwitchingSequence
 
 # the FIM's parameters: azimuth, Doppler, amplitude and phase
@@ -62,11 +62,11 @@ class CRLBResult:
         return 1.0 / np.diag(self.fim)
 
 
-def crlb_aoa(num_elements: int, spacing: float, wavelength: float,
-             azimuth: float, elevation: float, noise_sigma: float,
-             snapshots: int) -> float:
+def crlb_aoa(num_elements: int, spacing_wavelengths: float, azimuth: float,
+             elevation: float, noise_sigma: float, snapshots: int) -> float:
     """Closed-form azimuth variance bound for an omni ULA along x, in rad^2,
-    at any elevation: its geometry term is lambda / (2 pi d sin phi sin theta).
+    at any elevation, with the spacing in wavelengths as make_ula takes it.
+    Its geometry term is lambda / (2 pi d sin phi sin theta), d in metres.
     Each of the snapshots observes the whole array once, so the bound falls
     as 1/snapshots.
 
@@ -75,13 +75,14 @@ def crlb_aoa(num_elements: int, spacing: float, wavelength: float,
     """
     if num_elements < 2:
         raise ValueError("azimuth is unobservable with fewer than 2 elements")
-    if spacing <= 0 or wavelength <= 0:
-        raise ValueError("spacing and wavelength must be positive")
+    spacing = spacing_wavelengths * WAVELENGTH
+    if spacing <= 0:
+        raise ValueError("spacing must be positive")
     s = math.sin(azimuth) * math.sin(elevation)
     if abs(s) < 1e-12:
         raise EndfireSingularityError("azimuth bound diverges at endfire "
                                       f"(phi={azimuth}, theta={elevation})")
-    geom = wavelength / (2.0 * math.pi * spacing * s)
+    geom = WAVELENGTH / (2.0 * math.pi * spacing * s)
     return (
         noise_sigma ** 2 * 6.0
         / (float(num_elements) * (num_elements ** 2 - 1) * snapshots)

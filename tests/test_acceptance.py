@@ -78,7 +78,7 @@ def test_criterion_3_crlb_oracle_equivalence():
     worst_err = 0.0
     worst_ratio = 0.0
     for m in (4, 8, 16):
-        array = make_ula(m, 0.5, 1.0)
+        array = make_ula(m, 0.5)
         seq = balanced_sequence(m, DT)
         eta = seq.eta()
         for phi_deg in (45.0, 90.0, 135.0):
@@ -86,7 +86,7 @@ def test_criterion_3_crlb_oracle_equivalence():
             res = fim_numeric(array, seq, params, sigma)
             worst_ratio = max(worst_ratio, res.off_diag_ratio)
             if res.off_diag_ratio < 0.05:
-                cf_phi = crlb_aoa(m, 0.5, 1.0, params.rx_azimuth,
+                cf_phi = crlb_aoa(m, 0.5, params.rx_azimuth,
                                   params.rx_elevation, sigma, 1)
                 cf_nu = crlb_doppler(eta, sigma)
                 worst_err = max(worst_err,
@@ -116,7 +116,7 @@ def test_criterion_4_crlb_ordering():
 
 def test_criterion_5_aliasing_reproduction():
     m, dt, seed = 32, 1e-3, 3
-    array = make_ula(m, 0.5, 1.0)
+    array = make_ula(m, 0.5)
     seq = sequential(m, dt)
     mu = StructuralParams(math.pi / 2, math.pi / 2, 0.0)
 
@@ -152,8 +152,8 @@ def test_criterion_5_aliasing_reproduction():
 
 def test_criterion_6_ambiguity_property_suite():
     rng = np.random.default_rng(606)
-    arrays = [make_ula(4, 0.5, 1.0), make_ula(8, 0.5, 1.0),
-              make_ula(16, 0.5, 1.0),
+    arrays = [make_ula(4, 0.5), make_ula(8, 0.5),
+              make_ula(16, 0.5),
               make_octagonal(4, 1, 4, patch_exponent=1.0),
               make_octagonal(8, 2, 2, patch_exponent=2.0)]
     n_draws = 10_000
@@ -257,7 +257,7 @@ def test_criterion_8_effective_factor():
 
 def test_criterion_9_dirichlet_oracle():
     m, dt = 16, 1e-3
-    array = make_ula(m, 0.5, 1.0)
+    array = make_ula(m, 0.5)
     seq = sequential(m, dt)
     mu = StructuralParams(math.pi / 2, math.pi / 2, 0.0)
     grid = np.linspace(-2.0 / (m * dt), 2.0 / (m * dt), 1001)

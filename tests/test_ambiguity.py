@@ -17,7 +17,7 @@ from switchseq import (AmbiguitySurface, AnnealConfig, ArrayModel,
 from switchseq.ambiguity import (_BLOCK_ENTRIES, _CSV_CELLS, FIXED_BITS,
                                  SWEEP_COLUMNS, save_surface_csv, snapshot_gain,
                                  sobol_points, surface_sidecar, sweep_directions)
-from switchseq.arrays import steering_matrix, unit_vectors
+from switchseq.arrays import WAVELENGTH, steering_matrix, unit_vectors
 from switchseq.arrays import basis
 from switchseq.config import ExperimentConfig
 from switchseq.switching import draw_swap, swap_sets
@@ -31,13 +31,13 @@ BROADSIDE = StructuralParams(math.pi / 2, math.pi / 2, 0.0)
 def single_panel_array(m=4):
     """All patches face +x, so directions behind the panel are degenerate."""
     positions = np.zeros((m, 3))
-    positions[:, 1] = np.arange(m) * 0.5
+    positions[:, 1] = np.arange(m) * 0.5 * WAVELENGTH
     pat = PatchPattern(exponent=2.0, boresight=(1.0, 0.0, 0.0))
-    return ArrayModel(positions, (pat,) * m, 1.0)
+    return ArrayModel(positions, (pat,) * m)
 
 
 def test_self_ambiguity_is_one():
-    arr = make_ula(8, 0.5, 1.0)
+    arr = make_ula(8, 0.5)
     seq = sequential(8, 1e-3)
     mu = StructuralParams(1.0, 1.2, 321.0)
     assert abs(ambiguity_value(arr, seq, mu, mu) - 1.0) < 1e-12
@@ -45,7 +45,7 @@ def test_self_ambiguity_is_one():
 
 def test_dirichlet_null():
     m, dt = 8, 1e-3
-    arr = make_ula(m, 0.5, 1.0)
+    arr = make_ula(m, 0.5)
     seq = sequential(m, dt)
     mu_p = StructuralParams(math.pi / 2, math.pi / 2, 1.0 / (m * dt))
     assert abs(ambiguity_value(arr, seq, BROADSIDE, mu_p)) < 1e-12
@@ -54,7 +54,7 @@ def test_dirichlet_null():
 def test_sequential_alias_is_unity():
     # linear phase identity: doppler shift exactly cancels the azimuth change
     m, dt = 8, 1e-3
-    arr = make_ula(m, 0.5, 1.0)
+    arr = make_ula(m, 0.5)
     seq = sequential(m, dt)
     phi_p = math.pi / 3
     dnu = 0.5 * (math.cos(BROADSIDE.rx_azimuth) - math.cos(phi_p)) / dt
@@ -86,7 +86,7 @@ def test_degenerate_direction_raises():
 
 
 def test_time_shift_invariance(rng):
-    arr = make_ula(8, 0.5, 1.0)
+    arr = make_ula(8, 0.5)
     seq = sequential(8, 1e-3)
     eta = seq.eta()
     mu = StructuralParams(1.0, 1.3, 0.0)
@@ -131,7 +131,7 @@ def test_objective_matches_bruteforce_with_snapshots():
 
 
 def test_objective_bit_stable_across_runs():
-    arr = make_ula(16, 0.5, 1.0)
+    arr = make_ula(16, 0.5)
     seq = sequential(16, 1e-3)
     bound = 200.0
     cfg = ObjectiveConfig(power=6, samples=512, seed=3)
@@ -210,12 +210,12 @@ def tabulated_array(m=8):
     positions[:, 1] = np.arange(m) * 0.5
     positions[m // 2:, 0] = 0.5
     half = tuple(range(m // 2))
-    return ArrayModel(positions, tuple(patterns), 1.0,
+    return ArrayModel(positions * WAVELENGTH, tuple(patterns),
                       (half, tuple(range(m // 2, m))))
 
 
 DIFFERENTIAL_ARRAYS = {
-    "ula": lambda: make_ula(16, 0.5, 1.0),
+    "ula": lambda: make_ula(16, 0.5),
     "octagon": lambda: make_octagonal(8, 2, 2, patch_exponent=2.0),
     "single_panel": single_panel_array,  # about half the samples degenerate
     "tabulated": tabulated_array,  # one pattern per element, some live everywhere
@@ -395,7 +395,7 @@ def test_phase_rows_equal_the_full_slot_table(m, snapshots):
     # a subset, and every term formed from it, has the bits of the table
     cfg = ObjectiveConfig(samples=256, seed=6)
     bound = 0.25 / (2.0 * 1e-4)
-    ev = ObjectiveEvaluator(make_ula(m, 0.5, 1.0), bound, cfg, 1e-4, snapshots)
+    ev = ObjectiveEvaluator(make_ula(m, 0.5), bound, cfg, 1e-4, snapshots)
     table = reference_phase_table(ev, bound)
     subset = np.flatnonzero(np.random.default_rng(m).random(256) < 0.3)
     for s in range(m):
@@ -424,7 +424,7 @@ def test_evaluator_retains_products_and_phase_factors_only():
 def test_evaluator_on_an_omni_array_retains_dense_products():
     # an omni ULA is live on every sample, so it keeps every product and no
     # index: one matrix plus the phase factor tables, about 1.21
-    assert retained_matrices(make_ula(128, 0.5, 1.0)) <= 1.25
+    assert retained_matrices(make_ula(128, 0.5)) <= 1.25
 
 
 def retained_matrices(arr, samples=1024):
@@ -518,7 +518,7 @@ def test_fixed_point_sums_within_overflow_bound(array_name, points, snapshots,
 
 
 def test_objective_power_monotonicity():
-    arr = make_ula(16, 0.5, 1.0)
+    arr = make_ula(16, 0.5)
     seq = sequential(16, 1e-3)
     bound = 200.0
     f2 = ObjectiveEvaluator(arr, bound, ObjectiveConfig(power=2, samples=512, seed=1),
@@ -530,7 +530,7 @@ def test_objective_power_monotonicity():
 
 def test_optimized_random_beats_sequential():
     m, dt = 16, 1e-3
-    arr = make_ula(m, 0.5, 1.0)
+    arr = make_ula(m, 0.5)
     bound = 300.0
     cfg = ObjectiveConfig(power=6, samples=1024, seed=2)
     ev = ObjectiveEvaluator(arr, bound, cfg, dt, 1)
@@ -543,7 +543,7 @@ def test_optimized_random_beats_sequential():
 
 def test_objective_invariant_to_permutation_relabel_volume():
     # same sequence evaluated through a fresh evaluator built from it
-    arr = make_ula(8, 0.5, 1.0)
+    arr = make_ula(8, 0.5)
     seq = sequential(8, 1e-3)
     bound = 100.0
     cfg = ObjectiveConfig(samples=256, seed=8)
@@ -563,7 +563,7 @@ def test_evaluator_counts_degenerate_directions():
 
 
 def test_evaluator_rejects_mismatched_sequences():
-    arr = make_ula(8, 0.5, 1.0)
+    arr = make_ula(8, 0.5)
     ev = ObjectiveEvaluator(arr, 100.0,
                             ObjectiveConfig(samples=64, seed=0), 1e-3, 1)
     with pytest.raises(ValueError):
@@ -585,11 +585,11 @@ def test_config_validation():
         ObjectiveConfig(samples=2 ** 30 + 1)
     assert ObjectiveConfig(samples=2 ** 30).samples == 2 ** 30
     with pytest.raises(ValueError, match="doppler bound"):
-        ObjectiveEvaluator(make_ula(4, 0.5, 1.0), 0.0, ObjectiveConfig(samples=1), 1e-3)
+        ObjectiveEvaluator(make_ula(4, 0.5), 0.0, ObjectiveConfig(samples=1), 1e-3)
 
 
 def test_surface_peak_and_bounds():
-    arr = make_ula(8, 0.5, 1.0)
+    arr = make_ula(8, 0.5)
     seq = sequential(8, 1e-3)
     dop = np.arange(-200.0, 200.5, 5.0)
     ang = np.arange(-20.0, 20.25, 0.5)
@@ -608,7 +608,7 @@ def test_surface_peak_and_bounds():
 def test_surface_matches_ambiguity_value_oracle(array_name, axis, snapshots):
     # every cell against the two-basis inner product, at a reference with a
     # non-zero Doppler and random sequences of several snapshots
-    arr = (make_ula(8, 0.5, 1.0) if array_name == "ula"
+    arr = (make_ula(8, 0.5) if array_name == "ula"
            else make_octagonal(8, 2, 2, patch_exponent=2.0))
     seq = random_init(arr.num_elements, 1e-4, snapshots,
                       np.random.default_rng(snapshots))
@@ -707,7 +707,7 @@ def test_surface_matches_the_tiled_product(array_name, axis, snapshots):
     # the factored sweep reads only mu's direction: at one snapshot it does
     # the tiled product's operations at Doppler 0.0, and it differs from the
     # product at mu's own Doppler, which cancels from X, in the last bits
-    arr = (make_ula(8, 0.5, 1.0) if array_name == "ula"
+    arr = (make_ula(8, 0.5) if array_name == "ula"
            else make_octagonal(8, 2, 2, patch_exponent=2.0))
     seq = random_init(arr.num_elements, 1e-4, snapshots,
                       np.random.default_rng(snapshots))
@@ -755,7 +755,7 @@ def test_surface_leaves_its_callers_grids_writable():
 
 
 def test_surface_rejects_bad_grids():
-    arr = make_ula(4, 0.5, 1.0)
+    arr = make_ula(4, 0.5)
     seq = sequential(4, 1e-3)
     with pytest.raises(ValueError):
         ambiguity_surface(arr, seq, BROADSIDE, np.array([1.0, 0.0]),
@@ -775,7 +775,7 @@ def test_surface_rejects_bad_grids():
 
 
 def test_surface_csv_export(tmp_path):
-    arr = make_ula(4, 0.5, 1.0)
+    arr = make_ula(4, 0.5)
     seq = sequential(4, 1e-3)
     dop = np.arange(-100.0, 100.5, 25.0)
     ang = np.arange(-10.0, 10.5, 5.0)
@@ -807,7 +807,7 @@ def _reference_surface_csv(surface, path):
 @pytest.mark.parametrize("case", ["sweep", "extremes"])
 def test_surface_csv_bytes_match_csv_writer(tmp_path, rng, case):
     if case == "sweep":
-        arr = make_ula(8, 0.5, 1.0)
+        arr = make_ula(8, 0.5)
         seq = random_init(8, 1e-3, 1, rng)
         surf = ambiguity_surface(arr, seq, BROADSIDE, np.arange(-200.0, 201.0, 2.5),
                                  np.arange(-20.0, 20.25, 0.25), "aoa")

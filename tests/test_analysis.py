@@ -38,7 +38,7 @@ def dirichlet_half_power_width_hz(m: int, dt: float) -> float:
 
 
 def ula_surface(m=32, dt=1e-3, seq=None, dop_step=0.5):
-    arr = make_ula(m, 0.5, 1.0)
+    arr = make_ula(m, 0.5)
     seq = seq if seq is not None else sequential(m, dt)
     dop = np.arange(-80.0, 80.0 + dop_step / 2, dop_step)
     ang = np.arange(-25.0, 25.0 + 0.25, 0.5)
@@ -82,7 +82,7 @@ def test_half_power_width_angle_axis():
 
 
 def test_half_power_width_grid_too_narrow():
-    arr = make_ula(4, 0.5, 1.0)  # wide main lobe
+    arr = make_ula(4, 0.5)  # wide main lobe
     seq = sequential(4, 1e-3)
     dop = np.arange(-30.0, 30.5, 1.0)  # lobe is ~220 Hz wide
     ang = np.arange(-10.0, 10.5, 0.5)
@@ -145,7 +145,7 @@ def test_half_power_requires_main_peak():
 
 
 def test_effective_factor_omni_is_one():
-    arr = make_ula(8, 0.5, 1.0)
+    arr = make_ula(8, 0.5)
     idx = effective_elements(arr, StructuralParams(1.0, 1.0, 0.0), -10.0)
     assert idx.size / arr.num_elements == 1.0
 
@@ -194,7 +194,7 @@ def test_block_aperture_ratio_tracks_the_width_ratio_over_snapshots(snapshots):
 
 def test_block_aperture_ratio_none_without_blocks():
     d = BROADSIDE
-    assert block_aperture_ratio(make_ula(8, 0.5, 1.0), d, 1) is None
+    assert block_aperture_ratio(make_ula(8, 0.5), d, 1) is None
     # a partition that cuts across panels mixes gains within a subset
     arr = make_octagonal(4, 2, 2, patch_exponent=2.0)
     mixed = replace(arr, partition=((2, 3, 4, 5), (0, 1), tuple(range(6, 16))))
@@ -225,7 +225,7 @@ def test_max3x3_matches_maximum_filter_on_plateaus(rng, shape):
 
 def test_alias_scan_finds_sequential_ridge():
     m, dt = 32, 1e-3
-    arr = make_ula(m, 0.5, 1.0)
+    arr = make_ula(m, 0.5)
     seq = sequential(m, dt)
     dop = np.arange(-300.0, 300.0 + 1.0, 2.5)
     ang = np.arange(-40.0, 40.0 + 0.25, 0.5)
@@ -252,7 +252,7 @@ def test_alias_scan_psl_shift_invariance(rng):
     # surfaces already use centered eta, so PSL from any global time shift
     # of the same order is identical; exercise via snapshots=1 vs identity
     m, dt = 16, 1e-3
-    arr = make_ula(m, 0.5, 1.0)
+    arr = make_ula(m, 0.5)
     seq = random_init(m, dt, 1, rng)
     dop = np.arange(-150.0, 150.0 + 1.0, 5.0)
     ang = np.arange(-20.0, 20.25, 0.5)

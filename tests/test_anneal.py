@@ -16,7 +16,7 @@ DT = 1e-3
 
 
 def small_setup():
-    arr = make_ula(8, 0.5, 1.0)
+    arr = make_ula(8, 0.5)
     bound = 200.0
     cfg = ObjectiveConfig(power=6, samples=256, seed=7)
     return arr, bound, cfg
@@ -258,7 +258,7 @@ def reference_anneal(init, config, evaluator, rng):
 
 
 REFERENCE_CASES = {
-    "ula8-random": (lambda: make_ula(8, 0.5, 1.0), "random", 1),
+    "ula8-random": (lambda: make_ula(8, 0.5), "random", 1),
     "octagon16-hybrid": (lambda: make_octagonal(4, 1, 4, patch_exponent=2.0),
                          "hybrid", 1),
     "octagon32-random": (lambda: make_octagonal(8, 2, 2, patch_exponent=2.0),

@@ -9,7 +9,7 @@ from switchseq import (ArrayModel, OmniPattern, PatchPattern, StructuralParams,
                        TabulatedPattern, effective_elements, make_octagonal,
                        make_ula, steering_matrix)
 from switchseq.ambiguity import sweep_directions
-from switchseq.arrays import (attach_patterns, default_octagon_radius,
+from switchseq.arrays import (WAVELENGTH, attach_patterns, default_octagon_radius,
                              parse_pattern_file, unit_vectors)
 from switchseq.config import ExperimentConfig
 
@@ -19,35 +19,40 @@ BROADSIDE = StructuralParams(math.pi / 2, math.pi / 2, 0.0)
 
 
 def test_ula_positions_centered():
-    lam = 0.0107
-    arr = make_ula(2, lam / 2, lam)
-    assert np.allclose(arr.positions[:, 0], [-lam / 4, lam / 4])
+    arr = make_ula(2, 0.5)
+    assert np.allclose(arr.positions[:, 0], [-WAVELENGTH / 4, WAVELENGTH / 4])
     assert np.allclose(arr.positions[:, 1:], 0.0)
 
 
+@pytest.mark.parametrize("m, spacing", [(2, 0.5), (7, 0.4), (16, 0.6), (5, 1e-3)])
+def test_ula_spacing_is_given_in_wavelengths(m, spacing):
+    # the spacing in metres is formed once, at the model's carrier
+    offsets = np.arange(m) - (m - 1) / 2.0
+    assert (make_ula(m, spacing).positions[:, 0].tobytes()
+            == (offsets * (spacing * WAVELENGTH)).tobytes())
+
+
 def test_ula_single_element_at_origin():
-    arr = make_ula(1, 0.5, 1.0)
+    arr = make_ula(1, 0.5)
     assert np.allclose(arr.positions, 0.0)
 
 
 def test_ula_rejects_bad_args():
     with pytest.raises(ValueError):
-        make_ula(0, 0.5, 1.0)
+        make_ula(0, 0.5)
     with pytest.raises(ValueError):
-        make_ula(4, -0.5, 1.0)
-    with pytest.raises(ValueError):
-        make_ula(4, 0.5, 0.0)
+        make_ula(4, -0.5)
 
 
 def test_steering_broadside_all_ones():
-    arr = make_ula(8, 0.5, 1.0)
+    arr = make_ula(8, 0.5)
     v = steering_matrix(arr, math.pi / 2, math.pi / 2)
     assert np.allclose(v, np.ones(8), atol=1e-12)
 
 
 def test_steering_two_element_endfire_phases():
     # mu_phi = pi at phi=0 for half-wavelength spacing; centered exponents
-    arr = make_ula(2, 0.5, 1.0)
+    arr = make_ula(2, 0.5)
     v = steering_matrix(arr, 0.0, math.pi / 2)
     assert np.allclose(v, [np.exp(-1j * math.pi / 2), np.exp(1j * math.pi / 2)],
                        atol=1e-12)
@@ -64,7 +69,7 @@ def test_steering_magnitude_equals_gain():
 
 
 def test_steering_azimuth_periodicity():
-    arr = make_ula(4, 0.5, 1.0)
+    arr = make_ula(4, 0.5)
     az = 1.234
     v1 = steering_matrix(arr, az, 1.0)
     v2 = steering_matrix(arr, az + 2 * math.pi, 1.0)
@@ -91,7 +96,7 @@ def test_steering_rows_are_formed_in_one_buffer():
 
 
 def test_centered_ula_conjugate_symmetry():
-    arr = make_ula(6, 0.5, 1.0)
+    arr = make_ula(6, 0.5)
     v = steering_matrix(arr, 0.7, math.pi / 2)
     assert np.allclose(v, np.conj(v[::-1]), atol=1e-12)
 
@@ -107,21 +112,21 @@ def test_octagonal_element_count_and_partition():
 
 
 def test_array_model_refuses_a_bad_partition():
-    arr = make_ula(4, 0.5, 1.0)
+    arr = make_ula(4, 0.5)
     for partition in (((0, 1), (1, 2)), ((0, 1),), ((0, 2), (1, 3))):
         with pytest.raises(ValueError, match="partition"):
-            ArrayModel(arr.positions, arr.patterns, arr.wavelength, partition)
+            ArrayModel(arr.positions, arr.patterns, partition)
     # subsets in any order are a partition
-    assert ArrayModel(arr.positions, arr.patterns, arr.wavelength,
+    assert ArrayModel(arr.positions, arr.patterns,
                       ((2, 3), (0, 1))).partition == ((2, 3), (0, 1))
 
 
 def test_array_model_keeps_the_partition_it_checked():
     # lists go in, tuples are kept: editing the lists afterwards does not
     # change an array that was already validated
-    arr = make_ula(4, 0.5, 1.0)
+    arr = make_ula(4, 0.5)
     subsets = [[0, 1], [2, 3]]
-    model = ArrayModel(arr.positions, arr.patterns, arr.wavelength, subsets)
+    model = ArrayModel(arr.positions, arr.patterns, subsets)
     assert model.partition == ((0, 1), (2, 3))
     assert all(type(subset) is tuple for subset in model.partition)
     subsets[0][0], subsets[1][:] = 3, []
@@ -161,11 +166,14 @@ def octagon_by_element(panels, rows, cols, spacing, radius, exponent):
 @pytest.mark.parametrize("panels, rows, cols, radius", [
     (8, 4, 4, None), (4, 2, 2, None), (12, 3, 5, 0.3), (3, 1, 1, 2.0)])
 def test_octagonal_equals_element_by_element_build(panels, rows, cols, radius):
-    arr = make_octagonal(panels, rows, cols, element_spacing=0.006,
-                         radius=radius, patch_exponent=1.5)
-    radius = radius or default_octagon_radius(cols, 0.006, panels)
+    # lengths are given in wavelengths; the oracle builds at the metre values
+    arr = make_octagonal(panels, rows, cols, spacing_wavelengths=0.6,
+                         radius_wavelengths=radius, patch_exponent=1.5)
+    spacing = 0.6 * WAVELENGTH
+    radius = (default_octagon_radius(cols, spacing, panels) if radius is None
+              else radius * WAVELENGTH)
     positions, boresights, partition = octagon_by_element(
-        panels, rows, cols, 0.006, radius, 1.5)
+        panels, rows, cols, spacing, radius, 1.5)
     assert arr.positions.tobytes() == positions.tobytes()
     assert [p.boresight for p in arr.patterns] == boresights
     assert {p.exponent for p in arr.patterns} == {1.5}
@@ -178,13 +186,13 @@ def test_octagonal_rejects_bad_geometry():
     with pytest.raises(ValueError):
         make_octagonal(2, 4, 4)
     with pytest.raises(ValueError):
-        make_octagonal(8, 4, 4, element_spacing=-1.0)
+        make_octagonal(8, 4, 4, spacing_wavelengths=-1.0)
     with pytest.raises(ValueError):
-        make_octagonal(8, 4, 4, radius=0.0)
+        make_octagonal(8, 4, 4, radius_wavelengths=0.0)
 
 
 def test_effective_elements_omni_all():
-    arr = make_ula(8, 0.5, 1.0)
+    arr = make_ula(8, 0.5)
     idx = effective_elements(arr, StructuralParams(1.0, 1.0, 0.0), -3.0)
     assert idx.tolist() == list(range(8))
 
@@ -206,7 +214,7 @@ def test_effective_elements_square_sector_model():
 
 
 def test_effective_elements_rejects_positive_threshold():
-    arr = make_ula(4, 0.5, 1.0)
+    arr = make_ula(4, 0.5)
     with pytest.raises(ValueError):
         effective_elements(arr, BROADSIDE, 1.0)
 
@@ -365,7 +373,7 @@ def test_tabulated_pattern_rejects_non_finite_values():
 
 
 def test_pattern_file_roundtrip(tmp_path):
-    arr = make_ula(2, 0.5, 1.0)
+    arr = make_ula(2, 0.5)
     lines = ["element,pol,azimuth_deg,elevation_deg,re,im"]
     az_deg = [0.0, 90.0, 180.0, 270.0]
     el_deg = [60.0, 90.0, 120.0]
@@ -450,8 +458,13 @@ def test_pattern_file_refuses_non_finite_values(tmp_path, column, value):
     ("element", "", "has element '', not an integer"),
     ("azimuth_deg", "abc", "has azimuth_deg 'abc', not a number"),
     ("re", "x", "has re 'x', not a number"),
+    # int() and float() read digit-group underscores: 1_0 would load as 10
+    ("element", "1_0", "has element '1_0', not an integer"),
+    ("azimuth_deg", "9_0", "has azimuth_deg '9_0', not a number"),
+    ("re", "1_0", "has re '1_0', not a number"),
     ("im", "inf", r"gain must be finite: element 0 pol V at \(90.0, 90.0\) deg")],
-    ids=["element-1.0", "element-empty", "azimuth-abc", "re-x", "im-inf"])
+    ids=["element-1.0", "element-empty", "azimuth-abc", "re-x", "element-1_0",
+         "azimuth-9_0", "re-1_0", "im-inf"])
 def test_pattern_file_value_refusals_name_their_line(column, value, refusal):
     # a table has tens of thousands of rows, so a refused value names its
     # line (the header is line 1) and its column or element
@@ -489,14 +502,19 @@ def test_pattern_file_pol_must_be_v_or_h():
 
 def test_array_model_validation():
     with pytest.raises(ValueError):
-        ArrayModel(np.zeros((0, 3)), (), 1.0)
+        ArrayModel(np.zeros((0, 3)), ())
     with pytest.raises(ValueError):
-        ArrayModel(np.zeros((2, 3)), (OmniPattern(),), 1.0)
-    with pytest.raises(ValueError):
-        ArrayModel(np.zeros((1, 3)), (OmniPattern(),), 0.0)
+        ArrayModel(np.zeros((2, 3)), (OmniPattern(),))
+
+
+def test_array_model_has_the_one_carrier():
+    # positions are metres at arrays.WAVELENGTH; a model carries no wavelength
+    arr = ArrayModel(np.zeros((1, 3)), (OmniPattern(),))
+    assert not hasattr(arr, "wavelength")
+    assert arr.wavenumber == 2 * math.pi / WAVELENGTH
 
 
 def test_array_positions_immutable():
-    arr = make_ula(4, 0.5, 1.0)
+    arr = make_ula(4, 0.5)
     with pytest.raises(ValueError):
         arr.positions[0, 0] = 1.0

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 import switchseq
 from switchseq.ambiguity import ambiguity_surface
-from switchseq.arrays import WAVELENGTH, make_octagonal
+from switchseq.arrays import make_octagonal
 from switchseq.cli import cmd_crlb, main
 from switchseq.config import ConfigError, ExperimentConfig
 from switchseq.crlb import crlb_aoa
@@ -1047,48 +1047,39 @@ def test_unusable_output_directory_exits_2(tmp_path, capsys):
     assert error["message"].startswith("--out:")
 
 
-def test_config_output_dir_exits_2_as_an_unknown_field(tmp_path, capsys, monkeypatch):
-    # --out alone names where a run writes; the config has no output field
-    monkeypatch.chdir(tmp_path)
-    config = write_config(tmp_path, ula_config(output_dir="elsewhere"))
-    assert main(["effective-factor", "--config", config]) == 2
-    (line,) = capsys.readouterr().err.splitlines()
-    assert json.loads(line)["error"] == {
-        "type": "config", "message": "config: unknown field(s) ['output_dir']"}
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
-
-
-@pytest.mark.parametrize("section, key", [
-    ("reference", "doppler_hz"), ("crlb", "doppler_hz"), ("crlb", "phase"),
-    ("crlb", "azimuth_deg"), ("crlb", "elevation_deg"), ("crlb", "amplitude")])
-def test_path_doppler_and_phase_fields_exit_2_as_unknown_fields(
-        tmp_path, capsys, monkeypatch, section, key):
-    # the path's Doppler and phase are 0.0, so even that value is refused,
-    # and crlb bounds the reference path, so it has no direction of its own
-    monkeypatch.chdir(tmp_path)
-    cfg = ula_config()
-    cfg.setdefault(section, {})[key] = 0.0
-    assert main(["crlb", "--config", write_config(tmp_path, cfg)]) == 2
-    (line,) = capsys.readouterr().err.splitlines()
-    assert json.loads(line)["error"] == {
-        "type": "config", "message": f"config.{section}: unknown field(s) ['{key}']"}
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
-
-
-@pytest.mark.parametrize("base, key, value", [
-    (ula_config, "carrier_hz", 28e9), (octagon_config, "carrier_hz", 28e9),
-    (octagon_config, "radius_m", 0.01)])
-def test_carrier_and_metre_radius_exit_2_as_unknown_fields(
-        tmp_path, capsys, monkeypatch, base, key, value):
-    # no result depends on the carrier, so the model fixes it at 28 GHz and
-    # takes every length in wavelengths; even the old default is refused
+@pytest.mark.parametrize("command, base, section, key, value", [
+    ("effective-factor", ula_config, None, "output_dir", "elsewhere"),
+    ("crlb", ula_config, "reference", "doppler_hz", 0.0),
+    ("crlb", ula_config, "crlb", "doppler_hz", 0.0),
+    ("crlb", ula_config, "crlb", "phase", 0.0),
+    ("crlb", ula_config, "crlb", "azimuth_deg", 0.0),
+    ("crlb", ula_config, "crlb", "elevation_deg", 0.0),
+    ("crlb", ula_config, "crlb", "amplitude", 0.0),
+    ("ambiguity", ula_config, "array", "carrier_hz", 28e9),
+    ("ambiguity", octagon_config, "array", "carrier_hz", 28e9),
+    ("ambiguity", octagon_config, "array", "radius_m", 0.01),
+    ("effective-factor", ula_config, None, "region", {"doppler_fraction": 0.25}),
+    ("effective-factor", ula_config, None, "effective_threshold_db", -10.0)],
+    ids=["output_dir", "reference.doppler_hz", "crlb.doppler_hz", "crlb.phase",
+         "crlb.azimuth_deg", "crlb.elevation_deg", "crlb.amplitude",
+         "ula-array.carrier_hz", "octagon-array.carrier_hz", "array.radius_m",
+         "region", "effective_threshold_db"])
+def test_removed_fields_exit_2_as_unknown_fields(
+        tmp_path, capsys, monkeypatch, command, base, section, key, value):
+    # each field is refused even at its old default: --out alone names where
+    # a run writes; the path's Doppler and phase are 0.0, and crlb bounds
+    # the reference path with a noise sigma relative to a unit amplitude;
+    # the model fixes the carrier at 28 GHz and takes every length in
+    # wavelengths; objective.doppler_fraction and
+    # reference.effective_threshold_db hold the last two settings
     monkeypatch.chdir(tmp_path)
     cfg = base()
-    cfg["array"][key] = value
-    assert main(["ambiguity", "--config", write_config(tmp_path, cfg)]) == 2
+    (cfg if section is None else cfg.setdefault(section, {}))[key] = value
+    assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
     (line,) = capsys.readouterr().err.splitlines()
+    where = "config" if section is None else f"config.{section}"
     assert json.loads(line)["error"] == {
-        "type": "config", "message": f"config.array: unknown field(s) ['{key}']"}
+        "type": "config", "message": f"{where}: unknown field(s) ['{key}']"}
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
@@ -1096,24 +1087,8 @@ def test_octagon_radius_is_given_in_wavelengths():
     cfg = octagon_config()
     cfg["array"]["radius_wavelengths"] = 3.0
     array = ExperimentConfig.from_dict(cfg).array
-    expected = make_octagonal(panels=4, rows=2, cols=2, radius=3.0 * WAVELENGTH)
-    assert array.wavelength == WAVELENGTH
+    expected = make_octagonal(panels=4, rows=2, cols=2, radius_wavelengths=3.0)
     assert np.array_equal(array.positions, expected.positions)
-
-
-@pytest.mark.parametrize("key, value", [
-    ("region", {"doppler_fraction": 0.25}), ("effective_threshold_db", -10.0)])
-def test_region_and_top_level_threshold_exit_2_as_unknown_fields(
-        tmp_path, capsys, key, value):
-    # objective.doppler_fraction and reference.effective_threshold_db hold
-    # these settings, so the old paths are refused even at their defaults
-    out = tmp_path / "out"
-    config = write_config(tmp_path, ula_config(**{key: value}))
-    assert main(["effective-factor", "--config", config, "--out", str(out)]) == 2
-    (line,) = capsys.readouterr().err.splitlines()
-    assert json.loads(line)["error"] == {
-        "type": "config", "message": f"config: unknown field(s) ['{key}']"}
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -1310,10 +1285,8 @@ def test_crlb_bounds_the_reference_path(tmp_path):
     report = json.loads((out / "crlb_report.json").read_text())
     assert (report["params"]["azimuth_deg"], report["params"]["elevation_deg"]) == (
         60.0, 70.0)
-    wavelength = ExperimentConfig.from_dict(cfg).array.wavelength
     assert report["closed_form"]["var_phi"] == crlb_aoa(
-        16, 0.5 * wavelength, wavelength, math.radians(60.0), math.radians(70.0),
-        0.1, 1)
+        16, 0.5, math.radians(60.0), math.radians(70.0), 0.1, 1)
 
 
 def test_crlb_rejects_non_ula_array(tmp_path):
@@ -1512,7 +1485,8 @@ def test_compare_drops_the_evaluator_before_the_surface_sweeps(tmp_path,
                                     "missing-element", "short-row", "long-row",
                                     "repeated-column", "negative-element",
                                     "extra-element", "azimuth-360",
-                                    "elevation-over-180", "fractional-element"])
+                                    "elevation-over-180", "fractional-element",
+                                    "underscore-gain"])
 @pytest.mark.parametrize("command", ["optimize", "ambiguity", "compare",
                                      "effective-factor"])
 def test_bad_pattern_file_exits_2_at_load(tmp_path, capsys, command, defect):
@@ -1527,8 +1501,8 @@ def test_bad_pattern_file_exits_2_at_load(tmp_path, capsys, command, defect):
     # the wrong gain; a header that repeats a column would read the gains
     # from its last copy, and rows for a negative element, or for element
     # 16 of this 16-element array, would load unread; azimuth 360 repeats
-    # azimuth 0, and no elevation lies past 180; a value that does not parse
-    # is named by its line
+    # azimuth 0, and no elevation lies past 180; a value that does not parse,
+    # or has a digit-group underscore, is named by its line
     def table(elevations, azimuths=range(0, 360, 90)):
         return ["element,pol,azimuth_deg,elevation_deg,re,im"] + [
             f"{e},V,{a},{el},1.0,0.0" for e in range(16)
@@ -1566,6 +1540,8 @@ def test_bad_pattern_file_exits_2_at_load(tmp_path, capsys, command, defect):
         lines = table((0, 90, 180, 190))
     elif defect == "fractional-element":
         lines[5] = "1.0" + lines[5][1:]
+    elif defect == "underscore-gain":  # float() would read 10.0
+        lines[5] = lines[5].replace("1.0,0.0", "1_0,0.0")
     cfg = octagon_config()
     cfg["array"]["pattern_file"] = str(tmp_path / "bad.csv")
     if defect == "directory":
@@ -1582,7 +1558,8 @@ def test_bad_pattern_file_exits_2_at_load(tmp_path, capsys, command, defect):
     assert {"long-row": "more fields than its header", "extra-element": "element 16",
             "azimuth-360": "azimuth grid must lie inside [0, 2*pi)",
             "elevation-over-180": "elevation grid must lie inside [0, pi]",
-            "fractional-element": "pattern file line 6 has element '1.0', not an integer"
+            "fractional-element": "pattern file line 6 has element '1.0', not an integer",
+            "underscore-gain": "pattern file line 6 has re '1_0', not a number"
             }.get(defect, "") in error["message"]
     assert not (tmp_path / "out").exists()
 

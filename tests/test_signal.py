@@ -12,7 +12,7 @@ BROADSIDE = StructuralParams(math.pi / 2, math.pi / 2, 0.0)
 def doppler_vector(seq, doppler_hz):
     """The Doppler phase progression of a sequence: the basis of a broadside
     omni ULA, whose steering vector is all ones."""
-    arr = make_ula(seq.num_elements, 0.5, 1.0)
+    arr = make_ula(seq.num_elements, 0.5)
     return basis(arr, seq, StructuralParams(math.pi / 2, math.pi / 2, doppler_hz))
 
 
@@ -44,7 +44,7 @@ def test_doppler_vector_exponential_additivity(rng):
 
 
 def test_basis_zero_doppler_equals_tiled_steering():
-    arr = make_ula(4, 0.5, 1.0)
+    arr = make_ula(4, 0.5)
     seq = sequential(4, 1e-3, snapshots=3)
     mu = StructuralParams(1.1, 1.3, 0.0)
     b = basis(arr, seq, mu)
@@ -53,7 +53,7 @@ def test_basis_zero_doppler_equals_tiled_steering():
 
 
 def test_basis_broadside_all_ones():
-    arr = make_ula(8, 0.5, 1.0)
+    arr = make_ula(8, 0.5)
     b = basis(arr, sequential(8, 1e-3), BROADSIDE)
     assert np.allclose(b, np.ones(8), atol=1e-12)
 
@@ -69,7 +69,7 @@ def test_basis_norm_is_gain_power_times_snapshots():
 
 def test_basis_conjugate_under_doppler_sign_flip():
     # broadside omni ULA has a real steering part
-    arr = make_ula(8, 0.5, 1.0)
+    arr = make_ula(8, 0.5)
     seq = sequential(8, 1e-3)
     plus = basis(arr, seq, StructuralParams(math.pi / 2, math.pi / 2, 700.0))
     minus = basis(arr, seq, StructuralParams(math.pi / 2, math.pi / 2, -700.0))
@@ -77,20 +77,20 @@ def test_basis_conjugate_under_doppler_sign_flip():
 
 
 def test_basis_from_eta_length_check():
-    arr = make_ula(4, 0.5, 1.0)
+    arr = make_ula(4, 0.5)
     with pytest.raises(ValueError):
         basis_from_eta(arr, np.zeros(6), BROADSIDE)
 
 
 def test_basis_rejects_mismatched_sequence():
-    arr = make_ula(4, 0.5, 1.0)
+    arr = make_ula(4, 0.5)
     with pytest.raises(ValueError):
         basis(arr, sequential(5, 1e-3), BROADSIDE)
 
 
 def test_snr_definition_plumbing(rng):
     # SNR = r^2 * sum|g|^2 / (M * sigma^2) for the omni array equals r^2/sigma^2
-    arr = make_ula(8, 0.5, 1.0)
+    arr = make_ula(8, 0.5)
     amplitude = 3.0
     sigma = 0.5
     g = arr.gain_matrix(1.0, 1.0)

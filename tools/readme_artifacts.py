@@ -6,14 +6,16 @@ Runs the quick-start `optimize`, `ambiguity --sequence` on its output,
 `ambiguity` on the sequence the config builds (`ambiguity_built`), `compare`
 and `effective-factor`, `optimize` again with the random scheme
 (`optimize_random`) and with `--seed 7` (`optimize_seed7`), `compare` again
-sweeping the azimuth (`compare_aoa`, `sweep.angle_axis` aoa) and on a ring
+sweeping the azimuth (`compare_aoa`, `sweep.angle_axis` aoa), on a ring
 whose panels leave gaps (`compare_gapped`, `array.radius_wavelengths` 3.0,
-past the 2.414 at which they touch), the quick-start `compare` again on two
-arrays whose V-pol patterns load from files it writes (cos^2 patches on a
-10-degree grid, then the same with a per-element amplitude and phase
-ripple, so that R* is null), and the ULA `crlb` as written, then with the
-reference path, which crlb bounds, at elevation_deg 60 and at azimuth_deg
-45 and -270, each into a folder of OUT. Runs from OUT, where a relative
+past the 2.414 at which they touch) and on elements 0.6 wavelengths apart
+(`compare_spacing`, `array.spacing_wavelengths` 0.6), the quick-start
+`compare` again on two arrays whose V-pol patterns load from files it writes
+(cos^2 patches on a 10-degree grid, then the same with a per-element
+amplitude and phase ripple, so that R* is null), and the ULA `crlb` as
+written, then with the reference path, which crlb bounds, at elevation_deg
+60 and at azimuth_deg 45 and -270, and with elements 0.4 wavelengths apart
+(`crlb_spacing`), each into a folder of OUT. Runs from OUT, where a relative
 `array.pattern_file` is read, so that no path in a config depends on it.
 Then prints `sha256  path` for every file there, with `wall_time_s` dropped
 from each manifest.json, so the runs of two trees compare with `diff`.
@@ -77,11 +79,15 @@ def run(out: Path) -> None:
             ("compare_aoa", "compare",
              {**quick, "sweep": {**quick["sweep"], "angle_axis": "aoa"}}, []),
             ("compare_gapped", "compare",
-             {**quick, "array": {**quick["array"], "radius_wavelengths": 3.0}}, [])]
+             {**quick, "array": {**quick["array"], "radius_wavelengths": 3.0}}, []),
+            ("compare_spacing", "compare",
+             {**quick, "array": {**quick["array"], "spacing_wavelengths": 0.6}}, [])]
     runs += [(name, "compare", {**quick, "array": {**quick["array"], "pattern_file": file}},
               []) for name, (file, _) in PATTERNS.items()]
     runs += [(name, "crlb", {**ula, "reference": {**ula["reference"], **extra}}, [])
              for name, extra in CRLB_RUNS.items()]
+    runs.append(("crlb_spacing", "crlb",
+                 {**ula, "array": {**ula["array"], "spacing_wavelengths": 0.4}}, []))
     out.mkdir(parents=True, exist_ok=True)
     for file, ripple in PATTERNS.values():
         write_patterns(out / file, quick["array"], ripple)
