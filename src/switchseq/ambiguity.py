@@ -10,9 +10,13 @@ each element's only on its live samples, those where its gain product is
 nonzero in both directions: elements that share a pattern object share one
 sorted index of them, and a pattern live on every sample takes slice(None).
 On an octagon of patches each element sees a half-space, so a quarter of
-the products are kept. It also keeps two Doppler phase factor tables of
-about sqrt(M) rows each, from which it forms the phase of a slot on an
-element's live samples on demand (a sequence only permutes the slots).
+the products are kept, all in one array: a first pass over the pattern
+objects counts their live samples, so the array is sized before any
+product is formed, and patterns that locate alike (arrays.py) locate the
+samples once. It also keeps two Doppler phase factor tables of about
+sqrt(M) rows each, formed after the products once the build's scratch is
+freed, from which it forms the phase of a slot on an element's live
+samples on demand (a sequence only permutes the slots).
 
 A sequence is scored from its per-sample sums S_n = sum_m cross[m, n] *
 P[slot_m, n], held as exact int64 fixed-point numbers: each term is rounded
@@ -177,39 +181,47 @@ class ObjectiveEvaluator:
         dnu = doppler_bound * (2.0 * u[:, 4] - 1.0)
         self.volume = (2.0 * math.pi) ** 2 * math.pi ** 2 * (2.0 * doppler_bound)
 
-        # Doppler phase of sample n in slot s, exp(2*pi*i*dnu*s*dt), is
-        # coarse[s // L] * fine[s % L] with coarse rows exp(2*pi*i*dnu*lo*dt)
-        # for lo = 0, L, 2L, ... and fine rows exp(2*pi*i*dnu*r*dt) for
-        # r < L = ceil(sqrt(M)): term() forms the row of a slot from these
-        # two tables of about sqrt(M) rows each, on an element's live
-        # samples, one complex multiply per sample. They are formed before
-        # the products, so that their temporaries are gone while those grow
-        self._step = math.isqrt(m - 1) + 1
-        self._fine = 2j * math.pi * np.outer(np.arange(self._step) * self.delta_t, dnu)
-        np.exp(self._fine, out=self._fine)
-        self._coarse = np.empty(((m - 1) // self._step + 1, n), dtype=complex)
-        for row, lo in zip(self._coarse, range(0, m, self._step)):
-            np.exp(2j * math.pi * (lo * self.delta_t) * dnu, out=row)
-        # squared snapshot gain (the 1/snapshots normalization already sits
-        # in the basis norms)
-        self._snapshot_power = snapshot_gain(dnu, m, self.delta_t,
-                                             self.snapshots) ** 2
-        del dnu
-
         # steering cross-products conj(g_m) g'_m / (||g|| ||g'||), taken as
         # conj(G) G' exp(i k (u' - u).p) only on the samples where the gain
-        # product is nonzero: a pattern object is evaluated in both
-        # directions once, and its elements share the sorted index of its
-        # live samples (slice(None) when it is live on every sample); the
-        # products of a run of elements that share a pattern object within
-        # a block are formed as one (run x live) block. A block's |G|^2 is
-        # summed into power, and its scratch freed, before its products are
-        # formed, so that the scratch is not held beside them
+        # product is nonzero. A first pass over the pattern objects finds
+        # each one's sorted index of them (slice(None) when it is live on
+        # every sample), which its elements share, so that one array sized
+        # before any product is formed holds every element's (2, live) real
+        # and imaginary rows in element order. Patterns whose locate reads
+        # the same inputs share one located result per direction
         du = unit_vectors(phi_p, theta_p) - unit_vectors(phi, theta)
         del u
+        located = {}  # per locate_key: the located samples of both directions
+        live_of = {}  # per pattern object: its live samples
+
+        def gains(pattern):
+            """The pattern's gains G and G' of both directions."""
+            key = pattern.locate_key
+            if key not in located:
+                located[key] = (pattern.locate(phi, theta),
+                                pattern.locate(phi_p, theta_p))
+            return tuple(map(pattern.gain_at, located[key]))
+
+        for pattern in array.patterns:
+            if id(pattern) not in live_of:
+                both, gain = gains(pattern)
+                np.multiply(np.conj(both, out=both), gain, out=both)
+                live = np.flatnonzero(both != 0.0)
+                live_of[id(pattern)] = slice(None) if live.size == n else live
+                del both, gain
+        self.live = [live_of[id(p)] for p in array.patterns]
+        sizes = [n if isinstance(live, slice) else live.size for live in self.live]
+        starts = np.cumsum([0] + sizes).tolist()
+        products = np.empty(2 * starts[-1])
+        self._cross = [products[2 * a:2 * b].reshape(2, b - a)
+                       for a, b in zip(starts, starts[1:])]
+
+        # the products of a run of elements that share a pattern object
+        # within a block are formed as one (run x live) block and written
+        # to their (run, 2, live) rows in place. A block's |G|^2 is
+        # summed into power, and its scratch freed, before its products are
+        # formed, so that the scratch is not held beside them
         block = max(1, _BLOCK_ENTRIES // n)
-        self.live = []  # per element: the samples its products are kept on
-        self._cross = []  # per element: (2, live) real and imaginary rows
         power = np.zeros((2, n))  # sum_m |G_m|^2 of both directions
         pattern = None  # the last pattern object
         pattern_mag2 = np.empty((2, n))  # its |G|^2 in both directions
@@ -219,35 +231,33 @@ class ObjectiveEvaluator:
             # element axis innermost in memory, as in a gain matrix: it sets
             # the order in which numpy adds the elements' |G|^2 into power
             mag2 = np.empty((2, n, len(patterns))).transpose(0, 2, 1)
-            starts = [j for j, p in enumerate(patterns)
+            firsts = [j for j, p in enumerate(patterns)
                       if j == 0 or p is not patterns[j - 1]]
-            runs = []  # (first, stop, live, gain product) per run
-            for j, k in zip(starts, starts[1:] + [len(patterns)]):
+            runs = []  # (first, stop, gain product) per run
+            for j, k in zip(firsts, firsts[1:] + [len(patterns)]):
                 if patterns[j] is not pattern:
                     pattern = patterns[j]
-                    both = pattern.gain(phi, theta)
+                    both, gain = gains(pattern)
                     np.add(both.real ** 2, both.imag ** 2, out=pattern_mag2[0])
-                    gain = pattern.gain(phi_p, theta_p)
                     np.add(gain.real ** 2, gain.imag ** 2, out=pattern_mag2[1])
                     np.multiply(np.conj(both, out=both), gain, out=both)
                     del gain
-                    live = np.flatnonzero(both != 0.0)
-                    live = slice(None) if live.size == n else live
-                    both = both[live]
+                    both = both[live_of[id(pattern)]]
                 mag2[:, j:k] = pattern_mag2[:, None]
-                runs.append((j, k, live, both))
+                runs.append((j, k, both))
             power += mag2.sum(axis=1)
             del mag2
             arg = array.positions[rows] @ du.T
             arg *= array.wavenumber
-            for j, k, kept, product in runs:
-                terms = 1j * arg[j:k][:, kept]
+            for j, k, product in runs:
+                terms = 1j * arg[j:k][:, self.live[lo + j]]
                 np.multiply(product, np.exp(terms, out=terms), out=terms)
-                self.live += [kept] * (k - j)
-                self._cross += list(np.stack([terms.real, terms.imag], axis=1))
+                out = products[2 * starts[lo + j]:2 * starts[lo + k]].reshape(
+                    k - j, 2, sizes[lo + j])
+                out[:, 0], out[:, 1] = terms.real, terms.imag
                 del terms
             del arg, runs
-        del du
+        del du, located, both, pattern_mag2, phi, theta, phi_p, theta_p
         norm2 = power[0] * power[1]
         ok = norm2 > 0.0
         self.degenerate_count = int(n - ok.sum())
@@ -258,6 +268,25 @@ class ObjectiveEvaluator:
             ok, self.snapshots * np.sqrt(norm2), 1.0)
         for live, cross in zip(self.live, self._cross):
             cross *= scale[live]
+        del scale, power, norm2, ok
+
+        # Doppler phase of sample n in slot s, exp(2*pi*i*dnu*s*dt), is
+        # coarse[s // L] * fine[s % L] with coarse rows exp(2*pi*i*dnu*lo*dt)
+        # for lo = 0, L, 2L, ... and fine rows exp(2*pi*i*dnu*r*dt) for
+        # r < L = ceil(sqrt(M)): term() forms the row of a slot from these
+        # two tables of about sqrt(M) rows each, on an element's live
+        # samples, one complex multiply per sample. They are formed after
+        # the products, so that they are not held beside the build's scratch
+        self._step = math.isqrt(m - 1) + 1
+        self._fine = 2j * math.pi * np.outer(np.arange(self._step) * self.delta_t, dnu)
+        np.exp(self._fine, out=self._fine)
+        self._coarse = np.empty(((m - 1) // self._step + 1, n), dtype=complex)
+        for row, lo in zip(self._coarse, range(0, m, self._step)):
+            np.exp(2j * math.pi * (lo * self.delta_t) * dnu, out=row)
+        # squared snapshot gain (the 1/snapshots normalization already sits
+        # in the basis norms)
+        self._snapshot_power = snapshot_gain(dnu, m, self.delta_t,
+                                             self.snapshots) ** 2
 
     def evaluate(self, seq: SwitchingSequence) -> float:
         """QMC estimate of f_P for one sequence."""

@@ -41,29 +41,48 @@ def unit_vectors(azimuth, elevation) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class OmniPattern:
-    """Isotropic element: unit gain in every direction."""
+class _Pattern:
+    """An element pattern's complex gain at (broadcastable) angles is
+    gain_at(locate(azimuth, elevation)): locate does the work that reads
+    the angles and the pattern's grid alone, gain_at the rest. Patterns
+    with equal locate_key locate alike, so one located result serves
+    them all."""
 
     def gain(self, azimuth, elevation) -> np.ndarray:
-        az, el = np.broadcast_arrays(np.asarray(azimuth, float), np.asarray(elevation, float))
-        return np.ones(az.shape, dtype=complex)
+        return self.gain_at(self.locate(azimuth, elevation))
 
 
 @dataclass(frozen=True)
-class PatchPattern:
+class OmniPattern(_Pattern):
+    """Isotropic element: unit gain in every direction. It locates the
+    angles' broadcast shape."""
+
+    locate_key = "shape"
+
+    def locate(self, azimuth, elevation) -> tuple[int, ...]:
+        az, el = np.broadcast_arrays(np.asarray(azimuth, float), np.asarray(elevation, float))
+        return az.shape
+
+    def gain_at(self, shape: tuple[int, ...]) -> np.ndarray:
+        return np.ones(shape, dtype=complex)
+
+
+@dataclass(frozen=True)
+class PatchPattern(_Pattern):
     """Synthetic patch element: amplitude gain max(0, cos psi)**exponent.
 
     psi is the angle between the arrival direction and the boresight.
     Directions at or behind the element plane (cos psi <= 0) get zero gain.
     exponent = 0 degenerates to an omni-within-hemisphere sector element.
+    It locates the directions' unit_vectors.
     """
 
     exponent: float
     boresight: tuple[float, float, float]
+    locate_key = "unit_vectors"
 
     def __post_init__(self):
-        if self.exponent < 0:
+        if not self.exponent >= 0:
             raise ValueError("patch exponent must be >= 0")
         n = np.asarray(self.boresight, dtype=float)
         norm = np.linalg.norm(n)
@@ -71,8 +90,10 @@ class PatchPattern:
             raise ValueError("boresight must be a nonzero vector")
         object.__setattr__(self, "boresight", tuple(n / norm))
 
-    def gain(self, azimuth, elevation) -> np.ndarray:
-        u = unit_vectors(azimuth, elevation)
+    def locate(self, azimuth, elevation) -> np.ndarray:
+        return unit_vectors(azimuth, elevation)
+
+    def gain_at(self, u: np.ndarray) -> np.ndarray:
         cos_psi = u @ np.asarray(self.boresight)
         front = cos_psi > _GRAZING_EPS
         g = np.zeros(cos_psi.shape, dtype=float)
@@ -81,7 +102,7 @@ class PatchPattern:
 
 
 @dataclass(frozen=True)
-class TabulatedPattern:
+class TabulatedPattern(_Pattern):
     """Complex gain tabulated on a rectangular (azimuth, elevation) grid.
 
     The azimuth grid must be strictly increasing inside [0, 2*pi) and is
@@ -91,6 +112,9 @@ class TabulatedPattern:
     increasing inside [0, pi]. Queries are interpolated bilinearly (in
     azimuth on one elevation); elevation queries outside the tabulated
     range are rejected.
+
+    locate refuses those, and finds each query's cell in the raveled table
+    and its weights; tables on equal grids locate alike.
     """
 
     azimuth_grid: np.ndarray
@@ -125,9 +149,13 @@ class TabulatedPattern:
         object.__setattr__(self, "_az_ext", np.append(az, az[0] + 2 * math.pi))
         object.__setattr__(self, "_el_ext", el)
         object.__setattr__(self, "_g_ext", g)
+        object.__setattr__(self, "locate_key", (self.azimuth_grid.tobytes(),
+                                                self.elevation_grid.tobytes()))
 
-    def gain(self, azimuth, elevation) -> np.ndarray:
-        az_ext, el_ext, g_ext = self._az_ext, self._el_ext, self._g_ext
+    def locate(self, azimuth, elevation) -> tuple[np.ndarray, ...]:
+        """The index of each query's cell corner in the raveled table and
+        its azimuth and elevation weights."""
+        az_ext, el_ext = self._az_ext, self._el_ext
         az = az_ext[0] + np.mod(np.asarray(azimuth, dtype=float) - az_ext[0],
                                 2 * math.pi)
         el = np.asarray(elevation, dtype=float)
@@ -141,9 +169,12 @@ class TabulatedPattern:
         ie = np.clip(np.searchsorted(el_ext, el, side="right") - 1, 0, el_ext.size - 2)
         ta = (az - az_ext[ia]) / (az_ext[ia + 1] - az_ext[ia])
         te = (el - el_ext[ie]) / (el_ext[ie + 1] - el_ext[ie])
+        return ia * el_ext.size + ie, ta, te  # of g00 in the raveled table
+
+    def gain_at(self, located: tuple[np.ndarray, ...]) -> np.ndarray:
+        flat, ta, te = located
+        g_ext = self._g_ext
         cols = g_ext.shape[1]
-        flat = ia * cols + ie  # of g00 in the raveled table
-        del az, el, ia, ie
         ua, ue = 1 - ta, 1 - te
 
         def corner(offset, wa, we):
@@ -225,7 +256,7 @@ def make_ula(num_elements: int, spacing_wavelengths: float) -> ArrayModel:
     if num_elements < 1:
         raise ValueError("need at least one element")
     spacing = spacing_wavelengths * WAVELENGTH
-    if spacing <= 0:
+    if not spacing > 0:
         raise ValueError("spacing must be positive")
     offsets = np.arange(num_elements) - (num_elements - 1) / 2.0
     positions = np.zeros((num_elements, 3))
@@ -260,11 +291,11 @@ def make_octagonal(
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be >= 1")
     element_spacing = spacing_wavelengths * WAVELENGTH
-    if element_spacing <= 0:
+    if not element_spacing > 0:
         raise ValueError("element spacing must be positive")
     radius = (default_octagon_radius(cols, element_spacing, panels)
               if radius_wavelengths is None else radius_wavelengths * WAVELENGTH)
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError("radius must be positive")
 
     size = rows * cols
@@ -343,7 +374,7 @@ def effective_elements(array: ArrayModel, mu: StructuralParams,
                        power_threshold_db: float) -> np.ndarray:
     """Indices whose nonzero power |g_m|^2 at the path mu's direction is
     within power_threshold_db of the maximum."""
-    if power_threshold_db > 0:
+    if not power_threshold_db <= 0:
         raise ValueError("threshold must be <= 0 dB")
     power = np.abs(array.gain_matrix(mu.rx_azimuth, mu.rx_elevation)) ** 2
     floor = power.max() * 10.0 ** (power_threshold_db / 10.0)

@@ -76,7 +76,7 @@ def crlb_aoa(num_elements: int, spacing_wavelengths: float, azimuth: float,
     if num_elements < 2:
         raise ValueError("azimuth is unobservable with fewer than 2 elements")
     spacing = spacing_wavelengths * WAVELENGTH
-    if spacing <= 0:
+    if not spacing > 0:
         raise ValueError("spacing must be positive")
     s = math.sin(azimuth) * math.sin(elevation)
     if abs(s) < 1e-12:
@@ -114,7 +114,7 @@ def fim_matrix(array: ArrayModel, seq: SwitchingSequence, params: StructuralPara
     stays O(1e-3) rad for any sequence length. A FIM that is not finite
     raises SingularFIMError.
     """
-    if noise_sigma <= 0:
+    if not noise_sigma > 0:
         raise ValueError("noise sigma must be positive")
     eta_norm = np.linalg.norm(seq.eta())
     steps = np.array([  # in PARAM_NAMES order

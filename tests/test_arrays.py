@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from switchseq import (ArrayModel, OmniPattern, PatchPattern, StructuralParams,
-                       TabulatedPattern, effective_elements, make_octagonal,
-                       make_ula, steering_matrix)
+                       TabulatedPattern, crlb_aoa, effective_elements, fim_matrix,
+                       make_octagonal, make_ula, sequential, steering_matrix)
 from switchseq.ambiguity import sweep_directions
 from switchseq.arrays import (WAVELENGTH, attach_patterns, default_octagon_radius,
                              parse_pattern_file, unit_vectors)
@@ -219,6 +219,24 @@ def test_effective_elements_rejects_positive_threshold():
         effective_elements(arr, BROADSIDE, 1.0)
 
 
+@pytest.mark.parametrize("call, refusal", [
+    (lambda: make_ula(4, math.nan), "spacing must be positive"),
+    (lambda: make_octagonal(spacing_wavelengths=math.nan), "element spacing must be positive"),
+    (lambda: make_octagonal(radius_wavelengths=math.nan), "radius must be positive"),
+    (lambda: PatchPattern(math.nan, (1, 0, 0)), "patch exponent must be >= 0"),
+    (lambda: effective_elements(make_ula(4, 0.5), BROADSIDE, math.nan),
+     "threshold must be <= 0 dB"),
+    (lambda: crlb_aoa(4, math.nan, 1.0, 1.0, 0.1, 1), "spacing must be positive"),
+    (lambda: fim_matrix(make_ula(4, 0.5), sequential(4, 1e-4), BROADSIDE, math.nan),
+     "noise sigma must be positive"),
+], ids=["ula-spacing", "octagon-spacing", "octagon-radius", "patch-exponent",
+        "effective-threshold", "crlb-aoa-spacing", "fim-noise-sigma"])
+def test_library_builders_and_bounds_refuse_nan(call, refusal):
+    # each check reads "not x > 0", which NaN fails; "x <= 0" let it through
+    with pytest.raises(ValueError, match=refusal):
+        call()
+
+
 def test_direction_validation():
     u = unit_vectors(0.0, math.pi / 2)
     assert np.allclose(u, [1.0, 0.0, 0.0], atol=1e-12)
@@ -345,6 +363,43 @@ def test_tabulated_pattern_rejects_out_of_grid_elevation():
     pat = TabulatedPattern(az, el, np.ones((8, 5), dtype=complex))
     with pytest.raises(ValueError):
         pat.gain(0.1, 0.1)
+
+
+def test_gain_is_gain_at_of_a_shared_locate():
+    # patterns with one locate_key take each other's located samples: every
+    # omni, every patch, and tables on equal grids; each gives its gain
+    # bit for bit from the shared result
+    rng = np.random.default_rng(7)
+    table = random_table(rng, 9, 6)
+    other = TabulatedPattern(table.azimuth_grid, table.elevation_grid,
+                             random_table(rng, 9, 6).gains)
+    lone = TabulatedPattern(table.azimuth_grid, table.elevation_grid[:1],
+                            table.gains[:, :1])
+    azimuth = rng.uniform(-10.0, 10.0, 300)
+    elevation = rng.uniform(table.elevation_grid[0], table.elevation_grid[-1], 300)
+    alike = [(OmniPattern(), OmniPattern()),
+             (PatchPattern(2.0, (1, 0, 0)), PatchPattern(0.5, (0, 1, 1))),
+             (table, other), (lone, lone)]
+    for first, pattern in alike:
+        if pattern is lone:
+            elevation = np.full(300, lone.elevation_grid[0])
+        assert first.locate_key == pattern.locate_key
+        gain = pattern.gain(azimuth, elevation)
+        shared = pattern.gain_at(first.locate(azimuth, elevation))
+        assert np.array_equal(shared.view(np.uint64), gain.view(np.uint64))
+        if pattern is other:  # the expression needs two elevations
+            assert np.array_equal(gain.view(np.uint64), expression_gain(
+                pattern, azimuth, elevation).view(np.uint64))
+    # a table's key holds both grids: one elevation is not the two of
+    # another table that extends alike
+    two = TabulatedPattern(table.azimuth_grid, lone._el_ext, table.gains[:, :2])
+    keys = {p.locate_key for p in (OmniPattern(), PatchPattern(2.0, (1, 0, 0)),
+                                   table, lone, two, random_table(rng, 9, 6))}
+    assert len(keys) == 6
+    # locate refuses an elevation off the tabulated grid, as gain does
+    for query in (lone.locate, lone.gain):
+        with pytest.raises(ValueError, match="elevation query outside tabulated grid"):
+            query(azimuth, lone.elevation_grid[0] + 0.1)
 
 
 def test_tabulated_pattern_rejects_bad_grids():

@@ -19,6 +19,7 @@ written, then with the reference path, which crlb bounds, at elevation_deg
 `array.pattern_file` is read, so that no path in a config depends on it.
 Then prints `sha256  path` for every file there, with `wall_time_s` dropped
 from each manifest.json, so the runs of two trees compare with `diff`.
+tests/test_readme_artifacts.py compares them with tests/readme_artifacts.json.
 """
 
 import hashlib
